@@ -1,5 +1,14 @@
 (* Canonical XXH64 (https://xxhash.com). All arithmetic is modulo 2^64 on
-   Int64 values; OCaml's Int64 ops already wrap. *)
+   Int64 values; OCaml's Int64 ops already wrap.
+
+   No allocation per lane. ocamlopt without flambda keeps an int64 unboxed
+   only while it stays inside one function body: every call that returns
+   an int64 boxes it, and so does every store into a [mutable int64]
+   field. Hence the operators are primitives, the lane helpers are
+   [@inline], lanes are read with the unchecked native load once the one
+   range check has passed, and the stripe loops run on local refs
+   (unboxed mutable variables) that reach the streaming state once per
+   call. *)
 
 let p1 = 0x9E3779B185EBCA87L
 let p2 = 0xC2B2AE3D27D4EB4FL
@@ -7,27 +16,46 @@ let p3 = 0x165667B19E3779F9L
 let p4 = 0x85EBCA77C2B2AE63L
 let p5 = 0x27D4EB2F165667C5L
 
-let ( +% ) = Int64.add
-let ( *% ) = Int64.mul
-let ( ^% ) = Int64.logxor
+external ( +% ) : int64 -> int64 -> int64 = "%int64_add"
+external ( *% ) : int64 -> int64 -> int64 = "%int64_mul"
+external ( ^% ) : int64 -> int64 -> int64 = "%int64_xor"
+external big_endian : unit -> bool = "%big_endian"
+external get64_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external get32_ne : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 
-let rotl x r =
+let[@inline] rotl x r =
   Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
 
-let round acc lane = rotl (acc +% (lane *% p2)) 31 *% p1
+let[@inline] round acc lane = rotl (acc +% (lane *% p2)) 31 *% p1
 
-let merge_round acc v = ((acc ^% round 0L v) *% p1) +% p4
+let[@inline] merge_round acc v = ((acc ^% round 0L v) *% p1) +% p4
 
-let avalanche h =
+let[@inline] avalanche h =
   let h = h ^% Int64.shift_right_logical h 33 in
   let h = h *% p2 in
   let h = h ^% Int64.shift_right_logical h 29 in
   let h = h *% p3 in
   h ^% Int64.shift_right_logical h 32
 
-let get64 b i = Bytes.get_int64_le b i
-let get32 b i = Int64.of_int32 (Bytes.get_int32_le b i) |> Int64.logand 0xFFFFFFFFL
-let get8 b i = Int64.of_int (Char.code (Bytes.unsafe_get b i))
+(* Little-endian lane reads without bounds checks: every caller has
+   range-checked [pos, pos + len) against the buffer first, in a form
+   that cannot overflow. *)
+let[@inline] get64 b i =
+  if big_endian () then Bytes.get_int64_le b i else get64_ne b i
+
+let[@inline] get32 b i =
+  let w = if big_endian () then Bytes.get_int32_le b i else get32_ne b i in
+  Int64.logand (Int64.of_int32 w) 0xFFFFFFFFL
+
+let[@inline] get8 b i = Int64.of_int (Char.code (Bytes.unsafe_get b i))
+
+(* Fold the four stripe lanes into one accumulator. *)
+let[@inline] converge v1 v2 v3 v4 =
+  let acc = rotl v1 1 +% rotl v2 7 +% rotl v3 12 +% rotl v4 18 in
+  let acc = merge_round acc v1 in
+  let acc = merge_round acc v2 in
+  let acc = merge_round acc v3 in
+  merge_round acc v4
 
 (* Finish hashing [b.(pos .. pos+len)] given the accumulator [acc] (which
    already includes the total length). *)
@@ -50,7 +78,7 @@ let finalize acc b pos len =
   avalanche !acc
 
 let hash_sub ?(seed = 0L) b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
     invalid_arg "Xxh64.hash_sub";
   if len >= 32 then begin
     let v1 = ref (seed +% p1 +% p2)
@@ -66,12 +94,7 @@ let hash_sub ?(seed = 0L) b ~pos ~len =
       v4 := round !v4 (get64 b (!i + 24));
       i := !i + 32
     done;
-    let acc = rotl !v1 1 +% rotl !v2 7 +% rotl !v3 12 +% rotl !v4 18 in
-    let acc = merge_round acc !v1 in
-    let acc = merge_round acc !v2 in
-    let acc = merge_round acc !v3 in
-    let acc = merge_round acc !v4 in
-    let acc = acc +% Int64.of_int len in
+    let acc = converge !v1 !v2 !v3 !v4 +% Int64.of_int len in
     finalize acc b !i (pos + len - !i)
   end
   else
@@ -105,37 +128,44 @@ let init ?(seed = 0L) () =
     v4 = Int64.sub seed p1;
   }
 
-let consume_stripe st b pos =
-  st.v1 <- round st.v1 (get64 b pos);
-  st.v2 <- round st.v2 (get64 b (pos + 8));
-  st.v3 <- round st.v3 (get64 b (pos + 16));
-  st.v4 <- round st.v4 (get64 b (pos + 24))
-
 let update st b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
     invalid_arg "Xxh64.update";
   st.total <- st.total + len;
-  let pos = ref pos and len = ref len in
+  let i = ref pos in
+  let stop = pos + len in
+  (* Top up a partial stripe left by the previous call. *)
   if st.buf_len > 0 then begin
-    let need = 32 - st.buf_len in
-    let take = min need !len in
-    Bytes.blit b !pos st.buf st.buf_len take;
+    let take = min (32 - st.buf_len) len in
+    Bytes.blit b pos st.buf st.buf_len take;
     st.buf_len <- st.buf_len + take;
-    pos := !pos + take;
-    len := !len - take;
-    if st.buf_len = 32 then begin
-      consume_stripe st st.buf 0;
-      st.buf_len <- 0
-    end
+    i := pos + take
   end;
-  while !len >= 32 do
-    consume_stripe st b !pos;
-    pos := !pos + 32;
-    len := !len - 32
-  done;
-  if !len > 0 then begin
-    Bytes.blit b !pos st.buf 0 !len;
-    st.buf_len <- !len
+  if st.buf_len = 32 || stop - !i >= 32 then begin
+    let v1 = ref st.v1 and v2 = ref st.v2 and v3 = ref st.v3 and v4 = ref st.v4 in
+    if st.buf_len = 32 then begin
+      let s = st.buf in
+      v1 := round !v1 (get64 s 0);
+      v2 := round !v2 (get64 s 8);
+      v3 := round !v3 (get64 s 16);
+      v4 := round !v4 (get64 s 24);
+      st.buf_len <- 0
+    end;
+    while stop - !i >= 32 do
+      v1 := round !v1 (get64 b !i);
+      v2 := round !v2 (get64 b (!i + 8));
+      v3 := round !v3 (get64 b (!i + 16));
+      v4 := round !v4 (get64 b (!i + 24));
+      i := !i + 32
+    done;
+    st.v1 <- !v1;
+    st.v2 <- !v2;
+    st.v3 <- !v3;
+    st.v4 <- !v4
+  end;
+  if !i < stop then begin
+    Bytes.blit b !i st.buf 0 (stop - !i);
+    st.buf_len <- stop - !i
   end
 
 (* The staging buffer lives in the state (not a module global) so
@@ -147,15 +177,7 @@ let update_int64 st v =
 
 let digest st =
   let acc =
-    if st.total >= 32 then
-      let acc =
-        rotl st.v1 1 +% rotl st.v2 7 +% rotl st.v3 12 +% rotl st.v4 18
-      in
-      let acc = merge_round acc st.v1 in
-      let acc = merge_round acc st.v2 in
-      let acc = merge_round acc st.v3 in
-      merge_round acc st.v4
-    else st.seed +% p5
+    if st.total >= 32 then converge st.v1 st.v2 st.v3 st.v4 else st.seed +% p5
   in
   let acc = acc +% Int64.of_int st.total in
   finalize acc st.buf 0 st.buf_len

@@ -7,7 +7,15 @@
     canonical XXH64 algorithm, validated against published test vectors.
 
     A streaming interface is provided so a multi-page region can be hashed
-    without concatenating it into one buffer. *)
+    without concatenating it into one buffer.
+
+    No-allocation contract: every entry point allocates a small constant
+    number of minor words per call (the boxed result, and in {!update}
+    one store of the four lane accumulators), never words per byte. This
+    rests on the lane helpers carrying the [inline] attribute: ocamlopt
+    without flambda boxes every [int64] a non-inlined call returns, which
+    made each 8-byte lane allocate. [test/test_hash.ml] guards the
+    contract. *)
 
 val hash : ?seed:int64 -> Bytes.t -> int64
 (** [hash ?seed b] hashes all of [b]. [seed] defaults to [0L]. *)

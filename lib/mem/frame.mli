@@ -8,7 +8,15 @@
 
     The map count is also the basis of the paper's AArch64 dirty-page
     tracking (§4.4): a page mapped exactly once is private to its process
-    and hence modified-or-new since the last fork. *)
+    and hence modified-or-new since the last fork.
+
+    Frame ids are never reused, but page buffers are. When {!decref}
+    frees a frame, its [data] goes on the allocator's spare list, and
+    the next {!alloc_zero} or {!alloc_copy} overwrites it in full for a
+    new frame with a new id. So any key derived from a frame's identity
+    stays valid for its lifetime, while its bytes must not be read after
+    it is freed. The spare list never holds more buffers than the
+    allocator has live frames. *)
 
 type t = private {
   id : int;  (** unique physical frame number *)
@@ -34,16 +42,23 @@ val allocator : page_size:int -> allocator
 val page_size : allocator -> int
 
 val alloc_zero : allocator -> t
-(** A fresh zero-filled frame with [refcount = 1]. *)
+(** A fresh zero-filled frame with [refcount = 1], on a recycled buffer
+    when one is spare. *)
 
 val alloc_copy : allocator -> t -> t
 (** [alloc_copy a f] is a fresh frame whose contents copy [f], with
-    [refcount = 1]. Counts toward {!copies} (the COW statistic). *)
+    [refcount = 1], on a recycled buffer when one is spare. Counts toward
+    {!copies} (the COW statistic). *)
 
 val incref : t -> unit
+(** Add one reference to a live frame.
+
+    @raise Invalid_argument if the frame was already freed: its buffer
+    may back a newer frame by now. *)
 
 val decref : allocator -> t -> unit
-(** Drop one reference; at zero the frame is accounted as freed.
+(** Drop one reference; at zero the frame is accounted as freed and its
+    buffer becomes spare.
 
     @raise Invalid_argument if the refcount is already zero. *)
 
@@ -58,3 +73,6 @@ val live_frames : allocator -> int
 val total_allocated : allocator -> int
 val copies : allocator -> int
 (** Number of [alloc_copy] calls so far — i.e. COW page copies. *)
+
+val spare_buffers : allocator -> int
+(** Buffers of freed frames waiting for reuse; at most {!live_frames}. *)

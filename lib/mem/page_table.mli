@@ -63,7 +63,15 @@ val store_prepare : t -> vpn:int -> Bytes.t * int option
     @raise Page_fault on unmapped or read-only [vpn]. *)
 
 val read_bytes_at : t -> vpn:int -> Bytes.t
-(** Page bytes for reading.
+(** Page bytes for reading. The bytes are borrowed, not copied: they are
+    the backing frame's buffer, which {!Frame} recycles for a new frame
+    once the last mapping goes away. They are valid while [vpn] maps the
+    same frame; an unmap, a COW write through this table or a process
+    exit may hand them to another frame. Take {!copy_page_at} to keep
+    them. Every caller reads or patches the page on the spot and keeps
+    nothing: the comparator (via {!frame_view}), the recorder's and the
+    offline engine's final-state hashes, and the offline engine's
+    boundary compare and [inject_bytes].
 
     @raise Page_fault on unmapped [vpn]. *)
 
@@ -77,7 +85,11 @@ val frame_view : t -> vpn:int -> int * int * Bytes.t
 (** [frame_view t ~vpn] is [(frame_id, generation, data)] for the frame
     backing [vpn] — everything the comparator needs in one walk: the id
     for the frame-identity short-circuit, the [(id, generation)] pair as
-    the digest-memoization key, and the bytes for a cache miss.
+    the digest-memoization key, and the bytes for a cache miss. The
+    bytes are borrowed, as for {!read_bytes_at}; the id and generation
+    stay valid keys for good, since frame ids are never reused. Two live
+    frames never share a buffer, so physically equal bytes still mean
+    the same frame.
 
     @raise Page_fault on unmapped [vpn]. *)
 

@@ -19,6 +19,42 @@ let test_frame_refcounting () =
     Alcotest.fail "double free accepted"
   with Invalid_argument _ -> ()
 
+let test_frame_incref_after_free () =
+  let a = Mem.Frame.allocator ~page_size in
+  let f = Mem.Frame.alloc_zero a in
+  Mem.Frame.decref a f;
+  match Mem.Frame.incref f with
+  | () -> Alcotest.fail "incref revived a freed frame"
+  | exception Invalid_argument _ ->
+    Alcotest.(check int) "still freed" 0 f.Mem.Frame.refcount
+
+let test_frame_buffer_recycled () =
+  let a = Mem.Frame.allocator ~page_size in
+  let keep = Mem.Frame.alloc_zero a in
+  let f = Mem.Frame.alloc_copy a keep in
+  Bytes.fill f.Mem.Frame.data 0 page_size 'x';
+  Mem.Frame.decref a f;
+  Alcotest.(check int) "freed buffer kept while a frame lives" 1
+    (Mem.Frame.spare_buffers a);
+  let z = Mem.Frame.alloc_zero a in
+  Alcotest.(check bool) "zero page reuses the buffer" true
+    (z.Mem.Frame.data == f.Mem.Frame.data);
+  Alcotest.(check bool) "with a new id" true (z.Mem.Frame.id > f.Mem.Frame.id);
+  Alcotest.(check bool) "and all zeros" true
+    (Bytes.for_all (fun c -> c = '\000') z.Mem.Frame.data);
+  Bytes.fill keep.Mem.Frame.data 0 page_size 'k';
+  Mem.Frame.decref a z;
+  let c = Mem.Frame.alloc_copy a keep in
+  Alcotest.(check bool) "copy reuses the buffer" true
+    (c.Mem.Frame.data == z.Mem.Frame.data);
+  Alcotest.(check string) "and holds the source bytes"
+    (Bytes.to_string keep.Mem.Frame.data)
+    (Bytes.to_string c.Mem.Frame.data);
+  Mem.Frame.decref a c;
+  Mem.Frame.decref a keep;
+  Alcotest.(check int) "no spares without live frames" 0
+    (Mem.Frame.spare_buffers a)
+
 let test_frame_alloc_validation () =
   (try
      ignore (Mem.Frame.allocator ~page_size:0);
@@ -415,6 +451,131 @@ let qcheck_frame_refcounts_match_mappings =
         !live;
       refcounts_ok && Mem.Frame.live_frames alloc = 0)
 
+(* Frame recycling against a pure model: random map/fork/store/unmap/
+   exit sequences over a few processes, each modelled as vpn -> page
+   contents. After every step: contents match the model (so a zero page
+   on a recycled buffer reads zeros and a COW copy on one holds its
+   source), no two live frames share a buffer, newly seen frame ids
+   exceed every id seen before, the live count equals the frames mapped,
+   and the spare list is no longer than the live count. *)
+type pt_op =
+  | Op_map of int * int
+  | Op_fork of int
+  | Op_store of int * int * int * char
+  | Op_unmap of int * int
+  | Op_exit of int
+
+let model_page = 64
+let model_vpns = 6
+
+let show_pt_op = function
+  | Op_map (p, v) -> Printf.sprintf "map(%d,%d)" p v
+  | Op_fork p -> Printf.sprintf "fork(%d)" p
+  | Op_store (p, v, o, c) -> Printf.sprintf "store(%d,%d,%d,%C)" p v o c
+  | Op_unmap (p, v) -> Printf.sprintf "unmap(%d,%d)" p v
+  | Op_exit p -> Printf.sprintf "exit(%d)" p
+
+let gen_pt_op =
+  let open QCheck.Gen in
+  let proc = int_bound 7 and vpn = int_bound (model_vpns - 1) in
+  frequency
+    [
+      (3, map2 (fun p v -> Op_map (p, v)) proc vpn);
+      (2, map (fun p -> Op_fork p) proc);
+      ( 6,
+        map
+          (fun (p, v, o, c) -> Op_store (p, v, o, c))
+          (quad proc vpn (int_bound (model_page - 1)) printable) );
+      (2, map2 (fun p v -> Op_unmap (p, v)) proc vpn);
+      (2, map (fun p -> Op_exit p) proc);
+    ]
+
+let qcheck_frame_recycling_model =
+  QCheck.Test.make ~name:"recycled frame buffers match a pure page model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_pt_op ops))
+       QCheck.Gen.(list_size (0 -- 80) gen_pt_op))
+    (fun ops ->
+      let alloc = Mem.Frame.allocator ~page_size:model_page in
+      let fresh () = (Mem.Page_table.create alloc, Hashtbl.create 8) in
+      let procs = ref [ fresh () ] in
+      let pick i = List.nth !procs (i mod List.length !procs) in
+      let seen = Hashtbl.create 64 and max_seen = ref (-1) in
+      let step = function
+        | Op_map (p, vpn) ->
+          let pt, m = pick p in
+          if not (Hashtbl.mem m vpn) then begin
+            Mem.Page_table.map_zero pt ~vpn Mem.Page_table.Read_write;
+            Hashtbl.replace m vpn (String.make model_page '\000')
+          end
+        | Op_fork p ->
+          let pt, m = pick p in
+          procs := (Mem.Page_table.fork pt, Hashtbl.copy m) :: !procs
+        | Op_store (p, vpn, off, c) -> (
+          let pt, m = pick p in
+          match Hashtbl.find_opt m vpn with
+          | None -> ()
+          | Some page ->
+            let data, _ = Mem.Page_table.store_prepare pt ~vpn in
+            Bytes.set data off c;
+            Hashtbl.replace m vpn
+              (String.mapi (fun i x -> if i = off then c else x) page))
+        | Op_unmap (p, vpn) ->
+          let pt, m = pick p in
+          if Hashtbl.mem m vpn then begin
+            Mem.Page_table.unmap pt ~vpn;
+            Hashtbl.remove m vpn
+          end
+        | Op_exit p ->
+          let ((pt, _) as victim) = pick p in
+          Mem.Page_table.free_all pt;
+          procs := List.filter (fun q -> q != victim) !procs;
+          if !procs = [] then procs := [ fresh () ]
+      in
+      let consistent () =
+        let contents_ok =
+          List.for_all
+            (fun (pt, m) ->
+              Mem.Page_table.mapped_count pt = Hashtbl.length m
+              && Hashtbl.fold
+                   (fun vpn page ok ->
+                     ok
+                     && Mem.Page_table.is_mapped pt ~vpn
+                     && Bytes.to_string (Mem.Page_table.read_bytes_at pt ~vpn)
+                        = page)
+                   m true)
+            !procs
+        in
+        let frames = Hashtbl.create 16 in
+        List.iter
+          (fun (pt, _) ->
+            Mem.Page_table.iter_mapped pt (fun ~vpn:_ f ->
+                Hashtbl.replace frames f.Mem.Frame.id f.Mem.Frame.data))
+          !procs;
+        let live = Hashtbl.fold (fun id data acc -> (id, data) :: acc) frames [] in
+        let buffers_distinct =
+          List.for_all
+            (fun (i, d) -> List.for_all (fun (j, e) -> i = j || d != e) live)
+            live
+        in
+        let unseen = List.filter (fun (id, _) -> not (Hashtbl.mem seen id)) live in
+        let ids_increase = List.for_all (fun (id, _) -> id > !max_seen) unseen in
+        List.iter
+          (fun (id, _) ->
+            Hashtbl.replace seen id ();
+            max_seen := max !max_seen id)
+          unseen;
+        contents_ok && buffers_distinct && ids_increase
+        && Mem.Frame.live_frames alloc = List.length live
+        && Mem.Frame.spare_buffers alloc <= Mem.Frame.live_frames alloc
+      in
+      let ok = List.for_all (fun op -> step op; consistent ()) ops in
+      List.iter (fun (pt, _) -> Mem.Page_table.free_all pt) !procs;
+      ok
+      && Mem.Frame.live_frames alloc = 0
+      && Mem.Frame.spare_buffers alloc = 0)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "mem"
@@ -422,6 +583,8 @@ let () =
       ( "frame",
         [
           tc "refcounting" `Quick test_frame_refcounting;
+          tc "incref after free rejected" `Quick test_frame_incref_after_free;
+          tc "freed buffers recycled" `Quick test_frame_buffer_recycled;
           tc "allocator validation" `Quick test_frame_alloc_validation;
           tc "generation bumps in place only" `Quick
             test_frame_generation_bumps_in_place_only;
@@ -439,6 +602,7 @@ let () =
           tc "copies counted" `Quick test_cow_copy_counted;
           QCheck_alcotest.to_alcotest qcheck_cow_preserves_parent;
           QCheck_alcotest.to_alcotest qcheck_frame_refcounts_match_mappings;
+          QCheck_alcotest.to_alcotest qcheck_frame_recycling_model;
         ] );
       ( "dirty-tracking",
         [
