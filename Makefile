@@ -108,11 +108,13 @@ block-cache-smoke: build
 # (must verify clean, exit 0) and assert the page compression actually
 # compresses (ratio > 1.0 in the seglog.* stats rows). Then the other
 # direction: a run with an injected checker fault (live exit 3) must
-# also diverge offline (replay exit 3). Both legs run with the
-# segment-pipeline invariants on.
+# also diverge offline (replay exit 3). Last, the same one-shot fault
+# under --recheck is re-checked away live (exit 0), and offline replay,
+# which arms it as the live run's final attempt did, must agree (exit
+# 0). All legs run with the segment-pipeline invariants on.
 SEGLOG_SMOKE_ARGS := --platform testing --workload 401.bzip2 --scale 0.05 --period 3000
 seglog-smoke: build
-	rm -rf /tmp/parallaft_seglog /tmp/parallaft_seglog_fault
+	rm -rf /tmp/parallaft_seglog /tmp/parallaft_seglog_fault /tmp/parallaft_seglog_recheck
 	PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
 	  --record-log /tmp/parallaft_seglog > /tmp/parallaft_seglog_run.out
 	awk '/^seglog.compression_ratio/ { r = $$2 } \
@@ -126,6 +128,10 @@ seglog-smoke: build
 	  > /tmp/parallaft_seglog_fault.out; test $$? -eq 3'
 	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay \
 	  /tmp/parallaft_seglog_fault; test $$? -eq 3'
+	PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
+	  --fault 3,60,6,6 --fault-target checker-mem --recheck \
+	  --record-log /tmp/parallaft_seglog_recheck > /tmp/parallaft_seglog_recheck.out
+	PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay /tmp/parallaft_seglog_recheck
 
 # Fleet mode end to end (DESIGN.md §16): a 4-tenant fleet on the shared
 # core pool with every scheduling event swept by the fleet-scope

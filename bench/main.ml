@@ -140,7 +140,7 @@ let seglog_header () =
   let config : Seglog.Record.run_config =
     { mode_raft = false; slice_period = 3000; timeout_scale = 5.0;
       compare_states = true; dirty_backend = "soft_dirty"; hasher = "xxh64";
-      seed = 7L; fault = None }
+      seed = 7L; fault = None; recheck = false }
   in
   let config_digest =
     Seglog.Record.config_digest ~platform:platform.Platform.name ~page_size

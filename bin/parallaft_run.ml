@@ -24,12 +24,6 @@
 
 open Cmdliner
 
-let platform_of_string = function
-  | "apple_m2" -> Ok Platform.apple_m2
-  | "intel_i7" -> Ok Platform.intel_i7
-  | "testing" -> Ok Platform.testing
-  | s -> Error (`Msg ("unknown platform " ^ s))
-
 type mode_arg = Mode_baseline | Mode_parallaft | Mode_raft
 
 let mode_of_string = function
@@ -138,11 +132,11 @@ let run platform_name mode_name period scale workload input asm_file seed
     show_output trace_file metrics_file fault fault_target recheck recovery
     profile block_cache cpu_stats tenants max_tenants arrival_gap record_log
     backend_name batch max_lag =
-  match platform_of_string platform_name with
-  | Error (`Msg m) ->
-    prerr_endline m;
+  match Platform.of_name platform_name with
+  | None ->
+    prerr_endline ("unknown platform " ^ platform_name);
     1
-  | Ok platform -> (
+  | Some platform -> (
     match mode_of_string mode_name with
     | Error (`Msg m) ->
       prerr_endline m;
@@ -455,7 +449,7 @@ let arrival_arg =
 let record_log_arg =
   Arg.(value & opt (some string) None & info [ "record-log" ] ~docv:"DIR"
          ~doc:"Persist the run's segment record/replay stream as a \
-               $(i,parallaft-seglog v1) log in $(docv) (manifest.plog + one \
+               $(i,parallaft-seglog v2) log in $(docv) (manifest.plog + one \
                seg-NNNNNN.plog per verified segment). The log can be \
                re-checked offline with $(b,parallaft-replay). Only valid \
                with --mode parallaft and a single tenant.")

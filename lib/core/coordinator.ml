@@ -118,8 +118,8 @@ let create ?rng ?prng ?fleet eng cfg ~program =
             if
               (not (Segment.torn_down seg))
               && Segment.phase seg = Segment.Checking_p
-              && Run_ctx.plan_covers plan ~id:(Segment.id seg)
-              && (plan.Fault.repeat || Segment.redispatches seg = 0)
+              && Fault.arms plan ~segment:(Segment.id seg)
+                   ~attempt:(Segment.redispatches seg)
             then begin
               let checker = Segment.checker seg in
               if

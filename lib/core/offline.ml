@@ -1,8 +1,8 @@
 (* Offline replay of a persisted segment log: one traced process
-   re-executes the recorded history in a fresh simulation, driven by
-   the same replay mechanics as the live checker (Replayer), and every
-   segment boundary is re-checked against the recorded registers and
-   dirty-page payloads. *)
+   re-executes the recorded history in a fresh simulation, running the
+   live checker's replay kernel (Replay_kernel) segment after segment,
+   and every segment boundary is re-checked against the recorded
+   registers and dirty-page payloads. *)
 
 module E = Sim_os.Engine
 module R = Seglog.Record
@@ -44,67 +44,36 @@ type state = {
   mutable pid : E.pid;
   segs : R.segment array;
   plan : Fault.plan option;  (* re-armed checker-side injections *)
+  attempt : int;  (* the live run's final attempt at each check *)
   timeout_scale : float;
   final_hash : int64 option;
   mutable idx : int;  (* current segment index into [segs] *)
   mutable events : R.event list;  (* remaining interactions, record order *)
   mutable preamble : R.sys_record list;  (* boundary syscalls still pending *)
   mutable pending_signals : (Exec_point.t * Sim_os.Sig_num.t) list;
-      (* absolute-branch-count delivery points, record order *)
-  mutable replay : Exec_point.replay option;
+  mutable replay : Exec_point.replay option;  (* [Some] once armed *)
   mutable seg_start_branches : int;
   mutable outcome : verdict option;
 }
 
 let cpu st = E.cpu st.eng st.pid
-let aspace st = E.aspace st.eng st.pid
-let page_table st = Mem.Address_space.page_table (aspace st)
+let page_table st = Mem.Address_space.page_table (E.aspace st.eng st.pid)
 let cur_seg st = st.segs.(st.idx)
 
-(* The current position, segment-relative — the coordinate system the
-   recorded execution points use. *)
-let rel_point st =
-  let c = cpu st in
-  {
-    Exec_point.branches = Machine.Cpu.branches c - st.seg_start_branches;
-    pc = Machine.Cpu.get_pc c;
-  }
-
-let kill_pid st =
-  match E.state st.eng st.pid with
-  | E.Exited _ -> ()
-  | E.Runnable | E.Stopped -> E.kill st.eng st.pid
-
+(* The point is segment-relative: the coordinate system the recorded
+   execution points use. *)
 let diverge st ?(reg_diffs = []) ?page_diff reason =
-  (match st.outcome with
-  | Some _ -> ()
-  | None ->
-    st.outcome <-
-      Some
-        (Diverged
-           { segment = (cur_seg st).R.id; point = rel_point st; reason; reg_diffs; page_diff }));
-  kill_pid st
-
-let read_mem_opt st ~addr ~len =
-  try Some (Mem.Address_space.read_bytes (aspace st) ~addr ~len)
-  with Mem.Address_space.Segfault _ -> None
-
-(* Pop the next Sys/Nondet record; Ext_signal entries replay by
-   execution point, not interaction order (same rule as Rr_log's
-   cursor). *)
-let rec next_interaction st =
-  match st.events with
-  | [] -> None
-  | R.Ext_signal _ :: rest ->
-    st.events <- rest;
-    next_interaction st
-  | ev :: rest ->
-    st.events <- rest;
-    Some ev
-
-let remaining_interactions st =
-  List.length
-    (List.filter (function R.Ext_signal _ -> false | _ -> true) st.events)
+  (if st.outcome = None then
+     let c = cpu st in
+     let point =
+       {
+         Exec_point.branches = Machine.Cpu.branches c - st.seg_start_branches;
+         pc = Machine.Cpu.get_pc c;
+       }
+     in
+     let segment = (cur_seg st).R.id in
+     st.outcome <- Some (Diverged { segment; point; reason; reg_diffs; page_diff }));
+  E.kill st.eng st.pid
 
 (* Inject recorded bytes without going through the store path: the
    content of a boundary file mapping is not a program store, so it
@@ -112,7 +81,7 @@ let remaining_interactions st =
    happened before the segment's dirty window opened). Safe in-place:
    the offline process never forks, so no frame is COW-shared. *)
 let inject_bytes st ~addr data =
-  let sp = aspace st in
+  let sp = E.aspace st.eng st.pid in
   let pt = page_table st in
   let ps = Mem.Address_space.page_size sp in
   let len = Bytes.length data in
@@ -143,480 +112,254 @@ let arm_segment st =
      (mirroring the live ordering: mmap_split runs do_syscall before
      start_segment clears the bits). *)
   if st.preamble = [] then Mem.Page_table.clear_soft_dirty (page_table st);
-  let signals =
-    List.filter_map
-      (function
-        | R.Ext_signal { at; signum } ->
-          Some
-            ( {
-                Exec_point.branches = at.Exec_point.branches + st.seg_start_branches;
-                pc = at.Exec_point.pc;
-              },
-              signum )
-        | R.Sys _ | R.Nondet _ -> None)
-      seg.R.events
+  (* Main-side plans are never armed: their corruption is baked into the
+     recorded payloads, which the fault-free re-execution then fails to
+     match. *)
+  let replay, pending =
+    Replay_kernel.arm c ~origin_branches:st.seg_start_branches
+      ~origin_insns:(Machine.Cpu.instructions c)
+      ~signals:(Rr_log.signals seg.R.events) ~end_point:seg.R.end_point
+      ~insn_delta:seg.R.insn_delta ~timeout_scale:st.timeout_scale ~fault:st.plan
+      ~segment:seg.R.id ~attempt:st.attempt
   in
-  st.pending_signals <- signals;
-  let end_target =
-    {
-      Exec_point.branches =
-        seg.R.end_point.Exec_point.branches + st.seg_start_branches;
-      pc = seg.R.end_point.Exec_point.pc;
-    }
-  in
-  let targets = List.map fst signals @ [ end_target ] in
-  st.replay <- Some (Exec_point.start_replay ~targets ~cpu:c);
-  (* The same runaway kill switch the live checker arms: a diverged
-     control flow that never reaches the recorded end point must not
-     spin until the simulation bound. *)
-  let timeout =
-    max 1000 (int_of_float (st.timeout_scale *. float_of_int seg.R.insn_delta))
-  in
-  Machine.Cpu.arm_insn_overflow c
-    ~target:(Machine.Cpu.instructions c + timeout);
-  (* Checker-side fault plans re-arm here so an injected-fault run
-     reproduces its live verdict offline. Main-side plans are never
-     armed: their corruption is baked into the recorded payloads, which
-     the fault-free re-execution then fails to match. *)
-  match st.plan with
-  | Some plan
-    when Fault.targets_checker plan && Run_ctx.plan_covers plan ~id:seg.R.id ->
-    Run_ctx.arm_plan_on_cpu c plan
-  | Some _ | None -> ()
-
-(* Recompute the final-state digest exactly as the live recorder does
-   (Recorder.capture_final_state + Stats.final_state_hash). *)
-let compute_final_hash st =
-  let c = cpu st in
-  let pt = page_table st in
-  let vpns = Mem.Page_table.mapped_vpns pt in
-  Array.sort compare vpns;
-  let mem_st = Ftr_hash.Xxh64.init () in
-  Array.iter
-    (fun vpn ->
-      Ftr_hash.Xxh64.update_int64 mem_st (Int64.of_int vpn);
-      let bytes = Mem.Page_table.read_bytes_at pt ~vpn in
-      Ftr_hash.Xxh64.update mem_st bytes ~pos:0 ~len:(Bytes.length bytes))
-    vpns;
-  let mem = Ftr_hash.Xxh64.digest mem_st in
-  let h = Ftr_hash.Xxh64.init () in
-  Array.iter
-    (fun r -> Ftr_hash.Xxh64.update_int64 h (Int64.of_int r))
-    (Machine.Cpu.snapshot_regs c);
-  Ftr_hash.Xxh64.update_int64 h mem;
-  Ftr_hash.Xxh64.digest h
+  st.replay <- Some replay;
+  st.pending_signals <- pending
 
 let finish_run st =
-  match st.final_hash with
-  | None ->
+  let verified final_hash_matches =
+    let segments = Array.length st.segs in
     st.outcome <-
-      Some
-        (Verified
-           {
-             segments = Array.length st.segs;
-             final_hash = None;
-             final_hash_matches = None;
-           });
-    kill_pid st
+      Some (Verified { segments; final_hash = st.final_hash; final_hash_matches });
+    E.kill st.eng st.pid
+  in
+  match st.final_hash with
+  | None -> verified None
   | Some recorded ->
-    let got = compute_final_hash st in
+    let got =
+      Stats.state_hash
+        ~regs:(Machine.Cpu.snapshot_regs (cpu st))
+        ~mem:(Stats.mem_hash (page_table st))
+    in
     if got <> recorded then
       diverge st
-        (Printf.sprintf "final state hash mismatch (recorded %Lx, got %Lx)"
-           recorded got)
-    else begin
-      st.outcome <-
-        Some
-          (Verified
-             {
-               segments = Array.length st.segs;
-               final_hash = Some recorded;
-               final_hash_matches = Some true;
-             });
-      kill_pid st
-    end
+        (Printf.sprintf "final state hash mismatch (recorded %Lx, got %Lx)" recorded
+           got)
+    else verified (Some true)
 
-(* End-of-segment verification, mirroring Replayer.reached_end but
+(* The first recorded dirty page the re-execution does not reproduce:
+   the reason, plus its first differing byte when the page is there. *)
+let page_divergence pt pages =
+  Array.find_map
+    (fun (vpn, expected) ->
+      if not (Mem.Page_table.is_mapped pt ~vpn) then
+        Some (Printf.sprintf "recorded dirty page %d is not mapped" vpn, None)
+      else
+        let got = Mem.Page_table.read_bytes_at pt ~vpn in
+        if Bytes.equal got expected then None
+        else
+          let n = min (Bytes.length got) (Bytes.length expected) in
+          let rec first off =
+            if off = n then None
+            else if Bytes.get got off <> Bytes.get expected off then Some off
+            else first (off + 1)
+          in
+          match first 0 with
+          | Some offset ->
+            let byte b = Char.code (Bytes.get b offset) in
+            Some
+              ( Printf.sprintf "memory state mismatch in page %d" vpn,
+                Some { vpn; offset; expected = byte expected; got = byte got } )
+          | None ->
+            Some
+              ( Printf.sprintf "page %d size mismatch (recorded %d, got %d)" vpn
+                  (Bytes.length expected) (Bytes.length got),
+                None ))
+    pages
+
+(* A page the re-execution dirtied outside the recorded set. Recorded
+   sets are supersets of the store-dirtied pages under every backend, so
+   such a page means the replay wrote somewhere the main did not. *)
+let extra_dirty pt pages =
+  let recorded = Hashtbl.create (Array.length pages) in
+  Array.iter (fun (vpn, _) -> Hashtbl.replace recorded vpn ()) pages;
+  Array.find_opt
+    (fun vpn -> not (Hashtbl.mem recorded vpn))
+    (Mem.Page_table.soft_dirty_pages pt)
+
+(* The end point, reached by the kernel with the log consumed: compare
    against the recorded payloads instead of a live snapshot fork. *)
 let end_of_segment st =
   let seg = cur_seg st in
   let c = cpu st in
-  Machine.Cpu.disarm_insn_overflow c;
   Machine.Cpu.disarm_fault_injection c;
   (* Retire the end target: with the queue empty this clears the
      breakpoint and the branch-overflow arming. *)
-  (match st.replay with Some r -> Exec_point.next_target r | None -> ());
-  let leftover = remaining_interactions st in
-  if leftover > 0 then
-    diverge st
-      (Printf.sprintf
-         "segment end reached with %d recorded interaction%s not replayed"
-         leftover
-         (if leftover = 1 then "" else "s"))
-  else begin
-    let got_regs = Machine.Cpu.snapshot_regs c in
-    let reg_diffs = ref [] in
-    Array.iteri
-      (fun reg expected ->
+  Option.iter Exec_point.next_target st.replay;
+  let got_regs = Machine.Cpu.snapshot_regs c in
+  let reg_diffs =
+    List.filter_map
+      (fun reg ->
+        let expected = seg.R.end_regs.(reg) in
         let got = if reg < Array.length got_regs then got_regs.(reg) else 0 in
-        if got <> expected then reg_diffs := { reg; expected; got } :: !reg_diffs)
-      seg.R.end_regs;
-    let reg_diffs = List.rev !reg_diffs in
-    if reg_diffs <> [] then
-      diverge st ~reg_diffs
-        (Printf.sprintf "register state mismatch (%d register%s)"
-           (List.length reg_diffs)
-           (if List.length reg_diffs = 1 then "" else "s"))
-    else begin
-      let pt = page_table st in
-      let page_div = ref None in
-      let layout_div = ref None in
-      Array.iter
-        (fun (vpn, expected) ->
-          if !page_div = None && !layout_div = None then
-            if not (Mem.Page_table.is_mapped pt ~vpn) then
-              layout_div :=
-                Some (Printf.sprintf "recorded dirty page %d is not mapped" vpn)
-            else begin
-              let got = Mem.Page_table.read_bytes_at pt ~vpn in
-              let n = min (Bytes.length got) (Bytes.length expected) in
-              (try
-                 for off = 0 to n - 1 do
-                   let e = Char.code (Bytes.get expected off) in
-                   let g = Char.code (Bytes.get got off) in
-                   if e <> g then begin
-                     page_div := Some { vpn; offset = off; expected = e; got = g };
-                     raise Exit
-                   end
-                 done
-               with Exit -> ());
-              if
-                !page_div = None
-                && Bytes.length got <> Bytes.length expected
-              then
-                layout_div :=
-                  Some
-                    (Printf.sprintf "page %d size mismatch (recorded %d, got %d)"
-                       vpn (Bytes.length expected) (Bytes.length got))
-            end)
-        seg.R.pages;
-      match (!layout_div, !page_div) with
-      | Some reason, _ -> diverge st reason
-      | None, Some pd ->
-        diverge st ~page_diff:pd
-          (Printf.sprintf "memory state mismatch in page %d" pd.vpn)
-      | None, None ->
-        (* Extra-dirty check: every page the re-execution dirtied must
-           be in the recorded dirty set (recorded sets are supersets of
-           the store-dirtied pages under every backend), else the
-           replay wrote somewhere the main did not. *)
-        let recorded = Hashtbl.create (Array.length seg.R.pages) in
-        Array.iter (fun (vpn, _) -> Hashtbl.replace recorded vpn ()) seg.R.pages;
-        let extra =
-          Array.fold_left
-            (fun acc vpn ->
-              match acc with
-              | Some _ -> acc
-              | None -> if Hashtbl.mem recorded vpn then None else Some vpn)
-            None
-            (Mem.Page_table.soft_dirty_pages pt)
-        in
-        (match extra with
-        | Some vpn ->
-          diverge st
-            (Printf.sprintf
-               "page %d dirtied by replay but absent from the recorded dirty set"
-               vpn)
-        | None ->
-          if st.idx = Array.length st.segs - 1 then finish_run st
-          else begin
-            st.idx <- st.idx + 1;
-            arm_segment st;
-            E.resume st.eng st.pid
-          end)
-    end
-  end
+        if got <> expected then Some { reg; expected; got } else None)
+      (List.init (Array.length seg.R.end_regs) Fun.id)
+  in
+  let n = List.length reg_diffs in
+  if n > 0 then
+    diverge st ~reg_diffs
+      (Printf.sprintf "register state mismatch (%d register%s)" n
+         (if n = 1 then "" else "s"))
+  else
+    let pt = page_table st in
+    match page_divergence pt seg.R.pages with
+    | Some (reason, page_diff) -> diverge st ?page_diff reason
+    | None -> (
+      match extra_dirty pt seg.R.pages with
+      | Some vpn ->
+        diverge st
+          (Printf.sprintf
+             "page %d dirtied by replay but absent from the recorded dirty set" vpn)
+      | None when st.idx = Array.length st.segs - 1 -> finish_run st
+      | None ->
+        st.idx <- st.idx + 1;
+        arm_segment st;
+        E.resume st.eng st.pid)
 
 (* ------------------------------------------------------------------ *)
-(* Event handling (mirrors Replayer.handle_checker_event)               *)
+(* Event handling                                                       *)
 
-let apply_effects st effects =
-  List.iter
-    (fun { R.addr; data } ->
-      ignore (Mem.Address_space.write_bytes (aspace st) ~addr data))
-    effects
+(* The offline world: one process replays every segment in turn. A
+   divergence ends the run with its reason; an exhausted log never
+   grows. *)
+module Kernel = Replay_kernel.Make (struct
+  type t = state
 
-(* Re-execute a process-local syscall, pinning anonymous mmaps to the
-   recorded address so the single ASLR stream cannot drift (the same
-   §4.3.2 trick the live checker uses). *)
-let replay_process_local st (rec_ : R.sys_record) call =
-  let c = cpu st in
-  let restore_args =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Mmap { addr; flags; _ }
-      when flags land Sim_os.Syscall.map_anon <> 0 ->
-      Machine.Cpu.set_reg c 1 rec_.R.result;
-      Machine.Cpu.set_reg c 4 (flags lor Sim_os.Syscall.map_fixed);
-      Some (addr, flags)
-    | _ -> None
-  in
-  E.do_syscall st.eng st.pid;
-  (match restore_args with
-  | Some (addr, flags) ->
-    Machine.Cpu.set_reg c 1 addr;
-    Machine.Cpu.set_reg c 4 flags
-  | None -> ());
-  let verify_result =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Sigreturn -> false
-    | _ -> true
-  in
-  if verify_result && Machine.Cpu.get_reg c 0 <> rec_.R.result then
-    diverge st
-      (Printf.sprintf "syscall result mismatch: recorded %s = %d, got %d"
-         (Sim_os.Syscall.name call) rec_.R.result (Machine.Cpu.get_reg c 0))
-  else if st.outcome = None then E.resume st.eng st.pid
+  let eng st = st.eng
+  let pid st = st.pid
+
+  let rec next_interaction st =
+    match st.events with
+    | [] -> None
+    | ev :: rest -> (
+      st.events <- rest;
+      match ev with
+      | R.Ext_signal _ -> next_interaction st
+      | R.Sys _ | R.Nondet _ -> Some ev)
+
+  let replay st = Option.get st.replay
+  let pending_signals st = st.pending_signals
+  let set_pending_signals st signals = st.pending_signals <- signals
+  let fail st outcome = diverge st (Detection.outcome_to_string outcome)
+  let at_end = end_of_segment
+  let await_log _ = false
+  let settled st = st.outcome <> None
+  let note_syscall _ _ = ()
+  let charge_answer _ ~bytes:_ = ()
+end)
 
 (* A boundary syscall from the preamble: re-establish the recorded
    file-backed mapping. The replayer has no filesystem state, so the
    kernel maps fresh zero pages at the pinned address and the content
    travels in the record's [in_data] snapshot. *)
-let replay_preamble st (rec_ : R.sys_record) call =
-  let c = cpu st in
-  (match (call : Sim_os.Syscall.call) with
-  | Sim_os.Syscall.Mmap { addr; flags; _ } ->
-    Machine.Cpu.set_reg c 1 rec_.R.result;
-    Machine.Cpu.set_reg c 4 (flags lor Sim_os.Syscall.map_fixed);
-    E.do_syscall st.eng st.pid;
-    Machine.Cpu.set_reg c 1 addr;
-    Machine.Cpu.set_reg c 4 flags
-  | _ -> E.do_syscall st.eng st.pid);
-  let got = Machine.Cpu.get_reg c 0 in
-  if got <> rec_.R.result then
+let replay_preamble st (rec_ : R.sys_record) rest call =
+  let name = Sim_os.Syscall.name in
+  if rec_.R.call <> call then
     diverge st
-      (Printf.sprintf "boundary syscall result mismatch: recorded %s = %d, got %d"
-         (Sim_os.Syscall.name call) rec_.R.result got)
+      (Printf.sprintf "boundary syscall mismatch: recorded %s, got %s"
+         (name rec_.R.call) (name call))
   else begin
-    (match rec_.R.in_data with
-    | Some data when rec_.R.result >= 0 -> inject_bytes st ~addr:rec_.R.result data
-    | Some _ | None -> ());
-    (* The preamble is consumed: open the segment's dirty window, as
-       the live start_segment did right after the boundary call. *)
-    if st.preamble = [] then Mem.Page_table.clear_soft_dirty (page_table st);
-    if st.outcome = None then E.resume st.eng st.pid
+    st.preamble <- rest;
+    Replay_kernel.reexecute st.eng st.pid ~pin_to:(Some rec_.R.result) call;
+    let got = Machine.Cpu.get_reg (cpu st) 0 in
+    if got <> rec_.R.result then
+      diverge st
+        (Printf.sprintf "boundary syscall result mismatch: recorded %s = %d, got %d"
+           (name call) rec_.R.result got)
+    else begin
+      (match rec_.R.in_data with
+      | Some data when rec_.R.result >= 0 -> inject_bytes st ~addr:rec_.R.result data
+      | Some _ | None -> ());
+      (* The preamble is consumed: open the segment's dirty window, as
+         the live start_segment did right after the boundary call. *)
+      if st.preamble = [] then Mem.Page_table.clear_soft_dirty (page_table st);
+      E.resume st.eng st.pid
+    end
   end
 
-let on_syscall st call =
-  match st.preamble with
-  | rec_ :: rest ->
-    if rec_.R.call <> call then
-      diverge st
-        (Printf.sprintf "boundary syscall mismatch: recorded %s, got %s"
-           (Sim_os.Syscall.name rec_.R.call)
-           (Sim_os.Syscall.name call))
-    else begin
-      st.preamble <- rest;
-      replay_preamble st rec_ call
-    end
-  | [] -> (
-    match next_interaction st with
-    | None ->
-      diverge st
-        (Printf.sprintf "extra interaction: %s beyond the recorded log"
-           (Sim_os.Syscall.name call))
-    | Some (R.Nondet _) ->
-      diverge st
-        (Printf.sprintf
-           "interaction mismatch: recorded nondeterministic instruction, got %s"
-           (Sim_os.Syscall.name call))
-    | Some (R.Ext_signal _) -> assert false (* next_interaction skips these *)
-    | Some (R.Sys rec_) ->
-      if rec_.R.call <> call then
-        diverge st
-          (Printf.sprintf "syscall mismatch: recorded %s, got %s"
-             (Sim_os.Syscall.name rec_.R.call)
-             (Sim_os.Syscall.name call))
-      else begin
-        let data_matches =
-          match rec_.R.in_data with
-          | None -> true
-          | Some expected -> (
-            let got =
-              match (call : Sim_os.Syscall.call) with
-              | Sim_os.Syscall.Write { addr; len; _ } ->
-                read_mem_opt st ~addr ~len
-              | Sim_os.Syscall.Open { path_addr; path_len; _ } ->
-                read_mem_opt st ~addr:path_addr ~len:path_len
-              | _ -> None
-            in
-            match got with
-            | Some b -> Bytes.equal b expected
-            | None -> false)
-        in
-        if not data_matches then
-          diverge st
-            (Printf.sprintf "syscall argument data mismatch on %s"
-               (Sim_os.Syscall.name call))
-        else
-          match Sim_os.Syscall.categorize call with
-          | Sim_os.Syscall.Process_local -> replay_process_local st rec_ call
-          | Sim_os.Syscall.Globally_effectful | Sim_os.Syscall.Non_effectful ->
-            E.complete_syscall st.eng st.pid ~result:rec_.R.result;
-            apply_effects st rec_.R.effects;
-            E.resume st.eng st.pid
-      end)
-
-let on_nondet st insn =
-  match next_interaction st with
-  | Some (R.Nondet { insn = recorded_insn; value }) when recorded_insn = insn ->
-    let c = cpu st in
-    (match Isa.Insn.writes_reg insn with
-    | Some reg -> Machine.Cpu.set_reg c reg value
-    | None -> ());
-    Machine.Cpu.set_pc c (Machine.Cpu.get_pc c + 1);
-    E.resume st.eng st.pid
-  | Some (R.Sys r) ->
-    diverge st
-      (Printf.sprintf
-         "interaction mismatch: recorded %s, got nondeterministic instruction"
-         (Sim_os.Syscall.name r.R.call))
-  | Some (R.Nondet _) | Some (R.Ext_signal _) | None ->
-    diverge st "extra interaction: nondeterministic instruction beyond the recorded log"
-
-let rec advance st adv =
-  match (adv : Exec_point.advance) with
-  | Exec_point.Keep_running -> E.resume st.eng st.pid
-  | Exec_point.Reached pt -> (
-    match st.pending_signals with
-    | (spt, signum) :: rest when Exec_point.compare spt pt = 0 ->
-      st.pending_signals <- rest;
-      E.deliver_signal_now st.eng st.pid signum;
-      (match E.state st.eng st.pid with
-      | E.Exited _ ->
-        diverge st "killed by a replayed signal the recorded main survived"
-      | E.Runnable | E.Stopped -> (
-        match st.replay with
-        | Some r ->
-          Exec_point.next_target r;
-          advance st (Exec_point.poll r)
-        | None -> ()))
-    | _ -> end_of_segment st)
-
-let fault_to_string (f : Machine.Cpu.fault) =
-  match f with
-  | Machine.Cpu.Segv { addr; write } ->
-    Printf.sprintf "SIGSEGV at %#x (%s)" addr (if write then "write" else "read")
-  | Machine.Cpu.Div_by_zero -> "SIGFPE (division by zero)"
-  | Machine.Cpu.Bad_pc pc -> Printf.sprintf "control flow left the code (pc=%d)" pc
-
-let handle_event st ev =
-  if st.outcome <> None then () (* stale event after the verdict *)
-  else
-    match (ev : E.event) with
-    | E.Syscall_entry call -> on_syscall st call
-    | E.Nondet insn -> on_nondet st insn
-    | E.Branch_overflow -> (
-      match st.replay with
-      | Some r -> advance st (Exec_point.on_branch_overflow r)
-      | None -> E.resume st.eng st.pid)
-    | E.Breakpoint -> (
-      match st.replay with
-      | Some r -> advance st (Exec_point.on_breakpoint r)
-      | None -> E.resume st.eng st.pid)
-    | E.Insn_overflow ->
-      diverge st
-        (Printf.sprintf
-           "timeout: replay exceeded the recorded instruction budget before %s"
-           (Exec_point.to_string (cur_seg st).R.end_point))
-    | E.Fault f -> diverge st (fault_to_string f)
-    | E.Halted -> diverge st "program halted before the recorded segment end"
-    | E.Cycle_overflow -> E.resume st.eng st.pid
-    | E.Signal _ ->
-      (* No external signal sources exist offline; recorded ones are
-         delivered by execution point. *)
-      E.resume st.eng st.pid
+let handle_event st (ev : E.event) =
+  match (ev, st.preamble) with
+  | E.Syscall_entry call, rec_ :: rest when st.outcome = None ->
+    replay_preamble st rec_ rest call
+  | _ -> Kernel.handle_event st ev
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
 
-let platform_of_name = function
-  | "apple_m2" -> Some Platform.apple_m2
-  | "intel_i7" -> Some Platform.intel_i7
-  | "testing" -> Some Platform.testing
-  | _ -> None
-
 let replay ~(manifest : R.manifest) ~(segments : R.segment list) =
+  let ( let* ) = Result.bind in
+  let header = manifest.R.header and config = manifest.R.config in
   let ids = List.map (fun (s : R.segment) -> s.R.id) segments in
-  if ids <> manifest.R.segments then
-    Error "segment list does not match the manifest's replay order"
-  else
-    match platform_of_name manifest.R.header.R.platform with
-    | None -> Error ("unknown platform " ^ manifest.R.header.R.platform)
-    | Some platform ->
-      if platform.Platform.page_size <> manifest.R.header.R.page_size then
-        Error
-          (Printf.sprintf "page size mismatch: manifest %d, platform %s has %d"
-             manifest.R.header.R.page_size platform.Platform.name
-             platform.Platform.page_size)
-      else (
-        match Seglog_io.program_of_record manifest.R.program with
-        | Error e -> Error e
-        | Ok program -> (
-          let plan =
-            match manifest.R.config.R.fault with
-            | None -> Ok None
-            | Some spec -> (
-              match Seglog_io.plan_of_spec spec with
-              | Ok p -> Ok (Some p)
-              | Error e -> Error e)
-          in
-          match plan with
-          | Error e -> Error ("bad recorded fault plan: " ^ e)
-          | Ok plan ->
-            if segments = [] then
-              Ok
-                (Verified
-                   {
-                     segments = 0;
-                     final_hash = manifest.R.final_state_hash;
-                     final_hash_matches = None;
-                   })
-            else begin
-              (* Same seed, and the spawn below is the first consumer of
-                 the engine's entropy stream in the live run too — the
-                 initial address-space layout reproduces exactly; every
-                 later mmap is pinned from the record. *)
-              let eng =
-                E.create ~platform ~seed:manifest.R.config.R.seed ()
-              in
-              let st =
-                {
-                  eng;
-                  pid = -1;
-                  segs = Array.of_list segments;
-                  plan;
-                  timeout_scale = manifest.R.config.R.timeout_scale;
-                  final_hash = manifest.R.final_state_hash;
-                  idx = 0;
-                  events = [];
-                  preamble = [];
-                  pending_signals = [];
-                  replay = None;
-                  seg_start_branches = 0;
-                  outcome = None;
-                }
-              in
-              let tracer _eng _pid ev = handle_event st ev in
-              let pid = E.spawn eng ~tracer ~program ~core:0 () in
-              st.pid <- pid;
-              E.suspend eng pid;
-              arm_segment st;
-              E.resume eng pid;
-              E.run ~max_ns:max_sim_ns eng;
-              match st.outcome with
-              | Some v -> Ok v
-              | None -> Error "offline replay stalled before reaching a verdict"
-            end))
+  let* () =
+    if ids = manifest.R.segments then Ok ()
+    else Error "segment list does not match the manifest's replay order"
+  in
+  let* platform =
+    Option.to_result ~none:("unknown platform " ^ header.R.platform)
+      (Platform.of_name header.R.platform)
+  in
+  let* () =
+    if platform.Platform.page_size = header.R.page_size then Ok ()
+    else
+      Error
+        (Printf.sprintf "page size mismatch: manifest %d, platform %s has %d"
+           header.R.page_size platform.Platform.name platform.Platform.page_size)
+  in
+  let* program = Seglog_io.program_of_record manifest.R.program in
+  let* plan =
+    match config.R.fault with
+    | None -> Ok None
+    | Some spec -> (
+      match Seglog_io.plan_of_spec spec with
+      | Ok p -> Ok (Some p)
+      | Error e -> Error ("bad recorded fault plan: " ^ e))
+  in
+  if segments = [] then
+    let final_hash = manifest.R.final_state_hash in
+    Ok (Verified { segments = 0; final_hash; final_hash_matches = None })
+  else begin
+    (* Same seed, and the spawn below is the first consumer of the
+       engine's entropy stream in the live run too — the initial
+       address-space layout reproduces exactly; every later mmap is
+       pinned from the record. *)
+    let eng = E.create ~platform ~seed:config.R.seed () in
+    let st =
+      {
+        eng;
+        pid = -1;
+        segs = Array.of_list segments;
+        plan;
+        (* With the re-check on, a failed check was retried on a fresh
+           checker (attempt 1), where a one-shot plan is never re-armed. *)
+        attempt = (if config.R.recheck then 1 else 0);
+        timeout_scale = config.R.timeout_scale;
+        final_hash = manifest.R.final_state_hash;
+        idx = 0;
+        events = [];
+        preamble = [];
+        pending_signals = [];
+        replay = None;
+        seg_start_branches = 0;
+        outcome = None;
+      }
+    in
+    let tracer _eng _pid ev = handle_event st ev in
+    st.pid <- E.spawn eng ~tracer ~program ~core:0 ();
+    E.suspend eng st.pid;
+    arm_segment st;
+    E.resume eng st.pid;
+    E.run ~max_ns:max_sim_ns eng;
+    Option.to_result ~none:"offline replay stalled before reaching a verdict" st.outcome
+  end
 
 let divergence_report d =
   let b = Buffer.create 256 in

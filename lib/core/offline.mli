@@ -1,17 +1,18 @@
 (** Offline replay of a persisted segment log (DESIGN.md §17).
 
     [parallaft_replay] re-checks a [--record-log] directory without the
-    original run: a fresh simulation is created from the manifest's
-    platform/seed/program identity and one traced process re-executes
-    the whole recorded history segment by segment, driven by exactly
-    the live checker's replay mechanics — interactions answered from
-    the record, anonymous mmaps pinned to the recorded addresses,
-    external signals delivered at their recorded execution points,
-    boundary file-backed mmaps re-established from the preamble
-    records. At every segment end the process's registers and the
-    recorded dirty pages are compared byte for byte; after the last
-    segment the final-state digest is recomputed and checked against
-    the manifest.
+    original run: a fresh simulation is built from the manifest's
+    platform, seed and program, and one traced process re-executes the
+    whole recorded history segment by segment under the live checker's
+    own {!Replay_kernel}. Checker-side fault plans are armed as the live
+    run's final attempt at each check armed them, and a kernel
+    divergence is reported as {!Detection.outcome_to_string} of the live
+    checker's outcome. This module adds only the offline-specific part:
+    boundary file-backed mmaps re-established from the preamble records;
+    at every segment end a byte-for-byte compare of the registers and
+    recorded dirty pages, plus a check that replay dirtied nothing
+    outside the recorded set; and after the last segment the final-state
+    digest, recomputed and checked against the manifest.
 
     Known limitation (documented in DESIGN.md §17): externally
     effectful syscalls are answered from the record, never re-executed,

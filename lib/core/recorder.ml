@@ -61,13 +61,15 @@ let start_segment t =
   t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
   (* Main-side fault arming: the checker fork above predates the
      corruption, so the checker replays the {e intended} execution and
-     the comparison catches the divergence. A [repeat] plan re-arms at
-     every covered segment start (stuck-at); a one-shot plan covers
-     exactly one segment id, which rollback never reuses. *)
+     the comparison catches the divergence. A segment id is recorded
+     once (rollback never reuses ids), so the main is always attempt 0:
+     a [repeat] plan re-arms at every covered segment start (stuck-at),
+     a one-shot plan arms in exactly one segment. *)
   (match t.cfg.Config.fault_plan with
   | Some plan
-    when Fault.targets_main plan && plan_covers plan ~id:(Segment.id seg) ->
-    arm_plan_on_cpu (main_cpu t) plan
+    when Fault.targets_main plan
+         && Fault.arms plan ~segment:(Segment.id seg) ~attempt:0 ->
+    Fault.arm_on_cpu (main_cpu t) plan
   | Some _ | None -> ());
   arm_slice t
 
@@ -143,17 +145,7 @@ let end_segment t =
 let capture_final_state t =
   let cpu = main_cpu t in
   t.stats.Stats.final_regs <- Some (Machine.Cpu.snapshot_regs cpu);
-  let pt = page_table_of t t.main in
-  let vpns = Mem.Page_table.mapped_vpns pt in
-  Array.sort compare vpns;
-  let st = Ftr_hash.Xxh64.init () in
-  Array.iter
-    (fun vpn ->
-      Ftr_hash.Xxh64.update_int64 st (Int64.of_int vpn);
-      let bytes = Mem.Page_table.read_bytes_at pt ~vpn in
-      Ftr_hash.Xxh64.update st bytes ~pos:0 ~len:(Bytes.length bytes))
-    vpns;
-  t.stats.Stats.final_mem_hash <- Some (Ftr_hash.Xxh64.digest st)
+  t.stats.Stats.final_mem_hash <- Some (Stats.mem_hash (page_table_of t t.main))
 
 let on_main_exited t =
   t.main_exited <- true;
@@ -213,23 +205,14 @@ let wake_waiting_checker t =
   | Some _ | None -> ()
 
 let record_and_pass t call =
-  let in_data =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Write { addr; len; _ } -> read_mem_opt t t.main ~addr ~len
-    | Sim_os.Syscall.Open { path_addr; path_len; _ } ->
-      read_mem_opt t t.main ~addr:path_addr ~len:path_len
-    | _ -> None
-  in
+  let in_data = Replay_kernel.syscall_in_data (E.aspace t.eng t.main) call in
   E.do_syscall t.eng t.main;
   let result = Machine.Cpu.get_reg (main_cpu t) 0 in
   let effects =
     match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Read { addr; _ } when result > 0 -> (
-      match read_mem_opt t t.main ~addr ~len:result with
-      | Some data -> [ { Rr_log.addr; data } ]
-      | None -> [])
-    | Sim_os.Syscall.Getrandom { addr; _ } when result > 0 -> (
-      match read_mem_opt t t.main ~addr ~len:result with
+    | (Sim_os.Syscall.Read { addr; _ } | Sim_os.Syscall.Getrandom { addr; _ })
+      when result > 0 -> (
+      match Replay_kernel.read_mem_opt (E.aspace t.eng t.main) ~addr ~len:result with
       | Some data -> [ { Rr_log.addr; data } ]
       | None -> [])
     | _ -> []
@@ -273,7 +256,7 @@ let mmap_split t call =
     let in_data =
       match (call : Sim_os.Syscall.call) with
       | Sim_os.Syscall.Mmap { len; _ } when result >= 0 && len > 0 ->
-        read_mem_opt t t.main ~addr:result ~len
+        Replay_kernel.read_mem_opt (E.aspace t.eng t.main) ~addr:result ~len
       | _ -> None
     in
     Seglog_io.note_preamble out { Rr_log.call; in_data; result; effects = [] });

@@ -10,36 +10,16 @@ let record_error = Run_ctx.record_detection
 
 let launch_checker t seg =
   let checker = Segment.checker seg in
-  let cpu = E.cpu t.eng checker in
   let r = Segment.recorded seg in
-  let signal_points = Rr_log.signal_points r.Segment.log in
-  (* In RAFT streaming mode the checker may have executed past some
-     signal points already; only the remaining ones become targets. *)
-  let remaining_signals =
-    List.filter
-      (fun (at, _) -> at.Exec_point.branches >= Machine.Cpu.branches cpu)
-      signal_points
+  (* Runtime faults are armed by the coordinator's engine tick, not by
+     the kernel. *)
+  let replay, pending_signals =
+    Replay_kernel.arm (E.cpu t.eng checker) ~origin_branches:0 ~origin_insns:0
+      ~signals:(Rr_log.signal_points r.Segment.log)
+      ~end_point:r.Segment.end_point ~insn_delta:r.Segment.insn_delta
+      ~timeout_scale:t.cfg.Config.timeout_scale ~fault:t.cfg.Config.fault_plan
+      ~segment:(Segment.id seg) ~attempt:(Segment.redispatches seg)
   in
-  let targets = List.map fst remaining_signals @ [ r.Segment.end_point ] in
-  let replay = Exec_point.start_replay ~targets ~cpu in
-  let timeout =
-    max 1000
-      (int_of_float
-         (t.cfg.Config.timeout_scale *. float_of_int r.Segment.insn_delta))
-  in
-  Machine.Cpu.arm_insn_overflow cpu ~target:timeout;
-  (* Checker-side fault arming. A one-shot plan must not chase the
-     segment onto its re-dispatched checker (the re-check would then
-     re-inject the very fault it is ruling out); a [repeat] plan is
-     stuck-at and re-arms everywhere it applies. Runtime faults are
-     armed by the coordinator's engine tick, not here. *)
-  (match t.cfg.Config.fault_plan with
-  | Some plan
-    when Fault.targets_checker plan
-         && plan_covers plan ~id:(Segment.id seg)
-         && (plan.Fault.repeat || Segment.redispatches seg = 0) ->
-    arm_plan_on_cpu cpu plan
-  | Some _ | None -> ());
   (* A streaming checker was launched when recording started and may be
      stalled at its next interaction; a Parallaft checker is launched
      here, once its segment is fully recorded. *)
@@ -68,8 +48,7 @@ let launch_checker t seg =
     | Some ns -> ns
     | None -> E.time_ns t.eng
   in
-  Segment.begin_checking seg ~replay ~pending_signals:remaining_signals
-    ~launched_at_ns;
+  Segment.begin_checking seg ~replay ~pending_signals ~launched_at_ns;
   (* The backend's lease clock starts at the actual launch — a checker
      that dies before this point is handled by the pre-launch
      re-dispatch path, not a heartbeat expiry. *)
@@ -81,7 +60,7 @@ let launch_checker t seg =
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
-        ("targets", Obs.Trace.Int (List.length targets));
+        ("targets", Obs.Trace.Int (List.length pending_signals + 1));
         ("insns", Obs.Trace.Int r.Segment.insn_delta);
       ]
     "replay.start";
@@ -103,6 +82,17 @@ let launch_checker t seg =
        otherwise the syscall retries against the now-complete log. *)
     E.resume t.eng checker
 
+(* Checker-side fault bookkeeping: latch a fired injection before the
+   checker (and its cpu) goes away. [false] when no checker-side plan
+   covers the segment. *)
+let latch_checker_fault t seg cpu =
+  match t.cfg.Config.fault_plan with
+  | Some plan
+    when Fault.targets_checker plan && Fault.covers plan ~segment:(Segment.id seg) ->
+    t.stats.Stats.fi_fired <- t.stats.Stats.fi_fired || Machine.Cpu.fault_injected cpu;
+    true
+  | Some _ | None -> false
+
 (* Kill the current checker and relaunch the check on the pristine
    spare. The dying checker's "check" span closes here, before the
    replacement opens a new one on its own track, so span nesting stays
@@ -118,14 +108,7 @@ let redispatch_check t seg ~because outcome =
            (Printf.sprintf "segment %d: re-dispatch with no spare"
               (Segment.id seg)))
   in
-  (* The old checker may carry the armed/fired injection; latch it
-     before the pid (and its cpu) goes away. *)
-  (match t.cfg.Config.fault_plan with
-  | Some plan
-    when Fault.targets_checker plan && plan_covers plan ~id:(Segment.id seg) ->
-    t.stats.Stats.fi_fired <-
-      t.stats.Stats.fi_fired || Machine.Cpu.fault_injected (E.cpu t.eng old)
-  | Some _ | None -> ());
+  ignore (latch_checker_fault t seg (E.cpu t.eng old));
   emit_ev t ~track:(Obs.Trace.Proc old) ~phase:Obs.Trace.End
     ~args:
       [
@@ -222,18 +205,12 @@ let really_finish_checker t seg outcome_opt =
   in
   (* Fault-injection classification for this run (checker-side targets;
      main-side plans are classified at run level by Runtime). *)
-  (match t.cfg.Config.fault_plan with
-  | Some plan
-    when Fault.targets_checker plan && plan_covers plan ~id:(Segment.id seg) ->
-    t.stats.Stats.fi_fired <-
-      t.stats.Stats.fi_fired || Machine.Cpu.fault_injected cpu;
+  if latch_checker_fault t seg cpu then
     t.stats.Stats.fi_outcome <-
       (match (outcome_opt, transient) with
       | Some o, _ -> Some o
       | None, Some tr -> Some tr
-      | None, None ->
-        if t.stats.Stats.fi_fired then Some Detection.Benign else None)
-  | Some _ | None -> ());
+      | None, None -> if t.stats.Stats.fi_fired then Some Detection.Benign else None);
   (match transient with
   | Some tr ->
     t.stats.Stats.transient_faults <- t.stats.Stats.transient_faults + 1;
@@ -339,18 +316,12 @@ let finish_checker_infra t seg outcome =
     redispatch_check t seg ~because:"checker-side failure" outcome
   else really_finish_checker t seg (Some outcome)
 
-let reached_end t seg =
+(* The checker rests on the recorded end point with its log consumed:
+   compare its state with the main's end-of-segment snapshot. *)
+let check_end_state t seg =
   let c = Segment.checking seg in
   let cpu = E.cpu t.eng (Segment.checker seg) in
-  Machine.Cpu.disarm_insn_overflow cpu;
-  let leftover = Rr_log.remaining_interactions c.Segment.cursor in
-  if leftover > 0 then
-    finish_checker t seg
-      (Some
-         (Detection.Detected
-            (Detection.Syscall_mismatch
-               { expected = "further recorded interactions"; got = "segment end" })))
-  else if t.cfg.Config.compare_states then begin
+  if t.cfg.Config.compare_states then begin
     match c.Segment.snapshot with
     | None -> finish_checker t seg None
     | Some snap ->
@@ -407,200 +378,43 @@ let reached_end t seg =
   end
   else finish_checker t seg None
 
-let rec advance t seg adv =
-  match (adv : Exec_point.advance) with
-  | Exec_point.Keep_running -> E.resume t.eng (Segment.checker seg)
-  | Exec_point.Reached pt -> (
-    let c = Segment.checking seg in
-    match c.Segment.pending_signals with
-    | (spt, signum) :: rest when Exec_point.compare spt pt = 0 ->
-      c.Segment.pending_signals <- rest;
-      E.deliver_signal_now t.eng (Segment.checker seg) signum;
-      (match E.state t.eng (Segment.checker seg) with
-      | E.Exited _ ->
-        (* The signal's default action killed the checker — the main
-           survived it, so this is a divergence. *)
-        finish_checker t seg
-          (Some (Detection.Exception_detected "killed by replayed signal"))
-      | E.Runnable | E.Stopped ->
-        Exec_point.next_target c.Segment.replay;
-        advance t seg (Exec_point.poll c.Segment.replay))
-    | _ -> reached_end t seg)
+(* The live world: a segment's current checker in the running
+   pipeline. A verdict goes through {!finish_checker}; the end point
+   runs the state comparison. *)
+module Kernel = Replay_kernel.Make (struct
+  type t = Run_ctx.t * Segment.t
 
-let fail_checker t seg mismatch =
-  finish_checker t seg (Some (Detection.Detected mismatch))
+  let eng ((t : Run_ctx.t), _) = t.eng
+  let pid (_, seg) = Segment.checker seg
 
-let apply_effects t pid effects =
-  List.iter
-    (fun { Rr_log.addr; data } ->
-      ignore (Mem.Address_space.write_bytes (E.aspace t.eng pid) ~addr data))
-    effects
+  let next_interaction (_, seg) =
+    Option.bind (Segment.cursor seg) Rr_log.next_interaction
 
-let replay_process_local t seg (rec_ : Rr_log.sys_record) call =
-  let cpu = E.cpu t.eng (Segment.checker seg) in
-  let restore_args =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Mmap { addr; flags; _ }
-      when flags land Sim_os.Syscall.map_anon <> 0 ->
-      (* Defeat ASLR divergence: pin the checker's mapping to the address
-         the kernel gave the main process (§4.3.2). The original argument
-         registers are restored afterwards so the rewrite is invisible to
-         the program-state comparison. *)
-      Machine.Cpu.set_reg cpu 1 rec_.result;
-      Machine.Cpu.set_reg cpu 4 (flags lor Sim_os.Syscall.map_fixed);
-      Some (addr, flags)
-    | _ -> None
-  in
-  E.do_syscall t.eng (Segment.checker seg);
-  (match restore_args with
-  | Some (addr, flags) ->
-    Machine.Cpu.set_reg cpu 1 addr;
-    Machine.Cpu.set_reg cpu 4 flags
-  | None -> ());
-  let verify_result =
-    match (call : Sim_os.Syscall.call) with
-    | Sim_os.Syscall.Sigreturn -> false
-    | _ -> true
-  in
-  if verify_result && Machine.Cpu.get_reg cpu 0 <> rec_.result then
-    fail_checker t seg
-      (Detection.Syscall_mismatch
-         {
-           expected =
-             Printf.sprintf "%s = %d" (Sim_os.Syscall.name call) rec_.result;
-           got =
-             Printf.sprintf "%s = %d" (Sim_os.Syscall.name call)
-               (Machine.Cpu.get_reg cpu 0);
-         })
-  else E.resume t.eng (Segment.checker seg)
+  let replay (_, seg) = (Segment.checking seg).Segment.replay
+  let pending_signals (_, seg) = (Segment.checking seg).Segment.pending_signals
 
-let checker_syscall t seg call =
-  emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg))
-    ~phase:Obs.Trace.Instant
-    ~args:[ ("call", Obs.Trace.Str (Sim_os.Syscall.name call)) ]
-    "sys.replay";
-  match Segment.cursor seg with
-  | None ->
-    fail_checker t seg
-      (Detection.Extra_interaction { got = Sim_os.Syscall.name call })
-  | Some cursor -> (
-    match Rr_log.next_interaction cursor with
-    | None when Segment.phase seg = Segment.Recording_p ->
-      (* Streaming replay caught up with the recorder: wait. *)
-      Segment.set_waiting seg true
-    | None ->
-      fail_checker t seg
-        (Detection.Extra_interaction { got = Sim_os.Syscall.name call })
-    | Some (Rr_log.Nondet _) ->
-      fail_checker t seg
-        (Detection.Syscall_mismatch
-           {
-             expected = "nondeterministic instruction";
-             got = Sim_os.Syscall.name call;
-           })
-    | Some (Rr_log.Ext_signal _) ->
-      (* next_interaction never yields signals *)
-      assert false
-    | Some (Rr_log.Sys rec_) ->
-      if rec_.call <> call then
-        fail_checker t seg
-          (Detection.Syscall_mismatch
-             {
-               expected = Sim_os.Syscall.name rec_.call;
-               got = Sim_os.Syscall.name call;
-             })
-      else begin
-        (* Check argument data (e.g. write payloads) against the record. *)
-        let data_matches =
-          match rec_.in_data with
-          | None -> true
-          | Some expected -> (
-            let got =
-              match (call : Sim_os.Syscall.call) with
-              | Sim_os.Syscall.Write { addr; len; _ } ->
-                read_mem_opt t (Segment.checker seg) ~addr ~len
-              | Sim_os.Syscall.Open { path_addr; path_len; _ } ->
-                read_mem_opt t (Segment.checker seg) ~addr:path_addr
-                  ~len:path_len
-              | _ -> None
-            in
-            match got with
-            | Some b -> Bytes.equal b expected
-            | None -> false)
-        in
-        if not data_matches then
-          fail_checker t seg
-            (Detection.Syscall_data_mismatch
-               { syscall = Sim_os.Syscall.name call })
-        else
-          match Sim_os.Syscall.categorize call with
-          | Sim_os.Syscall.Process_local -> replay_process_local t seg rec_ call
-          | Sim_os.Syscall.Globally_effectful | Sim_os.Syscall.Non_effectful ->
-            (* Never re-executed: answer from the record so external
-               effects happen exactly once. *)
-            E.complete_syscall t.eng (Segment.checker seg) ~result:rec_.result;
-            apply_effects t (Segment.checker seg) rec_.effects;
-            let bytes =
-              List.fold_left
-                (fun acc { Rr_log.data; _ } -> acc + Bytes.length data)
-                0 rec_.effects
-            in
-            charge_record t ~segment:(Segment.id seg) (Segment.checker seg)
-              ~bytes;
-            E.resume t.eng (Segment.checker seg)
-      end)
+  let set_pending_signals (_, seg) signals =
+    (Segment.checking seg).Segment.pending_signals <- signals
 
-let checker_nondet t seg insn =
-  match Segment.cursor seg with
-  | None -> fail_checker t seg (Detection.Extra_interaction { got = "nondet" })
-  | Some cursor -> (
-    match Rr_log.next_interaction cursor with
-    | None when Segment.phase seg = Segment.Recording_p ->
-      Segment.set_waiting seg true
-    | Some (Rr_log.Nondet { insn = recorded_insn; value })
-      when recorded_insn = insn ->
-      let cpu = E.cpu t.eng (Segment.checker seg) in
-      (match Isa.Insn.writes_reg insn with
-      | Some reg -> Machine.Cpu.set_reg cpu reg value
-      | None -> ());
-      Machine.Cpu.set_pc cpu (Machine.Cpu.get_pc cpu + 1);
-      E.resume t.eng (Segment.checker seg)
-    | Some (Rr_log.Sys r) ->
-      fail_checker t seg
-        (Detection.Syscall_mismatch
-           { expected = Sim_os.Syscall.name r.call; got = "nondet instruction" })
-    | Some (Rr_log.Nondet _) | Some (Rr_log.Ext_signal _) | None ->
-      fail_checker t seg
-        (Detection.Extra_interaction { got = "nondet instruction" }))
+  let fail (t, seg) outcome = finish_checker t seg (Some outcome)
+  let at_end (t, seg) = check_end_state t seg
 
-let fault_to_string (f : Machine.Cpu.fault) =
-  match f with
-  | Machine.Cpu.Segv { addr; write } ->
-    Printf.sprintf "SIGSEGV at %#x (%s)" addr (if write then "write" else "read")
-  | Machine.Cpu.Div_by_zero -> "SIGFPE (division by zero)"
-  | Machine.Cpu.Bad_pc pc -> Printf.sprintf "control flow left the code (pc=%d)" pc
+  (* Streaming replay caught up with the recorder: wait. *)
+  let await_log (_, seg) =
+    let streaming = Segment.phase seg = Segment.Recording_p in
+    if streaming then Segment.set_waiting seg true;
+    streaming
 
-let handle_checker_event t seg ev =
-  if Segment.is_done seg then () (* stale event after the segment completed *)
-  else
-    match (ev : E.event) with
-    | E.Syscall_entry call -> checker_syscall t seg call
-    | E.Nondet insn -> checker_nondet t seg insn
-    | E.Branch_overflow ->
-      advance t seg
-        (Exec_point.on_branch_overflow (Segment.checking seg).Segment.replay)
-    | E.Breakpoint ->
-      advance t seg
-        (Exec_point.on_breakpoint (Segment.checking seg).Segment.replay)
-    | E.Insn_overflow -> finish_checker t seg (Some Detection.Timeout_detected)
-    | E.Fault f ->
-      finish_checker t seg
-        (Some (Detection.Exception_detected (fault_to_string f)))
-    | E.Halted ->
-      finish_checker t seg
-        (Some (Detection.Exception_detected "checker ran past the segment end"))
-    | E.Cycle_overflow -> E.resume t.eng (Segment.checker seg)
-    | E.Signal _ ->
-      (* External signals target the main process; recorded there and
-         replayed by execution point, never delivered here directly. *)
-      E.resume t.eng (Segment.checker seg)
+  let settled (_, seg) = Segment.is_done seg
+
+  let note_syscall (t, seg) call =
+    emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg))
+      ~phase:Obs.Trace.Instant
+      ~args:[ ("call", Obs.Trace.Str (Sim_os.Syscall.name call)) ]
+      "sys.replay"
+
+  let charge_answer (t, seg) ~bytes =
+    charge_record t ~segment:(Segment.id seg) (Segment.checker seg) ~bytes
+end)
+
+let handle_checker_event t seg ev = Kernel.handle_event (t, seg) ev

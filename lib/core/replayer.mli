@@ -1,14 +1,15 @@
 (** The replay/check stage of the pipeline: checker tracer events.
 
     Launches a checker over its fully recorded segment (replay targets,
-    timeout, optional fault injection), replays the segment's R/R log
-    against the checker's interactions, drives it to the recorded
-    execution points (§4.2), runs the program-state comparison at the
-    segment end, and classifies any divergence. A failed check is
-    handed to {!Recovery} (rollback or abort) — unless the re-check
-    extension can still retry it on a fresh checker (DESIGN.md §13); a
-    completing segment may release a main process held on
-    [max_live_segments] back through {!Recorder.do_boundary}. *)
+    timeout, optional fault injection, the re-check spare) and runs the
+    {!Replay_kernel} over it: the R/R log replayed against the checker's
+    interactions and the checker driven to the recorded execution
+    points (§4.2). At the end point the replayer runs the program-state
+    comparison. A failed check is handed to {!Recovery} (rollback or
+    abort), unless the re-check extension can still retry it on a fresh
+    checker (DESIGN.md §13); a completing segment may release a main
+    process held on [max_live_segments] back through
+    {!Recorder.do_boundary}. *)
 
 val record_error : Run_ctx.t -> Segment.t -> Detection.outcome -> unit
 (** Record a detection against a segment (stats, trace event, first-error

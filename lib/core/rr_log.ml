@@ -53,12 +53,14 @@ let events t =
   let r = reader_at t 0 in
   List.init t.n (fun _ -> Seglog.Record.get_event r)
 
-let signal_points t =
+let signals events =
   List.filter_map
     (function
       | Ext_signal { at; signum } -> Some (at, signum)
       | Sys _ | Nondet _ -> None)
-    (events t)
+    events
+
+let signal_points t = signals (events t)
 
 type cursor = {
   log : t;
@@ -77,13 +79,3 @@ let rec next_interaction c =
     | Ext_signal _ -> next_interaction c
     | Sys _ | Nondet _ -> Some ev
   end
-
-let remaining_interactions c =
-  let r = reader_at c.log c.pos in
-  let count = ref 0 in
-  while Seglog.Codec.remaining r > 0 do
-    match Seglog.Record.get_event r with
-    | Sys _ | Nondet _ -> incr count
-    | Ext_signal _ -> ()
-  done;
-  !count

@@ -60,6 +60,9 @@ val signal_points : t -> (Exec_point.t * Sim_os.Sig_num.t) list
 (** The external-signal delivery points, in order — these become extra
     replay targets for the checker. *)
 
+val signals : event list -> (Exec_point.t * Sim_os.Sig_num.t) list
+(** {!signal_points} of a decoded event list. *)
+
 (** Replay cursor: one per checker. *)
 type cursor
 
@@ -73,5 +76,3 @@ val next_interaction : cursor -> event option
     than the main); if the log is still being recorded (RAFT's streaming
     replay) the checker must wait and retry. The log may grow after a
     cursor is created; cursors see appended events. *)
-
-val remaining_interactions : cursor -> int

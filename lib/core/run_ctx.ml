@@ -275,10 +275,6 @@ let exec_point_now t =
     pc = Machine.Cpu.get_pc (main_cpu t);
   }
 
-let read_mem_opt t pid ~addr ~len =
-  try Some (Mem.Address_space.read_bytes (E.aspace t.eng pid) ~addr ~len)
-  with Mem.Address_space.Segfault _ -> None
-
 let kill_if_alive t pid =
   match E.state t.eng pid with
   | E.Exited _ -> ()
@@ -288,24 +284,7 @@ let live_count t = List.length t.live
 let live_limit t = Config.live_limit t.cfg
 
 (* ------------------------------------------------------------------ *)
-(* Fault-plan plumbing (lib/fault): which segments a plan covers, and
-   how each target class is armed. Runtime faults are armed at the
-   engine level (a tick registered by the coordinator), so they are a
-   no-op here. *)
-
-let plan_covers (plan : Fault.plan) ~id =
-  id = plan.Fault.segment || (plan.Fault.repeat && id > plan.Fault.segment)
-
-let arm_plan_on_cpu cpu (plan : Fault.plan) =
-  match plan.Fault.target with
-  | Fault.Checker_register { reg; bit } | Fault.Main_register { reg; bit } ->
-    Machine.Cpu.arm_fault_injection cpu
-      ~after_instructions:plan.Fault.delay_instructions ~reg ~bit
-  | Fault.Checker_memory_page { page_index; bit }
-  | Fault.Main_memory_page { page_index; bit } ->
-    Machine.Cpu.arm_memory_fault_injection cpu
-      ~after_instructions:plan.Fault.delay_instructions ~page_index ~bit
-  | Fault.Runtime_fault _ -> ()
+(* Fault-plan plumbing                                                  *)
 
 (* Record that a main-targeted fault has fired. Called at every point
    where the main process (or its armed cpu) may be replaced or

@@ -53,7 +53,8 @@ let run_config (cfg : Config.t) ~seed =
     dirty_backend = dirty_backend_string cfg;
     hasher = hasher_string cfg;
     seed;
-    fault = Option.map fault_spec cfg.fault_plan
+    fault = Option.map fault_spec cfg.fault_plan;
+    recheck = cfg.recheck_on_mismatch
   }
 
 let header (cfg : Config.t) ~(platform : Platform.t) ~workload ~seed =

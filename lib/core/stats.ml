@@ -108,17 +108,32 @@ let create () =
       };
   }
 
+(* Digest of a memory image: vpn + page bytes, ascending vpn order. *)
+let mem_hash pt =
+  let vpns = Mem.Page_table.mapped_vpns pt in
+  Array.sort compare vpns;
+  let st = Ftr_hash.Xxh64.init () in
+  Array.iter
+    (fun vpn ->
+      Ftr_hash.Xxh64.update_int64 st (Int64.of_int vpn);
+      let bytes = Mem.Page_table.read_bytes_at pt ~vpn in
+      Ftr_hash.Xxh64.update st bytes ~pos:0 ~len:(Bytes.length bytes))
+    vpns;
+  Ftr_hash.Xxh64.digest st
+
 (* One digest over the main process's final architectural state
    (register file folded with the memory image hash), for the SDC
    oracle: two runs ending in the same state produce the same value. *)
+let state_hash ~regs ~mem =
+  let st = Ftr_hash.Xxh64.init () in
+  Array.iter (fun r -> Ftr_hash.Xxh64.update_int64 st (Int64.of_int r)) regs;
+  Ftr_hash.Xxh64.update_int64 st mem;
+  Ftr_hash.Xxh64.digest st
+
 let final_state_hash t =
   match (t.final_regs, t.final_mem_hash) with
   | None, _ | _, None -> None
-  | Some regs, Some mem ->
-    let st = Ftr_hash.Xxh64.init () in
-    Array.iter (fun r -> Ftr_hash.Xxh64.update_int64 st (Int64.of_int r)) regs;
-    Ftr_hash.Xxh64.update_int64 st mem;
-    Some (Ftr_hash.Xxh64.digest st)
+  | Some regs, Some mem -> Some (state_hash ~regs ~mem)
 
 let record_detection t ~segment outcome =
   t.detections <- (segment, outcome) :: t.detections

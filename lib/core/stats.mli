@@ -129,6 +129,13 @@ val final_state_hash : t -> int64 option
     main process exits. Byte-identical final states hash equal, which is
     what the SDC oracle compares across faulted and fault-free runs. *)
 
+val mem_hash : Mem.Page_table.t -> int64
+(** The [final_mem_hash] digest of a memory image. *)
+
+val state_hash : regs:int array -> mem:int64 -> int64
+(** The {!final_state_hash} digest of a register file and a {!mem_hash};
+    offline replay recomputes the recorded digest with these two. *)
+
 val big_core_work_fraction : t -> float
 (** Fraction of checker CPU time spent on big cores (the §5.2.1 "41.7%
     of work on big cores" metric). *)

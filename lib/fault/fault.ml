@@ -27,6 +27,21 @@ let targets_checker p =
 
 let targets_main p = not (targets_checker p)
 
+let covers p ~segment =
+  segment = p.segment || (p.repeat && segment > p.segment)
+
+let arms p ~segment ~attempt = covers p ~segment && (p.repeat || attempt = 0)
+
+let arm_on_cpu cpu p =
+  match p.target with
+  | Checker_register { reg; bit } | Main_register { reg; bit } ->
+    Machine.Cpu.arm_fault_injection cpu ~after_instructions:p.delay_instructions
+      ~reg ~bit
+  | Checker_memory_page { page_index; bit } | Main_memory_page { page_index; bit } ->
+    Machine.Cpu.arm_memory_fault_injection cpu
+      ~after_instructions:p.delay_instructions ~page_index ~bit
+  | Runtime_fault _ -> ()
+
 let target_kind_to_string = function
   | Checker_register _ -> "checker-reg"
   | Checker_memory_page _ -> "checker-mem"

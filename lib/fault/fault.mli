@@ -4,12 +4,12 @@
 
     A {!plan} names one fault: {e where} it strikes (the {!target}),
     {e when} (segment index + retired-instruction delay), and whether it
-    is transient (one-shot) or persistent ([repeat]). The runtime owns
-    the arming paths — register and memory faults go through the
-    {!Machine.Cpu} injection port of the targeted process, runtime
-    faults through a {!Sim_os.Engine} tick that kills or stalls the
-    checker mid-check — this module only describes faults and knows how
-    to draw, parse and print them. *)
+    is transient (one-shot) or persistent ([repeat]). This module
+    describes faults, parses and prints them, and owns the one arming
+    rule ({!arms}) and the {!Machine.Cpu} injection port mapping
+    ({!arm_on_cpu}); the runtime decides {e where} to arm — the main at
+    segment start, a checker at launch, runtime faults from a
+    {!Sim_os.Engine} tick that kills or stalls the checker mid-check. *)
 
 (** What the fault corrupts.
 
@@ -61,6 +61,23 @@ val targets_checker : plan -> bool
     [Runtime_fault] — plans armed on the replay side. *)
 
 val targets_main : plan -> bool
+
+val covers : plan -> segment:int -> bool
+(** The plan applies to segment id [segment]: its own segment, or any
+    later one for a [repeat] plan. *)
+
+val arms : plan -> segment:int -> attempt:int -> bool
+(** Arm the plan on attempt [attempt] (0 = first check, n = n-th
+    re-dispatch) of segment [segment]: {!covers}, and a one-shot plan
+    only on attempt 0 — it must not chase the segment onto its
+    re-dispatched checker, where it would re-inject the very fault the
+    re-check is ruling out. A [repeat] plan is stuck-at and arms on
+    every attempt. *)
+
+val arm_on_cpu : Machine.Cpu.t -> plan -> unit
+(** Arm a register or memory plan on a cpu's injection port, to fire
+    after [delay_instructions] more retired instructions. Runtime
+    faults are not cpu-armed (no-op). *)
 
 val target_kind_to_string : target -> string
 (** The CLI keyword for the target's class:

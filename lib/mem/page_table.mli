@@ -69,9 +69,10 @@ val read_bytes_at : t -> vpn:int -> Bytes.t
     same frame; an unmap, a COW write through this table or a process
     exit may hand them to another frame. Take {!copy_page_at} to keep
     them. Every caller reads or patches the page on the spot and keeps
-    nothing: the comparator (via {!frame_view}), the recorder's and the
-    offline engine's final-state hashes, and the offline engine's
-    boundary compare and [inject_bytes].
+    nothing: the comparator (via {!frame_view}), the final-state memory
+    hash ([Stats.mem_hash], shared by the recorder and the offline
+    engine), and the offline engine's boundary compare and
+    [inject_bytes].
 
     @raise Page_fault on unmapped [vpn]. *)
 

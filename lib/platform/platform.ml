@@ -253,3 +253,6 @@ let testing =
     dirty_tracking = Soft_dirty;
     slice_unit = Cycles;
   }
+
+let of_name name =
+  List.find_opt (fun p -> p.name = name) [ apple_m2; intel_i7; testing ]

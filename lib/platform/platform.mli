@@ -96,3 +96,7 @@ val intel_i7 : t
 val testing : t
 (** A miniature platform (2 big + 2 little, tiny caches, 4 KiB pages) so
     unit tests run fast and hit capacity limits easily. *)
+
+val of_name : string -> t option
+(** The platform whose {!t.name} is the argument — the CLI's [--platform]
+    names and the identity a segment log records. *)

@@ -1,4 +1,4 @@
-(* Validating deserialization of parallaft-seglog v1 files.
+(* Validating deserialization of parallaft-seglog v2 files.
 
    Validation order is part of the format contract (and what the
    single-byte-corruption property pins down):

@@ -1,4 +1,4 @@
-(** Validating deserialization of parallaft-seglog v1 files.
+(** Validating deserialization of parallaft-seglog v2 files.
 
     Every entry point returns [Error] with a typed {!Codec.error} on
     any invalid input — flipping any single byte of a valid file yields

@@ -1,4 +1,4 @@
-(* The parallaft-seglog v1 record types and their field codecs.
+(* The parallaft-seglog v2 record types and their field codecs.
 
    These are the canonical shapes of everything a checker needs
    (DESIGN.md §17): the core runtime's Rr_log / Exec_point types are
@@ -7,7 +7,7 @@
    on any malformed input; framing, checksums and version checks live
    in Writer/Reader. *)
 
-let format_version = 1
+let format_version = 2
 
 (* Bumped whenever Isa.Insn encodings or Sim_os.Syscall numbers change
    meaning: logs carry instruction words and syscall tags verbatim. *)
@@ -72,6 +72,7 @@ type run_config = {
   hasher : string;
   seed : int64;
   fault : fault_spec option;
+  recheck : bool;
 }
 
 type header = {
@@ -112,11 +113,11 @@ let fault_spec_to_string = function
    reader refuses mismatches up front (Fingerprint_mismatch). *)
 let config_digest ~platform ~page_size ~workload (c : run_config) =
   let canon =
-    Printf.sprintf "parallaft-seglog:%d:%d|%s|%d|%s|%s|%d|%h|%b|%s|%s|%Ld|%s"
+    Printf.sprintf "parallaft-seglog:%d:%d|%s|%d|%s|%s|%d|%h|%b|%s|%s|%Ld|%s|%b"
       format_version isa_version platform page_size workload
       (if c.mode_raft then "raft" else "parallaft")
       c.slice_period c.timeout_scale c.compare_states c.dirty_backend c.hasher c.seed
-      (fault_spec_to_string c.fault)
+      (fault_spec_to_string c.fault) c.recheck
   in
   Ftr_hash.Xxh64.hash (Bytes.unsafe_of_string canon)
 
@@ -358,7 +359,7 @@ let put_config w c =
   Codec.str w c.dirty_backend;
   Codec.str w c.hasher;
   Codec.i64 w c.seed;
-  match c.fault with
+  (match c.fault with
   | None -> Codec.u8 w 0
   | Some f ->
     Codec.u8 w 1;
@@ -367,7 +368,8 @@ let put_config w c =
     Codec.varint w f.delay;
     Codec.varint w f.arg_a;
     Codec.varint w f.arg_b;
-    Codec.u8 w (if f.repeat then 1 else 0)
+    Codec.u8 w (if f.repeat then 1 else 0));
+  Codec.u8 w (if c.recheck then 1 else 0)
 
 let get_bool r =
   match Codec.r_u8 r with
@@ -396,5 +398,6 @@ let get_config r =
       Some { kind; fault_segment; delay; arg_a; arg_b; repeat }
     | t -> Codec.malformed "bad option tag %d" t
   in
+  let recheck = get_bool r in
   { mode_raft; slice_period; timeout_scale; compare_states; dirty_backend; hasher; seed;
-    fault }
+    fault; recheck }

@@ -1,4 +1,4 @@
-(** The parallaft-seglog v1 record types (DESIGN.md §17).
+(** The parallaft-seglog v2 record types (DESIGN.md §17).
 
     Canonical shapes for everything a checker needs to replay and
     verify a segment. The core runtime's [Exec_point.t] and [Rr_log]
@@ -76,6 +76,10 @@ type run_config = {
   hasher : string;
   seed : int64;
   fault : fault_spec option;
+  recheck : bool;
+      (** the transient re-check was on: a failed check was retried on a
+          fresh checker, so a one-shot checker fault never decided the
+          live verdict *)
 }
 
 type header = {

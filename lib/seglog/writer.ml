@@ -1,4 +1,4 @@
-(* Serialization of the parallaft-seglog v1 files.
+(* Serialization of the parallaft-seglog v2 files.
 
    File framing (shared by manifest and segment files):
 

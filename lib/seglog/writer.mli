@@ -1,4 +1,4 @@
-(** Serialization of parallaft-seglog v1 manifest and segment files.
+(** Serialization of parallaft-seglog v2 manifest and segment files.
 
     A writer is stateful across the segments of one run: it keeps the
     last raw payload written per vpn (the "parent frame") so later

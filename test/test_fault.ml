@@ -1,5 +1,5 @@
 (* Unit tests for the fault model (lib/fault): target taxonomy, CLI
-   keyword parsing, plan validation and printing. The runtime-facing
+   keyword parsing, the arming rule, plan validation and printing. The runtime-facing
    behavior of each target class is exercised end-to-end in
    test_parallaft; this file pins the pure description layer. *)
 
@@ -63,6 +63,35 @@ let test_side_classification () =
       Alcotest.(check bool) "not checker side" false (Fault.targets_checker p))
     main_side
 
+(* The arming rule over its whole domain (plan_with's segment is 1): a
+   one-shot plan arms only at its own segment on the first attempt; a
+   repeat plan at its segment and every later one, on every attempt. *)
+let test_arming_table () =
+  List.iter
+    (fun (repeat, segment, attempt, covers, arms) ->
+      let p = { (plan_with (Fault.Checker_register { reg = 3; bit = 4 })) with repeat } in
+      let name =
+        Printf.sprintf "%s, segment %d, attempt %d"
+          (if repeat then "repeat" else "one-shot")
+          segment attempt
+      in
+      Alcotest.(check bool) (name ^ ": covers") covers (Fault.covers p ~segment);
+      Alcotest.(check bool) (name ^ ": arms") arms (Fault.arms p ~segment ~attempt))
+    [
+      (false, 0, 0, false, false);
+      (false, 0, 1, false, false);
+      (false, 1, 0, true, true);
+      (false, 1, 1, true, false);
+      (false, 2, 0, false, false);
+      (false, 2, 1, false, false);
+      (true, 0, 0, false, false);
+      (true, 0, 1, false, false);
+      (true, 1, 0, true, true);
+      (true, 1, 1, true, true);
+      (true, 2, 0, true, true);
+      (true, 2, 1, true, true);
+    ]
+
 let check_invalid name p =
   match Fault.validate p with
   | Ok () -> Alcotest.fail (name ^ " accepted")
@@ -124,6 +153,7 @@ let () =
           tc "checker_register constructor" `Quick
             test_checker_register_constructor;
           tc "checker/main side classification" `Quick test_side_classification;
+          tc "arming: one-shot/repeat x segment x attempt" `Quick test_arming_table;
           tc "validation ranges" `Quick test_validate;
           tc "to_string names the target" `Quick test_to_string_mentions_fields;
         ] );

@@ -361,6 +361,16 @@ let test_patch_code_syscall_rejects_junk () =
   | Sim_os.Engine.Exited n -> Alcotest.failf "exit status %d, wanted 22" n
   | _ -> Alcotest.fail "still live"
 
+let test_platform_names () =
+  List.iter
+    (fun (p : Platform.t) ->
+      match Platform.of_name p.Platform.name with
+      | Some q -> Alcotest.(check bool) (p.Platform.name ^ " round-trips") true (q == p)
+      | None -> Alcotest.failf "%s not found by name" p.Platform.name)
+    [ Platform.apple_m2; Platform.intel_i7; Platform.testing ];
+  Alcotest.(check bool) "unknown name rejected" true
+    (Option.is_none (Platform.of_name "pdp11"))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "sim_os"
@@ -389,5 +399,6 @@ let () =
           tc "dvfs levels" `Quick test_dvfs_level_changes;
           tc "determinism" `Quick test_determinism;
           tc "little core slower" `Quick test_little_core_slower;
+          tc "platform names round-trip" `Quick test_platform_names;
         ] );
     ]

@@ -147,13 +147,14 @@ let test_config : Seglog.Record.run_config =
     dirty_backend = "soft_dirty";
     hasher = "xxh64";
     seed = 42L;
-    fault = None
+    fault = None;
+    recheck = false
   }
 
-let test_header () : Seglog.Record.header =
+let test_header ?(config = test_config) () : Seglog.Record.header =
   let config_digest =
     Seglog.Record.config_digest ~platform:platform.Platform.name
-      ~page_size:platform.Platform.page_size ~workload:"test" test_config
+      ~page_size:platform.Platform.page_size ~workload:"test" config
   in
   { config_digest;
     platform = platform.Platform.name;
@@ -168,12 +169,14 @@ let gen_manifest =
     let* final_state_hash = option (map Int64.of_int gen_any_int) in
     let* code = list_size (1 -- 20) gen_any_int in
     let* data = list_size (0 -- 3) (pair gen_any_int gen_small_bytes) in
+    let* recheck = bool in
+    let config = { test_config with Seglog.Record.recheck } in
     return
-      { Seglog.Record.header = test_header ();
+      { Seglog.Record.header = test_header ~config ();
         program =
           { Seglog.Record.pname = "test"; entry = 0; initial_brk = 0x10000;
             code = Array.of_list code; data };
-        config = test_config;
+        config;
         segments = List.init nseg (fun i -> i);
         truncated_at;
         final_state_hash
@@ -313,11 +316,14 @@ let version_guards () =
     Bytes.set_int32_le c off (Int32.of_int v);
     c
   in
-  (match Seglog.Reader.manifest (patch_u32 mf 8 99) with
-  | Error (Seglog.Codec.Bad_version { found = 99; _ }) -> ()
-  | r ->
-    Alcotest.failf "future format version: %s"
-      (match r with Ok _ -> "accepted" | Error e -> Seglog.Codec.error_to_string e));
+  List.iter
+    (fun (v, what) ->
+      match Seglog.Reader.manifest (patch_u32 mf 8 v) with
+      | Error (Seglog.Codec.Bad_version { found; _ }) when found = v -> ()
+      | r ->
+        Alcotest.failf "%s format version: %s" what
+          (match r with Ok _ -> "accepted" | Error e -> Seglog.Codec.error_to_string e))
+    [ (99, "future"); (1, "v1 (no recheck field)") ];
   (match Seglog.Reader.manifest (patch_u32 mf 12 99) with
   | Error (Seglog.Codec.Bad_isa_version { found = 99; _ }) -> ()
   | r ->
@@ -350,20 +356,21 @@ let fingerprint_guard () =
      file re-encodes and re-reads fine (checksums are consistent), but
      validate_fingerprint recomputes the digest from the fields and
      catches the edit *)
-  let tampered =
-    { m with
-      Seglog.Record.config =
-        { m.Seglog.Record.config with Seglog.Record.slice_period = 4000 }
-    }
-  in
-  match Seglog.Reader.manifest (Seglog.Writer.manifest tampered) with
-  | Error e -> Alcotest.failf "tampered manifest: %s" (Seglog.Codec.error_to_string e)
-  | Ok decoded -> (
-    match Seglog.Reader.validate_fingerprint decoded with
-    | Error (Seglog.Codec.Fingerprint_mismatch _) -> ()
-    | Ok () -> Alcotest.fail "tampered config passed the fingerprint check"
-    | Error e ->
-      Alcotest.failf "tampered config: %s" (Seglog.Codec.error_to_string e))
+  let c = m.Seglog.Record.config in
+  List.iter
+    (fun (what, config) ->
+      let tampered = { m with Seglog.Record.config } in
+      match Seglog.Reader.manifest (Seglog.Writer.manifest tampered) with
+      | Error e ->
+        Alcotest.failf "tampered %s: %s" what (Seglog.Codec.error_to_string e)
+      | Ok decoded -> (
+        match Seglog.Reader.validate_fingerprint decoded with
+        | Error (Seglog.Codec.Fingerprint_mismatch _) -> ()
+        | Ok () -> Alcotest.failf "tampered %s passed the fingerprint check" what
+        | Error e ->
+          Alcotest.failf "tampered %s: %s" what (Seglog.Codec.error_to_string e)))
+    [ ("slice period", { c with Seglog.Record.slice_period = 4000 });
+      ("recheck", { c with Seglog.Record.recheck = not c.Seglog.Record.recheck }) ]
 
 (* ---------- end-to-end: record live, re-check offline ---------- *)
 
@@ -383,12 +390,16 @@ let busy_program () =
       mmap_churn = true;
     }
 
-let record_run ?fault_plan dir =
+let record_run ?fault_plan ?(recheck = false) dir =
   let config =
     Parallaft.Config.parallaft ~platform ~slice_period:3000 ()
   in
   let config =
-    { config with Parallaft.Config.record_log = Some dir; fault_plan }
+    { config with
+      Parallaft.Config.record_log = Some dir;
+      fault_plan;
+      recheck_on_mismatch = recheck
+    }
   in
   Parallaft.Runtime.run_protected ~platform ~config ~program:(busy_program ()) ()
 
@@ -472,6 +483,100 @@ let offline_matches_fault_verdict () =
     Alcotest.(check int) "offline divergence names the live detection segment"
       (List.hd live_segments) d.Parallaft.Offline.segment
 
+(* Verdict parity over checker-side faults: offline diverges exactly
+   when the live run detected, and in the live run's first detection
+   segment. With the re-check on, a one-shot fault is re-checked away
+   live (a transient checker fault, no detection), so offline must not
+   re-arm it; a repeat fault re-arms on the re-check and stays
+   detected. *)
+let offline_verdict_parity () =
+  let detected = ref 0 in
+  List.iter
+    (fun (target, repeat, recheck) ->
+      let plan = { Fault.segment = 2; delay_instructions = 60; target; repeat } in
+      let leg =
+        Printf.sprintf "%s_%s_%s"
+          (Fault.target_kind_to_string target)
+          (if repeat then "repeat" else "oneshot")
+          (if recheck then "recheck" else "plain")
+      in
+      let dir = e2e_dir ("seglog_parity_" ^ leg) in
+      let r = record_run ~fault_plan:plan ~recheck dir in
+      let live = List.map fst r.Parallaft.Runtime.detections in
+      if live <> [] then incr detected;
+      let manifest, segments = load_log dir in
+      match (Parallaft.Offline.replay ~manifest ~segments, live) with
+      | Error e, _ -> Alcotest.failf "%s: offline replay: %s" leg e
+      | Ok (Parallaft.Offline.Verified _), [] -> ()
+      | Ok (Parallaft.Offline.Verified _), first :: _ ->
+        Alcotest.failf "%s: live detected in segment %d, offline verified" leg first
+      | Ok (Parallaft.Offline.Diverged d), [] ->
+        Alcotest.failf "%s: live verified, offline diverged:\n%s" leg
+          (Parallaft.Offline.divergence_report d)
+      | Ok (Parallaft.Offline.Diverged d), first :: _ ->
+        Alcotest.(check int) (leg ^ ": divergence segment") first
+          d.Parallaft.Offline.segment)
+    (List.concat_map
+       (fun target ->
+         List.concat_map
+           (fun repeat -> [ (target, repeat, false); (target, repeat, true) ])
+           [ false; true ])
+       [ Fault.Checker_register { reg = 13; bit = 6 };
+         Fault.Checker_memory_page { page_index = 6; bit = 6 } ]);
+  Alcotest.(check bool) "some row detects live" true (!detected > 0)
+
+(* A divergence the replay kernel finds offline is reported exactly as
+   the live checker would classify it. *)
+let offline_reason_from_kernel () =
+  let dir = e2e_dir "seglog_e2e_tampered" in
+  ignore (record_run dir);
+  let manifest, segments = load_log dir in
+  let first_sys (s : Seglog.Record.segment) =
+    List.find_map
+      (function Seglog.Record.Sys r -> Some r | _ -> None)
+      s.Seglog.Record.events
+  in
+  let victim, real_call =
+    match
+      List.find_map
+        (fun s ->
+          match first_sys s with
+          | Some r when r.Seglog.Record.call <> Sim_os.Syscall.Getpid ->
+            Some (s.Seglog.Record.id, r.Seglog.Record.call)
+          | _ -> None)
+        segments
+    with
+    | Some v -> v
+    | None -> Alcotest.fail "no segment with a non-getpid syscall"
+  in
+  let tamper (s : Seglog.Record.segment) =
+    if s.Seglog.Record.id <> victim then s
+    else
+      let rewritten = ref false in
+      let events =
+        List.map
+          (function
+            | Seglog.Record.Sys r when not !rewritten ->
+              rewritten := true;
+              Seglog.Record.Sys { r with Seglog.Record.call = Sim_os.Syscall.Getpid }
+            | ev -> ev)
+          s.Seglog.Record.events
+      in
+      { s with Seglog.Record.events }
+  in
+  match Parallaft.Offline.replay ~manifest ~segments:(List.map tamper segments) with
+  | Error e -> Alcotest.failf "offline replay: %s" e
+  | Ok (Parallaft.Offline.Verified _) -> Alcotest.fail "tampered log verified"
+  | Ok (Parallaft.Offline.Diverged d) ->
+    Alcotest.(check int) "diverges in the tampered segment" victim
+      d.Parallaft.Offline.segment;
+    Alcotest.(check string) "kernel outcome as the reason"
+      (Parallaft.Detection.outcome_to_string
+         (Parallaft.Detection.Detected
+            (Parallaft.Detection.Syscall_mismatch
+               { expected = "getpid"; got = Sim_os.Syscall.name real_call })))
+      d.Parallaft.Offline.reason
+
 let () =
   Alcotest.run "seglog"
     [ ( "roundtrip",
@@ -486,5 +591,9 @@ let () =
         [ Alcotest.test_case "clean run re-verifies offline" `Slow
             offline_matches_clean_run;
           Alcotest.test_case "fault verdict reproduced offline" `Slow
-            offline_matches_fault_verdict ] )
+            offline_matches_fault_verdict;
+          Alcotest.test_case "verdict parity: target x repeat x recheck" `Slow
+            offline_verdict_parity;
+          Alcotest.test_case "offline reason is the kernel's outcome" `Slow
+            offline_reason_from_kernel ] )
     ]
