@@ -1,7 +1,7 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
 .PHONY: all build test fmt-check smoke parallel-smoke compare-smoke \
-  fault-smoke fleet-smoke backend-chaos-smoke seglog-smoke bench-json \
+  fault-smoke backend-chaos-smoke seglog-smoke bench-json \
   bench-smoke bench-gate \
   block-cache-smoke invariants golden-check ci clean
 
@@ -133,28 +133,20 @@ seglog-smoke: build
 	  --record-log /tmp/parallaft_seglog_recheck > /tmp/parallaft_seglog_recheck.out
 	PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay /tmp/parallaft_seglog_recheck
 
-# Fleet mode end to end (DESIGN.md §16): a 4-tenant fleet on the shared
-# core pool with every scheduling event swept by the fleet-scope
-# invariants. Asserts all tenants complete, the work-stealing policy
-# fired (steals > 0), consolidation beats four serial runs by >= 2x,
-# per-tenant determinism vs the solo replay, and cross-tenant fault
-# isolation (a persistent fault in one tenant leaves the others' state
-# and recovery counters untouched). Exits nonzero on any violation.
-fleet-smoke: build
-	PARALLAFT_INVARIANTS=1 dune exec bin/fleet_smoke.exe
-
-# The checker backends end to end (DESIGN.md §18), with the lease
-# supervisor's exactly-once ledger swept on every routed event: a
-# deferred-backend sanity run (identical observables to inline, every
-# segment verified through the batch queue) and the remote chaos
-# campaign at three fixed intensities. Asserts no silent data
-# corruption, exactly-once verification, at least one re-dispatch per
-# intensity, and zero leaked simulated pids. Exits nonzero on any
-# violation.
+# The checker backends end to end (DESIGN.md §18): the `backends`
+# experiment with the lease supervisor's exactly-once ledger swept on
+# every routed event. A deferred-backend sanity run (identical
+# observables to inline, every segment verified through the batch
+# queue), the staleness table, and the remote chaos campaign at three
+# fixed intensities. Asserts no silent data corruption, exactly-once
+# verification, at least one re-dispatch per intensity, and zero leaked
+# simulated pids. Exits nonzero on any violation. (Fleet mode's end to
+# end checks live in test/test_fleet.ml, run by `test` and
+# `invariants`.)
 backend-chaos-smoke: build
-	PARALLAFT_INVARIANTS=1 dune exec bin/backend_chaos_smoke.exe
+	PARALLAFT_INVARIANTS=1 dune exec bin/experiments_main.exe -- backends
 
-ci: build test golden-check invariants fmt-check smoke parallel-smoke compare-smoke fault-smoke fleet-smoke backend-chaos-smoke seglog-smoke bench-smoke bench-gate block-cache-smoke
+ci: build test golden-check invariants fmt-check smoke parallel-smoke compare-smoke fault-smoke backend-chaos-smoke seglog-smoke bench-smoke bench-gate block-cache-smoke
 
 clean:
 	dune clean

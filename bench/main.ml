@@ -470,8 +470,9 @@ let profile_breakdown () =
    streams. Simulated time, so both rows are deterministic across
    hosts. The generator refuses to emit an artifact in which
    consolidation has stopped paying: serial must cost at least 2x the
-   fleet per verified segment (the fleet-smoke criterion, re-checked
-   here so a committed BENCH_*.json can't hide the regression). *)
+   fleet per verified segment (test_fleet's consolidation criterion,
+   re-checked here so a committed BENCH_*.json can't hide the
+   regression). *)
 let fleet_rows () =
   let platform = Platform.intel_i7 in
   let config = Parallaft.Config.parallaft ~platform () in

@@ -213,12 +213,6 @@ let run platform_name mode_name period scale workload input asm_file seed
             "parallaft: --backend deferred/remote requires --mode parallaft \
              (only the segment pipeline decouples recording from checking)";
           1
-        | Mode_parallaft
-          when backend <> Parallaft.Config.Backend_inline && tenants > 1 ->
-          prerr_endline
-            "parallaft: --backend deferred/remote is incompatible with \
-             --tenants > 1 (the fleet owns checker scheduling)";
-          1
         | (Mode_baseline | Mode_raft) when record_log <> None ->
           prerr_endline
             "parallaft: --record-log requires --mode parallaft (the segment \
@@ -463,8 +457,7 @@ let backend_arg =
                wakeup under a --max-lag verification-lag budget; $(b,remote) \
                dispatches checks to a pool of simulated checker nodes \
                supervised by per-segment leases with heartbeat expiry and \
-               re-dispatch. Only valid with --mode parallaft and a single \
-               tenant.")
+               re-dispatch. Only valid with --mode parallaft.")
 
 let batch_arg =
   Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"N"

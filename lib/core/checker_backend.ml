@@ -15,8 +15,11 @@
    All three share one exactly-once supervisor (Backend.Supervisor):
    every recorded segment is settled exactly once, re-dispatches only
    ever re-grant a lease at a higher incarnation, and verdicts arriving
-   with a lapsed incarnation are discarded as stale. [install] wires the
-   Run_ctx backend seams; the pipeline stages never name a backend. *)
+   with a lapsed incarnation are discarded as stale. [create] builds a
+   run's backend value before the run exists; Run_ctx holds it
+   unchanged and the pipeline stages never name a backend. Inline is
+   the base instance; deferred and remote override only the hooks
+   whose policy differs. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -58,9 +61,9 @@ let charge_launch t seg ~ns =
   phase_add t ~tracks:[ Obs.Trace.Proc pid ] ~segment:(Segment.id seg)
     "backend_launch" (int_of_float ns)
 
-let install t =
+let create (cfg : Config.t) =
   let sup = Backend.Supervisor.create () in
-  let sync () =
+  let sync t =
     let b = t.stats.Stats.backend in
     b.Stats.b_dispatched <- Backend.Supervisor.dispatched sup;
     b.Stats.b_redispatched <- Backend.Supervisor.redispatched sup;
@@ -70,63 +73,74 @@ let install t =
     b.Stats.b_max_lag <- Backend.Supervisor.max_lag sup;
     b.Stats.b_verified <- Backend.Supervisor.settled sup
   in
-  (* Seams every backend shares: the lease, heartbeat, settle and
-     invariant hooks differ only in which node the lease names. *)
-  let note_launched ?(node = -1) seg =
+  (* Every backend enters a finished segment into the ledger before its
+     own launch policy runs, and leases a check when it starts; only
+     the remote lease names a node. *)
+  let recorded t seg =
+    Backend.Supervisor.note_recorded sup (Segment.id seg);
+    sync t
+  in
+  let lease ?(node = -1) t seg =
     Backend.Supervisor.lease sup ~id:(Segment.id seg) ~node
       ~incarnation:(Segment.redispatches seg) ~now_ns:(E.now_ns t.eng)
       ~insns:(Machine.Cpu.instructions (E.cpu t.eng (Segment.checker seg)));
-    sync ()
+    sync t
   in
-  t.backend_heartbeat <-
-    (fun seg ~now_ns ~insns ~excused ->
-      match
-        Backend.Supervisor.heartbeat sup ~id:(Segment.id seg) ~now_ns ~insns
-          ~excused ~budget_ns:t.cfg.Config.watchdog_stall_ns
-      with
-      | `Ok -> false
-      | `Expired -> true);
-  t.backend_expired <-
-    (fun seg ->
-      Backend.Supervisor.note_expired sup ~id:(Segment.id seg);
-      sync ());
-  t.backend_settle <-
-    (fun seg ->
-      (match
-         Backend.Supervisor.settle sup ~id:(Segment.id seg)
-           ~incarnation:(Segment.redispatches seg)
-       with
-      | `Ok -> ()
-      | `Stale ->
-        (* Every path into really_finish_checker has already verified the
-           verdict's incarnation is current; a stale settle here means the
-           routing let a superseded verdict through. *)
-        raise
-          (Segment.Invariant_violation
-             (Printf.sprintf "segment %d settled from a stale incarnation"
-                (Segment.id seg))));
-      sync ());
-  t.backend_check <- (fun () -> Backend.Supervisor.check_invariants sup);
-  match t.cfg.Config.backend with
-  | Config.Backend_inline ->
-    t.backend_note_launched <- (fun seg -> note_launched seg);
-    t.backend_flush <-
-      (fun () ->
-        ignore (Backend.Supervisor.cancel_unsettled sup);
-        sync ());
-    t.launch_checker <-
-      (fun seg ->
-        Backend.Supervisor.note_recorded sup (Segment.id seg);
-        sync ();
-        Replayer.launch_checker t seg)
+  let inline =
+    {
+      launch =
+        (fun t seg ->
+          recorded t seg;
+          Replayer.launch_checker t seg);
+      note_launched = (fun t seg -> lease t seg);
+      heartbeat =
+        (fun t seg ~now_ns ~insns ~excused ->
+          match
+            Backend.Supervisor.heartbeat sup ~id:(Segment.id seg) ~now_ns ~insns
+              ~excused ~budget_ns:t.cfg.Config.watchdog_stall_ns
+          with
+          | `Ok -> false
+          | `Expired -> true);
+      expired =
+        (fun t seg ->
+          Backend.Supervisor.note_expired sup ~id:(Segment.id seg);
+          sync t);
+      prelaunch_redispatch = (fun _ _ -> false);
+      route_verdict = (fun _ _ _ -> false);
+      settle =
+        (fun t seg ->
+          (match
+             Backend.Supervisor.settle sup ~id:(Segment.id seg)
+               ~incarnation:(Segment.redispatches seg)
+           with
+          | `Ok -> ()
+          | `Stale ->
+            (* Every path into really_finish_checker has already verified
+               the verdict's incarnation is current; a stale settle here
+               means the routing let a superseded verdict through. *)
+            raise
+              (Segment.Invariant_violation
+                 (Printf.sprintf "segment %d settled from a stale incarnation"
+                    (Segment.id seg))));
+          sync t);
+      flush =
+        (fun t ->
+          ignore (Backend.Supervisor.cancel_unsettled sup);
+          sync t);
+      poll = (fun _ -> ());
+      check = (fun () -> Backend.Supervisor.check_invariants sup);
+    }
+  in
+  match cfg.Config.backend with
+  | Config.Backend_inline -> inline
   | Config.Backend_deferred { batch; max_lag = _ } ->
     let queue : Segment.t Backend.Batcher.t = Backend.Batcher.create ~batch in
-    let drain () =
+    let drain t =
       match Backend.Batcher.take_batch queue with
       | [] -> ()
       | segs ->
         Backend.Supervisor.note_batch sup;
-        sync ();
+        sync t;
         List.iteri
           (fun i seg ->
             if
@@ -140,30 +154,31 @@ let install t =
             end)
           segs
     in
-    t.backend_note_launched <- (fun seg -> note_launched seg);
-    t.backend_flush <-
-      (fun () ->
-        (* Rollback/abort already tore the queued segments down with the
-           rest of t.live; the queue must not launch them afterwards. *)
-        ignore (Backend.Batcher.clear queue);
-        ignore (Backend.Supervisor.cancel_unsettled sup);
-        sync ());
-    t.backend_poll <-
-      (fun () ->
-        (* A partial batch cannot wait forever: drain when the recorder
-           is held on the lag budget, or when the main exited and no
-           further recording will top the batch up. *)
-        if
-          (not t.aborted)
-          && (t.pending_boundary || t.main_exited)
-          && not (Backend.Batcher.is_empty queue)
-        then drain ());
-    t.launch_checker <-
-      (fun seg ->
-        Backend.Supervisor.note_recorded sup (Segment.id seg);
-        sync ();
-        Backend.Batcher.push queue seg;
-        if Backend.Batcher.ready queue then drain ())
+    {
+      inline with
+      launch =
+        (fun t seg ->
+          recorded t seg;
+          Backend.Batcher.push queue seg;
+          if Backend.Batcher.ready queue then drain t);
+      flush =
+        (fun t ->
+          (* Rollback/abort already tore the queued segments down with
+             the rest of t.live; the queue must not launch them
+             afterwards. *)
+          ignore (Backend.Batcher.clear queue);
+          inline.flush t);
+      poll =
+        (fun t ->
+          (* A partial batch cannot wait forever: drain when the recorder
+             is held on the lag budget, or when the main exited and no
+             further recording will top the batch up. *)
+          if
+            (not t.aborted)
+            && (t.pending_boundary || t.main_exited)
+            && not (Backend.Batcher.is_empty queue)
+          then drain t);
+    }
   | Config.Backend_remote { nodes; retries = _; chaos } ->
     let pool = Backend.Node_pool.create ~nodes in
     let rng =
@@ -182,211 +197,213 @@ let install t =
     let late_draws : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
     let parked : parked list ref = ref [] in
     let draw_pct pct = pct > 0 && Util.Rng.int rng 100 < pct in
-    t.backend_note_launched <-
-      (fun seg ->
-        let now = E.now_ns t.eng in
-        let node = Backend.Node_pool.pick pool ~now_ns:now in
-        note_launched ~node seg;
-        match chaos with
-        | None -> ()
-        | Some c ->
-          let inc = Segment.redispatches seg in
-          if draw_pct c.Config.crash_pct then
-            actions :=
-              ( now + Util.Rng.int rng chaos_strike_window_ns,
-                seg,
-                inc,
-                Crash node )
-              :: !actions
-          else if draw_pct c.Config.stall_pct then
-            actions :=
-              ( now + Util.Rng.int rng chaos_strike_window_ns,
-                seg,
-                inc,
-                Stall node )
-              :: !actions
-          else if draw_pct c.Config.late_pct then
-            Hashtbl.replace late_draws
-              (Segment.id seg, inc)
-              (c.Config.late_ns + Util.Rng.int rng (max 1 c.Config.late_ns)));
-    t.backend_route_verdict <-
-      (fun seg verdict ->
-        let key = (Segment.id seg, Segment.redispatches seg) in
-        match Hashtbl.find_opt late_draws key with
-        | None -> false
-        | Some delay ->
-          (* The node returns its verdict late: park it. The checker has
-             finished executing — free its core; its "check" span closes
-             when the verdict is finally acted on (or superseded). *)
-          Hashtbl.remove late_draws key;
-          parked :=
-            {
-              pk_due_ns = E.now_ns t.eng + delay;
-              pk_seg = seg;
-              pk_inc = Segment.redispatches seg;
-              pk_verdict = verdict;
-            }
-            :: !parked;
-          Scheduler.finished t.sched (Segment.checker seg);
-          true);
-    t.backend_prelaunch_redispatch <-
-      (fun seg ->
-        if
-          (not t.aborted)
-          && Segment.phase seg = Segment.Awaiting_launch_p
-          && Segment.spare seg <> None
-          && Segment.redispatches seg < Config.redispatch_budget t.cfg
-        then begin
-          (* The node died between dispatch and launch. Count the kill
-             against the dead pid, then promote the (pristine) spare and
-             fork a replacement spare off it; the still-pending launch
-             RPC will pick the new checker up. *)
-          Watchdog.note_kill t seg
-            ~reason:"checker died before launch (watchdog)";
-          let old = Segment.checker seg in
-          Hashtbl.remove t.roles old;
-          let sp =
-            match Segment.spare seg with Some sp -> sp | None -> assert false
-          in
-          Segment.replace_checker_prelaunch seg ~checker:sp;
-          Hashtbl.replace t.roles sp (Checker_role seg);
-          Segment.set_spare seg (Some (E.fork_process t.eng sp));
-          t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
-          sync ();
-          true
-        end
-        else false);
-    t.backend_flush <-
-      (fun () ->
-        pending_launches := [];
-        actions := [];
-        Hashtbl.reset late_draws;
-        parked := [];
-        ignore (Backend.Supervisor.cancel_unsettled sup);
-        sync ());
-    t.backend_poll <-
-      (fun () ->
-        if not t.aborted then begin
+    {
+      inline with
+      launch =
+        (fun t seg ->
+          recorded t seg;
           let now = E.now_ns t.eng in
-          Backend.Node_pool.tick pool ~now_ns:now;
-          let due_actions, later =
-            List.partition (fun (due, _, _, _) -> now >= due) !actions
-          in
-          actions := later;
-          let strike_live (_, seg, inc, _) =
-            (not (Segment.torn_down seg))
-            && (not (Segment.is_done seg))
-            && Segment.redispatches seg = inc
-          in
-          (* Pre-launch kills land before the launch RPCs are processed:
-             a kill due in the same poll as its launch must strike while
-             the window is still open. The victim pid has never been
-             enqueued, so this cannot hand the dispatcher a dead pid. *)
-          List.iter
-            (fun ((_, seg, _, act) as a) ->
-              match act with
-              | Prelaunch_kill
-                when strike_live a
-                     && Segment.phase seg = Segment.Awaiting_launch_p ->
-                kill_if_alive t (Segment.checker seg)
-              | Prelaunch_kill | Crash _ | Stall _ -> ())
-            due_actions;
-          (* Launch RPCs that have landed. A dead checker keeps its entry:
-             the watchdog's pre-launch path swaps the spare in within this
-             same event, and the next poll launches the replacement. *)
-          let launchable, rest =
-            List.partition (fun (due, _) -> now >= due) !pending_launches
-          in
-          let kept =
-            List.filter
-              (fun (_, seg) ->
-                if
-                  Segment.torn_down seg || Segment.is_done seg
-                  || Segment.phase seg <> Segment.Awaiting_launch_p
-                then false
-                else
-                  match E.state t.eng (Segment.checker seg) with
-                  | E.Exited _ -> true
-                  | E.Runnable | E.Stopped ->
-                    charge_launch t seg ~ns:cold_launch_ns;
-                    Replayer.launch_checker t seg;
-                    false)
-              launchable
-          in
-          pending_launches := kept @ rest;
-          (* Parked verdicts that have come due. A verdict whose
-             incarnation lapsed while parked (the watchdog re-dispatched
-             the silent node meanwhile) is stale: discarded, never
-             double-counted. *)
-          let due_parked, still_parked =
-            List.partition (fun p -> now >= p.pk_due_ns) !parked
-          in
-          parked := still_parked;
-          List.iter
-            (fun p ->
-              if (not (Segment.torn_down p.pk_seg)) && not t.aborted then
-                if
-                  Segment.is_done p.pk_seg
-                  || Segment.redispatches p.pk_seg <> p.pk_inc
-                then begin
-                  Backend.Supervisor.note_stale sup;
-                  sync ()
-                end
-                else Replayer.deliver_verdict t p.pk_seg p.pk_verdict)
-            due_parked;
-          (* Crash/stall strikes land last: launches and parked verdicts
-             can pull work off the scheduler queue, and a dispatch must
-             never see a pid this poll just killed. With the strikes at
-             the end, the watchdog — which runs immediately after every
-             backend_poll — repairs any kill before the next dispatch
-             opportunity. Only a checker actually executing is struck: a
-             queued one is still sitting in the scheduler, and killing
-             it there would hand the dispatcher a dead pid (same
-             contract as the runtime Kill fault). *)
-          let reboot_until () =
-            now
-            + match chaos with Some c -> c.Config.reboot_ns | None -> 0
-          in
-          List.iter
-            (fun ((_, seg, _, act) as a) ->
-              let running () =
-                Segment.phase seg = Segment.Checking_p
-                && E.state t.eng (Segment.checker seg) = E.Runnable
-              in
-              match act with
-              | Prelaunch_kill -> ()
-              | Crash node when strike_live a && running () ->
-                kill_if_alive t (Segment.checker seg);
-                Backend.Node_pool.crash pool node ~until_ns:(reboot_until ())
-              | Stall node when strike_live a && running () ->
-                E.suspend t.eng (Segment.checker seg);
-                Backend.Node_pool.stall pool node ~until_ns:(reboot_until ())
-              | Crash _ | Stall _ -> ())
-            due_actions
-        end);
-    t.launch_checker <-
-      (fun seg ->
-        Backend.Supervisor.note_recorded sup (Segment.id seg);
-        sync ();
-        let now = E.now_ns t.eng in
-        (* The remote backend forks its spare at dispatch time — before
-           the checker ever runs, so it is pristine — because a node can
-           die before launch and the replacement needs a snapshot. *)
-        if
-          Segment.spare seg = None
-          && Segment.redispatches seg < Config.redispatch_budget t.cfg
-        then begin
-          Segment.set_spare seg
-            (Some (E.fork_process t.eng (Segment.checker seg)));
-          t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1
-        end;
-        pending_launches := !pending_launches @ [ (now + rpc_ns, seg) ];
-        match chaos with
-        | Some c when draw_pct c.Config.prelaunch_pct ->
-          actions :=
-            ( now + chaos_prelaunch_window_ns,
-              seg,
-              Segment.redispatches seg,
-              Prelaunch_kill )
-            :: !actions
-        | Some _ | None -> ())
+          (* The remote backend forks its spare at dispatch time — before
+             the checker ever runs, so it is pristine — because a node can
+             die before launch and the replacement needs a snapshot. *)
+          if
+            Segment.spare seg = None
+            && Segment.redispatches seg < Config.redispatch_budget t.cfg
+          then begin
+            Segment.set_spare seg
+              (Some (E.fork_process t.eng (Segment.checker seg)));
+            t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1
+          end;
+          pending_launches := !pending_launches @ [ (now + rpc_ns, seg) ];
+          match chaos with
+          | Some c when draw_pct c.Config.prelaunch_pct ->
+            actions :=
+              ( now + chaos_prelaunch_window_ns,
+                seg,
+                Segment.redispatches seg,
+                Prelaunch_kill )
+              :: !actions
+          | Some _ | None -> ());
+      note_launched =
+        (fun t seg ->
+          let now = E.now_ns t.eng in
+          let node = Backend.Node_pool.pick pool ~now_ns:now in
+          lease ~node t seg;
+          match chaos with
+          | None -> ()
+          | Some c ->
+            let inc = Segment.redispatches seg in
+            if draw_pct c.Config.crash_pct then
+              actions :=
+                ( now + Util.Rng.int rng chaos_strike_window_ns,
+                  seg,
+                  inc,
+                  Crash node )
+                :: !actions
+            else if draw_pct c.Config.stall_pct then
+              actions :=
+                ( now + Util.Rng.int rng chaos_strike_window_ns,
+                  seg,
+                  inc,
+                  Stall node )
+                :: !actions
+            else if draw_pct c.Config.late_pct then
+              Hashtbl.replace late_draws
+                (Segment.id seg, inc)
+                (c.Config.late_ns + Util.Rng.int rng (max 1 c.Config.late_ns)));
+      route_verdict =
+        (fun t seg verdict ->
+          let key = (Segment.id seg, Segment.redispatches seg) in
+          match Hashtbl.find_opt late_draws key with
+          | None -> false
+          | Some delay ->
+            (* The node returns its verdict late: park it. The checker has
+               finished executing — free its core; its "check" span closes
+               when the verdict is finally acted on (or superseded). *)
+            Hashtbl.remove late_draws key;
+            parked :=
+              {
+                pk_due_ns = E.now_ns t.eng + delay;
+                pk_seg = seg;
+                pk_inc = Segment.redispatches seg;
+                pk_verdict = verdict;
+              }
+              :: !parked;
+            Scheduler.finished t.sched (Segment.checker seg);
+            true);
+      prelaunch_redispatch =
+        (fun t seg ->
+          if
+            (not t.aborted)
+            && Segment.phase seg = Segment.Awaiting_launch_p
+            && Segment.spare seg <> None
+            && Segment.redispatches seg < Config.redispatch_budget t.cfg
+          then begin
+            (* The node died between dispatch and launch. Count the kill
+               against the dead pid, then promote the (pristine) spare and
+               fork a replacement spare off it; the still-pending launch
+               RPC will pick the new checker up. *)
+            Watchdog.note_kill t seg
+              ~reason:"checker died before launch (watchdog)";
+            let old = Segment.checker seg in
+            Hashtbl.remove t.roles old;
+            let sp =
+              match Segment.spare seg with Some sp -> sp | None -> assert false
+            in
+            Segment.replace_checker_prelaunch seg ~checker:sp;
+            Hashtbl.replace t.roles sp (Checker_role seg);
+            Segment.set_spare seg (Some (E.fork_process t.eng sp));
+            t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
+            sync t;
+            true
+          end
+          else false);
+      flush =
+        (fun t ->
+          pending_launches := [];
+          actions := [];
+          Hashtbl.reset late_draws;
+          parked := [];
+          inline.flush t);
+      poll =
+        (fun t ->
+          if not t.aborted then begin
+            let now = E.now_ns t.eng in
+            Backend.Node_pool.tick pool ~now_ns:now;
+            let due_actions, later =
+              List.partition (fun (due, _, _, _) -> now >= due) !actions
+            in
+            actions := later;
+            let strike_live (_, seg, inc, _) =
+              (not (Segment.torn_down seg))
+              && (not (Segment.is_done seg))
+              && Segment.redispatches seg = inc
+            in
+            (* Pre-launch kills land before the launch RPCs are processed:
+               a kill due in the same poll as its launch must strike while
+               the window is still open. The victim pid has never been
+               enqueued, so this cannot hand the dispatcher a dead pid. *)
+            List.iter
+              (fun ((_, seg, _, act) as a) ->
+                match act with
+                | Prelaunch_kill
+                  when strike_live a
+                       && Segment.phase seg = Segment.Awaiting_launch_p ->
+                  kill_if_alive t (Segment.checker seg)
+                | Prelaunch_kill | Crash _ | Stall _ -> ())
+              due_actions;
+            (* Launch RPCs that have landed. A dead checker keeps its
+               entry: the watchdog's pre-launch path swaps the spare in
+               within this same event, and the next poll launches the
+               replacement. *)
+            let launchable, rest =
+              List.partition (fun (due, _) -> now >= due) !pending_launches
+            in
+            let kept =
+              List.filter
+                (fun (_, seg) ->
+                  if
+                    Segment.torn_down seg || Segment.is_done seg
+                    || Segment.phase seg <> Segment.Awaiting_launch_p
+                  then false
+                  else
+                    match E.state t.eng (Segment.checker seg) with
+                    | E.Exited _ -> true
+                    | E.Runnable | E.Stopped ->
+                      charge_launch t seg ~ns:cold_launch_ns;
+                      Replayer.launch_checker t seg;
+                      false)
+                launchable
+            in
+            pending_launches := kept @ rest;
+            (* Parked verdicts that have come due. A verdict whose
+               incarnation lapsed while parked (the watchdog re-dispatched
+               the silent node meanwhile) is stale: discarded, never
+               double-counted. *)
+            let due_parked, still_parked =
+              List.partition (fun p -> now >= p.pk_due_ns) !parked
+            in
+            parked := still_parked;
+            List.iter
+              (fun p ->
+                if (not (Segment.torn_down p.pk_seg)) && not t.aborted then
+                  if
+                    Segment.is_done p.pk_seg
+                    || Segment.redispatches p.pk_seg <> p.pk_inc
+                  then begin
+                    Backend.Supervisor.note_stale sup;
+                    sync t
+                  end
+                  else Replayer.deliver_verdict t p.pk_seg p.pk_verdict)
+              due_parked;
+            (* Crash/stall strikes land last: launches and parked verdicts
+               can pull work off the scheduler queue, and a dispatch must
+               never see a pid this poll just killed. With the strikes at
+               the end, the watchdog — which runs immediately after every
+               backend poll — repairs any kill before the next dispatch
+               opportunity. Only a checker actually executing is struck: a
+               queued one is still sitting in the scheduler, and killing
+               it there would hand the dispatcher a dead pid (same
+               contract as the runtime Kill fault). *)
+            let reboot_until () =
+              now
+              + match chaos with Some c -> c.Config.reboot_ns | None -> 0
+            in
+            List.iter
+              (fun ((_, seg, _, act) as a) ->
+                let running () =
+                  Segment.phase seg = Segment.Checking_p
+                  && E.state t.eng (Segment.checker seg) = E.Runnable
+                in
+                match act with
+                | Prelaunch_kill -> ()
+                | Crash node when strike_live a && running () ->
+                  kill_if_alive t (Segment.checker seg);
+                  Backend.Node_pool.crash pool node ~until_ns:(reboot_until ())
+                | Stall node when strike_live a && running () ->
+                  E.suspend t.eng (Segment.checker seg);
+                  Backend.Node_pool.stall pool node ~until_ns:(reboot_until ())
+                | Crash _ | Stall _ -> ())
+              due_actions
+          end);
+    }

@@ -29,23 +29,16 @@ type backend =
 type t = {
   mode : mode;
   slice_period : int;
-  timeout_scale : float;
   max_live_segments : int;
   migration : bool;
   dvfs_pacing : bool;
   hasher : hasher;
-  compare_states : bool;
   dirty_backend : dirty_backend;
-  page_hash_cache_pages : int;
   main_core : int;
-  checkers_on_little : bool;
-  pacer_tick_ns : int;
   fault_plan : Fault.plan option;
   recovery : bool;
-  max_recoveries : int;
   recheck_on_mismatch : bool;
   watchdog_stall_ns : int;
-  watchdog_retries : int;
   check_invariants : bool;
   block_cache : int;
   cpu_stats : bool;
@@ -53,6 +46,13 @@ type t = {
   backend : backend;
   obs : Obs.Sink.t option;
 }
+
+let timeout_scale = 1.1
+let page_hash_cache_pages = 4096
+let pacer_tick_ns = 100_000
+let max_recoveries = 3
+let compare_states t = t.mode = Parallaft
+let checkers_on_little t = t.mode = Parallaft
 
 let default_slice_period (_ : Platform.t) = 250_000
 
@@ -86,8 +86,8 @@ let backend_eager_spares = function
    so the remote backend gets its own (typically larger) budget. *)
 let redispatch_budget t =
   match t.backend with
-  | Backend_remote { retries; _ } -> max retries (max 1 t.watchdog_retries)
-  | Backend_inline | Backend_deferred _ -> max 1 t.watchdog_retries
+  | Backend_remote { retries; _ } -> max 1 retries
+  | Backend_inline | Backend_deferred _ -> 1
 
 (* The recorder's boundary-hold limit. Deferred checking must also bound
    *unverified* segments (queued ones hold snapshots too), so max_lag
@@ -115,23 +115,16 @@ let parallaft ~platform ?slice_period () =
       (match slice_period with
       | Some p -> p
       | None -> default_slice_period platform);
-    timeout_scale = 1.1;
     max_live_segments = 12;
     migration = true;
     dvfs_pacing = true;
     hasher = Xxh64_hash;
-    compare_states = true;
     dirty_backend = backend_of_platform platform;
-    page_hash_cache_pages = 4096;
     main_core = 0;
-    checkers_on_little = true;
-    pacer_tick_ns = 100_000;
     fault_plan = None;
     recovery = false;
-    max_recoveries = 3;
     recheck_on_mismatch = false;
     watchdog_stall_ns = 100_000_000;
-    watchdog_retries = 1;
     check_invariants = invariants_from_env ();
     block_cache = Machine.Cpu.default_block_cache ();
     cpu_stats = false;
@@ -144,23 +137,16 @@ let raft ~platform () =
   {
     mode = Raft;
     slice_period = max_int / 2;
-    timeout_scale = 1.1;
     max_live_segments = 4;
     migration = false;
     dvfs_pacing = false;
     hasher = Xxh64_hash;
-    compare_states = false;
     dirty_backend = backend_of_platform platform;
-    page_hash_cache_pages = 4096;
     main_core = 0;
-    checkers_on_little = false;
-    pacer_tick_ns = 100_000;
     fault_plan = None;
     recovery = false;
-    max_recoveries = 3;
     recheck_on_mismatch = false;
     watchdog_stall_ns = 100_000_000;
-    watchdog_retries = 1;
     check_invariants = invariants_from_env ();
     block_cache = Machine.Cpu.default_block_cache ();
     cpu_stats = false;

@@ -57,7 +57,6 @@ type t = {
   slice_period : int;
       (** in the platform's slice unit (cycles on Apple, instructions on
           Intel); ignored in RAFT mode *)
-  timeout_scale : float;  (** checker killed past [scale * main_insns] *)
   max_live_segments : int;
       (** main stalls at a boundary while this many segments are
           outstanding — the detection-latency / memory bound of §3.4 *)
@@ -65,16 +64,8 @@ type t = {
                          little cores run out (§4.5) *)
   dvfs_pacing : bool;  (** scale the little cluster's DVFS point *)
   hasher : hasher;
-  compare_states : bool;
   dirty_backend : dirty_backend;
-  page_hash_cache_pages : int;
-      (** capacity (in pages) of the comparator's per-frame digest memo
-          ({!Mem.Page_digest_cache}); bounds the memory the O(dirty)
-          compare path may pin. Values [<= 0] disable the memo (every
-          page is hashed from scratch). *)
   main_core : int;
-  checkers_on_little : bool;
-  pacer_tick_ns : int;
   fault_plan : Fault.plan option;
       (** inject one fault into this run, at any of the {!Fault.target}
           classes (§5.6 generalized; DESIGN.md §13) *)
@@ -85,10 +76,6 @@ type t = {
           (shared with the paper's §3.4 discussion): externally visible
           syscalls issued since that checkpoint are re-executed, so
           recovery assumes buffered/reversible IO. *)
-  max_recoveries : int;
-      (** abort anyway after this many rollbacks (the backstop behind
-          the Hard_fault classifier, which catches a persistent fault
-          after a single wasted rollback) *)
   recheck_on_mismatch : bool;
       (** EXTENSION (DESIGN.md §13): treat a checker-side failure
           (mismatch, crash, timeout, watchdog kill) as possibly the
@@ -107,9 +94,6 @@ type t = {
           (or failed, once out of retries/spares). Catches the stalls
           and kills the instruction-budget timeout cannot (that budget
           only fires if the checker is {e executing}). [<= 0] disables. *)
-  watchdog_retries : int;
-      (** re-dispatches the watchdog may attempt per segment before it
-          declares the checker failed *)
   check_invariants : bool;
       (** debug: after every handled tracer event, validate segment
           state-machine legality and cross-structure consistency (roles,
@@ -137,19 +121,42 @@ type t = {
           at the end), for offline re-checking with [parallaft_replay].
           [None] (the default) writes nothing and the run is
           byte-identical to before the option existed. Requires
-          Parallaft mode with state comparison on (the log's verdict is
-          the comparison); see DESIGN.md §17. *)
+          Parallaft mode (the log's verdict is the state comparison);
+          [Fleet.run] refuses it. See DESIGN.md §17. *)
   backend : backend;
       (** where and when checks run (DESIGN.md §18). [Backend_inline]
           (the default) is byte-identical to the pre-backend pipeline.
-          Non-inline backends require Parallaft mode with state
-          comparison on. *)
+          Non-inline backends require Parallaft mode. *)
   obs : Obs.Sink.t option;
       (** observability sink (event trace + metrics). [None] (the
           default) makes every emit site in the engine, coordinator and
           scheduler a no-op, so tracing is zero-cost unless requested.
           See DESIGN.md "Observability" for the event taxonomy. *)
 }
+
+val timeout_scale : float
+(** A checker is killed past [timeout_scale * main_insns]. *)
+
+val page_hash_cache_pages : int
+(** Capacity (in pages) of the comparator's per-frame digest memo
+    ({!Mem.Page_digest_cache}); bounds the memory the O(dirty) compare
+    path may pin. *)
+
+val pacer_tick_ns : int
+(** Period of the pacer, backend and watchdog ticks. *)
+
+val max_recoveries : int
+(** Abort anyway after this many rollbacks (the backstop behind the
+    Hard_fault classifier, which catches a persistent fault after a
+    single wasted rollback). *)
+
+val compare_states : t -> bool
+(** Parallaft compares end-of-segment program states; RAFT compares
+    syscalls only. *)
+
+val checkers_on_little : t -> bool
+(** Parallaft places checkers on little cores; RAFT runs its checker on
+    a big core. *)
 
 val parallaft : platform:Platform.t -> ?slice_period:int -> unit -> t
 (** Default slice period: 250_000 cycles ("5 billion" at the documented
@@ -170,8 +177,8 @@ val backend_eager_spares : backend -> bool
 
 val redispatch_budget : t -> int
 (** Re-dispatches a segment may burn before a checker-side failure
-    becomes final ([max retries (max 1 watchdog_retries)] for the remote
-    backend, [max 1 watchdog_retries] otherwise). *)
+    becomes final ([max 1 retries] for the remote backend, 1
+    otherwise). *)
 
 val live_limit : t -> int
 (** The recorder's boundary-hold limit: [max_live_segments], further

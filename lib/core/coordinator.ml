@@ -1,9 +1,9 @@
 (* Run-level wiring of the segment pipeline. The stages live in their
    own modules — Recorder (main-process events), Replayer (checker
-   events), Recovery (rollback/abort) — over the shared Run_ctx state;
-   this module creates the run, routes tracer events by role, wires the
-   two callback seams that break the stage cycles, and re-exports the
-   public surface. *)
+   events), Recovery (rollback/abort), Watchdog — over the shared
+   Run_ctx state; this module builds the run with its checker backend
+   fixed, routes tracer events by role, registers the periodic polls,
+   and re-exports the public surface. *)
 
 module E = Sim_os.Engine
 
@@ -11,7 +11,6 @@ type t = Run_ctx.t
 
 let stats (t : t) = t.Run_ctx.stats
 let main_pid (t : t) = t.Run_ctx.main
-let attach_seglog (t : t) out = t.Run_ctx.seglog <- Some out
 let first_error (t : t) = t.Run_ctx.first_error
 let aborted (t : t) = t.Run_ctx.aborted
 
@@ -29,7 +28,7 @@ let segment_histories (t : t) =
     (fun seg -> (Segment.id seg, Segment.history seg))
     t.Run_ctx.all_segments
 
-let handle_event (t : t) pid ev =
+let handle_event (t : t) ~fault_poll pid ev =
   (match Hashtbl.find_opt t.Run_ctx.roles pid with
   | Some Run_ctx.Main_role -> Recorder.handle_main_event t ev
   | Some (Run_ctx.Checker_role seg) -> Replayer.handle_checker_event t seg ev
@@ -42,8 +41,8 @@ let handle_event (t : t) pid ev =
      same event; the watchdog then runs before the invariant sweep: a
      checker killed out-of-band must be re-dispatched or failed before
      the sweep would flag the dead pid as a structure violation. *)
-  t.Run_ctx.runtime_fault_poll ();
-  t.Run_ctx.backend_poll ();
+  fault_poll ();
+  t.Run_ctx.backend.Run_ctx.poll t;
   Watchdog.poll t;
   Run_ctx.check_invariants t
 
@@ -57,26 +56,72 @@ let drained (t : t) =
 
 let release_recovery_state = Run_ctx.release_recovery_state
 
-let create ?rng ?prng ?fleet eng cfg ~program =
-  let t = Run_ctx.create ?rng ?fleet eng cfg in
-  (* Wires launch_checker plus every backend seam (lease supervision,
-     verdict routing, flush, poll) for the configured backend. *)
-  Checker_backend.install t;
-  t.Run_ctx.abort_run <- (fun () -> Recovery.abort_run t);
-  t.Run_ctx.recover_or_abort <-
-    (fun () ->
-      if
-        cfg.Config.recovery
-        && t.Run_ctx.stats.Stats.recoveries < cfg.Config.max_recoveries
-      then Recovery.recover t
-      else Recovery.abort_run t);
+(* Runtime faults (kill/stall a checker mid-check) are armed at the
+   engine level: the fault fires once a covered segment is checking and
+   its checker has retired the plan's delay. Polled from the periodic
+   tick AND after every routed event (handle_event) — a short check can
+   start and retire entirely between two ticks. One strike per checker
+   incarnation — a [repeat] plan also strikes re-dispatched checkers and
+   later segments. [None] unless the plan is a runtime fault. *)
+let runtime_fault_poll (t : t) =
+  match t.Run_ctx.cfg.Config.fault_plan with
+  | Some ({ Fault.target = Fault.Runtime_fault kind; _ } as plan) ->
+    let eng = t.Run_ctx.eng in
+    let struck : (E.pid, unit) Hashtbl.t = Hashtbl.create 4 in
+    Some
+      (fun () ->
+        if not t.Run_ctx.aborted then
+          List.iter
+            (fun seg ->
+              if
+                (not (Segment.torn_down seg))
+                && Segment.phase seg = Segment.Checking_p
+                && Fault.arms plan ~segment:(Segment.id seg)
+                     ~attempt:(Segment.redispatches seg)
+              then begin
+                let checker = Segment.checker seg in
+                if
+                  (not (Hashtbl.mem struck checker))
+                  && (match E.state eng checker with
+                     | E.Runnable -> true
+                     | E.Stopped | E.Exited _ -> false)
+                  && Machine.Cpu.instructions (E.cpu eng checker)
+                     >= plan.Fault.delay_instructions
+                then begin
+                  Hashtbl.add struck checker ();
+                  t.Run_ctx.stats.Stats.fi_fired <- true;
+                  Run_ctx.emit_ev t ~track:Obs.Trace.Run
+                    ~phase:Obs.Trace.Instant
+                    ~args:
+                      [
+                        ("seg", Obs.Trace.Int (Segment.id seg));
+                        ("checker", Obs.Trace.Int checker);
+                        ( "kind",
+                          Obs.Trace.Str
+                            (match kind with
+                            | Fault.Kill -> "kill"
+                            | Fault.Stall -> "stall") );
+                      ]
+                    "fault.runtime";
+                  match kind with
+                  | Fault.Kill -> E.kill eng checker
+                  | Fault.Stall -> E.suspend eng checker
+                end
+              end)
+            t.Run_ctx.live)
+  | Some _ | None -> None
+
+let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
+  let t =
+    Run_ctx.create ?rng ?fleet ?seglog ~backend:(Checker_backend.create cfg) eng
+      cfg
+  in
   (match cfg.Config.obs with
   | Some sink -> E.set_obs eng sink
   | None -> ());
-  let tracer eng' pid ev =
-    ignore eng';
-    handle_event t pid ev
-  in
+  let fault_poll = runtime_fault_poll t in
+  let poll_faults = Option.value fault_poll ~default:ignore in
+  let tracer _ pid ev = handle_event t ~fault_poll:poll_faults pid ev in
   let main = E.spawn eng ~tracer ?prng ~program ~core:cfg.Config.main_core () in
   t.Run_ctx.main <- main;
   Hashtbl.replace t.Run_ctx.roles main Run_ctx.Main_role;
@@ -90,68 +135,15 @@ let create ?rng ?prng ?fleet eng cfg ~program =
   end;
   Recorder.start_segment t;
   E.resume eng main;
-  E.add_tick eng ~every_ns:cfg.Config.pacer_tick_ns (fun _ ->
-      Scheduler.pacer_tick t.Run_ctx.sched);
+  let every_tick f = E.add_tick eng ~every_ns:Config.pacer_tick_ns (fun _ -> f ()) in
+  every_tick (fun () -> Scheduler.pacer_tick t.Run_ctx.sched);
   (* The backend and the watchdog also need time-based polls: a queued
      deferred batch after main exit, a pending remote launch, or a dead/
      stalled checker generates no tracer events, so event-driven polling
      alone would leave the run hanging until the engine's global bound.
      The backend tick precedes the watchdog tick for the same reason as
      in handle_event. *)
-  E.add_tick eng ~every_ns:cfg.Config.pacer_tick_ns (fun _ ->
-      t.Run_ctx.backend_poll ());
-  E.add_tick eng ~every_ns:cfg.Config.pacer_tick_ns (fun _ -> Watchdog.poll t);
-  (* Runtime faults (kill/stall a checker mid-check) are armed at the
-     engine level: the fault fires once a covered segment is checking
-     and its checker has retired the plan's delay. Polled from the
-     periodic tick AND after every routed event (handle_event) — a
-     short check can start and retire entirely between two ticks. One
-     strike per checker incarnation — a [repeat] plan also strikes
-     re-dispatched checkers and later segments. *)
-  (match cfg.Config.fault_plan with
-  | Some ({ Fault.target = Fault.Runtime_fault kind; _ } as plan) ->
-    let struck : (E.pid, unit) Hashtbl.t = Hashtbl.create 4 in
-    let poll () =
-      if not t.Run_ctx.aborted then
-        List.iter
-          (fun seg ->
-            if
-              (not (Segment.torn_down seg))
-              && Segment.phase seg = Segment.Checking_p
-              && Fault.arms plan ~segment:(Segment.id seg)
-                   ~attempt:(Segment.redispatches seg)
-            then begin
-              let checker = Segment.checker seg in
-              if
-                (not (Hashtbl.mem struck checker))
-                && (match E.state eng checker with
-                   | E.Runnable -> true
-                   | E.Stopped | E.Exited _ -> false)
-                && Machine.Cpu.instructions (E.cpu eng checker)
-                   >= plan.Fault.delay_instructions
-              then begin
-                Hashtbl.add struck checker ();
-                t.Run_ctx.stats.Stats.fi_fired <- true;
-                Run_ctx.emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
-                  ~args:
-                    [
-                      ("seg", Obs.Trace.Int (Segment.id seg));
-                      ("checker", Obs.Trace.Int checker);
-                      ( "kind",
-                        Obs.Trace.Str
-                          (match kind with
-                          | Fault.Kill -> "kill"
-                          | Fault.Stall -> "stall") );
-                    ]
-                  "fault.runtime";
-                match kind with
-                | Fault.Kill -> E.kill eng checker
-                | Fault.Stall -> E.suspend eng checker
-              end
-            end)
-          t.Run_ctx.live
-    in
-    t.Run_ctx.runtime_fault_poll <- poll;
-    E.add_tick eng ~every_ns:cfg.Config.pacer_tick_ns (fun _ -> poll ())
-  | Some _ | None -> ());
+  every_tick (fun () -> t.Run_ctx.backend.Run_ctx.poll t);
+  every_tick (fun () -> Watchdog.poll t);
+  Option.iter every_tick fault_poll;
   t

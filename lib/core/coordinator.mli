@@ -6,9 +6,12 @@
     segments and records its interactions, {!Replayer} replays and
     checks recorded segments, {!Recovery} rolls back or aborts — all
     over the shared {!Run_ctx} state, with per-segment data typed by
-    {!Segment}'s state machine. This module creates the run, routes
-    tracer events by process role, and wires the callback seams between
-    the stages.
+    {!Segment}'s state machine. This module creates the run with its
+    wiring fixed — the checker backend ({!Checker_backend.create}), the
+    record log and the scheduler are immutable parts of the run, and
+    every stage calls the next one directly — routes tracer events by
+    process role, and registers the periodic polls (pacer, backend,
+    watchdog, runtime faults).
 
     The coordinator runs entirely inside tracer callbacks and pacer
     ticks; after {!create}, stepping the engine to completion
@@ -20,6 +23,7 @@ val create :
   ?rng:Util.Rng.t ->
   ?prng:Util.Rng.t ->
   ?fleet:Core_pool.t * int ->
+  ?seglog:Seglog_io.out ->
   Sim_os.Engine.t ->
   Config.t ->
   program:Isa.Program.t ->
@@ -36,13 +40,10 @@ val create :
     runtime's emulation stream (rdrand results, recheck jitter) and
     [prng] the main process's private OS entropy (ASLR, getrandom) —
     the fleet derives both per tenant from the root seed so each
-    tenant's run is reproducible regardless of admission interleaving. *)
-
-val attach_seglog : t -> Seglog_io.out -> unit
-(** Attach an open [--record-log] output before the engine runs; the
-    recorder then persists every finished segment into it ([Runtime]
-    owns creation and the final manifest). Without it, the persistence
-    hooks are no-ops. *)
+    tenant's run is reproducible regardless of admission interleaving.
+    [seglog] is an open [--record-log] output: the recorder persists
+    every finished segment into it ([Runtime] owns creation and the
+    final manifest); without it the persistence hooks are no-ops. *)
 
 val drained : t -> bool
 (** The run reached its fixed point: aborted, or main exited with no

@@ -331,21 +331,21 @@ let flush_tenant t ~tid =
   try_dispatch t
 
 let register_tenant t ~tid ~stats ~main_core =
-  match Hashtbl.find_opt t.tenants tid with
-  | Some tn ->
-    if tn.retired then
-      invalid_arg (Printf.sprintf "Core_pool: tenant %d already retired" tid);
-    (* Re-registration is the rollback path: a fresh per-tenant
-       scheduler facade over the same pool slot. The old bookkeeping
-       refers to dead pids; flush it. *)
-    flush_tenant t ~tid
-  | None ->
-    let home = t.little.(t.next_home mod Array.length t.little) in
-    t.next_home <- t.next_home + 1;
-    reserve_main t main_core;
-    Hashtbl.replace t.tenants tid
-      { tid; stats; home; main_core; main_exited = false; main_held = false;
-        retired = false }
+  let home = t.little.(t.next_home mod Array.length t.little) in
+  t.next_home <- t.next_home + 1;
+  reserve_main t main_core;
+  Hashtbl.replace t.tenants tid
+    { tid; stats; home; main_core; main_exited = false; main_held = false;
+      retired = false }
+
+(* Rollback: the tenant restarts from a checkpoint as if freshly
+   admitted — its stale entries go and its main is neither exited nor
+   held any more. Home core and main-core reservation stay. *)
+let reset_tenant t ~tid =
+  let tn = tenant t tid in
+  tn.main_exited <- false;
+  tn.main_held <- false;
+  flush_tenant t ~tid
 
 let enqueue t ~tid pid =
   let tn = tenant t tid in
@@ -410,6 +410,10 @@ let main_exited t ~tid =
 
 let set_main_held t ~tid held = (tenant t tid).main_held <- held
 
+let main_flags t ~tid =
+  let tn = tenant t tid in
+  (tn.main_exited, tn.main_held)
+
 (* Retire a tenant: flush its scheduling state and return its reserved
    main core to the shared big pool. *)
 let retire_tenant t ~tid =
@@ -433,8 +437,6 @@ let running_pids t ~tid =
 
 let steals t = t.steals
 let migrations t = t.migrations
-
-let tenant_home t ~tid = (tenant t tid).home
 
 (* ------------------------------------------------------------------ *)
 (* Pacing: one pool-wide pacer replaces the per-run pacers (per-tenant
@@ -462,7 +464,7 @@ let pacer_tick t =
    let idle_littles = Array.length t.little - littles_running in
    if idle_littles > 0 then
      phase_add t ~tracks:[ Obs.Trace.Run ] "scheduler_idle"
-       (idle_littles * t.cfg.Config.pacer_tick_ns));
+       (idle_littles * Config.pacer_tick_ns));
   if t.cfg.Config.dvfs_pacing then begin
     let level = E.dvfs_level t.eng ~cluster:1 in
     let top =

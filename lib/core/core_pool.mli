@@ -12,24 +12,28 @@
     checker migrates to a free big. Each tenant's main core is reserved
     for its whole lifetime and joins the shared big pool at retirement.
 
-    Isolation: flushing or retiring a tenant touches exactly its own
-    queue entries and cores — never another tenant's (the fault
-    blast-radius invariant, checked by {!check_invariants}). *)
+    Isolation: flushing, resetting (rollback) or retiring a tenant
+    touches exactly its own queue entries, cores and flags — never
+    another tenant's (the fault blast-radius invariant, checked by
+    {!check_invariants}). *)
 
 type t
 
 val create : Sim_os.Engine.t -> Config.t -> t
 (** [cfg] is the fleet-level template: its [obs] sink receives the
-    pool's events, and its policy knobs ([migration], [dvfs_pacing],
-    [pacer_tick_ns]) steer the pool.
+    pool's events, and its policy knobs ([migration], [dvfs_pacing])
+    steer the pool.
     @raise Invalid_argument if the platform has no little cores. *)
 
 val register_tenant : t -> tid:int -> stats:Stats.t -> main_core:int -> unit
 (** Admit a tenant: assign its home little core (round-robin) and
     reserve [main_core] (excluded from checker dispatch while the
-    tenant lives). Re-registering a live tenant is the rollback path
-    and flushes its stale entries instead.
-    @raise Invalid_argument on a retired tenant. *)
+    tenant lives). Called once per tenant. *)
+
+val reset_tenant : t -> tid:int -> unit
+(** Rollback: flush the tenant's stale entries and clear its
+    main-exited and main-held flags, so it is scheduled like a freshly
+    admitted tenant. Its home core and reserved main core stay. *)
 
 val enqueue : t -> tid:int -> Sim_os.Engine.pid -> unit
 (** Push a ready (stopped, fully armed) checker onto its tenant's home
@@ -47,6 +51,9 @@ val main_exited : t -> tid:int -> unit
 
 val set_main_held : t -> tid:int -> bool -> unit
 
+val main_flags : t -> tid:int -> bool * bool
+(** The pool's view of the tenant's main: [(exited, held)]. *)
+
 val flush_tenant : t -> tid:int -> unit
 (** Drop every scheduling trace of the tenant (dead-process teardown
     after a rollback or abort); its cores immediately redispatch to
@@ -58,12 +65,6 @@ val retire_tenant : t -> tid:int -> unit
 
 val queued_pids : t -> tid:int -> Sim_os.Engine.pid list
 val running_pids : t -> tid:int -> Sim_os.Engine.pid list
-
-val tenant_home : t -> tid:int -> int
-(** The tenant's home little core. *)
-
-val backlog : t -> int
-(** Queued checkers pool-wide. *)
 
 val steals : t -> int
 (** Dispatches that ran a checker off its tenant's home core (FIFO

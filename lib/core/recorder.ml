@@ -1,7 +1,9 @@
 (* The record stage: everything driven by main-process tracer events.
    Slices the main into segments, records its application/OS
    interactions into the current segment's R/R log, and hands each
-   finished segment to the replayer through the [launch_checker] seam. *)
+   finished segment to the run's checker backend. Also the one place a
+   failed run chooses between rollback and abort ([recover_or_abort]):
+   only the recorder can restart recording after a rollback. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -52,7 +54,7 @@ let start_segment t =
   let cpu = main_cpu t in
   t.seg_start_branches <- Machine.Cpu.branches cpu;
   t.seg_start_insns <- Machine.Cpu.instructions cpu;
-  if t.cfg.Config.compare_states then begin
+  if Config.compare_states t.cfg then begin
     let pt = page_table_of t t.main in
     Dirty_tracker.clear t.cfg.Config.dirty_backend pt;
     charge_scan t ~segment:(Segment.id seg) t.main
@@ -73,6 +75,16 @@ let start_segment t =
   | Some _ | None -> ());
   arm_slice t
 
+(* The response to a failure the run cannot absorb: roll back while the
+   recovery extension is on and budget is left, abort otherwise. *)
+let recover_or_abort t =
+  if not (t.cfg.Config.recovery && t.stats.Stats.recoveries < Config.max_recoveries)
+  then Recovery.abort_run t
+  else if Recovery.recover t then begin
+    start_segment t;
+    E.resume t.eng t.main
+  end
+
 let end_segment t =
   match t.cur with
   | None -> ()
@@ -81,7 +93,7 @@ let end_segment t =
     let end_point = exec_point_now t in
     let insn_delta = Machine.Cpu.instructions (main_cpu t) - t.seg_start_insns in
     let main_dirty, snapshot =
-      if t.cfg.Config.compare_states then begin
+      if Config.compare_states t.cfg then begin
         let pt = page_table_of t t.main in
         let dirty = Dirty_tracker.collect t.cfg.Config.dirty_backend pt in
         t.stats.Stats.dirty_pages_total <-
@@ -137,7 +149,7 @@ let end_segment t =
     t.cur <- None;
     t.live <- t.live @ [ seg ];
     t.stats.Stats.segments_total <- t.stats.Stats.segments_total + 1;
-    t.launch_checker seg
+    t.backend.launch t seg
 
 (* SDC oracle input: main's architectural state at the moment of exit,
    captured before the engine retires the process and frees its address
@@ -318,7 +330,7 @@ let handle_main_event t ev =
     match E.state t.eng t.main with
     | E.Exited _ ->
       (* Signal-terminated: nothing left to protect. *)
-      t.abort_run ()
+      Recovery.abort_run t
     | E.Runnable | E.Stopped -> E.resume t.eng t.main)
   | E.Halted ->
     end_segment t;
@@ -342,12 +354,12 @@ let handle_main_event t ev =
         record_detection t seg
           (Detection.Exception_detected "main fault (injected corruption)")
       | None -> ());
-      t.recover_or_abort ()
+      recover_or_abort t
     end
     else
       (* An application bug in the main process: outside the threat
          model; terminate the protected run. *)
-      t.abort_run ()
+      Recovery.abort_run t
   | E.Breakpoint | E.Branch_overflow ->
     (* Never armed on the main process. *)
     E.resume t.eng t.main

@@ -1,6 +1,7 @@
 (* The recovery stage: verified-prefix promotion of checkpoint
    snapshots, rollback to the recovery point, and whole-run abort
-   teardown. *)
+   teardown. Restarting the pipeline after a rollback is the
+   recorder's job: it sits above this module. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -38,19 +39,13 @@ let close_torn_down_cur t =
         ]
       "segment"
 
-let kill_spare t seg =
-  match Segment.spare seg with
-  | Some sp ->
-    kill_if_alive t sp;
-    Segment.set_spare seg None
-  | None -> ()
-
-(* Kill every process we own; ends the simulation. *)
-let abort_run t =
-  t.aborted <- true;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant "abort";
+(* The teardown abort and rollback share, in the kill order the goldens
+   pin (each kill is a traced exit): every tracked segment's checker,
+   spare and snapshot; then, on rollback, the verified snapshots that
+   were never promoted; then the main. *)
+let tear_down_run t ~drop_verified =
   (* Teardown kills processes mid-phase; retire every open profiling
-     scope at abort time so no elapsed time is lost or double-counted. *)
+     scope now so no elapsed time is lost or double-counted. *)
   phase_close_all t;
   latch_main_fault t;
   List.iter (close_torn_down_check t) t.live;
@@ -58,20 +53,25 @@ let abort_run t =
   List.iter
     (fun seg ->
       kill_if_alive t (Segment.checker seg);
-      kill_spare t seg;
-      (match Segment.snapshot seg with
-      | Some snap -> kill_if_alive t snap
-      | None -> ());
+      Option.iter (kill_if_alive t) (Segment.spare seg);
+      Segment.set_spare seg None;
+      Option.iter (kill_if_alive t) (Segment.snapshot seg);
       Segment.tear_down seg)
-    t.live;
-  (match t.cur with
-  | Some seg ->
-    kill_if_alive t (Segment.checker seg);
-    kill_spare t seg;
-    Segment.tear_down seg
-  | None -> ());
-  t.backend_flush ();
-  kill_if_alive t t.main;
+    (t.live @ Option.to_list t.cur);
+  if drop_verified then begin
+    Hashtbl.iter (fun _ snap -> kill_if_alive t snap) t.verified_snapshots;
+    Hashtbl.reset t.verified_snapshots
+  end;
+  (* The torn-down segments will never settle: the backend drops its
+     queued/parked work and cancels their supervisor entries. *)
+  t.backend.flush t;
+  kill_if_alive t t.main
+
+(* Kill every process we own; ends the simulation. *)
+let abort_run t =
+  t.aborted <- true;
+  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant "abort";
+  tear_down_run t ~drop_verified:false;
   release_recovery_state t;
   (* Fleet mode: the dead checkers' cores must return to the shared
      pool now — other tenants keep running after this tenant aborts.
@@ -108,7 +108,9 @@ let note_verified t ~id ~snapshot =
 
 (* Roll the whole run back to the recovery point: the paper's Table 2
    "error recovery" future-work row. Externally visible syscalls since
-   that checkpoint are re-executed (the §3.4 buffered-IO assumption). *)
+   that checkpoint are re-executed (the §3.4 buffered-IO assumption).
+   Leaves the restored main stopped with no segment open; false when
+   there was no verified state to return to and the run aborted. *)
 let recover t =
   t.stats.Stats.recoveries <- t.stats.Stats.recoveries + 1;
   emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
@@ -118,40 +120,16 @@ let recover t =
         ("verified_prefix", Obs.Trace.Int t.verified_prefix);
       ]
     "recovery";
-  phase_close_all t;
-  latch_main_fault t;
-  List.iter (close_torn_down_check t) t.live;
-  close_torn_down_cur t;
   (* Tear down everything derived from the (possibly corrupt) state. *)
-  List.iter
-    (fun seg ->
-      kill_if_alive t (Segment.checker seg);
-      kill_spare t seg;
-      (match Segment.snapshot seg with
-      | Some s -> kill_if_alive t s
-      | None -> ());
-      Segment.tear_down seg)
-    t.live;
-  (match t.cur with
-  | Some seg ->
-    kill_if_alive t (Segment.checker seg);
-    kill_spare t seg;
-    Segment.tear_down seg
-  | None -> ());
-  Hashtbl.iter (fun _ snap -> kill_if_alive t snap) t.verified_snapshots;
-  Hashtbl.reset t.verified_snapshots;
-  (* The torn-down segments will never settle: the backend drops its
-     queued/parked work and cancels their supervisor entries. *)
-  t.backend_flush ();
-  kill_if_alive t t.main;
+  tear_down_run t ~drop_verified:true;
   t.live <- [];
   t.cur <- None;
   t.pending_boundary <- false;
   t.main_exited <- false;
   match t.recovery_point with
   | None ->
-    (* No verified state to return to: give up. *)
-    abort_run t
+    abort_run t;
+    false
   | Some (anchor_id, snap) ->
     t.recovery_point <- None;
     (* Arm the persistent-fault classifier: until the verified prefix
@@ -183,9 +161,5 @@ let recover t =
     Hashtbl.replace t.roles snap Main_role;
     t.main <- snap;
     E.set_core t.eng snap ~core:t.cfg.Config.main_core;
-    (* A fresh scheduler: the old one's bookkeeping refers to dead pids.
-       In fleet mode re-creation re-registers the tenant, which flushes
-       its stale entries from the shared pool. *)
-    t.sched <- Scheduler.create ?fleet:t.fleet t.eng t.cfg t.stats;
-    Recorder.start_segment t;
-    E.resume t.eng snap
+    Scheduler.reset t.sched;
+    true

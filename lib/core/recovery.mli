@@ -4,17 +4,21 @@
     checkpoint snapshots into the recovery point (contiguous-prefix
     rule), rollback of the whole run to that point (the paper's Table 2
     "error recovery" extension), and the abort teardown that kills
-    every owned process so the simulation can end. *)
+    every owned process so the simulation can end. Rollback and abort
+    share one teardown. Recovery sits below {!Recorder} in the module
+    order: it restores the main but never restarts recording —
+    {!Recorder.recover_or_abort} does that. *)
 
 val note_verified :
   Run_ctx.t -> id:int -> snapshot:Sim_os.Engine.pid option -> unit
 (** Segment [id] verified cleanly; its end-of-segment snapshot (if any)
     becomes promotable. Frees snapshots that stop being useful. *)
 
-val recover : Run_ctx.t -> unit
-(** Tear down every segment and checker, roll the main process back to
-    the recovery point, restart the pipeline there. Aborts instead when
-    no verified checkpoint is retained. *)
+val recover : Run_ctx.t -> bool
+(** Tear down every segment and checker, reset the scheduler, and make
+    the recovery-point snapshot the (stopped) main process. [true] when
+    the run rolled back; [false] when no verified checkpoint was
+    retained and the run aborted instead. *)
 
 val abort_run : Run_ctx.t -> unit
 (** Terminate the protected run: close dangling trace spans, kill every

@@ -6,8 +6,6 @@
 module E = Sim_os.Engine
 open Run_ctx
 
-let record_error = Run_ctx.record_detection
-
 let launch_checker t seg =
   let checker = Segment.checker seg in
   let r = Segment.recorded seg in
@@ -17,7 +15,7 @@ let launch_checker t seg =
     Replay_kernel.arm (E.cpu t.eng checker) ~origin_branches:0 ~origin_insns:0
       ~signals:(Rr_log.signal_points r.Segment.log)
       ~end_point:r.Segment.end_point ~insn_delta:r.Segment.insn_delta
-      ~timeout_scale:t.cfg.Config.timeout_scale ~fault:t.cfg.Config.fault_plan
+      ~timeout_scale:Config.timeout_scale ~fault:t.cfg.Config.fault_plan
       ~segment:(Segment.id seg) ~attempt:(Segment.redispatches seg)
   in
   (* A streaming checker was launched when recording started and may be
@@ -52,7 +50,7 @@ let launch_checker t seg =
   (* The backend's lease clock starts at the actual launch — a checker
      that dies before this point is handled by the pre-launch
      re-dispatch path, not a heartbeat expiry. *)
-  t.backend_note_launched seg;
+  t.backend.note_launched t seg;
   t.stats.Stats.segment_insn_deltas <-
     r.Segment.insn_delta :: t.stats.Stats.segment_insn_deltas;
   observe t "segment.insns" (float_of_int r.Segment.insn_delta);
@@ -226,7 +224,7 @@ let really_finish_checker t seg outcome_opt =
     | Some s -> Obs.Sink.incr s "transient_faults")
   | None -> ());
   (match outcome_opt with
-  | Some o -> record_error t seg o
+  | Some o -> record_detection t seg o
   | None -> ());
   (match outcome_opt with
   | Some (Detection.Hard_fault _) ->
@@ -254,7 +252,7 @@ let really_finish_checker t seg outcome_opt =
   | None -> ());
   (* Exactly-once settling: the supervisor retires the segment's lease
      (and would raise on a double settle). *)
-  t.backend_settle seg;
+  t.backend.settle t seg;
   let failed = outcome_opt <> None in
   (if t.cfg.Config.recovery && not failed then
      Recovery.note_verified t ~id:(Segment.id seg) ~snapshot
@@ -271,12 +269,7 @@ let really_finish_checker t seg outcome_opt =
       (* Structured diagnostics (segment, rollbacks, last outcome) are
          already in the recorded outcome; stop burning the budget. *)
       Recovery.abort_run t
-    | _ ->
-      if
-        t.cfg.Config.recovery
-        && t.stats.Stats.recoveries < t.cfg.Config.max_recoveries
-      then Recovery.recover t
-      else Recovery.abort_run t
+    | _ -> Recorder.recover_or_abort t
   end
   else if t.main_exited && t.cur = None && t.live = [] then
     (* The last checker verified after a clean main exit: the run is
@@ -305,7 +298,7 @@ let deliver_verdict t seg outcome_opt =
    which case the replayer must not act yet — the backend's poll will
    call {!deliver_verdict} when (if) the verdict becomes due. *)
 let finish_checker t seg outcome_opt =
-  if not (t.backend_route_verdict seg outcome_opt) then
+  if not (t.backend.route_verdict t seg outcome_opt) then
     deliver_verdict t seg outcome_opt
 
 (* Infrastructure failures (the checker died or stalled without
@@ -321,7 +314,7 @@ let finish_checker_infra t seg outcome =
 let check_end_state t seg =
   let c = Segment.checking seg in
   let cpu = E.cpu t.eng (Segment.checker seg) in
-  if t.cfg.Config.compare_states then begin
+  if Config.compare_states t.cfg then begin
     match c.Segment.snapshot with
     | None -> finish_checker t seg None
     | Some snap ->

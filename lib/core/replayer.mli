@@ -5,16 +5,12 @@
     {!Replay_kernel} over it: the R/R log replayed against the checker's
     interactions and the checker driven to the recorded execution
     points (§4.2). At the end point the replayer runs the program-state
-    comparison. A failed check is handed to {!Recovery} (rollback or
-    abort), unless the re-check extension can still retry it on a fresh
+    comparison. A failed check is answered by
+    {!Recorder.recover_or_abort} (or a straight abort for a hard
+    fault), unless the re-check extension can still retry it on a fresh
     checker (DESIGN.md §13); a completing segment may release a main
     process held on [max_live_segments] back through
     {!Recorder.do_boundary}. *)
-
-val record_error : Run_ctx.t -> Segment.t -> Detection.outcome -> unit
-(** Record a detection against a segment (stats, trace event, first-error
-    latch) without retiring any checker. Used by the watchdog for
-    segments whose checker died before the check could even launch. *)
 
 val launch_checker : Run_ctx.t -> Segment.t -> unit
 (** Arm and (for Parallaft) schedule the checker of a segment in

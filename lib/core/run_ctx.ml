@@ -1,7 +1,8 @@
 (* Shared run-level state threaded through the pipeline stages
-   (Recorder -> Replayer -> Recovery) plus the helpers every stage
-   needs: observability emits, simulated-cost charging, process
-   bookkeeping, and the cross-structure debug invariant sweep. *)
+   (Recovery -> Recorder -> Replayer -> Watchdog), the checker-backend
+   hooks they call, and the helpers every stage needs: observability
+   emits, simulated-cost charging, process bookkeeping, and the
+   cross-structure debug invariant sweep. *)
 
 module E = Sim_os.Engine
 
@@ -13,11 +14,12 @@ type t = {
   eng : E.t;
   cfg : Config.t;
   stats : Stats.t;
-  mutable sched : Scheduler.t;
-  fleet : (Core_pool.t * int) option;
-      (* fleet mode: the shared pool and this run's tenant id; threaded
-         into every scheduler (re-)creation so rollback keeps the
-         tenant attached *)
+  sched : Scheduler.t;
+  backend : backend;
+  (* The open --record-log output, opened by Runtime before the run;
+     None leaves the recorder's persistence hooks no-ops (the
+     byte-identical default path). *)
+  seglog : Seglog_io.out option;
   rng : Util.Rng.t;
   mutable main : E.pid;
   roles : (E.pid, role) Hashtbl.t;
@@ -26,7 +28,7 @@ type t = {
   (* Per-frame page-digest memo shared by every segment comparison of the
      run. Sound across rollbacks: frame ids are never reused and in-place
      writes bump the generation, so stale entries can only miss. [None]
-     when the config disables the memo. *)
+     in RAFT mode, which compares no states. *)
   page_digests : Mem.Page_digest_cache.t option;
   mutable next_id : int;
   mutable seg_start_branches : int;
@@ -49,63 +51,41 @@ type t = {
   mutable all_segments : Segment.t list;
       (* newest first; retained only under cfg.check_invariants, for
          {!Coordinator.segment_histories} *)
-  (* Callback seams, wired by Coordinator.create. They break the two
-     module cycles of the pipeline: the recorder hands a finished
-     segment to the replayer (launch_checker), and both recorder and
-     replayer tear the run down through recovery (abort_run). *)
-  mutable launch_checker : Segment.t -> unit;
-  mutable abort_run : unit -> unit;
-  (* Recover if the recovery extension is on and the budget allows,
-     abort otherwise. The recorder needs this response to an injected
-     main-side fault surfacing as a hardware exception, but sits below
-     Recovery in the module order. *)
-  mutable recover_or_abort : unit -> unit;
-  (* Wired by Coordinator.create when the plan is a runtime fault
-     (kill/stall); a no-op otherwise. Called both from the periodic
-     engine tick and after every routed tracer event — short checks can
-     start and retire entirely between two ticks. *)
-  mutable runtime_fault_poll : unit -> unit;
-  (* The open --record-log output, attached by Runtime before the
-     engine runs; None leaves the recorder's persistence hook a no-op
-     (the byte-identical default path). *)
-  mutable seglog : Seglog_io.out option;
-  (* Checker-backend seams (DESIGN.md §18), wired by
-     Checker_backend.install. They carry lease/heartbeat supervision and
-     verdict routing without Replayer/Watchdog/Recovery depending on the
-     backend module. The defaults are the inline-safe behaviours, so a
-     context that never installs a backend (unit tests driving stages
-     directly) still works. *)
-  mutable backend_note_launched : Segment.t -> unit;
-  (* Progress supervision: true means the lease expired (kill/re-dispatch
-     the checker). Replaces the old watchdog progress ledger. *)
-  mutable backend_heartbeat :
-    Segment.t -> now_ns:int -> insns:int -> excused:bool -> bool;
-  mutable backend_expired : Segment.t -> unit;
-  (* A checker died in the dispatch-to-launch window; true means the
-     backend swapped in a replacement and the segment lives on. *)
-  mutable backend_prelaunch_redispatch : Segment.t -> bool;
-  (* A verdict arrived; true means the backend parked or discarded it
-     (late/stale under chaos) and the replayer must not act on it yet. *)
-  mutable backend_route_verdict : Segment.t -> Detection.outcome option -> bool;
-  mutable backend_settle : Segment.t -> unit;
-  mutable backend_flush : unit -> unit;  (* rollback/abort: drop unsettled *)
-  mutable backend_poll : unit -> unit;
-  mutable backend_check : unit -> unit;  (* invariant sweep hook *)
 }
 
-let unwired _ =
-  raise
-    (Segment.Invariant_violation
-       "run context: callback seam used before the coordinator wired it")
+(* A checker backend (DESIGN.md §18): where and when the checks of
+   recorded segments run. Checker_backend.create builds one per run,
+   before the run exists, and the run holds it unchanged; the stages
+   reach it through these hooks without depending on the backend
+   module. *)
+and backend = {
+  launch : t -> Segment.t -> unit;
+      (* a segment finished recording: launch its check now or later *)
+  note_launched : t -> Segment.t -> unit;  (* the check started: lease it *)
+  heartbeat : t -> Segment.t -> now_ns:int -> insns:int -> excused:bool -> bool;
+      (* progress supervision: true means the lease expired *)
+  expired : t -> Segment.t -> unit;
+  prelaunch_redispatch : t -> Segment.t -> bool;
+      (* a checker died in the dispatch-to-launch window: true means the
+         backend swapped in a replacement and the segment lives on *)
+  route_verdict : t -> Segment.t -> Detection.outcome option -> bool;
+      (* true means the backend parked or discarded the verdict (late or
+         stale under chaos) and the replayer must not act on it yet *)
+  settle : t -> Segment.t -> unit;
+  flush : t -> unit;  (* rollback/abort: drop everything unsettled *)
+  poll : t -> unit;
+  check : unit -> unit;  (* invariant sweep hook *)
+}
 
-let create ?rng ?fleet eng cfg =
+let create ?rng ?fleet ?seglog ~backend eng cfg =
   let stats = Stats.create () in
   {
     eng;
     cfg;
     stats;
     sched = Scheduler.create ?fleet eng cfg stats;
-    fleet;
+    backend;
+    seglog;
     rng =
       (match rng with
       | Some r -> r
@@ -115,10 +95,8 @@ let create ?rng ?fleet eng cfg =
     cur = None;
     live = [];
     page_digests =
-      (if cfg.Config.compare_states && cfg.Config.page_hash_cache_pages > 0 then
-         Some
-           (Mem.Page_digest_cache.create
-              ~capacity:cfg.Config.page_hash_cache_pages)
+      (if Config.compare_states cfg then
+         Some (Mem.Page_digest_cache.create ~capacity:Config.page_hash_cache_pages)
        else None);
     next_id = 0;
     seg_start_branches = 0;
@@ -133,20 +111,6 @@ let create ?rng ?fleet eng cfg =
     rollback_anchor = None;
     verified_since_rollback = false;
     all_segments = [];
-    launch_checker = unwired;
-    abort_run = (fun () -> unwired ());
-    recover_or_abort = (fun () -> unwired ());
-    runtime_fault_poll = (fun () -> ());
-    seglog = None;
-    backend_note_launched = (fun _ -> ());
-    backend_heartbeat = (fun _ ~now_ns:_ ~insns:_ ~excused:_ -> false);
-    backend_expired = (fun _ -> ());
-    backend_prelaunch_redispatch = (fun _ -> false);
-    backend_route_verdict = (fun _ _ -> false);
-    backend_settle = (fun _ -> ());
-    backend_flush = (fun () -> ());
-    backend_poll = (fun () -> ());
-    backend_check = (fun () -> ());
   }
 
 let plat t = E.platform t.eng
@@ -379,12 +343,17 @@ let check_invariants t =
         if not (List.mem pid tracked_checkers) then
           violation "scheduler holds pid %d belonging to no tracked segment" pid)
       (Scheduler.queued_pids t.sched @ Scheduler.running_pids t.sched);
+    (* The scheduler (in fleet mode, the pool's tenant record) must see
+       the main exactly as the run does: a stale "exited" flag would
+       drain a running tenant's checkers onto big cores. *)
+    let sched_exited, sched_held = Scheduler.main_flags t.sched in
+    if sched_exited <> t.main_exited || sched_held <> t.pending_boundary then
+      violation "scheduler sees main exited=%b held=%b, run has exited=%b held=%b"
+        sched_exited sched_held t.main_exited t.pending_boundary;
     (* Fleet scope: the shared pool's cross-tenant partitions must hold
        after every one of any tenant's events. *)
-    (match t.fleet with
-    | Some (pool, _) -> Core_pool.check_invariants pool
-    | None -> ());
+    Scheduler.check_invariants t.sched;
     (* Backend scope: the supervisor's exactly-once ledger must agree
        with its own counters after every event too. *)
-    t.backend_check ()
+    t.backend.check ()
   end

@@ -28,33 +28,24 @@ let max_sim_ns = 2_000_000_000 (* 2 simulated seconds: a generous hang bound *)
 
 let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
     ~program () =
-  (match config.Config.record_log with
-  | Some _ when config.Config.mode = Config.Raft || not config.Config.compare_states
-    ->
-    invalid_arg "Runtime.run_protected: record_log requires Parallaft mode with state comparison on"
-  | Some _ | None -> ());
-  (match config.Config.backend with
-  | Config.Backend_deferred _ | Config.Backend_remote _
-    when config.Config.mode = Config.Raft || not config.Config.compare_states ->
-    invalid_arg
-      "Runtime.run_protected: non-inline backends require Parallaft mode with state comparison on"
-  | Config.Backend_inline | Config.Backend_deferred _ | Config.Backend_remote _
-    ->
-    ());
+  if config.Config.mode = Config.Raft then begin
+    if config.Config.record_log <> None then
+      invalid_arg "Runtime.run_protected: record_log requires Parallaft mode";
+    if config.Config.backend <> Config.Backend_inline then
+      invalid_arg "Runtime.run_protected: non-inline backends require Parallaft mode"
+  end;
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in
-  let coord = Coordinator.create ?rng ?prng eng config ~program in
   let seglog_out =
-    match config.Config.record_log with
-    | None -> None
-    | Some dir -> (
-      match Seglog_io.create ~dir ~cfg:config ~platform ~program ~seed with
-      | Ok out ->
-        Coordinator.attach_seglog coord out;
-        Some out
-      | Error msg -> failwith ("record-log: " ^ msg))
+    Option.map
+      (fun dir ->
+        match Seglog_io.create ~dir ~cfg:config ~platform ~program ~seed with
+        | Ok out -> out
+        | Error msg -> failwith ("record-log: " ^ msg))
+      config.Config.record_log
   in
+  let coord = Coordinator.create ?rng ?prng ?seglog:seglog_out eng config ~program in
   (match before_run with Some f -> f eng coord | None -> ());
   E.run ~max_ns:max_sim_ns eng;
   let stats = Coordinator.stats coord in

@@ -30,11 +30,7 @@ let create ?fleet eng cfg stats =
   (match fleet with
   | None -> ()
   | Some (pool, tid) ->
-    (* First creation admits the tenant; re-creation is the rollback
-       path (Recovery rebuilds the scheduler facade) and flushes the
-       tenant's now-dead entries from the pool inside register. *)
-    if stats.Stats.fleet = None then
-      stats.Stats.fleet <- Some { Stats.home_dispatches = 0; stolen = 0 };
+    stats.Stats.fleet <- Some { Stats.home_dispatches = 0; stolen = 0 };
     Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core);
   {
     eng;
@@ -51,6 +47,19 @@ let create ?fleet eng cfg stats =
     idle_ticks = 0;
     fleet;
   }
+
+(* Rollback: every field back to its value at creation. *)
+let reset t =
+  t.free_little <- t.little;
+  t.free_big <- t.big_pool;
+  t.running <- [];
+  t.queued <- [];
+  t.main_exited <- false;
+  t.main_held <- false;
+  t.idle_ticks <- 0;
+  match t.fleet with
+  | Some (pool, tid) -> Core_pool.reset_tenant pool ~tid
+  | None -> ()
 
 let is_little t core = List.mem core t.little
 
@@ -101,9 +110,10 @@ let account t e =
   else t.stats.Stats.checker_big_ns <- t.stats.Stats.checker_big_ns +. delta
 
 let take_core t =
-  (* Preference order: little cores (unless configured otherwise), then —
-     once the main has exited — big cores to drain the backlog fast. *)
-  if t.cfg.Config.checkers_on_little then
+  (* Preference order: little cores (Parallaft; RAFT's checker runs on
+     a big core), then — once the main has exited — big cores to drain
+     the backlog fast. *)
+  if Config.checkers_on_little t.cfg then
     match t.free_little with
     | c :: rest ->
       t.free_little <- rest;
@@ -188,7 +198,7 @@ let rec try_dispatch t =
       try_dispatch t
     | None ->
       if
-        t.cfg.Config.migration && t.cfg.Config.checkers_on_little
+        t.cfg.Config.migration && Config.checkers_on_little t.cfg
         && not t.main_exited
       then
         match migrate_oldest_to_big t with
@@ -265,12 +275,19 @@ let running_pids t =
   | Some (pool, tid) -> Core_pool.running_pids pool ~tid
   | None -> List.map (fun e -> e.pid) t.running
 
-let queued_count t = List.length (queued_pids t)
-let running_count t = List.length (running_pids t)
-
 let flush t =
   match t.fleet with
   | Some (pool, tid) -> Core_pool.flush_tenant pool ~tid
+  | None -> ()
+
+let main_flags t =
+  match t.fleet with
+  | Some (pool, tid) -> Core_pool.main_flags pool ~tid
+  | None -> (t.main_exited, t.main_held)
+
+let check_invariants t =
+  match t.fleet with
+  | Some (pool, _) -> Core_pool.check_invariants pool
   | None -> ()
 
 let pacer_tick_standalone t =
@@ -290,7 +307,7 @@ let pacer_tick_standalone t =
    let idle_littles = List.length t.little - littles_running in
    if idle_littles > 0 then
      phase_add t ~tracks:[ Obs.Trace.Run ] "scheduler_idle"
-       (idle_littles * t.cfg.Config.pacer_tick_ns));
+       (idle_littles * Config.pacer_tick_ns));
   if t.cfg.Config.dvfs_pacing then begin
     let level = Sim_os.Engine.dvfs_level t.eng ~cluster:1 in
     let top =
@@ -302,7 +319,7 @@ let pacer_tick_standalone t =
        checkers have not completed. Holding it near 1-2 keeps detection
        latency and the end-of-run drain ("last-checker sync") small
        while letting the cluster idle down when checkers are fast. *)
-    let outstanding = queued_count t + running_count t in
+    let outstanding = List.length t.queued + List.length t.running in
     let littles_running =
       List.length (List.filter (fun e -> is_little t e.core) t.running)
     in

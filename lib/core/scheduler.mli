@@ -2,7 +2,7 @@
 
     Placement policy:
     - a ready checker takes a free little core (or a free big core in
-      RAFT mode / when [checkers_on_little] is off);
+      RAFT mode, see {!Config.checkers_on_little});
     - if little cores are exhausted and migration is enabled, the
       {e oldest} running checker is migrated to a free big core,
       freeing a little core for the newest checker (Figure 4);
@@ -19,15 +19,24 @@
     becomes a per-tenant facade over a shared {!Core_pool}: [enqueue],
     [finished], [on_main_exit], [set_main_held] and the pid queries
     delegate under the tenant id, [pacer_tick] is a no-op (the pool
-    runs one fleet-wide pacer), and creation registers the tenant —
-    re-creation (the rollback path) flushes the tenant's stale pool
-    entries. Without [?fleet] the behaviour is byte-identical to the
-    single-tenant scheduler. *)
+    runs one fleet-wide pacer), creation registers the tenant, and
+    {!reset} resets it in the pool. Without [?fleet] the behaviour is
+    byte-identical to the single-tenant scheduler.
+
+    One scheduler serves a run for its whole life: a rollback calls
+    {!reset} instead of building a new one. *)
 
 type t
 
 val create :
   ?fleet:Core_pool.t * int -> Sim_os.Engine.t -> Config.t -> Stats.t -> t
+
+val reset : t -> unit
+(** Rollback: forget every checker (their processes are dead) and the
+    main's exited/held state. Standalone, every field returns to its
+    value at creation, without accounting the killed checkers' CPU
+    time; in fleet mode {!Core_pool.reset_tenant} flushes the tenant
+    and clears its flags. *)
 
 val enqueue : t -> Sim_os.Engine.pid -> unit
 (** Hand over a ready (stopped, fully armed) checker; it is resumed as
@@ -54,8 +63,13 @@ val flush : t -> unit
     cores) — the teardown half of an abort, after the tenant's
     processes were killed. No-op standalone. *)
 
-val queued_count : t -> int
-val running_count : t -> int
+val main_flags : t -> bool * bool
+(** The scheduler's view of the main: [(exited, held)] — the pool's
+    tenant record in fleet mode (debug/invariants). *)
+
+val check_invariants : t -> unit
+(** Fleet mode: the pool's cross-tenant sweep
+    ({!Core_pool.check_invariants}). No-op standalone. *)
 
 val queued_pids : t -> Sim_os.Engine.pid list
 (** Checkers waiting for a core, oldest first (debug/invariants). *)

@@ -48,8 +48,8 @@ let plan_of_spec (f : R.fault_spec) =
 let run_config (cfg : Config.t) ~seed =
   { R.mode_raft = mode_raft cfg;
     slice_period = cfg.slice_period;
-    timeout_scale = cfg.timeout_scale;
-    compare_states = cfg.compare_states;
+    timeout_scale = Config.timeout_scale;
+    compare_states = Config.compare_states cfg;
     dirty_backend = dirty_backend_string cfg;
     hasher = hasher_string cfg;
     seed;

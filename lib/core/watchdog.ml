@@ -38,7 +38,7 @@ let note_kill t seg ~reason =
 
 let respond t seg ~reason =
   note_kill t seg ~reason;
-  t.backend_expired seg;
+  t.backend.expired t seg;
   (* The infra funnel re-dispatches onto the spare while the retry
      budget lasts, and records a detection (rollback or abort) once it
      runs out. It tolerates an already-exited checker. *)
@@ -49,8 +49,8 @@ let respond t seg ~reason =
    recover-or-abort response. *)
 let fail_unlaunched t seg ~reason =
   note_kill t seg ~reason;
-  Replayer.record_error t seg (Detection.Exception_detected reason);
-  t.recover_or_abort ()
+  record_detection t seg (Detection.Exception_detected reason);
+  Recorder.recover_or_abort t
 
 (* One supervised segment. Dead checkers are handled unconditionally;
    stall detection needs a positive budget and skips checkers that are
@@ -68,7 +68,7 @@ let poll_segment t seg =
         Segment.waiting seg
         || List.mem checker (Scheduler.queued_pids t.sched)
       in
-      if t.backend_heartbeat seg ~now_ns:now ~insns ~excused then
+      if t.backend.heartbeat t seg ~now_ns:now ~insns ~excused then
         respond t seg ~reason:"checker stalled (watchdog)"
     end
 
@@ -81,7 +81,7 @@ let poll_one t seg =
       (* The dispatch-to-launch death window: a backend holding a spare
          (remote) swaps in a replacement and the segment lives on; only
          when it cannot does the segment fail. *)
-      if not (t.backend_prelaunch_redispatch seg) then
+      if not (t.backend.prelaunch_redispatch t seg) then
         fail_unlaunched t seg ~reason:"checker died before launch (watchdog)"
     | E.Runnable | E.Stopped -> ())
   | Segment.Recording_p -> (

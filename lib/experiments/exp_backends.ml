@@ -1,4 +1,13 @@
-(* Checker-backend evaluation (DESIGN.md §18), two questions:
+(* Checker-backend evaluation (DESIGN.md §18): a deferred sanity check
+   and two questions. Run under PARALLAFT_INVARIANTS=1 it is also the
+   backends' CI smoke (`make backend-chaos-smoke`): the lease
+   supervisor then sweeps its exactly-once ledger after every event.
+
+   0. Deferred sanity. Small batches under a tight max_lag budget, so
+      the recorder's boundary-hold backpressure engages: the run must
+      reproduce the inline reference's observables, verify every
+      segment through the batch queue (at least one batch), and leak
+      no simulated pid.
 
    1. Staleness vs recovery cost. The deferred backend's max_lag budget
       bounds how many recorded-but-unverified segments may be
@@ -136,16 +145,42 @@ let staleness_table () =
          ])
        [ 1; 2; 4; 8 ])
 
-let chaos_campaign () =
+(* The fault-free inline run every other backend must reproduce. *)
+let inline_reference () =
+  let inline, _, _ = run_probed (base_cfg ()) in
+  if inline.P.Runtime.aborted || inline.P.Runtime.detections <> [] then
+    failwith "exp_backends: the inline reference run was not clean";
+  signature inline
+
+let deferred_sanity ~ref_sig =
+  let r, eng, coord =
+    run_probed
+      {
+        (base_cfg ()) with
+        P.Config.backend = P.Config.deferred_backend ~batch:2 ~max_lag:4 ();
+      }
+  in
+  let b = r.P.Runtime.stats.P.Stats.backend in
+  let total = r.P.Runtime.stats.P.Stats.segments_total in
+  if r.P.Runtime.detections <> [] || signature r <> ref_sig then
+    failwith "exp_backends: the deferred run diverged from the inline reference";
+  if b.P.Stats.b_verified <> total then
+    failwith "exp_backends: the deferred run left segments unverified";
+  if b.P.Stats.b_batches < 1 then
+    failwith "exp_backends: the deferred run launched no batch";
+  if leaked_pids eng coord <> 0 then
+    failwith "exp_backends: the deferred run leaked pids";
+  Printf.printf
+    "Deferred sanity: batch 2, max_lag 4 — observables = inline, %d/%d \
+     verified in %d batches (max lag %d), no leaked pids.\n"
+    b.P.Stats.b_verified total b.P.Stats.b_batches b.P.Stats.b_max_lag
+
+let chaos_campaign ~ref_sig =
   Printf.printf
     "Chaos campaign: remote backend, 3 nodes, retry budget 6. Every row\n\
      is asserted exactly-once, sdc=0 vs the fault-free inline reference,\n\
      >=1 re-dispatch, and zero leaked pids — a failed assertion aborts\n\
      the experiment.\n\n";
-  let inline, _, _ = run_probed (base_cfg ()) in
-  if inline.P.Runtime.aborted || inline.P.Runtime.detections <> [] then
-    failwith "exp_backends: the inline reference run was not clean";
-  let ref_sig = signature inline in
   Util.Table.print
     ~header:
       [
@@ -214,6 +249,9 @@ let chaos_campaign () =
        ])
 
 let run () =
+  let ref_sig = inline_reference () in
+  deferred_sanity ~ref_sig;
+  print_newline ();
   staleness_table ();
   print_newline ();
-  chaos_campaign ()
+  chaos_campaign ~ref_sig

@@ -89,6 +89,8 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
   let n = List.length programs in
   if n = 0 then invalid_arg "Fleet.run: no programs";
   if max_tenants <= 0 then invalid_arg "Fleet.run: max_tenants <= 0";
+  if config.Config.record_log <> None then
+    invalid_arg "Fleet.run: record_log captures one linear segment history";
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in
@@ -191,9 +193,9 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
         | Waiting | Running _ | Finished _ | Rejected_slot -> ())
       slots
   in
-  E.add_tick eng ~every_ns:config.Config.pacer_tick_ns (fun _ ->
+  E.add_tick eng ~every_ns:Config.pacer_tick_ns (fun _ ->
       Core_pool.pacer_tick pool);
-  E.add_tick eng ~every_ns:config.Config.pacer_tick_ns (fun _ -> poll ());
+  E.add_tick eng ~every_ns:Config.pacer_tick_ns (fun _ -> poll ());
   poll ();
   let settled slot =
     match slot.state with

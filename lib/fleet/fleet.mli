@@ -76,5 +76,8 @@ val run :
     policy knobs also steer the shared pool. [configure] maps each
     tenant's final config (after main-core assignment) — the hook the
     isolation tests use to arm a fault plan in exactly one tenant.
-    Returns when every tenant settled (completed, aborted or rejected)
-    or at the 2-simulated-second hang bound. *)
+    Every tenant builds its own checker backend from its config, so
+    any backend works. Returns when every tenant settled (completed,
+    aborted or rejected) or at the 2-simulated-second hang bound.
+    @raise Invalid_argument if [config.record_log] is set: a segment
+    log holds one linear history, not a fleet's. *)

@@ -1,8 +1,10 @@
 (* Fleet mode (DESIGN.md §16): the work-stealing deque against a list
-   model, cross-tenant fault isolation, admission-order determinism,
-   and the teardown pid invariant. The heavier end-to-end smoke
-   (throughput >= 2x serial, steals > 0) lives in bin/fleet_smoke.ml
-   (`make fleet-smoke`). *)
+   model, cross-tenant fault isolation, admission-order determinism
+   with the consolidation win (steals > 0, fleet wall <= half the
+   serial wall), rollback resetting a tenant like a fresh admission,
+   every checker backend under a fleet, the record-log refusal, and the
+   teardown pid invariant. Every run sweeps the fleet-scope invariants
+   on every scheduling event (the config forces them on). *)
 
 module P = Parallaft
 
@@ -79,15 +81,15 @@ let qcheck_deque_matches_model =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end fixtures: small detimed hmmer tenants on the Intel model
+(* End-to-end fixtures: small detimed tenants on the Intel model
    (enough little capacity for four tenants), invariants swept on every
    scheduling event. *)
 
 let platform = Platform.intel_i7
 
-let program =
+let detimed name ~scale =
   let bench =
-    match Workloads.Spec.find "456.hmmer" with
+    match Workloads.Spec.find name with
     | Some b ->
       {
         b with
@@ -99,11 +101,12 @@ let program =
             mmap_churn = false;
           };
       }
-    | None -> Alcotest.fail "456.hmmer missing from the suite"
+    | None -> Alcotest.failf "%s missing from the suite" name
   in
   List.hd
-    (Workloads.Spec.programs bench ~page_size:platform.Platform.page_size
-       ~scale:0.25)
+    (Workloads.Spec.programs bench ~page_size:platform.Platform.page_size ~scale)
+
+let program = detimed "456.hmmer" ~scale:0.25
 
 let config () =
   { (P.Config.parallaft ~platform ()) with P.Config.check_invariants = true }
@@ -111,15 +114,44 @@ let config () =
 let n = 4
 let programs = List.init n (fun _ -> program)
 
-let solo_hash tid =
-  let rng, prng = Fleet.tenant_rngs ~seed:42L ~tid in
-  let r =
-    P.Runtime.run_protected ~platform ~config:(config ()) ~program ~rng ~prng ()
-  in
-  P.Stats.final_state_hash r.P.Runtime.stats
+(* A tenant's fault-free run replayed solo with its fleet rng streams:
+   the determinism baseline, memoized per fixture program. *)
+let solo_runs program =
+  let memo = Hashtbl.create 4 in
+  fun tid ->
+    match Hashtbl.find_opt memo tid with
+    | Some r -> r
+    | None ->
+      let rng, prng = Fleet.tenant_rngs ~seed:42L ~tid in
+      let r =
+        P.Runtime.run_protected ~platform ~config:(config ()) ~program ~rng ~prng
+          ()
+      in
+      Hashtbl.add memo tid r;
+      r
+
+let solo = solo_runs program
+let solo_hash tid = P.Stats.final_state_hash (solo tid).P.Runtime.stats
 
 let tenant f tid =
   List.find (fun (t : Fleet.tenant_report) -> t.Fleet.tid = tid) f.Fleet.tenants
+
+(* Every tenant completed and ended in its solo run's state, and the
+   fleet left no simulated process behind. *)
+let check_clean ~label ~solo_hash f =
+  List.iter
+    (fun (t : Fleet.tenant_report) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: tenant %d completed" label t.Fleet.tid)
+        true
+        (t.Fleet.outcome = Fleet.Completed);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: tenant %d hash = solo" label t.Fleet.tid)
+        true
+        (t.Fleet.final_state_hash <> None
+        && t.Fleet.final_state_hash = solo_hash t.Fleet.tid))
+    f.Fleet.tenants;
+  Alcotest.(check int) (label ^ ": live_at_end") 0 f.Fleet.live_at_end
 
 (* Fault isolation: a persistent checker-register flip armed in tenant 1
    only. Tenant 1 must detect it; every other tenant must see zero
@@ -181,9 +213,24 @@ let test_fault_isolation () =
 (* Admission-order determinism: batch admission, staggered arrivals
    through two admission slots, and the solo replay all give each
    tenant the same architectural outcome, because its rng streams are
-   keyed by (seed, tid) alone. *)
+   keyed by (seed, tid) alone. The batch run also shows the
+   consolidation the mode exists for: with 12 home slots and 4 tenants,
+   idle littles only get work by stealing, and four tenants sharing the
+   machine finish in at most half the time of four serial runs. *)
 let test_admission_order_determinism () =
   let batch = Fleet.run ~max_tenants:n ~platform ~config:(config ()) ~programs () in
+  Alcotest.(check bool)
+    (Printf.sprintf "steals > 0 (%d)" batch.Fleet.steals)
+    true (batch.Fleet.steals > 0);
+  let serial_wall =
+    List.fold_left (fun acc tid -> acc + (solo tid).P.Runtime.wall_ns) 0
+      (List.init n Fun.id)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "fleet wall %d <= serial wall %d / 2" batch.Fleet.wall_ns
+       serial_wall)
+    true
+    (2 * batch.Fleet.wall_ns <= serial_wall);
   let staggered =
     Fleet.run ~max_tenants:2 ~arrival:(Fleet.Staggered 300_000) ~platform
       ~config:(config ()) ~programs ()
@@ -221,6 +268,78 @@ let test_single_tenant_fleet_matches_run_protected () =
     "hash = run_protected" true
     (t.Fleet.final_state_hash = solo_hash 0)
 
+(* Rollback resets a tenant like a fresh admission. A one-shot checker
+   fault in tenant 0 fails segment 1 (mid-run) or segment 3 (the last,
+   so the main has already exited when the run rolls back). The tenant
+   must re-execute as a running tenant, not a draining one: a pool flag
+   left set by the discarded execution trips the invariant sweep
+   (scheduler flags = run flags) on the next event. *)
+let gcc = detimed "403.gcc" ~scale:0.5
+let gcc_solo = solo_runs gcc
+let gcc_solo_hash tid = P.Stats.final_state_hash (gcc_solo tid).P.Runtime.stats
+
+let test_rollback_resets_tenant () =
+  Alcotest.(check int)
+    "segment 3 is the last" 4
+    (gcc_solo 0).P.Runtime.stats.P.Stats.segments_total;
+  List.iter
+    (fun (tenants, segment) ->
+      let label = Printf.sprintf "%d tenants, fault at segment %d" tenants segment in
+      let f =
+        Fleet.run ~max_tenants:tenants ~platform
+          ~config:{ (config ()) with P.Config.recovery = true }
+          ~configure:(fun tid cfg ->
+            if tid = 0 then
+              {
+                cfg with
+                P.Config.fault_plan =
+                  Some
+                    {
+                      Fault.segment;
+                      delay_instructions = 50;
+                      target = Fault.Checker_register { reg = 8; bit = 33 };
+                      repeat = false;
+                    };
+              }
+            else cfg)
+          ~programs:(List.init tenants (fun _ -> gcc))
+          ()
+      in
+      check_clean ~label ~solo_hash:gcc_solo_hash f;
+      match (tenant f 0).Fleet.stats with
+      | None -> Alcotest.fail "faulted tenant never admitted"
+      | Some st ->
+        Alcotest.(check int) (label ^ ": tenant 0 recoveries") 1 st.P.Stats.recoveries)
+    [ (1, 1); (1, 3); (4, 1); (4, 3) ]
+
+(* Each tenant builds its own checker backend, so a fleet runs under any
+   of them with the same per-tenant outcomes as inline. *)
+let test_backends () =
+  List.iter
+    (fun (label, backend) ->
+      check_clean ~label ~solo_hash
+        (Fleet.run ~max_tenants:n ~platform
+           ~config:{ (config ()) with P.Config.backend }
+           ~programs ()))
+    [
+      ("deferred", P.Config.deferred_backend ~batch:2 ~max_lag:4 ());
+      ("remote", P.Config.remote_backend ());
+      ( "remote+chaos",
+        P.Config.remote_backend ~retries:6 ~chaos:P.Config.default_chaos () );
+    ]
+
+(* A segment log holds one linear history: a fleet refuses to record
+   one instead of silently writing nothing. *)
+let test_record_log_refused () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fleet_record_log" in
+  match
+    Fleet.run ~platform
+      ~config:{ (config ()) with P.Config.record_log = Some dir }
+      ~programs:[ program ] ()
+  with
+  | _ -> Alcotest.fail "Fleet.run accepted record_log"
+  | exception Invalid_argument _ -> ()
+
 (* Reject admission: with one slot and batch arrivals, the overflow
    tenants are turned away and the admitted one is undisturbed. *)
 let test_reject_admission () =
@@ -251,5 +370,8 @@ let () =
           tc "single tenant = run_protected" `Quick
             test_single_tenant_fleet_matches_run_protected;
           tc "reject admission" `Quick test_reject_admission;
+          tc "rollback resets the tenant" `Quick test_rollback_resets_tenant;
+          tc "any checker backend" `Quick test_backends;
+          tc "record_log refused" `Quick test_record_log_refused;
         ] );
     ]
