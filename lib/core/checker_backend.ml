@@ -269,7 +269,7 @@ let create (cfg : Config.t) =
                 pk_verdict = verdict;
               }
               :: !parked;
-            Scheduler.finished t.sched (Segment.checker seg);
+            Core_pool.finished t.pool (Segment.checker seg);
             true);
       prelaunch_redispatch =
         (fun t seg ->

@@ -1,9 +1,9 @@
 (* Run-level wiring of the segment pipeline. The stages live in their
    own modules — Recorder (main-process events), Replayer (checker
    events), Recovery (rollback/abort), Watchdog — over the shared
-   Run_ctx state; this module builds the run with its checker backend
-   fixed, routes tracer events by role, registers the periodic polls,
-   and re-exports the public surface. *)
+   Run_ctx state; this module builds the run with its checker pool and
+   backend fixed, routes tracer events by role, registers the periodic
+   polls, and re-exports the public surface. *)
 
 module E = Sim_os.Engine
 
@@ -112,9 +112,17 @@ let runtime_fault_poll (t : t) =
   | Some _ | None -> None
 
 let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
+  (* The run's checker pool: a fleet tenant joins the fleet's shared
+     pool, whose pacer Fleet.run drives; a standalone run is the only
+     tenant of a private pool and drives its pacer below. *)
+  let pool, tid =
+    match fleet with
+    | Some shared -> shared
+    | None -> (Core_pool.create Core_pool.Private eng cfg, 0)
+  in
   let t =
-    Run_ctx.create ?rng ?fleet ?seglog ~backend:(Checker_backend.create cfg) eng
-      cfg
+    Run_ctx.create ?rng ?seglog ~pool ~tid
+      ~backend:(Checker_backend.create cfg) eng cfg
   in
   (match cfg.Config.obs with
   | Some sink -> E.set_obs eng sink
@@ -136,7 +144,7 @@ let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
   Recorder.start_segment t;
   E.resume eng main;
   let every_tick f = E.add_tick eng ~every_ns:Config.pacer_tick_ns (fun _ -> f ()) in
-  every_tick (fun () -> Scheduler.pacer_tick t.Run_ctx.sched);
+  if Option.is_none fleet then every_tick (fun () -> Core_pool.pacer_tick pool);
   (* The backend and the watchdog also need time-based polls: a queued
      deferred batch after main exit, a pending remote launch, or a dead/
      stalled checker generates no tracer events, so event-driven polling

@@ -8,7 +8,7 @@
     over the shared {!Run_ctx} state, with per-segment data typed by
     {!Segment}'s state machine. This module creates the run with its
     wiring fixed — the checker backend ({!Checker_backend.create}), the
-    record log and the scheduler are immutable parts of the run, and
+    record log and the checker pool are immutable parts of the run, and
     every stage calls the next one directly — routes tracer events by
     process role, and registers the periodic polls (pacer, backend,
     watchdog, runtime faults).
@@ -29,18 +29,20 @@ val create :
   program:Isa.Program.t ->
   t
 (** Spawns the traced main process (pinned to [cfg.main_core]), forks
-    the first checker, arms the slicer, and registers the pacer tick.
+    the first checker, arms the slicer, and registers the periodic
+    polls.
 
-    Without [?fleet], the engine must be freshly usable and multiple
-    coordinators on one engine are unsupported — the single-tenant
-    path, byte-identical to before these options existed. With
-    [?fleet:(pool, tid)] the run becomes a tenant of the shared
-    {!Core_pool} (N coordinators then share one engine, one per
-    tenant, each on its own reserved main core). [rng] seeds the
-    runtime's emulation stream (rdrand results, recheck jitter) and
-    [prng] the main process's private OS entropy (ASLR, getrandom) —
-    the fleet derives both per tenant from the root seed so each
-    tenant's run is reproducible regardless of admission interleaving.
+    Without [?fleet], the run is the only tenant of a private
+    {!Core_pool} and registers that pool's pacer tick; the engine must
+    be freshly usable and multiple coordinators on one engine are
+    unsupported. With [?fleet:(pool, tid)] the run becomes tenant
+    [tid] of the fleet's shared pool, whose pacer the fleet drives (N
+    coordinators then share one engine, each on its own reserved main
+    core). [rng] seeds the runtime's emulation stream (rdrand results,
+    recheck jitter) and [prng] the main process's private OS entropy
+    (ASLR, getrandom) — the fleet derives both per tenant from the root
+    seed so each tenant's run is reproducible regardless of admission
+    interleaving.
     [seglog] is an open [--record-log] output: the recorder persists
     every finished segment into it ([Runtime] owns creation and the
     final manifest); without it the persistence hooks are no-ops. *)

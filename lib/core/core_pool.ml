@@ -1,26 +1,37 @@
-(* Fleet-level core ownership (DESIGN.md §16): one shared big/little
-   pool multiplexing every tenant's ready checkers.
+(* Checker core ownership (§4.5, DESIGN.md §16): the one scheduler.
+   Every protected run is a tenant of a pool. A standalone run is the
+   only tenant of a *private* pool; a fleet's tenants share one
+   *shared* pool. The code that creates the pool picks its kind.
 
-   Placement is per-core work-stealing: each little core owns a deque
-   of ready (tenant, checker) pairs. A tenant's checkers are enqueued
-   at its *home* core (assigned round-robin at admission, for cache
-   affinity); a free home core pops its own deque LIFO (newest checker,
-   warmest cache), while a free core with an empty deque steals FIFO
-   from the others (oldest checker, longest wait — bounds detection
-   latency). Big cores are drain/overflow resources, exactly as in the
-   single-tenant scheduler: a queued checker whose tenant's main has
-   exited may be stolen directly onto a free big core, and when littles
-   are saturated the pool-wide *oldest* running little-core checker
-   migrates to a free big, freeing a little for the newest (§4.5,
-   fleet-wide).
+   Checker cores follow the mode: Parallaft checkers run on the little
+   cores, with the unreserved big cores as overflow; RAFT checkers run
+   on the big cores other than the main's, with no overflow.
+
+   Placement is per-core deques. Each little core owns a deque of ready
+   (tenant, checker) pairs, and a tenant's checkers are enqueued at its
+   *home* core (assigned round-robin at admission). A free little core
+   takes from its own deque first, then steals FIFO from the others
+   (oldest checker, longest wait: bounds detection latency). In a
+   shared pool the owner pops LIFO (newest checker, warmest cache). A
+   private pool's cores all serve one run, so each takes the run's
+   oldest queued checker. Big cores are drain/overflow resources: a
+   free big takes the oldest queued checker of a tenant whose main has
+   exited, and when the littles are saturated the oldest live
+   little-core checker migrates to a free big, freeing a little for the
+   newest.
 
    Each tenant's reserved main core never serves checkers while the
-   tenant lives; it joins the shared big pool when the tenant
-   completes. Teardown is per-tenant: flushing one tenant's entries
-   frees exactly its cores and queue slots and never touches another
-   tenant's (the fault blast-radius invariant). *)
+   tenant lives; it joins the big pool when the tenant retires.
+   Teardown is per tenant: flushing one tenant frees exactly its cores
+   and queue slots and never touches another tenant's (the fault
+   blast-radius invariant). A private pool instead returns to its
+   creation state. *)
 
 module E = Sim_os.Engine
+
+type kind =
+  | Private
+  | Shared
 
 type entry = {
   tid : int;
@@ -41,7 +52,8 @@ type tenant = {
 
 type t = {
   eng : E.t;
-  cfg : Config.t;  (* fleet-level template: obs sink + policy knobs *)
+  cfg : Config.t;  (* obs sink, mode and policy knobs *)
+  kind : kind;
   little : int array;
   deques : (int * E.pid) Util.Deque.t array;  (* one per little core *)
   mutable free_little : int list;
@@ -56,25 +68,40 @@ type t = {
   mutable idle_ticks : int;
 }
 
-let create eng cfg =
+let reserved_count t core =
+  match List.assoc_opt core t.reserved with Some n -> n | None -> 0
+
+(* The free lists at creation: every checker core of the mode, minus
+   the reserved main cores, in engine order. *)
+let init_free_cores t =
+  t.free_little <-
+    (if Config.checkers_on_little t.cfg then Array.to_list t.little else []);
+  t.free_big <- List.filter (fun c -> reserved_count t c = 0) (E.big_cores t.eng)
+
+let create kind eng cfg =
   let little = Array.of_list (E.little_cores eng) in
   if Array.length little = 0 then invalid_arg "Core_pool.create: no little cores";
-  {
-    eng;
-    cfg;
-    little;
-    deques = Array.map (fun _ -> Util.Deque.create ()) little;
-    free_little = Array.to_list little;
-    free_big = E.big_cores eng;
-    reserved = [];
-    running = [];
-    tenants = Hashtbl.create 8;
-    next_home = 0;
-    steal_cursor = 0;
-    steals = 0;
-    migrations = 0;
-    idle_ticks = 0;
-  }
+  let t =
+    {
+      eng;
+      cfg;
+      kind;
+      little;
+      deques = Array.map (fun _ -> Util.Deque.create ()) little;
+      free_little = [];
+      free_big = [];
+      reserved = [];
+      running = [];
+      tenants = Hashtbl.create 8;
+      next_home = 0;
+      steal_cursor = 0;
+      steals = 0;
+      migrations = 0;
+      idle_ticks = 0;
+    }
+  in
+  init_free_cores t;
+  t
 
 let tenant t tid =
   match Hashtbl.find_opt t.tenants tid with
@@ -93,7 +120,7 @@ let deque_index t core =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Observability (fleet-level sink carried by the template config)      *)
+(* Observability (the sink carried by the pool's config)                *)
 
 let emit_ev t ~track ~phase ?args name =
   match t.cfg.Config.obs with
@@ -130,6 +157,8 @@ let cpu_ns t pid =
   let st = E.proc_stats t.eng pid in
   st.E.user_ns +. st.E.sys_ns
 
+(* Account the CPU time an entry consumed since the last accounting
+   point to its tenant's bucket for the core class it ran on. *)
 let account t e =
   let now = cpu_ns t e.pid in
   let delta = Float.max 0.0 (now -. e.last_cpu_ns) in
@@ -146,9 +175,6 @@ let queue_gauge t = observe t "fleet.queue_depth" (float_of_int (backlog t))
 
 (* ------------------------------------------------------------------ *)
 (* Reservation of tenant main cores                                    *)
-
-let reserved_count t core =
-  match List.assoc_opt core t.reserved with Some n -> n | None -> 0
 
 let reserve_main t core =
   t.reserved <-
@@ -180,40 +206,36 @@ let release_core t core =
     invalid_arg
       (Printf.sprintf "Core_pool.release_core: core %d in neither pool" core)
 
-let note_dispatch tn ~stolen =
-  match tn.stats.Stats.fleet with
-  | None -> ()
-  | Some f ->
-    if stolen then f.Stats.stolen <- f.Stats.stolen + 1
-    else f.Stats.home_dispatches <- f.Stats.home_dispatches + 1
-
-let start_on t (tid, pid) core ~stolen =
-  let tn = tenant t tid in
-  if stolen then begin
+(* Dispatch a queued checker. [off_home] marks a checker that runs off
+   its tenant's home core: a steal in a shared pool, while a private
+   pool's one tenant owns every core, so it never steals. *)
+let start_on t (tid, pid) core ~off_home =
+  if off_home && t.kind = Shared then begin
     t.steals <- t.steals + 1;
     sink_incr t "fleet.steals";
     emit_ev t ~track:(Obs.Trace.Tenant tid) ~phase:Obs.Trace.Instant
-      ~args:
-        [ ("pid", Obs.Trace.Int pid); ("core", Obs.Trace.Int core) ]
+      ~args:[ ("pid", Obs.Trace.Int pid); ("core", Obs.Trace.Int core) ]
       "steal"
   end;
-  note_dispatch tn ~stolen;
   E.set_core t.eng pid ~core;
   t.running <- t.running @ [ { tid; pid; core; last_cpu_ns = cpu_ns t pid } ];
+  (* Dispatch ends the launch scope opened in [enqueue]: its self-time
+     is the queue wait plus core-allocation work. *)
   phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch";
   E.resume t.eng pid
 
-(* Work selection for a free little core: own deque LIFO first, then a
-   FIFO steal scanning the other deques round-robin. Returns the item
-   and whether it was a steal (ran off its tenant's home core). *)
+(* Work selection for a free little core: its own deque first (LIFO in
+   a shared pool, the oldest checker in a private one), then a FIFO
+   steal scanning the other deques round-robin. *)
 let take_for_little t core =
   let own = deque_index t core in
-  match Util.Deque.pop_back t.deques.(own) with
-  | Some (tid, pid) ->
-    (* Popping the home deque is only a "home" dispatch if this core IS
-       the popper's home; after migration churn it always is, because
-       enqueue targets the home deque and [own] = this core's deque. *)
-    Some ((tid, pid), (tenant t tid).home <> core)
+  let take_own =
+    match t.kind with
+    | Shared -> Util.Deque.pop_back
+    | Private -> Util.Deque.steal_front
+  in
+  match take_own t.deques.(own) with
+  | Some ((tid, _) as item) -> Some (item, (tenant t tid).home <> core)
   | None ->
     let n = Array.length t.deques in
     let rec scan k =
@@ -226,58 +248,77 @@ let take_for_little t core =
     in
     scan 0
 
-(* Work selection for a free big core: FIFO-steal the oldest queued
-   checker of any *draining* tenant (main exited) — mirroring the
-   single-tenant rule that checkers only take big cores once the main
-   is gone. Running tenants reach big cores through migration instead. *)
+(* Work selection for a free big core: the oldest queued checker that
+   may run on a big — in Parallaft, one of a *draining* tenant (main
+   exited; running tenants reach the bigs through migration instead),
+   in RAFT any. Only that checker leaves its deque; the rest keep their
+   order, so the next FIFO steal still takes the oldest. *)
 let take_for_big t =
+  let on_big (tid, _) =
+    (not (Config.checkers_on_little t.cfg)) || (tenant t tid).main_exited
+  in
   let n = Array.length t.deques in
   let rec scan k =
     if k >= n then None
     else
       let i = (t.steal_cursor + k) mod n in
-      let stolen =
-        Util.Deque.remove_where t.deques.(i) (fun (tid, _) ->
-            (tenant t tid).main_exited)
-      in
-      match stolen with
-      | first :: rest ->
-        (* Only the oldest is dispatched now; re-queue the others at the
-           front (remove_where preserved their relative order). *)
-        List.iter (fun item -> Util.Deque.push_back t.deques.(i) item)
-          (List.rev rest);
+      let taken = ref false in
+      match
+        Util.Deque.remove_where t.deques.(i) (fun item ->
+            (not !taken) && on_big item && (taken := true; true))
+      with
+      | [ item ] ->
         t.steal_cursor <- (i + 1) mod n;
-        Some first
-      | [] -> scan (k + 1)
+        Some item
+      | _ -> scan (k + 1)
   in
   scan 0
 
-(* Pool-wide oldest running little-core checker -> [big]; returns the
-   freed little core. *)
-let migrate_oldest_to_big t big =
-  match List.find_opt (fun e -> is_little t e.core) t.running with
-  | None -> None
-  | Some e ->
-    account t e;
-    let freed = e.core in
-    e.core <- big;
-    E.set_core t.eng e.pid ~core:big;
-    t.migrations <- t.migrations + 1;
-    let st = (tenant t e.tid).stats in
-    st.Stats.migrations <- st.Stats.migrations + 1;
-    emit_ev t ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
-      ~args:[ ("from", Obs.Trace.Int freed); ("to", Obs.Trace.Int big) ]
-      "migrate";
-    sink_incr t "sched.migrations";
-    Some freed
+(* Move the oldest live little-core checker accepted by [victim] to the
+   first free big core, and hand its little core to the free list.
+   A checker can die on its core (runtime kill fault, chaos crash) and
+   still sit in [running] until the watchdog's response retires it —
+   and that response itself dispatches, so two deaths in one poll
+   would otherwise migrate a corpse. The dead entry keeps its core
+   until then; it is never a migration victim. *)
+let migrate_oldest_to_big t ~victim =
+  match t.free_big with
+  | [] -> false
+  | big :: rest -> (
+    match
+      List.find_opt
+        (fun e ->
+          is_little t e.core && victim e
+          &&
+          match E.state t.eng e.pid with
+          | E.Exited _ -> false
+          | E.Runnable | E.Stopped -> true)
+        t.running
+    with
+    | None -> false
+    | Some e ->
+      t.free_big <- rest;
+      account t e;
+      let freed = e.core in
+      e.core <- big;
+      E.set_core t.eng e.pid ~core:big;
+      t.free_little <- freed :: t.free_little;
+      t.migrations <- t.migrations + 1;
+      let st = (tenant t e.tid).stats in
+      st.Stats.migrations <- st.Stats.migrations + 1;
+      emit_ev t ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
+        ~args:[ ("from", Obs.Trace.Int freed); ("to", Obs.Trace.Int big) ]
+        "migrate";
+      sink_incr t "sched.migrations";
+      true)
 
 let rec try_dispatch t =
   match t.free_little with
   | c :: rest -> (
     match take_for_little t c with
-    | Some (item, stolen) ->
+    | Some (item, off_home) ->
       t.free_little <- rest;
-      start_on t item c ~stolen;
+      start_on t item c ~off_home;
       try_dispatch t
     | None ->
       (* Every deque is empty: nothing for bigs either. *)
@@ -292,43 +333,48 @@ and try_big t =
       match take_for_big t with
       | Some item ->
         t.free_big <- rest;
-        start_on t item big ~stolen:true;
+        start_on t item big ~off_home:true;
         try_dispatch t
       | None ->
-        if t.cfg.Config.migration then
-          match migrate_oldest_to_big t big with
-          | Some freed ->
-            t.free_big <- rest;
-            t.free_little <- freed :: t.free_little;
-            try_dispatch t
-          | None -> ())
+        if t.cfg.Config.migration && migrate_oldest_to_big t ~victim:(fun _ -> true)
+        then try_dispatch t)
 
 (* ------------------------------------------------------------------ *)
 (* Tenant lifecycle                                                    *)
 
-(* Flush every scheduling trace of a tenant: queued entries leave the
-   deques, running entries release their cores. The tenant's processes
-   are assumed dead or dying (rollback/abort teardown killed them);
-   other tenants' entries are untouched, and the freed cores go
-   straight back to work for them. *)
+(* Drop every scheduling trace of a tenant whose processes were just
+   killed (rollback or abort teardown): its queued entries leave the
+   deques and its running entries give up their cores. A shared pool
+   accounts the dead checkers' CPU time and hands the freed cores
+   straight to the other tenants' work. A private pool has no other
+   tenant: it returns to its creation state — free lists in creation
+   order, the pacer's idle count at 0, the dead checkers' time
+   unaccounted. *)
 let flush_tenant t ~tid =
-  Array.iter
-    (fun d ->
-      let removed = Util.Deque.remove_where d (fun (tid', _) -> tid' = tid) in
-      List.iter
-        (fun (_, pid) ->
-          phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch")
-        removed;
-      if removed <> [] then queue_gauge t)
-    t.deques;
+  let dropped =
+    Array.fold_left
+      (fun n d ->
+        let removed = Util.Deque.remove_where d (fun (tid', _) -> tid' = tid) in
+        List.iter
+          (fun (_, pid) -> phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch")
+          removed;
+        n + List.length removed)
+      0 t.deques
+  in
   let mine, rest = List.partition (fun (e : entry) -> e.tid = tid) t.running in
   t.running <- rest;
-  List.iter
-    (fun e ->
-      account t e;
-      release_core t e.core)
-    mine;
-  try_dispatch t
+  match t.kind with
+  | Private ->
+    init_free_cores t;
+    t.idle_ticks <- 0
+  | Shared ->
+    if dropped > 0 then queue_gauge t;
+    List.iter
+      (fun e ->
+        account t e;
+        release_core t e.core)
+      mine;
+    try_dispatch t
 
 let register_tenant t ~tid ~stats ~main_core =
   let home = t.little.(t.next_home mod Array.length t.little) in
@@ -368,44 +414,23 @@ let finished t pid =
         let r = Util.Deque.remove_where d (fun (_, pid') -> pid' = pid) in
         if r <> [] then removed := true)
       t.deques;
+    (* A still-queued checker was torn down before it ever ran: the
+       gauge tracks the dequeue just as it tracks enqueue, and the
+       launch scope closes here, never having been dispatched. *)
     if !removed then begin
       queue_gauge t;
       phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch"
     end
 
 let main_exited t ~tid =
-  let tn = tenant t tid in
-  tn.main_exited <- true;
+  (tenant t tid).main_exited <- true;
   (* Drain this tenant's tail on big cores (§4.5, per tenant): its
      running little-core checkers migrate to free bigs, and its queued
-     checkers become eligible for direct big-core steals. *)
-  if t.cfg.Config.migration then begin
-    let continue_migrating = ref true in
-    while !continue_migrating do
-      match t.free_big with
-      | [] -> continue_migrating := false
-      | big :: rest -> (
-        match
-          List.find_opt
-            (fun (e : entry) -> e.tid = tid && is_little t e.core)
-            t.running
-        with
-        | None -> continue_migrating := false
-        | Some e ->
-          account t e;
-          let freed = e.core in
-          e.core <- big;
-          E.set_core t.eng e.pid ~core:big;
-          t.free_big <- rest;
-          t.free_little <- freed :: t.free_little;
-          t.migrations <- t.migrations + 1;
-          tn.stats.Stats.migrations <- tn.stats.Stats.migrations + 1;
-          emit_ev t ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
-            ~args:[ ("from", Obs.Trace.Int freed); ("to", Obs.Trace.Int big) ]
-            "migrate";
-          sink_incr t "sched.migrations")
-    done
-  end;
+     checkers become eligible for the bigs directly. *)
+  if t.cfg.Config.migration then
+    while migrate_oldest_to_big t ~victim:(fun e -> e.tid = tid) do
+      ()
+    done;
   try_dispatch t
 
 let set_main_held t ~tid held = (tenant t tid).main_held <- held
@@ -439,11 +464,10 @@ let steals t = t.steals
 let migrations t = t.migrations
 
 (* ------------------------------------------------------------------ *)
-(* Pacing: one pool-wide pacer replaces the per-run pacers (per-tenant
-   pacer_tick is a no-op in fleet mode). Accounting and idle
-   attribution are pool-wide; the DVFS control variable is the total
-   checker backlog across tenants, with any held main or a drain phase
-   (all live mains exited) forcing full speed. *)
+(* Pacing: one pacer per pool. Accounting and idle attribution are
+   pool-wide; the DVFS control variable is the checker backlog across
+   tenants, with any held main or a drain phase (all live mains
+   exited) forcing the little cluster up. *)
 
 let active_tenants t =
   Hashtbl.fold (fun _ tn acc -> if tn.retired then acc else tn :: acc) t.tenants []
@@ -455,16 +479,17 @@ let pacer_tick t =
       [
         ("queued", Obs.Trace.Int (backlog t));
         ("running", Obs.Trace.Int (List.length t.running));
-        ("steals", Obs.Trace.Int t.steals);
       ]
-    "fleet.backlog";
-  (let littles_running =
-     List.length (List.filter (fun e -> is_little t e.core) t.running)
-   in
-   let idle_littles = Array.length t.little - littles_running in
-   if idle_littles > 0 then
-     phase_add t ~tracks:[ Obs.Trace.Run ] "scheduler_idle"
-       (idle_littles * Config.pacer_tick_ns));
+    "backlog";
+  (* Idle-capacity attribution, sampled at pacer resolution: each tick
+     charges one period per little core with no checker on it. *)
+  let littles_running =
+    List.length (List.filter (fun e -> is_little t e.core) t.running)
+  in
+  let idle_littles = Array.length t.little - littles_running in
+  if idle_littles > 0 then
+    phase_add t ~tracks:[ Obs.Trace.Run ] "scheduler_idle"
+      (idle_littles * Config.pacer_tick_ns);
   if t.cfg.Config.dvfs_pacing then begin
     let level = E.dvfs_level t.eng ~cluster:1 in
     let top =
@@ -477,23 +502,21 @@ let pacer_tick t =
     let draining =
       active <> [] && List.for_all (fun tn -> tn.main_exited) active
     in
+    (* Holding the backlog (segments whose checkers have not completed)
+       near 1-2 per live tenant keeps detection latency and the
+       end-of-run drain small while letting the cluster idle down when
+       checkers are fast. *)
     let outstanding = backlog t + List.length t.running in
-    let littles_running =
-      List.length (List.filter (fun e -> is_little t e.core) t.running)
-    in
-    let idle_littles = Array.length t.little - littles_running in
-    (* Backlog thresholds scale with the number of live tenants: the
-       single-tenant pacer holds the backlog near 1-2 segments per run,
-       so the pool holds it near that per tenant. *)
     let n_active = max 1 (List.length active) in
     if draining then begin
       t.idle_ticks <- 0;
+      (* Drain the tail at full speed (checkers also migrate to big). *)
       E.set_dvfs_level t.eng ~cluster:1 ~level:top
     end
     else if
-      (* Saturation is the pool's up signal: queued work with every
-         little busy means the cluster is the bottleneck right now,
-         whatever the per-tenant backlog averages look like. *)
+      (* Saturation is also an up signal: queued work with every little
+         busy means the cluster is the bottleneck right now, whatever
+         the per-tenant backlog averages look like. *)
       any_held
       || (backlog t > 0 && idle_littles = 0)
       || outstanding > 3 * n_active
@@ -505,6 +528,7 @@ let pacer_tick t =
     else if
       outstanding <= 2 * n_active && (idle_littles > 0 || outstanding <= n_active)
     then begin
+      (* Only step down after sustained slack, to avoid oscillation. *)
       t.idle_ticks <- t.idle_ticks + 1;
       if t.idle_ticks >= 2 && level > 0 then begin
         E.set_dvfs_level t.eng ~cluster:1 ~level:(level - 1);
@@ -515,8 +539,8 @@ let pacer_tick t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Fleet-scope invariants (DESIGN.md §16): cross-checked from each
-   tenant's per-event sweep and the fleet's periodic tick. *)
+(* Pool-scope invariants (DESIGN.md §16): cross-checked from each
+   tenant's per-event sweep (Run_ctx.check_invariants). *)
 
 let violation fmt =
   Printf.ksprintf (fun s -> raise (Segment.Invariant_violation s)) fmt

@@ -49,7 +49,7 @@ let start_segment t =
       "check";
     phase_enter t ~track:(Obs.Trace.Proc checker) ~segment:(Segment.id seg)
       "replay";
-    Scheduler.enqueue t.sched checker
+    Core_pool.enqueue t.pool ~tid:t.tid checker
   | Config.Parallaft -> ());
   let cpu = main_cpu t in
   t.seg_start_branches <- Machine.Cpu.branches cpu;
@@ -171,7 +171,7 @@ let on_main_exited t =
   t.stats.Stats.main_wall_ns <- float_of_int (st.E.ended_ns - st.E.started_ns);
   t.stats.Stats.main_user_ns <- st.E.user_ns;
   t.stats.Stats.main_sys_ns <- st.E.sys_ns;
-  Scheduler.on_main_exit t.sched
+  Core_pool.main_exited t.pool ~tid:t.tid
 
 let do_boundary t =
   end_segment t;
@@ -187,7 +187,7 @@ let boundary t =
       ~args:[ ("live_segments", Obs.Trace.Int (live_count t)) ]
       "main.held";
     phase_enter t ~track:(main_track t) "main_held";
-    Scheduler.set_main_held t.sched true
+    Core_pool.set_main_held t.pool ~tid:t.tid true
     (* main stays stopped until a segment completes *)
   end
   else do_boundary t

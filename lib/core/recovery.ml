@@ -73,10 +73,9 @@ let abort_run t =
   emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant "abort";
   tear_down_run t ~drop_verified:false;
   release_recovery_state t;
-  (* Fleet mode: the dead checkers' cores must return to the shared
-     pool now — other tenants keep running after this tenant aborts.
-     No-op standalone (the run is over). *)
-  Scheduler.flush t.sched
+  (* The dead checkers leave the pool now: a shared pool's other
+     tenants keep running after this tenant aborts. *)
+  Core_pool.flush_tenant t.pool ~tid:t.tid
 
 (* Recovery-point bookkeeping: a snapshot becomes the recovery point once
    every segment up to it has verified; older points are freed. *)
@@ -161,5 +160,5 @@ let recover t =
     Hashtbl.replace t.roles snap Main_role;
     t.main <- snap;
     E.set_core t.eng snap ~core:t.cfg.Config.main_core;
-    Scheduler.reset t.sched;
+    Core_pool.reset_tenant t.pool ~tid:t.tid;
     true

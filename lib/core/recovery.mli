@@ -15,11 +15,13 @@ val note_verified :
     becomes promotable. Frees snapshots that stop being useful. *)
 
 val recover : Run_ctx.t -> bool
-(** Tear down every segment and checker, reset the scheduler, and make
-    the recovery-point snapshot the (stopped) main process. [true] when
-    the run rolled back; [false] when no verified checkpoint was
-    retained and the run aborted instead. *)
+(** Tear down every segment and checker, reset the run's tenant in its
+    checker pool ({!Core_pool.reset_tenant}), and make the
+    recovery-point snapshot the (stopped) main process. [true] when the
+    run rolled back; [false] when no verified checkpoint was retained
+    and the run aborted instead. *)
 
 val abort_run : Run_ctx.t -> unit
 (** Terminate the protected run: close dangling trace spans, kill every
-    owned process (checkers, snapshots, recovery state, the main). *)
+    owned process (checkers, snapshots, recovery state, the main), and
+    flush the run's tenant from its checker pool. *)

@@ -71,7 +71,7 @@ let launch_checker t seg =
        inside it on the same track, so replay self-time excludes it. *)
     phase_enter t ~track:(Obs.Trace.Proc checker) ~segment:(Segment.id seg)
       "replay";
-    Scheduler.enqueue t.sched checker
+    Core_pool.enqueue t.pool ~tid:t.tid checker
   end
   else if was_waiting then
     (* The streaming checker is stalled at its next interaction. Resuming
@@ -119,7 +119,7 @@ let redispatch_check t seg ~because outcome =
     observe t "checker.latency_ns" (float_of_int (E.time_ns t.eng - ns))
   | None -> ());
   kill_if_alive t old;
-  Scheduler.finished t.sched old;
+  Core_pool.finished t.pool old;
   phase_leave t ~track:(Obs.Trace.Proc old) "replay";
   Hashtbl.remove t.roles old;
   t.stats.Stats.rechecks <- t.stats.Stats.rechecks + 1;
@@ -261,7 +261,7 @@ let really_finish_checker t seg outcome_opt =
      | Some snap -> kill_if_alive t snap
      | None -> ());
   t.live <- List.filter (fun s -> Segment.id s <> Segment.id seg) t.live;
-  Scheduler.finished t.sched checker;
+  Core_pool.finished t.pool checker;
   phase_leave t ~track:(Obs.Trace.Proc checker) "replay";
   if failed then begin
     match outcome_opt with
@@ -279,7 +279,7 @@ let really_finish_checker t seg outcome_opt =
     release_recovery_state t
   else if t.pending_boundary && live_count t < live_limit t then begin
     t.pending_boundary <- false;
-    Scheduler.set_main_held t.sched false;
+    Core_pool.set_main_held t.pool ~tid:t.tid false;
     phase_leave t ~track:(main_track t) "main_held";
     Recorder.do_boundary t
   end

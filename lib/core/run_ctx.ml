@@ -14,7 +14,10 @@ type t = {
   eng : E.t;
   cfg : Config.t;
   stats : Stats.t;
-  sched : Scheduler.t;
+  (* The checker pool the run is a tenant of, under this tenant id: a
+     private pool of its own, or a fleet's shared one. *)
+  pool : Core_pool.t;
+  tid : int;
   backend : backend;
   (* The open --record-log output, opened by Runtime before the run;
      None leaves the recorder's persistence hooks no-ops (the
@@ -77,13 +80,15 @@ and backend = {
   check : unit -> unit;  (* invariant sweep hook *)
 }
 
-let create ?rng ?fleet ?seglog ~backend eng cfg =
+let create ?rng ?seglog ~pool ~tid ~backend eng cfg =
   let stats = Stats.create () in
+  Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core;
   {
     eng;
     cfg;
     stats;
-    sched = Scheduler.create ?fleet eng cfg stats;
+    pool;
+    tid;
     backend;
     seglog;
     rng =
@@ -277,7 +282,7 @@ let release_recovery_state t =
 (* ------------------------------------------------------------------ *)
 (* Debug invariants (cfg.check_invariants): after every handled tracer
    event, the segment state machines and the run-level structures
-   (cur/live, roles table, scheduler, engine) must agree. *)
+   (cur/live, roles table, pool, engine) must agree. *)
 
 let violation fmt =
   Printf.ksprintf (fun s -> raise (Segment.Invariant_violation s)) fmt
@@ -341,18 +346,19 @@ let check_invariants t =
     List.iter
       (fun pid ->
         if not (List.mem pid tracked_checkers) then
-          violation "scheduler holds pid %d belonging to no tracked segment" pid)
-      (Scheduler.queued_pids t.sched @ Scheduler.running_pids t.sched);
-    (* The scheduler (in fleet mode, the pool's tenant record) must see
-       the main exactly as the run does: a stale "exited" flag would
-       drain a running tenant's checkers onto big cores. *)
-    let sched_exited, sched_held = Scheduler.main_flags t.sched in
-    if sched_exited <> t.main_exited || sched_held <> t.pending_boundary then
-      violation "scheduler sees main exited=%b held=%b, run has exited=%b held=%b"
-        sched_exited sched_held t.main_exited t.pending_boundary;
-    (* Fleet scope: the shared pool's cross-tenant partitions must hold
-       after every one of any tenant's events. *)
-    Scheduler.check_invariants t.sched;
+          violation "pool holds pid %d belonging to no tracked segment" pid)
+      (Core_pool.queued_pids t.pool ~tid:t.tid
+      @ Core_pool.running_pids t.pool ~tid:t.tid);
+    (* The pool's tenant record must see the main exactly as the run
+       does: a stale "exited" flag would drain a running tenant's
+       checkers onto big cores. *)
+    let pool_exited, pool_held = Core_pool.main_flags t.pool ~tid:t.tid in
+    if pool_exited <> t.main_exited || pool_held <> t.pending_boundary then
+      violation "pool sees main exited=%b held=%b, run has exited=%b held=%b"
+        pool_exited pool_held t.main_exited t.pending_boundary;
+    (* Pool scope: the cross-tenant partitions must hold after every one
+       of any tenant's events. *)
+    Core_pool.check_invariants t.pool;
     (* Backend scope: the supervisor's exactly-once ledger must agree
        with its own counters after every event too. *)
     t.backend.check ()

@@ -1,8 +1,3 @@
-type fleet = {
-  mutable home_dispatches : int;
-  mutable stolen : int;
-}
-
 type seglog = {
   seglog_segments : int;
   seglog_bytes : int;  (* segment files + manifest *)
@@ -54,7 +49,6 @@ type t = {
   mutable final_mem_hash : int64 option;
   mutable profile : (string * int) list;
   mutable block_cache : (int * int * int) option;
-  mutable fleet : fleet option;
   mutable seglog : seglog option;
   backend : backend_acct;
 }
@@ -93,7 +87,6 @@ let create () =
     final_mem_hash = None;
     profile = [];
     block_cache = None;
-    fleet = None;
     seglog = None;
     backend =
       {
@@ -201,15 +194,6 @@ let to_assoc t =
         ("cpu.block_cache_hits", string_of_int hits);
         ("cpu.block_cache_misses", string_of_int misses);
         ("cpu.block_cache_invalidations", string_of_int invalidations);
-      ])
-  (* Fleet rows only exist for tenants scheduled by a [Core_pool], so
-     single-tenant runs (and every pre-fleet golden) are unchanged. *)
-  @ (match t.fleet with
-    | None -> []
-    | Some fl ->
-      [
-        ("fleet.home_dispatches", string_of_int fl.home_dispatches);
-        ("fleet.stolen", string_of_int fl.stolen);
       ])
   (* Seglog rows only exist when --record-log persisted a log, the
      same opt-in discipline as above. The compression ratio is raw

@@ -2,15 +2,6 @@
     (timing.all_wall_time, counter.checkpoint_count,
     fixed_interval_slicer.nr_slices, ...). *)
 
-type fleet = {
-  mutable home_dispatches : int;
-      (** checkers dispatched on the tenant's home little core via the
-          owner's LIFO pop *)
-  mutable stolen : int;
-      (** checkers that ran off-home: FIFO-stolen by another little
-          core's owner or drained directly onto a shared big core *)
-}
-
 type seglog = {
   seglog_segments : int;  (** segment files persisted *)
   seglog_bytes : int;  (** total bytes written (segment files + manifest) *)
@@ -98,10 +89,6 @@ type t = {
           over every CPU of the run, filled by [Runtime] only under
           [Config.cpu_stats]; [None] keeps the stats dump (and the
           goldens) unchanged, same discipline as [profile] *)
-  mutable fleet : fleet option;
-      (** per-tenant work-stealing counters, filled by [Fleet] runs only
-          ([None] on the single-tenant path, keeping goldens
-          byte-identical) *)
   mutable seglog : seglog option;
       (** persisted-log size/compression counters, filled by [Runtime]
           only under [Config.record_log]; [None] keeps the stats dump

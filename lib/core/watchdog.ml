@@ -66,7 +66,7 @@ let poll_segment t seg =
       let insns = Machine.Cpu.instructions (E.cpu t.eng checker) in
       let excused =
         Segment.waiting seg
-        || List.mem checker (Scheduler.queued_pids t.sched)
+        || List.mem checker (Core_pool.queued_pids t.pool ~tid:t.tid)
       in
       if t.backend.heartbeat t seg ~now_ns:now ~insns ~excused then
         respond t seg ~reason:"checker stalled (watchdog)"

@@ -91,13 +91,16 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
   if max_tenants <= 0 then invalid_arg "Fleet.run: max_tenants <= 0";
   if config.Config.record_log <> None then
     invalid_arg "Fleet.run: record_log captures one linear segment history";
+  if not (Config.checkers_on_little config) then
+    invalid_arg
+      "Fleet.run: RAFT checkers run on big cores, which are the tenants' main cores";
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in
   (match config.Config.obs with
   | Some sink -> E.set_obs eng sink
   | None -> ());
-  let pool = Core_pool.create eng config in
+  let pool = Core_pool.create Core_pool.Shared eng config in
   let bigs = Array.of_list (E.big_cores eng) in
   if Array.length bigs = 0 then invalid_arg "Fleet.run: no big cores";
   let slots =

@@ -79,5 +79,7 @@ val run :
     Every tenant builds its own checker backend from its config, so
     any backend works. Returns when every tenant settled (completed,
     aborted or rejected) or at the 2-simulated-second hang bound.
-    @raise Invalid_argument if [config.record_log] is set: a segment
-    log holds one linear history, not a fleet's. *)
+    @raise Invalid_argument if [config.record_log] is set (a segment
+    log holds one linear history, not a fleet's) or [config] is a RAFT
+    config (its checkers run on big cores, which the tenants reserve
+    for their mains). *)

@@ -2,8 +2,10 @@
    model, cross-tenant fault isolation, admission-order determinism
    with the consolidation win (steals > 0, fleet wall <= half the
    serial wall), rollback resetting a tenant like a fresh admission,
-   every checker backend under a fleet, the record-log refusal, and the
-   teardown pid invariant. Every run sweeps the fleet-scope invariants
+   every checker backend under a fleet, the record-log and RAFT
+   refusals, migration past a dead checker under remote-backend chaos,
+   the shared pool's big-core take keeping the queue order, and the
+   teardown pid invariant. Every run sweeps the pool-scope invariants
    on every scheduling event (the config forces them on). *)
 
 module P = Parallaft
@@ -340,6 +342,159 @@ let test_record_log_refused () =
   | _ -> Alcotest.fail "Fleet.run accepted record_log"
   | exception Invalid_argument _ -> ()
 
+(* RAFT checkers run on big cores, and a fleet reserves those for its
+   tenants' mains: a fleet refuses a RAFT config instead of quietly
+   running its checkers on the littles. *)
+let test_raft_refused () =
+  match
+    Fleet.run ~platform ~config:(P.Config.raft ~platform ()) ~programs:[ program ] ()
+  with
+  | _ -> Alcotest.fail "Fleet.run accepted a RAFT config"
+  | exception Invalid_argument _ -> ()
+
+(* Fixtures on the two-big, two-little testing platform: a pure
+   function of its program (no time queries), so every backend and
+   every schedule ends in the same state. *)
+let testing = Platform.testing
+
+let deterministic_program =
+  Workloads.Codegen.generate ~name:"det" ~seed:21L
+    ~page_size:testing.Platform.page_size
+    {
+      Workloads.Codegen.pattern =
+        Workloads.Codegen.Chase { pages = 12; hot_pages = 4; cold_every = 2 };
+      alu_per_mem = 3;
+      store_every = 2;
+      outer_iters = 30;
+      inner_iters = 40;
+      io_every = 3;
+      gettime_every = 0;
+      rdtsc_every = 0;
+      mmap_churn = false;
+    }
+
+(* Migration never picks a dead checker. Under remote-backend chaos a
+   checker killed on its little core stays in the pool's running list
+   until the watchdog retires it, and that retirement re-dispatches onto
+   a big core: migrating the corpse raised "process has exited". *)
+let test_migration_skips_dead_checkers () =
+  let base = P.Config.parallaft ~platform:testing ~slice_period:20_000 () in
+  let config =
+    {
+      base with
+      P.Config.check_invariants = true;
+      watchdog_stall_ns = 2_000_000;
+      backend =
+        P.Config.remote_backend ~nodes:3 ~retries:6
+          ~chaos:
+            {
+              P.Config.chaos_seed = Int64.of_int (0x5EED00 + 12);
+              crash_pct = 40;
+              stall_pct = 25;
+              late_pct = 25;
+              prelaunch_pct = 25;
+              reboot_ns = 400_000;
+              late_ns = 150_000;
+            }
+          ();
+    }
+  in
+  let f =
+    Fleet.run ~platform:testing ~config ~programs:[ deterministic_program ] ()
+  in
+  let rng, prng = Fleet.tenant_rngs ~seed:42L ~tid:0 in
+  let fault_free =
+    P.Runtime.run_protected ~platform:testing ~config:base
+      ~program:deterministic_program ~rng ~prng ()
+  in
+  let t = tenant f 0 in
+  Alcotest.(check bool) "completed" true (t.Fleet.outcome = Fleet.Completed);
+  (match t.Fleet.stats with
+  | None -> Alcotest.fail "tenant never admitted"
+  | Some st ->
+    Alcotest.(check int) "every segment verified" st.P.Stats.segments_total
+      f.Fleet.segments_verified);
+  Alcotest.(check int) "segments verified" 23 f.Fleet.segments_verified;
+  Alcotest.(check int) "live_at_end" 0 f.Fleet.live_at_end;
+  Alcotest.(check bool)
+    "hash = fault-free solo run" true
+    (t.Fleet.final_state_hash <> None
+    && t.Fleet.final_state_hash
+       = P.Stats.final_state_hash fault_free.P.Runtime.stats)
+
+(* Bare pools on the testing platform (migration off), with stopped
+   checker processes that the test hands to the pool directly. *)
+let bare_pool kind =
+  let eng = Sim_os.Engine.create ~platform:testing ~seed:1L () in
+  let cfg =
+    { (P.Config.parallaft ~platform:testing ()) with P.Config.migration = false }
+  in
+  let pool = P.Core_pool.create kind eng cfg in
+  P.Core_pool.register_tenant pool ~tid:0 ~stats:(P.Stats.create ())
+    ~main_core:cfg.P.Config.main_core;
+  let checker () =
+    let pid = Sim_os.Engine.spawn eng ~program:deterministic_program ~core:0 () in
+    Sim_os.Engine.suspend eng pid;
+    pid
+  in
+  (eng, pool, checker)
+
+(* A private pool's three rules: each free core takes the run's oldest
+   queued checker, no dispatch is a steal, and a rollback returns the
+   free lists to creation order (a shared pool pushes each released
+   core onto its free list, so c3 would land on little 1). *)
+let test_private_pool_rules () =
+  let module E = Sim_os.Engine in
+  let eng, pool, checker = bare_pool P.Core_pool.Private in
+  let little0, little1 =
+    match E.little_cores eng with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "testing has two littles"
+  in
+  let b0 = checker () in
+  let b1 = checker () in
+  let c1 = checker () in
+  let c2 = checker () in
+  List.iter (P.Core_pool.enqueue pool ~tid:0) [ b0; b1; c1; c2 ];
+  Alcotest.(check (list int)) "littles in order" [ little0; little1 ]
+    [ E.core_of eng b0; E.core_of eng b1 ];
+  P.Core_pool.finished pool b0;
+  Alcotest.(check int) "home core takes the oldest" little0 (E.core_of eng c1);
+  P.Core_pool.finished pool b1;
+  Alcotest.(check int) "little 1 takes the next" little1 (E.core_of eng c2);
+  Alcotest.(check int) "no steals" 0 (P.Core_pool.steals pool);
+  P.Core_pool.reset_tenant pool ~tid:0;
+  Alcotest.(check (list int)) "nothing running" []
+    (P.Core_pool.running_pids pool ~tid:0);
+  let c3 = checker () in
+  P.Core_pool.enqueue pool ~tid:0 c3;
+  Alcotest.(check int) "creation order after reset" little0 (E.core_of eng c3)
+
+(* A free big core takes the oldest draining checker and leaves the
+   rest of the queue in order. One tenant, migration off, both littles
+   busy, c1 c2 c3 queued at the home core (little 0): once the main
+   exits the free big takes c1, and the next little to free (little 1,
+   a thief) must then steal c2, not c3. *)
+let test_big_take_keeps_queue_order () =
+  let module E = Sim_os.Engine in
+  let eng, pool, checker = bare_pool P.Core_pool.Shared in
+  let busy = List.init 2 (fun _ -> checker ()) in
+  let c1 = checker () in
+  let c2 = checker () in
+  let c3 = checker () in
+  List.iter (P.Core_pool.enqueue pool ~tid:0) (busy @ [ c1; c2; c3 ]);
+  Alcotest.(check (list int)) "queued" [ c1; c2; c3 ]
+    (P.Core_pool.queued_pids pool ~tid:0);
+  P.Core_pool.main_exited pool ~tid:0;
+  Alcotest.(check (list int)) "the big took c1" (busy @ [ c1 ])
+    (P.Core_pool.running_pids pool ~tid:0);
+  let little1 = List.nth (E.little_cores eng) 1 in
+  P.Core_pool.finished pool
+    (List.find (fun pid -> E.core_of eng pid = little1) busy);
+  Alcotest.(check int) "little 1 stole c2" little1 (E.core_of eng c2);
+  Alcotest.(check (list int)) "c3 still queued" [ c3 ]
+    (P.Core_pool.queued_pids pool ~tid:0)
+
 (* Reject admission: with one slot and batch arrivals, the overflow
    tenants are turned away and the admitted one is undisturbed. *)
 let test_reject_admission () =
@@ -373,5 +528,14 @@ let () =
           tc "rollback resets the tenant" `Quick test_rollback_resets_tenant;
           tc "any checker backend" `Quick test_backends;
           tc "record_log refused" `Quick test_record_log_refused;
+          tc "RAFT refused" `Quick test_raft_refused;
+          tc "migration skips dead checkers" `Quick
+            test_migration_skips_dead_checkers;
+        ] );
+      ( "pool",
+        [
+          tc "private pool rules" `Quick test_private_pool_rules;
+          tc "big-core take keeps queue order" `Quick
+            test_big_take_keeps_queue_order;
         ] );
     ]
