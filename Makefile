@@ -1,8 +1,7 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
 .PHONY: all build test fmt-check smoke parallel-smoke compare-smoke \
-  fault-smoke backend-chaos-smoke seglog-smoke bench-json \
-  bench-smoke bench-gate \
+  backend-chaos-smoke seglog-smoke bench-smoke \
   block-cache-smoke invariants golden-check ci clean
 
 all: build
@@ -58,45 +57,12 @@ golden-check: build
 compare-smoke: build
 	PARALLAFT_QUICK=1 dune exec bench/main.exe -- --compare-smoke
 
-# The fault model end to end: the full target x recovery grid (quick
-# trial counts) on one benchmark, with run-structure invariants checked
-# on every routed event. Asserts no silent data corruption anywhere and
-# that both hardened responses (transient re-check, rollback recovery)
-# actually triggered. Exits nonzero on any violation.
-fault-smoke: build
-	PARALLAFT_INVARIANTS=1 PARALLAFT_QUICK=1 dune exec bin/fault_smoke.exe
-
-# Emit the versioned BENCH_*.json perf artifact (bechamel estimates +
-# profiled phase breakdown + run metadata) into the repo root, at full
-# sampling budget. Compare two artifacts with e.g.
-#   dune exec bench/main.exe -- --against OLD.json NEW.json --threshold 5
-bench-json: build
-	dune exec bench/main.exe -- --json
-
-# The perf-trajectory plumbing end to end on a quick sampling budget:
-# emit the artifact, schema-check it, then push it through the
-# regression gate against itself at threshold 0 — any nonzero delta or
-# parse drift fails, so this pins the gate itself, not the (noisy,
-# host-dependent) estimates.
+# The bechamel microbenchmark table (bench/main.ml) at the quick
+# sampling budget. Its host estimates are informational (the performance
+# ledger that gates changes is ftbench, see BENCHMARK.json); the leg is
+# in `ci` because every fixture asserts its own result.
 bench-smoke: build
-	PARALLAFT_QUICK=1 PARALLAFT_QUIET=1 dune exec bench/main.exe -- \
-	  --json --out /tmp/parallaft_bench.json
-	dune exec bench/main.exe -- --check /tmp/parallaft_bench.json
-	dune exec bench/main.exe -- --against /tmp/parallaft_bench.json \
-	  /tmp/parallaft_bench.json --threshold 0
-
-# Perf-trajectory regression gate: fresh (quick-budget) bechamel run
-# diffed against the committed baseline artifact (refreshed whenever a
-# PR intentionally moves the numbers — last for the allocation-free XXH64
-# kernel, ~3.9x faster on stress:xxh64_hash_1MiB). The
-# generous threshold absorbs host and quick-mode noise — the gate is
-# meant to catch order-of-magnitude interpreter regressions (e.g. the
-# block cache silently disabled), not single-digit drift. Only
-# regressions fail; improvements and added benches never do.
-BENCH_BASELINE := BENCH_v1_0183e929f02f.json
-bench-gate: build
-	PARALLAFT_QUICK=1 PARALLAFT_QUIET=1 dune exec bench/main.exe -- \
-	  --against $(BENCH_BASELINE) --threshold 400
+	PARALLAFT_QUICK=1 dune exec bench/main.exe
 
 # The decoded-block cache observably on by default (hits > 0 on a real
 # run) and observably off under --block-cache 0 (all rows zero).
@@ -104,23 +70,19 @@ block-cache-smoke: build
 	dune build @block-cache
 
 # Persistent segment logs end to end (DESIGN.md §17): record a quick
-# run with --record-log, re-check it offline with parallaft-replay
-# (must verify clean, exit 0) and assert the page compression actually
-# compresses (ratio > 1.0 in the seglog.* stats rows). Then the other
-# direction: a run with an injected checker fault (live exit 3) must
-# also diverge offline (replay exit 3). Last, the same one-shot fault
-# under --recheck is re-checked away live (exit 0), and offline replay,
-# which arms it as the live run's final attempt did, must agree (exit
-# 0). All legs run with the segment-pipeline invariants on.
+# run with --record-log and re-check it offline with parallaft-replay
+# (must verify clean, exit 0). Then the other direction: a run with an
+# injected checker fault (live exit 3) must also diverge offline
+# (replay exit 3). Last, the same one-shot fault under --recheck is
+# re-checked away live (exit 0), and offline replay, which arms it as
+# the live run's final attempt did, must agree (exit 0). All legs run
+# with the segment-pipeline invariants on. (That the page codec
+# compresses is checked in test_seglog.)
 SEGLOG_SMOKE_ARGS := --platform testing --workload 401.bzip2 --scale 0.05 --period 3000
 seglog-smoke: build
 	rm -rf /tmp/parallaft_seglog /tmp/parallaft_seglog_fault /tmp/parallaft_seglog_recheck
 	PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
 	  --record-log /tmp/parallaft_seglog > /tmp/parallaft_seglog_run.out
-	awk '/^seglog.compression_ratio/ { r = $$2 } \
-	  END { if (r == "" || r + 0 <= 1.0) \
-	    { print "seglog compression ratio not > 1.0: " r; exit 1 } }' \
-	  /tmp/parallaft_seglog_run.out
 	PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay /tmp/parallaft_seglog
 	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
 	  --fault 3,60,6,6 --fault-target checker-mem \
@@ -146,7 +108,7 @@ seglog-smoke: build
 backend-chaos-smoke: build
 	PARALLAFT_INVARIANTS=1 dune exec bin/experiments_main.exe -- backends
 
-ci: build test golden-check invariants fmt-check smoke parallel-smoke compare-smoke fault-smoke backend-chaos-smoke seglog-smoke bench-smoke bench-gate block-cache-smoke
+ci: build test golden-check invariants fmt-check smoke parallel-smoke compare-smoke backend-chaos-smoke seglog-smoke bench-smoke block-cache-smoke
 
 clean:
 	dune clean

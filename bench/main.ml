@@ -1,15 +1,16 @@
-(* The benchmark harness, in two parts.
-
-   Part 1 — Bechamel microbenchmarks: one Test.make per paper table and
-   figure, measuring the host-side cost of the mechanism that dominates
-   that experiment (checkpoint forking for the overhead figures, state
+(* Bechamel microbenchmarks: one Test.make per paper table and figure,
+   measuring the host-side cost of the mechanism that dominates that
+   experiment (checkpoint forking for the overhead figures, state
    hashing for the comparator, execution-point replay for the sweeps,
-   whole protected runs for the end-to-end tables, ...).
+   whole protected runs for the end-to-end tables, ...). These are the
+   only mechanism-level host timings in the repository; the performance
+   ledger that gates changes is ftbench (BENCHMARK.json, with its
+   metrics defined in ftbench/METRICS.md).
 
-   Part 2 — the full reproduction: every table and figure of the paper's
-   evaluation, printed as rows/series (same output as
-   bin/experiments_main.exe all). Honours PARALLAFT_QUICK=1 and
-   PARALLAFT_SCALE. *)
+     main.exe                   the ns/run table (PARALLAFT_QUICK=1:
+                                small sampling budget, as `make
+                                bench-smoke` runs it)
+     main.exe --compare-smoke   the comparator's cold->warm accounting *)
 
 open Bechamel
 open Toolkit
@@ -91,9 +92,8 @@ let raft_cfg () = Parallaft.Config.raft ~platform ()
 
 (* Interpreter-bound fixture: a hot load/alu/store loop run to halt on a
    bare CPU (no engine, no tracer), with the decoded-block cache on or
-   off. The on/off pair is what BENCH_*.json trajectory diffs gate: the
-   cached row has to keep beating both the uncached row and the pre-cache
-   baseline's interpreter speed. *)
+   off. The pair shows the cache's dispatch win on one hot loop; the
+   ledger's measure of it is ftbench's machine.block_cache_speedup. *)
 let interp_loop ~block_cache () =
   let alloc = Mem.Frame.allocator ~page_size in
   let aspace = Mem.Address_space.create alloc in
@@ -327,14 +327,12 @@ let tests =
             ignore (Seglog.Writer.segment writer seg)));
   ]
 
-(* Runs every microbench, prints the familiar table, and returns the
-   (name, estimate) rows so the --json mode can serialize them. Quick
-   mode shrinks the sampling budget: the estimates get noisier but the
-   whole sweep fits in a CI smoke leg. *)
-let run_microbenches ?(quick = false) () =
-  print_endline "================================================================";
-  print_endline "Part 1: Bechamel microbenchmarks (one per table/figure)";
-  print_endline "================================================================";
+(* Runs every microbench and prints one ns/run row per benchmark. Quick
+   mode shrinks the sampling budget: the estimates get noisier, but the
+   whole table fits in a CI smoke leg, and every fixture still asserts
+   its own result. *)
+let run_microbenches ~quick =
+  print_endline "Bechamel microbenchmarks (one per table/figure, host ns/run)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -343,7 +341,6 @@ let run_microbenches ?(quick = false) () =
     if quick then Benchmark.cfg ~limit:50 ~quota:(Time.second 0.05) ~kde:(Some 10) ()
     else Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
   in
-  let rows = ref [] in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in
@@ -351,30 +348,10 @@ let run_microbenches ?(quick = false) () =
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            Printf.printf "  %-34s %12.1f ns/run\n%!" name est;
-            rows := (name, Some est) :: !rows
-          | Some _ | None ->
-            Printf.printf "  %-34s (no estimate)\n%!" name;
-            rows := (name, None) :: !rows)
+          | Some [ est ] -> Printf.printf "  %-34s %12.1f ns/run\n%!" name est
+          | Some _ | None -> Printf.printf "  %-34s (no estimate)\n%!" name)
         results)
-    tests;
-  List.rev !rows
-
-(* The reproduction part honours the experiment runner's jobs knob:
-   [-j N] on the command line, else PARALLAFT_JOBS, else cores - 1.
-   The bechamel part stays single-domain — interleaved timing runs
-   would perturb each other's measurements. *)
-let parse_jobs () =
-  let rec go = function
-    | ("-j" | "--jobs") :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> Util.Pool.set_jobs n
-      | Some _ | None -> go rest)
-    | _ :: rest -> go rest
-    | [] -> ()
-  in
-  go (Array.to_list Sys.argv)
+    tests
 
 (* CI smoke for the comparator fast paths: run both comparator fixtures
    once and check the cold→warm accounting, exiting nonzero on any
@@ -415,317 +392,15 @@ let run_compare_smoke () =
     fail "diverged fixture should hash every page on both sides";
   print_endline "compare-smoke: OK"
 
-(* --- the BENCH_*.json perf artifact ---------------------------------- *)
-
 let quick_env () =
   match Sys.getenv_opt "PARALLAFT_QUICK" with
   | Some "" | Some "0" | None -> false
   | Some _ -> true
 
-let argv_flag name = Array.exists (( = ) name) Sys.argv
-
-let argv_value name =
-  let rec go = function
-    | f :: v :: _ when f = name -> Some v
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go (Array.to_list Sys.argv)
-
-(* --against BASELINE [CURRENT]: one path compares a fresh benchmark run
-   against the baseline file; two paths compare the files directly (no
-   benchmarks run — what the CI self-comparison smoke uses). *)
-let against_paths () =
-  let rec go = function
-    | "--against" :: rest ->
-      let rec take acc = function
-        | p :: more when List.length acc < 2 && (p = "" || p.[0] <> '-') ->
-          take (p :: acc) more
-        | _ -> List.rev acc
-      in
-      take [] rest
-    | _ :: rest -> go rest
-    | [] -> []
-  in
-  go (Array.to_list Sys.argv)
-
-(* Phase self-time breakdown of one profiled protected run. Attributed
-   in simulated time, so unlike the bechamel estimates it is
-   deterministic across hosts — trajectory diffs can separate real
-   phase-mix shifts from wall-clock noise. *)
-let profile_breakdown () =
-  let sink = Obs.Sink.create () in
-  Obs.Profile.set_enabled sink.Obs.Sink.profile true;
-  let config =
-    { (parallaft_cfg ()) with Parallaft.Config.obs = Some sink }
-  in
-  let r =
-    Parallaft.Runtime.run_protected ~platform ~config ~program:small_program ()
-  in
-  r.Parallaft.Runtime.stats.Parallaft.Stats.profile
-
-(* Fleet consolidation rows (DESIGN.md §16): simulated ns per verified
-   segment for a 4-tenant fleet on the shared pool vs the same four
-   tenants run serially, one at a time, with the same per-tenant rng
-   streams. Simulated time, so both rows are deterministic across
-   hosts. The generator refuses to emit an artifact in which
-   consolidation has stopped paying: serial must cost at least 2x the
-   fleet per verified segment (test_fleet's consolidation criterion,
-   re-checked here so a committed BENCH_*.json can't hide the
-   regression). *)
-let fleet_rows () =
-  let platform = Platform.intel_i7 in
-  let config = Parallaft.Config.parallaft ~platform () in
-  let bench =
-    match Workloads.Spec.find "456.hmmer" with
-    | Some b ->
-      {
-        b with
-        Workloads.Spec.spec =
-          {
-            b.Workloads.Spec.spec with
-            Workloads.Codegen.gettime_every = 0;
-            rdtsc_every = 0;
-            mmap_churn = false;
-          };
-      }
-    | None -> failwith "fleet rows: 456.hmmer missing from the suite"
-  in
-  let program =
-    List.hd
-      (Workloads.Spec.programs bench ~page_size:platform.Platform.page_size
-         ~scale:0.25)
-  in
-  let n = 4 in
-  let fleet =
-    Fleet.run ~max_tenants:n ~platform ~config
-      ~programs:(List.init n (fun _ -> program))
-      ()
-  in
-  let serial =
-    List.init n (fun tid ->
-        let rng, prng = Fleet.tenant_rngs ~seed:42L ~tid in
-        Parallaft.Runtime.run_protected ~platform ~config ~program ~rng ~prng ())
-  in
-  let serial_wall =
-    List.fold_left
-      (fun acc (r : Parallaft.Runtime.report) -> acc + r.Parallaft.Runtime.wall_ns)
-      0 serial
-  in
-  let serial_segs =
-    List.fold_left
-      (fun acc (r : Parallaft.Runtime.report) ->
-        acc + r.Parallaft.Runtime.stats.Parallaft.Stats.segments_compared)
-      0 serial
-  in
-  let per_seg wall segs = float_of_int wall /. float_of_int (max 1 segs) in
-  let fleet_ns = per_seg fleet.Fleet.wall_ns fleet.Fleet.segments_verified in
-  let serial_ns = per_seg serial_wall serial_segs in
-  if serial_ns < 2.0 *. fleet_ns then begin
-    Printf.eprintf
-      "bench-json: fleet consolidation under 2x (fleet %.0f ns/segment, serial \
-       %.0f ns/segment)\n"
-      fleet_ns serial_ns;
-    exit 1
-  end;
-  Printf.printf "  %-34s %12.1f ns/segment (simulated)\n%!"
-    "fleet:throughput_4tenants" fleet_ns;
-  Printf.printf "  %-34s %12.1f ns/segment (simulated)\n%!"
-    "fleet:serial_4tenants" serial_ns;
-  [
-    { Experiments.Bench_report.name = "fleet:throughput_4tenants";
-      ns_per_run = fleet_ns };
-    { Experiments.Bench_report.name = "fleet:serial_4tenants";
-      ns_per_run = serial_ns };
-  ]
-
-(* The deferred backend's launch-amortization claim, pinned the same
-   way: batch 1 pays a cold fork+warmup per segment, batch 8 drains the
-   queue in bursts where only the first launch of each batch is cold.
-   The generator refuses to emit an artifact in which batching has
-   stopped amortizing (total launch overhead at batch 8 must be below
-   batch 1 on the same run). Testing platform, deterministic program:
-   both rows are bit-reproducible. *)
-let deferred_batch_rows () =
-  let platform = Platform.testing in
-  let program =
-    Workloads.Codegen.generate ~name:"det" ~seed:21L
-      ~page_size:platform.Platform.page_size
-      {
-        Workloads.Codegen.pattern =
-          Workloads.Codegen.Chase { pages = 12; hot_pages = 4; cold_every = 2 };
-        alu_per_mem = 3;
-        store_every = 2;
-        outer_iters = 30;
-        inner_iters = 40;
-        io_every = 3;
-        gettime_every = 0;
-        rdtsc_every = 0;
-        mmap_churn = false;
-      }
-  in
-  let run ~batch =
-    let config =
-      {
-        (Parallaft.Config.parallaft ~platform ~slice_period:20_000 ()) with
-        Parallaft.Config.backend =
-          Parallaft.Config.deferred_backend ~batch ~max_lag:12 ();
-      }
-    in
-    Parallaft.Runtime.run_protected ~platform ~config ~program ()
-  in
-  let launch_per_seg (r : Parallaft.Runtime.report) =
-    let st = r.Parallaft.Runtime.stats in
-    if st.Parallaft.Stats.segments_total < 16 then begin
-      Printf.eprintf
-        "bench-json: deferred fixture too small (%d segments, need >= 16)\n"
-        st.Parallaft.Stats.segments_total;
-      exit 1
-    end;
-    float_of_int st.Parallaft.Stats.backend.Parallaft.Stats.b_launch_ns
-    /. float_of_int (max 1 st.Parallaft.Stats.segments_total)
-  in
-  let b1 = launch_per_seg (run ~batch:1) in
-  let b8 = launch_per_seg (run ~batch:8) in
-  if b8 >= b1 then begin
-    Printf.eprintf
-      "bench-json: deferred batching stopped amortizing (batch 8 %.0f \
-       ns/segment launch overhead vs batch 1 %.0f)\n"
-      b8 b1;
-    exit 1
-  end;
-  Printf.printf "  %-34s %12.1f ns/segment (simulated)\n%!"
-    "checker:deferred_batch1" b1;
-  Printf.printf "  %-34s %12.1f ns/segment (simulated)\n%!"
-    "checker:deferred_batch8" b8;
-  [
-    { Experiments.Bench_report.name = "checker:deferred_batch1";
-      ns_per_run = b1 };
-    { Experiments.Bench_report.name = "checker:deferred_batch8";
-      ns_per_run = b8 };
-  ]
-
-let read_report_exn what path =
-  match Report.read path with
-  | Ok r -> r
-  | Error m ->
-    Printf.eprintf "bench-json: %s %s: %s\n" what path m;
-    exit 1
-
-let fresh_report () =
-  let rows = run_microbenches ~quick:(quick_env ()) () in
-  let benches =
-    List.filter_map
-      (fun (name, est) ->
-        Option.map
-          (fun ns -> { Experiments.Bench_report.name; ns_per_run = ns })
-          est)
-      rows
-    @ fleet_rows ()
-    @ deferred_batch_rows ()
-  in
-  let report =
-    { Experiments.Bench_report.meta = Report.metadata ();
-      benches;
-      profile = profile_breakdown () }
-  in
-  (match Experiments.Bench_report.check report with
-  | Ok () -> ()
-  | Error m ->
-    Printf.eprintf "bench-json: fresh report fails its own check: %s\n" m;
-    exit 1);
-  report
-
-let run_check path =
-  let r = read_report_exn "reading" path in
-  match Experiments.Bench_report.check r with
-  | Error m ->
-    Printf.eprintf "bench-check: %s: %s\n" path m;
-    exit 1
-  | Ok () ->
-    Printf.printf "bench-check: %s OK (%d benchmarks, %d profile phases)\n"
-      path
-      (List.length r.Experiments.Bench_report.benches)
-      (List.length r.Experiments.Bench_report.profile)
-
-let run_json_mode () =
-  let threshold =
-    match argv_value "--threshold" with
-    | None -> 5.0
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f >= 0.0 -> f
-      | Some _ | None ->
-        Printf.eprintf "bench-json: bad --threshold %s\n" s;
-        exit 1)
-  in
-  let against = against_paths () in
-  let current =
-    match against with
-    | [ _; current_path ] -> read_report_exn "reading" current_path
-    | _ -> fresh_report ()
-  in
-  if argv_flag "--json" then begin
-    let path =
-      match argv_value "--out" with
-      | Some p -> p
-      | None -> Report.default_path ()
-    in
-    Report.write ~path current;
-    Printf.printf "bench-json: wrote %s (%d benchmarks, %d profile phases)\n"
-      path
-      (List.length current.Experiments.Bench_report.benches)
-      (List.length current.Experiments.Bench_report.profile)
-  end;
-  match against with
-  | [] -> ()
-  | baseline_path :: _ ->
-    let baseline = read_report_exn "baseline" baseline_path in
-    let table, ok =
-      Experiments.Bench_report.delta_table ~threshold_pct:threshold ~baseline
-        ~current
-    in
-    print_string table;
-    if not ok then exit 2
-
-(* Plain Sys.time A/B of the interpreter with the block cache on vs off
-   (bechamel-free, so it is cheap to run repeatedly while tuning the
-   dispatch loop). Informational: the trajectory gate is BENCH_*.json. *)
-let run_interp_timing () =
-  let reps = 200 in
-  let time ~block_cache =
-    (* warm up allocators etc. *)
-    interp_loop ~block_cache ();
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      interp_loop ~block_cache ()
-    done;
-    (Sys.time () -. t0) /. float_of_int reps
-  in
-  let off = time ~block_cache:0 in
-  let on_ = time ~block_cache:4096 in
-  Printf.printf
-    "interp-timing: cache off %.1f us/run, on %.1f us/run (%.2fx)\n" (off *. 1e6)
-    (on_ *. 1e6) (off /. on_)
-
 let () =
-  if argv_flag "--compare-smoke" then run_compare_smoke ()
-  else if argv_flag "--interp-timing" then run_interp_timing ()
-  else
-    match argv_value "--check" with
-    | Some path -> run_check path
-    | None ->
-      if argv_flag "--json" || against_paths () <> [] then run_json_mode ()
-      else begin
-    parse_jobs ();
-    ignore (run_microbenches ());
-  print_newline ();
-  print_endline "================================================================";
-  print_endline "Part 2: full reproduction of every table and figure";
-  Printf.printf "(parallel experiment jobs: %d)\n" (Util.Pool.jobs ());
-  print_endline "================================================================";
-  print_newline ();
-    match Experiments.Registry.find "all" with
-    | Some exps -> List.iter Experiments.Registry.run exps
-    | None -> assert false
-  end
+  match Array.to_list Sys.argv with
+  | [ _ ] -> run_microbenches ~quick:(quick_env ())
+  | [ _; "--compare-smoke" ] -> run_compare_smoke ()
+  | _ ->
+    prerr_endline "usage: main.exe [--compare-smoke]";
+    exit 2

@@ -64,7 +64,7 @@ let build_plan fault fault_target =
    tenant 0 only, so the stats dump doubles as an isolation demo: the
    other tenants' rows must stay clean. *)
 let run_fleet ~tenants ~max_tenants ~arrival ~config ~platform ~program ~seed
-    ~fault_plan ~show_output:_ ~dump_obs sink =
+    ~fault_plan ~dump_obs sink =
   let configure tid cfg =
     if tid = 0 then { cfg with Parallaft.Config.fault_plan } else cfg
   in
@@ -230,6 +230,18 @@ let run platform_name mode_name period scale workload input asm_file seed
              schedules segment checkers, which baseline/raft runs don't \
              produce per-segment)";
           1
+        | Mode_parallaft
+          when tenants > 1 && (profile || cpu_stats || show_output) ->
+          prerr_endline
+            "parallaft: --profile, --cpu-stats and --show-output are \
+             incompatible with --tenants > 1 (the fleet dump has per-tenant \
+             rows only)";
+          1
+        | Mode_baseline when profile ->
+          prerr_endline
+            "parallaft: --profile requires --mode parallaft or raft (baseline \
+             runs have no segment phases to attribute)";
+          1
         | Mode_baseline when fault <> None ->
           prerr_endline
             "parallaft: --fault only applies to parallaft/raft modes \
@@ -297,7 +309,7 @@ let run platform_name mode_name period scale workload input asm_file seed
               | Some gap -> Fleet.Staggered gap
             in
             run_fleet ~tenants ~max_tenants ~arrival ~config ~platform ~program
-              ~seed ~fault_plan ~show_output ~dump_obs sink
+              ~seed ~fault_plan ~dump_obs sink
           else
           let r = Parallaft.Runtime.run_protected ~seed ~platform ~config ~program () in
           let dumped = dump_obs r.Parallaft.Runtime.obs in
@@ -429,8 +441,18 @@ let tenants_arg =
                tenants' rows demonstrate fault isolation. Only valid with \
                --mode parallaft.")
 
+(* --max-tenants, --batch and --max-lag size queues and slots: zero or a
+   negative count is a usage error, not a run. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None -> Error (`Msg ("expected a positive integer, got " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let max_tenants_arg =
-  Arg.(value & opt (some int) None & info [ "max-tenants" ] ~docv:"M"
+  Arg.(value & opt (some positive_int) None & info [ "max-tenants" ] ~docv:"M"
          ~doc:"Admission-control slots: at most $(docv) tenants live at once; \
                later arrivals wait in the admission queue for a free slot \
                (default: no limit beyond --tenants).")
@@ -460,12 +482,12 @@ let backend_arg =
                re-dispatch. Only valid with --mode parallaft.")
 
 let batch_arg =
-  Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"N"
+  Arg.(value & opt (some positive_int) None & info [ "batch" ] ~docv:"N"
          ~doc:"Deferred backend: launch up to $(docv) queued checks per \
                wakeup (default 4). Only meaningful with --backend deferred.")
 
 let max_lag_arg =
-  Arg.(value & opt (some int) None & info [ "max-lag" ] ~docv:"N"
+  Arg.(value & opt (some positive_int) None & info [ "max-lag" ] ~docv:"N"
          ~doc:"Deferred backend: at most $(docv) recorded-but-unverified \
                segments may be outstanding before the recorder is \
                backpressured (default 8). Only meaningful with --backend \

@@ -322,6 +322,32 @@ let test_deferred_spans_balanced () =
   Alcotest.(check bool) "clean" false r.Parallaft.Runtime.aborted;
   assert_spans_balanced sink
 
+(* Deferred batching amortizes checker launch cost: at batch 1 every
+   launch pays a cold fork and warm-up, at batch 8 only the first launch
+   of each burst does. *)
+let test_batching_amortizes_launch () =
+  let launch_ns_per_segment ~batch =
+    let r =
+      run_cfg
+        {
+          (base_cfg ()) with
+          Parallaft.Config.backend =
+            Parallaft.Config.deferred_backend ~batch ~max_lag:12 ();
+        }
+    in
+    let segments = r.Parallaft.Runtime.stats.Parallaft.Stats.segments_total in
+    Alcotest.(check bool)
+      (Printf.sprintf "batch %d: %d segments >= 16" batch segments)
+      true (segments >= 16);
+    float_of_int (backend_stats r).Parallaft.Stats.b_launch_ns
+    /. float_of_int segments
+  in
+  let b1 = launch_ns_per_segment ~batch:1 in
+  let b8 = launch_ns_per_segment ~batch:8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch 8 launch %.1f ns/segment < batch 1 %.1f" b8 b1)
+    true (b8 < b1)
+
 (* ---------- chaos ---------- *)
 
 let chaos ?(crash = 0) ?(stall = 0) ?(late = 0) ?(prelaunch = 0)
@@ -577,6 +603,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_remote_identical;
           Alcotest.test_case "deferred spans balanced" `Slow
             test_deferred_spans_balanced;
+          Alcotest.test_case "batching amortizes launch cost" `Slow
+            test_batching_amortizes_launch;
         ] );
       ( "chaos",
         [

@@ -146,6 +146,26 @@ let test_breakdown_components_nonnegative () =
     && b.Experiments.Exp_breakdown.sync >= 0.0
     && b.Experiments.Exp_breakdown.runtime_work >= 0.0)
 
+(* The fault model end to end: the full target x recovery grid (quick
+   trial counts) on the first quick benchmark. No fault may get through
+   silently, and both hardened responses, the transient re-check and
+   rollback recovery, must actually trigger. Under PARALLAFT_INVARIANTS=1
+   (`make invariants`) every routed event also sweeps the run-structure
+   invariants. *)
+let test_fault_grid_no_sdc () =
+  let module FI = Experiments.Exp_fault_injection in
+  let bench = List.hd (Experiments.Suite.benchmarks ~quick:true) in
+  let totals =
+    FI.run_grid ~platform ~scale:(FI.fi_scale 1.0) ~quick:true
+      ~rng:(Util.Rng.create ~seed:0x5A0CEL) bench
+  in
+  Printf.printf "sdc=%d transient=%d recovered=%d hard=%d benign=%d\n"
+    totals.FI.sdc totals.FI.transient totals.FI.recovered totals.FI.hard
+    totals.FI.benign;
+  Alcotest.(check int) "sdc = 0" 0 totals.FI.sdc;
+  Alcotest.(check bool) "transient >= 1" true (totals.FI.transient >= 1);
+  Alcotest.(check bool) "recovered >= 1" true (totals.FI.recovered >= 1)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "experiments"
@@ -158,6 +178,8 @@ let () =
           tc "memory exceeds baseline" `Quick test_protected_memory_exceeds_baseline;
           tc "breakdown non-negative" `Quick test_breakdown_components_nonnegative;
         ] );
+      ( "fault model",
+        [ tc "grid: no SDC, both responses fire" `Slow test_fault_grid_no_sdc ] );
       ( "registry",
         [
           tc "complete" `Quick test_registry_complete;

@@ -446,6 +446,15 @@ let offline_matches_clean_run () =
   Alcotest.(check (list reject)) "no live detections" []
     (List.map snd r.Parallaft.Runtime.detections);
   Alcotest.(check (option int)) "main exited" (Some 0) r.Parallaft.Runtime.exit_status;
+  (* The page codec must actually compress what the run persisted. *)
+  (match
+     List.assoc_opt "seglog.compression_ratio"
+       (Parallaft.Stats.to_assoc r.Parallaft.Runtime.stats)
+   with
+  | Some ratio ->
+    Alcotest.(check bool) ("compression ratio " ^ ratio ^ " > 1.0") true
+      (float_of_string ratio > 1.0)
+  | None -> Alcotest.fail "no seglog.compression_ratio row");
   let manifest, segments = load_log dir in
   match Parallaft.Offline.replay ~manifest ~segments with
   | Error e -> Alcotest.failf "offline replay: %s" e
