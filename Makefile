@@ -1,6 +1,6 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
-.PHONY: all build test fmt-check smoke parallel-smoke compare-smoke \
+.PHONY: all build test fmt-check unused-exports smoke parallel-smoke \
   backend-chaos-smoke seglog-smoke bench-smoke \
   block-cache-smoke invariants golden-check ci clean
 
@@ -21,6 +21,23 @@ fmt-check:
 	else \
 	  echo "fmt-check: ocamlformat not installed, skipping"; \
 	fi
+
+# No export without a caller: every top-level `val NAME` of an .mli
+# under lib/ must be named (grep -w) in some .ml/.mli under lib, bin,
+# bench, test, ftbench or examples other than its own module's pair.
+# Prints `file: NAME` per uncalled export and fails if there is any. A
+# mention in a comment counts as a use, so the check can miss a dead
+# value but never flags a used one.
+unused-exports:
+	@status=0; \
+	for mli in $$(find lib -name '*.mli' | sort); do \
+	  files=$$(find lib bin bench test ftbench examples -name '*.ml' -o -name '*.mli' \
+	    | grep -v -x -e "$$mli" -e "$${mli%i}"); \
+	  for name in $$(sed -n 's/^val \([A-Za-z_][A-Za-z0-9_'"'"']*\).*/\1/p' "$$mli"); do \
+	    grep -qw -- "$$name" $$files || { echo "$$mli: $$name"; status=1; }; \
+	  done; \
+	done; \
+	exit $$status
 
 # One traced run end to end: exercises --trace/--metrics outside the
 # dune sandbox and leaves the artifacts in /tmp for inspection.
@@ -49,13 +66,6 @@ invariants: build
 # against the goldens committed under test/goldens/.
 golden-check: build
 	dune build @golden
-
-# The comparator fast paths end to end: runs both comparator fixtures
-# once and asserts the cold->warm accounting (identity skips happen,
-# page_hash_hits > 0, a warm compare hashes at most half the cold
-# compare's bytes). Exits nonzero on any regression.
-compare-smoke: build
-	PARALLAFT_QUICK=1 dune exec bench/main.exe -- --compare-smoke
 
 # The bechamel microbenchmark table (bench/main.ml) at the quick
 # sampling budget. Its host estimates are informational (the performance
@@ -108,7 +118,7 @@ seglog-smoke: build
 backend-chaos-smoke: build
 	PARALLAFT_INVARIANTS=1 dune exec bin/experiments_main.exe -- backends
 
-ci: build test golden-check invariants fmt-check smoke parallel-smoke compare-smoke backend-chaos-smoke seglog-smoke bench-smoke block-cache-smoke
+ci: build test golden-check invariants fmt-check unused-exports smoke parallel-smoke backend-chaos-smoke seglog-smoke bench-smoke block-cache-smoke
 
 clean:
 	dune clean

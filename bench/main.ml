@@ -7,10 +7,10 @@
    ledger that gates changes is ftbench (BENCHMARK.json, with its
    metrics defined in ftbench/METRICS.md).
 
-     main.exe                   the ns/run table (PARALLAFT_QUICK=1:
-                                small sampling budget, as `make
-                                bench-smoke` runs it)
-     main.exe --compare-smoke   the comparator's cold->warm accounting *)
+   main.exe takes no argument and prints the ns/run table;
+   PARALLAFT_QUICK=1 shrinks the sampling budget, as `make bench-smoke`
+   runs it. The comparator's cold->warm accounting is asserted in
+   test/test_core_units.ml. *)
 
 open Bechamel
 open Toolkit
@@ -73,8 +73,8 @@ let comparator_fixture ~touched () =
 let all_256_vpns = Array.init 256 (fun i -> i)
 
 let compare_fixture ?cache (a, b) =
-  Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash ?cache
-    ~reference:a ~candidate:b ~dirty_vpns:all_256_vpns ()
+  Parallaft.Comparator.compare_states ?cache ~reference:a ~candidate:b
+    ~dirty_vpns:all_256_vpns ()
 
 let protected_run ?fault_plan config_of () =
   let config =
@@ -254,15 +254,11 @@ let tests =
               (Fault.checker_register ~segment:0 ~delay_instructions:500
                  ~reg:13 ~bit:4)
             parallaft_cfg));
-    (* Section 5.7 (stress): the state comparator's hashing, XXH64 vs FNV. *)
+    (* Section 5.7 (stress): the state comparator's page hashing. *)
     Test.make ~name:"stress:xxh64_hash_1MiB"
       (Staged.stage
          (let buf = Bytes.create (1 lsl 20) in
           fun () -> ignore (Ftr_hash.Xxh64.hash buf)));
-    Test.make ~name:"stress:fnv64_hash_1MiB"
-      (Staged.stage
-         (let buf = Bytes.create (1 lsl 20) in
-          fun () -> ignore (Ftr_hash.Fnv64.hash buf)));
     (* Section 5.8 (Intel): execution-point replay, arm-to-breakpoint. *)
     Test.make ~name:"intel:exec_point_replay"
       (Staged.stage (fun () ->
@@ -353,54 +349,14 @@ let run_microbenches ~quick =
         results)
     tests
 
-(* CI smoke for the comparator fast paths: run both comparator fixtures
-   once and check the cold→warm accounting, exiting nonzero on any
-   regression. Wired as [make compare-smoke]. *)
-let run_compare_smoke () =
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt in
-  let shared = comparator_fixture ~touched:16 () in
-  let cache = Mem.Page_digest_cache.create ~capacity:4096 in
-  let v_cold, cold = compare_fixture ~cache shared in
-  let v_warm, warm = compare_fixture ~cache shared in
-  let show tag (s : Parallaft.Comparator.compare_stats) =
-    Printf.printf
-      "  %-5s bytes_hashed=%-8d pages_skipped_identical=%-4d hits=%-4d misses=%d\n"
-      tag s.Parallaft.Comparator.bytes_hashed
-      s.Parallaft.Comparator.pages_skipped_identical
-      s.Parallaft.Comparator.page_hash_hits s.Parallaft.Comparator.page_hash_misses
-  in
-  print_endline "compare-smoke: shared-frame-heavy fixture, cold then warm";
-  show "cold" cold;
-  show "warm" warm;
-  if v_cold <> Parallaft.Comparator.Match then fail "cold verdict is not Match";
-  if v_warm <> Parallaft.Comparator.Match then fail "warm verdict is not Match";
-  if cold.Parallaft.Comparator.pages_skipped_identical = 0 then
-    fail "no pages took the frame-identity short-circuit";
-  if warm.Parallaft.Comparator.page_hash_hits = 0 then
-    fail "warm run served no digests from the memo";
-  if warm.Parallaft.Comparator.bytes_hashed * 2 > cold.Parallaft.Comparator.bytes_hashed
-  then
-    fail "warm run hashed %d bytes, more than half the cold run's %d"
-      warm.Parallaft.Comparator.bytes_hashed cold.Parallaft.Comparator.bytes_hashed;
-  let diverged = comparator_fixture ~touched:256 () in
-  Mem.Page_digest_cache.clear cache;
-  let v_div, div = compare_fixture ~cache diverged in
-  print_endline "compare-smoke: fully diverged fixture, cold cache";
-  show "cold" div;
-  if v_div <> Parallaft.Comparator.Match then fail "diverged-fixture verdict is not Match";
-  if div.Parallaft.Comparator.bytes_hashed <> 2 * 256 * page_size then
-    fail "diverged fixture should hash every page on both sides";
-  print_endline "compare-smoke: OK"
-
 let quick_env () =
   match Sys.getenv_opt "PARALLAFT_QUICK" with
   | Some "" | Some "0" | None -> false
   | Some _ -> true
 
 let () =
-  match Array.to_list Sys.argv with
-  | [ _ ] -> run_microbenches ~quick:(quick_env ())
-  | [ _; "--compare-smoke" ] -> run_compare_smoke ()
-  | _ ->
-    prerr_endline "usage: main.exe [--compare-smoke]";
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: main.exe (takes no argument)";
     exit 2
+  end;
+  run_microbenches ~quick:(quick_env ())

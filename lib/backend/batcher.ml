@@ -11,7 +11,6 @@ let create ~batch =
   if batch <= 0 then invalid_arg "Batcher.create: batch must be positive";
   { items = []; batch }
 
-let batch_size t = t.batch
 let length t = List.length t.items
 let is_empty t = t.items = []
 let push t x = t.items <- t.items @ [ x ]

@@ -5,7 +5,6 @@ type 'a t
 val create : batch:int -> 'a t
 (** @raise Invalid_argument if [batch <= 0]. *)
 
-val batch_size : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit

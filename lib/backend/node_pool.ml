@@ -13,20 +13,15 @@ type status =
 type t = {
   status : status array;
   mutable next : int;  (* round-robin cursor *)
-  mutable reboots : int;
 }
 
 let create ~nodes =
   if nodes <= 0 then invalid_arg "Node_pool.create: nodes must be positive";
-  { status = Array.make nodes Healthy; next = 0; reboots = 0 }
+  { status = Array.make nodes Healthy; next = 0 }
 
 let size t = Array.length t.status
-let reboots t = t.reboots
 
 let healthy t i = t.status.(i) = Healthy
-
-let healthy_count t =
-  Array.fold_left (fun n s -> if s = Healthy then n + 1 else n) 0 t.status
 
 let crash t i ~until_ns = t.status.(i) <- Crashed until_ns
 let stall t i ~until_ns = t.status.(i) <- Stalled until_ns
@@ -37,10 +32,7 @@ let tick t ~now_ns =
     (fun i s ->
       match s with
       | Crashed until_ns | Stalled until_ns ->
-        if now_ns >= until_ns then begin
-          t.status.(i) <- Healthy;
-          t.reboots <- t.reboots + 1
-        end
+        if now_ns >= until_ns then t.status.(i) <- Healthy
       | Healthy -> ())
     t.status
 
@@ -71,6 +63,5 @@ let pick t ~now_ns =
         end)
       t.status;
     t.status.(!best) <- Healthy;
-    t.reboots <- t.reboots + 1;
     t.next <- (!best + 1) mod size t;
     !best

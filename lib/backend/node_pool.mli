@@ -11,8 +11,6 @@ val create : nodes:int -> t
 
 val size : t -> int
 val healthy : t -> int -> bool
-val healthy_count : t -> int
-val reboots : t -> int
 
 val crash : t -> int -> until_ns:int -> unit
 val stall : t -> int -> until_ns:int -> unit

@@ -34,39 +34,31 @@ type entry =
   | Leased of lease
   | Settled of int  (* the incarnation whose verdict retired it *)
 
-type t = {
-  entries : (int, entry) Hashtbl.t;
-  mutable recorded : int;
-  mutable dispatched : int;
-  mutable redispatched : int;
-  mutable leases_expired : int;
-  mutable stale_verdicts : int;
-  mutable batches : int;
-  mutable max_lag : int;
-  mutable settled : int;
+type counters = {
+  mutable b_dispatched : int;
+  mutable b_redispatched : int;
+  mutable b_leases_expired : int;
+  mutable b_stale_verdicts : int;
+  mutable b_batches : int;
+  mutable b_max_lag : int;
+  mutable b_verified : int;
+  mutable b_launch_ns : int;
 }
 
-let create () =
-  {
-    entries = Hashtbl.create 32;
-    recorded = 0;
-    dispatched = 0;
-    redispatched = 0;
-    leases_expired = 0;
-    stale_verdicts = 0;
-    batches = 0;
-    max_lag = 0;
-    settled = 0;
-  }
+type t = {
+  entries : (int, entry) Hashtbl.t;
+  mutable recorded : int;  (* entries, net of cancellations *)
+  c : counters;  (* the caller's record, counted in place *)
+}
+
+let create c = { entries = Hashtbl.create 32; recorded = 0; c }
 
 let recorded t = t.recorded
-let dispatched t = t.dispatched
-let redispatched t = t.redispatched
-let leases_expired t = t.leases_expired
-let stale_verdicts t = t.stale_verdicts
-let batches t = t.batches
-let max_lag t = t.max_lag
-let settled t = t.settled
+let dispatched t = t.c.b_dispatched
+let redispatched t = t.c.b_redispatched
+let leases_expired t = t.c.b_leases_expired
+let stale_verdicts t = t.c.b_stale_verdicts
+let settled t = t.c.b_verified
 
 (* Verification lag: segments recorded but not yet settled. *)
 let lag t =
@@ -76,10 +68,10 @@ let lag t =
 
 let observe_lag t =
   let l = lag t in
-  if l > t.max_lag then t.max_lag <- l
+  if l > t.c.b_max_lag then t.c.b_max_lag <- l
 
-let note_batch t = t.batches <- t.batches + 1
-let note_stale t = t.stale_verdicts <- t.stale_verdicts + 1
+let note_batch t = t.c.b_batches <- t.c.b_batches + 1
+let note_stale t = t.c.b_stale_verdicts <- t.c.b_stale_verdicts + 1
 
 let note_recorded t id =
   (match Hashtbl.find_opt t.entries id with
@@ -93,7 +85,7 @@ let lease t ~id ~node ~incarnation ~now_ns ~insns =
   let grant () =
     Hashtbl.replace t.entries id
       (Leased { node; incarnation; last_insns = insns; since_ns = now_ns });
-    t.dispatched <- t.dispatched + 1
+    t.c.b_dispatched <- t.c.b_dispatched + 1
   in
   match Hashtbl.find_opt t.entries id with
   | Some (Settled _) -> violation "supervisor: segment %d leased after settling" id
@@ -101,13 +93,13 @@ let lease t ~id ~node ~incarnation ~now_ns ~insns =
     (* An incarnation > 0 on a first lease means the checker died in the
        pre-launch window and was swapped for the spare before ever
        holding a lease: still a re-dispatch. *)
-    if incarnation > 0 then t.redispatched <- t.redispatched + 1;
+    if incarnation > 0 then t.c.b_redispatched <- t.c.b_redispatched + 1;
     grant ()
   | Some (Leased l) ->
     if incarnation <= l.incarnation then
       violation "supervisor: segment %d re-leased at incarnation %d (current %d)"
         id incarnation l.incarnation;
-    t.redispatched <- t.redispatched + 1;
+    t.c.b_redispatched <- t.c.b_redispatched + 1;
     grant ()
   | None -> violation "supervisor: segment %d leased before it was recorded" id
 
@@ -130,7 +122,7 @@ let heartbeat t ~id ~now_ns ~insns ~excused ~budget_ns =
 
 let note_expired t ~id =
   match Hashtbl.find_opt t.entries id with
-  | Some (Leased _) -> t.leases_expired <- t.leases_expired + 1
+  | Some (Leased _) -> t.c.b_leases_expired <- t.c.b_leases_expired + 1
   | Some Pending | Some (Settled _) | None -> ()
 
 let current_incarnation t ~id =
@@ -148,10 +140,10 @@ let settle t ~id ~incarnation =
   | Some (Settled _) -> violation "supervisor: segment %d settled twice" id
   | Some (Leased l) when l.incarnation = incarnation ->
     Hashtbl.replace t.entries id (Settled incarnation);
-    t.settled <- t.settled + 1;
+    t.c.b_verified <- t.c.b_verified + 1;
     `Ok
   | Some (Leased _) | Some Pending ->
-    t.stale_verdicts <- t.stale_verdicts + 1;
+    note_stale t;
     `Stale
   | None ->
     (* A RAFT streaming checker can die (and produce its verdict) while
@@ -159,9 +151,9 @@ let settle t ~id ~incarnation =
        Register and settle in one step — counting the implicit lease the
        streaming checker held — so the accounting still balances. *)
     t.recorded <- t.recorded + 1;
-    t.dispatched <- t.dispatched + 1;
+    t.c.b_dispatched <- t.c.b_dispatched + 1;
     Hashtbl.replace t.entries id (Settled incarnation);
-    t.settled <- t.settled + 1;
+    t.c.b_verified <- t.c.b_verified + 1;
     `Ok
 
 (* Rollback/abort: segments torn down before verification leave the
@@ -196,14 +188,14 @@ let check_invariants t =
         | Settled _ -> (p, l, s + 1))
       t.entries (0, 0, 0)
   in
-  if settled_n <> t.settled then
+  if settled_n <> settled t then
     violation "supervisor: %d settled entries but settled counter is %d"
-      settled_n t.settled;
+      settled_n (settled t);
   if pending + leased + settled_n <> t.recorded then
     violation
       "supervisor: %d entries (%d pending, %d leased, %d settled) but %d recorded"
       (pending + leased + settled_n)
       pending leased settled_n t.recorded;
-  if t.dispatched < t.settled then
+  if dispatched t < settled t then
     violation "supervisor: settled %d segments but only dispatched %d leases"
-      t.settled t.dispatched
+      (settled t) (dispatched t)

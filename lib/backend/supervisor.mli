@@ -13,9 +13,33 @@
 
 exception Violation of string
 
+(** The backend's accounting. The supervisor counts into a record the
+    caller owns (a run's [Stats.backend]), so there is no second copy
+    to keep equal. *)
+type counters = {
+  mutable b_dispatched : int;  (** lease grants, including re-grants *)
+  mutable b_redispatched : int;
+      (** checks re-dispatched after a node death/stall/pre-launch loss *)
+  mutable b_leases_expired : int;
+      (** heartbeat-budget expiries declared by the supervisor *)
+  mutable b_stale_verdicts : int;
+      (** verdicts discarded because their lease incarnation lapsed *)
+  mutable b_batches : int;  (** deferred launch batches drained *)
+  mutable b_max_lag : int;
+      (** high-water mark of recorded-but-unsettled segments *)
+  mutable b_verified : int;  (** segments settled exactly once *)
+  mutable b_launch_ns : int;
+      (** simulated launch overhead charged to checkers (cold first-in-
+          batch launches vs warm follow-ups — the fork-amortization
+          signal test_backend's [batching amortizes launch cost] case
+          checks); the launching backend counts it, not the
+          supervisor *)
+}
+
 type t
 
-val create : unit -> t
+val create : counters -> t
+(** A supervisor with no entries that counts into [counters]. *)
 
 val note_recorded : t -> int -> unit
 (** Register a freshly recorded segment as [Pending].
@@ -55,8 +79,6 @@ val note_stale : t -> unit
     parked late verdict whose incarnation lapsed while parked). *)
 
 val note_batch : t -> unit
-val observe_lag : t -> unit
-(** Sample the current verification lag into the high-water mark. *)
 
 val cancel_unsettled : t -> int
 (** Rollback/abort: drop every [Pending]/[Leased] entry (those segments
@@ -70,8 +92,6 @@ val dispatched : t -> int
 val redispatched : t -> int
 val leases_expired : t -> int
 val stale_verdicts : t -> int
-val batches : t -> int
-val max_lag : t -> int
 val settled : t -> int
 val unsettled : t -> int
 val all_settled : t -> bool

@@ -26,8 +26,8 @@ open Run_ctx
 
 (* Simulated launch overhead: a cold launch forks the checker's address
    space view and warms its caches; launches later in a deferred batch
-   reuse the warm runtime state. The checker:deferred_batch bench gates
-   on the accumulated difference. *)
+   reuse the warm runtime state. test_backend's "batching amortizes
+   launch cost" case checks the accumulated difference. *)
 let cold_launch_ns = 20_000.
 let warm_launch_ns = 2_000.
 
@@ -61,36 +61,23 @@ let charge_launch t seg ~ns =
   phase_add t ~tracks:[ Obs.Trace.Proc pid ] ~segment:(Segment.id seg)
     "backend_launch" (int_of_float ns)
 
-let create (cfg : Config.t) =
-  let sup = Backend.Supervisor.create () in
-  let sync t =
-    let b = t.stats.Stats.backend in
-    b.Stats.b_dispatched <- Backend.Supervisor.dispatched sup;
-    b.Stats.b_redispatched <- Backend.Supervisor.redispatched sup;
-    b.Stats.b_leases_expired <- Backend.Supervisor.leases_expired sup;
-    b.Stats.b_stale_verdicts <- Backend.Supervisor.stale_verdicts sup;
-    b.Stats.b_batches <- Backend.Supervisor.batches sup;
-    b.Stats.b_max_lag <- Backend.Supervisor.max_lag sup;
-    b.Stats.b_verified <- Backend.Supervisor.settled sup
-  in
+(* [acct] is the run's [Stats.backend]: the supervisor counts into it. *)
+let create (cfg : Config.t) acct =
+  let sup = Backend.Supervisor.create acct in
   (* Every backend enters a finished segment into the ledger before its
      own launch policy runs, and leases a check when it starts; only
      the remote lease names a node. *)
-  let recorded t seg =
-    Backend.Supervisor.note_recorded sup (Segment.id seg);
-    sync t
-  in
+  let recorded seg = Backend.Supervisor.note_recorded sup (Segment.id seg) in
   let lease ?(node = -1) t seg =
     Backend.Supervisor.lease sup ~id:(Segment.id seg) ~node
       ~incarnation:(Segment.redispatches seg) ~now_ns:(E.now_ns t.eng)
-      ~insns:(Machine.Cpu.instructions (E.cpu t.eng (Segment.checker seg)));
-    sync t
+      ~insns:(Machine.Cpu.instructions (E.cpu t.eng (Segment.checker seg)))
   in
   let inline =
     {
       launch =
         (fun t seg ->
-          recorded t seg;
+          recorded seg;
           Replayer.launch_checker t seg);
       note_launched = (fun t seg -> lease t seg);
       heartbeat =
@@ -102,17 +89,15 @@ let create (cfg : Config.t) =
           | `Ok -> false
           | `Expired -> true);
       expired =
-        (fun t seg ->
-          Backend.Supervisor.note_expired sup ~id:(Segment.id seg);
-          sync t);
+        (fun _ seg -> Backend.Supervisor.note_expired sup ~id:(Segment.id seg));
       prelaunch_redispatch = (fun _ _ -> false);
       route_verdict = (fun _ _ _ -> false);
       settle =
-        (fun t seg ->
-          (match
-             Backend.Supervisor.settle sup ~id:(Segment.id seg)
-               ~incarnation:(Segment.redispatches seg)
-           with
+        (fun _ seg ->
+          match
+            Backend.Supervisor.settle sup ~id:(Segment.id seg)
+              ~incarnation:(Segment.redispatches seg)
+          with
           | `Ok -> ()
           | `Stale ->
             (* Every path into really_finish_checker has already verified
@@ -122,11 +107,7 @@ let create (cfg : Config.t) =
               (Segment.Invariant_violation
                  (Printf.sprintf "segment %d settled from a stale incarnation"
                     (Segment.id seg))));
-          sync t);
-      flush =
-        (fun t ->
-          ignore (Backend.Supervisor.cancel_unsettled sup);
-          sync t);
+      flush = (fun _ -> ignore (Backend.Supervisor.cancel_unsettled sup));
       poll = (fun _ -> ());
       check = (fun () -> Backend.Supervisor.check_invariants sup);
     }
@@ -140,7 +121,6 @@ let create (cfg : Config.t) =
       | [] -> ()
       | segs ->
         Backend.Supervisor.note_batch sup;
-        sync t;
         List.iteri
           (fun i seg ->
             if
@@ -158,7 +138,7 @@ let create (cfg : Config.t) =
       inline with
       launch =
         (fun t seg ->
-          recorded t seg;
+          recorded seg;
           Backend.Batcher.push queue seg;
           if Backend.Batcher.ready queue then drain t);
       flush =
@@ -201,7 +181,7 @@ let create (cfg : Config.t) =
       inline with
       launch =
         (fun t seg ->
-          recorded t seg;
+          recorded seg;
           let now = E.now_ns t.eng in
           (* The remote backend forks its spare at dispatch time — before
              the checker ever runs, so it is pristine — because a node can
@@ -294,7 +274,6 @@ let create (cfg : Config.t) =
             Hashtbl.replace t.roles sp (Checker_role seg);
             Segment.set_spare seg (Some (E.fork_process t.eng sp));
             t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
-            sync t;
             true
           end
           else false);
@@ -370,10 +349,7 @@ let create (cfg : Config.t) =
                   if
                     Segment.is_done p.pk_seg
                     || Segment.redispatches p.pk_seg <> p.pk_inc
-                  then begin
-                    Backend.Supervisor.note_stale sup;
-                    sync t
-                  end
+                  then Backend.Supervisor.note_stale sup
                   else Replayer.deliver_verdict t p.pk_seg p.pk_verdict)
               due_parked;
             (* Crash/stall strikes land last: launches and parked verdicts

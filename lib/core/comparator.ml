@@ -60,37 +60,6 @@ let union_sorted a b =
     if !k = la + lb then out else Array.sub out 0 !k
   end
 
-(* The per-side hashing state: either streaming XXH64 or an FNV
-   accumulator. Memory pages contribute per-frame digests (below), so
-   only vpns and digests ever flow through here. *)
-type hash_state =
-  | Xxh of Ftr_hash.Xxh64.state
-  | Fnv of int64 ref
-
-let make_state = function
-  | Config.Xxh64_hash -> Xxh (Ftr_hash.Xxh64.init ())
-  | Config.Fnv64_hash -> Fnv (ref 0xCBF29CE484222325L)
-
-let mix_int st v =
-  match st with
-  | Xxh s -> Ftr_hash.Xxh64.update_int64 s (Int64.of_int v)
-  | Fnv h -> h := Ftr_hash.Fnv64.combine !h (Int64.of_int v)
-
-let mix_digest st d =
-  match st with
-  | Xxh s -> Ftr_hash.Xxh64.update_int64 s d
-  | Fnv h -> h := Ftr_hash.Fnv64.combine !h d
-
-let digest = function
-  | Xxh s -> Ftr_hash.Xxh64.digest s
-  | Fnv h -> !h
-
-(* One whole-page digest; this is the only place page bytes are read. *)
-let page_digest hasher data =
-  match (hasher : Config.hasher) with
-  | Config.Xxh64_hash -> Ftr_hash.Xxh64.hash data
-  | Config.Fnv64_hash -> Ftr_hash.Fnv64.hash data
-
 let compare_registers ~reference ~candidate =
   let ref_regs = Machine.Cpu.snapshot_regs reference in
   let cand_regs = Machine.Cpu.snapshot_regs candidate in
@@ -111,14 +80,14 @@ let compare_registers ~reference ~candidate =
   in
   scan 0
 
-let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
+let compare_states ?cache ~reference ~candidate ~dirty_vpns () =
   match compare_registers ~reference ~candidate with
   | Some m -> (Mismatch m, no_stats)
   | None ->
     let ref_pt = Mem.Address_space.page_table (Machine.Cpu.aspace reference) in
     let cand_pt = Mem.Address_space.page_table (Machine.Cpu.aspace candidate) in
-    let ref_state = make_state hasher in
-    let cand_state = make_state hasher in
+    let ref_state = Ftr_hash.Xxh64.init () in
+    let cand_state = Ftr_hash.Xxh64.init () in
     let bytes = ref 0 in
     let skipped = ref 0 in
     let hits = ref 0 in
@@ -127,10 +96,12 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
     (* The digest of one side of one vpn, through the memo when one is
        supplied. Only misses read and hash page bytes. *)
     let side_digest (frame, generation, data) =
-      match cache with
-      | None ->
+      let hash () =
         bytes := !bytes + Bytes.length data;
-        page_digest hasher data
+        Ftr_hash.Xxh64.hash data
+      in
+      match cache with
+      | None -> hash ()
       | Some c -> (
         match Mem.Page_digest_cache.find c ~frame ~generation with
         | Some d ->
@@ -138,10 +109,15 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
           d
         | None ->
           incr misses;
-          bytes := !bytes + Bytes.length data;
-          let d = page_digest hasher data in
+          let d = hash () in
           Mem.Page_digest_cache.store c ~frame ~generation d;
           d)
+    in
+    (* Each side's running hash folds the vpn and that side's page
+       digest (never raw bytes). *)
+    let mix state vpn view =
+      Ftr_hash.Xxh64.update_int64 state (Int64.of_int vpn);
+      Ftr_hash.Xxh64.update_int64 state (side_digest view)
     in
     let n = Array.length dirty_vpns in
     let i = ref 0 in
@@ -171,10 +147,8 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
                lockstep, so the verdict is unchanged. *)
             incr skipped
           else begin
-            mix_int ref_state vpn;
-            mix_int cand_state vpn;
-            mix_digest ref_state (side_digest ref_view);
-            mix_digest cand_state (side_digest cand_view)
+            mix ref_state vpn ref_view;
+            mix cand_state vpn cand_view
           end
       end;
       incr i
@@ -190,6 +164,7 @@ let compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns () =
     (match !layout_issue with
     | Some m -> (Mismatch m, stats ())
     | None ->
-      let expected_hash = digest ref_state and got_hash = digest cand_state in
+      let expected_hash = Ftr_hash.Xxh64.digest ref_state
+      and got_hash = Ftr_hash.Xxh64.digest cand_state in
       if Int64.equal expected_hash got_hash then (Match, stats ())
       else (Mismatch (Detection.Memory_mismatch { expected_hash; got_hash }), stats ()))

@@ -42,14 +42,13 @@ type compare_stats = {
 }
 
 val compare_states :
-  hasher:Config.hasher ->
   ?cache:Mem.Page_digest_cache.t ->
   reference:Machine.Cpu.t ->
   candidate:Machine.Cpu.t ->
   dirty_vpns:int array ->
   unit ->
   result * compare_stats
-(** [compare_states ~hasher ?cache ~reference ~candidate ~dirty_vpns ()]
+(** [compare_states ?cache ~reference ~candidate ~dirty_vpns ()]
     returns the verdict and the work accounting. [dirty_vpns] must be
     sorted; duplicates are tolerated. Without [cache] every non-identical
     page is hashed from scratch (same verdicts, more bytes). Register

@@ -2,10 +2,6 @@ type mode =
   | Parallaft
   | Raft
 
-type hasher =
-  | Xxh64_hash
-  | Fnv64_hash
-
 type dirty_backend =
   | Soft_dirty
   | Map_count
@@ -32,7 +28,6 @@ type t = {
   max_live_segments : int;
   migration : bool;
   dvfs_pacing : bool;
-  hasher : hasher;
   dirty_backend : dirty_backend;
   main_core : int;
   fault_plan : Fault.plan option;
@@ -118,7 +113,6 @@ let parallaft ~platform ?slice_period () =
     max_live_segments = 12;
     migration = true;
     dvfs_pacing = true;
-    hasher = Xxh64_hash;
     dirty_backend = backend_of_platform platform;
     main_core = 0;
     fault_plan = None;
@@ -140,7 +134,6 @@ let raft ~platform () =
     max_live_segments = 4;
     migration = false;
     dvfs_pacing = false;
-    hasher = Xxh64_hash;
     dirty_backend = backend_of_platform platform;
     main_core = 0;
     fault_plan = None;

@@ -14,10 +14,6 @@ type mode =
   | Parallaft
   | Raft
 
-type hasher =
-  | Xxh64_hash
-  | Fnv64_hash
-
 type dirty_backend =
   | Soft_dirty  (** per-PTE dirty bits, cleared at segment start (x86_64) *)
   | Map_count  (** PAGEMAP_SCAN-style unique-mapping query (AArch64) *)
@@ -63,7 +59,6 @@ type t = {
   migration : bool;  (** migrate the oldest checker to a big core when
                          little cores run out (§4.5) *)
   dvfs_pacing : bool;  (** scale the little cluster's DVFS point *)
-  hasher : hasher;
   dirty_backend : dirty_backend;
   main_core : int;
   fault_plan : Fault.plan option;
@@ -164,8 +159,6 @@ val parallaft : platform:Platform.t -> ?slice_period:int -> unit -> t
     platform slices by instructions. *)
 
 val raft : platform:Platform.t -> unit -> t
-
-val default_slice_period : Platform.t -> int
 
 val default_chaos : chaos
 val deferred_backend : ?batch:int -> ?max_lag:int -> unit -> backend

@@ -11,7 +11,6 @@ type t = Run_ctx.t
 
 let stats (t : t) = t.Run_ctx.stats
 let main_pid (t : t) = t.Run_ctx.main
-let first_error (t : t) = t.Run_ctx.first_error
 let aborted (t : t) = t.Run_ctx.aborted
 
 let live_pids (t : t) =
@@ -55,6 +54,28 @@ let drained (t : t) =
   || (t.Run_ctx.main_exited && t.Run_ctx.cur = None && t.Run_ctx.live = [])
 
 let release_recovery_state = Run_ctx.release_recovery_state
+
+(* The end of a run, shared by Runtime and Fleet. Main exit opened a drain
+   scope that only a teardown or this step retires. Checker-side fault
+   plans are classified precisely by the replayer as their segment
+   retires; main-side and runtime plans can surface anywhere (any
+   segment's comparison, or only at the watchdog), so they are
+   classified here: the first detection if one escaped, Benign if the
+   fault fired and the run still verified clean. *)
+let finish (t : t) =
+  Run_ctx.phase_leave t ~track:(Run_ctx.main_track t) "drain";
+  let stats = t.Run_ctx.stats in
+  if stats.Stats.fi_fired && stats.Stats.fi_outcome = None then
+    stats.Stats.fi_outcome <-
+      Some
+        (match t.Run_ctx.first_error with
+        | Some (_, o) -> o
+        | None ->
+          (* An abort with no recorded detection (e.g. the injected
+             fault signal-terminated the main) is still fail-stop, not
+             a clean run. *)
+          if t.Run_ctx.aborted then Detection.Exception_detected "run aborted"
+          else Detection.Benign)
 
 (* Runtime faults (kill/stall a checker mid-check) are armed at the
    engine level: the fault fires once a covered segment is checking and
@@ -120,10 +141,16 @@ let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
     | Some shared -> shared
     | None -> (Core_pool.create Core_pool.Private eng cfg, 0)
   in
+  (* The backend's supervisor counts into the run's stats, and the pool
+     reads the run's own main flags: neither keeps a copy. *)
+  let stats = Stats.create () in
   let t =
-    Run_ctx.create ?rng ?seglog ~pool ~tid
-      ~backend:(Checker_backend.create cfg) eng cfg
+    Run_ctx.create ?rng ?seglog ~pool ~tid ~stats
+      ~backend:(Checker_backend.create cfg stats.Stats.backend) eng cfg
   in
+  Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core
+    ~main_exited:(fun () -> t.Run_ctx.main_exited)
+    ~main_held:(fun () -> t.Run_ctx.pending_boundary);
   (match cfg.Config.obs with
   | Some sink -> E.set_obs eng sink
   | None -> ());

@@ -57,12 +57,16 @@ val release_recovery_state : t -> unit
 (** Kill any retained recovery-point / verified snapshots (fleet
     teardown; the single-tenant path does this inside the pipeline). *)
 
+val finish : t -> unit
+(** The end-of-run step of both entry points ([Runtime] once the engine
+    stops, [Fleet] when it records the tenant complete): retire the
+    drain scope main exit opened, and classify a fired fault that
+    nothing classified yet ([fi_outcome]: the first detection, a
+    fail-stop exception if the run aborted without one, else
+    [Benign]). *)
+
 val stats : t -> Stats.t
 val main_pid : t -> Sim_os.Engine.pid
-
-val first_error : t -> (int * Detection.outcome) option
-(** The first detection, with its segment id. The run is terminated
-    when a detection fires (the paper's response to a mismatch). *)
 
 val aborted : t -> bool
 (** True if the run was cut short (detection, or an unprotected failure

@@ -45,8 +45,10 @@ type tenant = {
   stats : Stats.t;
   home : int;  (* home little core: the tenant's enqueue target *)
   main_core : int;  (* reserved for the tenant's main process *)
-  mutable main_exited : bool;
-  mutable main_held : bool;
+  (* The run's own flags, read where the pool decides: its main has
+     exited (drain), or is held at a boundary on max_live_segments. *)
+  main_exited : unit -> bool;
+  main_held : unit -> bool;
   mutable retired : bool;  (* completed or aborted; cores released *)
 }
 
@@ -255,7 +257,7 @@ let take_for_little t core =
    order, so the next FIFO steal still takes the oldest. *)
 let take_for_big t =
   let on_big (tid, _) =
-    (not (Config.checkers_on_little t.cfg)) || (tenant t tid).main_exited
+    (not (Config.checkers_on_little t.cfg)) || (tenant t tid).main_exited ()
   in
   let n = Array.length t.deques in
   let rec scan k =
@@ -376,22 +378,12 @@ let flush_tenant t ~tid =
       mine;
     try_dispatch t
 
-let register_tenant t ~tid ~stats ~main_core =
+let register_tenant t ~tid ~stats ~main_core ~main_exited ~main_held =
   let home = t.little.(t.next_home mod Array.length t.little) in
   t.next_home <- t.next_home + 1;
   reserve_main t main_core;
   Hashtbl.replace t.tenants tid
-    { tid; stats; home; main_core; main_exited = false; main_held = false;
-      retired = false }
-
-(* Rollback: the tenant restarts from a checkpoint as if freshly
-   admitted — its stale entries go and its main is neither exited nor
-   held any more. Home core and main-core reservation stay. *)
-let reset_tenant t ~tid =
-  let tn = tenant t tid in
-  tn.main_exited <- false;
-  tn.main_held <- false;
-  flush_tenant t ~tid
+    { tid; stats; home; main_core; main_exited; main_held; retired = false }
 
 let enqueue t ~tid pid =
   let tn = tenant t tid in
@@ -423,7 +415,6 @@ let finished t pid =
     end
 
 let main_exited t ~tid =
-  (tenant t tid).main_exited <- true;
   (* Drain this tenant's tail on big cores (§4.5, per tenant): its
      running little-core checkers migrate to free bigs, and its queued
      checkers become eligible for the bigs directly. *)
@@ -432,12 +423,6 @@ let main_exited t ~tid =
       ()
     done;
   try_dispatch t
-
-let set_main_held t ~tid held = (tenant t tid).main_held <- held
-
-let main_flags t ~tid =
-  let tn = tenant t tid in
-  (tn.main_exited, tn.main_held)
 
 (* Retire a tenant: flush its scheduling state and return its reserved
    main core to the shared big pool. *)
@@ -482,14 +467,14 @@ let pacer_tick t =
       ]
     "backlog";
   (* Idle-capacity attribution, sampled at pacer resolution: each tick
-     charges one period per little core with no checker on it. *)
+     charges one period per little core with no checker on it. It is
+     pool-wide core time, never part of a scope, so it debits none. *)
   let littles_running =
     List.length (List.filter (fun e -> is_little t e.core) t.running)
   in
   let idle_littles = Array.length t.little - littles_running in
   if idle_littles > 0 then
-    phase_add t ~tracks:[ Obs.Trace.Run ] "scheduler_idle"
-      (idle_littles * Config.pacer_tick_ns);
+    phase_add t ~tracks:[] "scheduler_idle" (idle_littles * Config.pacer_tick_ns);
   if t.cfg.Config.dvfs_pacing then begin
     let level = E.dvfs_level t.eng ~cluster:1 in
     let top =
@@ -498,9 +483,9 @@ let pacer_tick t =
       - 1
     in
     let active = active_tenants t in
-    let any_held = List.exists (fun tn -> tn.main_held) active in
+    let any_held = List.exists (fun tn -> tn.main_held ()) active in
     let draining =
-      active <> [] && List.for_all (fun tn -> tn.main_exited) active
+      active <> [] && List.for_all (fun tn -> tn.main_exited ()) active
     in
     (* Holding the backlog (segments whose checkers have not completed)
        near 1-2 per live tenant keeps detection latency and the

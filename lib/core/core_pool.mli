@@ -27,15 +27,20 @@
       run's oldest queued checker;
     - only a shared pool counts and traces off-home dispatches as
       steals;
-    - tearing down a private pool's tenant ({!reset_tenant},
-      {!flush_tenant}) returns the pool to its creation state: free
-      lists in creation order, the pacer's idle count at 0, the killed
-      checkers' CPU time unaccounted. A shared pool accounts it and
-      hands the freed cores straight to the other tenants.
+    - tearing down a private pool's tenant ({!flush_tenant}) returns
+      the pool to its creation state: free lists in creation order, the
+      pacer's idle count at 0, the killed checkers' CPU time
+      unaccounted. A shared pool accounts it and hands the freed cores
+      straight to the other tenants.
 
-    Isolation: flushing, resetting (rollback) or retiring a tenant
-    touches exactly its own queue entries, cores and flags — never
-    another tenant's (the fault blast-radius invariant, checked by
+    The pool keeps no copy of a run's state: whether a tenant's main
+    has exited or is held at a boundary, it reads from the run itself
+    through the functions given at {!register_tenant}, so a rollback
+    that resets the run resets what the pool sees.
+
+    Isolation: flushing (rollback or abort) or retiring a tenant
+    touches exactly its own queue entries and cores — never another
+    tenant's (the fault blast-radius invariant, checked by
     {!check_invariants}). *)
 
 type kind =
@@ -51,15 +56,21 @@ val create : kind -> Sim_os.Engine.t -> Config.t -> t
     template for a shared one.
     @raise Invalid_argument if the platform has no little cores. *)
 
-val register_tenant : t -> tid:int -> stats:Stats.t -> main_core:int -> unit
+val register_tenant :
+  t ->
+  tid:int ->
+  stats:Stats.t ->
+  main_core:int ->
+  main_exited:(unit -> bool) ->
+  main_held:(unit -> bool) ->
+  unit
 (** Admit a tenant: assign its home little core (round-robin) and
     reserve [main_core] (excluded from checker dispatch while the
-    tenant lives). Called once per tenant; a private pool has one. *)
-
-val reset_tenant : t -> tid:int -> unit
-(** Rollback: clear the tenant's main-exited and main-held flags and
-    {!flush_tenant} it, so it is scheduled like a freshly admitted
-    tenant. Its home core and reserved main core stay. *)
+    tenant lives). [main_exited ()] and [main_held ()] read the run's
+    own flags: its main has exited (its checkers may drain onto big
+    cores), or is stalled on [max_live_segments] (the strongest signal
+    to raise the little-cluster frequency). Called once per tenant; a
+    private pool has one. *)
 
 val enqueue : t -> tid:int -> Sim_os.Engine.pid -> unit
 (** Push a ready (stopped, fully armed) checker onto its tenant's home
@@ -73,20 +84,16 @@ val finished : t -> Sim_os.Engine.pid -> unit
     the gauge); unknown pids are a no-op. *)
 
 val main_exited : t -> tid:int -> unit
-(** The tenant enters its drain phase: its running little-core checkers
-    migrate to free big cores and its queued checkers become eligible
-    for them directly. *)
-
-val set_main_held : t -> tid:int -> bool -> unit
-(** Tell the pacer the tenant's main is stalled on [max_live_segments]
-    — the strongest signal to raise the little-cluster frequency. *)
-
-val main_flags : t -> tid:int -> bool * bool
-(** The pool's view of the tenant's main: [(exited, held)]. *)
+(** The tenant's main has just exited (its [main_exited ()] already
+    reads true) and it enters its drain phase: its running little-core
+    checkers migrate to free big cores, and its queued checkers are
+    eligible for them directly. *)
 
 val flush_tenant : t -> tid:int -> unit
 (** Drop every scheduling trace of the tenant (dead-process teardown
-    after a rollback or abort). *)
+    after a rollback or abort). Its home core and reserved main core
+    stay, so after a rollback it is scheduled like a freshly admitted
+    tenant. *)
 
 val retire_tenant : t -> tid:int -> unit
 (** Flush the tenant and release its reserved main core into the big

@@ -186,8 +186,7 @@ let boundary t =
     emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
       ~args:[ ("live_segments", Obs.Trace.Int (live_count t)) ]
       "main.held";
-    phase_enter t ~track:(main_track t) "main_held";
-    Core_pool.set_main_held t.pool ~tid:t.tid true
+    phase_enter t ~track:(main_track t) "main_held"
     (* main stays stopped until a segment completes *)
   end
   else do_boundary t

@@ -160,5 +160,5 @@ let recover t =
     Hashtbl.replace t.roles snap Main_role;
     t.main <- snap;
     E.set_core t.eng snap ~core:t.cfg.Config.main_core;
-    Core_pool.reset_tenant t.pool ~tid:t.tid;
+    Core_pool.flush_tenant t.pool ~tid:t.tid;
     true

@@ -15,8 +15,9 @@ val note_verified :
     becomes promotable. Frees snapshots that stop being useful. *)
 
 val recover : Run_ctx.t -> bool
-(** Tear down every segment and checker, reset the run's tenant in its
-    checker pool ({!Core_pool.reset_tenant}), and make the
+(** Tear down every segment and checker, clear the run's main-exited
+    and main-held flags (which its checker pool reads), flush its
+    tenant from the pool ({!Core_pool.flush_tenant}), and make the
     recovery-point snapshot the (stopped) main process. [true] when the
     run rolled back; [false] when no verified checkpoint was retained
     and the run aborted instead. *)

@@ -279,7 +279,6 @@ let really_finish_checker t seg outcome_opt =
     release_recovery_state t
   else if t.pending_boundary && live_count t < live_limit t then begin
     t.pending_boundary <- false;
-    Core_pool.set_main_held t.pool ~tid:t.tid false;
     phase_leave t ~track:(main_track t) "main_held";
     Recorder.do_boundary t
   end
@@ -324,9 +323,8 @@ let check_end_state t seg =
       in
       let union = Comparator.union_sorted c.Segment.main_dirty checker_dirty in
       let verdict, cs =
-        Comparator.compare_states ~hasher:t.cfg.Config.hasher
-          ?cache:t.page_digests ~reference:(E.cpu t.eng snap) ~candidate:cpu
-          ~dirty_vpns:union ()
+        Comparator.compare_states ?cache:t.page_digests
+          ~reference:(E.cpu t.eng snap) ~candidate:cpu ~dirty_vpns:union ()
       in
       let bytes = cs.Comparator.bytes_hashed in
       charge_hash t ~segment:(Segment.id seg) (Segment.checker seg) ~bytes;

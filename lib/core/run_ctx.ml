@@ -80,9 +80,7 @@ and backend = {
   check : unit -> unit;  (* invariant sweep hook *)
 }
 
-let create ?rng ?seglog ~pool ~tid ~backend eng cfg =
-  let stats = Stats.create () in
-  Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core;
+let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
   {
     eng;
     cfg;
@@ -349,13 +347,6 @@ let check_invariants t =
           violation "pool holds pid %d belonging to no tracked segment" pid)
       (Core_pool.queued_pids t.pool ~tid:t.tid
       @ Core_pool.running_pids t.pool ~tid:t.tid);
-    (* The pool's tenant record must see the main exactly as the run
-       does: a stale "exited" flag would drain a running tenant's
-       checkers onto big cores. *)
-    let pool_exited, pool_held = Core_pool.main_flags t.pool ~tid:t.tid in
-    if pool_exited <> t.main_exited || pool_held <> t.pending_boundary then
-      violation "pool sees main exited=%b held=%b, run has exited=%b held=%b"
-        pool_exited pool_held t.main_exited t.pending_boundary;
     (* Pool scope: the cross-tenant partitions must hold after every one
        of any tenant's events. *)
     Core_pool.check_invariants t.pool;

@@ -77,24 +77,9 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
           seglog_raw_page_bytes = ws.Seglog.Writer.raw_page_bytes;
           seglog_stored_page_bytes = ws.Seglog.Writer.stored_page_bytes;
         });
-  (* Run-level fault classification fallback. Checker-side plans are
-     classified precisely by the replayer as their segment retires;
-     main-side and runtime plans can surface anywhere (any segment's
-     comparison, or only at the watchdog), so classify them here: the
-     first detection if one escaped, Benign if the fault fired and the
-     run still verified clean. *)
-  (if stats.Stats.fi_fired && stats.Stats.fi_outcome = None then
-     stats.Stats.fi_outcome <-
-       Some
-         (match Coordinator.first_error coord with
-         | Some (_, o) -> o
-         | None ->
-           (* An abort with no recorded detection (e.g. the injected
-              fault signal-terminated the main) is still fail-stop, not
-              a clean run. *)
-           if Coordinator.aborted coord then
-             Detection.Exception_detected "run aborted"
-           else Detection.Benign));
+  (* The end-of-run step Fleet shares; every profile scope, drain
+     included, is already closed above. *)
+  Coordinator.finish coord;
   let exit_status =
     match E.state eng (Coordinator.main_pid coord) with
     | E.Exited s -> Some s

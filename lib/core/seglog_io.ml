@@ -12,11 +12,6 @@ let dirty_backend_string cfg =
   | Config.Map_count -> "map_count"
   | Config.Full_compare -> "full_compare"
 
-let hasher_string cfg =
-  match cfg.Config.hasher with
-  | Config.Xxh64_hash -> "xxh64"
-  | Config.Fnv64_hash -> "fnv64"
-
 let fault_spec (p : Fault.plan) =
   let arg_a, arg_b =
     match p.target with
@@ -51,7 +46,7 @@ let run_config (cfg : Config.t) ~seed =
     timeout_scale = Config.timeout_scale;
     compare_states = Config.compare_states cfg;
     dirty_backend = dirty_backend_string cfg;
-    hasher = hasher_string cfg;
+    hasher = "xxh64";
     seed;
     fault = Option.map fault_spec cfg.fault_plan;
     recheck = cfg.recheck_on_mismatch
@@ -67,6 +62,7 @@ let header (cfg : Config.t) ~(platform : Platform.t) ~workload ~seed =
     workload
   }
 
+(* @raise Failure if an instruction has no binary encoding. *)
 let program_record (p : Isa.Program.t) =
   let code =
     Array.map

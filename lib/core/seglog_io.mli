@@ -13,9 +13,6 @@ val header :
 val fault_spec : Fault.plan -> Seglog.Record.fault_spec
 val plan_of_spec : Seglog.Record.fault_spec -> (Fault.plan, string) result
 
-val program_record : Isa.Program.t -> Seglog.Record.program
-(** @raise Failure if an instruction has no binary encoding. *)
-
 val program_of_record : Seglog.Record.program -> (Isa.Program.t, string) result
 
 (** Output state of one recorded run: the open directory, the stateful

@@ -9,23 +9,17 @@ type seglog = {
   seglog_stored_page_bytes : int;  (** post-compression payload bytes *)
 }
 
-type backend_acct = {
-  mutable b_dispatched : int;  (** lease grants, including re-grants *)
+type backend_acct = Backend.Supervisor.counters = {
+  mutable b_dispatched : int;
   mutable b_redispatched : int;
-      (** checks re-dispatched after a node death/stall/pre-launch loss *)
   mutable b_leases_expired : int;
-      (** heartbeat-budget expiries declared by the supervisor *)
   mutable b_stale_verdicts : int;
-      (** verdicts discarded because their lease incarnation lapsed *)
-  mutable b_batches : int;  (** deferred launch batches drained *)
+  mutable b_batches : int;
   mutable b_max_lag : int;
-      (** high-water mark of recorded-but-unsettled segments *)
-  mutable b_verified : int;  (** segments settled exactly once *)
+  mutable b_verified : int;
   mutable b_launch_ns : int;
-      (** simulated launch overhead charged to checkers (cold first-in-
-          batch launches vs warm follow-ups — the fork-amortization
-          signal the [checker:deferred_batch] bench gates on) *)
 }
+(** The checker backend's counters ({!Backend.Supervisor.counters}). *)
 
 type t = {
   mutable checkpoint_count : int;
@@ -94,11 +88,10 @@ type t = {
           only under [Config.record_log]; [None] keeps the stats dump
           (and the goldens) unchanged, same discipline as [profile] *)
   backend : backend_acct;
-      (** checker-backend accounting, mirrored from the backend's
-          {!Backend.Supervisor} after every mutation. Unlike the opt-in
-          sub-records above these rows are unconditional — the inline
-          backend fills them too, so one golden surface covers all
-          backends. *)
+      (** checker-backend accounting, counted in place by the backend's
+          {!Backend.Supervisor}. Unlike the opt-in sub-records above
+          these rows are unconditional — the inline backend fills them
+          too, so one golden surface covers all backends. *)
 }
 
 val create : unit -> t

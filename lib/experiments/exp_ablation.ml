@@ -6,8 +6,7 @@
       modified-page tracking — the §4.4 motivation).
    B. Checker scheduling: disabling big-core migration and DVFS pacing
       (checkers fall behind on memory-bound benchmarks, inflating
-      last-checker sync; pacing off wastes little-core energy).
-   C. Comparator hash function: XXH64 (the paper's family) vs FNV-1a. *)
+      last-checker sync; pacing off wastes little-core energy). *)
 
 let platform = Platform.apple_m2
 
@@ -127,34 +126,6 @@ let scheduling_ablation ~scale =
   Util.Table.print ~header:[ "pacer"; "perf %"; "energy %" ] rows;
   print_newline ()
 
-let hasher_ablation ~scale =
-  print_endline "C. Comparator hash function (benchmark: 433.milc)";
-  let b = bench "433.milc" in
-  let baseline = Measure.run_benchmark ~platform ~mode:Measure.Baseline ~scale b in
-  let rows =
-    List.map
-      (fun (label, hasher) ->
-        let config =
-          { (Parallaft.Config.parallaft ~platform ()) with Parallaft.Config.hasher }
-        in
-        let m = measure ~config b ~scale in
-        [
-          label;
-          Printf.sprintf "%.1f" (Measure.overhead_pct ~baseline ~measured:m);
-          string_of_int m.Measure.detections;
-        ])
-      [
-        ("XXH64 (paper's family)", Parallaft.Config.Xxh64_hash);
-        ("FNV-1a 64", Parallaft.Config.Fnv64_hash);
-      ]
-  in
-  Util.Table.print ~header:[ "hash"; "perf overhead %"; "false positives" ] rows;
-  print_endline
-    "(Simulated cost is identical by design — the host-side difference is\n\
-     measured by bench/main.exe's stress:xxh64/fnv64 microbenchmarks; the\n\
-     paper picks the xxHash family for exactly that throughput gap.)"
-
 let run ~scale =
   dirty_backend_ablation ~scale;
-  scheduling_ablation ~scale;
-  hasher_ablation ~scale
+  scheduling_ablation ~scale

@@ -28,8 +28,6 @@ type metrics = {
   outputs_ok : bool;  (** every input exited 0 *)
 }
 
-val pss_sample_period_ns : int
-
 val run_benchmark :
   ?seed:int64 ->
   ?obs:Obs.Sink.t ->

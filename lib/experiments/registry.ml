@@ -71,7 +71,7 @@ let all () =
     };
     {
       name = "ablation";
-      title = "Ablations: dirty tracking, scheduling, hash choice (DESIGN.md §5)";
+      title = "Ablations: dirty tracking, scheduling (DESIGN.md §5)";
       run = (fun () -> Exp_ablation.run ~scale);
     };
     {

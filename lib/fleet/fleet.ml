@@ -171,6 +171,7 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
              here is what lets the engine reach zero live processes. *)
           Coordinator.release_recovery_state coord;
           Core_pool.retire_tenant pool ~tid:slot.tid;
+          Coordinator.finish coord;
           slot.completed_ns <- Some (E.now_ns eng);
           slot.state <- Finished coord;
           emit_tenant slot.tid
@@ -263,6 +264,8 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
   (match config.Config.obs with
   | None -> ()
   | Some s ->
+    (* Retire what no tenant's end closed (e.g. an unfinished one's). *)
+    Obs.Sink.phase_close_all s ~ts_ns:wall_ns;
     Obs.Sink.observe s "fleet.segments_verified" (float_of_int segments_verified);
     Obs.Sink.observe s "fleet.wall_ns" (float_of_int wall_ns));
   {

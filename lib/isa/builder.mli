@@ -38,7 +38,6 @@ val jump : t -> label -> unit
 val li : t -> Insn.reg -> int -> unit
 val mov : t -> Insn.reg -> Insn.reg -> unit
 val alu : t -> Insn.alu_op -> Insn.reg -> Insn.reg -> Insn.operand -> unit
-val addi : t -> Insn.reg -> Insn.reg -> int -> unit
 val load : t -> Insn.reg -> Insn.reg -> int -> unit
 val store : t -> Insn.reg -> Insn.reg -> int -> unit
 val syscall : t -> unit

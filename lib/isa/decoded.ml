@@ -82,8 +82,10 @@ let code_page_bits = 6
 let code_page pc = pc lsr code_page_bits
 let n_code_pages ~code_len = (code_len + (1 lsl code_page_bits) - 1) lsr code_page_bits
 
+(* Decoded-op length cap per block (fused ops count once). *)
 let max_block_ops = 64
 
+(* Source instructions an op retires (2 for a fused op, else 1). *)
 let op_width = function O_load_alu _ -> 2 | _ -> 1
 
 let term_width = function

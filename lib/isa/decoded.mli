@@ -72,22 +72,12 @@ type block = {
           are inline ops or trap sites depending on it *)
 }
 
-val code_page_bits : int
-(** Code pages are [2^code_page_bits] instructions (64): the
-    granularity of the patch-invalidation generation counters. *)
-
 val code_page : int -> int
-(** [code_page pc] is the code page a pc falls on. *)
+(** [code_page pc] is the code page a pc falls on. Code pages are 64
+    instructions: the granularity of the patch-invalidation generation
+    counters. *)
 
 val n_code_pages : code_len:int -> int
-
-val max_block_ops : int
-(** Decoded-op length cap per block (fused ops count once). *)
-
-val op_width : op -> int
-(** Source instructions the op retires (2 for a fused op, else 1). *)
-
-val term_width : terminator -> int
 
 val decode_block : code:Insn.t array -> nondet_trap:bool -> entry:int -> block
 (** Decode one block. [entry] must be a valid index into [code]. *)

@@ -155,7 +155,6 @@ let restore_regs t regs =
 let branches t = t.branches
 let instructions t = t.instructions
 let cycles t = t.user_cycles + t.sys_cycles
-let user_cycles_total t = t.user_cycles
 let sys_cycles_total t = t.sys_cycles
 
 let code_insn t pc =
@@ -190,7 +189,6 @@ let disarm_branch_overflow t = t.overflow_armed <- false
 let max_skid t = t.max_skid
 
 let arm_cycle_overflow t ~target = t.cycle_overflow_at <- target
-let disarm_cycle_overflow t = t.cycle_overflow_at <- max_int
 let arm_insn_overflow t ~target = t.insn_overflow_at <- target
 let disarm_insn_overflow t = t.insn_overflow_at <- max_int
 

@@ -159,7 +159,6 @@ val instructions : t -> int
 val cycles : t -> int
 (** Total cycles this CPU has consumed (user + sys). *)
 
-val user_cycles_total : t -> int
 val sys_cycles_total : t -> int
 
 val arm_branch_overflow : t -> target:int -> unit
@@ -174,8 +173,6 @@ val max_skid : t -> int
 val arm_cycle_overflow : t -> target:int -> unit
 (** Request a {!Cycle_overflow_stop} once [cycles t >= target]. Imprecise
     interrupts are fine here: segment boundaries may fall anywhere. *)
-
-val disarm_cycle_overflow : t -> unit
 
 val arm_insn_overflow : t -> target:int -> unit
 (** Request an {!Insn_overflow_stop} once [instructions t >= target]. *)

@@ -31,7 +31,6 @@ let create alloc = of_page_table (Page_table.create alloc)
 let page_table t = t.pt
 let page_size t = t.psize
 let vpn_of_addr t addr = addr asr t.shift
-let page_base t addr = addr land lnot t.mask
 let last_frame t = t.last_frame
 let last_cow t = t.last_cow
 let last_cow_old_frame t = t.last_cow_old_frame
@@ -50,14 +49,6 @@ let unmap_range t ~addr ~len =
     for vpn = first to last do
       if Page_table.is_mapped t.pt ~vpn then Page_table.unmap t.pt ~vpn
     done
-
-let range_mapped t ~addr ~len =
-  if len <= 0 then true
-  else begin
-    let first = vpn_of_addr t addr and last = vpn_of_addr t (addr + len - 1) in
-    let rec go vpn = vpn > last || (Page_table.is_mapped t.pt ~vpn && go (vpn + 1)) in
-    go first
-  end
 
 let read_page t addr =
   let vpn = addr asr t.shift in

@@ -22,13 +22,10 @@ exception
 (** Byte-addressed counterpart of {!Page_table.Page_fault}. *)
 
 val create : Frame.allocator -> t
-val of_page_table : Page_table.t -> t
 val page_table : t -> Page_table.t
 val page_size : t -> int
 
 val vpn_of_addr : t -> int -> int
-val page_base : t -> int -> int
-(** [page_base t addr] is the address of the first byte of [addr]'s page. *)
 
 val last_frame : t -> int
 val last_cow : t -> bool
@@ -46,9 +43,6 @@ val map_range : t -> addr:int -> len:int -> Page_table.protection -> unit
 
 val unmap_range : t -> addr:int -> len:int -> unit
 (** Unmap every mapped page intersecting the range. *)
-
-val range_mapped : t -> addr:int -> len:int -> bool
-(** True iff every byte of the range lies on a mapped page. *)
 
 (** {2 Access (raise {!Segfault} on unmapped/read-only pages)} *)
 

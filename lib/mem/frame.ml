@@ -9,7 +9,6 @@ type allocator = {
   psize : int;
   mutable next_id : int;
   mutable live : int;
-  mutable total : int;
   mutable copies : int;
   (* Page buffers of freed frames, reused by the next allocation. Never
      longer than [live], so recycling cannot hold more memory than the
@@ -25,7 +24,6 @@ let allocator ~page_size =
     psize = page_size;
     next_id = 0;
     live = 0;
-    total = 0;
     copies = 0;
     spare = [];
     spare_len = 0;
@@ -37,7 +35,6 @@ let alloc a data =
   let id = a.next_id in
   a.next_id <- id + 1;
   a.live <- a.live + 1;
-  a.total <- a.total + 1;
   { id; data; refcount = 1; generation = 0 }
 
 (* A recycled page buffer, if any. Its stale bytes are the caller's to
@@ -84,6 +81,5 @@ let decref a f =
 let bump_generation f = f.generation <- f.generation + 1
 
 let live_frames a = a.live
-let total_allocated a = a.total
 let copies a = a.copies
 let spare_buffers a = a.spare_len

@@ -70,7 +70,6 @@ val bump_generation : t -> unit
 (** {2 Statistics} *)
 
 val live_frames : allocator -> int
-val total_allocated : allocator -> int
 val copies : allocator -> int
 (** Number of [alloc_copy] calls so far — i.e. COW page copies. *)
 

@@ -27,11 +27,6 @@ let map_zero t ~vpn prot =
   Hashtbl.replace t.entries vpn
     { frame = Frame.alloc_zero t.alloc; prot; soft_dirty = true }
 
-let map_shared_frame t ~vpn frame prot =
-  check_unmapped t vpn;
-  Frame.incref frame;
-  Hashtbl.replace t.entries vpn { frame; prot; soft_dirty = false }
-
 let unmap t ~vpn =
   match Hashtbl.find_opt t.entries vpn with
   | None -> invalid_arg (Printf.sprintf "Page_table.unmap: vpn %d not mapped" vpn)

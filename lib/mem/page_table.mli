@@ -29,12 +29,6 @@ val map_zero : t -> vpn:int -> protection -> unit
 
     @raise Invalid_argument if [vpn] is already mapped. *)
 
-val map_shared_frame : t -> vpn:int -> Frame.t -> protection -> unit
-(** Map an existing frame (increments its refcount). Used by the loader
-    to share immutable file content and by tests.
-
-    @raise Invalid_argument if [vpn] is already mapped. *)
-
 val unmap : t -> vpn:int -> unit
 (** @raise Invalid_argument if [vpn] is not mapped. *)
 

@@ -178,7 +178,6 @@ let obs_observe t name v =
   | Some s -> Obs.Sink.observe s name v
 
 let n_cores t = Array.length t.cores
-let cluster_of_core t core = t.cores.(core).cluster_idx
 
 let cores_of_cluster t idx =
   Array.to_list t.cores
@@ -278,6 +277,8 @@ let delay t pid ~ns =
   p.resume_at_ns <- base +. ns;
   t.runtime_work <- t.runtime_work +. ns
 
+(* Account kernel work (in the core's cycles) to the process: adds
+   system time and stop latency. *)
 let charge_sys_cycles t pid cycles =
   let p = proc t pid in
   let ns = cycles_to_ns t t.cores.(p.core) cycles in
@@ -454,8 +455,6 @@ let deliver_signal_now t pid signum =
 
 (* ------------------------------------------------------------------ *)
 (* Kernel: syscall execution                                            *)
-
-let pending_syscall t pid = Syscall.decode (proc t pid).cpu
 
 let complete_syscall t pid ~result =
   let p = proc t pid in
@@ -931,12 +930,6 @@ let pss_bytes t pids =
     0 pids
 
 let dram_accesses t = t.dram_total
-
-let dram_mult t = t.dram_mult
-
-let l2_stats t ~cluster =
-  let l2 = t.clusters.(cluster).l2 in
-  (Mem.Fifo_cache.hits l2, Mem.Fifo_cache.misses l2)
 
 let block_cache_totals t =
   (* The process table retains exited processes, so this sums the whole

@@ -78,9 +78,6 @@ val frame_allocator : t -> Mem.Frame.allocator
 
 val n_cores : t -> int
 
-val cluster_of_core : t -> int -> int
-(** 0 = big, 1 = little. *)
-
 val big_cores : t -> int list
 val little_cores : t -> int list
 
@@ -158,9 +155,6 @@ val deliver_signal_now : t -> pid -> Sig_num.t -> unit
     action (termination). Used by the runtime to deliver external
     signals at a replayed execution point (§4.3.3). *)
 
-val pending_syscall : t -> pid -> Syscall.call
-(** Decode the syscall a process is stopped on. *)
-
 val do_syscall : t -> pid -> unit
 (** Kernel-execute the pending syscall of a stopped process: performs
     its effects, writes the result register, advances the pc, charges
@@ -175,10 +169,6 @@ val complete_syscall : t -> pid -> result:int -> unit
 val delay : t -> pid -> ns:float -> unit
 (** Extend the process's stop latency by [ns] (e.g. state-comparison
     hashing time); accounted as runtime work. *)
-
-val charge_sys_cycles : t -> pid -> int -> unit
-(** Account extra kernel work (in big-core effective cycles) to the
-    process: adds system time and stop latency. *)
 
 (** {2 Time-based callbacks} *)
 
@@ -223,12 +213,6 @@ val pss_bytes : t -> pid list -> int
 (** Summed proportional set size of the given live processes. *)
 
 val dram_accesses : t -> int
-
-val dram_mult : t -> float
-(** Current DRAM-contention latency multiplier. *)
-
-val l2_stats : t -> cluster:int -> int * int
-(** (hits, misses) of a cluster's shared L2 since engine creation. *)
 
 val block_cache_totals : t -> int * int * int
 (** Summed [(hits, misses, invalidations)] of the decoded-block caches

@@ -24,9 +24,6 @@ let add_file fs ~path bytes = Hashtbl.replace fs.files path (ref bytes)
 
 let file_exists fs ~path = Hashtbl.mem fs.files path
 
-let file_contents fs ~path =
-  Option.map (fun r -> Bytes.copy !r) (Hashtbl.find_opt fs.files path)
-
 let lookup fs ~path ~create =
   match path with
   | "/dev/zero" -> Some Dev_zero
@@ -80,8 +77,3 @@ let write fs of_ data =
   len
 
 let captured_stdout fs = Buffer.contents fs.stdout
-let captured_stderr fs = Buffer.contents fs.stderr
-
-let reset_captures fs =
-  Buffer.clear fs.stdout;
-  Buffer.clear fs.stderr

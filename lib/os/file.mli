@@ -28,7 +28,6 @@ val add_file : fs -> path:string -> Bytes.t -> unit
 (** Create or replace a regular file. *)
 
 val file_exists : fs -> path:string -> bool
-val file_contents : fs -> path:string -> Bytes.t option
 
 val lookup : fs -> path:string -> create:bool -> kind option
 (** Resolve a path to a file kind; [/dev/zero] and [/dev/urandom] are
@@ -43,5 +42,3 @@ val write : fs -> open_file -> Bytes.t -> int
     Writes to [Stdout]/[Stderr] append to the capture buffers. *)
 
 val captured_stdout : fs -> string
-val captured_stderr : fs -> string
-val reset_captures : fs -> unit

@@ -1,7 +1,6 @@
 type t = int
 
 let sigint = 2
-let sigtrap = 5
 let sigfpe = 8
 let sigkill = 9
 let sigusr1 = 10

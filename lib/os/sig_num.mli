@@ -3,7 +3,6 @@
 type t = int
 
 val sigint : t
-val sigtrap : t
 val sigfpe : t
 val sigkill : t
 val sigusr1 : t

@@ -21,24 +21,6 @@ let nr_sigreturn = 12
 let nr_getrandom = 13
 let nr_patch_code = 14
 
-let number_of_name = function
-  | "exit" -> Some nr_exit
-  | "write" -> Some nr_write
-  | "read" -> Some nr_read
-  | "open" -> Some nr_open
-  | "close" -> Some nr_close
-  | "brk" -> Some nr_brk
-  | "mmap" -> Some nr_mmap
-  | "munmap" -> Some nr_munmap
-  | "mprotect" -> Some nr_mprotect
-  | "getpid" -> Some nr_getpid
-  | "gettime" -> Some nr_gettime
-  | "sigaction" -> Some nr_sigaction
-  | "sigreturn" -> Some nr_sigreturn
-  | "getrandom" -> Some nr_getrandom
-  | "patch_code" -> Some nr_patch_code
-  | _ -> None
-
 type call =
   | Exit of int
   | Write of { fd : int; addr : int; len : int }

@@ -42,27 +42,16 @@ type call =
           instruction stream, so a code write must cross the kernel) *)
   | Unknown of int
 
-val number_of_name : string -> int option
-(** For assembly authors: ["exit"], ["write"], ["read"], ["open"],
-    ["close"], ["brk"], ["mmap"], ["munmap"], ["mprotect"], ["getpid"],
-    ["gettime"], ["sigaction"], ["sigreturn"], ["getrandom"],
-    ["patch_code"]. *)
-
 val nr_exit : int
 val nr_write : int
 val nr_read : int
 val nr_open : int
-val nr_close : int
-val nr_brk : int
 val nr_mmap : int
 val nr_munmap : int
-val nr_mprotect : int
 val nr_getpid : int
 val nr_gettime : int
 val nr_sigaction : int
 val nr_sigreturn : int
-val nr_getrandom : int
-val nr_patch_code : int
 
 val decode : Machine.Cpu.t -> call
 (** Decode the pending syscall from the register file. The mmap length,

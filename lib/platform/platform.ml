@@ -60,8 +60,6 @@ let active_power_w c ~level =
   in
   c.static_power_w +. (c.dyn_power_coeff *. f_ghz *. v *. v)
 
-let core_count t = Array.fold_left (fun acc c -> acc + c.n_cores) 0 t.clusters
-
 (* Apple M2: Avalanche big cores at a fixed 3.5 GHz; Blizzard little cores
    with a wide DVFS range on their own voltage rail. IPC ratio and the
    cache capacities (page-granular) approximate the real ratios: little

@@ -82,8 +82,6 @@ val active_power_w : cluster -> level:int -> float
 (** Power of one active core at a DVFS level. On a shared voltage domain
     the rail stays at the top voltage regardless of [level]. *)
 
-val core_count : t -> int
-
 val apple_m2 : t
 (** Apple M2 Mac Mini as in Table 3: 4 Avalanche big cores + 4 Blizzard
     little cores, 16 KiB pages, separate little-cluster voltage rail,

@@ -42,7 +42,6 @@ let jobs_with_source () =
   | n -> (n, "-j")
 
 let jobs () = fst (jobs_with_source ())
-let jobs_source () = snd (jobs_with_source ())
 
 (* Log the resolved pool width exactly once per process, on the first
    [map] that could fan out. A 1-wide pool on a multi-task map is the

@@ -32,14 +32,12 @@ val set_jobs : int -> unit
 val jobs : unit -> int
 (** The resolved pool width (see the priority order above). An explicit
     width ({!set_jobs} or [PARALLAFT_JOBS]) always wins, even when core
-    detection reports a single core — detection is only the fallback. *)
-
-val jobs_source : unit -> string
-(** Where the resolved width came from: ["-j"], ["PARALLAFT_JOBS"] or
-    ["detected"]. The first fanning-out {!map} of the process logs
-    width and source to stderr once (suppressed by [PARALLAFT_QUIET]),
-    so a silently serialized "parallel" run is visible; a malformed
-    [PARALLAFT_JOBS] value is ignored with a one-shot warning. *)
+    detection reports a single core — detection is only the fallback.
+    The first fanning-out {!map} of the process logs the width and
+    where it came from (["-j"], ["PARALLAFT_JOBS"] or ["detected"]) to
+    stderr once (suppressed by [PARALLAFT_QUIET]), so a silently
+    serialized "parallel" run is visible; a malformed [PARALLAFT_JOBS]
+    value is ignored with a one-shot warning. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] like [List.map f xs], computed on [min jobs (length xs)]

@@ -15,10 +15,7 @@ val devzero_reader : block_bytes:int -> blocks:int -> Isa.Program.t
 val sigusr1_spin : handled:int -> Isa.Program.t
 (** Register a SIGUSR1 handler that bumps a memory counter, then spin
     until the counter reaches [handled] and exit. The driver must send
-    SIGUSR1 repeatedly. The handler entry point is instruction index
-    {!sigusr1_handler_pc}. *)
-
-val sigusr1_handler_pc : int
+    SIGUSR1 repeatedly. *)
 
 val hello : unit -> Isa.Program.t
 (** Minimal write-and-exit program for smoke tests and the quickstart. *)

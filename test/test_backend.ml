@@ -19,6 +19,9 @@ module E = Sim_os.Engine
 
 (* ---------- supervisor unit tests ---------- *)
 
+(* A supervisor counting into a fresh run's backend counters. *)
+let new_sup () = Sup.create (Parallaft.Stats.create ()).Parallaft.Stats.backend
+
 let lease0 s ~id ?(node = 0) ?(incarnation = 0) ?(now_ns = 0) ?(insns = 0) () =
   Sup.lease s ~id ~node ~incarnation ~now_ns ~insns
 
@@ -31,7 +34,7 @@ let hb_tag = Alcotest.of_pp (fun fmt -> function
   | `Expired -> Format.fprintf fmt "`Expired")
 
 let test_sup_lifecycle () =
-  let s = Sup.create () in
+  let s = new_sup () in
   Sup.note_recorded s 0;
   Alcotest.(check int) "recorded" 1 (Sup.recorded s);
   Alcotest.(check int) "unsettled" 1 (Sup.unsettled s);
@@ -47,7 +50,7 @@ let test_sup_lifecycle () =
   Sup.check_invariants s
 
 let test_sup_stale_and_redispatch () =
-  let s = Sup.create () in
+  let s = new_sup () in
   Sup.note_recorded s 7;
   lease0 s ~id:7 ();
   lease0 s ~id:7 ~node:1 ~incarnation:1 ~now_ns:50 ();
@@ -68,7 +71,7 @@ let test_sup_stale_and_redispatch () =
     (fun () -> lease0 s ~id:8 ~incarnation:1 ())
 
 let test_sup_violations () =
-  let s = Sup.create () in
+  let s = new_sup () in
   Sup.note_recorded s 0;
   lease0 s ~id:0 ();
   Alcotest.check settle_tag "settles" `Ok (Sup.settle s ~id:0 ~incarnation:0);
@@ -88,7 +91,7 @@ let test_sup_violations () =
 let test_sup_prelaunch_swap () =
   (* First grant already at incarnation 1: the checker was replaced in
      the dispatch-to-launch window. It must count as a re-dispatch. *)
-  let s = Sup.create () in
+  let s = new_sup () in
   Sup.note_recorded s 3;
   lease0 s ~id:3 ~incarnation:1 ();
   Alcotest.(check int) "prelaunch swap counted" 1 (Sup.redispatched s);
@@ -97,7 +100,7 @@ let test_sup_prelaunch_swap () =
   Sup.check_invariants s
 
 let test_sup_heartbeat () =
-  let s = Sup.create () in
+  let s = new_sup () in
   let budget_ns = 50_000 in
   Sup.note_recorded s 1;
   lease0 s ~id:1 ~now_ns:0 ~insns:100 ();
@@ -117,7 +120,7 @@ let test_sup_heartbeat () =
     (Sup.heartbeat s ~id:99 ~now_ns:0 ~insns:0 ~excused:false ~budget_ns)
 
 let test_sup_cancel () =
-  let s = Sup.create () in
+  let s = new_sup () in
   Sup.note_recorded s 0;
   Sup.note_recorded s 1;
   Sup.note_recorded s 2;
@@ -133,7 +136,7 @@ let test_sup_cancel () =
 let test_sup_streaming_settle () =
   (* A RAFT streaming checker can retire before its segment finishes
      recording: settle on an unknown id registers-and-settles. *)
-  let s = Sup.create () in
+  let s = new_sup () in
   Alcotest.check settle_tag "unknown id settles" `Ok
     (Sup.settle s ~id:5 ~incarnation:0);
   Alcotest.(check int) "recorded" 1 (Sup.recorded s);

@@ -190,8 +190,8 @@ let identical_cpus () =
 
 let compare_states ?cache ~reference ~candidate dirty =
   fst
-    (Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
-       ?cache ~reference ~candidate ~dirty_vpns:dirty ())
+    (Parallaft.Comparator.compare_states ?cache ~reference ~candidate
+       ~dirty_vpns:dirty ())
 
 let test_comparator_match () =
   let a, b = identical_cpus () in
@@ -257,14 +257,15 @@ let qcheck_union_sorted_is_set_union =
       = Array.of_list (List.sort_uniq compare (a @ b)))
 
 (* Reference/candidate CPUs over a freshly forked pair of address
-   spaces: 8 COW-shared data pages at 0x100000, each seeded with a
-   distinct value. Writes then exercise both COW (first touch of a
-   shared page) and in-place generation bumps (later touches). *)
+   spaces: [pages] (default 8) COW-shared data pages at 0x100000, each
+   seeded with a distinct value. Writes then exercise both COW (first
+   touch of a shared page) and in-place generation bumps (later
+   touches). *)
 let data_base = 0x100000
 let data_pages = 8
 let data_vpn i = (data_base / page_size) + i
 
-let forked_cpu_pair () =
+let forked_cpu_pair ?(pages = data_pages) () =
   let program = Isa.Asm.assemble_exn "halt" in
   let alloc = Mem.Frame.allocator ~page_size in
   let ref_as = Mem.Address_space.create alloc in
@@ -273,8 +274,8 @@ let forked_cpu_pair () =
       Mem.Address_space.write_bytes_map ref_as ~addr:base bytes)
     program.Isa.Program.data;
   Mem.Address_space.map_range ref_as ~addr:data_base
-    ~len:(data_pages * page_size) Mem.Page_table.Read_write;
-  for i = 0 to data_pages - 1 do
+    ~len:(pages * page_size) Mem.Page_table.Read_write;
+  for i = 0 to pages - 1 do
     Mem.Address_space.store64 ref_as (data_base + (i * page_size)) (1000 + i)
   done;
   let cand_as = Mem.Address_space.fork ref_as in
@@ -291,8 +292,8 @@ let all_data_vpns = Array.init data_pages data_vpn
 let test_comparator_identity_short_circuit () =
   let a, b = forked_cpu_pair () in
   let verdict, cs =
-    Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
-      ~reference:a ~candidate:b ~dirty_vpns:all_data_vpns ()
+    Parallaft.Comparator.compare_states ~reference:a ~candidate:b
+      ~dirty_vpns:all_data_vpns ()
   in
   (match verdict with
   | Parallaft.Comparator.Match -> ()
@@ -303,8 +304,8 @@ let test_comparator_identity_short_circuit () =
   (* Diverge one page: only that vpn's two sides get hashed. *)
   Mem.Address_space.store64 (Machine.Cpu.aspace b) data_base 9999;
   let verdict, cs =
-    Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
-      ~reference:a ~candidate:b ~dirty_vpns:all_data_vpns ()
+    Parallaft.Comparator.compare_states ~reference:a ~candidate:b
+      ~dirty_vpns:all_data_vpns ()
   in
   (match verdict with
   | Parallaft.Comparator.Mismatch (Parallaft.Detection.Memory_mismatch _) -> ()
@@ -312,7 +313,39 @@ let test_comparator_identity_short_circuit () =
   Alcotest.(check int) "other pages still skipped" (data_pages - 1)
     cs.Parallaft.Comparator.pages_skipped_identical;
   Alcotest.(check int) "two pages of bytes hashed" (2 * page_size)
-    cs.Parallaft.Comparator.bytes_hashed
+    cs.Parallaft.Comparator.bytes_hashed;
+  (* Equal-content writes on both sides COW fresh frames: identity is
+     broken, so those vpns are hashed on both sides, yet they match. *)
+  let pages = 256 in
+  let a, b = forked_cpu_pair ~pages () in
+  let vpns = Array.init pages data_vpn in
+  let cow_both k =
+    for i = 0 to k - 1 do
+      List.iter
+        (fun cpu ->
+          Mem.Address_space.store64 (Machine.Cpu.aspace cpu)
+            (data_base + (i * page_size))
+            (5000 + i))
+        [ a; b ]
+    done
+  in
+  let check_cow label ~cowed =
+    let verdict, cs =
+      Parallaft.Comparator.compare_states ~reference:a ~candidate:b
+        ~dirty_vpns:vpns ()
+    in
+    (match verdict with
+    | Parallaft.Comparator.Match -> ()
+    | _ -> Alcotest.failf "%s: equal contents mismatched" label);
+    Alcotest.(check int) (label ^ ": shared pages skipped") (pages - cowed)
+      cs.Parallaft.Comparator.pages_skipped_identical;
+    Alcotest.(check int) (label ^ ": COWed pages hashed on both sides")
+      (2 * cowed * page_size) cs.Parallaft.Comparator.bytes_hashed
+  in
+  cow_both 16;
+  check_cow "16 of 256 COWed" ~cowed:16;
+  cow_both pages;
+  check_cow "all 256 COWed" ~cowed:pages
 
 let test_comparator_cache_generation_invalidation () =
   let a, b = forked_cpu_pair () in
@@ -339,10 +372,13 @@ let test_comparator_cache_generation_invalidation () =
   | Parallaft.Comparator.Match -> ()
   | _ -> Alcotest.fail "stale digest served after in-place write");
   (* And warm re-comparison of the still-divergent-id page hits the memo. *)
-  let _, cs =
-    Parallaft.Comparator.compare_states ~hasher:Parallaft.Config.Xxh64_hash
-      ~cache ~reference:a ~candidate:b ~dirty_vpns:all_data_vpns ()
+  let verdict, cs =
+    Parallaft.Comparator.compare_states ~cache ~reference:a ~candidate:b
+      ~dirty_vpns:all_data_vpns ()
   in
+  (match verdict with
+  | Parallaft.Comparator.Match -> ()
+  | _ -> Alcotest.fail "warm re-compare mismatched");
   Alcotest.(check int) "warm run hashes nothing" 0
     cs.Parallaft.Comparator.bytes_hashed;
   Alcotest.(check int) "warm run is all hits" 2 cs.Parallaft.Comparator.page_hash_hits

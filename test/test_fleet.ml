@@ -2,11 +2,13 @@
    model, cross-tenant fault isolation, admission-order determinism
    with the consolidation win (steals > 0, fleet wall <= half the
    serial wall), rollback resetting a tenant like a fresh admission,
-   every checker backend under a fleet, the record-log and RAFT
-   refusals, migration past a dead checker under remote-backend chaos,
-   the shared pool's big-core take keeping the queue order, and the
-   teardown pid invariant. Every run sweeps the pool-scope invariants
-   on every scheduling event (the config forces them on). *)
+   a tenant's end of run (fault classification as solo, one profiled
+   drain per tenant), every checker backend under a fleet, the
+   record-log and RAFT refusals, migration past a dead checker under
+   remote-backend chaos, the shared pool's big-core take keeping the
+   queue order, and the teardown pid invariant. Every run sweeps the
+   pool-scope invariants on every scheduling event (the config forces
+   them on). *)
 
 module P = Parallaft
 
@@ -273,9 +275,9 @@ let test_single_tenant_fleet_matches_run_protected () =
 (* Rollback resets a tenant like a fresh admission. A one-shot checker
    fault in tenant 0 fails segment 1 (mid-run) or segment 3 (the last,
    so the main has already exited when the run rolls back). The tenant
-   must re-execute as a running tenant, not a draining one: a pool flag
-   left set by the discarded execution trips the invariant sweep
-   (scheduler flags = run flags) on the next event. *)
+   must re-execute as a running tenant, not a draining one: the pool
+   reads the run's own main-exited flag, which the rollback resets, so
+   no flag of the discarded execution survives it. *)
 let gcc = detimed "403.gcc" ~scale:0.5
 let gcc_solo = solo_runs gcc
 let gcc_solo_hash tid = P.Stats.final_state_hash (gcc_solo tid).P.Runtime.stats
@@ -313,6 +315,59 @@ let test_rollback_resets_tenant () =
       | Some st ->
         Alcotest.(check int) (label ^ ": tenant 0 recoveries") 1 st.P.Stats.recoveries)
     [ (1, 1); (1, 3); (4, 1); (4, 3) ]
+
+(* A fleet tenant ends its run like a standalone one: a main-memory
+   flip early in tenant 0's second segment, detected and rolled back,
+   gets the classification (fi_outcome) its solo run gets. *)
+let main_fault =
+  {
+    Fault.segment = 1;
+    delay_instructions = 100;
+    target = Fault.Main_memory_page { page_index = 3; bit = 9 };
+    repeat = false;
+  }
+
+let test_fault_classified_like_solo () =
+  let config = { (config ()) with P.Config.recovery = true } in
+  let f =
+    Fleet.run ~max_tenants:2 ~platform ~config
+      ~configure:(fun tid cfg ->
+        if tid = 0 then { cfg with P.Config.fault_plan = Some main_fault } else cfg)
+      ~programs:[ gcc; gcc ] ()
+  in
+  let rng, prng = Fleet.tenant_rngs ~seed:42L ~tid:0 in
+  let solo =
+    P.Runtime.run_protected ~platform
+      ~config:{ config with P.Config.fault_plan = Some main_fault }
+      ~program:gcc ~rng ~prng ()
+  in
+  let outcome (st : P.Stats.t) =
+    Option.map P.Detection.outcome_to_string st.P.Stats.fi_outcome
+  in
+  match (tenant f 0).Fleet.stats with
+  | None -> Alcotest.fail "faulted tenant never admitted"
+  | Some st ->
+    Alcotest.(check bool) "fault fired" true st.P.Stats.fi_fired;
+    Alcotest.(check bool) "solo run classified it" true
+      (solo.P.Runtime.stats.P.Stats.fi_outcome <> None);
+    Alcotest.(check (option string)) "fi_outcome = solo run's"
+      (outcome solo.P.Runtime.stats) (outcome st)
+
+(* Each main exit opens a drain scope; the fleet retires it at the
+   tenant's end of run, so a profiled fleet reports one drain per
+   tenant. *)
+let test_profile_drains () =
+  let sink = Obs.Sink.create () in
+  Obs.Profile.set_enabled sink.Obs.Sink.profile true;
+  ignore
+    (Fleet.run ~max_tenants:4 ~platform
+       ~config:{ (config ()) with P.Config.obs = Some sink }
+       ~programs:(List.init 4 (fun _ -> gcc)) ());
+  match List.assoc_opt "drain" (Obs.Profile.phases sink.Obs.Sink.profile) with
+  | None -> Alcotest.fail "no drain phase"
+  | Some d ->
+    Alcotest.(check int) "one drain per tenant" 4 d.Obs.Profile.count;
+    Alcotest.(check bool) "drain self-time > 0" true (d.Obs.Profile.self_ns > 0)
 
 (* Each tenant builds its own checker backend, so a fleet runs under any
    of them with the same per-tenant outcomes as inline. *)
@@ -423,21 +478,26 @@ let test_migration_skips_dead_checkers () =
        = P.Stats.final_state_hash fault_free.P.Runtime.stats)
 
 (* Bare pools on the testing platform (migration off), with stopped
-   checker processes that the test hands to the pool directly. *)
+   checker processes that the test hands to the pool directly. The
+   tenant's main-exited flag is the test's [exited] ref: the pool reads
+   the run's flags, it keeps no copy. *)
 let bare_pool kind =
   let eng = Sim_os.Engine.create ~platform:testing ~seed:1L () in
   let cfg =
     { (P.Config.parallaft ~platform:testing ()) with P.Config.migration = false }
   in
   let pool = P.Core_pool.create kind eng cfg in
+  let exited = ref false in
   P.Core_pool.register_tenant pool ~tid:0 ~stats:(P.Stats.create ())
-    ~main_core:cfg.P.Config.main_core;
+    ~main_core:cfg.P.Config.main_core
+    ~main_exited:(fun () -> !exited)
+    ~main_held:(fun () -> false);
   let checker () =
     let pid = Sim_os.Engine.spawn eng ~program:deterministic_program ~core:0 () in
     Sim_os.Engine.suspend eng pid;
     pid
   in
-  (eng, pool, checker)
+  (eng, pool, checker, exited)
 
 (* A private pool's three rules: each free core takes the run's oldest
    queued checker, no dispatch is a steal, and a rollback returns the
@@ -445,7 +505,7 @@ let bare_pool kind =
    core onto its free list, so c3 would land on little 1). *)
 let test_private_pool_rules () =
   let module E = Sim_os.Engine in
-  let eng, pool, checker = bare_pool P.Core_pool.Private in
+  let eng, pool, checker, _ = bare_pool P.Core_pool.Private in
   let little0, little1 =
     match E.little_cores eng with
     | [ a; b ] -> (a, b)
@@ -463,7 +523,7 @@ let test_private_pool_rules () =
   P.Core_pool.finished pool b1;
   Alcotest.(check int) "little 1 takes the next" little1 (E.core_of eng c2);
   Alcotest.(check int) "no steals" 0 (P.Core_pool.steals pool);
-  P.Core_pool.reset_tenant pool ~tid:0;
+  P.Core_pool.flush_tenant pool ~tid:0;
   Alcotest.(check (list int)) "nothing running" []
     (P.Core_pool.running_pids pool ~tid:0);
   let c3 = checker () in
@@ -477,7 +537,7 @@ let test_private_pool_rules () =
    a thief) must then steal c2, not c3. *)
 let test_big_take_keeps_queue_order () =
   let module E = Sim_os.Engine in
-  let eng, pool, checker = bare_pool P.Core_pool.Shared in
+  let eng, pool, checker, exited = bare_pool P.Core_pool.Shared in
   let busy = List.init 2 (fun _ -> checker ()) in
   let c1 = checker () in
   let c2 = checker () in
@@ -485,6 +545,7 @@ let test_big_take_keeps_queue_order () =
   List.iter (P.Core_pool.enqueue pool ~tid:0) (busy @ [ c1; c2; c3 ]);
   Alcotest.(check (list int)) "queued" [ c1; c2; c3 ]
     (P.Core_pool.queued_pids pool ~tid:0);
+  exited := true;
   P.Core_pool.main_exited pool ~tid:0;
   Alcotest.(check (list int)) "the big took c1" (busy @ [ c1 ])
     (P.Core_pool.running_pids pool ~tid:0);
@@ -526,6 +587,8 @@ let () =
             test_single_tenant_fleet_matches_run_protected;
           tc "reject admission" `Quick test_reject_admission;
           tc "rollback resets the tenant" `Quick test_rollback_resets_tenant;
+          tc "fault classified like solo" `Quick test_fault_classified_like_solo;
+          tc "profile drains per tenant" `Quick test_profile_drains;
           tc "any checker backend" `Quick test_backends;
           tc "record_log refused" `Quick test_record_log_refused;
           tc "RAFT refused" `Quick test_raft_refused;

@@ -86,23 +86,6 @@ let test_streaming_int64 () =
   Alcotest.(check int64) "int64 = 8 LE bytes" (Ftr_hash.Xxh64.hash expect)
     (Ftr_hash.Xxh64.digest st1)
 
-let test_fnv_known () =
-  (* FNV-1a 64 of "a" is the standard 0xaf63dc4c8601ec8c. *)
-  Alcotest.(check string) "fnv1a(\"a\")" "af63dc4c8601ec8c"
-    (hex (Ftr_hash.Fnv64.hash (Bytes.of_string "a")))
-
-let test_fnv_sub () =
-  let b = Bytes.of_string "xxhelloxx" in
-  Alcotest.(check int64) "sub-range"
-    (Ftr_hash.Fnv64.hash (Bytes.of_string "hello"))
-    (Ftr_hash.Fnv64.hash_sub b ~pos:2 ~len:5)
-
-let test_fnv_combine_order_sensitive () =
-  let h0 = 0xCBF29CE484222325L in
-  let a = Ftr_hash.Fnv64.combine (Ftr_hash.Fnv64.combine h0 1L) 2L in
-  let b = Ftr_hash.Fnv64.combine (Ftr_hash.Fnv64.combine h0 2L) 1L in
-  Alcotest.(check bool) "order matters" true (a <> b)
-
 let qcheck_streaming_split =
   QCheck.Test.make ~name:"xxh64 streaming invariant under chunking" ~count:200
     QCheck.(pair (string_of_size Gen.(0 -- 200)) (int_bound 200))
@@ -217,11 +200,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_sub_matches_chunked_stream;
           tc "page hash allocates O(1) words" `Quick
             test_page_hash_allocation_constant;
-        ] );
-      ( "fnv64",
-        [
-          tc "known vector" `Quick test_fnv_known;
-          tc "sub-range" `Quick test_fnv_sub;
-          tc "combine order" `Quick test_fnv_combine_order_sensitive;
         ] );
     ]

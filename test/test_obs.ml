@@ -624,6 +624,46 @@ let test_profiled_run_deterministic () =
     (Obs.Profile.to_table s2.Obs.Sink.profile
        ~wall_ns:r2.Parallaft.Runtime.wall_ns)
 
+(* The rollback scope is the only one on the Run track, and the pacer's
+   scheduler_idle charge (pool-wide idle core time) debits no scope, so
+   a rollback's self-time is its whole elapsed time. *)
+let test_rollback_self_time () =
+  let platform = Platform.apple_m2 in
+  let program =
+    match Workloads.Spec.find "429.mcf" with
+    | Some b ->
+      List.hd
+        (Workloads.Spec.programs b ~page_size:platform.Platform.page_size
+           ~scale:0.3)
+    | None -> Alcotest.fail "429.mcf missing from the suite"
+  in
+  let sink = Obs.Sink.create () in
+  Obs.Profile.set_enabled sink.Obs.Sink.profile true;
+  let config =
+    {
+      (Parallaft.Config.parallaft ~platform ()) with
+      Parallaft.Config.obs = Some sink;
+      recovery = true;
+      fault_plan =
+        Some
+          {
+            Fault.segment = 2;
+            delay_instructions = 500;
+            target = Fault.Main_memory_page { page_index = 3; bit = 9 };
+            repeat = false;
+          };
+    }
+  in
+  let r = Parallaft.Runtime.run_protected ~platform ~config ~program () in
+  Alcotest.(check int) "one rollback" 1
+    r.Parallaft.Runtime.stats.Parallaft.Stats.recoveries;
+  match List.assoc_opt "rollback" (Obs.Profile.phases sink.Obs.Sink.profile) with
+  | None -> Alcotest.fail "no rollback phase"
+  | Some s ->
+    Alcotest.(check bool) "rollback self-time > 0" true (s.Obs.Profile.self_ns > 0);
+    Alcotest.(check int) "rollback self-time = total" s.Obs.Profile.total_ns
+      s.Obs.Profile.self_ns
+
 let test_profile_off_leaves_run_untouched () =
   let r, sink = run_with_sink () in
   Alcotest.(check bool) "no profile.* events in trace" false
@@ -737,6 +777,8 @@ let () =
             test_profiled_run_attribution;
           Alcotest.test_case "profiled runs are deterministic" `Quick
             test_profiled_run_deterministic;
+          Alcotest.test_case "rollback self-time is its total" `Quick
+            test_rollback_self_time;
           Alcotest.test_case "profiling off leaves the run untouched" `Quick
             test_profile_off_leaves_run_untouched;
         ] );

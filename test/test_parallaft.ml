@@ -304,16 +304,6 @@ let test_dirty_backends_equivalent () =
     [ Parallaft.Config.Soft_dirty; Parallaft.Config.Map_count;
       Parallaft.Config.Full_compare ]
 
-let test_hashers_equivalent () =
-  let program = busy_program () in
-  List.iter
-    (fun hasher ->
-      let config =
-        { (parallaft_cfg ~slice_period:20_000 ()) with Parallaft.Config.hasher } in
-      let r = run_protected ~config program in
-      check_clean r)
-    [ Parallaft.Config.Xxh64_hash; Parallaft.Config.Fnv64_hash ]
-
 let test_max_live_segments_respected () =
   let program = busy_program ~outer:40 () in
   let config =
@@ -793,7 +783,6 @@ let () =
         [
           tc "dirty backends equivalent" `Quick test_dirty_backends_equivalent;
           QCheck_alcotest.to_alcotest qcheck_random_workloads_no_false_positives;
-          tc "hashers equivalent" `Quick test_hashers_equivalent;
           tc "getpid stress slowdown" `Quick test_getpid_stress_slowdown;
         ] );
     ]
