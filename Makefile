@@ -1,6 +1,6 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
-.PHONY: all build test fmt-check unused-exports smoke parallel-smoke \
+.PHONY: all build test fmt-check unused-exports parallel-smoke \
   backend-chaos-smoke seglog-smoke bench-smoke \
   block-cache-smoke invariants golden-check ci clean
 
@@ -38,14 +38,6 @@ unused-exports:
 	  done; \
 	done; \
 	exit $$status
-
-# One traced run end to end: exercises --trace/--metrics outside the
-# dune sandbox and leaves the artifacts in /tmp for inspection.
-smoke: build
-	dune exec -- parallaft --platform testing --workload getpid \
-	  --period 3000 --trace /tmp/parallaft_trace.json \
-	  --metrics /tmp/parallaft_metrics.txt
-	@echo "trace: /tmp/parallaft_trace.json (open in ui.perfetto.dev)"
 
 # The quick experiment suite on a 4-domain pool: exercises the parallel
 # runner end to end (the determinism itself is pinned by test_parallel).
@@ -118,7 +110,7 @@ seglog-smoke: build
 backend-chaos-smoke: build
 	PARALLAFT_INVARIANTS=1 dune exec bin/experiments_main.exe -- backends
 
-ci: build test golden-check invariants fmt-check unused-exports smoke parallel-smoke backend-chaos-smoke seglog-smoke bench-smoke block-cache-smoke
+ci: build test golden-check invariants fmt-check unused-exports parallel-smoke backend-chaos-smoke seglog-smoke bench-smoke block-cache-smoke
 
 clean:
 	dune clean

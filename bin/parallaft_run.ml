@@ -13,11 +13,12 @@
 
    Observability: [--trace FILE] writes a Chrome/Perfetto trace_event
    JSON of the run (open in ui.perfetto.dev or chrome://tracing),
-   [--metrics FILE] a plain-text metric summary (per-segment histograms
-   and counters). Traces are keyed on simulated time, so equal seeds
-   give byte-identical files. [--fault SEG,DELAY,REG,BIT] arms a single
-   fault injection (handy for demonstrating detection events in a
-   trace); it requires a checker, so it is rejected in baseline mode.
+   [--metrics FILE] a plain-text metric summary (span totals, event
+   counts, per-segment histograms). Traces are keyed on simulated
+   time, so equal seeds give byte-identical files.
+   [--fault SEG,DELAY,REG,BIT] arms a single fault injection (handy for
+   demonstrating detection events in a trace); it requires a checker,
+   so it is rejected in baseline mode.
    [--fault-target KIND] picks the fault class (checker/main register or
    memory page, or a runtime kill/stall of the checker itself), and
    [--recheck] enables the transient re-check response. *)
@@ -74,41 +75,7 @@ let run_fleet ~tenants ~max_tenants ~arrival ~config ~platform ~program ~seed
       ()
   in
   let dumped = dump_obs sink in
-  Printf.printf "fleet.tenants %d\n" tenants;
-  Printf.printf "fleet.admitted %d\n" f.Fleet.admitted;
-  Printf.printf "fleet.rejected %d\n" f.Fleet.rejected;
-  Printf.printf "fleet.steals %d\n" f.Fleet.steals;
-  Printf.printf "fleet.migrations %d\n" f.Fleet.migrations;
-  Printf.printf "fleet.segments_verified %d\n" f.Fleet.segments_verified;
-  Printf.printf "fleet.wall_ns %d\n" f.Fleet.wall_ns;
-  Printf.printf "fleet.throughput_segments_per_s %.1f\n"
-    f.Fleet.throughput_segments_per_s;
-  Printf.printf "hwmon.energy_joules %.6f\n" f.Fleet.energy_j;
-  List.iter
-    (fun (t : Fleet.tenant_report) ->
-      let pre = Printf.sprintf "fleet.tenant%d" t.Fleet.tid in
-      Printf.printf "%s.outcome %s\n" pre
-        (match t.Fleet.outcome with
-        | Fleet.Completed -> "completed"
-        | Fleet.Aborted -> "aborted"
-        | Fleet.Rejected -> "rejected"
-        | Fleet.Unfinished -> "unfinished");
-      Printf.printf "%s.exit_status %s\n" pre
-        (match t.Fleet.exit_status with
-        | Some s -> string_of_int s
-        | None -> "none");
-      (match t.Fleet.stats with
-      | Some st ->
-        Printf.printf "%s.segments_compared %d\n" pre
-          st.Parallaft.Stats.segments_compared;
-        Printf.printf "%s.recoveries %d\n" pre st.Parallaft.Stats.recoveries;
-        Printf.printf "%s.detections %d\n" pre
-          (List.length st.Parallaft.Stats.detections)
-      | None -> ());
-      match (t.Fleet.admitted_ns, t.Fleet.completed_ns) with
-      | Some a, Some c -> Printf.printf "%s.wall_ns %d\n" pre (c - a)
-      | _ -> ())
-    f.Fleet.tenants;
+  List.iter (fun (k, v) -> Printf.printf "%s %s\n" k v) (Fleet.to_assoc f);
   let any_bad =
     List.exists
       (fun (t : Fleet.tenant_report) ->
@@ -312,7 +279,7 @@ let run platform_name mode_name period scale workload input asm_file seed
               ~seed ~fault_plan ~dump_obs sink
           else
           let r = Parallaft.Runtime.run_protected ~seed ~platform ~config ~program () in
-          let dumped = dump_obs r.Parallaft.Runtime.obs in
+          let dumped = dump_obs sink in
           List.iter
             (fun (k, v) -> Printf.printf "%s %s\n" k v)
             (Parallaft.Stats.to_assoc r.Parallaft.Runtime.stats);
@@ -379,7 +346,9 @@ let trace_arg =
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-         ~doc:"Write a plain-text span/metric summary of the run to $(docv).")
+         ~doc:"Write a plain-text summary of the run to $(docv): span \
+               totals and per-name event counts from the trace, then one \
+               line per metric histogram.")
 
 let fault_arg =
   let fault_conv =
@@ -409,8 +378,7 @@ let profile_arg =
          ~doc:"Enable the phase-attribution profiler and print a self-time \
                breakdown table (record/replay/compare/fork/... phases, \
                per-segment attribution) after the stats dump. Also adds \
-               profile.* rows to the stats and profile.* counter tracks to \
-               --trace output.")
+               profile.* counter tracks to --trace output.")
 
 let block_cache_arg =
   Arg.(value & opt (some int) None & info [ "block-cache" ] ~docv:"N"

@@ -56,10 +56,7 @@ type parked = {
 let charge_launch t seg ~ns =
   let acct = t.stats.Stats.backend in
   acct.Stats.b_launch_ns <- acct.Stats.b_launch_ns + int_of_float ns;
-  let pid = Segment.checker seg in
-  E.delay t.eng pid ~ns;
-  phase_add t ~tracks:[ Obs.Trace.Proc pid ] ~segment:(Segment.id seg)
-    "backend_launch" (int_of_float ns)
+  charge t ~segment:(Segment.id seg) (Segment.checker seg) "backend_launch" ~ns
 
 (* [acct] is the run's [Stats.backend]: the supervisor counts into it. *)
 let create (cfg : Config.t) acct =

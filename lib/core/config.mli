@@ -108,8 +108,7 @@ type t = {
   cpu_stats : bool;
       (** append [cpu.block_cache_*] interpreter-internal rows to the
           stats dump. Off by default so the default stats surface (and
-          every golden) is unchanged — the same opt-in discipline as the
-          [profile.*] rows. *)
+          every golden) is unchanged. *)
   record_log : string option;
       (** persist a {!Seglog} of the run into this directory (one
           [seg-NNNNNN.plog] per recorded segment plus a [manifest.plog]
@@ -123,10 +122,12 @@ type t = {
           (the default) is byte-identical to the pre-backend pipeline.
           Non-inline backends require Parallaft mode. *)
   obs : Obs.Sink.t option;
-      (** observability sink (event trace + metrics). [None] (the
-          default) makes every emit site in the engine, coordinator and
-          scheduler a no-op, so tracing is zero-cost unless requested.
-          See DESIGN.md "Observability" for the event taxonomy. *)
+      (** observability sink (event trace, metric histograms, phase
+          profiler). {!Coordinator.create} and [Fleet.run] attach it to
+          the run's engine, the one route every emit site takes
+          ({!Sim_os.Engine.emit}); [None] (the default) makes each of
+          them a no-op, so tracing is zero-cost unless requested. See
+          DESIGN.md "Observability" for the event taxonomy. *)
 }
 
 val timeout_scale : float

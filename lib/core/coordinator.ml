@@ -63,14 +63,14 @@ let release_recovery_state = Run_ctx.release_recovery_state
    classified here: the first detection if one escaped, Benign if the
    fault fired and the run still verified clean. *)
 let finish (t : t) =
-  Run_ctx.phase_leave t ~track:(Run_ctx.main_track t) "drain";
+  E.phase_leave t.Run_ctx.eng ~track:(Run_ctx.main_track t) "drain";
   let stats = t.Run_ctx.stats in
   if stats.Stats.fi_fired && stats.Stats.fi_outcome = None then
     stats.Stats.fi_outcome <-
       Some
-        (match t.Run_ctx.first_error with
-        | Some (_, o) -> o
-        | None ->
+        (match Stats.detections_oldest_first stats with
+        | (_, o) :: _ -> o
+        | [] ->
           (* An abort with no recorded detection (e.g. the injected
              fault signal-terminated the main) is still fail-stop, not
              a clean run. *)
@@ -111,7 +111,7 @@ let runtime_fault_poll (t : t) =
                 then begin
                   Hashtbl.add struck checker ();
                   t.Run_ctx.stats.Stats.fi_fired <- true;
-                  Run_ctx.emit_ev t ~track:Obs.Trace.Run
+                  E.emit t.Run_ctx.eng ~track:Obs.Trace.Run
                     ~phase:Obs.Trace.Instant
                     ~args:
                       [
@@ -133,6 +133,9 @@ let runtime_fault_poll (t : t) =
   | Some _ | None -> None
 
 let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
+  (* The run's sink rides on the engine, which every layer emits
+     through; this is the one place a run reads [cfg.obs]. *)
+  Option.iter (E.set_obs eng) cfg.Config.obs;
   (* The run's checker pool: a fleet tenant joins the fleet's shared
      pool, whose pacer Fleet.run drives; a standalone run is the only
      tenant of a private pool and drives its pacer below. *)
@@ -151,9 +154,6 @@ let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
   Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core
     ~main_exited:(fun () -> t.Run_ctx.main_exited)
     ~main_held:(fun () -> t.Run_ctx.pending_boundary);
-  (match cfg.Config.obs with
-  | Some sink -> E.set_obs eng sink
-  | None -> ());
   let fault_poll = runtime_fault_poll t in
   let poll_faults = Option.value fault_poll ~default:ignore in
   let tracer _ pid ev = handle_event t ~fault_poll:poll_faults pid ev in

@@ -54,7 +54,7 @@ type tenant = {
 
 type t = {
   eng : E.t;
-  cfg : Config.t;  (* obs sink, mode and policy knobs *)
+  cfg : Config.t;  (* mode and policy knobs *)
   kind : kind;
   little : int array;
   deques : (int * E.pid) Util.Deque.t array;  (* one per little core *)
@@ -122,37 +122,6 @@ let deque_index t core =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Observability (the sink carried by the pool's config)                *)
-
-let emit_ev t ~track ~phase ?args name =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.emit s ~ts_ns:(E.time_ns t.eng) ~track ~phase ?args name
-
-let observe t name v =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.observe s name v
-
-let sink_incr t name =
-  match t.cfg.Config.obs with None -> () | Some s -> Obs.Sink.incr s name
-
-let phase_enter t ~track name =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_enter s ~ts_ns:(E.time_ns t.eng) ~track name
-
-let phase_leave t ~track name =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_leave s ~ts_ns:(E.time_ns t.eng) ~track name
-
-let phase_add t ~tracks name ns =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_add s ~ts_ns:(E.time_ns t.eng) ~tracks name ns
-
-(* ------------------------------------------------------------------ *)
 (* Accounting                                                          *)
 
 let cpu_ns t pid =
@@ -173,7 +142,8 @@ let account t e =
 let backlog t =
   Array.fold_left (fun acc d -> acc + Util.Deque.length d) 0 t.deques
 
-let queue_gauge t = observe t "fleet.queue_depth" (float_of_int (backlog t))
+let queue_gauge t =
+  E.observe t.eng "fleet.queue_depth" (float_of_int (backlog t))
 
 (* ------------------------------------------------------------------ *)
 (* Reservation of tenant main cores                                    *)
@@ -214,8 +184,7 @@ let release_core t core =
 let start_on t (tid, pid) core ~off_home =
   if off_home && t.kind = Shared then begin
     t.steals <- t.steals + 1;
-    sink_incr t "fleet.steals";
-    emit_ev t ~track:(Obs.Trace.Tenant tid) ~phase:Obs.Trace.Instant
+    E.emit t.eng ~track:(Obs.Trace.Tenant tid) ~phase:Obs.Trace.Instant
       ~args:[ ("pid", Obs.Trace.Int pid); ("core", Obs.Trace.Int core) ]
       "steal"
   end;
@@ -223,7 +192,7 @@ let start_on t (tid, pid) core ~off_home =
   t.running <- t.running @ [ { tid; pid; core; last_cpu_ns = cpu_ns t pid } ];
   (* Dispatch ends the launch scope opened in [enqueue]: its self-time
      is the queue wait plus core-allocation work. *)
-  phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch";
+  E.phase_leave t.eng ~track:(Obs.Trace.Proc pid) "checker_launch";
   E.resume t.eng pid
 
 (* Work selection for a free little core: its own deque first (LIFO in
@@ -308,10 +277,9 @@ let migrate_oldest_to_big t ~victim =
       t.migrations <- t.migrations + 1;
       let st = (tenant t e.tid).stats in
       st.Stats.migrations <- st.Stats.migrations + 1;
-      emit_ev t ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
+      E.emit t.eng ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
         ~args:[ ("from", Obs.Trace.Int freed); ("to", Obs.Trace.Int big) ]
         "migrate";
-      sink_incr t "sched.migrations";
       true)
 
 let rec try_dispatch t =
@@ -358,7 +326,8 @@ let flush_tenant t ~tid =
       (fun n d ->
         let removed = Util.Deque.remove_where d (fun (tid', _) -> tid' = tid) in
         List.iter
-          (fun (_, pid) -> phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch")
+          (fun (_, pid) ->
+            E.phase_leave t.eng ~track:(Obs.Trace.Proc pid) "checker_launch")
           removed;
         n + List.length removed)
       0 t.deques
@@ -389,7 +358,7 @@ let enqueue t ~tid pid =
   let tn = tenant t tid in
   Util.Deque.push_back t.deques.(deque_index t tn.home) (tid, pid);
   queue_gauge t;
-  phase_enter t ~track:(Obs.Trace.Proc pid) "checker_launch";
+  E.phase_enter t.eng ~track:(Obs.Trace.Proc pid) "checker_launch";
   try_dispatch t
 
 let finished t pid =
@@ -411,7 +380,7 @@ let finished t pid =
        launch scope closes here, never having been dispatched. *)
     if !removed then begin
       queue_gauge t;
-      phase_leave t ~track:(Obs.Trace.Proc pid) "checker_launch"
+      E.phase_leave t.eng ~track:(Obs.Trace.Proc pid) "checker_launch"
     end
 
 let main_exited t ~tid =
@@ -459,7 +428,7 @@ let active_tenants t =
 
 let pacer_tick t =
   List.iter (fun e -> account t e) t.running;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Counter
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Counter
     ~args:
       [
         ("queued", Obs.Trace.Int (backlog t));
@@ -474,7 +443,8 @@ let pacer_tick t =
   in
   let idle_littles = Array.length t.little - littles_running in
   if idle_littles > 0 then
-    phase_add t ~tracks:[] "scheduler_idle" (idle_littles * Config.pacer_tick_ns);
+    E.phase_add t.eng ~tracks:[] "scheduler_idle"
+      (idle_littles * Config.pacer_tick_ns);
   if t.cfg.Config.dvfs_pacing then begin
     let level = E.dvfs_level t.eng ~cluster:1 in
     let top =

@@ -50,10 +50,10 @@ type kind =
 type t
 
 val create : kind -> Sim_os.Engine.t -> Config.t -> t
-(** [cfg]'s [obs] sink receives the pool's events, its mode places the
-    checkers, and its policy knobs ([migration], [dvfs_pacing]) steer
-    the pool — the run's own config for a private pool, the fleet's
-    template for a shared one.
+(** [cfg]'s mode places the checkers and its policy knobs ([migration],
+    [dvfs_pacing]) steer the pool — the run's own config for a private
+    pool, the fleet's template for a shared one. The pool's events go
+    to the engine's sink ({!Sim_os.Engine.emit}).
     @raise Invalid_argument if the platform has no little cores. *)
 
 val register_tenant :

@@ -21,6 +21,12 @@ let arm_slice t =
       Machine.Cpu.arm_insn_overflow cpu
         ~target:(Machine.Cpu.instructions cpu + t.cfg.Config.slice_period))
 
+(* The dirty-page scan of the main's page table. *)
+let charge_scan t seg pt =
+  let pages = Dirty_tracker.scan_cost_pages t.cfg.Config.dirty_backend pt in
+  charge t ~segment:(Segment.id seg) t.main "dirty_scan"
+    ~ns:(cycles_to_ns t (pages * (plat t).Platform.dirty_scan_per_page_cycles))
+
 let start_segment t =
   let checker = E.fork_process t.eng t.main in
   Dirty_tracker.clear t.cfg.Config.dirty_backend (page_table_of t checker);
@@ -29,14 +35,14 @@ let start_segment t =
   if t.cfg.Config.check_invariants then t.all_segments <- seg :: t.all_segments;
   Hashtbl.replace t.roles checker (Checker_role seg);
   t.cur <- Some seg;
-  emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Begin
+  E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Begin
     ~args:
       [ ("seg", Obs.Trace.Int (Segment.id seg)); ("checker", Obs.Trace.Int checker) ]
     "segment";
   (* The main core's timeline is now recording this segment; everything
      charged to the main until end_segment (dirty scans, forks, record
      I/O) debits this scope's self-time. *)
-  phase_enter t ~track:(main_track t) ~segment:(Segment.id seg) "record";
+  E.phase_enter t.eng ~track:(main_track t) ~segment:(Segment.id seg) "record";
   (* RAFT runs its (single) checker concurrently with the main process,
      streaming the R/R log; the checker blocks whenever it reaches an
      event that has not been recorded yet. Parallaft instead launches
@@ -44,11 +50,11 @@ let start_segment t =
   (match t.cfg.Config.mode with
   | Config.Raft ->
     Segment.start_streaming seg ~started_ns:(E.time_ns t.eng);
-    emit_ev t ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Begin
+    E.emit t.eng ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Begin
       ~args:[ ("seg", Obs.Trace.Int (Segment.id seg)) ]
       "check";
-    phase_enter t ~track:(Obs.Trace.Proc checker) ~segment:(Segment.id seg)
-      "replay";
+    E.phase_enter t.eng ~track:(Obs.Trace.Proc checker)
+      ~segment:(Segment.id seg) "replay";
     Core_pool.enqueue t.pool ~tid:t.tid checker
   | Config.Parallaft -> ());
   let cpu = main_cpu t in
@@ -57,8 +63,7 @@ let start_segment t =
   if Config.compare_states t.cfg then begin
     let pt = page_table_of t t.main in
     Dirty_tracker.clear t.cfg.Config.dirty_backend pt;
-    charge_scan t ~segment:(Segment.id seg) t.main
-      ~pages:(Dirty_tracker.scan_cost_pages t.cfg.Config.dirty_backend pt)
+    charge_scan t seg pt
   end;
   t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
   (* Main-side fault arming: the checker fork above predates the
@@ -98,9 +103,9 @@ let end_segment t =
         let dirty = Dirty_tracker.collect t.cfg.Config.dirty_backend pt in
         t.stats.Stats.dirty_pages_total <-
           t.stats.Stats.dirty_pages_total + Array.length dirty;
-        observe t "segment.dirty_pages" (float_of_int (Array.length dirty));
-        charge_scan t ~segment:(Segment.id seg) t.main
-          ~pages:(Dirty_tracker.scan_cost_pages t.cfg.Config.dirty_backend pt);
+        E.observe t.eng "segment.dirty_pages"
+          (float_of_int (Array.length dirty));
+        charge_scan t seg pt;
         let snapshot = E.fork_process t.eng t.main in
         t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
         (dirty, Some snapshot)
@@ -127,17 +132,20 @@ let end_segment t =
           ~pages
       in
       if bytes > 0 then begin
-        emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
+        E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant
           ~args:
             [
               ("seg", Obs.Trace.Int (Segment.id seg));
               ("bytes", Obs.Trace.Int bytes);
             ]
           "seglog.write";
-        observe t "seglog.bytes" (float_of_int bytes);
-        charge_seglog_write t ~segment:(Segment.id seg) t.main ~bytes
+        E.observe t.eng "seglog.bytes" (float_of_int bytes);
+        (* Serialization: the syscall-record per-byte model, in its own
+           phase. Only charged under --record-log. *)
+        charge t ~segment:(Segment.id seg) t.main "seglog_write"
+          ~ns:(float_of_int bytes *. (plat t).Platform.syscall_record_ns_per_byte)
       end);
-    emit_ev t ~track:(main_track t) ~phase:Obs.Trace.End
+    E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.End
       ~args:
         [
           ("seg", Obs.Trace.Int (Segment.id seg));
@@ -145,7 +153,7 @@ let end_segment t =
           ("dirty_pages", Obs.Trace.Int (Array.length main_dirty));
         ]
       "segment";
-    phase_leave t ~track:(main_track t) "record";
+    E.phase_leave t.eng ~track:(main_track t) "record";
     t.cur <- None;
     t.live <- t.live @ [ seg ];
     t.stats.Stats.segments_total <- t.stats.Stats.segments_total + 1;
@@ -161,12 +169,12 @@ let capture_final_state t =
 
 let on_main_exited t =
   t.main_exited <- true;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
     ~args:[ ("live_segments", Obs.Trace.Int (List.length t.live)) ]
     "main.exit";
   (* The main core is now idle while the remaining checkers drain; the
      scope stays open until run end (or rollback) closes it. *)
-  phase_enter t ~track:(main_track t) "drain";
+  E.phase_enter t.eng ~track:(main_track t) "drain";
   let st = E.proc_stats t.eng t.main in
   t.stats.Stats.main_wall_ns <- float_of_int (st.E.ended_ns - st.E.started_ns);
   t.stats.Stats.main_user_ns <- st.E.user_ns;
@@ -183,10 +191,10 @@ let do_boundary t =
 let boundary t =
   if live_count t >= live_limit t then begin
     t.pending_boundary <- true;
-    emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+    E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
       ~args:[ ("live_segments", Obs.Trace.Int (live_count t)) ]
       "main.held";
-    phase_enter t ~track:(main_track t) "main_held"
+    E.phase_enter t.eng ~track:(main_track t) "main_held"
     (* main stays stopped until a segment completes *)
   end
   else do_boundary t
@@ -232,19 +240,20 @@ let record_and_pass t call =
     (match in_data with Some b -> Bytes.length b | None -> 0)
     + List.fold_left (fun acc { Rr_log.data; _ } -> acc + Bytes.length data) 0 effects
   in
-  charge_record t
+  charge t
     ?segment:(match t.cur with Some s -> Some (Segment.id s) | None -> None)
-    t.main ~bytes;
+    t.main "record_io"
+    ~ns:(float_of_int bytes *. (plat t).Platform.syscall_record_ns_per_byte);
   Rr_log.record (current_log t) (Rr_log.Sys { call; in_data; result; effects });
   t.stats.Stats.syscalls_recorded <- t.stats.Stats.syscalls_recorded + 1;
-  emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
+  E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant
     ~args:
       [
         ("call", Obs.Trace.Str (Sim_os.Syscall.name call));
         ("bytes", Obs.Trace.Int bytes);
       ]
     "sys.record";
-  observe t "record.bytes" (float_of_int bytes);
+  E.observe t.eng "record.bytes" (float_of_int bytes);
   wake_waiting_checker t;
   E.resume t.eng t.main
 
@@ -309,12 +318,12 @@ let handle_main_event t ev =
     let value = emulate_nondet t t.main insn in
     Rr_log.record (current_log t) (Rr_log.Nondet { insn; value });
     t.stats.Stats.nondet_recorded <- t.stats.Stats.nondet_recorded + 1;
-    emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant "nondet.record";
+    E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant "nondet.record";
     wake_waiting_checker t;
     E.resume t.eng t.main
   | E.Cycle_overflow | E.Insn_overflow ->
     t.stats.Stats.nr_slices <- t.stats.Stats.nr_slices + 1;
-    emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
+    E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant
       ~args:[ ("nr", Obs.Trace.Int t.stats.Stats.nr_slices) ]
       "slice";
     boundary t
@@ -322,7 +331,7 @@ let handle_main_event t ev =
     Rr_log.record (current_log t)
       (Rr_log.Ext_signal { at = exec_point_now t; signum });
     t.stats.Stats.signals_recorded <- t.stats.Stats.signals_recorded + 1;
-    emit_ev t ~track:(main_track t) ~phase:Obs.Trace.Instant
+    E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant
       ~args:[ ("signum", Obs.Trace.Int signum) ]
       "signal.record";
     E.deliver_signal_now t.eng t.main signum;

@@ -15,14 +15,15 @@ open Run_ctx
 let close_torn_down_check t seg =
   match Segment.launched_at seg with
   | Some launched_at_ns when not (Segment.is_done seg) ->
-    emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg)) ~phase:Obs.Trace.End
+    E.emit t.eng ~track:(Obs.Trace.Proc (Segment.checker seg))
+      ~phase:Obs.Trace.End
       ~args:
         [
           ("seg", Obs.Trace.Int (Segment.id seg));
           ("outcome", Obs.Trace.Str "torn-down");
         ]
       "check";
-    observe t "checker.latency_ns"
+    E.observe t.eng "checker.latency_ns"
       (float_of_int (E.time_ns t.eng - launched_at_ns))
   | Some _ | None -> ()
 
@@ -31,7 +32,7 @@ let close_torn_down_cur t =
   | None -> ()
   | Some seg ->
     close_torn_down_check t seg;
-    emit_ev t ~track:(main_track t) ~phase:Obs.Trace.End
+    E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.End
       ~args:
         [
           ("seg", Obs.Trace.Int (Segment.id seg));
@@ -46,7 +47,7 @@ let close_torn_down_cur t =
 let tear_down_run t ~drop_verified =
   (* Teardown kills processes mid-phase; retire every open profiling
      scope now so no elapsed time is lost or double-counted. *)
-  phase_close_all t;
+  E.phase_close_all t.eng;
   latch_main_fault t;
   List.iter (close_torn_down_check t) t.live;
   close_torn_down_cur t;
@@ -70,7 +71,7 @@ let tear_down_run t ~drop_verified =
 (* Kill every process we own; ends the simulation. *)
 let abort_run t =
   t.aborted <- true;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant "abort";
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant "abort";
   tear_down_run t ~drop_verified:false;
   release_recovery_state t;
   (* The dead checkers leave the pool now: a shared pool's other
@@ -100,7 +101,7 @@ let note_verified t ~id ~snapshot =
            rollback phase scope ends here — repair is complete once
            re-executed work verifies again. *)
         if (not t.verified_since_rollback) && t.rollback_anchor <> None then
-          phase_leave t ~track:Obs.Trace.Run "rollback";
+          E.phase_leave t.eng ~track:Obs.Trace.Run "rollback";
         t.verified_since_rollback <- true
       | None -> continue_promoting := false
     done
@@ -112,7 +113,7 @@ let note_verified t ~id ~snapshot =
    there was no verified state to return to and the run aborted. *)
 let recover t =
   t.stats.Stats.recoveries <- t.stats.Stats.recoveries + 1;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
     ~args:
       [
         ("nr", Obs.Trace.Int t.stats.Stats.recoveries);
@@ -146,14 +147,14 @@ let recover t =
     | Some out ->
       Seglog_io.note_rollback out
         ~last_checked:
-          (match t.first_error with
-          | Some (id, _) -> id
-          | None -> t.verified_prefix)
+          (match Stats.detections_oldest_first t.stats with
+          | (id, _) :: _ -> id
+          | [] -> t.verified_prefix)
     | None -> ());
     (* The rollback phase runs on the Run track (concurrent work, not
        part of the main-core wall partition: re-recording overlaps it)
        until re-executed work verifies again in [note_verified]. *)
-    phase_enter t ~track:Obs.Trace.Run "rollback";
+    E.phase_enter t.eng ~track:Obs.Trace.Run "rollback";
     (* Re-anchor the verified prefix at the ids the post-rollback
        segments will get, so promotion resumes seamlessly. *)
     t.verified_prefix <- t.next_id - 1;

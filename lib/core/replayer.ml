@@ -53,8 +53,8 @@ let launch_checker t seg =
   t.backend.note_launched t seg;
   t.stats.Stats.segment_insn_deltas <-
     r.Segment.insn_delta :: t.stats.Stats.segment_insn_deltas;
-  observe t "segment.insns" (float_of_int r.Segment.insn_delta);
-  emit_ev t ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Instant
+  E.observe t.eng "segment.insns" (float_of_int r.Segment.insn_delta);
+  E.emit t.eng ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Instant
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
@@ -63,14 +63,14 @@ let launch_checker t seg =
       ]
     "replay.start";
   if not was_streaming then begin
-    emit_ev t ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Begin
+    E.emit t.eng ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.Begin
       ~args:[ ("seg", Obs.Trace.Int (Segment.id seg)) ]
       "check";
     (* The "replay" scope covers the checker's whole check; the
        scheduler's "checker_launch" scope (queue wait + dispatch) nests
        inside it on the same track, so replay self-time excludes it. *)
-    phase_enter t ~track:(Obs.Trace.Proc checker) ~segment:(Segment.id seg)
-      "replay";
+    E.phase_enter t.eng ~track:(Obs.Trace.Proc checker)
+      ~segment:(Segment.id seg) "replay";
     Core_pool.enqueue t.pool ~tid:t.tid checker
   end
   else if was_waiting then
@@ -107,7 +107,7 @@ let redispatch_check t seg ~because outcome =
               (Segment.id seg)))
   in
   ignore (latch_checker_fault t seg (E.cpu t.eng old));
-  emit_ev t ~track:(Obs.Trace.Proc old) ~phase:Obs.Trace.End
+  E.emit t.eng ~track:(Obs.Trace.Proc old) ~phase:Obs.Trace.End
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
@@ -116,11 +116,11 @@ let redispatch_check t seg ~because outcome =
     "check";
   (match Segment.launched_at seg with
   | Some ns ->
-    observe t "checker.latency_ns" (float_of_int (E.time_ns t.eng - ns))
+    E.observe t.eng "checker.latency_ns" (float_of_int (E.time_ns t.eng - ns))
   | None -> ());
   kill_if_alive t old;
   Core_pool.finished t.pool old;
-  phase_leave t ~track:(Obs.Trace.Proc old) "replay";
+  E.phase_leave t.eng ~track:(Obs.Trace.Proc old) "replay";
   Hashtbl.remove t.roles old;
   t.stats.Stats.rechecks <- t.stats.Stats.rechecks + 1;
   (* The first failure in the chain is what a passing re-check
@@ -130,7 +130,7 @@ let redispatch_check t seg ~because outcome =
     Segment.set_recheck_of seg (Some outcome);
   Segment.redispatch seg ~checker:spare;
   Hashtbl.replace t.roles spare (Checker_role seg);
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
@@ -138,9 +138,6 @@ let redispatch_check t seg ~because outcome =
         ("outcome", Obs.Trace.Str (Detection.outcome_to_string outcome));
       ]
     "recheck";
-  (match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.incr s "rechecks");
   launch_checker t seg
 
 (* May this failure be retried on a fresh checker before it counts as a
@@ -212,16 +209,13 @@ let really_finish_checker t seg outcome_opt =
   (match transient with
   | Some tr ->
     t.stats.Stats.transient_faults <- t.stats.Stats.transient_faults + 1;
-    emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+    E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
       ~args:
         [
           ("seg", Obs.Trace.Int (Segment.id seg));
           ("outcome", Obs.Trace.Str (Detection.outcome_to_string tr));
         ]
-      "recheck.transient";
-    (match t.cfg.Config.obs with
-    | None -> ()
-    | Some s -> Obs.Sink.incr s "transient_faults")
+      "recheck.transient"
   | None -> ());
   (match outcome_opt with
   | Some o -> record_detection t seg o
@@ -230,7 +224,7 @@ let really_finish_checker t seg outcome_opt =
   | Some (Detection.Hard_fault _) ->
     t.stats.Stats.hard_faults <- t.stats.Stats.hard_faults + 1
   | Some _ | None -> ());
-  emit_ev t ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.End
+  E.emit t.eng ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.End
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
@@ -242,7 +236,7 @@ let really_finish_checker t seg outcome_opt =
             | None, None -> "ok") );
       ]
     "check";
-  observe t "checker.latency_ns"
+  E.observe t.eng "checker.latency_ns"
     (float_of_int (E.time_ns t.eng - launched_at_ns));
   kill_if_alive t checker;
   (match Segment.spare seg with
@@ -262,7 +256,7 @@ let really_finish_checker t seg outcome_opt =
      | None -> ());
   t.live <- List.filter (fun s -> Segment.id s <> Segment.id seg) t.live;
   Core_pool.finished t.pool checker;
-  phase_leave t ~track:(Obs.Trace.Proc checker) "replay";
+  E.phase_leave t.eng ~track:(Obs.Trace.Proc checker) "replay";
   if failed then begin
     match outcome_opt with
     | Some (Detection.Hard_fault _) ->
@@ -279,7 +273,7 @@ let really_finish_checker t seg outcome_opt =
     release_recovery_state t
   else if t.pending_boundary && live_count t < live_limit t then begin
     t.pending_boundary <- false;
-    phase_leave t ~track:(main_track t) "main_held";
+    E.phase_leave t.eng ~track:(main_track t) "main_held";
     Recorder.do_boundary t
   end
 
@@ -327,7 +321,9 @@ let check_end_state t seg =
           ~reference:(E.cpu t.eng snap) ~candidate:cpu ~dirty_vpns:union ()
       in
       let bytes = cs.Comparator.bytes_hashed in
-      charge_hash t ~segment:(Segment.id seg) (Segment.checker seg) ~bytes;
+      let cycles = bytes / max 1 (plat t).Platform.hash_bytes_per_cycle in
+      charge t ~segment:(Segment.id seg) (Segment.checker seg) "compare"
+        ~ns:(cycles_to_ns t cycles);
       t.stats.Stats.bytes_hashed <- t.stats.Stats.bytes_hashed + bytes;
       t.stats.Stats.pages_skipped_identical <-
         t.stats.Stats.pages_skipped_identical
@@ -337,7 +333,7 @@ let check_end_state t seg =
       t.stats.Stats.page_hash_misses <-
         t.stats.Stats.page_hash_misses + cs.Comparator.page_hash_misses;
       t.stats.Stats.segments_compared <- t.stats.Stats.segments_compared + 1;
-      emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg))
+      E.emit t.eng ~track:(Obs.Trace.Proc (Segment.checker seg))
         ~phase:Obs.Trace.Instant
         ~args:
           [
@@ -354,14 +350,9 @@ let check_end_state t seg =
                 | Comparator.Mismatch _ -> "mismatch") );
           ]
         "compare";
-      observe t "compare.bytes" (float_of_int bytes);
-      observe t "compare.pages_skipped"
+      E.observe t.eng "compare.bytes" (float_of_int bytes);
+      E.observe t.eng "compare.pages_skipped"
         (float_of_int cs.Comparator.pages_skipped_identical);
-      (match t.cfg.Config.obs with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.add s "compare.page_hash_hits" cs.Comparator.page_hash_hits;
-        Obs.Sink.add s "compare.page_hash_misses" cs.Comparator.page_hash_misses);
       finish_checker t seg
         (match verdict with
         | Comparator.Match -> None
@@ -399,13 +390,14 @@ module Kernel = Replay_kernel.Make (struct
   let settled (_, seg) = Segment.is_done seg
 
   let note_syscall (t, seg) call =
-    emit_ev t ~track:(Obs.Trace.Proc (Segment.checker seg))
+    E.emit t.eng ~track:(Obs.Trace.Proc (Segment.checker seg))
       ~phase:Obs.Trace.Instant
       ~args:[ ("call", Obs.Trace.Str (Sim_os.Syscall.name call)) ]
       "sys.replay"
 
   let charge_answer (t, seg) ~bytes =
-    charge_record t ~segment:(Segment.id seg) (Segment.checker seg) ~bytes
+    charge t ~segment:(Segment.id seg) (Segment.checker seg) "record_io"
+      ~ns:(float_of_int bytes *. (plat t).Platform.syscall_record_ns_per_byte)
 end)
 
 let handle_checker_event t seg ev = Kernel.handle_event (t, seg) ev

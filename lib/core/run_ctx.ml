@@ -1,7 +1,7 @@
 (* Shared run-level state threaded through the pipeline stages
    (Recovery -> Recorder -> Replayer -> Watchdog), the checker-backend
-   hooks they call, and the helpers every stage needs: observability
-   emits, simulated-cost charging, process bookkeeping, and the
+   hooks they call, and the helpers every stage needs: detection
+   recording, simulated-cost charging, process bookkeeping, and the
    cross-structure debug invariant sweep. *)
 
 module E = Sim_os.Engine
@@ -38,7 +38,6 @@ type t = {
   mutable seg_start_insns : int;
   mutable main_exited : bool;
   mutable pending_boundary : bool;
-  mutable first_error : (int * Detection.outcome) option;
   mutable aborted : bool;
   (* Recovery extension: the last checkpoint known good (every segment up
      to and including it verified), plus verified-but-not-yet-contiguous
@@ -106,7 +105,6 @@ let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
     seg_start_insns = 0;
     main_exited = false;
     pending_boundary = false;
-    first_error = None;
     aborted = false;
     recovery_point = None;
     verified_snapshots = Hashtbl.create 8;
@@ -119,68 +117,24 @@ let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
 let plat t = E.platform t.eng
 
 (* ------------------------------------------------------------------ *)
-(* Observability: every emit compiles to a single option check when no
-   sink is configured. Timestamps are simulated time, never wall clock. *)
+(* Stages emit through the engine (E.emit, E.observe and the E.phase
+   functions): the run holds no sink of its own. *)
 
-let emit_ev t ~track ~phase ?args name =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.emit s ~ts_ns:(E.time_ns t.eng) ~track ~phase ?args name
-
-(* Record a detection against a segment: stats, trace event, sink
-   counter, first-error latch. Shared by the replayer (comparison
-   mismatches), the watchdog (dead/stalled checkers) and the recorder
-   (injected main faults surfacing as exceptions). *)
+(* Record a detection against a segment: the stats row and the trace
+   instant. Shared by the replayer (comparison mismatches), the
+   watchdog (dead/stalled checkers) and the recorder (injected main
+   faults surfacing as exceptions). *)
 let record_detection t seg outcome =
   Stats.record_detection t.stats ~segment:(Segment.id seg) outcome;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
         ("outcome", Obs.Trace.Str (Detection.outcome_to_string outcome));
       ]
-    "detection";
-  (match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.incr s "detections");
-  if t.first_error = None then t.first_error <- Some (Segment.id seg, outcome)
-
-let observe t name v =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.observe s name v
+    "detection"
 
 let main_track t = Obs.Trace.Core t.cfg.Config.main_core
-
-(* Phase-attribution profiling (Obs.Profile): scopes opened/closed at
-   pipeline transitions, zero-width charges for costs the engine models
-   as delays. All no-ops unless a sink is configured AND its profiler
-   was explicitly enabled (--profile), so goldens stay byte-identical. *)
-
-let phase_enter t ~track ?segment name =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_enter s ~ts_ns:(E.time_ns t.eng) ~track ?segment name
-
-let phase_leave t ~track name =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_leave s ~ts_ns:(E.time_ns t.eng) ~track name
-
-let phase_add t ~tracks ?segment name ns =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_add s ~ts_ns:(E.time_ns t.eng) ~tracks ?segment name ns
-
-let phase_close_all t =
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.phase_close_all s ~ts_ns:(E.time_ns t.eng)
-
-(* The scope a pid's charges debit: main charges land on the main
-   core's timeline, checker charges on the checker's pid track. *)
-let charge_tracks t pid =
-  if pid = t.main then [ main_track t ] else [ Obs.Trace.Proc pid ]
 
 (* ------------------------------------------------------------------ *)
 (* Simulated-cost charging                                              *)
@@ -191,42 +145,16 @@ let big_eff_hz t =
 
 let cycles_to_ns t cycles = float_of_int cycles *. 1e9 /. big_eff_hz t
 
-let charge_scan t ?segment pid ~pages =
-  let cycles = pages * (plat t).Platform.dirty_scan_per_page_cycles in
-  if cycles > 0 then begin
-    let ns = cycles_to_ns t cycles in
-    E.delay t.eng pid ~ns;
-    phase_add t ~tracks:(charge_tracks t pid) ?segment "dirty_scan"
-      (int_of_float ns)
-  end
-
-let charge_hash t ?segment pid ~bytes =
-  let cycles = bytes / max 1 (plat t).Platform.hash_bytes_per_cycle in
-  if cycles > 0 then begin
-    let ns = cycles_to_ns t cycles in
-    E.delay t.eng pid ~ns;
-    phase_add t ~tracks:(charge_tracks t pid) ?segment "compare"
-      (int_of_float ns)
-  end
-
-let charge_record t ?segment pid ~bytes =
-  let ns = float_of_int bytes *. (plat t).Platform.syscall_record_ns_per_byte in
+(* A cost the engine models as a delay of [pid], attributed to the
+   profile phase [name] as a zero-width charge. Main charges debit the
+   main core's timeline, checker charges the checker's pid track. *)
+let charge t ?segment pid name ~ns =
   if ns > 0.0 then begin
     E.delay t.eng pid ~ns;
-    phase_add t ~tracks:(charge_tracks t pid) ?segment "record_io"
-      (int_of_float ns)
-  end
-
-(* Serialization cost of persisting one segment file: same per-byte
-   model as syscall recording, but its own profile scope so BENCH and
-   the trace can attribute it. Only ever charged when --record-log is
-   active, so default runs are byte-identical. *)
-let charge_seglog_write t ?segment pid ~bytes =
-  let ns = float_of_int bytes *. (plat t).Platform.syscall_record_ns_per_byte in
-  if ns > 0.0 then begin
-    E.delay t.eng pid ~ns;
-    phase_add t ~tracks:(charge_tracks t pid) ?segment "seglog_write"
-      (int_of_float ns)
+    let tracks =
+      if pid = t.main then [ main_track t ] else [ Obs.Trace.Proc pid ]
+    in
+    E.phase_add t.eng ~tracks ?segment name (int_of_float ns)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -12,7 +12,6 @@ type report = {
   runtime_work_ns : float;
   cow_copies : int;
   dram_accesses : int;
-  obs : Obs.Sink.t option;
 }
 
 type baseline = {
@@ -51,15 +50,8 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
   let stats = Coordinator.stats coord in
   stats.Stats.all_wall_ns <- float_of_int (E.now_ns eng);
   (* Retire any phase scope still open at simulation end (e.g. the
-     drain scope) and surface the breakdown as profile.* stats rows. *)
-  (match config.Config.obs with
-  | Some sink when Obs.Profile.enabled sink.Obs.Sink.profile ->
-    Obs.Sink.phase_close_all sink ~ts_ns:(E.now_ns eng);
-    stats.Stats.profile <-
-      List.map
-        (fun (name, s) -> (name, s.Obs.Profile.self_ns))
-        (Obs.Profile.phases sink.Obs.Sink.profile)
-  | Some _ | None -> ());
+     drain scope). *)
+  E.phase_close_all eng;
   if config.Config.cpu_stats then
     stats.Stats.block_cache <- Some (E.block_cache_totals eng);
   (* Seal the persisted log: the manifest needs the final-state hash
@@ -97,7 +89,6 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
     runtime_work_ns = E.runtime_work_ns eng;
     cow_copies = Mem.Frame.copies (E.frame_allocator eng);
     dram_accesses = E.dram_accesses eng;
-    obs = config.Config.obs;
   }
 
 let run_baseline ?(seed = 42L) ?block_cache ?before_run ~platform ~program () =

@@ -14,10 +14,6 @@ type report = {
   runtime_work_ns : float;
   cow_copies : int;
   dram_accesses : int;
-  obs : Obs.Sink.t option;
-      (** the sink the run wrote into (the one from [config.obs]), so
-          callers can export the trace or assert on per-segment metrics
-          without holding onto the config *)
 }
 
 type baseline = {

@@ -47,7 +47,6 @@ type t = {
   mutable hard_faults : int;
   mutable final_regs : int array option;
   mutable final_mem_hash : int64 option;
-  mutable profile : (string * int) list;
   mutable block_cache : (int * int * int) option;
   mutable seglog : seglog option;
   backend : backend_acct;
@@ -85,7 +84,6 @@ let create () =
     hard_faults = 0;
     final_regs = None;
     final_mem_hash = None;
-    profile = [];
     block_cache = None;
     seglog = None;
     backend =
@@ -180,13 +178,8 @@ let to_assoc t =
       | None -> "none"
       | Some h -> Printf.sprintf "%016Lx" h );
   ]
-  (* Profile rows only exist when --profile was requested, so the
-     default stats surface (and every golden) is unchanged. *)
-  @ List.map
-      (fun (name, self_ns) -> ("profile." ^ name, string_of_int self_ns))
-      t.profile
-  (* Same opt-in discipline: block-cache rows only when --cpu-stats
-     asked for them, keeping the goldens byte-identical by default. *)
+  (* Block-cache rows only when --cpu-stats asked for them, keeping
+     the goldens byte-identical by default. *)
   @ (match t.block_cache with
     | None -> []
     | Some (hits, misses, invalidations) ->
@@ -196,7 +189,7 @@ let to_assoc t =
         ("cpu.block_cache_invalidations", string_of_int invalidations);
       ])
   (* Seglog rows only exist when --record-log persisted a log, the
-     same opt-in discipline as above. The compression ratio is raw
+     same opt-in discipline. The compression ratio is raw
      dirty-page payload over stored (post-compression) payload. *)
   @
   match t.seglog with

@@ -74,19 +74,15 @@ type t = {
   mutable final_mem_hash : int64 option;
       (** digest of main's full memory image at exit (vpn + page bytes,
           ascending vpn order) *)
-  mutable profile : (string * int) list;
-      (** name-sorted (phase, self_ns) rows from [Obs.Profile], filled by
-          [Runtime] only when profiling was enabled; empty otherwise so
-          the stats dump is unchanged by default *)
   mutable block_cache : (int * int * int) option;
       (** summed decoded-block-cache [(hits, misses, invalidations)]
           over every CPU of the run, filled by [Runtime] only under
           [Config.cpu_stats]; [None] keeps the stats dump (and the
-          goldens) unchanged, same discipline as [profile] *)
+          goldens) unchanged *)
   mutable seglog : seglog option;
       (** persisted-log size/compression counters, filled by [Runtime]
           only under [Config.record_log]; [None] keeps the stats dump
-          (and the goldens) unchanged, same discipline as [profile] *)
+          (and the goldens) unchanged, same discipline as [block_cache] *)
   backend : backend_acct;
       (** checker-backend accounting, counted in place by the backend's
           {!Backend.Supervisor}. Unlike the opt-in sub-records above

@@ -24,17 +24,14 @@ open Run_ctx
 
 let note_kill t seg ~reason =
   t.stats.Stats.watchdog_kills <- t.stats.Stats.watchdog_kills + 1;
-  emit_ev t ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
+  E.emit t.eng ~track:Obs.Trace.Run ~phase:Obs.Trace.Instant
     ~args:
       [
         ("seg", Obs.Trace.Int (Segment.id seg));
         ("checker", Obs.Trace.Int (Segment.checker seg));
         ("reason", Obs.Trace.Str reason);
       ]
-    "watchdog.kill";
-  match t.cfg.Config.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.incr s "watchdog_kills"
+    "watchdog.kill"
 
 let respond t seg ~reason =
   note_kill t seg ~reason;

@@ -88,26 +88,6 @@ let classify tally (outcome : Parallaft.Detection.outcome) =
     tally.transient <- tally.transient + 1
   | Parallaft.Detection.Hard_fault _ -> tally.hard <- tally.hard + 1
 
-(* The injectable target classes of the grid, in display order. *)
-type target_kind =
-  | Checker_reg
-  | Checker_mem
-  | Main_reg
-  | Main_mem
-  | Runtime_kill
-  | Runtime_stall
-
-let target_kind_name = function
-  | Checker_reg -> "checker-reg"
-  | Checker_mem -> "checker-mem"
-  | Main_reg -> "main-reg"
-  | Main_mem -> "main-mem"
-  | Runtime_kill -> "runtime-kill"
-  | Runtime_stall -> "runtime-stall"
-
-let all_target_kinds =
-  [ Checker_reg; Checker_mem; Main_reg; Main_mem; Runtime_kill; Runtime_stall ]
-
 (* What the fault-free reference run of a configuration ended as; the
    SDC oracle compares every landed faulted run against this. *)
 type reference = {
@@ -170,48 +150,31 @@ let run_one ~platform ~recovery ~recheck ~reference ~program ~plan =
         silent_corruption = clean_exit && not state_matches;
       }
 
-let draw_plan ~rng ~seg_insns ~kind =
+(* Every kind draws a register (or page index) and a bit, so the RNG
+   stream advances the same whatever the target class. *)
+let draw_plan ~rng ~seg_insns ~target =
   let n_segments = Array.length seg_insns in
   let segment = Util.Rng.int rng n_segments in
   let t = max 1 seg_insns.(segment) in
   let delay = Util.Rng.int rng (max 1 (int_of_float (1.1 *. float_of_int t))) in
   let reg = Util.Rng.int rng Isa.Insn.num_regs in
   let bit = Util.Rng.int rng 64 in
-  let target =
-    match kind with
-    | Checker_reg -> Fault.Checker_register { reg; bit }
-    | Checker_mem -> Fault.Checker_memory_page { page_index = reg; bit }
-    | Main_reg -> Fault.Main_register { reg; bit }
-    | Main_mem -> Fault.Main_memory_page { page_index = reg; bit }
-    | Runtime_kill -> Fault.Runtime_fault Fault.Kill
-    | Runtime_stall -> Fault.Runtime_fault Fault.Stall
-  in
-  { Fault.segment; delay_instructions = delay; target; repeat = false }
+  { Fault.segment; delay_instructions = delay; target = target reg bit;
+    repeat = false }
 
-(* The campaign runs a determinised variant of the benchmark: gettime /
-   rdtsc values and mmap-returned addresses feed workload output, and a
-   re-dispatched check or a rollback shifts wall-clock and allocation
-   order, so a faulted run can differ from its fault-free reference in
-   output without any corruption. The real system records and replays
-   such results, making them invisible to checking; stripping them here
-   gives the SDC oracle an exact, timing-independent ground truth while
-   leaving the memory/compute character (what fault classification
-   depends on) untouched. *)
-let detimed bench =
-  {
-    bench with
-    Workloads.Spec.spec =
-      {
-        bench.Workloads.Spec.spec with
-        Workloads.Codegen.gettime_every = 0;
-        rdtsc_every = 0;
-        mmap_churn = false;
-      };
-  }
-
-let campaign ?(kind = Checker_reg) ?(recovery = false) ?(recheck = false)
+(* [kind] is a fault target class keyword of [Fault.all_target_kinds]. *)
+let campaign ?(kind = "checker-reg") ?(recovery = false) ?(recheck = false)
     ~platform ~scale ~trials ~rng bench =
-  let bench = detimed bench in
+  let target =
+    match Fault.target_kind_of_string kind with
+    | Ok target -> target
+    | Error k -> invalid_arg ("Exp_fault_injection.campaign: unknown kind " ^ k)
+  in
+  (* A determinised variant ([Workloads.Spec.detimed]): a faulted run
+     must not differ from its fault-free reference in output just
+     because a re-dispatch or rollback shifted timing, so the SDC oracle
+     gets an exact ground truth. *)
+  let bench = Workloads.Spec.detimed bench in
   let programs =
     Workloads.Spec.programs bench ~page_size:platform.Platform.page_size ~scale
   in
@@ -235,9 +198,9 @@ let campaign ?(kind = Checker_reg) ?(recovery = false) ?(recheck = false)
     let reference = run_reference ~platform ~recovery ~recheck ~program in
     let max_attempts = trials * attempts_factor in
     (* Pre-draw all plans sequentially: the RNG consumption is fixed. *)
-    let plans = Array.make max_attempts (draw_plan ~rng ~seg_insns ~kind) in
+    let plans = Array.make max_attempts (draw_plan ~rng ~seg_insns ~target) in
     for i = 1 to max_attempts - 1 do
-      plans.(i) <- draw_plan ~rng ~seg_insns ~kind
+      plans.(i) <- draw_plan ~rng ~seg_insns ~target
     done;
     let results : attempt option array = Array.make max_attempts None in
     let landed = ref 0 in
@@ -294,8 +257,7 @@ let run_grid ~platform ~scale ~quick ~rng bench =
     (fun kind ->
       List.iter
         (fun recovery ->
-          Obs.Log.progress "  [fig10 grid] %s recovery=%b..."
-            (target_kind_name kind) recovery;
+          Obs.Log.progress "  [fig10 grid] %s recovery=%b..." kind recovery;
           let t =
             campaign ~kind ~recovery ~recheck:true ~platform ~scale ~trials
               ~rng bench
@@ -303,7 +265,7 @@ let run_grid ~platform ~scale ~quick ~rng bench =
           add_tally ~into:totals t;
           rows :=
             [
-              target_kind_name kind;
+              kind;
               (if recovery then "on" else "off");
               string_of_int (landed_total t);
               string_of_int (t.detected + t.exception_ + t.timeout);
@@ -315,7 +277,7 @@ let run_grid ~platform ~scale ~quick ~rng bench =
             ]
             :: !rows)
         [ false; true ])
-    all_target_kinds;
+    Fault.all_target_kinds;
   Util.Table.print
     ~header:
       [

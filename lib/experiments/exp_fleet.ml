@@ -11,22 +11,9 @@
    question (what happens to latency and the rejection count when
    offered load exceeds the pool?).
 
-   Workloads are detimed (no gettime/rdtsc results recorded, no mmap
-   churn) so each tenant's final state is a pure function of its
-   program and its per-tenant rng streams — the same discipline as the
-   fault-injection oracle. *)
-
-let detimed bench =
-  {
-    bench with
-    Workloads.Spec.spec =
-      {
-        bench.Workloads.Spec.spec with
-        Workloads.Codegen.gettime_every = 0;
-        rdtsc_every = 0;
-        mmap_churn = false;
-      };
-  }
+   Workloads are detimed ([Workloads.Spec.detimed]) so each tenant's
+   final state is a pure function of its program and its per-tenant
+   rng streams — the same discipline as the fault-injection oracle. *)
 
 (* A fleet's tenants cycle through distinct benchmark characters so the
    pool sees heterogeneous checker lengths (the interesting case for
@@ -37,7 +24,9 @@ let fleet_scale scale = scale *. 0.25
 let tenant_programs ~platform ~scale ~n =
   let benches = Suite.benchmarks ~quick:true in
   List.init n (fun i ->
-      let bench = detimed (List.nth benches (i mod List.length benches)) in
+      let bench =
+        Workloads.Spec.detimed (List.nth benches (i mod List.length benches))
+      in
       List.hd
         (Workloads.Spec.programs bench
            ~page_size:platform.Platform.page_size ~scale:(fleet_scale scale)))

@@ -84,10 +84,11 @@ let tenant_rngs ~seed ~tid =
   let prng = Util.Rng.split troot in
   (rng, prng)
 
-let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
+let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
     ?(arrival = Batch) ?configure ~platform ~config ~programs () =
   let n = List.length programs in
   if n = 0 then invalid_arg "Fleet.run: no programs";
+  let max_tenants = Option.value max_tenants ~default:n in
   if max_tenants <= 0 then invalid_arg "Fleet.run: max_tenants <= 0";
   if config.Config.record_log <> None then
     invalid_arg "Fleet.run: record_log captures one linear segment history";
@@ -97,9 +98,9 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in
-  (match config.Config.obs with
-  | Some sink -> E.set_obs eng sink
-  | None -> ());
+  (* The fleet's sink rides on the engine, which the shared pool and
+     every tenant emit through. *)
+  Option.iter (E.set_obs eng) config.Config.obs;
   let pool = Core_pool.create Core_pool.Shared eng config in
   let bigs = Array.of_list (E.big_cores eng) in
   if Array.length bigs = 0 then invalid_arg "Fleet.run: no big cores";
@@ -117,11 +118,7 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
       programs
   in
   let emit_tenant tid ?args name =
-    match config.Config.obs with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.emit s ~ts_ns:(E.time_ns eng) ~track:(Obs.Trace.Tenant tid)
-        ~phase:Obs.Trace.Instant ?args name
+    E.emit eng ~track:(Obs.Trace.Tenant tid) ~phase:Obs.Trace.Instant ?args name
   in
   let live_tenants () =
     List.length
@@ -145,10 +142,7 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
     slot.admitted_ns <- Some (E.now_ns eng);
     emit_tenant slot.tid
       ~args:[ ("main_core", Obs.Trace.Int main_core) ]
-      "tenant.admit";
-    (match config.Config.obs with
-    | None -> ()
-    | Some s -> Obs.Sink.incr s "fleet.admissions")
+      "tenant.admit"
   in
   let arrival_due slot =
     match arrival with
@@ -190,10 +184,7 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
             | Reject_arrivals ->
               slot.state <- Rejected_slot;
               incr rejected;
-              emit_tenant slot.tid "tenant.reject";
-              (match config.Config.obs with
-              | None -> ()
-              | Some s -> Obs.Sink.incr s "fleet.rejections"))
+              emit_tenant slot.tid "tenant.reject")
         | Waiting | Running _ | Finished _ | Rejected_slot -> ())
       slots
   in
@@ -261,13 +252,8 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
         | None -> acc)
       0 tenants
   in
-  (match config.Config.obs with
-  | None -> ()
-  | Some s ->
-    (* Retire what no tenant's end closed (e.g. an unfinished one's). *)
-    Obs.Sink.phase_close_all s ~ts_ns:wall_ns;
-    Obs.Sink.observe s "fleet.segments_verified" (float_of_int segments_verified);
-    Obs.Sink.observe s "fleet.wall_ns" (float_of_int wall_ns));
+  (* Retire what no tenant's end closed (e.g. an unfinished one's). *)
+  E.phase_close_all eng;
   {
     tenants;
     admitted =
@@ -284,3 +270,46 @@ let run ?(seed = 42L) ?(max_tenants = 4) ?(admission = Queue_arrivals)
        else float_of_int segments_verified /. float_of_int wall_ns *. 1e9);
     live_at_end = E.live_processes eng;
   }
+
+let to_assoc r =
+  let i = string_of_int in
+  [
+    ("fleet.tenants", i (List.length r.tenants));
+    ("fleet.admitted", i r.admitted);
+    ("fleet.rejected", i r.rejected);
+    ("fleet.steals", i r.steals);
+    ("fleet.migrations", i r.migrations);
+    ("fleet.segments_verified", i r.segments_verified);
+    ("fleet.wall_ns", i r.wall_ns);
+    ( "fleet.throughput_segments_per_s",
+      Printf.sprintf "%.1f" r.throughput_segments_per_s );
+    ("hwmon.energy_joules", Printf.sprintf "%.6f" r.energy_j);
+  ]
+  @ List.concat_map
+      (fun (t : tenant_report) ->
+        let row name v = (Printf.sprintf "fleet.tenant%d.%s" t.tid name, v) in
+        [
+          row "outcome"
+            (match t.outcome with
+            | Completed -> "completed"
+            | Aborted -> "aborted"
+            | Rejected -> "rejected"
+            | Unfinished -> "unfinished");
+          row "exit_status"
+            (match t.exit_status with Some s -> i s | None -> "none");
+        ]
+        @ (match t.stats with
+          | Some st ->
+            [
+              row "segments_compared" (i st.Stats.segments_compared);
+              row "recoveries" (i st.Stats.recoveries);
+              row "detections" (i (List.length st.Stats.detections));
+              row "page_hash_hits" (i st.Stats.page_hash_hits);
+              row "page_hash_misses" (i st.Stats.page_hash_misses);
+            ]
+          | None -> [])
+        @
+        match (t.admitted_ns, t.completed_ns) with
+        | Some a, Some c -> [ row "wall_ns" (i (c - a)) ]
+        | _ -> [])
+      r.tenants

@@ -72,14 +72,23 @@ val run :
   report
 (** Run one fleet: tenant [i] protects [List.nth programs i] under
     [config] with its main core reassigned round-robin over the big
-    cores ([config.main_core] is ignored); [config]'s [obs] sink and
-    policy knobs also steer the shared pool. [configure] maps each
-    tenant's final config (after main-core assignment) — the hook the
-    isolation tests use to arm a fault plan in exactly one tenant.
-    Every tenant builds its own checker backend from its config, so
-    any backend works. Returns when every tenant settled (completed,
-    aborted or rejected) or at the 2-simulated-second hang bound.
+    cores ([config.main_core] is ignored); [config]'s [obs] sink is
+    attached to the fleet's engine, and its policy knobs also steer the
+    shared pool. [max_tenants] caps the live tenants (default: the
+    number of programs, so no cap). [configure] maps each tenant's
+    final config (after main-core assignment) — the hook the isolation
+    tests use to arm a fault plan in exactly one tenant. Every tenant
+    builds its own checker backend from its config, so any backend
+    works. Returns when every tenant settled (completed, aborted or
+    rejected) or at the 2-simulated-second hang bound.
     @raise Invalid_argument if [config.record_log] is set (a segment
     log holds one linear history, not a fleet's) or [config] is a RAFT
     config (its checkers run on big cores, which the tenants reserve
     for their mains). *)
+
+val to_assoc : report -> (string * string) list
+(** The fleet's stats dump, in [Stats.to_assoc]'s key/value form:
+    [fleet.*] totals and [hwmon.energy_joules], then per admitted
+    tenant its outcome, exit status, [Stats] rows (segments compared,
+    recoveries, detections, comparator page-hash hits and misses) and
+    admission-to-completion wall time. *)

@@ -75,45 +75,22 @@ type summary = {
   p999 : float;
 }
 
-type t = {
-  hists : (string, Hist.t) Hashtbl.t;
-  cntrs : (string, int ref) Hashtbl.t;
-  mutable enabled : bool;
-}
+type t = (string, Hist.t) Hashtbl.t
 
-let create () =
-  { hists = Hashtbl.create 16; cntrs = Hashtbl.create 16; enabled = true }
-
-let set_enabled t on = t.enabled <- on
-let enabled t = t.enabled
+let create () : t = Hashtbl.create 16
 
 let observe t name v =
-  if t.enabled then begin
-    let h =
-      match Hashtbl.find_opt t.hists name with
-      | Some h -> h
-      | None ->
-        let h = Hist.create () in
-        Hashtbl.replace t.hists name h;
-        h
-    in
-    Hist.add h v
-  end
+  let h =
+    match Hashtbl.find_opt t name with
+    | Some h -> h
+    | None ->
+      let h = Hist.create () in
+      Hashtbl.replace t name h;
+      h
+  in
+  Hist.add h v
 
-let add t name n =
-  if t.enabled then
-    match Hashtbl.find_opt t.cntrs name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace t.cntrs name (ref n)
-
-let incr t name = add t name 1
-
-let hist t name = Hashtbl.find_opt t.hists name
-
-let counter t name =
-  match Hashtbl.find_opt t.cntrs name with
-  | Some r -> !r
-  | None -> 0
+let hist t name = Hashtbl.find_opt t name
 
 let summarize h =
   {
@@ -128,30 +105,23 @@ let summarize h =
     p999 = Hist.percentile h 99.9;
   }
 
-let sorted_bindings tbl f =
-  Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
+let histograms t =
+  Hashtbl.fold (fun k h acc -> (k, summarize h) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let histograms t = sorted_bindings t.hists summarize
-let counters t = sorted_bindings t.cntrs ( ! )
 
 let merge_into dst srcs =
   List.iter
     (fun src ->
-      Hashtbl.iter (fun name r -> add dst name !r) src.cntrs;
       Hashtbl.iter
         (fun name h ->
           for i = 0 to h.Hist.len - 1 do
             observe dst name h.Hist.data.(i)
           done)
-        src.hists)
+        src)
     srcs
 
 let to_text t =
   let b = Buffer.create 1024 in
-  List.iter
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "counter %s %d\n" name v))
-    (counters t);
   List.iter
     (fun (name, s) ->
       Buffer.add_string b

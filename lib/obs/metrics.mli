@@ -1,9 +1,11 @@
-(** Per-run metric aggregation: named histograms and counters.
+(** Per-run metric aggregation: named histograms.
 
     Histograms retain every observation (growable, amortised O(1) add)
     and summarise on demand with exact percentiles — run lengths here
     are bounded by the simulation, so exactness is affordable and keeps
-    summaries deterministic. Counters are plain named integers.
+    summaries deterministic. Counts of run events are not kept here:
+    the stats rows, the fleet report and the trace digest's [events:]
+    counts carry them.
 
     All exports order series by name, so output is reproducible
     regardless of observation order. *)
@@ -28,52 +30,23 @@ module Hist : sig
       [1..100] is [50.5]. *)
 end
 
-type summary = {
-  count : int;
-  sum : float;
-  min : float;
-  max : float;
-  mean : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  p999 : float;
-}
-
 type t
 
 val create : unit -> t
 
-val set_enabled : t -> bool -> unit
-(** Disabled metrics record nothing. *)
-
-val enabled : t -> bool
-
 val observe : t -> string -> float -> unit
 (** Add one observation to the named histogram (created on first use). *)
 
-val add : t -> string -> int -> unit
-(** Bump the named counter by [n] (created on first use). *)
-
-val incr : t -> string -> unit
-
 val hist : t -> string -> Hist.t option
-val counter : t -> string -> int
-
-val histograms : t -> (string * summary) list
-(** Sorted by name. *)
-
-val counters : t -> (string * int) list
-(** Sorted by name. *)
 
 val merge_into : t -> t list -> unit
-(** [merge_into dst srcs] adds every counter and every histogram
-    observation of the sources into [dst] (observations kept in each
-    source's insertion order). Since all exports are name-sorted and
-    histogram summaries are order-insensitive, merging per-task metrics
-    in task order yields output independent of domain scheduling. *)
+(** [merge_into dst srcs] adds every histogram observation of the
+    sources into [dst] (observations kept in each source's insertion
+    order). Since all exports are name-sorted and histogram summaries
+    are order-insensitive, merging per-task metrics in task order
+    yields output independent of domain scheduling. *)
 
 val to_text : t -> string
-(** Plain-text dump: one [counter NAME VALUE] line per counter, one
+(** Plain-text dump: one
     [hist NAME count/min/mean/p50/p90/p99/p99.9/max/sum] line per
     histogram. *)

@@ -11,15 +11,6 @@ let create ?trace_capacity () =
     profile = Profile.create ();
   }
 
-let set_enabled t on =
-  Trace.set_enabled t.trace on;
-  Metrics.set_enabled t.metrics on;
-  (* The profiler is opt-in on top of the sink: disabling the sink
-     disables it, but re-enabling the sink never auto-enables it. *)
-  if not on then Profile.set_enabled t.profile false
-
-let enabled t = Trace.enabled t.trace
-
 let emit t ~ts_ns ~track ~phase ?args name =
   Trace.emit t.trace ~ts_ns ~track ~phase ?args name
 
@@ -29,8 +20,6 @@ let merge_into dst srcs =
   Profile.merge_into dst.profile (List.map (fun s -> s.profile) srcs)
 
 let observe t name v = Metrics.observe t.metrics name v
-let add t name n = Metrics.add t.metrics name n
-let incr t name = add t name 1
 
 (* Every phase transition also lands in the trace as a Perfetto counter
    track sample ("ph":"C") named "profile.<phase>" carrying the phase's

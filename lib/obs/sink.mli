@@ -1,8 +1,11 @@
-(** The observability sink a run writes into: one trace ring plus one
-    metrics registry. A [Config.t] carries an optional sink ([None] by
-    default); every emit site in the runtime is a no-op when the config
-    has no sink, and a load+branch when the sink is disabled — tracing
-    costs nothing unless explicitly requested. *)
+(** The observability sink a run writes into: one trace ring, one set
+    of metric histograms and one phase profiler. A [Config.t] carries
+    an optional sink ([None] by default) that the run attaches to its
+    engine ([Sim_os.Engine.set_obs]); every emit site reaches it through
+    the engine and is a no-op without one. A trace whose ring is
+    disabled ([Trace.set_enabled]) records no events while the
+    histograms are still kept, and the profiler is off until
+    [Profile.set_enabled]. *)
 
 type t = {
   trace : Trace.t;
@@ -11,13 +14,6 @@ type t = {
 }
 
 val create : ?trace_capacity:int -> unit -> t
-
-val set_enabled : t -> bool -> unit
-(** Flip both the trace and the metrics registry. Disabling also
-    disables the profiler; re-enabling does {e not} re-enable it (the
-    profiler is opt-in via [Profile.set_enabled]). *)
-
-val enabled : t -> bool
 
 val emit :
   t ->
@@ -30,15 +26,13 @@ val emit :
 
 val merge_into : t -> t list -> unit
 (** Fold per-task sinks back into one after a parallel fan-out
-    ([Util.Pool]): traces are appended in list (task) order, metric
-    counters summed and histogram observations re-added. A sink is not
+    ([Util.Pool]): traces are appended in list (task) order, histogram
+    observations re-added and profiles summed. A sink is not
     domain-safe, so parallel tasks must each write to a private sink;
     callers merge after the join, passing sinks in task input order to
     keep the result independent of domain scheduling. *)
 
 val observe : t -> string -> float -> unit
-val add : t -> string -> int -> unit
-val incr : t -> string -> unit
 
 (** {2 Phase profiling}
 

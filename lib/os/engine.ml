@@ -167,15 +167,38 @@ let time_ns t = int_of_float (Float.max t.event_time (float_of_int t.now))
 
 let set_obs t sink = t.obs <- Some sink
 
-let obs_emit t ~track ~phase ?args name =
+(* The one route from a run to its sink: every layer above (pipeline
+   stages, checker pool, fleet) emits through these, stamped with
+   [time_ns]; each is a no-op without a sink. *)
+let emit t ~track ~phase ?args name =
   match t.obs with
   | None -> ()
   | Some s -> Obs.Sink.emit s ~ts_ns:(time_ns t) ~track ~phase ?args name
 
-let obs_observe t name v =
+let observe t name v =
   match t.obs with
   | None -> ()
   | Some s -> Obs.Sink.observe s name v
+
+let phase_enter t ~track ?segment name =
+  match t.obs with
+  | None -> ()
+  | Some s -> Obs.Sink.phase_enter s ~ts_ns:(time_ns t) ~track ?segment name
+
+let phase_leave t ~track name =
+  match t.obs with
+  | None -> ()
+  | Some s -> Obs.Sink.phase_leave s ~ts_ns:(time_ns t) ~track name
+
+let phase_add t ~tracks ?segment name ns =
+  match t.obs with
+  | None -> ()
+  | Some s -> Obs.Sink.phase_add s ~ts_ns:(time_ns t) ~tracks ?segment name ns
+
+let phase_close_all t =
+  match t.obs with
+  | None -> ()
+  | Some s -> Obs.Sink.phase_close_all s ~ts_ns:(time_ns t)
 
 let n_cores t = Array.length t.cores
 
@@ -191,7 +214,7 @@ let set_dvfs_level t ~cluster ~level =
   if level < 0 || level >= Array.length cl.desc.Platform.freq_levels_mhz then
     invalid_arg "Engine.set_dvfs_level: level out of range";
   if cl.level <> level then
-    obs_emit t ~track:Obs.Trace.Run ~phase:Obs.Trace.Counter
+    emit t ~track:Obs.Trace.Run ~phase:Obs.Trace.Counter
       ~args:[ ("level", Obs.Trace.Int level) ]
       (Printf.sprintf "dvfs.cluster%d" cluster);
   cl.level <- level
@@ -230,7 +253,7 @@ let mark_exited t p status =
   | Exited _ -> ()
   | Runnable | Stopped ->
     p.state <- Exited status;
-    obs_emit t ~track:(Obs.Trace.Proc p.pid) ~phase:Obs.Trace.Instant
+    emit t ~track:(Obs.Trace.Proc p.pid) ~phase:Obs.Trace.Instant
       ~args:[ ("status", Obs.Trace.Int status) ]
       "exit";
     p.ended_ns <- int_of_float (Float.max t.event_time (float_of_int t.now));
@@ -415,7 +438,7 @@ let fork_process t parent_pid =
     + (mapped * t.plat.Platform.fork_per_page_cycles)
   in
   let cost_ns = cycles_to_ns t t.cores.(parent.core) cycles in
-  obs_emit t ~track:(Obs.Trace.Proc parent_pid) ~phase:Obs.Trace.Instant
+  emit t ~track:(Obs.Trace.Proc parent_pid) ~phase:Obs.Trace.Instant
     ~args:
       [
         ("child", Obs.Trace.Int pid);
@@ -423,17 +446,14 @@ let fork_process t parent_pid =
         ("cost_ns", Obs.Trace.Int (int_of_float cost_ns));
       ]
     "fork";
-  obs_observe t "fork.cost_ns" cost_ns;
-  obs_observe t "fork.pages" (float_of_int mapped);
+  observe t "fork.cost_ns" cost_ns;
+  observe t "fork.pages" (float_of_int mapped);
   (* Phase attribution: the page-table copy is a zero-width charge
      against whatever phase scope is open for the forking process (its
      core's timeline first, its pid track second). *)
-  (match t.obs with
-  | None -> ()
-  | Some s ->
-    Obs.Sink.phase_add s ~ts_ns:(time_ns t)
-      ~tracks:[ Obs.Trace.Core parent.core; Obs.Trace.Proc parent_pid ]
-      "fork" (int_of_float cost_ns));
+  phase_add t
+    ~tracks:[ Obs.Trace.Core parent.core; Obs.Trace.Proc parent_pid ]
+    "fork" (int_of_float cost_ns);
   charge_sys_cycles t parent_pid cycles;
   pid
 

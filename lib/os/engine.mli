@@ -72,6 +72,34 @@ val set_obs : t -> Obs.Sink.t -> unit
     on level changes, and [fork.cost_ns]/[fork.pages] metrics. Without a
     sink every emit site is a no-op. *)
 
+(** {2 The route to the sink}
+
+    Every layer above the engine (pipeline stages, checker pool, fleet)
+    reaches the attached sink through these, stamped with {!time_ns}.
+    Each is a no-op until {!set_obs}; the [phase_*] functions are also
+    no-ops while the sink's profiler is off. *)
+
+val emit :
+  t ->
+  track:Obs.Trace.track ->
+  phase:Obs.Trace.phase ->
+  ?args:(string * Obs.Trace.arg) list ->
+  string ->
+  unit
+
+val observe : t -> string -> float -> unit
+(** Add one observation to the named histogram. *)
+
+val phase_enter : t -> track:Obs.Trace.track -> ?segment:int -> string -> unit
+val phase_leave : t -> track:Obs.Trace.track -> string -> unit
+
+val phase_add :
+  t -> tracks:Obs.Trace.track list -> ?segment:int -> string -> int -> unit
+(** A zero-width charge of [ns] to the named phase ({!Obs.Profile.add_ns}). *)
+
+val phase_close_all : t -> unit
+(** Close every open phase scope (teardown and run end). *)
+
 val frame_allocator : t -> Mem.Frame.allocator
 
 (** {2 Topology and DVFS} *)

@@ -126,3 +126,15 @@ let programs b ~page_size ~scale =
           Codegen.outer_iters = outer;
           pattern = scale_pattern ~factor b.spec.Codegen.pattern;
         })
+
+let detimed b =
+  {
+    b with
+    spec =
+      {
+        b.spec with
+        Codegen.gettime_every = 0;
+        rdtsc_every = 0;
+        mmap_churn = false;
+      };
+  }

@@ -33,3 +33,13 @@ val programs : t -> page_size:int -> scale:float -> Isa.Program.t list
     Registry footprints are in 16 KiB-page units; they are converted so
     the byte footprint is page-size independent (4x the pages on 4 KiB
     Intel — the paper's checkpointing-cost argument, §5.8). *)
+
+val detimed : t -> t
+(** The benchmark with no gettime or rdtsc calls and no mmap churn, so
+    its output and final state are a pure function of the program and
+    its rng streams. Those values feed workload output, and a
+    re-dispatched check, a rollback or another tenant shifts timing and
+    allocation order; the real system records and replays them, which
+    makes them invisible to checking. Stripping them gives an oracle an
+    exact, timing-independent ground truth while leaving the
+    memory/compute character untouched. *)

@@ -94,17 +94,7 @@ let platform = Platform.intel_i7
 let detimed name ~scale =
   let bench =
     match Workloads.Spec.find name with
-    | Some b ->
-      {
-        b with
-        Workloads.Spec.spec =
-          {
-            b.Workloads.Spec.spec with
-            Workloads.Codegen.gettime_every = 0;
-            rdtsc_every = 0;
-            mmap_churn = false;
-          };
-      }
+    | Some b -> Workloads.Spec.detimed b
     | None -> Alcotest.failf "%s missing from the suite" name
   in
   List.hd

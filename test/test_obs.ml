@@ -118,11 +118,15 @@ let test_metrics_text_names_quantiles () =
     Alcotest.(check bool) "p99 <= p99.9" true (p99 <= p999);
     Alcotest.(check bool) "p99.9 <= max" true (p999 <= Obs.Metrics.Hist.max h)
 
-(* {2 Disabled sink through a full run} *)
+(* {2 Trace-off sink through a full run}
 
-let test_disabled_sink_records_nothing () =
-  let sink = Obs.Sink.create () in
-  Obs.Sink.set_enabled sink false;
+   The sink a host-time benchmark attaches: a one-event ring with the
+   trace disabled and the profiler off. It records no events while the
+   histograms the latency metrics read are still kept. *)
+
+let test_trace_off_sink () =
+  let sink = Obs.Sink.create ~trace_capacity:1 () in
+  Obs.Trace.set_enabled sink.Obs.Sink.trace false;
   let config =
     {
       (Parallaft.Config.parallaft ~platform ~slice_period:20_000 ()) with
@@ -130,13 +134,19 @@ let test_disabled_sink_records_nothing () =
     }
   in
   let program = busy_program () in
-  let _r = Parallaft.Runtime.run_protected ~platform ~config ~program () in
+  let r = Parallaft.Runtime.run_protected ~platform ~config ~program () in
   Alcotest.(check int) "no trace events" 0
     (Obs.Trace.length sink.Obs.Sink.trace);
-  Alcotest.(check int) "no histograms" 0
-    (List.length (Obs.Metrics.histograms sink.Obs.Sink.metrics));
-  Alcotest.(check int) "no counters" 0
-    (List.length (Obs.Metrics.counters sink.Obs.Sink.metrics))
+  Alcotest.(check int) "nothing dropped either" 0
+    (Obs.Trace.dropped sink.Obs.Sink.trace);
+  Alcotest.(check int) "no phases profiled" 0
+    (List.length (Obs.Profile.phases sink.Obs.Sink.profile));
+  match Obs.Metrics.hist sink.Obs.Sink.metrics "checker.latency_ns" with
+  | Some h ->
+    Alcotest.(check int) "one latency sample per compared segment"
+      r.Parallaft.Runtime.stats.Parallaft.Stats.segments_compared
+      (Obs.Metrics.Hist.count h)
+  | None -> Alcotest.fail "checker.latency_ns histogram missing"
 
 (* {2 Determinism and content} *)
 
@@ -155,6 +165,18 @@ let test_trace_deterministic () =
 
 let event_names sink =
   List.map (fun e -> e.Obs.Trace.name) (Obs.Trace.events sink.Obs.Sink.trace)
+
+(* The [events:] count of [name] in the --metrics digest
+   ([Export.summary]): the one line of form "  NAME  xN" (span rows put
+   a duration before their count); 0 when the name is absent. *)
+let summary_count sink name =
+  List.fold_left
+    (fun acc line ->
+      match Scanf.sscanf_opt line " %s x%d%!" (fun n c -> (n, c)) with
+      | Some (n, c) when n = name -> c
+      | Some _ | None -> acc)
+    0
+    (String.split_on_char '\n' (Obs.Export.summary sink.Obs.Sink.trace))
 
 let test_trace_contains_lifecycle_events () =
   let r, sink = run_with_sink () in
@@ -185,12 +207,12 @@ let test_trace_contains_detection () =
     Fault.checker_register ~segment:0 ~delay_instructions:50 ~reg:13 ~bit:7
   in
   let r, sink = run_with_sink ~fault_plan () in
-  ignore r;
   let names = event_names sink in
   Alcotest.(check bool) "detection event present" true
     (List.mem "detection" names);
-  Alcotest.(check bool) "detections counter bumped" true
-    (Obs.Metrics.counter sink.Obs.Sink.metrics "detections" > 0)
+  Alcotest.(check int) "one digest detection per reported detection"
+    (List.length r.Parallaft.Runtime.detections)
+    (summary_count sink "detection")
 
 (* {2 JSON well-formedness}
 
@@ -446,6 +468,106 @@ let test_recheck_spans_balanced () =
               e.Obs.Trace.args)
        (Obs.Trace.events sink.Obs.Sink.trace))
 
+(* {2 One record per run fact}
+
+   A count of run events lives in the stats rows or the fleet report,
+   and nowhere else. The --metrics digest's [events:] counts must agree
+   with those records, and the fleet dump's per-tenant page-hash rows
+   must carry what the comparator counted (the [compare] instants'
+   hash arguments). *)
+
+let compare_arg_sum sink key =
+  List.fold_left
+    (fun acc e ->
+      match (e.Obs.Trace.name, List.assoc_opt key e.Obs.Trace.args) with
+      | "compare", Some (Obs.Trace.Int n) -> acc + n
+      | _ -> acc)
+    0 (Obs.Trace.events sink.Obs.Sink.trace)
+
+let test_event_counts_match_records () =
+  let module S = Parallaft.Stats in
+  let counts label sink expected =
+    Alcotest.(check int) (label ^ ": ring kept every event") 0
+      (Obs.Trace.dropped sink.Obs.Sink.trace);
+    List.iter
+      (fun (name, n) ->
+        Alcotest.(check int) (Printf.sprintf "%s: %s events" label name) n
+          (summary_count sink name))
+      expected
+  in
+  (* A --recheck run whose one checker fault the re-check resolves. *)
+  let r, sink =
+    run_with_sink ~fault_plan:teardown_fault_plan ~recheck:true ()
+  in
+  let st = r.Parallaft.Runtime.stats in
+  Alcotest.(check bool) "recheck run re-checked" true (st.S.rechecks >= 1);
+  counts "recheck run" sink
+    [
+      ("detection", List.length st.S.detections);
+      ("recheck", st.S.rechecks);
+      ("recheck.transient", st.S.transient_faults);
+      ("migrate", st.S.migrations);
+    ];
+  Alcotest.(check int) "recheck run: page-hash hits" st.S.page_hash_hits
+    (compare_arg_sum sink "hash_hits");
+  Alcotest.(check int) "recheck run: page-hash misses" st.S.page_hash_misses
+    (compare_arg_sum sink "hash_misses");
+  (* Four tenants, a main-memory fault rolled back in tenant 0. *)
+  let sink = Obs.Sink.create () in
+  let fault =
+    {
+      Fault.segment = 1;
+      delay_instructions = 100;
+      target = Fault.Main_memory_page { page_index = 3; bit = 9 };
+      repeat = false;
+    }
+  in
+  let f =
+    Fleet.run ~platform
+      ~config:
+        {
+          (Parallaft.Config.parallaft ~platform ~slice_period:20_000 ()) with
+          Parallaft.Config.obs = Some sink;
+          recovery = true;
+        }
+      ~configure:(fun tid cfg ->
+        if tid = 0 then { cfg with Parallaft.Config.fault_plan = Some fault }
+        else cfg)
+      ~programs:(List.init 4 (fun _ -> busy_program ()))
+      ()
+  in
+  let stats = List.filter_map (fun t -> t.Fleet.stats) f.Fleet.tenants in
+  let sum g = List.fold_left (fun acc st -> acc + g st) 0 stats in
+  Alcotest.(check bool) "fleet: tenant 0 detected" true
+    (sum (fun st -> List.length st.S.detections) >= 1);
+  counts "fleet" sink
+    [
+      ("detection", sum (fun st -> List.length st.S.detections));
+      ("migrate", f.Fleet.migrations);
+      ("steal", f.Fleet.steals);
+      ("tenant.admit", f.Fleet.admitted);
+    ];
+  let rows = Fleet.to_assoc f in
+  List.iter
+    (fun t ->
+      match t.Fleet.stats with
+      | None -> Alcotest.fail "fleet: a tenant never admitted"
+      | Some st ->
+        List.iter
+          (fun (name, v) ->
+            let key = Printf.sprintf "fleet.tenant%d.%s" t.Fleet.tid name in
+            Alcotest.(check (option string)) key (Some (string_of_int v))
+              (List.assoc_opt key rows))
+          [ ("page_hash_hits", st.S.page_hash_hits);
+            ("page_hash_misses", st.S.page_hash_misses) ])
+    f.Fleet.tenants;
+  Alcotest.(check int) "fleet: page-hash hits"
+    (sum (fun st -> st.S.page_hash_hits))
+    (compare_arg_sum sink "hash_hits");
+  Alcotest.(check int) "fleet: page-hash misses"
+    (sum (fun st -> st.S.page_hash_misses))
+    (compare_arg_sum sink "hash_misses")
+
 (* {2 Detection ordering contract} *)
 
 let test_detections_oldest_first () =
@@ -579,10 +701,6 @@ let test_profiled_run_attribution () =
   let attributed = Obs.Profile.wall_attributed_ns p in
   Alcotest.(check bool) "wall partition within run wall-time" true
     (attributed > 0 && attributed <= wall);
-  (* the stats surface mirrors the profiler exactly *)
-  Alcotest.(check bool) "stats profile rows match" true
-    (List.map (fun (n, s) -> (n, s.Obs.Profile.self_ns)) phases
-    = r.Parallaft.Runtime.stats.Parallaft.Stats.profile);
   (* per-segment attribution sums back to the aggregate for the phases
      whose every scope carries a segment *)
   let seg_sum name =
@@ -665,20 +783,16 @@ let test_rollback_self_time () =
       s.Obs.Profile.self_ns
 
 let test_profile_off_leaves_run_untouched () =
-  let r, sink = run_with_sink () in
+  let _, sink = run_with_sink () in
   Alcotest.(check bool) "no profile.* events in trace" false
     (contains ~needle:"profile." (Obs.Export.chrome_json sink.Obs.Sink.trace));
   Alcotest.(check int) "no phases recorded" 0
-    (List.length (Obs.Profile.phases sink.Obs.Sink.profile));
-  Alcotest.(check bool) "no profile stats rows" true
-    (r.Parallaft.Runtime.stats.Parallaft.Stats.profile = [])
+    (List.length (Obs.Profile.phases sink.Obs.Sink.profile))
 
 (* {2 Sink merging (parallel fan-out support)} *)
 
 let task_sink i =
   let s = Obs.Sink.create () in
-  Obs.Sink.incr s "segments";
-  Obs.Sink.add s (Printf.sprintf "task%d.only" i) i;
   Obs.Sink.observe s "latency_ns" (float_of_int (100 * (i + 1)));
   Obs.Sink.emit s ~ts_ns:(10 * i) ~track:(Obs.Trace.Proc i)
     ~phase:Obs.Trace.Instant
@@ -701,11 +815,7 @@ let test_sink_merge_deterministic () =
   Alcotest.(check string) "metrics identical"
     (Obs.Metrics.to_text a.Obs.Sink.metrics)
     (Obs.Metrics.to_text b.Obs.Sink.metrics);
-  (* Counters sum across sources; events append in task order. *)
-  Alcotest.(check int) "counter summed" 3
-    (Obs.Metrics.counter a.Obs.Sink.metrics "segments");
-  Alcotest.(check int) "per-task counters kept" 2
-    (Obs.Metrics.counter a.Obs.Sink.metrics "task2.only");
+  (* Events append in task order; histogram observations re-add. *)
   let names =
     List.map (fun e -> e.Obs.Trace.name) (Obs.Trace.events a.Obs.Sink.trace)
   in
@@ -751,8 +861,8 @@ let () =
         ] );
       ( "runtime",
         [
-          Alcotest.test_case "disabled sink records nothing" `Quick
-            test_disabled_sink_records_nothing;
+          Alcotest.test_case "trace-off sink records no events" `Quick
+            test_trace_off_sink;
           Alcotest.test_case "equal seeds give identical traces" `Quick
             test_trace_deterministic;
           Alcotest.test_case "lifecycle events present" `Quick
@@ -795,6 +905,8 @@ let () =
         [
           Alcotest.test_case "detections reported oldest first" `Quick
             test_detections_oldest_first;
+          Alcotest.test_case "event counts match stats and fleet rows" `Quick
+            test_event_counts_match_records;
         ] );
       ( "merge",
         [
