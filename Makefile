@@ -1,14 +1,16 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
 .PHONY: all build test fmt-check unused-exports parallel-smoke \
-  backend-chaos-smoke seglog-smoke bench-smoke \
-  block-cache-smoke invariants golden-check ci clean
+  backend-chaos-smoke bench-smoke invariants ci clean
 
 all: build
 
 build:
 	dune build
 
+# Tier-1: the alcotest suites plus every rule of test/dune — the goldens
+# (@golden), the block-cache smoke (@block-cache), the CLI refusals and
+# the --record-log/parallaft-replay round trips.
 test:
 	dune runtest
 
@@ -53,49 +55,12 @@ parallel-smoke: build
 invariants: build
 	PARALLAFT_INVARIANTS=1 dune runtest --force
 
-# Byte-identity pin of the pipeline refactor: fixed-seed stats + Perfetto
-# traces of four scenarios (Parallaft/RAFT x recovery off/on) diffed
-# against the goldens committed under test/goldens/.
-golden-check: build
-	dune build @golden
-
 # The bechamel microbenchmark table (bench/main.ml) at the quick
 # sampling budget. Its host estimates are informational (the performance
 # ledger that gates changes is ftbench, see BENCHMARK.json); the leg is
 # in `ci` because every fixture asserts its own result.
 bench-smoke: build
 	PARALLAFT_QUICK=1 dune exec bench/main.exe
-
-# The decoded-block cache observably on by default (hits > 0 on a real
-# run) and observably off under --block-cache 0 (all rows zero).
-block-cache-smoke: build
-	dune build @block-cache
-
-# Persistent segment logs end to end (DESIGN.md §17): record a quick
-# run with --record-log and re-check it offline with parallaft-replay
-# (must verify clean, exit 0). Then the other direction: a run with an
-# injected checker fault (live exit 3) must also diverge offline
-# (replay exit 3). Last, the same one-shot fault under --recheck is
-# re-checked away live (exit 0), and offline replay, which arms it as
-# the live run's final attempt did, must agree (exit 0). All legs run
-# with the segment-pipeline invariants on. (That the page codec
-# compresses is checked in test_seglog.)
-SEGLOG_SMOKE_ARGS := --platform testing --workload 401.bzip2 --scale 0.05 --period 3000
-seglog-smoke: build
-	rm -rf /tmp/parallaft_seglog /tmp/parallaft_seglog_fault /tmp/parallaft_seglog_recheck
-	PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
-	  --record-log /tmp/parallaft_seglog > /tmp/parallaft_seglog_run.out
-	PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay /tmp/parallaft_seglog
-	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
-	  --fault 3,60,6,6 --fault-target checker-mem \
-	  --record-log /tmp/parallaft_seglog_fault \
-	  > /tmp/parallaft_seglog_fault.out; test $$? -eq 3'
-	sh -c 'PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay \
-	  /tmp/parallaft_seglog_fault; test $$? -eq 3'
-	PARALLAFT_INVARIANTS=1 dune exec -- parallaft $(SEGLOG_SMOKE_ARGS) \
-	  --fault 3,60,6,6 --fault-target checker-mem --recheck \
-	  --record-log /tmp/parallaft_seglog_recheck > /tmp/parallaft_seglog_recheck.out
-	PARALLAFT_INVARIANTS=1 dune exec -- parallaft-replay /tmp/parallaft_seglog_recheck
 
 # The checker backends end to end (DESIGN.md §18): the `backends`
 # experiment with the lease supervisor's exactly-once ledger swept on
@@ -110,7 +75,7 @@ seglog-smoke: build
 backend-chaos-smoke: build
 	PARALLAFT_INVARIANTS=1 dune exec bin/experiments_main.exe -- backends
 
-ci: build test golden-check invariants fmt-check unused-exports parallel-smoke backend-chaos-smoke seglog-smoke bench-smoke block-cache-smoke
+ci: build test invariants fmt-check unused-exports parallel-smoke backend-chaos-smoke bench-smoke
 
 clean:
 	dune clean

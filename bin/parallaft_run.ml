@@ -204,6 +204,22 @@ let run platform_name mode_name period scale workload input asm_file seed
              incompatible with --tenants > 1 (the fleet dump has per-tenant \
              rows only)";
           1
+        | _
+          when (batch <> None || max_lag <> None) && backend_name <> "deferred" ->
+          prerr_endline
+            "parallaft: --batch and --max-lag require --backend deferred (no \
+             other backend queues checks)";
+          1
+        | _ when tenants <= 1 && (max_tenants <> None || arrival_gap <> None) ->
+          prerr_endline
+            "parallaft: --max-tenants and --arrival require --tenants > 1 \
+             (they shape a fleet's admissions)";
+          1
+        | Mode_baseline when recovery || recheck ->
+          prerr_endline
+            "parallaft: --recovery and --recheck require --mode parallaft or \
+             raft (baseline runs no checker whose failures they answer)";
+          1
         | Mode_baseline when profile ->
           prerr_endline
             "parallaft: --profile requires --mode parallaft or raft (baseline \

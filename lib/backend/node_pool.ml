@@ -21,8 +21,6 @@ let create ~nodes =
 
 let size t = Array.length t.status
 
-let healthy t i = t.status.(i) = Healthy
-
 let crash t i ~until_ns = t.status.(i) <- Crashed until_ns
 let stall t i ~until_ns = t.status.(i) <- Stalled until_ns
 

@@ -9,9 +9,6 @@ type t
 val create : nodes:int -> t
 (** @raise Invalid_argument if [nodes <= 0]. *)
 
-val size : t -> int
-val healthy : t -> int -> bool
-
 val crash : t -> int -> until_ns:int -> unit
 val stall : t -> int -> until_ns:int -> unit
 

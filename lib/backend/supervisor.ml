@@ -1,6 +1,7 @@
-(* Exactly-once verification accounting for the pluggable checker
-   backends (DESIGN.md §18). The supervisor owns one entry per recorded
-   segment and drives it Pending -> Leased -> Settled:
+(* Exactly-once verification accounting for a run's checks, whichever
+   checker backend launches them (DESIGN.md §18). The supervisor owns
+   one entry per recorded segment and drives it
+   Pending -> Leased -> Settled:
 
      - [note_recorded] registers the segment the moment recording ends;
      - [lease] grants (or re-grants, at a strictly higher incarnation)

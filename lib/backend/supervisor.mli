@@ -1,5 +1,9 @@
-(** Exactly-once verification accounting for the checker backends
-    (DESIGN.md §18).
+(** Exactly-once verification accounting for a run's checks
+    (DESIGN.md §18): the run's check ledger, the same for every checker
+    backend. The pipeline stages drive it directly — the recorder
+    registers, the replayer leases and settles, the watchdog heartbeats
+    and expires, teardown cancels — while a backend only counts its
+    batches and the stale verdicts it discards.
 
     One entry per recorded segment, driven
     [Pending -> Leased -> Settled]. A lease names the node (or the
@@ -13,7 +17,7 @@
 
 exception Violation of string
 
-(** The backend's accounting. The supervisor counts into a record the
+(** The check accounting. The supervisor counts into a record the
     caller owns (a run's [Stats.backend]), so there is no second copy
     to keep equal. *)
 type counters = {

@@ -1,5 +1,5 @@
-(* Pluggable checker backends (DESIGN.md §18): where and when the
-   checks of recorded segments run.
+(* Pluggable checker backends (DESIGN.md §18): a backend is a launch
+   policy, deciding where and when the checks of recorded segments run.
 
      Inline    — launch each checker the instant its segment finishes
                  recording: the original pipeline, byte-identical.
@@ -12,14 +12,16 @@
                  with heartbeat expiry detect lost nodes and re-dispatch
                  to a healthy one.
 
-   All three share one exactly-once supervisor (Backend.Supervisor):
-   every recorded segment is settled exactly once, re-dispatches only
-   ever re-grant a lease at a higher incarnation, and verdicts arriving
-   with a lapsed incarnation are discarded as stale. [create] builds a
-   run's backend value before the run exists; Run_ctx holds it
-   unchanged and the pipeline stages never name a backend. Inline is
-   the base instance; deferred and remote override only the hooks
-   whose policy differs. *)
+   The exactly-once ledger every check goes through (Backend.Supervisor)
+   is the run's, not the backend's: the stages register, lease, settle,
+   expire and cancel checks in Run_ctx.sup themselves, and the
+   watchdog swaps a checker that died before launch. A backend only
+   launches checks, names the node a check is leased to, may park a
+   verdict, and drops its own queued work on teardown. [create] builds
+   a run's backend from the config before the run exists; Run_ctx
+   holds it unchanged and the pipeline stages never name a backend.
+   Inline is the base instance and deferred overrides only the hooks
+   whose policy differs; remote sets every hook. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -58,66 +60,28 @@ let charge_launch t seg ~ns =
   acct.Stats.b_launch_ns <- acct.Stats.b_launch_ns + int_of_float ns;
   charge t ~segment:(Segment.id seg) (Segment.checker seg) "backend_launch" ~ns
 
-(* [acct] is the run's [Stats.backend]: the supervisor counts into it. *)
-let create (cfg : Config.t) acct =
-  let sup = Backend.Supervisor.create acct in
-  (* Every backend enters a finished segment into the ledger before its
-     own launch policy runs, and leases a check when it starts; only
-     the remote lease names a node. *)
-  let recorded seg = Backend.Supervisor.note_recorded sup (Segment.id seg) in
-  let lease ?(node = -1) t seg =
-    Backend.Supervisor.lease sup ~id:(Segment.id seg) ~node
-      ~incarnation:(Segment.redispatches seg) ~now_ns:(E.now_ns t.eng)
-      ~insns:(Machine.Cpu.instructions (E.cpu t.eng (Segment.checker seg)))
-  in
+let create (cfg : Config.t) =
   let inline =
     {
-      launch =
-        (fun t seg ->
-          recorded seg;
-          Replayer.launch_checker t seg);
-      note_launched = (fun t seg -> lease t seg);
-      heartbeat =
-        (fun t seg ~now_ns ~insns ~excused ->
-          match
-            Backend.Supervisor.heartbeat sup ~id:(Segment.id seg) ~now_ns ~insns
-              ~excused ~budget_ns:t.cfg.Config.watchdog_stall_ns
-          with
-          | `Ok -> false
-          | `Expired -> true);
-      expired =
-        (fun _ seg -> Backend.Supervisor.note_expired sup ~id:(Segment.id seg));
-      prelaunch_redispatch = (fun _ _ -> false);
+      launch = Replayer.launch_checker;
+      node = (fun _ _ -> -1);
       route_verdict = (fun _ _ _ -> false);
-      settle =
-        (fun _ seg ->
-          match
-            Backend.Supervisor.settle sup ~id:(Segment.id seg)
-              ~incarnation:(Segment.redispatches seg)
-          with
-          | `Ok -> ()
-          | `Stale ->
-            (* Every path into really_finish_checker has already verified
-               the verdict's incarnation is current; a stale settle here
-               means the routing let a superseded verdict through. *)
-            raise
-              (Segment.Invariant_violation
-                 (Printf.sprintf "segment %d settled from a stale incarnation"
-                    (Segment.id seg))));
-      flush = (fun _ -> ignore (Backend.Supervisor.cancel_unsettled sup));
-      poll = (fun _ -> ());
-      check = (fun () -> Backend.Supervisor.check_invariants sup);
+      flush = ignore;
+      poll = ignore;
     }
   in
   match cfg.Config.backend with
   | Config.Backend_inline -> inline
   | Config.Backend_deferred { batch; max_lag = _ } ->
-    let queue : Segment.t Backend.Batcher.t = Backend.Batcher.create ~batch in
+    let queue : Segment.t Queue.t = Queue.create () in
+    (* Dequeue one batch, oldest first, before launching any of it. *)
     let drain t =
-      match Backend.Batcher.take_batch queue with
+      match
+        List.init (min batch (Queue.length queue)) (fun _ -> Queue.pop queue)
+      with
       | [] -> ()
       | segs ->
-        Backend.Supervisor.note_batch sup;
+        Backend.Supervisor.note_batch t.sup;
         List.iteri
           (fun i seg ->
             if
@@ -135,16 +99,11 @@ let create (cfg : Config.t) acct =
       inline with
       launch =
         (fun t seg ->
-          recorded seg;
-          Backend.Batcher.push queue seg;
-          if Backend.Batcher.ready queue then drain t);
-      flush =
-        (fun t ->
-          (* Rollback/abort already tore the queued segments down with
-             the rest of t.live; the queue must not launch them
-             afterwards. *)
-          ignore (Backend.Batcher.clear queue);
-          inline.flush t);
+          Queue.push seg queue;
+          if Queue.length queue >= batch then drain t);
+      (* Rollback/abort already tore the queued segments down with the
+         rest of t.live; the queue must not launch them afterwards. *)
+      flush = (fun _ -> Queue.clear queue);
       poll =
         (fun t ->
           (* A partial batch cannot wait forever: drain when the recorder
@@ -153,7 +112,7 @@ let create (cfg : Config.t) acct =
           if
             (not t.aborted)
             && (t.pending_boundary || t.main_exited)
-            && not (Backend.Batcher.is_empty queue)
+            && not (Queue.is_empty queue)
           then drain t);
     }
   | Config.Backend_remote { nodes; retries = _; chaos } ->
@@ -166,7 +125,7 @@ let create (cfg : Config.t) acct =
           | None -> 0x4E0DE5L)
     in
     (* Dispatches in their RPC window: the segment launches when the RPC
-       lands (entries persist across a pre-launch checker swap). *)
+       lands (entries persist across the watchdog's pre-launch swap). *)
     let pending_launches : (int * Segment.t) list ref = ref [] in
     (* Scheduled chaos strikes, guarded by incarnation at fire time. *)
     let actions : (int * Segment.t * int * remote_action) list ref = ref [] in
@@ -175,22 +134,16 @@ let create (cfg : Config.t) acct =
     let parked : parked list ref = ref [] in
     let draw_pct pct = pct > 0 && Util.Rng.int rng 100 < pct in
     {
-      inline with
       launch =
         (fun t seg ->
-          recorded seg;
           let now = E.now_ns t.eng in
           (* The remote backend forks its spare at dispatch time — before
              the checker ever runs, so it is pristine — because a node can
-             die before launch and the replacement needs a snapshot. *)
+             die before launch and the watchdog's swap needs a snapshot. *)
           if
             Segment.spare seg = None
             && Segment.redispatches seg < Config.redispatch_budget t.cfg
-          then begin
-            Segment.set_spare seg
-              (Some (E.fork_process t.eng (Segment.checker seg)));
-            t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1
-          end;
+          then fork_spare t seg;
           pending_launches := !pending_launches @ [ (now + rpc_ns, seg) ];
           match chaos with
           | Some c when draw_pct c.Config.prelaunch_pct ->
@@ -201,12 +154,13 @@ let create (cfg : Config.t) acct =
                 Prelaunch_kill )
               :: !actions
           | Some _ | None -> ());
-      note_launched =
+      (* The launch RPC landed: lease the check to a healthy node and
+         draw its chaos there. *)
+      node =
         (fun t seg ->
           let now = E.now_ns t.eng in
           let node = Backend.Node_pool.pick pool ~now_ns:now in
-          lease ~node t seg;
-          match chaos with
+          (match chaos with
           | None -> ()
           | Some c ->
             let inc = Segment.redispatches seg in
@@ -228,6 +182,7 @@ let create (cfg : Config.t) acct =
               Hashtbl.replace late_draws
                 (Segment.id seg, inc)
                 (c.Config.late_ns + Util.Rng.int rng (max 1 c.Config.late_ns)));
+          node);
       route_verdict =
         (fun t seg verdict ->
           let key = (Segment.id seg, Segment.redispatches seg) in
@@ -248,39 +203,12 @@ let create (cfg : Config.t) acct =
               :: !parked;
             Core_pool.finished t.pool (Segment.checker seg);
             true);
-      prelaunch_redispatch =
-        (fun t seg ->
-          if
-            (not t.aborted)
-            && Segment.phase seg = Segment.Awaiting_launch_p
-            && Segment.spare seg <> None
-            && Segment.redispatches seg < Config.redispatch_budget t.cfg
-          then begin
-            (* The node died between dispatch and launch. Count the kill
-               against the dead pid, then promote the (pristine) spare and
-               fork a replacement spare off it; the still-pending launch
-               RPC will pick the new checker up. *)
-            Watchdog.note_kill t seg
-              ~reason:"checker died before launch (watchdog)";
-            let old = Segment.checker seg in
-            Hashtbl.remove t.roles old;
-            let sp =
-              match Segment.spare seg with Some sp -> sp | None -> assert false
-            in
-            Segment.replace_checker_prelaunch seg ~checker:sp;
-            Hashtbl.replace t.roles sp (Checker_role seg);
-            Segment.set_spare seg (Some (E.fork_process t.eng sp));
-            t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1;
-            true
-          end
-          else false);
       flush =
-        (fun t ->
+        (fun _ ->
           pending_launches := [];
           actions := [];
           Hashtbl.reset late_draws;
-          parked := [];
-          inline.flush t);
+          parked := []);
       poll =
         (fun t ->
           if not t.aborted then begin
@@ -309,7 +237,7 @@ let create (cfg : Config.t) acct =
                 | Prelaunch_kill | Crash _ | Stall _ -> ())
               due_actions;
             (* Launch RPCs that have landed. A dead checker keeps its
-               entry: the watchdog's pre-launch path swaps the spare in
+               entry: the watchdog's pre-launch swap brings the spare in
                within this same event, and the next poll launches the
                replacement. *)
             let launchable, rest =
@@ -346,7 +274,7 @@ let create (cfg : Config.t) acct =
                   if
                     Segment.is_done p.pk_seg
                     || Segment.redispatches p.pk_seg <> p.pk_inc
-                  then Backend.Supervisor.note_stale sup
+                  then Backend.Supervisor.note_stale t.sup
                   else Replayer.deliver_verdict t p.pk_seg p.pk_verdict)
               due_parked;
             (* Crash/stall strikes land last: launches and parked verdicts

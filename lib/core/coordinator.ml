@@ -144,12 +144,12 @@ let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
     | Some shared -> shared
     | None -> (Core_pool.create Core_pool.Private eng cfg, 0)
   in
-  (* The backend's supervisor counts into the run's stats, and the pool
-     reads the run's own main flags: neither keeps a copy. *)
+  (* The run's check ledger counts into its stats, and the pool reads
+     the run's own main flags: neither keeps a copy. *)
   let stats = Stats.create () in
   let t =
     Run_ctx.create ?rng ?seglog ~pool ~tid ~stats
-      ~backend:(Checker_backend.create cfg stats.Stats.backend) eng cfg
+      ~backend:(Checker_backend.create cfg) eng cfg
   in
   Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core
     ~main_exited:(fun () -> t.Run_ctx.main_exited)

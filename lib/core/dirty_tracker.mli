@@ -16,7 +16,3 @@ val collect : Config.dirty_backend -> Mem.Page_table.t -> int array
     backends return a superset of the truly modified pages, which is
     safe: comparing an unmodified page cannot produce a false
     mismatch. *)
-
-val scan_cost_pages : Config.dirty_backend -> Mem.Page_table.t -> int
-(** How many PTEs a [collect]+[clear] round visits — the runtime-work
-    cost driver. *)

@@ -1,9 +1,10 @@
 (* The record stage: everything driven by main-process tracer events.
    Slices the main into segments, records its application/OS
-   interactions into the current segment's R/R log, and hands each
-   finished segment to the run's checker backend. Also the one place a
-   failed run chooses between rollback and abort ([recover_or_abort]):
-   only the recorder can restart recording after a rollback. *)
+   interactions into the current segment's R/R log, and registers each
+   finished segment in the run's check ledger before handing it to the
+   checker backend's launch policy. Also the one place a failed run
+   chooses between rollback and abort ([recover_or_abort]): only the
+   recorder can restart recording after a rollback. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -21,9 +22,10 @@ let arm_slice t =
       Machine.Cpu.arm_insn_overflow cpu
         ~target:(Machine.Cpu.instructions cpu + t.cfg.Config.slice_period))
 
-(* The dirty-page scan of the main's page table. *)
+(* The dirty-page scan of the main's page table: every tracking backend
+   visits each mapped PTE once per collect+clear round. *)
 let charge_scan t seg pt =
-  let pages = Dirty_tracker.scan_cost_pages t.cfg.Config.dirty_backend pt in
+  let pages = Mem.Page_table.mapped_count pt in
   charge t ~segment:(Segment.id seg) t.main "dirty_scan"
     ~ns:(cycles_to_ns t (pages * (plat t).Platform.dirty_scan_per_page_cycles))
 
@@ -157,6 +159,7 @@ let end_segment t =
     t.cur <- None;
     t.live <- t.live @ [ seg ];
     t.stats.Stats.segments_total <- t.stats.Stats.segments_total + 1;
+    Backend.Supervisor.note_recorded t.sup (Segment.id seg);
     t.backend.launch t seg
 
 (* SDC oracle input: main's architectural state at the moment of exit,

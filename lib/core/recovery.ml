@@ -13,19 +13,8 @@ open Run_ctx
    for the in-flight segment, the main-track "segment" span --
    explicitly. *)
 let close_torn_down_check t seg =
-  match Segment.launched_at seg with
-  | Some launched_at_ns when not (Segment.is_done seg) ->
-    E.emit t.eng ~track:(Obs.Trace.Proc (Segment.checker seg))
-      ~phase:Obs.Trace.End
-      ~args:
-        [
-          ("seg", Obs.Trace.Int (Segment.id seg));
-          ("outcome", Obs.Trace.Str "torn-down");
-        ]
-      "check";
-    E.observe t.eng "checker.latency_ns"
-      (float_of_int (E.time_ns t.eng - launched_at_ns))
-  | Some _ | None -> ()
+  if Segment.launched_at seg <> None && not (Segment.is_done seg) then
+    close_check t seg ~outcome:"torn-down"
 
 let close_torn_down_cur t =
   match t.cur with
@@ -64,8 +53,9 @@ let tear_down_run t ~drop_verified =
     Hashtbl.reset t.verified_snapshots
   end;
   (* The torn-down segments will never settle: the backend drops its
-     queued/parked work and cancels their supervisor entries. *)
+     queued/parked work and the ledger cancels their entries. *)
   t.backend.flush t;
+  ignore (Backend.Supervisor.cancel_unsettled t.sup);
   kill_if_alive t t.main
 
 (* Kill every process we own; ends the simulation. *)

@@ -22,24 +22,21 @@ let launch_checker t seg =
      stalled at its next interaction; a Parallaft checker is launched
      here, once its segment is fully recorded. *)
   let was_streaming = Segment.streaming seg <> None in
-  (* Re-check support: fork a pristine spare off the checker before it
-     runs — it IS the segment-start snapshot a re-dispatch needs.
+  (* Re-check support: the spare is forked before the checker runs.
      Streaming checkers have already executed, so there is nothing
      pristine to fork and RAFT segments fall through to the normal
-     failure path instead. The remote backend forks spares eagerly even
-     without the re-check extension: its nodes die for infrastructure
-     reasons, and a re-dispatch must always have a snapshot to launch
-     from. *)
+     failure path instead. The remote backend needs spares even without
+     the re-check extension: its nodes die for infrastructure reasons,
+     and a re-dispatch must always have a snapshot to launch from. A
+     first remote launch finds the spare forked at dispatch; a
+     re-dispatch relaunches here directly and forks it now. *)
   if
     (t.cfg.Config.recheck_on_mismatch
     || Config.backend_eager_spares t.cfg.Config.backend)
     && (not was_streaming)
     && Segment.spare seg = None
     && Segment.redispatches seg < Config.redispatch_budget t.cfg
-  then begin
-    Segment.set_spare seg (Some (E.fork_process t.eng checker));
-    t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1
-  end;
+  then fork_spare t seg;
   let was_waiting = Segment.waiting seg in
   let launched_at_ns =
     match Segment.launched_at seg with
@@ -47,10 +44,13 @@ let launch_checker t seg =
     | None -> E.time_ns t.eng
   in
   Segment.begin_checking seg ~replay ~pending_signals ~launched_at_ns;
-  (* The backend's lease clock starts at the actual launch — a checker
-     that dies before this point is handled by the pre-launch
-     re-dispatch path, not a heartbeat expiry. *)
-  t.backend.note_launched t seg;
+  (* The lease clock starts at the actual launch — a checker that dies
+     before this point is the watchdog's pre-launch swap, not a
+     heartbeat expiry. The backend names the node. *)
+  let node = t.backend.node t seg in
+  Backend.Supervisor.lease t.sup ~id:(Segment.id seg) ~node
+    ~incarnation:(Segment.redispatches seg) ~now_ns:(E.now_ns t.eng)
+    ~insns:(Machine.Cpu.instructions (E.cpu t.eng checker));
   t.stats.Stats.segment_insn_deltas <-
     r.Segment.insn_delta :: t.stats.Stats.segment_insn_deltas;
   E.observe t.eng "segment.insns" (float_of_int r.Segment.insn_delta);
@@ -107,17 +107,7 @@ let redispatch_check t seg ~because outcome =
               (Segment.id seg)))
   in
   ignore (latch_checker_fault t seg (E.cpu t.eng old));
-  E.emit t.eng ~track:(Obs.Trace.Proc old) ~phase:Obs.Trace.End
-    ~args:
-      [
-        ("seg", Obs.Trace.Int (Segment.id seg));
-        ("outcome", Obs.Trace.Str ("re-dispatched: " ^ because));
-      ]
-    "check";
-  (match Segment.launched_at seg with
-  | Some ns ->
-    E.observe t.eng "checker.latency_ns" (float_of_int (E.time_ns t.eng - ns))
-  | None -> ());
+  close_check t seg ~outcome:("re-dispatched: " ^ because);
   kill_if_alive t old;
   Core_pool.finished t.pool old;
   E.phase_leave t.eng ~track:(Obs.Trace.Proc old) "replay";
@@ -161,11 +151,7 @@ let can_redispatch_infra t seg =
 
 let really_finish_checker t seg outcome_opt =
   let checker = Segment.checker seg in
-  let launched_at_ns =
-    match Segment.launched_at seg with Some ns -> ns | None -> 0
-  in
   let snapshot = Segment.snapshot seg in
-  Segment.complete seg;
   let cpu = E.cpu t.eng checker in
   Machine.Cpu.disarm_insn_overflow cpu;
   Machine.Cpu.disarm_branch_overflow cpu;
@@ -224,29 +210,36 @@ let really_finish_checker t seg outcome_opt =
   | Some (Detection.Hard_fault _) ->
     t.stats.Stats.hard_faults <- t.stats.Stats.hard_faults + 1
   | Some _ | None -> ());
-  E.emit t.eng ~track:(Obs.Trace.Proc checker) ~phase:Obs.Trace.End
-    ~args:
-      [
-        ("seg", Obs.Trace.Int (Segment.id seg));
-        ( "outcome",
-          Obs.Trace.Str
-            (match (outcome_opt, transient) with
-            | Some o, _ -> Detection.outcome_to_string o
-            | None, Some tr -> Detection.outcome_to_string tr
-            | None, None -> "ok") );
-      ]
-    "check";
-  E.observe t.eng "checker.latency_ns"
-    (float_of_int (E.time_ns t.eng - launched_at_ns));
+  close_check t seg
+    ~outcome:
+      (match (outcome_opt, transient) with
+      | Some o, _ -> Detection.outcome_to_string o
+      | None, Some tr -> Detection.outcome_to_string tr
+      | None, None -> "ok");
+  (* Done only now: the check's launch time, which the span close
+     samples the latency from, is part of its checking state. *)
+  Segment.complete seg;
   kill_if_alive t checker;
   (match Segment.spare seg with
   | Some sp ->
     kill_if_alive t sp;
     Segment.set_spare seg None
   | None -> ());
-  (* Exactly-once settling: the supervisor retires the segment's lease
-     (and would raise on a double settle). *)
-  t.backend.settle t seg;
+  (* Exactly-once settling: the ledger retires the segment's lease (and
+     raises on a double settle). *)
+  (match
+     Backend.Supervisor.settle t.sup ~id:(Segment.id seg)
+       ~incarnation:(Segment.redispatches seg)
+   with
+  | `Ok -> ()
+  | `Stale ->
+    (* Every path into really_finish_checker has already verified the
+       verdict's incarnation is current; a stale settle here means the
+       routing let a superseded verdict through. *)
+    raise
+      (Segment.Invariant_violation
+         (Printf.sprintf "segment %d settled from a stale incarnation"
+            (Segment.id seg))));
   let failed = outcome_opt <> None in
   (if t.cfg.Config.recovery && not failed then
      Recovery.note_verified t ~id:(Segment.id seg) ~snapshot

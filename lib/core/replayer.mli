@@ -5,7 +5,9 @@
     {!Replay_kernel} over it: the R/R log replayed against the checker's
     interactions and the checker driven to the recorded execution
     points (§4.2). At the end point the replayer runs the program-state
-    comparison. A failed check is answered by
+    comparison. Each check is leased in the run's check ledger
+    ({!Run_ctx.t}[.sup]) when it launches and settled there on its
+    final verdict. A failed check is answered by
     {!Recorder.recover_or_abort} (or a straight abort for a hard
     fault), unless the re-check extension can still retry it on a fresh
     checker (DESIGN.md §13); a completing segment may release a main
@@ -14,24 +16,24 @@
 
 val launch_checker : Run_ctx.t -> Segment.t -> unit
 (** Arm and (for Parallaft) schedule the checker of a segment in
-    [Awaiting_launch]; transitions it to [Checking]. For a RAFT
-    streaming checker — launched when recording started — this only
-    arms the replay targets and wakes the checker if it was stalled.
-    When {!Config.t.recheck_on_mismatch} is on, also forks the pristine
-    spare a later re-dispatch would launch from. *)
-
-val finish_checker : Run_ctx.t -> Segment.t -> Detection.outcome option -> unit
-(** Retire a check with its outcome ([None] = verified). The configured
-    backend's verdict router runs first and may park the verdict (a
-    remote node returning late) or discard it (stale incarnation);
-    otherwise a failure is re-dispatched onto the spare when the
-    re-check machinery still has budget, and a final outcome is
-    recorded (possibly reclassified {!Detection.Hard_fault} right after
-    a rollback) and answered with rollback or abort. *)
+    [Awaiting_launch]; transitions it to [Checking] and grants its
+    lease in the run's check ledger, on the node the backend names. For
+    a RAFT streaming checker — launched when recording started — this
+    only arms the replay targets and wakes the checker if it was
+    stalled. When {!Config.t.recheck_on_mismatch} is on (or the remote
+    backend has not already forked one at dispatch), also forks the
+    pristine spare a later re-dispatch would launch from. *)
 
 val deliver_verdict : Run_ctx.t -> Segment.t -> Detection.outcome option -> unit
-(** {!finish_checker} minus the backend routing: act on the verdict
-    now. Called by the backend when a parked verdict comes due. *)
+(** Act on a check's verdict now ([None] = verified). Every verdict
+    first passes the backend's router, which may park it (a remote node
+    returning late) or discard it (stale incarnation); the backend calls
+    this when a parked verdict comes due. A failure is re-dispatched
+    onto the spare when the re-check machinery still has budget;
+    otherwise the final outcome is recorded (possibly reclassified
+    {!Detection.Hard_fault} right after a rollback), answered with
+    rollback or abort, and the check settled in the ledger (a stale
+    settle raises {!Segment.Invariant_violation}). *)
 
 val finish_checker_infra : Run_ctx.t -> Segment.t -> Detection.outcome -> unit
 (** Retire a check after an infrastructure failure (the checker died or

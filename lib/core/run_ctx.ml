@@ -1,8 +1,9 @@
 (* Shared run-level state threaded through the pipeline stages
-   (Recovery -> Recorder -> Replayer -> Watchdog), the checker-backend
-   hooks they call, and the helpers every stage needs: detection
-   recording, simulated-cost charging, process bookkeeping, and the
-   cross-structure debug invariant sweep. *)
+   (Recovery -> Recorder -> Replayer -> Watchdog): the run's check
+   ledger, the launch policy of its checker backend, and the helpers
+   every stage needs: detection recording, simulated-cost charging,
+   process bookkeeping, the spare fork and the check-span close, and
+   the cross-structure debug invariant sweep. *)
 
 module E = Sim_os.Engine
 
@@ -18,6 +19,12 @@ type t = {
      private pool of its own, or a fleet's shared one. *)
   pool : Core_pool.t;
   tid : int;
+  (* The run's exactly-once check ledger, counting into
+     [stats.backend]. The stages drive it directly: the recorder
+     registers each finished segment, the replayer leases and settles
+     its check, the watchdog heartbeats and expires the lease, and
+     teardown cancels whatever is unsettled. *)
+  sup : Backend.Supervisor.t;
   backend : backend;
   (* The open --record-log output, opened by Runtime before the run;
      None leaves the recorder's persistence hooks no-ops (the
@@ -55,28 +62,21 @@ type t = {
          {!Coordinator.segment_histories} *)
 }
 
-(* A checker backend (DESIGN.md §18): where and when the checks of
-   recorded segments run. Checker_backend.create builds one per run,
-   before the run exists, and the run holds it unchanged; the stages
-   reach it through these hooks without depending on the backend
-   module. *)
+(* A checker backend (DESIGN.md §18) is a launch policy: when and where
+   the check of a recorded segment starts. Checker_backend.create builds
+   one per run from the config alone, and the run holds it unchanged;
+   the stages reach it through these hooks without depending on the
+   backend module. *)
 and backend = {
   launch : t -> Segment.t -> unit;
       (* a segment finished recording: launch its check now or later *)
-  note_launched : t -> Segment.t -> unit;  (* the check started: lease it *)
-  heartbeat : t -> Segment.t -> now_ns:int -> insns:int -> excused:bool -> bool;
-      (* progress supervision: true means the lease expired *)
-  expired : t -> Segment.t -> unit;
-  prelaunch_redispatch : t -> Segment.t -> bool;
-      (* a checker died in the dispatch-to-launch window: true means the
-         backend swapped in a replacement and the segment lives on *)
+  node : t -> Segment.t -> int;
+      (* the node a starting check is leased to, -1 in-process *)
   route_verdict : t -> Segment.t -> Detection.outcome option -> bool;
       (* true means the backend parked or discarded the verdict (late or
          stale under chaos) and the replayer must not act on it yet *)
-  settle : t -> Segment.t -> unit;
-  flush : t -> unit;  (* rollback/abort: drop everything unsettled *)
+  flush : t -> unit;  (* rollback/abort: drop queued and parked work *)
   poll : t -> unit;
-  check : unit -> unit;  (* invariant sweep hook *)
 }
 
 let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
@@ -86,6 +86,7 @@ let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
     stats;
     pool;
     tid;
+    sup = Backend.Supervisor.create stats.Stats.backend;
     backend;
     seglog;
     rng =
@@ -177,6 +178,30 @@ let kill_if_alive t pid =
 
 let live_count t = List.length t.live
 let live_limit t = Config.live_limit t.cfg
+
+(* Fork a spare off the segment's checker before that checker runs: a
+   pristine copy of the segment-start state for a re-dispatch to launch
+   from. Counted as a checkpoint. *)
+let fork_spare t seg =
+  Segment.set_spare seg (Some (E.fork_process t.eng (Segment.checker seg)));
+  t.stats.Stats.checkpoint_count <- t.stats.Stats.checkpoint_count + 1
+
+(* Close the checker's "check" span with [outcome] and sample the
+   check's latency since launch. Every check closes here once: on its
+   verdict, when it is re-dispatched, or when teardown discards it. *)
+let close_check t seg ~outcome =
+  E.emit t.eng ~track:(Obs.Trace.Proc (Segment.checker seg))
+    ~phase:Obs.Trace.End
+    ~args:
+      [
+        ("seg", Obs.Trace.Int (Segment.id seg));
+        ("outcome", Obs.Trace.Str outcome);
+      ]
+    "check";
+  match Segment.launched_at seg with
+  | Some ns ->
+    E.observe t.eng "checker.latency_ns" (float_of_int (E.time_ns t.eng - ns))
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Fault-plan plumbing                                                  *)
@@ -278,7 +303,7 @@ let check_invariants t =
     (* Pool scope: the cross-tenant partitions must hold after every one
        of any tenant's events. *)
     Core_pool.check_invariants t.pool;
-    (* Backend scope: the supervisor's exactly-once ledger must agree
-       with its own counters after every event too. *)
-    t.backend.check ()
+    (* Ledger scope: the exactly-once ledger must agree with its own
+       counters after every event too. *)
+    Backend.Supervisor.check_invariants t.sup
   end

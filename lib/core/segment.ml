@@ -215,10 +215,11 @@ let redispatch t ~checker =
       (phase_to_string (phase t))
 
 (* A checker that died between dispatch and launch (the pre-first-
-   heartbeat window, remote backend) is replaced in place: the spare is
-   promoted without leaving Awaiting_launch — there is no checking state
-   to unwind, the recorded payload is untouched, and the re-launch goes
-   through the normal launch path. Counts as a re-dispatch. *)
+   heartbeat window, where the watchdog swaps it) is replaced in place:
+   the spare is promoted without leaving Awaiting_launch — there is no
+   checking state to unwind, the recorded payload is untouched, and the
+   re-launch goes through the normal launch path. Counts as a
+   re-dispatch. *)
 let replace_checker_prelaunch t ~checker =
   match t.state with
   | Awaiting_launch _ ->

@@ -92,9 +92,10 @@ val checker : t -> Sim_os.Engine.pid
     the watchdog promotes the spare. *)
 
 val spare : t -> Sim_os.Engine.pid option
-(** A pristine fork of the checker taken just before it first ran
-    (only when {!Config.t.recheck_on_mismatch} is on): the
-    segment-start snapshot a re-dispatch launches from. *)
+(** A pristine fork of the checker taken before it first ran (at
+    launch under {!Config.t.recheck_on_mismatch}, at dispatch for the
+    remote backend): the segment-start snapshot a re-dispatch launches
+    from. *)
 
 val set_spare : t -> Sim_os.Engine.pid option -> unit
 
@@ -154,9 +155,9 @@ val redispatch : t -> checker:Sim_os.Engine.pid -> unit
 
 val replace_checker_prelaunch : t -> checker:Sim_os.Engine.pid -> unit
 (** Swap in a replacement for a checker that died between dispatch and
-    launch (remote backend): stays in [Awaiting_launch], clears the
-    spare, bumps {!redispatches}. The caller re-keys the roles table.
-    Raises outside [Awaiting_launch]. *)
+    launch (the watchdog's pre-launch swap): stays in
+    [Awaiting_launch], clears the spare, bumps {!redispatches}. The
+    caller re-keys the roles table. Raises outside [Awaiting_launch]. *)
 
 val tear_down : t -> unit
 (** Mark the segment discarded (rollback/abort); not a transition. *)

@@ -7,12 +7,12 @@
    engine's global hang bound.
 
    Stall detection is one path for every backend: the watchdog observes
-   (progress, excuse, time) and asks the backend's lease supervisor
-   whether the segment's lease expired; the supervisor owns the
-   progress ledger and the heartbeat budget. The lease clock starts at
-   dispatch, which also closes the pre-launch death window: a checker
-   dying between dispatch and launch is caught by the phase poll below
-   and (for backends with spares) re-dispatched instead of hanging.
+   (progress, excuse, time) and asks the run's check ledger whether the
+   segment's lease expired; the ledger owns the progress record and the
+   heartbeat budget. The lease clock starts at launch, so the window
+   between dispatch and launch is the phase poll's below: a checker
+   dying there is swapped for the segment's spare while it holds one
+   and the budget lasts, instead of hanging.
 
    Polled from Coordinator.handle_event after every routed event —
    before the invariant sweep, so a dead checker is re-dispatched or
@@ -35,7 +35,7 @@ let note_kill t seg ~reason =
 
 let respond t seg ~reason =
   note_kill t seg ~reason;
-  t.backend.expired t seg;
+  Backend.Supervisor.note_expired t.sup ~id:(Segment.id seg);
   (* The infra funnel re-dispatches onto the spare while the retry
      budget lasts, and records a detection (rollback or abort) once it
      runs out. It tolerates an already-exited checker. *)
@@ -48,6 +48,18 @@ let fail_unlaunched t seg ~reason =
   note_kill t seg ~reason;
   record_detection t seg (Detection.Exception_detected reason);
   Recorder.recover_or_abort t
+
+(* The pre-launch swap: count the kill against the dead pid, promote
+   the (pristine) spare and fork a replacement spare off it — even when
+   the swap spent the last retry — and the launch still pending picks
+   the new checker up. Only a remote dispatch forks a spare before
+   launch, so only remote segments are ever swapped. *)
+let swap_prelaunch t seg ~spare =
+  note_kill t seg ~reason:"checker died before launch (watchdog)";
+  Hashtbl.remove t.roles (Segment.checker seg);
+  Segment.replace_checker_prelaunch seg ~checker:spare;
+  Hashtbl.replace t.roles spare (Checker_role seg);
+  fork_spare t seg
 
 (* One supervised segment. Dead checkers are handled unconditionally;
    stall detection needs a positive budget and skips checkers that are
@@ -65,22 +77,25 @@ let poll_segment t seg =
         Segment.waiting seg
         || List.mem checker (Core_pool.queued_pids t.pool ~tid:t.tid)
       in
-      if t.backend.heartbeat t seg ~now_ns:now ~insns ~excused then
-        respond t seg ~reason:"checker stalled (watchdog)"
+      match
+        Backend.Supervisor.heartbeat t.sup ~id:(Segment.id seg) ~now_ns:now
+          ~insns ~excused ~budget_ns:t.cfg.Config.watchdog_stall_ns
+      with
+      | `Ok -> ()
+      | `Expired -> respond t seg ~reason:"checker stalled (watchdog)"
     end
 
 let poll_one t seg =
   match Segment.phase seg with
   | Segment.Checking_p -> poll_segment t seg
   | Segment.Awaiting_launch_p -> (
-    match E.state t.eng (Segment.checker seg) with
-    | E.Exited _ ->
-      (* The dispatch-to-launch death window: a backend holding a spare
-         (remote) swaps in a replacement and the segment lives on; only
-         when it cannot does the segment fail. *)
-      if not (t.backend.prelaunch_redispatch t seg) then
-        fail_unlaunched t seg ~reason:"checker died before launch (watchdog)"
-    | E.Runnable | E.Stopped -> ())
+    match (E.state t.eng (Segment.checker seg), Segment.spare seg) with
+    | E.Exited _, Some spare
+      when Segment.redispatches seg < Config.redispatch_budget t.cfg ->
+      swap_prelaunch t seg ~spare
+    | E.Exited _, (Some _ | None) ->
+      fail_unlaunched t seg ~reason:"checker died before launch (watchdog)"
+    | (E.Runnable | E.Stopped), _ -> ())
   | Segment.Recording_p -> (
     match E.state t.eng (Segment.checker seg) with
     | E.Exited _ ->

@@ -18,7 +18,6 @@ type event =
 
 type t = {
   plat : Platform.t;
-  quantum_ns : int;
   block_cache : int; (* decoded-block cache capacity for spawned CPUs *)
   rng : Util.Rng.t;
   alloc : Mem.Frame.allocator;
@@ -90,7 +89,10 @@ and tick = {
   fn : t -> unit;
 }
 
-let create ?(quantum_ns = 20_000) ?block_cache ~platform ~seed () =
+(* The scheduling quantum: simulated time advances in these steps. *)
+let quantum_ns = 20_000
+
+let create ?block_cache ~platform ~seed () =
   let block_cache =
     match block_cache with
     | Some c -> c
@@ -130,7 +132,6 @@ let create ?(quantum_ns = 20_000) ?block_cache ~platform ~seed () =
   in
   {
     plat = platform;
-    quantum_ns;
     block_cache;
     rng;
     alloc = Mem.Frame.allocator ~page_size:platform.Platform.page_size;
@@ -794,7 +795,7 @@ let pick_runnable t core budget_end =
 
 let run_core t core =
   core.busy_ns <- 0.0;
-  let budget_end = float_of_int (t.now + t.quantum_ns) in
+  let budget_end = float_of_int (t.now + quantum_ns) in
   match pick_runnable t core budget_end with
   | None -> ()
   | Some pid ->
@@ -849,7 +850,7 @@ let run_core t core =
     done
 
 let integrate_energy t =
-  let q_s = float_of_int t.quantum_ns *. 1e-9 in
+  let q_s = float_of_int quantum_ns *. 1e-9 in
   Array.iter
     (fun core ->
       let cl = t.clusters.(core.cluster_idx) in
@@ -869,7 +870,7 @@ let integrate_energy t =
   t.energy_static <- t.energy_static +. (t.plat.Platform.soc_static_w *. q_s)
 
 let update_contention t =
-  let quantum_us = float_of_int t.quantum_ns /. 1000.0 in
+  let quantum_us = float_of_int quantum_ns /. 1000.0 in
   let rate = float_of_int t.dram_quantum_accesses /. quantum_us in
   let target =
     Float.max 1.0 (rate /. t.plat.Platform.dram_accesses_per_us_capacity)
@@ -894,7 +895,7 @@ let step_quantum t =
   Array.iter (fun core -> run_core t core) t.cores;
   integrate_energy t;
   update_contention t;
-  t.now <- t.now + t.quantum_ns;
+  t.now <- t.now + quantum_ns;
   run_ticks t
 
 let live_processes t = t.live

@@ -3,7 +3,7 @@
     The engine owns the cores of a {!Platform.t}, a process table, the
     kernel (syscalls, fork, signals, mmap/ASLR), the cache/DRAM timing
     model, DVFS, and the energy meter. Time advances in fixed quanta
-    (default 20 µs); within a quantum each core executes its current
+    (20 µs); within a quantum each core executes its current
     process until the budget runs out or the process traps.
 
     {b Tracing.} A process spawned with a [tracer] is the ptrace analogue:
@@ -44,7 +44,6 @@ type event =
 type tracer = t -> pid -> event -> unit
 
 val create :
-  ?quantum_ns:int ->
   ?block_cache:int ->
   platform:Platform.t ->
   seed:int64 ->
