@@ -45,7 +45,7 @@ let forked_aspace_pair () =
 
 (* Reference/candidate CPUs over a forked 256-page working set.
    [touched] pages are COWed on {e both} sides with the {e same} values:
-   frame identity is broken (digests must be computed) but contents
+   frame identity is broken (the pages must be compared) but contents
    agree, so every compare verdict is Match. The untouched remainder
    still shares frames and exercises the identity short-circuit. *)
 let comparator_fixture ~touched () =
@@ -227,8 +227,8 @@ let tests =
            let pt = Mem.Address_space.page_table child in
            assert (Array.length (Mem.Page_table.uniquely_mapped pt) >= 128)));
     (* §4.4 comparator, shared-frame-heavy working set: most vpns take
-       the frame-identity short-circuit; the touched rest hit the digest
-       memo after the first (cold) run. *)
+       the frame-identity short-circuit; the touched rest are compared
+       chunk by chunk (modelled memo hits after the first run). *)
     Test.make ~name:"comparator:shared_heavy_warm_cache"
       (Staged.stage
          (let pair = comparator_fixture ~touched:16 () in
@@ -236,8 +236,9 @@ let tests =
           fun () ->
             let verdict, _ = compare_fixture ~cache pair in
             assert (verdict = Parallaft.Comparator.Match)));
-    (* §4.4 comparator, fully diverged working set with a cold cache:
-       every page is read and hashed on both sides, every run. *)
+    (* §4.4 comparator, fully diverged working set with a cold memo:
+       every page is compared and charged as hashed on both sides, every
+       run. *)
     Test.make ~name:"comparator:fully_diverged_cold_cache"
       (Staged.stage
          (let pair = comparator_fixture ~touched:256 () in

@@ -80,80 +80,73 @@ let compare_registers ~reference ~candidate =
   in
   scan 0
 
+(* XXH64 of one page, streamed over its chunks. *)
+let page_digest frame =
+  let st = Ftr_hash.Xxh64.init () in
+  Mem.Frame.hash_into st frame;
+  Ftr_hash.Xxh64.digest st
+
 let compare_states ?cache ~reference ~candidate ~dirty_vpns () =
   match compare_registers ~reference ~candidate with
   | Some m -> (Mismatch m, no_stats)
   | None ->
     let ref_pt = Mem.Address_space.page_table (Machine.Cpu.aspace reference) in
     let cand_pt = Mem.Address_space.page_table (Machine.Cpu.aspace candidate) in
-    let ref_state = Ftr_hash.Xxh64.init () in
-    let cand_state = Ftr_hash.Xxh64.init () in
+    let page_size = Mem.Page_table.page_size ref_pt in
     let bytes = ref 0 in
     let skipped = ref 0 in
     let hits = ref 0 in
     let misses = ref 0 in
+    let differs = ref false in
     let layout_issue = ref None in
-    (* The digest of one side of one vpn, through the memo when one is
-       supplied. Only misses read and hash page bytes. *)
-    let side_digest (frame, generation, data) =
-      let hash () =
-        bytes := !bytes + Bytes.length data;
-        Ftr_hash.Xxh64.hash data
-      in
+    (* Sim-clock cost of one side's page digest: a modelled memo hit
+       costs nothing, a miss (or no memo) hashes the whole page. *)
+    let charge (f : Mem.Frame.t) =
       match cache with
-      | None -> hash ()
-      | Some c -> (
-        match Mem.Page_digest_cache.find c ~frame ~generation with
-        | Some d ->
-          incr hits;
-          d
-        | None ->
+      | None -> bytes := !bytes + page_size
+      | Some c ->
+        if Mem.Page_digest_cache.lookup c ~frame:f.id ~generation:f.generation then
+          incr hits
+        else begin
           incr misses;
-          let d = hash () in
-          Mem.Page_digest_cache.store c ~frame ~generation d;
-          d)
+          bytes := !bytes + page_size
+        end
     in
-    (* Each side's running hash folds the vpn and that side's page
-       digest (never raw bytes). *)
-    let mix state vpn view =
-      Ftr_hash.Xxh64.update_int64 state (Int64.of_int vpn);
-      Ftr_hash.Xxh64.update_int64 state (side_digest view)
+    (* [k vpn reference_frame candidate_frame] for each distinct vpn
+       both sides map (duplicates in a caller-supplied sorted set are
+       tolerated). A vpn only one side maps stops the walk as a layout
+       divergence. *)
+    let walk k =
+      let n = Array.length dirty_vpns in
+      let i = ref 0 in
+      while !layout_issue = None && !i < n do
+        let vpn = dirty_vpns.(!i) in
+        if !i > 0 && dirty_vpns.(!i - 1) = vpn then ()
+        else begin
+          match
+            (Mem.Page_table.is_mapped ref_pt ~vpn, Mem.Page_table.is_mapped cand_pt ~vpn)
+          with
+          | false, false -> ()
+          | true, false | false, true ->
+            layout_issue := Some (Detection.Layout_mismatch { vpn })
+          | true, true ->
+            k vpn (Mem.Page_table.read_frame ref_pt ~vpn)
+              (Mem.Page_table.read_frame cand_pt ~vpn)
+        end;
+        incr i
+      done
     in
-    let n = Array.length dirty_vpns in
-    let i = ref 0 in
-    while !layout_issue = None && !i < n do
-      let vpn = dirty_vpns.(!i) in
-      (* Tolerate duplicates in a caller-supplied sorted set. *)
-      if !i > 0 && dirty_vpns.(!i - 1) = vpn then ()
-      else begin
-        let ref_mapped = Mem.Page_table.is_mapped ref_pt ~vpn in
-        let cand_mapped = Mem.Page_table.is_mapped cand_pt ~vpn in
-        match (ref_mapped, cand_mapped) with
-        | false, false -> ()
-        | true, false | false, true ->
-          layout_issue := Some (Detection.Layout_mismatch { vpn })
-        | true, true ->
-          let ((_, _, ref_data) as ref_view) =
-            Mem.Page_table.frame_view ref_pt ~vpn
-          in
-          let ((_, _, cand_data) as cand_view) =
-            Mem.Page_table.frame_view cand_pt ~vpn
-          in
-          if ref_data == cand_data then
-            (* Both sides still map the same COW frame (physical identity
-               of the backing bytes — frame ids are only unique within
-               one allocator): byte-identical by construction. Skipping
-               it on both sides leaves the two running hashes in
-               lockstep, so the verdict is unchanged. *)
-            incr skipped
-          else begin
-            mix ref_state vpn ref_view;
-            mix cand_state vpn cand_view
-          end
-      end;
-      incr i
-    done;
-    let stats () =
+    walk (fun _ rf cf ->
+        if rf == cf then
+          (* Both sides still map the same COW frame: byte-identical by
+             construction, so neither side reads nor hashes it. *)
+          incr skipped
+        else begin
+          charge rf;
+          charge cf;
+          if not !differs then differs := not (Mem.Frame.same_bytes rf cf)
+        end);
+    let stats =
       {
         bytes_hashed = !bytes;
         pages_skipped_identical = !skipped;
@@ -162,9 +155,24 @@ let compare_states ?cache ~reference ~candidate ~dirty_vpns () =
       }
     in
     (match !layout_issue with
-    | Some m -> (Mismatch m, stats ())
+    | Some m -> (Mismatch m, stats)
+    | None when not !differs -> (Match, stats)
     | None ->
+      (* Some page differs: fold each side's segment hash over (vpn,
+         page digest) of the same vpns, so the reported hashes are the
+         ones a hashing runtime compares. *)
+      let ref_state = Ftr_hash.Xxh64.init () in
+      let cand_state = Ftr_hash.Xxh64.init () in
+      let mix state vpn frame =
+        Ftr_hash.Xxh64.update_int64 state (Int64.of_int vpn);
+        Ftr_hash.Xxh64.update_int64 state (page_digest frame)
+      in
+      walk (fun vpn rf cf ->
+          if rf != cf then begin
+            mix ref_state vpn rf;
+            mix cand_state vpn cf
+          end);
       let expected_hash = Ftr_hash.Xxh64.digest ref_state
       and got_hash = Ftr_hash.Xxh64.digest cand_state in
-      if Int64.equal expected_hash got_hash then (Match, stats ())
-      else (Mismatch (Detection.Memory_mismatch { expected_hash; got_hash }), stats ()))
+      if Int64.equal expected_hash got_hash then (Match, stats)
+      else (Mismatch (Detection.Memory_mismatch { expected_hash; got_hash }), stats))

@@ -3,24 +3,27 @@
     At the end of a segment the checker's architectural state must equal
     the checkpoint taken when the main process crossed the same
     boundary. Registers (including the pc) are compared directly; memory
-    is compared by hashing the contents of the modified pages on each
-    side — the "injected hasher" trick that avoids copying page contents
-    between processes — and comparing only the 64-bit digests.
-
-    The memory walk is O(truly-diverged-bytes), not O(dirty-set-bytes):
+    is compared over the modified pages on each side. The paper's
+    runtime hashes those pages in each process — the "injected hasher"
+    trick that avoids copying page contents between processes — and
+    compares only the 64-bit segment digests; the sim clock charges that
+    hashing, while the host decides equality on the bytes it shares:
 
     - {e Frame-identity short-circuit}: a vpn where both sides still map
-      the same COW frame (physical identity of the backing bytes) is
-      byte-identical by construction and skipped entirely (no read, no
-      hash) — skipping symmetrically leaves both running hashes in
-      lockstep, so verdicts are unchanged.
-    - {e Memoized per-frame digests}: for the remaining vpns, whole-page
-      digests are looked up in an optional
-      [(frame id, generation) -> digest] cache
-      ({!Mem.Page_digest_cache}); only misses read and hash page bytes.
-      The segment hash folds per-page {e digests} (never raw bytes), so
-      cached and uncached runs compute identical segment hashes and hence
-      identical verdicts.
+      the same COW frame is byte-identical by construction and skipped
+      entirely (no read, no hash, no charge).
+    - {e Chunk-wise equality}: for the remaining vpns the two frames are
+      compared chunk by chunk ({!Mem.Frame.same_bytes}): chunks both
+      frames still hold are equal without a read, the rest are compared
+      with [Bytes.equal].
+    - {e Modelled digest memo}: each side of each remaining vpn is one
+      hit-or-miss call on an optional [(frame id, generation)] residency
+      model ({!Mem.Page_digest_cache}); a miss, or no model, charges a
+      whole page to [bytes_hashed], a hit charges nothing.
+    - Only when some page differs are the two segment hashes folded over
+      (vpn, XXH64 of the page) of the same vpns, so a
+      [Memory_mismatch] carries the digests a hashing runtime compares.
+      Cached and uncached calls therefore return identical verdicts.
 
     Comparing a superset of the truly modified pages is sound; pages
     missing from one side's address space are a layout divergence and
@@ -30,15 +33,15 @@ type result =
   | Match
   | Mismatch of Detection.mismatch
 
-(** Work accounting for one [compare_states] call. [bytes_hashed] counts
-    page bytes actually read and hashed (the injected hasher's simulated
-    cost); identity-skipped pages and digest-cache hits contribute
-    nothing to it. *)
+(** Work accounting for one [compare_states] call, on the sim clock.
+    [bytes_hashed] counts the page bytes the modelled runtime reads and
+    hashes (the injected hasher's simulated cost); identity-skipped
+    pages and memo hits contribute nothing to it. *)
 type compare_stats = {
   bytes_hashed : int;
   pages_skipped_identical : int;  (** vpns skipped: same frame both sides *)
-  page_hash_hits : int;  (** per-frame digests served from the memo *)
-  page_hash_misses : int;  (** per-frame digests computed from bytes *)
+  page_hash_hits : int;  (** modelled memo hits *)
+  page_hash_misses : int;  (** modelled memo misses: a page hashed *)
 }
 
 val compare_states :
@@ -51,7 +54,7 @@ val compare_states :
 (** [compare_states ?cache ~reference ~candidate ~dirty_vpns ()]
     returns the verdict and the work accounting. [dirty_vpns] must be
     sorted; duplicates are tolerated. Without [cache] every non-identical
-    page is hashed from scratch (same verdicts, more bytes). Register
+    page is charged as hashed from scratch (same verdicts, more bytes). Register
     comparison runs first and stops at the first divergent register — a
     register mismatch is reported without touching memory. *)
 

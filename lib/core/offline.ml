@@ -78,11 +78,13 @@ let diverge st ?(reg_diffs = []) ?page_diff reason =
 (* Inject recorded bytes without going through the store path: the
    content of a boundary file mapping is not a program store, so it
    must not set soft-dirty bits (the live main's equivalent writes
-   happened before the segment's dirty window opened). Safe in-place:
-   the offline process never forks, so no frame is COW-shared. *)
+   happened before the segment's dirty window opened). The offline
+   process never forks, so no frame is COW-shared, but a chunk can be
+   (the zero chunk at least): [Frame.blit_in] copies those. *)
 let inject_bytes st ~addr data =
   let sp = E.aspace st.eng st.pid in
   let pt = page_table st in
+  let alloc = Mem.Page_table.allocator pt in
   let ps = Mem.Address_space.page_size sp in
   let len = Bytes.length data in
   let pos = ref 0 in
@@ -91,9 +93,9 @@ let inject_bytes st ~addr data =
     let vpn = Mem.Address_space.vpn_of_addr sp a in
     let off = a - (vpn * ps) in
     let n = min (ps - off) (len - !pos) in
-    (if Mem.Page_table.is_mapped pt ~vpn then
-       let page = Mem.Page_table.read_bytes_at pt ~vpn in
-       Bytes.blit data !pos page off n);
+    if Mem.Page_table.is_mapped pt ~vpn then
+      Mem.Frame.blit_in alloc data ~pos:!pos (Mem.Page_table.read_frame pt ~vpn) ~off
+        ~len:n;
     pos := !pos + n
   done
 
@@ -154,7 +156,7 @@ let page_divergence pt pages =
       if not (Mem.Page_table.is_mapped pt ~vpn) then
         Some (Printf.sprintf "recorded dirty page %d is not mapped" vpn, None)
       else
-        let got = Mem.Page_table.read_bytes_at pt ~vpn in
+        let got = Mem.Page_table.copy_page_at pt ~vpn in
         if Bytes.equal got expected then None
         else
           let n = min (Bytes.length got) (Bytes.length expected) in

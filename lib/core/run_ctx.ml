@@ -35,10 +35,11 @@ type t = {
   roles : (E.pid, role) Hashtbl.t;
   mutable cur : Segment.t option;  (* the segment being recorded *)
   mutable live : Segment.t list;  (* recorded segments with running checkers *)
-  (* Per-frame page-digest memo shared by every segment comparison of the
-     run. Sound across rollbacks: frame ids are never reused and in-place
-     writes bump the generation, so stale entries can only miss. [None]
-     in RAFT mode, which compares no states. *)
+  (* Sim-clock model of a per-frame page-digest memo, shared by every
+     segment comparison of the run. Sound across rollbacks: frame ids
+     are never reused and in-place writes bump the generation, so stale
+     entries can only miss. [None] in RAFT mode, which compares no
+     states. *)
   page_digests : Mem.Page_digest_cache.t option;
   mutable next_id : int;
   mutable seg_start_branches : int;

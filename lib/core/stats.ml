@@ -99,17 +99,16 @@ let create () =
       };
   }
 
-(* Digest of a memory image: vpn + page bytes, ascending vpn order. *)
+(* Digest of a memory image: vpn + page bytes, ascending vpn order
+   ([mapped_vpns] is sorted). The bytes stream chunk by chunk, which
+   XXH64 digests exactly as one buffer per page. *)
 let mem_hash pt =
-  let vpns = Mem.Page_table.mapped_vpns pt in
-  Array.sort compare vpns;
   let st = Ftr_hash.Xxh64.init () in
   Array.iter
     (fun vpn ->
       Ftr_hash.Xxh64.update_int64 st (Int64.of_int vpn);
-      let bytes = Mem.Page_table.read_bytes_at pt ~vpn in
-      Ftr_hash.Xxh64.update st bytes ~pos:0 ~len:(Bytes.length bytes))
-    vpns;
+      Mem.Frame.hash_into st (Mem.Page_table.read_frame pt ~vpn))
+    (Mem.Page_table.mapped_vpns pt);
   Ftr_hash.Xxh64.digest st
 
 (* One digest over the main process's final architectural state

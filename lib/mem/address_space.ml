@@ -1,8 +1,12 @@
 type t = {
   pt : Page_table.t;
+  alloc : Frame.allocator;
   psize : int;
   shift : int;
   mask : int;
+  clen : int;
+  cshift : int;
+  cmask : int;
   mutable last_frame : int;
   mutable last_cow : bool;
   mutable last_cow_old_frame : int; (* valid when last_cow *)
@@ -19,12 +23,14 @@ let log2_exact n =
   go 0
 
 let of_page_table pt =
+  let alloc = Page_table.allocator pt in
   let psize = Page_table.page_size pt in
-  match log2_exact psize with
-  | None -> invalid_arg "Address_space: page size must be a power of two"
-  | Some shift ->
-    { pt; psize; shift; mask = psize - 1; last_frame = -1; last_cow = false;
-      last_cow_old_frame = -1 }
+  let clen = Frame.chunk_bytes alloc in
+  match (log2_exact psize, log2_exact clen) with
+  | None, _ | _, None -> invalid_arg "Address_space: page size must be a power of two"
+  | Some shift, Some cshift ->
+    { pt; alloc; psize; shift; mask = psize - 1; clen; cshift; cmask = clen - 1;
+      last_frame = -1; last_cow = false; last_cow_old_frame = -1 }
 
 let create alloc = of_page_table (Page_table.create alloc)
 
@@ -50,42 +56,44 @@ let unmap_range t ~addr ~len =
       if Page_table.is_mapped t.pt ~vpn then Page_table.unmap t.pt ~vpn
     done
 
-let read_page t addr =
-  let vpn = addr asr t.shift in
-  try
-    let frame = Page_table.read_frame t.pt ~vpn in
-    t.last_frame <- frame.Frame.id;
-    frame.Frame.data
-  with Page_table.Page_fault _ -> raise (Segfault { addr; write = false })
-
 let write_page t addr =
-  let vpn = addr asr t.shift in
   try
-    let data, old_frame = Page_table.store_prepare t.pt ~vpn in
-    (match old_frame with
-    | Some id ->
+    let frame = Page_table.store_prepare t.pt ~vpn:(addr asr t.shift) in
+    let retired = Page_table.retired_frame t.pt in
+    if retired >= 0 then begin
       t.last_cow <- true;
-      t.last_cow_old_frame <- id
-    | None -> t.last_cow <- false);
-    t.last_frame <- Page_table.frame_id t.pt ~vpn;
-    data
+      t.last_cow_old_frame <- retired
+    end
+    else t.last_cow <- false;
+    t.last_frame <- frame.Frame.id;
+    frame
   with Page_table.Page_fault _ -> raise (Segfault { addr; write = true })
 
-let load8 t addr =
-  let page = read_page t addr in
-  Char.code (Bytes.unsafe_get page (addr land t.mask))
+(* Index of the chunk [addr] lands in, within its page. *)
+let chunk_index t addr = (addr land t.mask) lsr t.cshift
+
+(* The page walk of a read, returning the bytes of the chunk [addr]
+   lands in. *)
+let read_chunk t addr =
+  try
+    let frame = Page_table.read_frame t.pt ~vpn:(addr asr t.shift) in
+    t.last_frame <- frame.Frame.id;
+    (Array.unsafe_get frame.Frame.chunks (chunk_index t addr)).Frame.bytes
+  with Page_table.Page_fault _ -> raise (Segfault { addr; write = false })
+
+(* The same for writing: the chunk is private once this returns. *)
+let write_chunk t addr = Frame.writable_chunk t.alloc (write_page t addr) (chunk_index t addr)
+
+let load8 t addr = Char.code (Bytes.unsafe_get (read_chunk t addr) (addr land t.cmask))
 
 let store8 t addr v =
-  let page = write_page t addr in
-  Bytes.unsafe_set page (addr land t.mask) (Char.unsafe_chr (v land 0xFF))
+  Bytes.unsafe_set (write_chunk t addr) (addr land t.cmask) (Char.unsafe_chr (v land 0xFF))
 
 let load64 t addr =
-  let off = addr land t.mask in
-  if off + 8 <= t.psize then
-    let page = read_page t addr in
-    Int64.to_int (Bytes.get_int64_le page off)
+  let coff = addr land t.cmask in
+  if coff + 8 <= t.clen then Int64.to_int (Bytes.get_int64_le (read_chunk t addr) coff)
   else begin
-    (* Straddles a page boundary: assemble byte-wise. *)
+    (* Straddles a chunk (maybe a page) boundary: assemble byte-wise. *)
     let v = ref 0L in
     for i = 7 downto 0 do
       v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (load8 t (addr + i)))
@@ -94,10 +102,16 @@ let load64 t addr =
   end
 
 let store64 t addr v =
+  let coff = addr land t.cmask in
   let off = addr land t.mask in
-  if off + 8 <= t.psize then begin
-    let page = write_page t addr in
-    Bytes.set_int64_le page off (Int64.of_int v)
+  if coff + 8 <= t.clen then Bytes.set_int64_le (write_chunk t addr) coff (Int64.of_int v)
+  else if off + 8 <= t.psize then begin
+    (* Straddles a chunk boundary inside one page: still one page walk,
+       so a COW is reported exactly as for any other in-page store. *)
+    let frame = write_page t addr in
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    Frame.blit_in t.alloc b ~pos:0 frame ~off ~len:8
   end
   else
     let v64 = Int64.of_int v in
@@ -112,11 +126,10 @@ let read_bytes t ~addr ~len =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let off = a land t.mask in
-    let chunk = min (len - !i) (t.psize - off) in
-    let page = read_page t a in
-    Bytes.blit page off out !i chunk;
-    i := !i + chunk
+    let coff = a land t.cmask in
+    let n = min (len - !i) (t.clen - coff) in
+    Bytes.blit (read_chunk t a) coff out !i n;
+    i := !i + n
   done;
   out
 
@@ -127,11 +140,11 @@ let write_bytes t ~addr bytes =
   while !i < len do
     let a = addr + !i in
     let off = a land t.mask in
-    let chunk = min (len - !i) (t.psize - off) in
-    let page = write_page t a in
+    let n = min (len - !i) (t.psize - off) in
+    let frame = write_page t a in
     if t.last_cow then incr cows;
-    Bytes.blit bytes !i page off chunk;
-    i := !i + chunk
+    Frame.blit_in t.alloc bytes ~pos:!i frame ~off ~len:n;
+    i := !i + n
   done;
   !cows
 
@@ -139,13 +152,4 @@ let write_bytes_map t ~addr bytes =
   map_range t ~addr ~len:(Bytes.length bytes) Page_table.Read_write;
   ignore (write_bytes t ~addr bytes)
 
-let fork t =
-  {
-    pt = Page_table.fork t.pt;
-    psize = t.psize;
-    shift = t.shift;
-    mask = t.mask;
-    last_frame = -1;
-    last_cow = false;
-    last_cow_old_frame = -1;
-  }
+let fork t = of_page_table (Page_table.fork t.pt)

@@ -1,8 +1,15 @@
 (** Byte-addressed view of a process page table.
 
     The interpreter performs all loads and stores through this module.
-    Values are little-endian; a 64-bit access that straddles a page
-    boundary is handled byte-wise (slow path).
+    Values are little-endian. An access walks the page table once
+    ({!Page_table.read_frame} or {!Page_table.store_prepare}, neither of
+    which allocates) and then indexes the {!Frame} chunk the address
+    lands in; a store copies that chunk first when it is shared
+    ({!Frame.writable_chunk}). A 64-bit load that straddles a chunk (or
+    page) boundary is assembled byte-wise; a 64-bit store that straddles
+    a chunk boundary inside a page still walks the page once and writes
+    both chunks, and one that straddles a page boundary is stored
+    byte-wise (slow paths).
 
     To avoid allocating a result record on every memory instruction, the
     two facts the timing model needs from an access are exposed as fields

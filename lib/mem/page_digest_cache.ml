@@ -1,42 +1,26 @@
 type t = {
   frames : Fifo_cache.t; (* bounded resident set; drives eviction *)
-  digests : (int, int * int64) Hashtbl.t; (* frame id -> (generation, digest) *)
-  mutable hits : int;
-  mutable misses : int;
+  generations : (int, int) Hashtbl.t; (* resident frame id -> generation *)
 }
 
 let create ~capacity =
-  {
-    frames = Fifo_cache.create ~capacity;
-    digests = Hashtbl.create (2 * capacity);
-    hits = 0;
-    misses = 0;
-  }
+  { frames = Fifo_cache.create ~capacity; generations = Hashtbl.create (2 * capacity) }
 
-let capacity t = Fifo_cache.capacity t.frames
-
-let find t ~frame ~generation =
-  match Hashtbl.find_opt t.digests frame with
-  | Some (g, d) when g = generation ->
-    t.hits <- t.hits + 1;
-    Some d
+let lookup t ~frame ~generation =
+  match Hashtbl.find_opt t.generations frame with
+  | Some g when g = generation -> true
   | Some _ | None ->
-    (* Absent, or a stale digest of an earlier content version of the
-       same frame (an in-place write bumped the generation). *)
-    t.misses <- t.misses + 1;
-    None
+    (* Absent, or resident at an earlier content version of the same
+       frame (an in-place write bumped the generation): the modelled
+       runtime hashes the page and keeps the new digest. *)
+    (match Fifo_cache.admit t.frames frame with
+    | Some victim -> Hashtbl.remove t.generations victim
+    | None -> ());
+    Hashtbl.replace t.generations frame generation;
+    false
 
-let store t ~frame ~generation digest =
-  (match Fifo_cache.admit t.frames frame with
-  | Some victim -> Hashtbl.remove t.digests victim
-  | None -> ());
-  Hashtbl.replace t.digests frame (generation, digest)
+let resident t = Hashtbl.length t.generations
 
 let clear t =
   Fifo_cache.clear t.frames;
-  Hashtbl.reset t.digests;
-  t.hits <- 0;
-  t.misses <- 0
-
-let hits t = t.hits
-let misses t = t.misses
+  Hashtbl.reset t.generations

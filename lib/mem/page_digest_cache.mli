@@ -1,20 +1,27 @@
-(** Bounded memo of per-frame page digests, keyed on
-    [(frame id, generation)].
+(** Sim-clock model of a runtime that memoizes per-frame page digests,
+    keyed on [(frame id, generation)].
 
-    The state comparator hashes whole pages; between segment boundaries
-    most frames are untouched, so their digests can be reused instead of
-    re-read and re-hashed. Frame ids are never reused and every in-place
-    write bumps the frame's generation ({!Frame.bump_generation} via
-    {!Page_table.store_prepare}), so a [(id, generation)] pair identifies
-    immutable byte contents: a hit is always safe.
+    The paper's comparator hashes whole pages; between segment
+    boundaries most frames are untouched, so a runtime can reuse their
+    digests instead of re-reading and re-hashing them. This module
+    models only which digests such a runtime would hold: the comparator
+    charges a page's hash to the sim clock ([bytes_hashed]) on a miss
+    and nothing on a hit. The host itself decides equality chunk by
+    chunk ({!Frame.same_bytes}) and stores no digest here.
+
+    Frame ids are never reused and every in-place write bumps the
+    frame's generation ({!Frame.bump_generation} via
+    {!Page_table.store_prepare}), so a [(id, generation)] pair
+    identifies immutable byte contents: a modelled hit is always a
+    digest the runtime could safely reuse.
 
     Frame ids are only unique within one {!Frame.allocator}: never share
-    a cache across allocators (the coordinator keeps one per run, and
+    a model across allocators (the coordinator keeps one per run, and
     all of a run's address spaces fork from one allocator).
 
     Residency is bounded by an underlying {!Fifo_cache} (deterministic
-    random replacement); evicting a frame drops its digest, keeping the
-    memo's footprint at [capacity] entries. Entries for dead frames are
+    random replacement); evicting a frame drops its generation, keeping
+    the model at [capacity] entries. Entries for dead frames are
     harmless — their ids never recur — and age out under eviction
     pressure. *)
 
@@ -23,19 +30,13 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
+val lookup : t -> frame:int -> generation:int -> bool
+(** [lookup t ~frame ~generation] is [true] (a hit) iff the modelled
+    runtime holds a digest of exactly this content version. On a miss
+    (absent, or a stale generation) it records the version as resident,
+    evicting a random resident when full. *)
 
-val find : t -> frame:int -> generation:int -> int64 option
-(** [find t ~frame ~generation] returns the memoized digest iff one is
-    resident for exactly this content version; a stale generation counts
-    (and is reported) as a miss. *)
-
-val store : t -> frame:int -> generation:int -> int64 -> unit
-(** Insert (or refresh) the digest for a frame's current content
-    version, evicting a random resident when full. *)
+val resident : t -> int
+(** Frames currently resident; at most the capacity. *)
 
 val clear : t -> unit
-
-val hits : t -> int
-val misses : t -> int
-(** Cumulative {!find} outcomes since creation or [clear]. *)

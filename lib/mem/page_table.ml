@@ -9,11 +9,12 @@ type pte = {
 type t = {
   alloc : Frame.allocator;
   entries : (int, pte) Hashtbl.t;
+  mutable retired : int;
 }
 
 exception Page_fault of { vpn : int; write : bool }
 
-let create alloc = { alloc; entries = Hashtbl.create 256 }
+let create alloc = { alloc; entries = Hashtbl.create 256; retired = -1 }
 
 let allocator t = t.alloc
 let page_size t = Frame.page_size t.alloc
@@ -46,11 +47,8 @@ let set_protection t ~vpn prot =
   | Some pte -> pte.prot <- prot
 
 let find t vpn ~write =
-  match Hashtbl.find_opt t.entries vpn with
-  | Some pte -> pte
-  | None -> raise (Page_fault { vpn; write })
-
-let frame_id t ~vpn = (find t vpn ~write:false).frame.Frame.id
+  try Hashtbl.find t.entries vpn
+  with Not_found -> raise (Page_fault { vpn; write })
 
 let read_frame t ~vpn = (find t vpn ~write:false).frame
 
@@ -59,35 +57,35 @@ let store_prepare t ~vpn =
   (match pte.prot with
   | Read_write -> ()
   | Read_only -> raise (Page_fault { vpn; write = true }));
-  let old_frame =
-    if pte.frame.Frame.refcount > 1 then begin
-      let old_id = pte.frame.Frame.id in
-      let fresh = Frame.alloc_copy t.alloc pte.frame in
-      Frame.decref t.alloc pte.frame;
-      pte.frame <- fresh;
-      Some old_id
-    end
-    else begin
-      (* In-place write to an exclusively owned frame: the frame id stays
-         the same while the bytes change, so the content version must
-         advance to invalidate memoized digests. *)
-      Frame.bump_generation pte.frame;
-      None
-    end
-  in
+  if pte.frame.Frame.refcount > 1 then begin
+    t.retired <- pte.frame.Frame.id;
+    let fresh = Frame.alloc_copy t.alloc pte.frame in
+    Frame.decref t.alloc pte.frame;
+    pte.frame <- fresh
+  end
+  else begin
+    (* In-place write to an exclusively owned frame: the frame id stays
+       the same while the bytes change, so the content version must
+       advance to invalidate the memo model's entry. *)
+    t.retired <- -1;
+    Frame.bump_generation pte.frame
+  end;
   pte.soft_dirty <- true;
-  (pte.frame.Frame.data, old_frame)
+  pte.frame
 
-let read_bytes_at t ~vpn = (find t vpn ~write:false).frame.Frame.data
+let retired_frame t = t.retired
 
-let copy_page_at t ~vpn = Bytes.copy (read_bytes_at t ~vpn)
-
-let frame_view t ~vpn =
-  let f = (find t vpn ~write:false).frame in
-  (f.Frame.id, f.Frame.generation, f.Frame.data)
+let copy_page_at t ~vpn =
+  let f = read_frame t ~vpn in
+  let psize = page_size t in
+  let out = Bytes.create psize in
+  Frame.blit_out f ~off:0 out ~pos:0 ~len:psize;
+  out
 
 let fork t =
-  let child = { alloc = t.alloc; entries = Hashtbl.create (Hashtbl.length t.entries) } in
+  let child =
+    { alloc = t.alloc; entries = Hashtbl.create (Hashtbl.length t.entries); retired = -1 }
+  in
   Hashtbl.iter
     (fun vpn pte ->
       Frame.incref pte.frame;

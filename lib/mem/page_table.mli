@@ -8,7 +8,12 @@
       reads the set at segment end.
     - Map-count tracking (§4.4, AArch64 PAGEMAP_SCAN path):
       {!uniquely_mapped} reports pages whose frame is mapped exactly once
-      system-wide, i.e. modified-or-new since the fork. *)
+      system-wide, i.e. modified-or-new since the fork.
+
+    Page bytes live in {!Frame}'s copy-on-write chunks. This module
+    walks and copies frames at page granularity (the unit the paper and
+    the sim clock charge); the chunk copy a store needs is
+    {!Frame.writable_chunk}'s, done by the caller of {!store_prepare}. *)
 
 type t
 
@@ -36,55 +41,34 @@ val is_mapped : t -> vpn:int -> bool
 val protection : t -> vpn:int -> protection option
 val set_protection : t -> vpn:int -> protection -> unit
 
-val frame_id : t -> vpn:int -> int
-(** Physical frame number backing [vpn] — the cache model's key.
-
-    @raise Page_fault on unmapped [vpn]. *)
-
 val read_frame : t -> vpn:int -> Frame.t
-(** The backing frame, for read-only inspection (state comparison).
+(** The backing frame, for reading: loads, state comparison and hashing.
+    Its bytes are valid while [vpn] maps the same frame; an unmap, a COW
+    write through this table or a process exit may free it. Take
+    {!copy_page_at} to keep them.
 
     @raise Page_fault on unmapped [vpn]. *)
 
-val store_prepare : t -> vpn:int -> Bytes.t * int option
+val store_prepare : t -> vpn:int -> Frame.t
 (** [store_prepare t ~vpn] performs the write-side page walk: checks
-    writability, breaks COW sharing if the frame is shared, sets the
-    soft-dirty bit, and returns the (now private or exclusively owned)
-    page bytes together with [Some old_frame_id] iff a COW copy
-    happened — the caller charges COW cycle cost and evicts the retired
-    frame from its caches when it did.
+    writability, breaks COW sharing if the frame is shared (a fresh
+    frame from {!Frame.alloc_copy}), sets the soft-dirty bit, and
+    returns the now exclusively owned frame. The caller writes through
+    {!Frame.writable_chunk}. {!retired_frame} then tells whether a COW
+    copy happened — the caller charges COW cycle cost and evicts the
+    retired frame from its caches when it did. Allocates nothing unless
+    it copies or faults.
 
     @raise Page_fault on unmapped or read-only [vpn]. *)
 
-val read_bytes_at : t -> vpn:int -> Bytes.t
-(** Page bytes for reading. The bytes are borrowed, not copied: they are
-    the backing frame's buffer, which {!Frame} recycles for a new frame
-    once the last mapping goes away. They are valid while [vpn] maps the
-    same frame; an unmap, a COW write through this table or a process
-    exit may hand them to another frame. Take {!copy_page_at} to keep
-    them. Every caller reads or patches the page on the spot and keeps
-    nothing: the comparator (via {!frame_view}), the final-state memory
-    hash ([Stats.mem_hash], shared by the recorder and the offline
-    engine), and the offline engine's boundary compare and
-    [inject_bytes].
-
-    @raise Page_fault on unmapped [vpn]. *)
+val retired_frame : t -> int
+(** The id of the frame the last {!store_prepare} on this table retired
+    by a COW copy, or [-1] if that store landed in place. *)
 
 val copy_page_at : t -> vpn:int -> Bytes.t
 (** Detached copy of the page bytes — payload extraction for the
-    segment log (the live frame keeps mutating after the snapshot).
-
-    @raise Page_fault on unmapped [vpn]. *)
-
-val frame_view : t -> vpn:int -> int * int * Bytes.t
-(** [frame_view t ~vpn] is [(frame_id, generation, data)] for the frame
-    backing [vpn] — everything the comparator needs in one walk: the id
-    for the frame-identity short-circuit, the [(id, generation)] pair as
-    the digest-memoization key, and the bytes for a cache miss. The
-    bytes are borrowed, as for {!read_bytes_at}; the id and generation
-    stay valid keys for good, since frame ids are never reused. Two live
-    frames never share a buffer, so physically equal bytes still mean
-    the same frame.
+    segment log (the live frame keeps mutating after the snapshot) and
+    the offline engine's boundary compare.
 
     @raise Page_fault on unmapped [vpn]. *)
 

@@ -363,14 +363,24 @@ let test_comparator_cache_generation_invalidation () =
   | _ -> Alcotest.fail "divergence missed with warm cache");
   (* Restoring the original value writes in place (the frame is now
      exclusively owned): the id is unchanged, so only the generation
-     bump keeps the memo from serving the stale divergent digest. *)
+     bump makes the memo model miss — and charge a rehash — on the
+     candidate side, while the reference side still hits. *)
   Mem.Address_space.store64
     (Machine.Cpu.aspace b)
     (data_base + (3 * page_size))
     1003;
-  (match compare_states ~cache ~reference:a ~candidate:b all_data_vpns with
+  let verdict, cs =
+    Parallaft.Comparator.compare_states ~cache ~reference:a ~candidate:b
+      ~dirty_vpns:all_data_vpns ()
+  in
+  (match verdict with
   | Parallaft.Comparator.Match -> ()
-  | _ -> Alcotest.fail "stale digest served after in-place write");
+  | _ -> Alcotest.fail "stale verdict after in-place write");
+  Alcotest.(check (pair int int)) "in-place write: candidate misses, reference hits"
+    (1, 1)
+    (cs.Parallaft.Comparator.page_hash_misses, cs.Parallaft.Comparator.page_hash_hits);
+  Alcotest.(check int) "and one page is charged" page_size
+    cs.Parallaft.Comparator.bytes_hashed;
   (* And warm re-comparison of the still-divergent-id page hits the memo. *)
   let verdict, cs =
     Parallaft.Comparator.compare_states ~cache ~reference:a ~candidate:b
@@ -383,10 +393,37 @@ let test_comparator_cache_generation_invalidation () =
     cs.Parallaft.Comparator.bytes_hashed;
   Alcotest.(check int) "warm run is all hits" 2 cs.Parallaft.Comparator.page_hash_hits
 
+(* The segment-hash fold a hashing comparator computes: XXH64 over
+   (vpn, XXH64 of the page bytes) on each side, for every vpn whose two
+   sides map different frames. *)
+let fold_verdict ~reference ~candidate vpns =
+  let pt cpu = Mem.Address_space.page_table (Machine.Cpu.aspace cpu) in
+  let ref_pt = pt reference and cand_pt = pt candidate in
+  let ref_state = Ftr_hash.Xxh64.init () and cand_state = Ftr_hash.Xxh64.init () in
+  Array.iter
+    (fun vpn ->
+      if Mem.Page_table.read_frame ref_pt ~vpn != Mem.Page_table.read_frame cand_pt ~vpn
+      then
+        List.iter
+          (fun (state, pt) ->
+            Ftr_hash.Xxh64.update_int64 state (Int64.of_int vpn);
+            Ftr_hash.Xxh64.update_int64 state
+              (Ftr_hash.Xxh64.hash (Mem.Page_table.copy_page_at pt ~vpn)))
+          [ (ref_state, ref_pt); (cand_state, cand_pt) ])
+    vpns;
+  let expected_hash = Ftr_hash.Xxh64.digest ref_state
+  and got_hash = Ftr_hash.Xxh64.digest cand_state in
+  if Int64.equal expected_hash got_hash then Parallaft.Comparator.Match
+  else
+    Parallaft.Comparator.Mismatch
+      (Parallaft.Detection.Memory_mismatch { expected_hash; got_hash })
+
 let qcheck_cached_matches_uncached =
-  (* Differential oracle for the memoization layer: after every random
-     fork-side write, the verdict with a (tiny, eviction-pressured)
-     digest cache must equal the from-scratch uncached verdict. *)
+  (* Differential oracle for the memo model and the chunked compare:
+     after every random fork-side write, the verdict with a (tiny,
+     eviction-pressured) memo must equal the uncached verdict, and both
+     must equal the hash fold over whole pages, memory-mismatch hashes
+     included. *)
   QCheck.Test.make ~name:"cached comparator verdict = uncached verdict" ~count:40
     QCheck.(small_list (triple bool (0 -- (data_pages - 1)) (0 -- 100)))
     (fun ops ->
@@ -400,7 +437,8 @@ let qcheck_cached_matches_uncached =
         let uncached =
           compare_states ~reference:a ~candidate:b all_data_vpns
         in
-        if cached <> uncached then ok := false
+        let folded = fold_verdict ~reference:a ~candidate:b all_data_vpns in
+        if cached <> uncached || uncached <> folded then ok := false
       in
       check_once ();
       List.iter

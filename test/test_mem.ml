@@ -30,30 +30,75 @@ let test_frame_incref_after_free () =
 
 let test_frame_buffer_recycled () =
   let a = Mem.Frame.allocator ~page_size in
+  let clen = Mem.Frame.chunk_bytes a in
   let keep = Mem.Frame.alloc_zero a in
+  Bytes.fill (Mem.Frame.writable_chunk a keep 0) 0 clen 'k';
   let f = Mem.Frame.alloc_copy a keep in
-  Bytes.fill f.Mem.Frame.data 0 page_size 'x';
+  let x = Mem.Frame.writable_chunk a f 0 in
+  Bytes.fill x 0 clen 'x';
   Mem.Frame.decref a f;
-  Alcotest.(check int) "freed buffer kept while a frame lives" 1
-    (Mem.Frame.spare_buffers a);
+  Alcotest.(check int) "freed chunk kept while a chunk lives" 1
+    (Mem.Frame.spare_chunks a);
   let z = Mem.Frame.alloc_zero a in
-  Alcotest.(check bool) "zero page reuses the buffer" true
-    (z.Mem.Frame.data == f.Mem.Frame.data);
   Alcotest.(check bool) "with a new id" true (z.Mem.Frame.id > f.Mem.Frame.id);
-  Alcotest.(check bool) "and all zeros" true
-    (Bytes.for_all (fun c -> c = '\000') z.Mem.Frame.data);
-  Bytes.fill keep.Mem.Frame.data 0 page_size 'k';
+  Alcotest.(check bool) "a zero frame takes no chunk" true
+    (Mem.Frame.spare_chunks a = 1
+    && Array.for_all
+         (fun c -> Bytes.for_all (fun ch -> ch = '\000') c.Mem.Frame.bytes)
+         z.Mem.Frame.chunks);
+  let zc = Mem.Frame.writable_chunk a z 1 in
+  Alcotest.(check bool) "zero chunk copy reuses the chunk" true (zc == x);
+  Alcotest.(check bool) "and all zeros" true (Bytes.for_all (fun c -> c = '\000') zc);
   Mem.Frame.decref a z;
   let c = Mem.Frame.alloc_copy a keep in
-  Alcotest.(check bool) "copy reuses the buffer" true
-    (c.Mem.Frame.data == z.Mem.Frame.data);
-  Alcotest.(check string) "and holds the source bytes"
-    (Bytes.to_string keep.Mem.Frame.data)
-    (Bytes.to_string c.Mem.Frame.data);
+  let cc = Mem.Frame.writable_chunk a c 0 in
+  Alcotest.(check bool) "copy reuses the chunk" true (cc == x);
+  Alcotest.(check string) "and holds the source bytes" (String.make clen 'k')
+    (Bytes.to_string cc);
   Mem.Frame.decref a c;
   Mem.Frame.decref a keep;
-  Alcotest.(check int) "no spares without live frames" 0
-    (Mem.Frame.spare_buffers a)
+  Alcotest.(check int) "no spares without live chunks" 0 (Mem.Frame.spare_chunks a);
+  Alcotest.(check int) "no live chunks" 0 (Mem.Frame.live_chunks a)
+
+(* The point of chunked frames: a COW copy followed by one store copies
+   one chunk, and the two frames keep sharing the rest. *)
+let test_fork_store_shares_all_but_one_chunk () =
+  let page_size = 16384 in
+  let alloc = Mem.Frame.allocator ~page_size in
+  let nchunks = page_size / Mem.Frame.chunk_bytes alloc in
+  Alcotest.(check bool) "several chunks per page" true (nchunks > 2);
+  let aspace = Mem.Address_space.create alloc in
+  Mem.Address_space.map_range aspace ~addr:0 ~len:(2 * page_size)
+    Mem.Page_table.Read_write;
+  (* Page 0 gets a private chunk everywhere; page 1 stays on the zero
+     chunk. *)
+  for i = 0 to nchunks - 1 do
+    Mem.Address_space.store64 aspace (i * Mem.Frame.chunk_bytes alloc) (i + 1)
+  done;
+  let child = Mem.Address_space.fork aspace in
+  let shared vpn =
+    let frame a = Mem.Page_table.read_frame (Mem.Address_space.page_table a) ~vpn in
+    let p = frame aspace and c = frame child in
+    Alcotest.(check bool) "distinct frames" true (p != c);
+    let n = ref 0 in
+    Array.iteri
+      (fun i ch -> if ch == c.Mem.Frame.chunks.(i) then incr n)
+      p.Mem.Frame.chunks;
+    !n
+  in
+  List.iter
+    (fun vpn ->
+      let copies0 = Mem.Frame.copies alloc in
+      Mem.Address_space.store64 child ((vpn * page_size) + 4000) 7;
+      Alcotest.(check int) "one COW page copy" (copies0 + 1) (Mem.Frame.copies alloc);
+      Alcotest.(check int)
+        (Printf.sprintf "page %d: every chunk shared but one" vpn)
+        (nchunks - 1) (shared vpn);
+      Alcotest.(check int) "parent unchanged" 0
+        (Mem.Address_space.load64 aspace ((vpn * page_size) + 4000));
+      Alcotest.(check int) "child sees its store" 7
+        (Mem.Address_space.load64 child ((vpn * page_size) + 4000)))
+    [ 0; 1 ]
 
 let test_frame_alloc_validation () =
   (try
@@ -197,6 +242,30 @@ let test_unaligned_access_across_pages () =
   Alcotest.(check int) "straddling store/load roundtrip" 0x1122334455667788
     (Mem.Address_space.load64 aspace addr)
 
+(* The guest page walk allocates nothing: a load or a store on a mapped,
+   exclusively owned page costs no minor words (a COW or a fault may
+   allocate). *)
+let test_page_walk_allocates_nothing () =
+  let aspace = fresh_as () in
+  Mem.Address_space.map_range aspace ~addr:0 ~len:(2 * page_size)
+    Mem.Page_table.Read_write;
+  for i = 0 to (2 * page_size / 8) - 1 do
+    Mem.Address_space.store64 aspace (8 * i) i
+  done;
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let a = 8 * (i land ((2 * page_size / 8) - 1)) in
+    Mem.Address_space.store64 aspace a i;
+    Mem.Address_space.store8 aspace (a + 1) i;
+    sum := !sum + Mem.Address_space.load64 aspace a + Mem.Address_space.load8 aspace a
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "40k accesses allocate no minor words (got %.0f)" words)
+    true (words < 100.);
+  ignore !sum
+
 let test_read_write_bytes () =
   let aspace = fresh_as () in
   Mem.Address_space.map_range aspace ~addr:0 ~len:(2 * page_size)
@@ -264,10 +333,14 @@ let test_frame_generation_bumps_in_place_only () =
   Mem.Address_space.map_range aspace ~addr:0 ~len:(2 * page_size)
     Mem.Page_table.Read_write;
   let pt = Mem.Address_space.page_table aspace in
-  let id0, gen0, _ = Mem.Page_table.frame_view pt ~vpn:0 in
+  let version pt =
+    let f = Mem.Page_table.read_frame pt ~vpn:0 in
+    (f.Mem.Frame.id, f.Mem.Frame.generation)
+  in
+  let id0, gen0 = version pt in
   (* Exclusively owned: each store walks store_prepare and bumps. *)
   Mem.Address_space.store64 aspace 0 1;
-  let id1, gen1, _ = Mem.Page_table.frame_view pt ~vpn:0 in
+  let id1, gen1 = version pt in
   Alcotest.(check int) "in-place write keeps the frame" id0 id1;
   Alcotest.(check bool) "in-place write bumps the generation" true (gen1 > gen0);
   (* COW: the child's write allocates a fresh frame at generation 0 and
@@ -275,60 +348,65 @@ let test_frame_generation_bumps_in_place_only () =
   let child = Mem.Address_space.fork aspace in
   let child_pt = Mem.Address_space.page_table child in
   Mem.Address_space.store64 child 0 2;
-  let cid, cgen, _ = Mem.Page_table.frame_view child_pt ~vpn:0 in
+  let cid, cgen = version child_pt in
   Alcotest.(check bool) "cow allocates a fresh frame" true (cid <> id1);
   Alcotest.(check int) "fresh frame starts at generation 0" 0 cgen;
-  let id2, gen2, _ = Mem.Page_table.frame_view pt ~vpn:0 in
+  let id2, gen2 = version pt in
   Alcotest.(check int) "parent frame id untouched by child cow" id1 id2;
   Alcotest.(check int) "parent generation untouched by child cow" gen1 gen2
 
-let test_frame_view_consistent () =
-  let pt = fresh_pt () in
+let test_read_frame_consistent () =
+  let aspace = fresh_as () in
+  let pt = Mem.Address_space.page_table aspace in
   Mem.Page_table.map_zero pt ~vpn:5 Mem.Page_table.Read_write;
-  let id, _, data = Mem.Page_table.frame_view pt ~vpn:5 in
-  Alcotest.(check int) "same id as frame_id" (Mem.Page_table.frame_id pt ~vpn:5) id;
-  Alcotest.(check bool) "same bytes as read_bytes_at" true
-    (data == Mem.Page_table.read_bytes_at pt ~vpn:5);
-  match Mem.Page_table.frame_view pt ~vpn:6 with
+  let addr = (5 * page_size) + 16 in
+  Mem.Address_space.store64 aspace addr 0x1234;
+  let f = Mem.Page_table.read_frame pt ~vpn:5 in
+  Alcotest.(check int) "same id as the access reports" (Mem.Address_space.last_frame aspace)
+    f.Mem.Frame.id;
+  let out = Bytes.create 8 in
+  Mem.Frame.blit_out f ~off:16 out ~pos:0 ~len:8;
+  Alcotest.(check int) "same bytes as a load" (Mem.Address_space.load64 aspace addr)
+    (Int64.to_int (Bytes.get_int64_le out 0));
+  Alcotest.(check bool) "same bytes as copy_page_at" true
+    (Bytes.get_int64_le (Mem.Page_table.copy_page_at pt ~vpn:5) 16 = 0x1234L);
+  match Mem.Page_table.read_frame pt ~vpn:6 with
   | exception Mem.Page_table.Page_fault { vpn = 6; write = false } -> ()
   | _ -> Alcotest.fail "expected Page_fault on unmapped vpn"
 
 let test_page_digest_cache_basics () =
   let c = Mem.Page_digest_cache.create ~capacity:2 in
-  Alcotest.(check (option int64)) "cold miss" None
-    (Mem.Page_digest_cache.find c ~frame:1 ~generation:0);
-  Mem.Page_digest_cache.store c ~frame:1 ~generation:0 42L;
-  Alcotest.(check (option int64)) "hit on exact (frame, generation)" (Some 42L)
-    (Mem.Page_digest_cache.find c ~frame:1 ~generation:0);
-  Alcotest.(check (option int64)) "stale generation misses" None
-    (Mem.Page_digest_cache.find c ~frame:1 ~generation:1);
-  Mem.Page_digest_cache.store c ~frame:1 ~generation:1 43L;
-  Alcotest.(check (option int64)) "refreshed generation hits" (Some 43L)
-    (Mem.Page_digest_cache.find c ~frame:1 ~generation:1);
-  Alcotest.(check int) "hits counted" 2 (Mem.Page_digest_cache.hits c);
-  Alcotest.(check int) "misses counted" 2 (Mem.Page_digest_cache.misses c);
+  Alcotest.(check bool) "cold miss" false
+    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:0);
+  Alcotest.(check bool) "hit on exact (frame, generation)" true
+    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:0);
+  Alcotest.(check bool) "stale generation misses" false
+    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:1);
+  Alcotest.(check bool) "refreshed generation hits" true
+    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:1);
+  Alcotest.(check int) "a refresh does not add a resident" 1
+    (Mem.Page_digest_cache.resident c);
   Mem.Page_digest_cache.clear c;
-  Alcotest.(check (option int64)) "cleared" None
-    (Mem.Page_digest_cache.find c ~frame:1 ~generation:1);
-  Alcotest.(check int) "counters reset" 0 (Mem.Page_digest_cache.hits c)
+  Alcotest.(check int) "cleared" 0 (Mem.Page_digest_cache.resident c);
+  Alcotest.(check bool) "miss after clear" false
+    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:1)
 
 let test_page_digest_cache_eviction_bounds () =
   let cap = 2 in
   let c = Mem.Page_digest_cache.create ~capacity:cap in
   for frame = 0 to 9 do
-    Mem.Page_digest_cache.store c ~frame ~generation:0 (Int64.of_int frame)
+    ignore (Mem.Page_digest_cache.lookup c ~frame ~generation:0)
   done;
-  let resident = ref 0 in
+  Alcotest.(check int) "exactly capacity frames stay resident" cap
+    (Mem.Page_digest_cache.resident c);
+  (* Only the frames resident before the probe can hit: each miss admits
+     a frame the loop has already passed. *)
+  let hits = ref 0 in
   for frame = 0 to 9 do
-    match Mem.Page_digest_cache.find c ~frame ~generation:0 with
-    | Some d ->
-      incr resident;
-      Alcotest.(check int64)
-        (Printf.sprintf "frame %d digest intact" frame)
-        (Int64.of_int frame) d
-    | None -> ()
+    if Mem.Page_digest_cache.lookup c ~frame ~generation:0 then incr hits
   done;
-  Alcotest.(check int) "exactly capacity digests survive" cap !resident
+  Alcotest.(check bool) "at most capacity frames hit" true (!hits <= cap);
+  Alcotest.(check int) "still bounded" cap (Mem.Page_digest_cache.resident c)
 
 let qcheck_cow_preserves_parent =
   QCheck.Test.make ~name:"random child writes never leak to parent" ~count:100
@@ -451,13 +529,15 @@ let qcheck_frame_refcounts_match_mappings =
         !live;
       refcounts_ok && Mem.Frame.live_frames alloc = 0)
 
-(* Frame recycling against a pure model: random map/fork/store/unmap/
-   exit sequences over a few processes, each modelled as vpn -> page
-   contents. After every step: contents match the model (so a zero page
-   on a recycled buffer reads zeros and a COW copy on one holds its
-   source), no two live frames share a buffer, newly seen frame ids
-   exceed every id seen before, the live count equals the frames mapped,
-   and the spare list is no longer than the live count. *)
+(* Frame and chunk recycling against a pure model: random map/fork/
+   store/unmap/exit sequences over a few processes, each modelled as
+   vpn -> page contents, on pages of several chunks. After every step:
+   contents match the model (so a chunk copy on a recycled chunk holds
+   its source), each chunk's count equals the frame slots holding it
+   (one more for the zero chunk, which still reads as zeros), newly seen
+   frame ids exceed every id seen before, the live frame and chunk
+   counts equal what is mapped, and the spare chunks never outnumber
+   the live ones. At the end nothing is live or spare. *)
 type pt_op =
   | Op_map of int * int
   | Op_fork of int
@@ -465,7 +545,7 @@ type pt_op =
   | Op_unmap of int * int
   | Op_exit of int
 
-let model_page = 64
+let model_page = 8192
 let model_vpns = 6
 
 let show_pt_op = function
@@ -498,6 +578,14 @@ let qcheck_frame_recycling_model =
        QCheck.Gen.(list_size (0 -- 80) gen_pt_op))
     (fun ops ->
       let alloc = Mem.Frame.allocator ~page_size:model_page in
+      assert (model_page / Mem.Frame.chunk_bytes alloc >= 4);
+      (* A probe frame names the zero chunk; freeing it leaves the
+         allocator with nothing live. *)
+      let zero =
+        let probe = Mem.Frame.alloc_zero alloc in
+        Mem.Frame.decref alloc probe;
+        probe.Mem.Frame.chunks.(0)
+      in
       let fresh () = (Mem.Page_table.create alloc, Hashtbl.create 8) in
       let procs = ref [ fresh () ] in
       let pick i = List.nth !procs (i mod List.length !procs) in
@@ -517,8 +605,8 @@ let qcheck_frame_recycling_model =
           match Hashtbl.find_opt m vpn with
           | None -> ()
           | Some page ->
-            let data, _ = Mem.Page_table.store_prepare pt ~vpn in
-            Bytes.set data off c;
+            let frame = Mem.Page_table.store_prepare pt ~vpn in
+            Mem.Frame.blit_in alloc (Bytes.make 1 c) ~pos:0 frame ~off ~len:1;
             Hashtbl.replace m vpn
               (String.mapi (fun i x -> if i = off then c else x) page))
         | Op_unmap (p, vpn) ->
@@ -542,8 +630,7 @@ let qcheck_frame_recycling_model =
                    (fun vpn page ok ->
                      ok
                      && Mem.Page_table.is_mapped pt ~vpn
-                     && Bytes.to_string (Mem.Page_table.read_bytes_at pt ~vpn)
-                        = page)
+                     && Bytes.to_string (Mem.Page_table.copy_page_at pt ~vpn) = page)
                    m true)
             !procs
         in
@@ -551,14 +638,31 @@ let qcheck_frame_recycling_model =
         List.iter
           (fun (pt, _) ->
             Mem.Page_table.iter_mapped pt (fun ~vpn:_ f ->
-                Hashtbl.replace frames f.Mem.Frame.id f.Mem.Frame.data))
+                Hashtbl.replace frames f.Mem.Frame.id f))
           !procs;
-        let live = Hashtbl.fold (fun id data acc -> (id, data) :: acc) frames [] in
-        let buffers_distinct =
-          List.for_all
-            (fun (i, d) -> List.for_all (fun (j, e) -> i = j || d != e) live)
-            live
+        let live = Hashtbl.fold (fun id f acc -> (id, f) :: acc) frames [] in
+        (* Distinct chunks held by live frames, with their slot counts. *)
+        let held = ref [] in
+        List.iter
+          (fun (_, f) ->
+            Array.iter
+              (fun c ->
+                match List.find_opt (fun (d, _) -> d == c) !held with
+                | Some (_, n) -> incr n
+                | None -> held := (c, ref 1) :: !held)
+              f.Mem.Frame.chunks)
+          live;
+        let zero_slots =
+          match List.find_opt (fun (d, _) -> d == zero) !held with
+          | Some (_, n) -> !n
+          | None -> 0
         in
+        let counts_ok =
+          List.for_all (fun (c, n) -> c == zero || c.Mem.Frame.refs = !n) !held
+          && zero.Mem.Frame.refs = zero_slots + 1
+        in
+        let zero_ok = Bytes.for_all (fun c -> c = '\000') zero.Mem.Frame.bytes in
+        let live_chunks = List.length (List.filter (fun (c, _) -> c != zero) !held) in
         let unseen = List.filter (fun (id, _) -> not (Hashtbl.mem seen id)) live in
         let ids_increase = List.for_all (fun (id, _) -> id > !max_seen) unseen in
         List.iter
@@ -566,15 +670,107 @@ let qcheck_frame_recycling_model =
             Hashtbl.replace seen id ();
             max_seen := max !max_seen id)
           unseen;
-        contents_ok && buffers_distinct && ids_increase
+        contents_ok && counts_ok && zero_ok && ids_increase
         && Mem.Frame.live_frames alloc = List.length live
-        && Mem.Frame.spare_buffers alloc <= Mem.Frame.live_frames alloc
+        && Mem.Frame.live_chunks alloc = live_chunks
+        && Mem.Frame.spare_chunks alloc <= Mem.Frame.live_chunks alloc
       in
       let ok = List.for_all (fun op -> step op; consistent ()) ops in
       List.iter (fun (pt, _) -> Mem.Page_table.free_all pt) !procs;
       ok
       && Mem.Frame.live_frames alloc = 0
-      && Mem.Frame.spare_buffers alloc = 0)
+      && Mem.Frame.live_chunks alloc = 0
+      && Mem.Frame.spare_chunks alloc = 0
+      && zero.Mem.Frame.refs = 1)
+
+(* 8-byte accesses and byte ranges that straddle chunk (and page)
+   boundaries, on a fresh page and across a fork, against a byte model
+   of the parent and the child. *)
+type span_op =
+  | Sp_store64 of bool * int * int
+  | Sp_write of bool * int * string
+  | Sp_store8 of bool * int * int
+
+let span_pages = 2
+let span_page = 16384
+let span_chunk = 2048
+
+let gen_span_op =
+  let open QCheck.Gen in
+  (* Addresses within 12 bytes of a chunk boundary, boundary 0 and the
+     end of the mapping excluded. *)
+  let near_boundary =
+    map2
+      (fun k d -> max 0 (min ((span_pages * span_page) - 16) ((k * span_chunk) + d)))
+      (int_range 1 ((span_pages * span_page / span_chunk) - 1))
+      (int_range (-12) 12)
+  in
+  frequency
+    [
+      (4, map3 (fun c a v -> Sp_store64 (c, a, v)) bool near_boundary int);
+      ( 2,
+        map3
+          (fun c a s -> Sp_write (c, a, s))
+          bool near_boundary
+          (string_size ~gen:printable (int_range 1 (span_chunk + 100))) );
+      (1, map3 (fun c a v -> Sp_store8 (c, a, v)) bool near_boundary (int_bound 255));
+    ]
+
+let show_span_op = function
+  | Sp_store64 (c, a, v) -> Printf.sprintf "store64(%b,%d,%d)" c a v
+  | Sp_write (c, a, s) -> Printf.sprintf "write(%b,%d,%d bytes)" c a (String.length s)
+  | Sp_store8 (c, a, v) -> Printf.sprintf "store8(%b,%d,%d)" c a v
+
+let qcheck_chunk_straddling_accesses =
+  QCheck.Test.make ~name:"chunk-straddling accesses match a byte model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_span_op ops))
+       QCheck.Gen.(list_size (1 -- 30) gen_span_op))
+    (fun ops ->
+      let len = span_pages * span_page in
+      let alloc = Mem.Frame.allocator ~page_size:span_page in
+      assert (Mem.Frame.chunk_bytes alloc = span_chunk);
+      let parent = Mem.Address_space.create alloc in
+      Mem.Address_space.map_range parent ~addr:0 ~len Mem.Page_table.Read_write;
+      (* Page 0 gets private chunks before the fork; page 1 stays on the
+         zero chunk. *)
+      Mem.Address_space.write_bytes_map parent ~addr:0
+        (Bytes.init span_page (fun i -> Char.chr (i land 0xFF)));
+      let child = Mem.Address_space.fork parent in
+      let model = Bytes.create len in
+      Bytes.blit (Mem.Address_space.read_bytes parent ~addr:0 ~len) 0 model 0 len;
+      let models = [| model; Bytes.copy model |] in
+      let side c = if c then (child, models.(1)) else (parent, models.(0)) in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Sp_store64 (c, a, v) ->
+            let sp, m = side c in
+            Mem.Address_space.store64 sp a v;
+            Bytes.set_int64_le m a (Int64.of_int v);
+            ok := !ok && Mem.Address_space.load64 sp a = v
+          | Sp_write (c, a, s) ->
+            let sp, m = side c in
+            let n = min (String.length s) (len - a) in
+            let b = Bytes.sub (Bytes.of_string s) 0 n in
+            ignore (Mem.Address_space.write_bytes sp ~addr:a b);
+            Bytes.blit b 0 m a n
+          | Sp_store8 (c, a, v) ->
+            let sp, m = side c in
+            Mem.Address_space.store8 sp a v;
+            Bytes.set m a (Char.chr v));
+          let (Sp_store64 (_, a, _) | Sp_write (_, a, _) | Sp_store8 (_, a, _)) = op in
+          List.iter
+            (fun c ->
+              let sp, m = side c in
+              ok :=
+                !ok
+                && Bytes.equal (Mem.Address_space.read_bytes sp ~addr:0 ~len) m
+                && Mem.Address_space.load64 sp a = Int64.to_int (Bytes.get_int64_le m a))
+            [ false; true ])
+        ops;
+      !ok)
 
 let () =
   let tc = Alcotest.test_case in
@@ -588,7 +784,9 @@ let () =
           tc "allocator validation" `Quick test_frame_alloc_validation;
           tc "generation bumps in place only" `Quick
             test_frame_generation_bumps_in_place_only;
-          tc "frame_view consistent" `Quick test_frame_view_consistent;
+          tc "read_frame consistent" `Quick test_read_frame_consistent;
+          tc "fork + store shares all but one chunk" `Quick
+            test_fork_store_shares_all_but_one_chunk;
         ] );
       ( "page_table",
         [
@@ -616,6 +814,8 @@ let () =
         [
           tc "pss" `Quick test_pss;
           tc "unaligned across pages" `Quick test_unaligned_access_across_pages;
+          QCheck_alcotest.to_alcotest qcheck_chunk_straddling_accesses;
+          tc "page walk allocates nothing" `Quick test_page_walk_allocates_nothing;
           tc "read/write bytes" `Quick test_read_write_bytes;
           tc "write_bytes_map" `Quick test_write_bytes_map;
           tc "segfault" `Quick test_segfault_exn;
