@@ -1,7 +1,7 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
 .PHONY: all build test fmt-check unused-exports parallel-smoke \
-  backend-chaos-smoke bench-smoke invariants ci clean
+  bench-smoke invariants ci clean
 
 all: build
 
@@ -62,20 +62,7 @@ invariants: build
 bench-smoke: build
 	PARALLAFT_QUICK=1 dune exec bench/main.exe
 
-# The checker backends end to end (DESIGN.md §18): the `backends`
-# experiment with the lease supervisor's exactly-once ledger swept on
-# every routed event. A deferred-backend sanity run (identical
-# observables to inline, every segment verified through the batch
-# queue), the staleness table, and the remote chaos campaign at three
-# fixed intensities. Asserts no silent data corruption, exactly-once
-# verification, at least one re-dispatch per intensity, and zero leaked
-# simulated pids. Exits nonzero on any violation. (Fleet mode's end to
-# end checks live in test/test_fleet.ml, run by `test` and
-# `invariants`.)
-backend-chaos-smoke: build
-	PARALLAFT_INVARIANTS=1 dune exec bin/experiments_main.exe -- backends
-
-ci: build test invariants fmt-check unused-exports parallel-smoke backend-chaos-smoke bench-smoke
+ci: build test invariants fmt-check unused-exports parallel-smoke bench-smoke
 
 clean:
 	dune clean

@@ -89,7 +89,8 @@ let run dir quiet =
               | Some false -> ()
               | None ->
                 print_endline
-                  "final state hash: not recorded (main did not exit cleanly)"
+                  "final state hash: not checked (main did not exit cleanly, \
+                   or a rollback truncated the log)"
             end;
             0
           | Ok (Parallaft.Offline.Diverged d) ->

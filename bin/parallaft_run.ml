@@ -27,38 +27,11 @@ open Cmdliner
 
 type mode_arg = Mode_baseline | Mode_parallaft | Mode_raft
 
-let mode_of_string = function
-  | "baseline" -> Ok Mode_baseline
-  | "parallaft" -> Ok Mode_parallaft
-  | "raft" -> Ok Mode_raft
-  | s -> Error (`Msg ("unknown mode " ^ s))
-
 let fault_of_string s =
   match String.split_on_char ',' s |> List.map int_of_string_opt with
   | [ Some segment; Some delay_instructions; Some reg; Some bit ] ->
     Ok (segment, delay_instructions, reg, bit)
   | _ -> Error (`Msg ("bad fault plan " ^ s ^ " (want SEG,DELAY,REG,BIT)"))
-
-(* Combine --fault SEG,DELAY,REG,BIT with --fault-target KIND into a
-   typed plan. REG doubles as the page index for memory targets and is
-   ignored (with BIT) by runtime targets. *)
-let build_plan fault fault_target =
-  match fault with
-  | None -> Ok None
-  | Some (segment, delay_instructions, reg, bit) -> (
-    match Fault.target_kind_of_string fault_target with
-    | Error k ->
-      Error
-        (Printf.sprintf "unknown fault target %s (want %s)" k
-           (String.concat "|" Fault.all_target_kinds))
-    | Ok build -> (
-      let plan =
-        { Fault.segment; delay_instructions; target = build reg bit;
-          repeat = false }
-      in
-      match Fault.validate plan with
-      | Ok () -> Ok (Some plan)
-      | Error m -> Error m))
 
 (* Fleet mode (--tenants N > 1): N tenants of the selected program on
    one shared big/little pool (DESIGN.md §16). A --fault plan arms in
@@ -84,267 +57,243 @@ let run_fleet ~tenants ~max_tenants ~arrival ~config ~platform ~program ~seed
   in
   if not dumped then 1 else if any_bad then 3 else 0
 
-let backend_of_string ~batch ~max_lag = function
-  | "inline" -> Ok Parallaft.Config.Backend_inline
-  | "deferred" -> Ok (Parallaft.Config.deferred_backend ?batch ?max_lag ())
-  | "remote" -> Ok (Parallaft.Config.remote_backend ())
-  | s ->
-    Error
-      (`Msg
-        (Printf.sprintf
-           "parallaft: unknown backend %S (expected inline, deferred or remote)"
-           s))
-
-let run platform_name mode_name period scale workload input asm_file seed
-    show_output trace_file metrics_file fault fault_target recheck recovery
-    profile block_cache cpu_stats tenants max_tenants arrival_gap record_log
-    backend_name batch max_lag =
-  match Platform.of_name platform_name with
-  | None ->
-    prerr_endline ("unknown platform " ^ platform_name);
+let run platform mode period scale workload input asm_file seed show_output
+    trace_file metrics_file fault fault_target recheck recovery profile
+    block_cache cpu_stats tenants max_tenants arrival_gap record_log
+    backend_kind batch max_lag =
+  let fleet = tenants > 1 in
+  let spec =
+    match (asm_file, workload) with
+    | None, Some name -> Workloads.Spec.find name
+    | Some _, _ | None, None -> None
+  in
+  let program =
+    match (asm_file, workload, spec) with
+    | Some path, _, _ ->
+      let ic = open_in_bin path in
+      let len = in_channel_length ic in
+      let src = really_input_string ic len in
+      close_in ic;
+      Some (Isa.Asm.assemble_exn ~name:path src)
+    | None, _, Some bench ->
+      List.nth_opt
+        (Workloads.Spec.programs bench ~page_size:platform.Platform.page_size
+           ~scale:(Option.value scale ~default:1.0))
+        (Option.value input ~default:0)
+    | None, Some "hello", None -> Some (Workloads.Micro.hello ())
+    | None, Some "getpid", None -> Some (Workloads.Micro.getpid_loop ~iters:1000)
+    | None, _, None -> None
+  in
+  (* Flag dependencies that have no Config meaning: a flag the run
+     would silently drop is refused instead. What a run may be is
+     Config.validate's, below. *)
+  let dropped_flags =
+    [
+      ( fleet && (profile || cpu_stats || show_output),
+        "--profile, --cpu-stats and --show-output are incompatible with \
+         --tenants > 1 (the fleet dump has per-tenant rows only)" );
+      ( mode = Mode_baseline && (profile || fleet),
+        "--profile and --tenants > 1 require --mode parallaft or raft (a \
+         baseline run has no segment phases or checkers)" );
+      ( (batch <> None || max_lag <> None) && backend_kind <> `Deferred,
+        "--batch and --max-lag require --backend deferred (no other backend \
+         queues checks)" );
+      ( (not fleet) && (max_tenants <> None || arrival_gap <> None),
+        "--max-tenants and --arrival require --tenants > 1 (they shape a \
+         fleet's admissions)" );
+      ( period <> None && mode <> Mode_parallaft,
+        "--period requires --mode parallaft (RAFT checks the whole run as \
+         one segment, and a baseline run is not sliced)" );
+      ( Option.is_some fault_target && fault = None,
+        "--fault-target requires --fault (it picks the class of the fault \
+         --fault arms)" );
+      ( (input <> None || scale <> None) && spec = None,
+        "--input and --scale require a SPEC --workload (--asm, hello and \
+         getpid take neither)" );
+    ]
+  in
+  let fault_plan =
+    Option.map
+      (fun (segment, delay_instructions, reg, bit) ->
+        let build =
+          Option.value fault_target ~default:(fun reg bit ->
+              Fault.Checker_register { reg; bit })
+        in
+        { Fault.segment; delay_instructions; target = build reg bit;
+          repeat = false })
+      fault
+  in
+  let config =
+    match mode with
+    | Mode_raft -> Parallaft.Config.raft ~platform ()
+    | Mode_parallaft | Mode_baseline ->
+      Parallaft.Config.parallaft ~platform ?slice_period:period ()
+  in
+  let sink =
+    if trace_file <> None || metrics_file <> None || profile then
+      Some (Obs.Sink.create ())
+    else None
+  in
+  let config =
+    { config with Parallaft.Config.obs = sink; fault_plan; recovery;
+      recheck_on_mismatch = recheck; cpu_stats; record_log;
+      backend =
+        (match backend_kind with
+        | `Inline -> Parallaft.Config.Backend_inline
+        | `Deferred -> Parallaft.Config.deferred_backend ?batch ?max_lag ()
+        | `Remote -> Parallaft.Config.remote_backend ());
+      block_cache =
+        Option.value block_cache ~default:config.Parallaft.Config.block_cache }
+  in
+  let kind =
+    match mode with
+    | Mode_baseline -> Parallaft.Config.Baseline
+    | Mode_parallaft | Mode_raft ->
+      if fleet then Parallaft.Config.Tenant else Parallaft.Config.Solo
+  in
+  let refusal =
+    match List.find_opt fst dropped_flags with
+    | Some (_, why) -> Error why
+    | None -> Parallaft.Config.validate kind config
+  in
+  match (program, refusal) with
+  | None, _ ->
+    prerr_endline
+      ("no such workload/input; known: hello getpid "
+      ^ String.concat " " Workloads.Spec.names);
     1
-  | Some platform -> (
-    match mode_of_string mode_name with
-    | Error (`Msg m) ->
-      prerr_endline m;
-      1
-    | Ok mode -> (
-      let program =
-        match (asm_file, workload) with
-        | Some path, _ ->
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Isa.Asm.assemble_exn ~name:path src)
-        | None, Some name -> (
-          match Workloads.Spec.find name with
-          | Some bench ->
-            let programs =
-              Workloads.Spec.programs bench
-                ~page_size:platform.Platform.page_size ~scale
-            in
-            List.nth_opt programs input
-          | None -> (
-            match name with
-            | "hello" -> Some (Workloads.Micro.hello ())
-            | "getpid" -> Some (Workloads.Micro.getpid_loop ~iters:1000)
-            | _ -> None))
-        | None, None -> None
+  | Some _, Error why ->
+    prerr_endline ("parallaft: " ^ why);
+    1
+  | Some program, Ok () -> (
+    (match sink with
+    | Some s when profile -> Obs.Profile.set_enabled s.Obs.Sink.profile true
+    | Some _ | None -> ());
+    (* Returns false (and complains) if an output file can't be
+       written, so the run exits non-zero instead of crashing after
+       the simulation already completed. *)
+    let dump_obs sink =
+      try
+        (match (trace_file, sink) with
+        | Some path, Some s ->
+          Obs.Export.write_file ~path (Obs.Export.chrome_json s.Obs.Sink.trace)
+        | _ -> ());
+        (match (metrics_file, sink) with
+        | Some path, Some s ->
+          Obs.Export.write_file ~path
+            (Obs.Export.summary s.Obs.Sink.trace
+            ^ Obs.Metrics.to_text s.Obs.Sink.metrics)
+        | _ -> ());
+        true
+      with Sys_error msg ->
+        Printf.eprintf "parallaft: %s\n" msg;
+        false
+    in
+    match kind with
+    | Parallaft.Config.Baseline ->
+      (* Keep the engine so --cpu-stats can read the block-cache
+         totals after the run; run_baseline itself only returns the
+         timing/energy summary. *)
+      let eng_ref = ref None in
+      let before_run eng _pid =
+        eng_ref := Some eng;
+        match sink with Some s -> Sim_os.Engine.set_obs eng s | None -> ()
       in
-      match program with
-      | None ->
-        prerr_endline
-          ("no such workload/input; known: hello getpid "
-          ^ String.concat " " Workloads.Spec.names);
-        1
-      | Some program -> (
-        let sink =
-          if trace_file <> None || metrics_file <> None || profile then
-            Some (Obs.Sink.create ())
-          else None
+      let b =
+        Parallaft.Runtime.run_baseline ~seed
+          ~block_cache:config.Parallaft.Config.block_cache ~before_run
+          ~platform ~program ()
+      in
+      let dumped = dump_obs sink in
+      Printf.printf "timing.all_wall_time %d\n" b.Parallaft.Runtime.wall_ns;
+      Printf.printf "timing.main_wall_time %d\n" b.Parallaft.Runtime.wall_ns;
+      Printf.printf "timing.main_user_time %.0f\n" b.Parallaft.Runtime.user_ns;
+      Printf.printf "timing.main_sys_time %.0f\n" b.Parallaft.Runtime.sys_ns;
+      Printf.printf "hwmon.energy_joules %.6f\n" b.Parallaft.Runtime.energy_j;
+      (match !eng_ref with
+      | Some eng when cpu_stats ->
+        let hits, misses, invalidations =
+          Sim_os.Engine.block_cache_totals eng
         in
-        (match sink with
-        | Some s when profile -> Obs.Profile.set_enabled s.Obs.Sink.profile true
-        | Some _ | None -> ());
-        (* Returns false (and complains) if an output file can't be
-           written, so the run exits non-zero instead of crashing after
-           the simulation already completed. *)
-        let dump_obs sink =
-          try
-            (match (trace_file, sink) with
-            | Some path, Some s ->
-              Obs.Export.write_file ~path
-                (Obs.Export.chrome_json s.Obs.Sink.trace)
-            | _ -> ());
-            (match (metrics_file, sink) with
-            | Some path, Some s ->
-              Obs.Export.write_file ~path
-                (Obs.Export.summary s.Obs.Sink.trace
-                ^ Obs.Metrics.to_text s.Obs.Sink.metrics)
-            | _ -> ());
-            true
-          with Sys_error msg ->
-            Printf.eprintf "parallaft: %s\n" msg;
-            false
-        in
-        match backend_of_string ~batch ~max_lag backend_name with
-        | Error (`Msg m) ->
-          prerr_endline m;
-          1
-        | Ok backend ->
-        match mode with
-        | (Mode_baseline | Mode_raft)
-          when backend <> Parallaft.Config.Backend_inline ->
-          prerr_endline
-            "parallaft: --backend deferred/remote requires --mode parallaft \
-             (only the segment pipeline decouples recording from checking)";
-          1
-        | (Mode_baseline | Mode_raft) when record_log <> None ->
-          prerr_endline
-            "parallaft: --record-log requires --mode parallaft (the segment \
-             log persists the per-segment record/replay stream, which \
-             baseline/raft runs don't produce)";
-          1
-        | Mode_parallaft when record_log <> None && tenants > 1 ->
-          prerr_endline
-            "parallaft: --record-log is incompatible with --tenants > 1 (the \
-             log captures one linear segment history)";
-          1
-        | (Mode_baseline | Mode_raft) when tenants > 1 ->
-          prerr_endline
-            "parallaft: --tenants > 1 requires --mode parallaft (the fleet \
-             schedules segment checkers, which baseline/raft runs don't \
-             produce per-segment)";
-          1
-        | Mode_parallaft
-          when tenants > 1 && (profile || cpu_stats || show_output) ->
-          prerr_endline
-            "parallaft: --profile, --cpu-stats and --show-output are \
-             incompatible with --tenants > 1 (the fleet dump has per-tenant \
-             rows only)";
-          1
-        | _
-          when (batch <> None || max_lag <> None) && backend_name <> "deferred" ->
-          prerr_endline
-            "parallaft: --batch and --max-lag require --backend deferred (no \
-             other backend queues checks)";
-          1
-        | _ when tenants <= 1 && (max_tenants <> None || arrival_gap <> None) ->
-          prerr_endline
-            "parallaft: --max-tenants and --arrival require --tenants > 1 \
-             (they shape a fleet's admissions)";
-          1
-        | Mode_baseline when recovery || recheck ->
-          prerr_endline
-            "parallaft: --recovery and --recheck require --mode parallaft or \
-             raft (baseline runs no checker whose failures they answer)";
-          1
-        | Mode_baseline when profile ->
-          prerr_endline
-            "parallaft: --profile requires --mode parallaft or raft (baseline \
-             runs have no segment phases to attribute)";
-          1
-        | Mode_baseline when fault <> None ->
-          prerr_endline
-            "parallaft: --fault only applies to parallaft/raft modes \
-             (baseline runs no checker to inject into)";
-          1
-        | Mode_baseline ->
-          (* Keep the engine so --cpu-stats can read the block-cache
-             totals after the run; run_baseline itself only returns the
-             timing/energy summary. *)
-          let eng_ref = ref None in
-          let before_run eng _pid =
-            eng_ref := Some eng;
-            match sink with Some s -> Sim_os.Engine.set_obs eng s | None -> ()
-          in
-          let b =
-            Parallaft.Runtime.run_baseline ~seed ?block_cache ~before_run
-              ~platform ~program ()
-          in
-          let dumped = dump_obs sink in
-          Printf.printf "timing.all_wall_time %d\n" b.Parallaft.Runtime.wall_ns;
-          Printf.printf "timing.main_wall_time %d\n" b.Parallaft.Runtime.wall_ns;
-          Printf.printf "timing.main_user_time %.0f\n" b.Parallaft.Runtime.user_ns;
-          Printf.printf "timing.main_sys_time %.0f\n" b.Parallaft.Runtime.sys_ns;
-          Printf.printf "hwmon.energy_joules %.6f\n" b.Parallaft.Runtime.energy_j;
-          (match !eng_ref with
-          | Some eng when cpu_stats ->
-            let hits, misses, invalidations =
-              Sim_os.Engine.block_cache_totals eng
-            in
-            Printf.printf "cpu.block_cache_hits %d\n" hits;
-            Printf.printf "cpu.block_cache_misses %d\n" misses;
-            Printf.printf "cpu.block_cache_invalidations %d\n" invalidations
-          | Some _ | None -> ());
-          Printf.printf "exit_status %s\n"
-            (match b.Parallaft.Runtime.exit_status with
-            | Some s -> string_of_int s
-            | None -> "none");
-          if show_output then print_string b.Parallaft.Runtime.output;
-          if dumped then 0 else 1
-        | Mode_parallaft | Mode_raft -> (
-          match build_plan fault fault_target with
-          | Error m ->
-            prerr_endline ("parallaft: " ^ m);
-            1
-          | Ok fault_plan ->
-          let config =
-            match mode with
-            | Mode_parallaft ->
-              Parallaft.Config.parallaft ~platform ?slice_period:period ()
-            | Mode_raft | Mode_baseline -> Parallaft.Config.raft ~platform ()
-          in
-          let config =
-            { config with Parallaft.Config.obs = sink; fault_plan; recovery;
-              recheck_on_mismatch = recheck; cpu_stats; record_log; backend;
-              block_cache =
-                (match block_cache with
-                | Some n -> n
-                | None -> config.Parallaft.Config.block_cache) }
-          in
-          if tenants > 1 then
-            let config = { config with Parallaft.Config.fault_plan = None } in
-            let arrival =
-              match arrival_gap with
-              | None | Some 0 -> Fleet.Batch
-              | Some gap -> Fleet.Staggered gap
-            in
-            run_fleet ~tenants ~max_tenants ~arrival ~config ~platform ~program
-              ~seed ~fault_plan ~dump_obs sink
-          else
-          let r = Parallaft.Runtime.run_protected ~seed ~platform ~config ~program () in
-          let dumped = dump_obs sink in
-          List.iter
-            (fun (k, v) -> Printf.printf "%s %s\n" k v)
-            (Parallaft.Stats.to_assoc r.Parallaft.Runtime.stats);
-          Printf.printf "hwmon.energy_joules %.6f\n" r.Parallaft.Runtime.energy_j;
-          List.iter
-            (fun (k, v) -> Printf.printf "hwmon.macsmc_hwmon/%s %.6f\n" k v)
-            r.Parallaft.Runtime.energy_breakdown;
-          Printf.printf "exit_status %s\n"
-            (match r.Parallaft.Runtime.exit_status with
-            | Some s -> string_of_int s
-            | None -> "none");
-          List.iter
-            (fun (seg, o) ->
-              Printf.printf "detection segment=%d %s\n" seg
-                (Parallaft.Detection.outcome_to_string o))
-            r.Parallaft.Runtime.detections;
-          (match sink with
-          | Some s when profile ->
-            print_string
-              (Obs.Profile.to_table s.Obs.Sink.profile
-                 ~wall_ns:r.Parallaft.Runtime.wall_ns)
-          | Some _ | None -> ());
-          if show_output then print_string r.Parallaft.Runtime.output;
-          if not dumped then 1
-          else if r.Parallaft.Runtime.detections <> [] then 3
-          else 0))))
+        Printf.printf "cpu.block_cache_hits %d\n" hits;
+        Printf.printf "cpu.block_cache_misses %d\n" misses;
+        Printf.printf "cpu.block_cache_invalidations %d\n" invalidations
+      | Some _ | None -> ());
+      Printf.printf "exit_status %s\n"
+        (match b.Parallaft.Runtime.exit_status with
+        | Some s -> string_of_int s
+        | None -> "none");
+      if show_output then print_string b.Parallaft.Runtime.output;
+      if dumped then 0 else 1
+    | Parallaft.Config.Tenant ->
+      let arrival =
+        match arrival_gap with
+        | None | Some 0 -> Fleet.Batch
+        | Some gap -> Fleet.Staggered gap
+      in
+      run_fleet ~tenants ~max_tenants ~arrival
+        ~config:{ config with Parallaft.Config.fault_plan = None }
+        ~platform ~program ~seed ~fault_plan ~dump_obs sink
+    | Parallaft.Config.Solo ->
+      let r = Parallaft.Runtime.run_protected ~seed ~platform ~config ~program () in
+      let dumped = dump_obs sink in
+      List.iter
+        (fun (k, v) -> Printf.printf "%s %s\n" k v)
+        (Parallaft.Stats.to_assoc r.Parallaft.Runtime.stats);
+      Printf.printf "hwmon.energy_joules %.6f\n" r.Parallaft.Runtime.energy_j;
+      List.iter
+        (fun (k, v) -> Printf.printf "hwmon.macsmc_hwmon/%s %.6f\n" k v)
+        r.Parallaft.Runtime.energy_breakdown;
+      Printf.printf "exit_status %s\n"
+        (match r.Parallaft.Runtime.exit_status with
+        | Some s -> string_of_int s
+        | None -> "none");
+      List.iter
+        (fun (seg, o) ->
+          Printf.printf "detection segment=%d %s\n" seg
+            (Parallaft.Detection.outcome_to_string o))
+        r.Parallaft.Runtime.detections;
+      (match sink with
+      | Some s when profile ->
+        print_string
+          (Obs.Profile.to_table s.Obs.Sink.profile
+             ~wall_ns:r.Parallaft.Runtime.wall_ns)
+      | Some _ | None -> ());
+      if show_output then print_string r.Parallaft.Runtime.output;
+      if not dumped then 1
+      else if r.Parallaft.Runtime.detections <> [] then 3
+      else 0)
 
 let platform_arg =
-  Arg.(value & opt string "apple_m2" & info [ "platform" ] ~docv:"NAME"
-         ~doc:"Platform model: apple_m2, intel_i7 or testing.")
+  let platforms =
+    List.map (fun p -> (p.Platform.name, p)) Platform.[ apple_m2; intel_i7; testing ]
+  in
+  Arg.(value & opt (enum platforms) Platform.apple_m2 & info [ "platform" ]
+         ~docv:"NAME" ~doc:"Platform model: apple_m2, intel_i7 or testing.")
 
 let mode_arg =
-  Arg.(value & opt string "parallaft" & info [ "mode" ] ~docv:"MODE"
+  let modes =
+    [ ("baseline", Mode_baseline); ("parallaft", Mode_parallaft); ("raft", Mode_raft) ]
+  in
+  Arg.(value & opt (enum modes) Mode_parallaft & info [ "mode" ] ~docv:"MODE"
          ~doc:"baseline, parallaft or raft.")
 
 let period_arg =
   Arg.(value & opt (some int) None & info [ "period" ] ~docv:"N"
-         ~doc:"Slicing period in platform units (cycles/instructions).")
+         ~doc:"Slicing period in platform units (cycles/instructions). Only \
+               valid with --mode parallaft.")
 
 let scale_arg =
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F"
-         ~doc:"Workload scale factor.")
+  Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"F"
+         ~doc:"SPEC workload scale factor (default 1.0).")
 
 let workload_arg =
   Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME"
          ~doc:"Benchmark name (e.g. 429.mcf or mcf) or hello/getpid.")
 
 let input_arg =
-  Arg.(value & opt int 0 & info [ "input" ] ~docv:"K" ~doc:"Input index.")
+  Arg.(value & opt (some int) None & info [ "input" ] ~docv:"K"
+         ~doc:"SPEC workload input index (default 0).")
 
 let asm_arg =
   Arg.(value & opt (some file) None & info [ "asm" ] ~docv:"FILE"
@@ -376,11 +325,16 @@ let fault_arg =
                with --mode parallaft or raft.")
 
 let fault_target_arg =
-  Arg.(value & opt string "checker-reg" & info [ "fault-target" ] ~docv:"KIND"
-         ~doc:"Fault target class for --fault: checker-reg, checker-mem, \
-               main-reg, main-mem, runtime-kill or runtime-stall. For memory \
-               targets the REG field of --fault is the mapped-page index; \
-               runtime targets ignore REG and BIT.")
+  let kinds =
+    List.map
+      (fun k -> (k, Result.get_ok (Fault.target_kind_of_string k)))
+      Fault.all_target_kinds
+  in
+  Arg.(value & opt (some (enum kinds)) None & info [ "fault-target" ] ~docv:"KIND"
+         ~doc:"Fault target class for --fault: checker-reg (the default), \
+               checker-mem, main-reg, main-mem, runtime-kill or \
+               runtime-stall. For memory targets the REG field of --fault is \
+               the mapped-page index; runtime targets ignore REG and BIT.")
 
 let recheck_arg =
   Arg.(value & flag & info [ "recheck" ]
@@ -401,7 +355,7 @@ let block_cache_arg =
          ~doc:"Decoded-block cache capacity per simulated CPU ($(docv) <= 0 \
                disables it). Purely an interpreter speedup: simulated \
                behaviour, stats and traces are byte-identical either way. \
-               Default 4096, overridable via PARALLAFT_BLOCK_CACHE.")
+               Default 4096.")
 
 let cpu_stats_arg =
   Arg.(value & flag & info [ "cpu-stats" ]
@@ -455,7 +409,8 @@ let record_log_arg =
                with --mode parallaft and a single tenant.")
 
 let backend_arg =
-  Arg.(value & opt string "inline" & info [ "backend" ] ~docv:"KIND"
+  let kinds = [ ("inline", `Inline); ("deferred", `Deferred); ("remote", `Remote) ] in
+  Arg.(value & opt (enum kinds) `Inline & info [ "backend" ] ~docv:"KIND"
          ~doc:"Checker backend (DESIGN.md §18): $(b,inline) launches each \
                checker the instant its segment finishes recording (the \
                default, byte-identical to the classic pipeline); \

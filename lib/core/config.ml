@@ -63,13 +63,9 @@ let default_chaos =
   }
 
 let deferred_backend ?(batch = 4) ?(max_lag = 8) () =
-  if batch <= 0 then invalid_arg "Config.deferred_backend: batch must be > 0";
-  if max_lag <= 0 then
-    invalid_arg "Config.deferred_backend: max_lag must be > 0";
   Backend_deferred { batch; max_lag }
 
 let remote_backend ?(nodes = 3) ?(retries = 3) ?chaos () =
-  if nodes <= 0 then invalid_arg "Config.remote_backend: nodes must be > 0";
   Backend_remote { nodes; retries; chaos }
 
 let backend_eager_spares = function
@@ -89,9 +85,45 @@ let redispatch_budget t =
    backpressures the recorder through the same mechanism. *)
 let live_limit t =
   match t.backend with
-  | Backend_deferred { max_lag; _ } ->
-    min t.max_live_segments (max 1 max_lag)
+  | Backend_deferred { max_lag; _ } -> min t.max_live_segments max_lag
   | Backend_inline | Backend_remote _ -> t.max_live_segments
+
+type run_kind = Baseline | Solo | Tenant
+
+(* The support matrix: the one place the run-validity rules are
+   written. The first rule that holds names the refusal. *)
+let validate kind t =
+  let raft = t.mode = Raft and inline = t.backend = Backend_inline in
+  let logs = t.record_log <> None in
+  let refusals =
+    [
+      ( kind = Baseline
+        && ((not inline) || logs || t.fault_plan <> None || t.recovery
+           || t.recheck_on_mismatch),
+        "a baseline run has no checker, so no non-inline backend, record \
+         log, fault plan, recovery or re-check" );
+      (raft && logs, "RAFT records no log (it compares no segment states)");
+      ( raft && not inline,
+        "RAFT takes only the inline backend (it has no segment pipeline)" );
+      ( raft && Option.fold ~none:false ~some:Fault.targets_main t.fault_plan,
+        "RAFT takes no main-side fault (it compares only syscalls, so a main \
+         fault that reaches none corrupts the run silently)" );
+      ( kind = Tenant && raft,
+        "a fleet tenant runs Parallaft (RAFT checkers need the big cores, \
+         which hold the tenants' mains)" );
+      ( kind = Tenant && logs,
+        "a fleet tenant records no log (a log holds one linear history)" );
+      ( (match t.backend with
+        | Backend_inline -> false
+        | Backend_deferred { batch; max_lag } -> batch < 1 || max_lag < 1
+        | Backend_remote { nodes; _ } -> nodes < 1),
+        "a deferred batch and max_lag, and remote nodes, must be at least 1" );
+    ]
+  in
+  match (List.find_opt fst refusals, t.fault_plan) with
+  | Some (_, why), _ -> Error why
+  | None, Some plan -> Result.map_error (( ^ ) "fault plan: ") (Fault.validate plan)
+  | None, None -> Ok ()
 
 let invariants_from_env () =
   match Sys.getenv_opt "PARALLAFT_INVARIANTS" with

@@ -103,8 +103,7 @@ type t = {
           spawns ([<= 0] disables). Purely an interpreter speedup: the
           simulated behaviour, all goldens and every counter are
           byte-identical with the cache on or off. Defaults to
-          {!Machine.Cpu.default_block_cache} (itself settable via the
-          [PARALLAFT_BLOCK_CACHE] environment variable). *)
+          {!Machine.Cpu.default_block_cache}. *)
   cpu_stats : bool;
       (** append [cpu.block_cache_*] interpreter-internal rows to the
           stats dump. Off by default so the default stats surface (and
@@ -114,13 +113,16 @@ type t = {
           [seg-NNNNNN.plog] per recorded segment plus a [manifest.plog]
           at the end), for offline re-checking with [parallaft_replay].
           [None] (the default) writes nothing and the run is
-          byte-identical to before the option existed. Requires
-          Parallaft mode (the log's verdict is the state comparison);
-          [Fleet.run] refuses it. See DESIGN.md §17. *)
+          byte-identical to before the option existed. {!validate}
+          refuses it outside a [Solo] Parallaft run (the log's verdict
+          is the state comparison, and it holds one linear history).
+          See DESIGN.md §17. *)
   backend : backend;
       (** where and when checks run (DESIGN.md §18). [Backend_inline]
           (the default) is byte-identical to the pre-backend pipeline.
-          Non-inline backends require Parallaft mode. *)
+          {!validate} refuses a non-inline backend outside Parallaft
+          mode, and a deferred [batch] or [max_lag], or a remote
+          [nodes], below 1. *)
   obs : Obs.Sink.t option;
       (** observability sink (event trace, metric histograms, phase
           profiler). {!Coordinator.create} and [Fleet.run] attach it to
@@ -129,6 +131,21 @@ type t = {
           them a no-op, so tracing is zero-cost unless requested. See
           DESIGN.md "Observability" for the event taxonomy. *)
 }
+
+(** What a run is: a bare {!Runtime.run_baseline}, one
+    {!Runtime.run_protected}, or one tenant of a [Fleet.run]. *)
+type run_kind = Baseline | Solo | Tenant
+
+val validate : run_kind -> t -> (unit, string) result
+(** The support matrix, and the one place it is written (DESIGN.md
+    §18). [Error] names the first rule the config breaks: a baseline
+    run takes no checker settings; RAFT takes no record log, no
+    non-inline backend and no main-side fault; a tenant is Parallaft
+    with no record log; a deferred [batch] and [max_lag] and a remote
+    [nodes] are at least 1; the fault plan passes {!Fault.validate}.
+    The CLI calls it once per run; {!Runtime.run_protected} and
+    [Fleet.run] call it before they touch anything and raise
+    [Invalid_argument] with the reason. *)
 
 val timeout_scale : float
 (** A checker is killed past [timeout_scale * main_insns]. *)

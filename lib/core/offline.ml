@@ -344,7 +344,10 @@ let replay ~(manifest : R.manifest) ~(segments : R.segment list) =
            checker (attempt 1), where a one-shot plan is never re-armed. *)
         attempt = (if config.R.recheck then 1 else 0);
         timeout_scale = config.R.timeout_scale;
-        final_hash = manifest.R.final_state_hash;
+        (* After a rollback the final state is the re-executed run's. *)
+        final_hash =
+          (if manifest.R.truncated_at = None then manifest.R.final_state_hash
+           else None);
         idx = 0;
         events = [];
         preamble = [];

@@ -47,10 +47,10 @@ type divergence = {
 type verdict =
   | Verified of {
       segments : int;  (** segments replayed and compared clean *)
-      final_hash : int64 option;  (** manifest's recorded final-state hash *)
+      final_hash : int64 option;  (** manifest's final-state hash, if checked *)
       final_hash_matches : bool option;
           (** recomputed-vs-recorded digest comparison; [None] when the
-              live main never exited (no recorded hash to check) *)
+              live main never exited or a rollback truncated the log *)
     }
   | Diverged of divergence
 

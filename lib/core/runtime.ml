@@ -27,12 +27,9 @@ let max_sim_ns = 2_000_000_000 (* 2 simulated seconds: a generous hang bound *)
 
 let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
     ~program () =
-  if config.Config.mode = Config.Raft then begin
-    if config.Config.record_log <> None then
-      invalid_arg "Runtime.run_protected: record_log requires Parallaft mode";
-    if config.Config.backend <> Config.Backend_inline then
-      invalid_arg "Runtime.run_protected: non-inline backends require Parallaft mode"
-  end;
+  Result.iter_error
+    (fun why -> invalid_arg ("Runtime.run_protected: " ^ why))
+    (Config.validate Config.Solo config);
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in

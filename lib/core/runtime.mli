@@ -40,7 +40,9 @@ val run_protected :
     samplers) or external-signal drivers. [rng]/[prng] are forwarded to
     {!Coordinator.create}: passing a fleet tenant's streams
     ({!Fleet.tenant_rngs}) replays that tenant's run solo — the
-    baseline the per-tenant determinism tests compare against. *)
+    baseline the per-tenant determinism tests compare against.
+    @raise Invalid_argument if {!Config.validate} refuses [config] as a
+    [Solo] run; nothing has run and no record-log directory exists. *)
 
 val run_baseline :
   ?seed:int64 ->

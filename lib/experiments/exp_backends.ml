@@ -1,7 +1,7 @@
 (* Checker-backend evaluation (DESIGN.md §18): a deferred sanity check
-   and two questions. Run under PARALLAFT_INVARIANTS=1 it is also the
-   backends' CI smoke (`make backend-chaos-smoke`): the lease
-   supervisor then sweeps its exactly-once ledger after every event.
+   and two questions. test/dune runs it under PARALLAFT_INVARIANTS=1,
+   so the lease supervisor sweeps its exactly-once ledger after every
+   event, and diffs its stdout against a golden.
 
    0. Deferred sanity. Small batches under a tight max_lag budget, so
       the recorder's boundary-hold backpressure engages: the run must

@@ -66,6 +66,7 @@ type state =
 type slot = {
   tid : int;
   program : Isa.Program.t;
+  cfg : Config.t;  (* final: main core assigned, [configure] applied *)
   mutable state : state;
   mutable admitted_ns : int option;
   mutable completed_ns : int option;
@@ -90,26 +91,25 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
   if n = 0 then invalid_arg "Fleet.run: no programs";
   let max_tenants = Option.value max_tenants ~default:n in
   if max_tenants <= 0 then invalid_arg "Fleet.run: max_tenants <= 0";
-  if config.Config.record_log <> None then
-    invalid_arg "Fleet.run: record_log captures one linear segment history";
-  if not (Config.checkers_on_little config) then
-    invalid_arg
-      "Fleet.run: RAFT checkers run on big cores, which are the tenants' main cores";
   let eng =
     E.create ~block_cache:config.Config.block_cache ~platform ~seed ()
   in
-  (* The fleet's sink rides on the engine, which the shared pool and
-     every tenant emit through. *)
-  Option.iter (E.set_obs eng) config.Config.obs;
-  let pool = Core_pool.create Core_pool.Shared eng config in
   let bigs = Array.of_list (E.big_cores eng) in
   if Array.length bigs = 0 then invalid_arg "Fleet.run: no big cores";
   let slots =
     List.mapi
       (fun tid program ->
+        (* Each tenant's main process gets its own (possibly shared when
+           tenants outnumber big cores) reserved big core, then its
+           per-tenant overrides (e.g. a fault plan injected into exactly
+           one tenant for the blast-radius tests). *)
+        let main_core = bigs.(tid mod Array.length bigs) in
+        let cfg = { config with Config.main_core } in
+        let cfg = match configure with Some f -> f tid cfg | None -> cfg in
         {
           tid;
           program;
+          cfg;
           state = Waiting;
           admitted_ns = None;
           completed_ns = None;
@@ -117,6 +117,16 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
         })
       programs
   in
+  (* The template steers the shared pool, so it is a tenant's too. *)
+  List.iter
+    (fun cfg ->
+      Result.iter_error (fun why -> invalid_arg ("Fleet.run: " ^ why))
+        (Config.validate Config.Tenant cfg))
+    (config :: List.map (fun (s : slot) -> s.cfg) slots);
+  (* The fleet's sink rides on the engine, which the shared pool and
+     every tenant emit through. *)
+  Option.iter (E.set_obs eng) config.Config.obs;
+  let pool = Core_pool.create Core_pool.Shared eng config in
   let emit_tenant tid ?args name =
     E.emit eng ~track:(Obs.Trace.Tenant tid) ~phase:Obs.Trace.Instant ?args name
   in
@@ -127,21 +137,14 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
   in
   let admit slot =
     let rng, prng = tenant_rngs ~seed ~tid:slot.tid in
-    (* Each tenant's main process gets its own (possibly shared when
-       tenants outnumber big cores) reserved big core. *)
-    let main_core = bigs.(slot.tid mod Array.length bigs) in
-    let cfg = { config with Config.main_core } in
-    (* Per-tenant overrides (e.g. a fault plan injected into exactly one
-       tenant for the blast-radius tests). *)
-    let cfg = match configure with Some f -> f slot.tid cfg | None -> cfg in
     let coord =
-      Coordinator.create ~rng ~prng ~fleet:(pool, slot.tid) eng cfg
+      Coordinator.create ~rng ~prng ~fleet:(pool, slot.tid) eng slot.cfg
         ~program:slot.program
     in
     slot.state <- Running coord;
     slot.admitted_ns <- Some (E.now_ns eng);
     emit_tenant slot.tid
-      ~args:[ ("main_core", Obs.Trace.Int main_core) ]
+      ~args:[ ("main_core", Obs.Trace.Int slot.cfg.Config.main_core) ]
       "tenant.admit"
   in
   let arrival_due slot =

@@ -81,10 +81,9 @@ val run :
     builds its own checker backend from its config, so any backend
     works. Returns when every tenant settled (completed, aborted or
     rejected) or at the 2-simulated-second hang bound.
-    @raise Invalid_argument if [config.record_log] is set (a segment
-    log holds one linear history, not a fleet's) or [config] is a RAFT
-    config (its checkers run on big cores, which the tenants reserve
-    for their mains). *)
+    @raise Invalid_argument before anything runs if
+    {!Parallaft.Config.validate} refuses [config] or any tenant's final
+    config as a [Tenant] (a record log, or a RAFT config). *)
 
 val to_assoc : report -> (string * string) list
 (** The fleet's stats dump, in [Stats.to_assoc]'s key/value form:

@@ -37,17 +37,8 @@ type env = {
 (* Process-wide default capacity for the decoded-block cache, so every
    construction site (engine spawn, baseline runs, test CPUs) agrees
    without threading a parameter through each harness. [<= 0] disables.
-   Overridable per CPU via [create ?block_cache] and globally via the
-   PARALLAFT_BLOCK_CACHE environment variable. *)
-let default_block_cache_v =
-  let init =
-    match Sys.getenv_opt "PARALLAFT_BLOCK_CACHE" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-      | Some v -> v
-      | None -> 4096)
-    | None -> 4096
-  in
-  Atomic.make init
+   Overridable per CPU via [create ?block_cache]. *)
+let default_block_cache_v = Atomic.make 4096
 
 let default_block_cache () = Atomic.get default_block_cache_v
 let set_default_block_cache n = Atomic.set default_block_cache_v n

@@ -107,14 +107,13 @@ val fork : t -> rng:Util.Rng.t -> aspace:Mem.Address_space.t -> t
 
 val default_block_cache : unit -> int
 (** Process-wide default block-cache capacity used by {!create} when
-    [?block_cache] is omitted: 4096 blocks, overridable by the
-    [PARALLAFT_BLOCK_CACHE] environment variable and
-    {!set_default_block_cache}. [<= 0] means disabled. *)
+    [?block_cache] is omitted: 4096 blocks unless
+    {!set_default_block_cache} changed it. [<= 0] means disabled. *)
 
 val set_default_block_cache : int -> unit
-(** Override the process-wide default (e.g. the CLI's [--block-cache],
-    or a differential harness flipping the cache off for a whole run).
-    Affects CPUs created afterwards only. *)
+(** Override the process-wide default (e.g. a differential harness
+    flipping the cache off for a whole campaign). Affects CPUs created
+    afterwards only. *)
 
 val run : t -> env:env -> max_cycles:int -> run_result
 (** Execute until the cycle budget is spent or a stop condition arises.
