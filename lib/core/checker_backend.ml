@@ -12,16 +12,17 @@
                  with heartbeat expiry detect lost nodes and re-dispatch
                  to a healthy one.
 
-   The exactly-once ledger every check goes through (Backend.Supervisor)
-   is the run's, not the backend's: the stages register, lease, settle,
-   expire and cancel checks in Run_ctx.sup themselves, and the
-   watchdog swaps a checker that died before launch. A backend only
-   launches checks, names the node a check is leased to, may park a
-   verdict, and drops its own queued work on teardown. [create] builds
-   a run's backend from the config before the run exists; Run_ctx
-   holds it unchanged and the pipeline stages never name a backend.
-   Inline is the base instance and deferred overrides only the hooks
-   whose policy differs; remote sets every hook. *)
+   The exactly-once ledger every check goes through is the run's own
+   segments (DESIGN.md §18): the stages move them through their state
+   machine and count the checks as they go, and the watchdog swaps a
+   checker that died before launch. A backend only launches checks,
+   hears when one has started, may park a verdict, and drops its own
+   queued work on teardown; it counts its batches and the stale
+   verdicts it discards. [create] builds a run's backend from the
+   config before the run exists; Run_ctx holds it unchanged and the
+   pipeline stages never name a backend. Inline is the base instance
+   and deferred overrides only the hooks whose policy differs; remote
+   sets every hook. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -48,6 +49,34 @@ type remote_action =
   | Stall of int
   | Prelaunch_kill
 
+(* The remote backend's simulated checker nodes, as the sim time each is
+   down until: chaos crashes a node (dead) or stalls it (wedged) until a
+   reboot deadline. [pick_node] dispatches round-robin from [next] over
+   the healthy nodes; when chaos has downed every node, the
+   earliest-recovering one is force-rebooted (a standby replacement),
+   so dispatch always succeeds. *)
+let pick_node down_until next ~now_ns =
+  let n = Array.length down_until in
+  let rec scan k =
+    if k = n then None
+    else
+      let i = (!next + k) mod n in
+      if down_until.(i) <= now_ns then Some i else scan (k + 1)
+  in
+  let i =
+    match scan 0 with
+    | Some i -> i
+    | None ->
+      let best = ref 0 in
+      Array.iteri
+        (fun i d -> if d < down_until.(!best) then best := i)
+        down_until;
+      down_until.(!best) <- min_int;
+      !best
+  in
+  next := (i + 1) mod n;
+  i
+
 type parked = {
   pk_due_ns : int;
   pk_seg : Segment.t;
@@ -64,7 +93,7 @@ let create (cfg : Config.t) =
   let inline =
     {
       launch = Replayer.launch_checker;
-      node = (fun _ _ -> -1);
+      launched = (fun _ _ -> ());
       route_verdict = (fun _ _ _ -> false);
       flush = ignore;
       poll = ignore;
@@ -81,7 +110,8 @@ let create (cfg : Config.t) =
       with
       | [] -> ()
       | segs ->
-        Backend.Supervisor.note_batch t.sup;
+        let b = t.stats.Stats.backend in
+        b.Stats.b_batches <- b.Stats.b_batches + 1;
         List.iteri
           (fun i seg ->
             if
@@ -116,7 +146,7 @@ let create (cfg : Config.t) =
           then drain t);
     }
   | Config.Backend_remote { nodes; retries = _; chaos } ->
-    let pool = Backend.Node_pool.create ~nodes in
+    let down_until = Array.make nodes min_int and next_node = ref 0 in
     let rng =
       Util.Rng.create
         ~seed:
@@ -140,10 +170,8 @@ let create (cfg : Config.t) =
           (* The remote backend forks its spare at dispatch time — before
              the checker ever runs, so it is pristine — because a node can
              die before launch and the watchdog's swap needs a snapshot. *)
-          if
-            Segment.spare seg = None
-            && Segment.redispatches seg < Config.redispatch_budget t.cfg
-          then fork_spare t seg;
+          if Segment.spare seg = None && retries_left t seg then
+            fork_spare t seg;
           pending_launches := !pending_launches @ [ (now + rpc_ns, seg) ];
           match chaos with
           | Some c when draw_pct c.Config.prelaunch_pct ->
@@ -154,13 +182,13 @@ let create (cfg : Config.t) =
                 Prelaunch_kill )
               :: !actions
           | Some _ | None -> ());
-      (* The launch RPC landed: lease the check to a healthy node and
+      (* The launch RPC landed: run the check on a healthy node and
          draw its chaos there. *)
-      node =
+      launched =
         (fun t seg ->
           let now = E.now_ns t.eng in
-          let node = Backend.Node_pool.pick pool ~now_ns:now in
-          (match chaos with
+          let node = pick_node down_until next_node ~now_ns:now in
+          match chaos with
           | None -> ()
           | Some c ->
             let inc = Segment.redispatches seg in
@@ -182,7 +210,6 @@ let create (cfg : Config.t) =
               Hashtbl.replace late_draws
                 (Segment.id seg, inc)
                 (c.Config.late_ns + Util.Rng.int rng (max 1 c.Config.late_ns)));
-          node);
       route_verdict =
         (fun t seg verdict ->
           let key = (Segment.id seg, Segment.redispatches seg) in
@@ -213,7 +240,6 @@ let create (cfg : Config.t) =
         (fun t ->
           if not t.aborted then begin
             let now = E.now_ns t.eng in
-            Backend.Node_pool.tick pool ~now_ns:now;
             let due_actions, later =
               List.partition (fun (due, _, _, _) -> now >= due) !actions
             in
@@ -274,7 +300,9 @@ let create (cfg : Config.t) =
                   if
                     Segment.is_done p.pk_seg
                     || Segment.redispatches p.pk_seg <> p.pk_inc
-                  then Backend.Supervisor.note_stale t.sup
+                  then
+                    let b = t.stats.Stats.backend in
+                    b.Stats.b_stale_verdicts <- b.Stats.b_stale_verdicts + 1
                   else Replayer.deliver_verdict t p.pk_seg p.pk_verdict)
               due_parked;
             (* Crash/stall strikes land last: launches and parked verdicts
@@ -300,10 +328,10 @@ let create (cfg : Config.t) =
                 | Prelaunch_kill -> ()
                 | Crash node when strike_live a && running () ->
                   kill_if_alive t (Segment.checker seg);
-                  Backend.Node_pool.crash pool node ~until_ns:(reboot_until ())
+                  down_until.(node) <- reboot_until ()
                 | Stall node when strike_live a && running () ->
                   E.suspend t.eng (Segment.checker seg);
-                  Backend.Node_pool.stall pool node ~until_ns:(reboot_until ())
+                  down_until.(node) <- reboot_until ()
                 | Crash _ | Stall _ -> ())
               due_actions
           end);

@@ -42,11 +42,12 @@ type backend =
           recorder through the boundary-hold mechanism) *)
   | Backend_remote of { nodes : int; retries : int; chaos : chaos option }
       (** dispatch each check to a pool of [nodes] simulated checker
-          nodes supervised by per-segment leases with heartbeat expiry;
-          a dead/stalled/late node's segment is re-dispatched (up to
-          [retries] times) to a healthy node, with exactly-once settling
-          enforced by the {!Backend.Supervisor}. [chaos] injects node
-          faults for the campaign in [exp_backends]. *)
+          nodes, watched through each checking segment's lease clock
+          with heartbeat expiry; a dead/stalled/late node's segment is
+          re-dispatched (up to [retries] times) to a healthy node, and
+          its state machine retires the check exactly once (a lapsed
+          incarnation's late verdict is discarded). [chaos] injects
+          node faults for the campaign in [exp_backends]. *)
 
 type t = {
   mode : mode;

@@ -144,8 +144,8 @@ let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
     | Some shared -> shared
     | None -> (Core_pool.create Core_pool.Private eng cfg, 0)
   in
-  (* The run's check ledger counts into its stats, and the pool reads
-     the run's own main flags: neither keeps a copy. *)
+  (* The pool reads the run's own stats and main flags: it keeps no
+     copy. *)
   let stats = Stats.create () in
   let t =
     Run_ctx.create ?rng ?seglog ~pool ~tid ~stats

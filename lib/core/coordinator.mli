@@ -8,8 +8,8 @@
     over the shared {!Run_ctx} state, with per-segment data typed by
     {!Segment}'s state machine. This module creates the run with its
     wiring fixed — the checker backend's launch policy
-    ({!Checker_backend.create}), the run's check ledger, the record log
-    and the checker pool are immutable parts of the run, and every stage
+    ({!Checker_backend.create}), the record log and the checker pool
+    are immutable parts of the run, and every stage
     calls the next one directly — routes tracer events by
     process role, and registers the periodic polls (pacer, backend,
     watchdog, runtime faults).

@@ -1,10 +1,10 @@
 (* The record stage: everything driven by main-process tracer events.
    Slices the main into segments, records its application/OS
-   interactions into the current segment's R/R log, and registers each
-   finished segment in the run's check ledger before handing it to the
-   checker backend's launch policy. Also the one place a failed run
-   chooses between rollback and abort ([recover_or_abort]): only the
-   recorder can restart recording after a rollback. *)
+   interactions into the current segment's R/R log, and hands each
+   finished segment to the checker backend's launch policy. Also the
+   one place a failed run chooses between rollback and abort
+   ([recover_or_abort]): only the recorder can restart recording after
+   a rollback. *)
 
 module E = Sim_os.Engine
 open Run_ctx
@@ -159,7 +159,9 @@ let end_segment t =
     t.cur <- None;
     t.live <- t.live @ [ seg ];
     t.stats.Stats.segments_total <- t.stats.Stats.segments_total + 1;
-    Backend.Supervisor.note_recorded t.sup (Segment.id seg);
+    (* The verification lag: recorded segments not yet verified. *)
+    let b = t.stats.Stats.backend in
+    b.Stats.b_max_lag <- max b.Stats.b_max_lag (live_count t);
     t.backend.launch t seg
 
 (* SDC oracle input: main's architectural state at the moment of exit,

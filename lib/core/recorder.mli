@@ -3,9 +3,8 @@
     Slices the main process into segments, records every
     application/OS interaction into the current segment's R/R log
     (§3.2), forks the per-segment checker and checkpoint processes,
-    and registers each fully recorded segment in the run's check ledger
-    before handing it to the checker backend's launch policy
-    ({!Run_ctx.backend}[.launch]). It also owns the run's one
+    and hands each fully recorded segment to the checker backend's
+    launch policy ({!Run_ctx.backend}[.launch]). It also owns the run's one
     rollback-or-abort decision, {!recover_or_abort}, because only the
     recorder can restart recording after {!Recovery.recover} restores
     the main. *)

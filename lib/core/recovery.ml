@@ -52,10 +52,9 @@ let tear_down_run t ~drop_verified =
     Hashtbl.iter (fun _ snap -> kill_if_alive t snap) t.verified_snapshots;
     Hashtbl.reset t.verified_snapshots
   end;
-  (* The torn-down segments will never settle: the backend drops its
-     queued/parked work and the ledger cancels their entries. *)
+  (* The torn-down segments are never verified: the backend drops its
+     queued and parked work. *)
   t.backend.flush t;
-  ignore (Backend.Supervisor.cancel_unsettled t.sup);
   kill_if_alive t t.main
 
 (* Kill every process we own; ends the simulation. *)

@@ -35,7 +35,7 @@ let launch_checker t seg =
     || Config.backend_eager_spares t.cfg.Config.backend)
     && (not was_streaming)
     && Segment.spare seg = None
-    && Segment.redispatches seg < Config.redispatch_budget t.cfg
+    && retries_left t seg
   then fork_spare t seg;
   let was_waiting = Segment.waiting seg in
   let launched_at_ns =
@@ -43,14 +43,19 @@ let launch_checker t seg =
     | Some ns -> ns
     | None -> E.time_ns t.eng
   in
-  Segment.begin_checking seg ~replay ~pending_signals ~launched_at_ns;
   (* The lease clock starts at the actual launch — a checker that dies
      before this point is the watchdog's pre-launch swap, not a
-     heartbeat expiry. The backend names the node. *)
-  let node = t.backend.node t seg in
-  Backend.Supervisor.lease t.sup ~id:(Segment.id seg) ~node
-    ~incarnation:(Segment.redispatches seg) ~now_ns:(E.now_ns t.eng)
+     heartbeat expiry. *)
+  Segment.begin_checking seg ~replay ~pending_signals ~launched_at_ns
+    ~now_ns:(E.now_ns t.eng)
     ~insns:(Machine.Cpu.instructions (E.cpu t.eng checker));
+  (* Every launch is a dispatch; one above incarnation 0 (a re-check, a
+     watchdog retry, a pre-launch swap) is also a re-dispatch. *)
+  let b = t.stats.Stats.backend in
+  b.Stats.b_dispatched <- b.Stats.b_dispatched + 1;
+  if Segment.redispatches seg > 0 then
+    b.Stats.b_redispatched <- b.Stats.b_redispatched + 1;
+  t.backend.launched t seg;
   t.stats.Stats.segment_insn_deltas <-
     r.Segment.insn_delta :: t.stats.Stats.segment_insn_deltas;
   E.observe t.eng "segment.insns" (float_of_int r.Segment.insn_delta);
@@ -137,7 +142,7 @@ let redispatch_check t seg ~because outcome =
 let can_redispatch t seg =
   t.cfg.Config.recheck_on_mismatch
   && Segment.spare seg <> None
-  && Segment.redispatches seg < Config.redispatch_budget t.cfg
+  && retries_left t seg
 
 (* Same question for an infrastructure failure (the checker died or
    stalled, it did not produce a verdict): the remote backend retries
@@ -147,7 +152,7 @@ let can_redispatch_infra t seg =
   (t.cfg.Config.recheck_on_mismatch
   || Config.backend_eager_spares t.cfg.Config.backend)
   && Segment.spare seg <> None
-  && Segment.redispatches seg < Config.redispatch_budget t.cfg
+  && retries_left t seg
 
 let really_finish_checker t seg outcome_opt =
   let checker = Segment.checker seg in
@@ -217,7 +222,10 @@ let really_finish_checker t seg outcome_opt =
       | None, Some tr -> Detection.outcome_to_string tr
       | None, None -> "ok");
   (* Done only now: the check's launch time, which the span close
-     samples the latency from, is part of its checking state. *)
+     samples the latency from, is part of its checking state. A RAFT
+     streaming check that dies while its segment still records was
+     never launched, so it counts its dispatch here. *)
+  let unlaunched = Segment.phase seg = Segment.Recording_p in
   Segment.complete seg;
   kill_if_alive t checker;
   (match Segment.spare seg with
@@ -225,21 +233,9 @@ let really_finish_checker t seg outcome_opt =
     kill_if_alive t sp;
     Segment.set_spare seg None
   | None -> ());
-  (* Exactly-once settling: the ledger retires the segment's lease (and
-     raises on a double settle). *)
-  (match
-     Backend.Supervisor.settle t.sup ~id:(Segment.id seg)
-       ~incarnation:(Segment.redispatches seg)
-   with
-  | `Ok -> ()
-  | `Stale ->
-    (* Every path into really_finish_checker has already verified the
-       verdict's incarnation is current; a stale settle here means the
-       routing let a superseded verdict through. *)
-    raise
-      (Segment.Invariant_violation
-         (Printf.sprintf "segment %d settled from a stale incarnation"
-            (Segment.id seg))));
+  let b = t.stats.Stats.backend in
+  if unlaunched then b.Stats.b_dispatched <- b.Stats.b_dispatched + 1;
+  b.Stats.b_verified <- b.Stats.b_verified + 1;
   let failed = outcome_opt <> None in
   (if t.cfg.Config.recovery && not failed then
      Recovery.note_verified t ~id:(Segment.id seg) ~snapshot

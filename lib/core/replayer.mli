@@ -5,9 +5,8 @@
     {!Replay_kernel} over it: the R/R log replayed against the checker's
     interactions and the checker driven to the recorded execution
     points (§4.2). At the end point the replayer runs the program-state
-    comparison. Each check is leased in the run's check ledger
-    ({!Run_ctx.t}[.sup]) when it launches and settled there on its
-    final verdict. A failed check is answered by
+    comparison. It counts each check's dispatch when it launches and
+    its verification when its segment reaches [Done]. A failed check is answered by
     {!Recorder.recover_or_abort} (or a straight abort for a hard
     fault), unless the re-check extension can still retry it on a fresh
     checker (DESIGN.md §13); a completing segment may release a main
@@ -16,8 +15,8 @@
 
 val launch_checker : Run_ctx.t -> Segment.t -> unit
 (** Arm and (for Parallaft) schedule the checker of a segment in
-    [Awaiting_launch]; transitions it to [Checking] and grants its
-    lease in the run's check ledger, on the node the backend names. For
+    [Awaiting_launch]; transitions it to [Checking], which starts its
+    lease clock, and tells the backend ({!Run_ctx.backend}[.launched]). For
     a RAFT streaming checker — launched when recording started — this
     only arms the replay targets and wakes the checker if it was
     stalled. When {!Config.t.recheck_on_mismatch} is on (or the remote
@@ -31,9 +30,8 @@ val deliver_verdict : Run_ctx.t -> Segment.t -> Detection.outcome option -> unit
     this when a parked verdict comes due. A failure is re-dispatched
     onto the spare when the re-check machinery still has budget;
     otherwise the final outcome is recorded (possibly reclassified
-    {!Detection.Hard_fault} right after a rollback), answered with
-    rollback or abort, and the check settled in the ledger (a stale
-    settle raises {!Segment.Invariant_violation}). *)
+    {!Detection.Hard_fault} right after a rollback), the segment retired
+    to [Done], and a failure answered with rollback or abort. *)
 
 val finish_checker_infra : Run_ctx.t -> Segment.t -> Detection.outcome -> unit
 (** Retire a check after an infrastructure failure (the checker died or

@@ -1,9 +1,10 @@
 (* Shared run-level state threaded through the pipeline stages
-   (Recovery -> Recorder -> Replayer -> Watchdog): the run's check
-   ledger, the launch policy of its checker backend, and the helpers
-   every stage needs: detection recording, simulated-cost charging,
-   process bookkeeping, the spare fork and the check-span close, and
-   the cross-structure debug invariant sweep. *)
+   (Recovery -> Recorder -> Replayer -> Watchdog): the launch policy of
+   the run's checker backend, and the helpers every stage needs:
+   detection recording, simulated-cost charging, process bookkeeping,
+   the re-dispatch budget, the spare fork and the check-span close, and
+   the cross-structure debug invariant sweep. The run's check ledger is
+   its segments themselves (DESIGN.md §18). *)
 
 module E = Sim_os.Engine
 
@@ -19,12 +20,6 @@ type t = {
      private pool of its own, or a fleet's shared one. *)
   pool : Core_pool.t;
   tid : int;
-  (* The run's exactly-once check ledger, counting into
-     [stats.backend]. The stages drive it directly: the recorder
-     registers each finished segment, the replayer leases and settles
-     its check, the watchdog heartbeats and expires the lease, and
-     teardown cancels whatever is unsettled. *)
-  sup : Backend.Supervisor.t;
   backend : backend;
   (* The open --record-log output, opened by Runtime before the run;
      None leaves the recorder's persistence hooks no-ops (the
@@ -71,8 +66,8 @@ type t = {
 and backend = {
   launch : t -> Segment.t -> unit;
       (* a segment finished recording: launch its check now or later *)
-  node : t -> Segment.t -> int;
-      (* the node a starting check is leased to, -1 in-process *)
+  launched : t -> Segment.t -> unit;
+      (* a check has just started on the segment's current checker *)
   route_verdict : t -> Segment.t -> Detection.outcome option -> bool;
       (* true means the backend parked or discarded the verdict (late or
          stale under chaos) and the replayer must not act on it yet *)
@@ -87,7 +82,6 @@ let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
     stats;
     pool;
     tid;
-    sup = Backend.Supervisor.create stats.Stats.backend;
     backend;
     seglog;
     rng =
@@ -179,6 +173,10 @@ let kill_if_alive t pid =
 
 let live_count t = List.length t.live
 let live_limit t = Config.live_limit t.cfg
+
+(* May the segment's check still be re-dispatched onto a fresh checker? *)
+let retries_left t seg =
+  Segment.redispatches seg < Config.redispatch_budget t.cfg
 
 (* Fork a spare off the segment's checker before that checker runs: a
    pristine copy of the segment-start state for a re-dispatch to launch
@@ -304,7 +302,14 @@ let check_invariants t =
     (* Pool scope: the cross-tenant partitions must hold after every one
        of any tenant's events. *)
     Core_pool.check_invariants t.pool;
-    (* Ledger scope: the exactly-once ledger must agree with its own
-       counters after every event too. *)
-    Backend.Supervisor.check_invariants t.sup
+    (* Ledger scope: every verified check and every check in flight
+       holds a dispatch of its own. *)
+    let b = t.stats.Stats.backend in
+    let checking =
+      List.length
+        (List.filter (fun s -> Segment.phase s = Segment.Checking_p) tracked)
+    in
+    if b.Stats.b_dispatched < b.Stats.b_verified + checking then
+      violation "%d checks dispatched, but %d verified and %d checking"
+        b.Stats.b_dispatched b.Stats.b_verified checking
   end

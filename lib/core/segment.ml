@@ -36,6 +36,8 @@ type checking = {
   main_dirty : int array;
   snapshot : E.pid option;
   launched_at_ns : int;
+  mutable hb_insns : int;
+  mutable hb_since_ns : int;
 }
 
 type state =
@@ -163,7 +165,7 @@ let recorded t =
     violation "segment %d: not awaiting launch (%s)" t.id
       (phase_to_string (phase t))
 
-let begin_checking t ~replay ~pending_signals ~launched_at_ns =
+let begin_checking t ~replay ~pending_signals ~launched_at_ns ~now_ns ~insns =
   match t.state with
   | Awaiting_launch r ->
     let cursor =
@@ -183,6 +185,8 @@ let begin_checking t ~replay ~pending_signals ~launched_at_ns =
            main_dirty = r.main_dirty;
            snapshot = r.snapshot;
            launched_at_ns;
+           hb_insns = insns;
+           hb_since_ns = now_ns;
          })
   | Recording _ | Checking _ | Done ->
     violation "segment %d: begin_checking in state %s" t.id
@@ -231,6 +235,24 @@ let replace_checker_prelaunch t ~checker =
       (phase_to_string (phase t))
 
 let set_recheck_of t outcome = t.recheck_of <- outcome
+
+(* The watchdog's lease clock: progress or a legitimate excuse (queued
+   behind busy cores) renews it; silence past the budget since the last
+   renewal expires it. The clock starts at launch, so a checker that
+   never makes progress still expires. *)
+let heartbeat t ~now_ns ~insns ~excused ~budget_ns =
+  match t.state with
+  | Checking c ->
+    if insns > c.hb_insns || excused then begin
+      c.hb_insns <- insns;
+      c.hb_since_ns <- now_ns;
+      `Ok
+    end
+    else if budget_ns > 0 && now_ns - c.hb_since_ns > budget_ns then `Expired
+    else `Ok
+  | Recording _ | Awaiting_launch _ | Done ->
+    violation "segment %d: heartbeat in state %s" t.id
+      (phase_to_string (phase t))
 
 let complete t =
   match t.state with

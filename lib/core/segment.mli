@@ -19,7 +19,13 @@
     accesses raise {!Invariant_violation} unconditionally; the
     {!check_invariants} self-check (run-level sweeps are gated on
     {!Config.t.check_invariants}) validates history legality and
-    intra-state consistency. *)
+    intra-state consistency.
+
+    The segment is also the run's only check ledger (DESIGN.md §18):
+    [Done] is terminal, so a check settles at most once; {!redispatches}
+    is the check's incarnation; a check holds the watchdog's lease clock
+    while [Checking] ({!heartbeat}); and a torn-down segment is simply
+    never verified. *)
 
 exception Invariant_violation of string
 
@@ -58,6 +64,9 @@ type checking = {
   main_dirty : int array;
   snapshot : Sim_os.Engine.pid option;
   launched_at_ns : int;
+  mutable hb_insns : int;
+      (** the checker's instruction count at the last lease renewal *)
+  mutable hb_since_ns : int;  (** sim time of the last lease renewal *)
 }
 
 type state =
@@ -100,7 +109,8 @@ val spare : t -> Sim_os.Engine.pid option
 val set_spare : t -> Sim_os.Engine.pid option -> unit
 
 val redispatches : t -> int
-(** How many times this segment's check was re-dispatched. *)
+(** How many times this segment's check was re-dispatched: the
+    incarnation of its current check. *)
 
 val recheck_of : t -> Detection.outcome option
 (** The checker-side failure the current check is re-checking; a pass
@@ -137,10 +147,13 @@ val begin_checking :
   replay:Exec_point.replay ->
   pending_signals:(Exec_point.t * Sim_os.Sig_num.t) list ->
   launched_at_ns:int ->
+  now_ns:int ->
+  insns:int ->
   unit
 (** [Awaiting_launch -> Checking]. The cursor is inherited from the
     streaming checker when there is one (it has already consumed a log
-    prefix), fresh otherwise. *)
+    prefix), fresh otherwise. The lease clock starts here, at [now_ns]
+    with the checker's instruction count [insns]. *)
 
 val complete : t -> unit
 (** [Checking -> Done], or [Recording -> Done] for a streaming checker
@@ -158,6 +171,18 @@ val replace_checker_prelaunch : t -> checker:Sim_os.Engine.pid -> unit
     launch (the watchdog's pre-launch swap): stays in
     [Awaiting_launch], clears the spare, bumps {!redispatches}. The
     caller re-keys the roles table. Raises outside [Awaiting_launch]. *)
+
+val heartbeat :
+  t ->
+  now_ns:int ->
+  insns:int ->
+  excused:bool ->
+  budget_ns:int ->
+  [ `Ok | `Expired ]
+(** The watchdog's lease check: progress ([insns] above the last
+    renewal's) or an excuse renews the lease; silence for more than a
+    positive [budget_ns] since the last renewal expires it. Raises
+    outside [Checking]. *)
 
 val tear_down : t -> unit
 (** Mark the segment discarded (rollback/abort); not a transition. *)

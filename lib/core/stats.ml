@@ -5,7 +5,7 @@ type seglog = {
   seglog_stored_page_bytes : int;
 }
 
-type backend_acct = Backend.Supervisor.counters = {
+type backend_acct = {
   mutable b_dispatched : int;
   mutable b_redispatched : int;
   mutable b_leases_expired : int;

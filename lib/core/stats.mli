@@ -9,17 +9,31 @@ type seglog = {
   seglog_stored_page_bytes : int;  (** post-compression payload bytes *)
 }
 
-type backend_acct = Backend.Supervisor.counters = {
+(** The check accounting (DESIGN.md §18), counted where the segment
+    state machine moves. *)
+type backend_acct = {
   mutable b_dispatched : int;
+      (** checks launched, re-launches included, plus a RAFT streaming
+          check that completes before its segment ends *)
   mutable b_redispatched : int;
+      (** launches at an incarnation above 0: after a re-check, a dead or
+          stalled checker, or a pre-launch swap *)
   mutable b_leases_expired : int;
+      (** the watchdog's kills of checking checkers *)
   mutable b_stale_verdicts : int;
-  mutable b_batches : int;
+      (** parked verdicts discarded: their incarnation lapsed or their
+          segment was already done *)
+  mutable b_batches : int;  (** deferred launch batches drained *)
   mutable b_max_lag : int;
+      (** high-water mark of recorded-but-unverified segments *)
   mutable b_verified : int;
+      (** checks completed, passed or failed: a segment reaching [Done] *)
   mutable b_launch_ns : int;
+      (** simulated launch overhead charged to checkers (cold first-in-
+          batch launches vs warm follow-ups — the fork-amortization
+          signal test_backend's [batching amortizes launch cost] case
+          checks) *)
 }
-(** The checker backend's counters ({!Backend.Supervisor.counters}). *)
 
 type t = {
   mutable checkpoint_count : int;
@@ -84,10 +98,10 @@ type t = {
           only under [Config.record_log]; [None] keeps the stats dump
           (and the goldens) unchanged, same discipline as [block_cache] *)
   backend : backend_acct;
-      (** checker-backend accounting, counted in place by the backend's
-          {!Backend.Supervisor}. Unlike the opt-in sub-records above
-          these rows are unconditional — the inline backend fills them
-          too, so one golden surface covers all backends. *)
+      (** check accounting, counted in place by the pipeline stages and
+          the checker backend. Unlike the opt-in sub-records above these
+          rows are unconditional — the inline backend fills them too, so
+          one golden surface covers all backends. *)
 }
 
 val create : unit -> t

@@ -7,9 +7,9 @@
    engine's global hang bound.
 
    Stall detection is one path for every backend: the watchdog observes
-   (progress, excuse, time) and asks the run's check ledger whether the
-   segment's lease expired; the ledger owns the progress record and the
-   heartbeat budget. The lease clock starts at launch, so the window
+   (progress, excuse, time) and asks the checking segment whether its
+   lease expired ([Segment.heartbeat]); the lease clock lives in the
+   segment's checking state and starts at launch, so the window
    between dispatch and launch is the phase poll's below: a checker
    dying there is swapped for the segment's spare while it holds one
    and the budget lasts, instead of hanging.
@@ -35,7 +35,8 @@ let note_kill t seg ~reason =
 
 let respond t seg ~reason =
   note_kill t seg ~reason;
-  Backend.Supervisor.note_expired t.sup ~id:(Segment.id seg);
+  let b = t.stats.Stats.backend in
+  b.Stats.b_leases_expired <- b.Stats.b_leases_expired + 1;
   (* The infra funnel re-dispatches onto the spare while the retry
      budget lasts, and records a detection (rollback or abort) once it
      runs out. It tolerates an already-exited checker. *)
@@ -61,10 +62,10 @@ let swap_prelaunch t seg ~spare =
   Hashtbl.replace t.roles spare (Checker_role seg);
   fork_spare t seg
 
-(* One supervised segment. Dead checkers are handled unconditionally;
-   stall detection needs a positive budget and skips checkers that are
-   legitimately not running: queued behind busy cores, or a streaming
-   checker waiting for the recorder to catch up. *)
+(* One checking segment. Dead checkers are handled unconditionally;
+   stall detection needs a positive budget and excuses a checker queued
+   behind busy cores. A checking segment's log is complete, so its
+   checker never waits on the recorder. *)
 let poll_segment t seg =
   let checker = Segment.checker seg in
   match E.state t.eng checker with
@@ -73,13 +74,10 @@ let poll_segment t seg =
     if t.cfg.Config.watchdog_stall_ns > 0 then begin
       let now = E.now_ns t.eng in
       let insns = Machine.Cpu.instructions (E.cpu t.eng checker) in
-      let excused =
-        Segment.waiting seg
-        || List.mem checker (Core_pool.queued_pids t.pool ~tid:t.tid)
-      in
+      let excused = List.mem checker (Core_pool.queued_pids t.pool ~tid:t.tid) in
       match
-        Backend.Supervisor.heartbeat t.sup ~id:(Segment.id seg) ~now_ns:now
-          ~insns ~excused ~budget_ns:t.cfg.Config.watchdog_stall_ns
+        Segment.heartbeat seg ~now_ns:now ~insns ~excused
+          ~budget_ns:t.cfg.Config.watchdog_stall_ns
       with
       | `Ok -> ()
       | `Expired -> respond t seg ~reason:"checker stalled (watchdog)"
@@ -90,8 +88,7 @@ let poll_one t seg =
   | Segment.Checking_p -> poll_segment t seg
   | Segment.Awaiting_launch_p -> (
     match (E.state t.eng (Segment.checker seg), Segment.spare seg) with
-    | E.Exited _, Some spare
-      when Segment.redispatches seg < Config.redispatch_budget t.cfg ->
+    | E.Exited _, Some spare when retries_left t seg ->
       swap_prelaunch t seg ~spare
     | E.Exited _, (Some _ | None) ->
       fail_unlaunched t seg ~reason:"checker died before launch (watchdog)"

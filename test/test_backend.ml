@@ -1,149 +1,87 @@
-(* Checker-backend tests (DESIGN.md §18): the lease supervisor's
-   exactly-once accounting in isolation, the differential contract
-   (Deferred at any batch size and fault-free Remote_sim must be
-   observably identical to Inline), the chaos properties (random node
+(* Checker-backend tests (DESIGN.md §18): the lease clock a checking
+   segment holds for the watchdog, the differential contract (Deferred
+   at any batch size and fault-free Remote_sim must be observably
+   identical to Inline), the chaos properties (random node
    crashes/stalls/late verdicts never double-count or lose a segment),
    the pre-launch death window, stale-verdict discard, the mid-batch
    rollback truncation of the persisted seglog, and the support matrix:
    Config.validate's refusals at each entry point and a qcheck property
    over the configuration product.
 
-   Every run in this file executes with the invariant sweeps on: the
-   supervisor cross-checks its ledger against its counters after every
-   routed event. *)
+   Every run in this file executes with the invariant sweeps on: after
+   every routed event, every verified check and every check in flight
+   must hold a dispatch of its own. *)
 
 let () = Unix.putenv "PARALLAFT_INVARIANTS" "1"
 
 let platform = Platform.testing
 
-module Sup = Backend.Supervisor
+module Seg = Parallaft.Segment
 module E = Sim_os.Engine
 
-(* ---------- supervisor unit tests ---------- *)
+(* ---------- the lease clock ---------- *)
 
-(* A supervisor counting into a fresh run's backend counters. *)
-let new_sup () = Sup.create (Parallaft.Stats.create ()).Parallaft.Stats.backend
+let end_point = { Parallaft.Exec_point.branches = 5; pc = 3 }
 
-let lease0 s ~id ?(node = 0) ?(incarnation = 0) ?(now_ns = 0) ?(insns = 0) () =
-  Sup.lease s ~id ~node ~incarnation ~now_ns ~insns
+let recorded_seg () =
+  let seg = Seg.create ~id:1 ~checker:42 in
+  Seg.finish_recording seg ~end_point ~insn_delta:100 ~main_dirty:[||]
+    ~snapshot:None;
+  seg
 
-let settle_tag = Alcotest.of_pp (fun fmt -> function
-  | `Ok -> Format.fprintf fmt "`Ok"
-  | `Stale -> Format.fprintf fmt "`Stale")
+(* A segment whose check launched at [now_ns], its checker then at
+   [insns] instructions. *)
+let checking_seg ~now_ns ~insns =
+  let seg = recorded_seg () in
+  let cpu =
+    Machine.Cpu.create ~rng:(Util.Rng.create ~seed:1L)
+      ~program:(Isa.Asm.assemble_exn "halt")
+      ~aspace:
+        (Mem.Address_space.create
+           (Mem.Frame.allocator ~page_size:platform.Platform.page_size))
+      ()
+  in
+  Seg.begin_checking seg
+    ~replay:(Parallaft.Exec_point.start_replay ~targets:[ end_point ] ~cpu)
+    ~pending_signals:[] ~launched_at_ns:now_ns ~now_ns ~insns;
+  seg
 
 let hb_tag = Alcotest.of_pp (fun fmt -> function
   | `Ok -> Format.fprintf fmt "`Ok"
   | `Expired -> Format.fprintf fmt "`Expired")
 
-let test_sup_lifecycle () =
-  let s = new_sup () in
-  Sup.note_recorded s 0;
-  Alcotest.(check int) "recorded" 1 (Sup.recorded s);
-  Alcotest.(check int) "unsettled" 1 (Sup.unsettled s);
-  Alcotest.(check bool) "not all settled" false (Sup.all_settled s);
-  lease0 s ~id:0 ~node:2 ();
-  Alcotest.(check int) "dispatched" 1 (Sup.dispatched s);
-  Alcotest.(check (option int)) "node" (Some 2) (Sup.node_of s ~id:0);
-  Alcotest.(check (option int)) "incarnation" (Some 0)
-    (Sup.current_incarnation s ~id:0);
-  Alcotest.check settle_tag "settles" `Ok (Sup.settle s ~id:0 ~incarnation:0);
-  Alcotest.(check int) "settled" 1 (Sup.settled s);
-  Alcotest.(check bool) "all settled" true (Sup.all_settled s);
-  Sup.check_invariants s
-
-let test_sup_stale_and_redispatch () =
-  let s = new_sup () in
-  Sup.note_recorded s 7;
-  lease0 s ~id:7 ();
-  lease0 s ~id:7 ~node:1 ~incarnation:1 ~now_ns:50 ();
-  Alcotest.(check int) "re-lease counted" 1 (Sup.redispatched s);
-  Alcotest.check settle_tag "old incarnation is stale" `Stale
-    (Sup.settle s ~id:7 ~incarnation:0);
-  Alcotest.(check int) "stale counted" 1 (Sup.stale_verdicts s);
-  Alcotest.(check int) "still unsettled" 1 (Sup.unsettled s);
-  Alcotest.check settle_tag "current incarnation settles" `Ok
-    (Sup.settle s ~id:7 ~incarnation:1);
-  Sup.check_invariants s;
-  (* A re-lease that does not advance the incarnation is a routing
-     bug, not a re-dispatch. *)
-  Sup.note_recorded s 8;
-  lease0 s ~id:8 ~incarnation:1 ();
-  Alcotest.check_raises "non-monotonic re-lease"
-    (Sup.Violation "supervisor: segment 8 re-leased at incarnation 1 (current 1)")
-    (fun () -> lease0 s ~id:8 ~incarnation:1 ())
-
-let test_sup_violations () =
-  let s = new_sup () in
-  Sup.note_recorded s 0;
-  lease0 s ~id:0 ();
-  Alcotest.check settle_tag "settles" `Ok (Sup.settle s ~id:0 ~incarnation:0);
-  (try
-     ignore (Sup.settle s ~id:0 ~incarnation:0);
-     Alcotest.fail "double settle did not raise"
-   with Sup.Violation _ -> ());
-  (try
-     lease0 s ~id:0 ~incarnation:1 ();
-     Alcotest.fail "lease after settle did not raise"
-   with Sup.Violation _ -> ());
-  try
-    Sup.note_recorded s 0;
-    Alcotest.fail "duplicate record did not raise"
-  with Sup.Violation _ -> ()
-
-let test_sup_prelaunch_swap () =
-  (* First grant already at incarnation 1: the checker was replaced in
-     the dispatch-to-launch window. It must count as a re-dispatch. *)
-  let s = new_sup () in
-  Sup.note_recorded s 3;
-  lease0 s ~id:3 ~incarnation:1 ();
-  Alcotest.(check int) "prelaunch swap counted" 1 (Sup.redispatched s);
-  Alcotest.check settle_tag "settles at the granted incarnation" `Ok
-    (Sup.settle s ~id:3 ~incarnation:1);
-  Sup.check_invariants s
-
-let test_sup_heartbeat () =
-  let s = new_sup () in
+let test_heartbeat () =
   let budget_ns = 50_000 in
-  Sup.note_recorded s 1;
-  lease0 s ~id:1 ~now_ns:0 ~insns:100 ();
+  let hb seg ~now_ns ~insns ~excused =
+    Seg.heartbeat seg ~now_ns ~insns ~excused ~budget_ns
+  in
+  (* The clock starts at launch, at the checker's instruction count
+     then: silence is measured from 10_000 with 100 instructions. *)
+  let late = checking_seg ~now_ns:10_000 ~insns:100 in
+  Alcotest.check hb_tag "budget counted from launch" `Ok
+    (hb late ~now_ns:60_000 ~insns:100 ~excused:false);
+  Alcotest.check hb_tag "launch count is not progress" `Expired
+    (hb late ~now_ns:60_001 ~insns:100 ~excused:false);
+  let seg = checking_seg ~now_ns:0 ~insns:100 in
   Alcotest.check hb_tag "within budget" `Ok
-    (Sup.heartbeat s ~id:1 ~now_ns:10_000 ~insns:100 ~excused:false ~budget_ns);
+    (hb seg ~now_ns:10_000 ~insns:100 ~excused:false);
   Alcotest.check hb_tag "progress renews" `Ok
-    (Sup.heartbeat s ~id:1 ~now_ns:40_000 ~insns:200 ~excused:false ~budget_ns);
+    (hb seg ~now_ns:40_000 ~insns:200 ~excused:false);
   Alcotest.check hb_tag "renewed clock still live" `Ok
-    (Sup.heartbeat s ~id:1 ~now_ns:80_000 ~insns:200 ~excused:true ~budget_ns);
+    (hb seg ~now_ns:80_000 ~insns:200 ~excused:true);
   (* The excuse at 80_000 renewed the lease; silence past the budget
      from there expires it. *)
   Alcotest.check hb_tag "silence expires" `Expired
-    (Sup.heartbeat s ~id:1 ~now_ns:140_000 ~insns:200 ~excused:false ~budget_ns);
-  Sup.note_expired s ~id:1;
-  Alcotest.(check int) "expiry counted" 1 (Sup.leases_expired s);
-  Alcotest.check hb_tag "no lease answers Ok" `Ok
-    (Sup.heartbeat s ~id:99 ~now_ns:0 ~insns:0 ~excused:false ~budget_ns)
-
-let test_sup_cancel () =
-  let s = new_sup () in
-  Sup.note_recorded s 0;
-  Sup.note_recorded s 1;
-  Sup.note_recorded s 2;
-  lease0 s ~id:0 ();
-  Alcotest.check settle_tag "settles" `Ok (Sup.settle s ~id:0 ~incarnation:0);
-  lease0 s ~id:1 ();
-  Alcotest.(check int) "rollback drops pending and leased" 2
-    (Sup.cancel_unsettled s);
-  Alcotest.(check int) "recorded excludes the cancelled" 1 (Sup.recorded s);
-  Alcotest.(check bool) "all settled after cancel" true (Sup.all_settled s);
-  Sup.check_invariants s
-
-let test_sup_streaming_settle () =
-  (* A RAFT streaming checker can retire before its segment finishes
-     recording: settle on an unknown id registers-and-settles. *)
-  let s = new_sup () in
-  Alcotest.check settle_tag "unknown id settles" `Ok
-    (Sup.settle s ~id:5 ~incarnation:0);
-  Alcotest.(check int) "recorded" 1 (Sup.recorded s);
-  Alcotest.(check int) "settled" 1 (Sup.settled s);
-  Sup.check_invariants s
+    (hb seg ~now_ns:140_000 ~insns:200 ~excused:false);
+  (* Only a checking segment holds a lease. *)
+  let raises what seg =
+    match hb seg ~now_ns:0 ~insns:0 ~excused:false with
+    | _ -> Alcotest.failf "heartbeat %s did not raise" what
+    | exception Seg.Invariant_violation _ -> ()
+  in
+  raises "before launch" (recorded_seg ());
+  Seg.complete seg;
+  raises "after completion" seg
 
 (* ---------- end-to-end helpers ---------- *)
 
@@ -425,7 +363,7 @@ let qcheck_chaos_exactly_once =
 
 let test_prelaunch_death_redispatched () =
   (* Every dispatch loses its checker in the dispatch-to-launch RPC
-     window. The supervisor must swap in the spare and re-dispatch —
+     window. The watchdog must swap in the spare and re-dispatch —
      never hang, never skip a segment. *)
   let config = remote_cfg (chaos ~prelaunch:80 ~seed:0xDEAD1L ()) in
   let r, eng, coord = run_probed config in
@@ -889,20 +827,7 @@ let () =
   Alcotest.run "backend"
     [
       ( "supervisor",
-        [
-          Alcotest.test_case "lease lifecycle" `Quick test_sup_lifecycle;
-          Alcotest.test_case "stale verdicts and re-dispatch" `Quick
-            test_sup_stale_and_redispatch;
-          Alcotest.test_case "structural violations raise" `Quick
-            test_sup_violations;
-          Alcotest.test_case "pre-launch swap counts as re-dispatch" `Quick
-            test_sup_prelaunch_swap;
-          Alcotest.test_case "heartbeat budget" `Quick test_sup_heartbeat;
-          Alcotest.test_case "rollback cancels unsettled" `Quick
-            test_sup_cancel;
-          Alcotest.test_case "streaming settle registers" `Quick
-            test_sup_streaming_settle;
-        ] );
+        [ Alcotest.test_case "heartbeat budget" `Quick test_heartbeat ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest qcheck_deferred_identical;

@@ -36,7 +36,7 @@ let recorded_seg () =
 let checking_seg () =
   let seg = recorded_seg () in
   Seg.begin_checking seg ~replay:(make_replay ()) ~pending_signals:[]
-    ~launched_at_ns:7;
+    ~launched_at_ns:7 ~now_ns:7 ~insns:0;
   seg
 
 let done_seg () =
@@ -63,7 +63,7 @@ let test_parallaft_path () =
   Alcotest.(check bool) "not launched before checking" true
     (Seg.launched_at seg = None);
   Seg.begin_checking seg ~replay:(make_replay ()) ~pending_signals:[]
-    ~launched_at_ns:7;
+    ~launched_at_ns:7 ~now_ns:7 ~insns:0;
   Alcotest.(check bool) "checking" true (Seg.phase seg = Seg.Checking_p);
   Alcotest.(check (option int)) "launch time" (Some 7) (Seg.launched_at seg);
   Seg.complete seg;
@@ -103,7 +103,7 @@ let test_streaming_cursor_inherited () =
   Seg.finish_recording seg ~end_point ~insn_delta:100 ~main_dirty:[||]
     ~snapshot:None;
   Seg.begin_checking seg ~replay:(make_replay ()) ~pending_signals:[]
-    ~launched_at_ns:9;
+    ~launched_at_ns:9 ~now_ns:9 ~insns:0;
   let c = Seg.checking seg in
   Alcotest.(check bool) "consumed prefix not replayed again" true
     (Parallaft.Rr_log.next_interaction c.Seg.cursor = None);
@@ -121,10 +121,13 @@ let test_illegal_transitions () =
   expect_violation "complete twice" (fun () -> Seg.complete (done_seg ()));
   expect_violation "begin_checking while recording" (fun () ->
       Seg.begin_checking (fresh ()) ~replay:(make_replay ()) ~pending_signals:[]
-        ~launched_at_ns:0);
+        ~launched_at_ns:0 ~now_ns:0 ~insns:0);
   expect_violation "begin_checking twice" (fun () ->
       Seg.begin_checking (checking_seg ()) ~replay:(make_replay ())
-        ~pending_signals:[] ~launched_at_ns:0);
+        ~pending_signals:[] ~launched_at_ns:0 ~now_ns:0 ~insns:0);
+  expect_violation "begin_checking after done" (fun () ->
+      Seg.begin_checking (done_seg ()) ~replay:(make_replay ())
+        ~pending_signals:[] ~launched_at_ns:0 ~now_ns:0 ~insns:0);
   expect_violation "finish_recording twice" (fun () ->
       let seg = recorded_seg () in
       Seg.finish_recording seg ~end_point ~insn_delta:1 ~main_dirty:[||]
