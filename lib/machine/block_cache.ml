@@ -8,7 +8,13 @@
    Capacity is bounded by a Mem.Fifo_cache of resident entry pcs whose
    eviction victims clear the direct-mapped slot table. *)
 
-type entry = { block : Isa.Decoded.block; gens : int array }
+(* [found] is [Some block], built once at admission so that a hit
+   allocates nothing. *)
+type entry = {
+  block : Isa.Decoded.block;
+  found : Isa.Decoded.block option;
+  gens : int array;
+}
 
 type t = {
   slots : entry option array; (* indexed by entry pc *)
@@ -34,15 +40,12 @@ let create ~capacity ~code_len =
     invalidations = 0;
   }
 
-let stale e ~gens =
-  let b = e.block in
-  let n = b.Isa.Decoded.last_page - b.Isa.Decoded.first_page + 1 in
-  let rec loop i =
-    if i >= n then false
-    else if e.gens.(i) <> gens.(b.Isa.Decoded.first_page + i) then true
-    else loop (i + 1)
-  in
-  loop 0
+(* Whether a spanned code page's generation moved since [snap] was
+   taken. Closed, so a lookup builds no closure. *)
+let rec stale snap ~gens ~first i =
+  if i >= Array.length snap then false
+  else if snap.(i) <> gens.(first + i) then true
+  else stale snap ~gens ~first (i + 1)
 
 let drop t pc =
   Mem.Fifo_cache.remove t.resident pc;
@@ -54,7 +57,7 @@ let lookup t ~gens ~nondet_trap ~entry =
     t.misses <- t.misses + 1;
     None
   | Some e ->
-    if stale e ~gens then begin
+    if stale e.gens ~gens ~first:e.block.Isa.Decoded.first_page 0 then begin
       t.invalidations <- t.invalidations + 1;
       t.misses <- t.misses + 1;
       drop t entry;
@@ -68,7 +71,7 @@ let lookup t ~gens ~nondet_trap ~entry =
     end
     else begin
       t.hits <- t.hits + 1;
-      Some e.block
+      e.found
     end
 
 let admit t ~gens (block : Isa.Decoded.block) =
@@ -78,7 +81,7 @@ let admit t ~gens (block : Isa.Decoded.block) =
   | None -> ());
   let n = block.Isa.Decoded.last_page - block.Isa.Decoded.first_page + 1 in
   let snap = Array.init n (fun i -> gens.(block.Isa.Decoded.first_page + i)) in
-  t.slots.(pc) <- Some { block; gens = snap }
+  t.slots.(pc) <- Some { block; found = Some block; gens = snap }
 
 (* The CPU's in-place self-loop re-execution reuses a block without
    going back through [lookup]; it still counts as a hit — the entry

@@ -98,6 +98,26 @@ let raw w b ~pos ~len =
   Bytes.blit b pos w.data w.len len;
   w.len <- w.len + len
 
+(* [dst] xor= [src] over [len] bytes, a word at a time. Bounds-checked
+   per access; callers check [len >= 0]. *)
+let xor_into src ~src_pos dst ~dst_pos ~len =
+  let i = ref 0 in
+  while !i <= len - 8 do
+    Bytes.set_int64_ne dst (dst_pos + !i)
+      (Int64.logxor (Bytes.get_int64_ne dst (dst_pos + !i))
+         (Bytes.get_int64_ne src (src_pos + !i)));
+    i := !i + 8
+  done;
+  for k = !i to len - 1 do
+    Bytes.set_uint8 dst (dst_pos + k)
+      (Bytes.get_uint8 dst (dst_pos + k) lxor Bytes.get_uint8 src (src_pos + k))
+  done
+
+let raw_xor w a b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.raw_xor";
+  raw w a ~pos ~len;
+  xor_into b ~src_pos:pos w.data ~dst_pos:(w.len - len) ~len
+
 let bytes_ w b =
   uvarint w (Bytes.length b);
   raw w b ~pos:0 ~len:(Bytes.length b)
@@ -166,6 +186,12 @@ let r_str r = Bytes.unsafe_to_string (r_bytes r)
 let r_blit r ~len dst ~dst_pos =
   need r len "raw payload";
   Bytes.blit r.rdata r.pos dst dst_pos len;
+  r.pos <- r.pos + len
+
+let r_xor r ~len dst ~dst_pos =
+  need r len "raw payload";
+  if len < 0 then invalid_arg "Codec.r_xor";
+  xor_into r.rdata ~src_pos:r.pos dst ~dst_pos ~len;
   r.pos <- r.pos + len
 
 let r_xxh64_sub r ~pos ~len = Ftr_hash.Xxh64.hash_sub r.rdata ~pos ~len

@@ -61,6 +61,10 @@ val varint : wbuf -> int -> unit
 
 val raw : wbuf -> Bytes.t -> pos:int -> len:int -> unit
 
+val raw_xor : wbuf -> Bytes.t -> Bytes.t -> pos:int -> len:int -> unit
+(** [raw_xor w a b ~pos ~len] appends [a] xor [b] over
+    [[pos, pos + len)]. *)
+
 val bytes_ : wbuf -> Bytes.t -> unit
 (** Length-prefixed. *)
 
@@ -89,4 +93,9 @@ val r_str : rbuf -> string
 (** [r_blit r ~len dst ~dst_pos] copies the next [len] bytes into [dst]
     at [dst_pos]. *)
 val r_blit : rbuf -> len:int -> Bytes.t -> dst_pos:int -> unit
+
+val r_xor : rbuf -> len:int -> Bytes.t -> dst_pos:int -> unit
+(** [r_xor r ~len dst ~dst_pos] xors the next [len] bytes into [dst] at
+    [dst_pos]. *)
+
 val r_xxh64_sub : rbuf -> pos:int -> len:int -> int64

@@ -67,7 +67,7 @@ let segment t (s : Record.segment) =
           Codec.u8 w tag;
           Codec.uvarint w (Bytes.length page);
           Codec.bytes_ w payload);
-      Hashtbl.replace t.parents vpn (Bytes.copy page);
+      Hashtbl.replace t.parents vpn page;
       t.stats.raw_page_bytes <- t.stats.raw_page_bytes + Bytes.length page;
       t.stats.stored_page_bytes <- t.stats.stored_page_bytes + Bytes.length payload)
     s.pages;

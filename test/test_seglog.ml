@@ -208,6 +208,159 @@ let qcheck_manifest_roundtrip =
         && Seglog.Reader.validate_fingerprint decoded = Ok ()
       | Error e -> QCheck.Test.fail_report (Seglog.Codec.error_to_string e))
 
+(* ---------- page codec = byte-wise reference ---------- *)
+
+(* The byte-at-a-time page encoder the word scan replaced, kept verbatim
+   as the oracle: the word scan must produce the same tag and the same
+   payload bytes for every page, so every log it writes is the one this
+   encoder wrote. *)
+module Reference = struct
+  let zero_cut = 8
+
+  let rle_encode page =
+    let w = Seglog.Codec.wbuf () in
+    let n = Bytes.length page in
+    let i = ref 0 in
+    while !i < n do
+      let z0 = !i in
+      while !i < n && Bytes.get page !i = '\000' do
+        incr i
+      done;
+      let zrun = !i - z0 in
+      let l0 = !i in
+      let j = ref !i and zeros = ref 0 and stop = ref false in
+      while (not !stop) && !j < n do
+        if Bytes.get page !j = '\000' then begin
+          incr zeros;
+          if !zeros >= zero_cut then stop := true
+        end
+        else zeros := 0;
+        incr j
+      done;
+      let lend = if !stop then !j - zero_cut else !j in
+      let litlen = lend - l0 in
+      Seglog.Codec.uvarint w zrun;
+      Seglog.Codec.uvarint w litlen;
+      Seglog.Codec.raw w page ~pos:l0 ~len:litlen;
+      i := lend
+    done;
+    Seglog.Codec.contents w
+
+  let xor a b =
+    let n = Bytes.length a in
+    let out = Bytes.create n in
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set out i
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get a i) lxor Char.code (Bytes.unsafe_get b i)))
+    done;
+    out
+
+  let encode ~parent page =
+    let raw_len = Bytes.length page in
+    let rle = rle_encode page in
+    let tag, best = if Bytes.length rle < raw_len then (1, rle) else (0, Bytes.copy page) in
+    match parent with
+    | Some p when Bytes.length p = raw_len ->
+      let xr = rle_encode (xor page p) in
+      if Bytes.length xr < Bytes.length best then (2, xr) else (tag, best)
+    | _ -> (tag, best)
+end
+
+(* Page lengths around the word width: any remainder mod 8 up to 5000,
+   and the real page sizes. *)
+let gen_codec_len =
+  QCheck.Gen.(
+    frequency
+      [ (6, pair (0 -- 624) (1 -- 7) >|= fun (k, r) -> (8 * k) + r);
+        (1, 0 -- 40);
+        (1, return 4096);
+        (1, return 16384) ])
+
+let nonzero_byte = QCheck.Gen.(map Char.chr (1 -- 255))
+
+(* A page of length [n] shaped to hit the scan's edges: dense, sparse,
+   all-zero or all-0xff, or nonzero bytes cut by zero gaps of 7, 8 and
+   9 bytes (and others) at every offset, with the last run ending
+   exactly at the page end. *)
+let gen_codec_page n =
+  QCheck.Gen.(
+    let dense =
+      let* s = nonzero_byte in
+      let* dense_nonzero = bool in
+      return
+        (Bytes.init n (fun i ->
+             let c = Char.code s + (i * 131) + (i lsr 5) in
+             if dense_nonzero then Char.chr (1 + (c mod 255)) else Char.chr (c land 0xff)))
+    in
+    let sparse =
+      let* hits = list_size (0 -- 12) (pair (0 -- (max 0 (n - 1))) nonzero_byte) in
+      let b = Bytes.make n '\000' in
+      List.iter (fun (i, c) -> if i < n then Bytes.set b i c) hits;
+      return b
+    in
+    let gapped =
+      let* fill = nonzero_byte in
+      let* gaps =
+        list_size (1 -- 40)
+          (pair (0 -- (max 0 (n - 1))) (frequency [ (3, oneofl [ 7; 8; 9 ]); (1, 1 -- 24) ]))
+      in
+      let* tail = 0 -- 17 in
+      let b = Bytes.make n fill in
+      List.iter (fun (p, len) -> Bytes.fill b p (min len (n - p)) '\000') gaps;
+      Bytes.fill b (n - min tail n) (min tail n) '\000';
+      return b
+    in
+    frequency
+      [ (1, return (Bytes.make n '\000'));
+        (1, return (Bytes.make n '\xff'));
+        (2, dense);
+        (3, sparse);
+        (6, gapped) ])
+
+(* A page and its parent: none, one of unequal length, an unrelated
+   page, or the page xor a shaped diff (so the xor stream carries the
+   gap edges). *)
+let gen_codec_case =
+  QCheck.Gen.(
+    let* n = gen_codec_len in
+    let* page = gen_codec_page n in
+    let* parent =
+      frequency
+        [ (1, return None);
+          (1, gen_codec_len >>= fun m -> if m = n then return None else gen_codec_page m >|= Option.some);
+          (1, gen_codec_page n >|= Option.some);
+          (4, gen_codec_page n >|= fun d -> Some (Reference.xor page d)) ]
+    in
+    return (page, parent))
+
+let print_codec_case (page, parent) =
+  let zeros b = Bytes.fold_left (fun k c -> if c = '\000' then k + 1 else k) 0 b in
+  Printf.sprintf "page %d bytes (%d zero), parent %s" (Bytes.length page) (zeros page)
+    (match parent with
+    | None -> "none"
+    | Some p -> Printf.sprintf "%d bytes (%d zero)" (Bytes.length p) (zeros p))
+
+let qcheck_page_codec_reference =
+  QCheck.Test.make ~name:"page codec = byte-wise reference encoder" ~count:3000
+    (QCheck.make ~print:print_codec_case gen_codec_case) (fun (page, parent) ->
+      let ((tag, payload) as got) = Seglog.Page_codec.encode ~parent page in
+      let raw_len = Bytes.length page in
+      let decodes tag payload =
+        Bytes.equal (Seglog.Page_codec.decode ~parent ~tag ~raw_len payload) page
+      in
+      if got <> Reference.encode ~parent page then
+        QCheck.Test.fail_reportf "encode differs from the reference (tag %d)" tag;
+      (* Every scheme decodes back to the page, not only the winner. *)
+      decodes tag payload
+      && decodes 0 page
+      && decodes 1 (Reference.rle_encode page)
+      &&
+      match parent with
+      | Some p when Bytes.length p = raw_len ->
+        decodes 2 (Reference.rle_encode (Reference.xor page p))
+      | _ -> true)
+
 (* ---------- corruption property ---------- *)
 
 (* One representative valid run: a manifest and two segment files (the
@@ -591,6 +744,7 @@ let () =
     [ ( "roundtrip",
         [ QCheck_alcotest.to_alcotest qcheck_segment_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_manifest_roundtrip ] );
+      ("codec", [ QCheck_alcotest.to_alcotest qcheck_page_codec_reference ]);
       ( "validation",
         [ Alcotest.test_case "single-byte corruption is rejected" `Quick
             corruption_rejected;
