@@ -1,6 +1,6 @@
 type t = {
   cap : int;
-  resident : (int, int) Hashtbl.t; (* frame -> slot *)
+  resident : int Util.Int_table.t; (* frame -> slot *)
   slots : int array; (* slot -> frame, -1 = free *)
   mutable filled : int;
   mutable free : int list; (* slots vacated by [remove] *)
@@ -13,7 +13,7 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Fifo_cache.create: capacity <= 0";
   {
     cap = capacity;
-    resident = Hashtbl.create (2 * capacity);
+    resident = Util.Int_table.create ~absent:(-1) capacity;
     slots = Array.make capacity (-1);
     filled = 0;
     free = [];
@@ -24,7 +24,7 @@ let create ~capacity =
 
 let capacity t = t.cap
 
-let mem t frame = Hashtbl.mem t.resident frame
+let mem t frame = Util.Int_table.mem t.resident frame
 
 (* Deterministic xorshift; random replacement makes the miss rate degrade
    smoothly as the resident set outgrows capacity, instead of the
@@ -37,7 +37,8 @@ let next_victim t =
   t.rng_state <- x;
   x mod t.cap
 
-(* Insert a non-resident [frame], returning the resident it displaced. *)
+(* Insert a non-resident [frame], returning the resident it displaced,
+   or -1 if the slot was free. *)
 let install t frame =
   let slot =
     match t.free with
@@ -53,19 +54,13 @@ let install t frame =
       else next_victim t
   in
   let old = t.slots.(slot) in
-  let evicted =
-    if old >= 0 then begin
-      Hashtbl.remove t.resident old;
-      Some old
-    end
-    else None
-  in
+  if old >= 0 then Util.Int_table.remove t.resident old;
   t.slots.(slot) <- frame;
-  Hashtbl.replace t.resident frame slot;
-  evicted
+  Util.Int_table.replace t.resident frame slot;
+  old
 
 let touch t frame =
-  if Hashtbl.mem t.resident frame then begin
+  if Util.Int_table.mem t.resident frame then begin
     t.hits <- t.hits + 1;
     true
   end
@@ -76,25 +71,26 @@ let touch t frame =
   end
 
 let admit t frame =
-  if Hashtbl.mem t.resident frame then begin
+  if Util.Int_table.mem t.resident frame then begin
     t.hits <- t.hits + 1;
     None
   end
   else begin
     t.misses <- t.misses + 1;
-    install t frame
+    let victim = install t frame in
+    if victim >= 0 then Some victim else None
   end
 
 let remove t frame =
-  match Hashtbl.find_opt t.resident frame with
-  | None -> ()
-  | Some slot ->
-    Hashtbl.remove t.resident frame;
+  let slot = Util.Int_table.find t.resident frame in
+  if slot >= 0 then begin
+    Util.Int_table.remove t.resident frame;
     t.slots.(slot) <- -1;
     t.free <- slot :: t.free
+  end
 
 let clear t =
-  Hashtbl.reset t.resident;
+  Util.Int_table.reset t.resident;
   Array.fill t.slots 0 t.cap (-1);
   t.filled <- 0;
   t.free <- [];

@@ -8,7 +8,12 @@
     {e physical} frame ids, so COW-shared pages naturally hit in a shared
     level when the main process and a freshly forked checker touch the
     same data — and stop sharing once COW breaks the frame in two, exactly
-    the contention behaviour the paper attributes to checkpointing. *)
+    the contention behaviour the paper attributes to checkpointing.
+
+    The engine's L1/L2 model calls {!touch} on every guest load and
+    store, so the residency set is a {!Util.Int_table}: {!mem}, a
+    {!touch} hit and a {!touch} miss (evicting or not) allocate
+    nothing. Keys must be non-negative (frame ids, pcs). *)
 
 type t
 

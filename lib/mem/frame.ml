@@ -61,6 +61,8 @@ let alloc a chunks =
   a.live <- a.live + 1;
   { id; chunks; refcount = 1; generation = 0 }
 
+let sentinel = { id = -1; chunks = [||]; refcount = 0; generation = 0 }
+
 let alloc_zero a =
   a.zero.refs <- a.zero.refs + a.nchunks;
   alloc a (Array.make a.nchunks a.zero)

@@ -72,6 +72,10 @@ val alloc_copy : allocator -> t -> t
     [refcount = 1]. It shares every chunk of [f] and copies no bytes.
     Counts toward {!copies} (the COW statistic). *)
 
+val sentinel : t
+(** A frame no allocator hands out: id [-1], no chunks, refcount 0, so
+    {!incref} and {!decref} reject it. Tables keep it in free slots. *)
+
 val incref : t -> unit
 (** Add one reference to a live frame.
 

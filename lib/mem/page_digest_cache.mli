@@ -34,7 +34,8 @@ val lookup : t -> frame:int -> generation:int -> bool
 (** [lookup t ~frame ~generation] is [true] (a hit) iff the modelled
     runtime holds a digest of exactly this content version. On a miss
     (absent, or a stale generation) it records the version as resident,
-    evicting a random resident when full. *)
+    evicting a random resident when full. [generation] is a
+    {!Frame.t} generation, so never negative. *)
 
 val resident : t -> int
 (** Frames currently resident; at most the capacity. *)

@@ -8,47 +8,49 @@ type pte = {
 
 type t = {
   alloc : Frame.allocator;
-  entries : (int, pte) Hashtbl.t;
+  entries : pte Util.Int_table.t; (* vpn -> pte; [vacant] when unmapped *)
   mutable retired : int;
 }
 
 exception Page_fault of { vpn : int; write : bool }
 
-let create alloc = { alloc; entries = Hashtbl.create 256; retired = -1 }
+(* The value of the entry table's free slots, never handed out. *)
+let vacant = { frame = Frame.sentinel; prot = Read_only; soft_dirty = false }
+
+let create alloc =
+  { alloc; entries = Util.Int_table.create ~absent:vacant 256; retired = -1 }
 
 let allocator t = t.alloc
 let page_size t = Frame.page_size t.alloc
 
 let check_unmapped t vpn =
-  if Hashtbl.mem t.entries vpn then
+  if Util.Int_table.mem t.entries vpn then
     invalid_arg (Printf.sprintf "Page_table: vpn %d already mapped" vpn)
 
 let map_zero t ~vpn prot =
   check_unmapped t vpn;
-  Hashtbl.replace t.entries vpn
+  Util.Int_table.replace t.entries vpn
     { frame = Frame.alloc_zero t.alloc; prot; soft_dirty = true }
 
 let unmap t ~vpn =
-  match Hashtbl.find_opt t.entries vpn with
-  | None -> invalid_arg (Printf.sprintf "Page_table.unmap: vpn %d not mapped" vpn)
-  | Some pte ->
-    Frame.decref t.alloc pte.frame;
-    Hashtbl.remove t.entries vpn
+  let pte = Util.Int_table.find t.entries vpn in
+  if pte == vacant then
+    invalid_arg (Printf.sprintf "Page_table.unmap: vpn %d not mapped" vpn);
+  Frame.decref t.alloc pte.frame;
+  Util.Int_table.remove t.entries vpn
 
-let is_mapped t ~vpn = Hashtbl.mem t.entries vpn
-
-let protection t ~vpn =
-  Option.map (fun pte -> pte.prot) (Hashtbl.find_opt t.entries vpn)
+let is_mapped t ~vpn = Util.Int_table.mem t.entries vpn
 
 let set_protection t ~vpn prot =
-  match Hashtbl.find_opt t.entries vpn with
-  | None ->
-    invalid_arg (Printf.sprintf "Page_table.set_protection: vpn %d not mapped" vpn)
-  | Some pte -> pte.prot <- prot
+  let pte = Util.Int_table.find t.entries vpn in
+  if pte == vacant then
+    invalid_arg (Printf.sprintf "Page_table.set_protection: vpn %d not mapped" vpn);
+  pte.prot <- prot
 
 let find t vpn ~write =
-  try Hashtbl.find t.entries vpn
-  with Not_found -> raise (Page_fault { vpn; write })
+  let pte = Util.Int_table.find t.entries vpn in
+  if pte == vacant then raise (Page_fault { vpn; write });
+  pte
 
 let read_frame t ~vpn = (find t vpn ~write:false).frame
 
@@ -83,23 +85,21 @@ let copy_page_at t ~vpn =
   out
 
 let fork t =
-  let child =
-    { alloc = t.alloc; entries = Hashtbl.create (Hashtbl.length t.entries); retired = -1 }
-  in
-  Hashtbl.iter
+  let entries = Util.Int_table.create ~absent:vacant (Util.Int_table.length t.entries) in
+  Util.Int_table.iter
     (fun vpn pte ->
       Frame.incref pte.frame;
-      Hashtbl.replace child.entries vpn
+      Util.Int_table.replace entries vpn
         { frame = pte.frame; prot = pte.prot; soft_dirty = pte.soft_dirty })
     t.entries;
-  child
+  { alloc = t.alloc; entries; retired = -1 }
 
 let free_all t =
-  Hashtbl.iter (fun _ pte -> Frame.decref t.alloc pte.frame) t.entries;
-  Hashtbl.reset t.entries
+  Util.Int_table.iter (fun _ pte -> Frame.decref t.alloc pte.frame) t.entries;
+  Util.Int_table.reset t.entries
 
 let clear_soft_dirty t =
-  Hashtbl.iter (fun _ pte -> pte.soft_dirty <- false) t.entries
+  Util.Int_table.iter (fun _ pte -> pte.soft_dirty <- false) t.entries
 
 let int_compare (a : int) (b : int) = compare a b
 
@@ -108,11 +108,11 @@ let int_compare (a : int) (b : int) = compare a b
    at every segment boundary and flow straight into the comparator. *)
 let sorted_keys_where t pred =
   let n =
-    Hashtbl.fold (fun _ pte acc -> if pred pte then acc + 1 else acc) t.entries 0
+    Util.Int_table.fold (fun _ pte acc -> if pred pte then acc + 1 else acc) t.entries 0
   in
   let out = Array.make n 0 in
   let i = ref 0 in
-  Hashtbl.iter
+  Util.Int_table.iter
     (fun vpn pte ->
       if pred pte then begin
         out.(!i) <- vpn;
@@ -127,14 +127,14 @@ let soft_dirty_pages t = sorted_keys_where t (fun pte -> pte.soft_dirty)
 let uniquely_mapped t =
   sorted_keys_where t (fun pte -> pte.frame.Frame.refcount = 1)
 
-let mapped_count t = Hashtbl.length t.entries
+let mapped_count t = Util.Int_table.length t.entries
 
 let pss_bytes t =
   let psize = page_size t in
-  Hashtbl.fold
+  Util.Int_table.fold
     (fun _ pte acc -> acc + (psize / pte.frame.Frame.refcount))
     t.entries 0
 
-let iter_mapped t f = Hashtbl.iter (fun vpn pte -> f ~vpn pte.frame) t.entries
+let iter_mapped t f = Util.Int_table.iter (fun vpn pte -> f ~vpn pte.frame) t.entries
 
 let mapped_vpns t = sorted_keys_where t (fun _ -> true)

@@ -13,7 +13,14 @@
     Page bytes live in {!Frame}'s copy-on-write chunks. This module
     walks and copies frames at page granularity (the unit the paper and
     the sim clock charge); the chunk copy a store needs is
-    {!Frame.writable_chunk}'s, done by the caller of {!store_prepare}. *)
+    {!Frame.writable_chunk}'s, done by the caller of {!store_prepare}.
+
+    Entries live in a {!Util.Int_table} keyed by vpn, so the guest page
+    walk ({!read_frame}, {!store_prepare}, {!is_mapped}) allocates
+    nothing and calls no polymorphic hash or compare unless it faults
+    or copies. Its iteration order is not the vpn order: every
+    consumer here sorts ({!soft_dirty_pages}, {!uniquely_mapped},
+    {!mapped_vpns}) or does not depend on order. *)
 
 type t
 
@@ -38,7 +45,6 @@ val unmap : t -> vpn:int -> unit
 (** @raise Invalid_argument if [vpn] is not mapped. *)
 
 val is_mapped : t -> vpn:int -> bool
-val protection : t -> vpn:int -> protection option
 val set_protection : t -> vpn:int -> protection -> unit
 
 val read_frame : t -> vpn:int -> Frame.t
@@ -100,5 +106,7 @@ val pss_bytes : t -> int
 (** Proportional set size: [page_size / refcount] summed over mappings. *)
 
 val iter_mapped : t -> (vpn:int -> Frame.t -> unit) -> unit
+(** In no particular order. *)
+
 val mapped_vpns : t -> int array
 (** Sorted. *)

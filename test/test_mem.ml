@@ -244,18 +244,23 @@ let test_unaligned_access_across_pages () =
 
 (* The guest page walk allocates nothing: a load or a store on a mapped,
    exclusively owned page costs no minor words (a COW or a fault may
-   allocate). *)
+   allocate). The pages are sparse vpns spread over a table that grew
+   several times, so page-table probes collide. *)
 let test_page_walk_allocates_nothing () =
   let aspace = fresh_as () in
-  Mem.Address_space.map_range aspace ~addr:0 ~len:(2 * page_size)
-    Mem.Page_table.Read_write;
-  for i = 0 to (2 * page_size / 8) - 1 do
-    Mem.Address_space.store64 aspace (8 * i) i
+  let pages = 600 in
+  let addr_of i = (i mod pages * 97 + (i land 3)) * page_size + (8 * (i land 255)) in
+  for p = 0 to pages - 1 do
+    Mem.Address_space.map_range aspace ~addr:(p * 97 * page_size) ~len:(4 * page_size)
+      Mem.Page_table.Read_write
+  done;
+  for i = 0 to 9_999 do
+    Mem.Address_space.store64 aspace (addr_of i) i
   done;
   let sum = ref 0 in
   let w0 = Gc.minor_words () in
   for i = 0 to 9_999 do
-    let a = 8 * (i land ((2 * page_size / 8) - 1)) in
+    let a = addr_of i in
     Mem.Address_space.store64 aspace a i;
     Mem.Address_space.store8 aspace (a + 1) i;
     sum := !sum + Mem.Address_space.load64 aspace a + Mem.Address_space.load8 aspace a
@@ -320,6 +325,189 @@ let test_fifo_cache_admit_reports_eviction () =
   Mem.Fifo_cache.remove c 2;
   Alcotest.(check (option int)) "freed slot reused without eviction" None
     (Mem.Fifo_cache.admit c 3)
+
+(* The Hashtbl-based cache this module replaced, kept verbatim as the
+   reference: the table under the cache changed, the replacement policy
+   must not. *)
+module Reference = struct
+  type t = {
+    cap : int;
+    resident : (int, int) Hashtbl.t; (* frame -> slot *)
+    slots : int array; (* slot -> frame, -1 = free *)
+    mutable filled : int;
+    mutable free : int list; (* slots vacated by [remove] *)
+    mutable rng_state : int; (* xorshift for victim selection *)
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~capacity =
+    if capacity <= 0 then invalid_arg "Fifo_cache.create: capacity <= 0";
+    {
+      cap = capacity;
+      resident = Hashtbl.create (2 * capacity);
+      slots = Array.make capacity (-1);
+      filled = 0;
+      free = [];
+      rng_state = 0x2545F491;
+      hits = 0;
+      misses = 0;
+    }
+
+  let capacity t = t.cap
+
+  let mem t frame = Hashtbl.mem t.resident frame
+
+  (* Deterministic xorshift; random replacement makes the miss rate degrade
+     smoothly as the resident set outgrows capacity, instead of the
+     all-or-nothing cliff FIFO/LRU exhibit on cyclic access patterns. *)
+  let next_victim t =
+    let x = t.rng_state in
+    let x = x lxor (x lsl 13) in
+    let x = x lxor (x lsr 7) in
+    let x = (x lxor (x lsl 17)) land max_int in
+    t.rng_state <- x;
+    x mod t.cap
+
+  (* Insert a non-resident [frame], returning the resident it displaced. *)
+  let install t frame =
+    let slot =
+      match t.free with
+      | s :: rest ->
+        t.free <- rest;
+        s
+      | [] ->
+        if t.filled < t.cap then begin
+          let s = t.filled in
+          t.filled <- t.filled + 1;
+          s
+        end
+        else next_victim t
+    in
+    let old = t.slots.(slot) in
+    let evicted =
+      if old >= 0 then begin
+        Hashtbl.remove t.resident old;
+        Some old
+      end
+      else None
+    in
+    t.slots.(slot) <- frame;
+    Hashtbl.replace t.resident frame slot;
+    evicted
+
+  let touch t frame =
+    if Hashtbl.mem t.resident frame then begin
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      ignore (install t frame);
+      false
+    end
+
+  let admit t frame =
+    if Hashtbl.mem t.resident frame then begin
+      t.hits <- t.hits + 1;
+      None
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      install t frame
+    end
+
+  let remove t frame =
+    match Hashtbl.find_opt t.resident frame with
+    | None -> ()
+    | Some slot ->
+      Hashtbl.remove t.resident frame;
+      t.slots.(slot) <- -1;
+      t.free <- slot :: t.free
+
+  let clear t =
+    Hashtbl.reset t.resident;
+    Array.fill t.slots 0 t.cap (-1);
+    t.filled <- 0;
+    t.free <- [];
+    t.hits <- 0;
+    t.misses <- 0
+
+  let hits t = t.hits
+  let misses t = t.misses
+end
+
+type cache_op = Touch of int | Admit of int | Remove of int | Clear | Mem of int
+
+let show_cache_op = function
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Admit k -> Printf.sprintf "admit %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+  | Mem k -> Printf.sprintf "mem %d" k
+
+let qcheck_fifo_cache_matches_reference =
+  let gen_op =
+    let open QCheck.Gen in
+    let key = int_bound 40 in
+    frequency
+      [
+        (6, map (fun k -> Touch k) key);
+        (3, map (fun k -> Admit k) key);
+        (2, map (fun k -> Remove k) key);
+        (2, map (fun k -> Mem k) key);
+        (1, return Clear);
+      ]
+  in
+  QCheck.Test.make ~name:"Fifo_cache = Hashtbl reference" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map show_cache_op ops)))
+       QCheck.Gen.(pair (1 -- 16) (list_size (0 -- 300) gen_op)))
+    (fun (capacity, ops) ->
+      let c = Mem.Fifo_cache.create ~capacity and r = Reference.create ~capacity in
+      Mem.Fifo_cache.capacity c = Reference.capacity r
+      && List.for_all
+        (fun op ->
+          (match op with
+          | Touch k -> Mem.Fifo_cache.touch c k = Reference.touch r k
+          | Admit k -> Mem.Fifo_cache.admit c k = Reference.admit r k
+          | Remove k ->
+            Mem.Fifo_cache.remove c k;
+            Reference.remove r k;
+            true
+          | Clear ->
+            Mem.Fifo_cache.clear c;
+            Reference.clear r;
+            true
+          | Mem k -> Mem.Fifo_cache.mem c k = Reference.mem r k)
+          && Mem.Fifo_cache.hits c = Reference.hits r
+          && Mem.Fifo_cache.misses c = Reference.misses r)
+        ops)
+
+(* The cache model runs on every guest load and store: a hit and an
+   evicting miss allocate nothing. *)
+let test_fifo_cache_allocates_nothing () =
+  let c = Mem.Fifo_cache.create ~capacity:64 in
+  for k = 0 to 63 do
+    ignore (Mem.Fifo_cache.touch c k)
+  done;
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    if Mem.Fifo_cache.touch c (i land 63) then incr hits
+  done;
+  let hit_words = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    if Mem.Fifo_cache.touch c (1_000 + i) then incr hits
+  done;
+  let miss_words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "10k hits, then 10k misses" 10_000 !hits;
+  Alcotest.(check int) "every miss evicted" 10_064 (Mem.Fifo_cache.misses c);
+  Alcotest.(check (pair (float 0.) (float 0.))) "minor words (hits, misses)" (0., 0.)
+    (hit_words, miss_words)
 
 let test_fifo_cache_clear () =
   let c = Mem.Fifo_cache.create ~capacity:4 in
@@ -825,6 +1013,8 @@ let () =
           tc "basics" `Quick test_fifo_cache_basics;
           tc "admit reports eviction" `Quick test_fifo_cache_admit_reports_eviction;
           tc "clear" `Quick test_fifo_cache_clear;
+          QCheck_alcotest.to_alcotest qcheck_fifo_cache_matches_reference;
+          tc "touch allocates nothing" `Quick test_fifo_cache_allocates_nothing;
         ] );
       ( "page_digest_cache",
         [

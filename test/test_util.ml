@@ -188,6 +188,90 @@ let qcheck_pool_map_is_list_map =
       Util.Pool.map ~jobs (fun x -> (x * 31) lxor 7) xs
       = List.map (fun x -> (x * 31) lxor 7) xs)
 
+(* Int_table against Stdlib.Hashtbl as the model ([find] of an unbound
+   key is the table's [absent], here -1). Keys come from [-24, 24]:
+   with 0 and negatives in a range that small, probe runs collide, some
+   wrap past the table's last slot, removals inside a run shift later
+   entries back, and a table created for one binding grows several
+   times. After every step the length and the bindings seen by [iter]
+   and by [fold] must be exactly the model's. *)
+type itbl_op =
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Mem of int
+  | Reset
+
+let gen_itbl_op =
+  let open QCheck.Gen in
+  let key = int_range (-24) 24 in
+  frequency
+    [
+      (6, map2 (fun k v -> Replace (k, v)) key (int_bound 1000));
+      (3, map (fun k -> Remove k) key);
+      (4, map (fun k -> Find k) key);
+      (2, map (fun k -> Mem k) key);
+      (1, return Reset);
+    ]
+
+let show_itbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Reset -> "reset"
+
+let qcheck_int_table_model =
+  QCheck.Test.make ~name:"Int_table = Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_itbl_op ops))
+       QCheck.Gen.(list_size (0 -- 200) gen_itbl_op))
+    (fun ops ->
+      let t = Util.Int_table.create ~absent:(-1) 1 in
+      let m = Hashtbl.create 8 in
+      let sorted l = List.sort compare l in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Replace (k, v) ->
+              Util.Int_table.replace t k v;
+              Hashtbl.replace m k v;
+              true
+            | Remove k ->
+              Util.Int_table.remove t k;
+              Hashtbl.remove m k;
+              true
+            | Find k ->
+              Util.Int_table.find t k = Option.value (Hashtbl.find_opt m k) ~default:(-1)
+            | Mem k -> Util.Int_table.mem t k = Hashtbl.mem m k
+            | Reset ->
+              Util.Int_table.reset t;
+              Hashtbl.reset m;
+              true
+          in
+          let model = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []) in
+          let iterated = ref [] in
+          Util.Int_table.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+          same
+          && Util.Int_table.length t = Hashtbl.length m
+          && sorted !iterated = model
+          && sorted (Util.Int_table.fold (fun k v acc -> (k, v) :: acc) t []) = model)
+        ops)
+
+let test_int_table_min_int () =
+  let t = Util.Int_table.create ~absent:"absent" 4 in
+  Util.Int_table.replace t 0 "zero";
+  (match Util.Int_table.replace t min_int "x" with
+  | () -> Alcotest.fail "min_int accepted as a key"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "min_int never bound" false (Util.Int_table.mem t min_int);
+  Alcotest.(check string) "find min_int is absent" "absent"
+    (Util.Int_table.find t min_int);
+  Util.Int_table.remove t min_int;
+  Alcotest.(check int) "remove min_int is a no-op" 1 (Util.Int_table.length t);
+  Alcotest.(check string) "0 still bound" "zero" (Util.Int_table.find t 0)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "util"
@@ -218,6 +302,11 @@ let () =
           tc "exception lowest index" `Quick test_pool_exception_lowest_index;
           tc "jobs resolution" `Quick test_pool_jobs_resolution;
           QCheck_alcotest.to_alcotest qcheck_pool_map_is_list_map;
+        ] );
+      ( "itbl",
+        [
+          QCheck_alcotest.to_alcotest qcheck_int_table_model;
+          tc "min_int is not a key" `Quick test_int_table_min_int;
         ] );
       ( "table",
         [
