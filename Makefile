@@ -1,7 +1,7 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
-.PHONY: all build test fmt-check unused-exports parallel-smoke \
-  bench-smoke invariants ci clean
+.PHONY: all build test fmt-check unused-exports parallel-smoke invariants \
+  ci clean
 
 all: build
 
@@ -26,14 +26,14 @@ fmt-check:
 
 # No export without a caller: every top-level `val NAME` of an .mli
 # under lib/ must be named (grep -w) in some .ml/.mli under lib, bin,
-# bench, test, ftbench or examples other than its own module's pair.
+# test, ftbench or examples other than its own module's pair.
 # Prints `file: NAME` per uncalled export and fails if there is any. A
 # mention in a comment counts as a use, so the check can miss a dead
 # value but never flags a used one.
 unused-exports:
 	@status=0; \
 	for mli in $$(find lib -name '*.mli' | sort); do \
-	  files=$$(find lib bin bench test ftbench examples -name '*.ml' -o -name '*.mli' \
+	  files=$$(find lib bin test ftbench examples -name '*.ml' -o -name '*.mli' \
 	    | grep -v -x -e "$$mli" -e "$${mli%i}"); \
 	  for name in $$(sed -n 's/^val \([A-Za-z_][A-Za-z0-9_'"'"']*\).*/\1/p' "$$mli"); do \
 	    grep -qw -- "$$name" $$files || { echo "$$mli: $$name"; status=1; }; \
@@ -55,14 +55,7 @@ parallel-smoke: build
 invariants: build
 	PARALLAFT_INVARIANTS=1 dune runtest --force
 
-# The bechamel microbenchmark table (bench/main.ml) at the quick
-# sampling budget. Its host estimates are informational (the performance
-# ledger that gates changes is ftbench, see BENCHMARK.json); the leg is
-# in `ci` because every fixture asserts its own result.
-bench-smoke: build
-	PARALLAFT_QUICK=1 dune exec bench/main.exe
-
-ci: build test invariants fmt-check unused-exports parallel-smoke bench-smoke
+ci: build test invariants fmt-check unused-exports parallel-smoke
 
 clean:
 	dune clean

@@ -1,51 +1,40 @@
 (* Regenerate the paper's tables and figures. Usage:
-     experiments_main [-j N] [all | table1 | table2 | fig5 | fig6 | fig7 |
-                       fig8 | fig9 | fig10 | stress | intel | calibrate]
-   Environment: PARALLAFT_SCALE (workload scale, default 1.0),
-   PARALLAFT_QUICK=1 (reduced benchmark sets), PARALLAFT_JOBS (parallel
-   experiment tasks; -j overrides; default: cores - 1). *)
+     experiments_main [-j N] [EXPERIMENT]
+   where EXPERIMENT is all (the default) or a name from
+   Experiments.Registry (--help lists them). Environment:
+   PARALLAFT_SCALE (workload scale, default 1.0), PARALLAFT_QUICK=1
+   (reduced benchmark sets), PARALLAFT_JOBS (parallel experiment tasks;
+   -j overrides; default: cores - 1). *)
 
-let usage () =
-  prerr_endline "usage: experiments_main [-j N] [EXPERIMENT]";
-  prerr_endline ("known: all " ^ String.concat " " (Experiments.Registry.names ()));
-  exit 2
+open Cmdliner
+
+let run jobs which =
+  Option.iter Util.Pool.set_jobs jobs;
+  Obs.Log.progress "experiments: %s (%d parallel jobs)" which (Util.Pool.jobs ());
+  Option.iter (List.iter Experiments.Registry.run) (Experiments.Registry.find which)
+
+let jobs_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None -> Error (`Msg ("expected a positive integer, got " ^ s))
+  in
+  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Run up to $(docv) experiment tasks in parallel (overrides \
+                 PARALLAFT_JOBS; default: cores - 1).")
+
+let experiment_arg =
+  let names = "all" :: Experiments.Registry.names () in
+  Arg.(value & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
+       & info [] ~docv:"EXPERIMENT"
+           ~doc:("The experiment to run: " ^ String.concat ", " names
+                ^ ". $(b,all) is every paper experiment."))
 
 let () =
-  let which = ref None in
-  let rec parse = function
-    | [] -> ()
-    | ("-j" | "--jobs") :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        Util.Pool.set_jobs n;
-        parse rest
-      | Some _ | None ->
-        prerr_endline "experiments_main: -j wants a positive integer";
-        usage ())
-    | [ "-j" ] | [ "--jobs" ] ->
-      prerr_endline "experiments_main: -j wants a positive integer";
-      usage ()
-    | arg :: rest when String.length arg > 2 && String.sub arg 0 2 = "-j" -> (
-      match int_of_string_opt (String.sub arg 2 (String.length arg - 2)) with
-      | Some n when n >= 1 ->
-        Util.Pool.set_jobs n;
-        parse rest
-      | Some _ | None ->
-        prerr_endline "experiments_main: -j wants a positive integer";
-        usage ())
-    | arg :: rest ->
-      (match !which with
-      | None -> which := Some arg
-      | Some _ -> usage ());
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let which = Option.value !which ~default:"all" in
-  match Experiments.Registry.find which with
-  | Some exps ->
-    Obs.Log.progress "experiments: %s (%d parallel jobs)" which (Util.Pool.jobs ());
-    List.iter (fun e -> Experiments.Registry.run e) exps
-  | None ->
-    prerr_endline ("unknown experiment: " ^ which);
-    prerr_endline ("known: " ^ String.concat " " (Experiments.Registry.names ()));
-    exit 2
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "experiments_main"
+             ~doc:"Regenerate the paper's tables and figures (simulated)")
+          Term.(const run $ jobs_arg $ experiment_arg)))

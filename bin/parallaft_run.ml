@@ -264,6 +264,28 @@ let run platform mode period scale workload input asm_file seed show_output
       else if r.Parallaft.Runtime.detections <> [] then 3
       else 0)
 
+(* Numeric flags are range-checked as they are parsed: a count, period,
+   index, gap or scale out of range is a usage error (exit 124), not a
+   run. *)
+let int_at_least lo ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None -> Error (`Msg ("expected " ^ what ^ ", got " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 ~what:"a positive integer"
+let non_negative_int = int_at_least 0 ~what:"a non-negative integer"
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0.0 && Float.is_finite f -> Ok f
+    | Some _ | None -> Error (`Msg ("expected a positive finite number, got " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let platform_arg =
   let platforms =
     List.map (fun p -> (p.Platform.name, p)) Platform.[ apple_m2; intel_i7; testing ]
@@ -279,12 +301,12 @@ let mode_arg =
          ~doc:"baseline, parallaft or raft.")
 
 let period_arg =
-  Arg.(value & opt (some int) None & info [ "period" ] ~docv:"N"
+  Arg.(value & opt (some positive_int) None & info [ "period" ] ~docv:"N"
          ~doc:"Slicing period in platform units (cycles/instructions). Only \
                valid with --mode parallaft.")
 
 let scale_arg =
-  Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"F"
+  Arg.(value & opt (some positive_float) None & info [ "scale" ] ~docv:"F"
          ~doc:"SPEC workload scale factor (default 1.0).")
 
 let workload_arg =
@@ -292,7 +314,7 @@ let workload_arg =
          ~doc:"Benchmark name (e.g. 429.mcf or mcf) or hello/getpid.")
 
 let input_arg =
-  Arg.(value & opt (some int) None & info [ "input" ] ~docv:"K"
+  Arg.(value & opt (some non_negative_int) None & info [ "input" ] ~docv:"K"
          ~doc:"SPEC workload input index (default 0).")
 
 let asm_arg =
@@ -370,7 +392,7 @@ let recovery_arg =
                terminating the run.")
 
 let tenants_arg =
-  Arg.(value & opt int 1 & info [ "tenants" ] ~docv:"N"
+  Arg.(value & opt positive_int 1 & info [ "tenants" ] ~docv:"N"
          ~doc:"Fleet mode (DESIGN.md §16): run $(docv) tenants of the selected \
                workload concurrently on one shared big/little core pool, each \
                under its own Parallaft pipeline, checkers scheduled by \
@@ -379,16 +401,6 @@ let tenants_arg =
                tenants' rows demonstrate fault isolation. Only valid with \
                --mode parallaft.")
 
-(* --max-tenants, --batch and --max-lag size queues and slots: zero or a
-   negative count is a usage error, not a run. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some _ | None -> Error (`Msg ("expected a positive integer, got " ^ s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let max_tenants_arg =
   Arg.(value & opt (some positive_int) None & info [ "max-tenants" ] ~docv:"M"
          ~doc:"Admission-control slots: at most $(docv) tenants live at once; \
@@ -396,7 +408,7 @@ let max_tenants_arg =
                (default: no limit beyond --tenants).")
 
 let arrival_arg =
-  Arg.(value & opt (some int) None & info [ "arrival" ] ~docv:"GAP_NS"
+  Arg.(value & opt (some non_negative_int) None & info [ "arrival" ] ~docv:"GAP_NS"
          ~doc:"Open-loop arrivals: tenant $(i,i) arrives at $(i,i) * $(docv) \
                simulated ns (0 or omitted: all tenants arrive at t=0).")
 

@@ -1,4 +1,4 @@
-(** Name -> experiment dispatch for the CLI and the bench harness. *)
+(** Name -> experiment dispatch for [experiments_main]. *)
 
 type t = {
   name : string;

@@ -76,9 +76,8 @@ let lookup t ~gens ~nondet_trap ~entry =
 
 let admit t ~gens (block : Isa.Decoded.block) =
   let pc = block.Isa.Decoded.entry in
-  (match Mem.Fifo_cache.admit t.resident pc with
-  | Some victim -> t.slots.(victim) <- None
-  | None -> ());
+  let victim = Mem.Fifo_cache.admit t.resident pc in
+  if victim >= 0 then t.slots.(victim) <- None;
   let n = block.Isa.Decoded.last_page - block.Isa.Decoded.first_page + 1 in
   let snap = Array.init n (fun i -> gens.(block.Isa.Decoded.first_page + i)) in
   t.slots.(pc) <- Some { block; found = Some block; gens = snap }

@@ -1,9 +1,12 @@
 type t = {
   cap : int;
   resident : int Util.Int_table.t; (* frame -> slot *)
-  slots : int array; (* slot -> frame, -1 = free *)
+  slots : int array;
+      (* slot -> frame. A slot [remove] vacated holds [-2 - next], [next]
+         being the slot vacated before it (-1 if none): the free slots
+         are a LIFO list threaded through [slots]. Others hold -1. *)
   mutable filled : int;
-  mutable free : int list; (* slots vacated by [remove] *)
+  mutable free : int; (* the last slot vacated by [remove], -1 if none *)
   mutable rng_state : int; (* xorshift for victim selection *)
   mutable hits : int;
   mutable misses : int;
@@ -16,7 +19,7 @@ let create ~capacity =
     resident = Util.Int_table.create ~absent:(-1) capacity;
     slots = Array.make capacity (-1);
     filled = 0;
-    free = [];
+    free = -1;
     rng_state = 0x2545F491;
     hits = 0;
     misses = 0;
@@ -41,23 +44,22 @@ let next_victim t =
    or -1 if the slot was free. *)
 let install t frame =
   let slot =
-    match t.free with
-    | s :: rest ->
-      t.free <- rest;
+    if t.free >= 0 then begin
+      let s = t.free in
+      t.free <- -2 - t.slots.(s);
       s
-    | [] ->
-      if t.filled < t.cap then begin
-        let s = t.filled in
-        t.filled <- t.filled + 1;
-        s
-      end
-      else next_victim t
+    end
+    else if t.filled < t.cap then begin
+      t.filled <- t.filled + 1;
+      t.filled - 1
+    end
+    else next_victim t
   in
   let old = t.slots.(slot) in
   if old >= 0 then Util.Int_table.remove t.resident old;
   t.slots.(slot) <- frame;
   Util.Int_table.replace t.resident frame slot;
-  old
+  if old >= 0 then old else -1
 
 let touch t frame =
   if Util.Int_table.mem t.resident frame then begin
@@ -73,27 +75,26 @@ let touch t frame =
 let admit t frame =
   if Util.Int_table.mem t.resident frame then begin
     t.hits <- t.hits + 1;
-    None
+    -1
   end
   else begin
     t.misses <- t.misses + 1;
-    let victim = install t frame in
-    if victim >= 0 then Some victim else None
+    install t frame
   end
 
 let remove t frame =
   let slot = Util.Int_table.find t.resident frame in
   if slot >= 0 then begin
     Util.Int_table.remove t.resident frame;
-    t.slots.(slot) <- -1;
-    t.free <- slot :: t.free
+    t.slots.(slot) <- -2 - t.free;
+    t.free <- slot
   end
 
 let clear t =
   Util.Int_table.reset t.resident;
   Array.fill t.slots 0 t.cap (-1);
   t.filled <- 0;
-  t.free <- [];
+  t.free <- -1;
   t.hits <- 0;
   t.misses <- 0
 

@@ -11,9 +11,10 @@
     the contention behaviour the paper attributes to checkpointing.
 
     The engine's L1/L2 model calls {!touch} on every guest load and
-    store, so the residency set is a {!Util.Int_table}: {!mem}, a
-    {!touch} hit and a {!touch} miss (evicting or not) allocate
-    nothing. Keys must be non-negative (frame ids, pcs). *)
+    store, so the residency set is a {!Util.Int_table} and the slots
+    {!remove} vacates are a list threaded through the slot array:
+    {!mem}, {!touch}, {!admit} and {!remove} allocate nothing. Keys must
+    be non-negative (frame ids, pcs). *)
 
 type t
 
@@ -29,9 +30,9 @@ val touch : t -> int -> bool
     evicting a (deterministically) random resident when full, and
     returns [false]. *)
 
-val admit : t -> int -> int option
-(** Like {!touch}, but reports the frame evicted to make room
-    ([Some victim] only on a miss that displaced a resident). Callers
+val admit : t -> int -> int
+(** Like {!touch}, but returns the frame evicted to make room, or [-1]
+    if none was (a hit, or a miss that filled a free slot). Callers
     that maintain side tables keyed on residents — e.g.
     {!Page_digest_cache} — use the victim to drop the matching entry. *)
 

@@ -15,9 +15,8 @@ let lookup t ~frame ~generation =
        (* Absent, or resident at an earlier content version of the same
           frame (an in-place write bumped the generation): the modelled
           runtime hashes the page and keeps the new digest. *)
-       (match Fifo_cache.admit t.frames frame with
-       | Some victim -> Util.Int_table.remove t.generations victim
-       | None -> ());
+       let victim = Fifo_cache.admit t.frames frame in
+       if victim >= 0 then Util.Int_table.remove t.generations victim;
        Util.Int_table.replace t.generations frame generation;
        false
      end

@@ -337,6 +337,13 @@ let test_comparator_identity_short_circuit () =
     (match verdict with
     | Parallaft.Comparator.Match -> ()
     | _ -> Alcotest.failf "%s: equal contents mismatched" label);
+    (* The same verdict through a memo, cold and then warm. *)
+    let cache = Mem.Page_digest_cache.create ~capacity:4096 in
+    for _ = 1 to 2 do
+      match compare_states ~cache ~reference:a ~candidate:b vpns with
+      | Parallaft.Comparator.Match -> ()
+      | _ -> Alcotest.failf "%s: equal contents mismatched with a memo" label
+    done;
     Alcotest.(check int) (label ^ ": shared pages skipped") (pages - cowed)
       cs.Parallaft.Comparator.pages_skipped_identical;
     Alcotest.(check int) (label ^ ": COWed pages hashed on both sides")

@@ -517,7 +517,21 @@ let test_block_cache_hits_and_stats () =
     (Machine.Cpu.block_cache_enabled off);
   ignore (run off);
   Alcotest.(check (triple int int int)) "no stats when disabled" (0, 0, 0)
-    (Machine.Cpu.block_cache_stats off)
+    (Machine.Cpu.block_cache_stats off);
+  (* A hot load -> add -> store loop halts with the cache on and off. *)
+  let mem_loop =
+    ".zero 0x0 4096\nli r1, 2000\nli r2, 0\nli r3, 0\nl:\nload r4, r2, 8\n\
+     add r4, r4, r1\nstore r4, r2, 8\nadd r3, r3, 1\nsub r1, r1, 1\n\
+     bne r1, r2, l\nhalt"
+  in
+  List.iter
+    (fun block_cache ->
+      let cpu = make_cpu ~block_cache mem_loop in
+      match (run cpu).Machine.Cpu.stop with
+      | Machine.Cpu.Halted ->
+        Alcotest.(check int) "every iteration ran" 2000 (Machine.Cpu.get_reg cpu 3)
+      | _ -> Alcotest.failf "load/store loop did not halt (block cache %d)" block_cache)
+    [ 4096; 0 ]
 
 (* Self-modifying code: patching an instruction must invalidate the
    cached block spanning it, and re-execution must run the new bytes. *)

@@ -314,21 +314,21 @@ let test_fifo_cache_basics () =
 
 let test_fifo_cache_admit_reports_eviction () =
   let c = Mem.Fifo_cache.create ~capacity:1 in
-  Alcotest.(check (option int)) "filling a free slot evicts nobody" None
+  Alcotest.(check int) "filling a free slot evicts nobody" (-1)
     (Mem.Fifo_cache.admit c 1);
-  Alcotest.(check (option int)) "hit evicts nobody" None (Mem.Fifo_cache.admit c 1);
-  Alcotest.(check (option int)) "capacity-1 admit names the victim" (Some 1)
+  Alcotest.(check int) "hit evicts nobody" (-1) (Mem.Fifo_cache.admit c 1);
+  Alcotest.(check int) "capacity-1 admit names the victim" 1
     (Mem.Fifo_cache.admit c 2);
   Alcotest.(check bool) "victim gone" false (Mem.Fifo_cache.mem c 1);
   Alcotest.(check bool) "newcomer resident" true (Mem.Fifo_cache.mem c 2);
   (* [remove] frees the slot, so the next admit reuses it silently. *)
   Mem.Fifo_cache.remove c 2;
-  Alcotest.(check (option int)) "freed slot reused without eviction" None
+  Alcotest.(check int) "freed slot reused without eviction" (-1)
     (Mem.Fifo_cache.admit c 3)
 
 (* The Hashtbl-based cache this module replaced, kept verbatim as the
-   reference: the table under the cache changed, the replacement policy
-   must not. *)
+   reference: the table under the cache, the free-slot list and the
+   victim's type changed, the replacement policy must not. *)
 module Reference = struct
   type t = {
     cap : int;
@@ -472,7 +472,9 @@ let qcheck_fifo_cache_matches_reference =
         (fun op ->
           (match op with
           | Touch k -> Mem.Fifo_cache.touch c k = Reference.touch r k
-          | Admit k -> Mem.Fifo_cache.admit c k = Reference.admit r k
+          | Admit k ->
+            Mem.Fifo_cache.admit c k
+            = Option.value (Reference.admit r k) ~default:(-1)
           | Remove k ->
             Mem.Fifo_cache.remove c k;
             Reference.remove r k;
@@ -486,28 +488,47 @@ let qcheck_fifo_cache_matches_reference =
           && Mem.Fifo_cache.misses c = Reference.misses r)
         ops)
 
-(* The cache model runs on every guest load and store: a hit and an
-   evicting miss allocate nothing. *)
+(* The cache model runs on every guest load and store, a COW copy
+   removes the dead frame, and the memo model admits on every miss: a
+   hit, an evicting miss, a remove and an evicting admit allocate
+   nothing. *)
 let test_fifo_cache_allocates_nothing () =
   let c = Mem.Fifo_cache.create ~capacity:64 in
   for k = 0 to 63 do
     ignore (Mem.Fifo_cache.touch c k)
   done;
-  let hits = ref 0 in
-  let w0 = Gc.minor_words () in
-  for i = 0 to 9_999 do
-    if Mem.Fifo_cache.touch c (i land 63) then incr hits
-  done;
-  let hit_words = Gc.minor_words () -. w0 in
-  let w0 = Gc.minor_words () in
-  for i = 0 to 9_999 do
-    if Mem.Fifo_cache.touch c (1_000 + i) then incr hits
-  done;
-  let miss_words = Gc.minor_words () -. w0 in
-  Alcotest.(check int) "10k hits, then 10k misses" 10_000 !hits;
-  Alcotest.(check int) "every miss evicted" 10_064 (Mem.Fifo_cache.misses c);
-  Alcotest.(check (pair (float 0.) (float 0.))) "minor words (hits, misses)" (0., 0.)
-    (hit_words, miss_words)
+  let hits = ref 0 and victims = ref 0 in
+  let words loop =
+    let w0 = Gc.minor_words () in
+    for i = 0 to 9_999 do
+      loop i
+    done;
+    Gc.minor_words () -. w0
+  in
+  let hit_words =
+    words (fun i -> if Mem.Fifo_cache.touch c (i land 63) then incr hits)
+  in
+  let miss_words =
+    words (fun i -> if Mem.Fifo_cache.touch c (1_000 + i) then incr hits)
+  in
+  (* The last miss is resident: each round re-admits it into the slot
+     the previous round's remove vacated. *)
+  Mem.Fifo_cache.remove c 10_999;
+  let remove_words =
+    words (fun _ ->
+        if Mem.Fifo_cache.touch c 10_999 then incr hits;
+        Mem.Fifo_cache.remove c 10_999)
+  in
+  ignore (Mem.Fifo_cache.touch c 10_999);
+  let admit_words =
+    words (fun i -> if Mem.Fifo_cache.admit c (20_000 + i) >= 0 then incr victims)
+  in
+  Alcotest.(check int) "10k hits, then misses only" 10_000 !hits;
+  Alcotest.(check int) "every round missed" 30_065 (Mem.Fifo_cache.misses c);
+  Alcotest.(check int) "every admit evicted" 10_000 !victims;
+  Alcotest.(check (list (float 0.)))
+    "minor words (hits, misses, remove+touch, admits)" [ 0.; 0.; 0.; 0. ]
+    [ hit_words; miss_words; remove_words; admit_words ]
 
 let test_fifo_cache_clear () =
   let c = Mem.Fifo_cache.create ~capacity:4 in

@@ -94,6 +94,7 @@ let test_output_identical_and_once () =
   let b = run_baseline program in
   let r = run_protected program in
   check_clean r;
+  Alcotest.(check (option int)) "baseline clean exit" (Some 0) b.exit_status;
   Alcotest.(check bool) "baseline produced output" true (String.length b.output > 0);
   Alcotest.(check string) "output identical, written exactly once" b.output r.output
 
