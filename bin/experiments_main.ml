@@ -8,10 +8,14 @@
 
 open Cmdliner
 
+(* [Registry.find] matches a name exactly; cmdliner's [enum] takes prefixes. *)
 let run jobs which =
-  Option.iter Util.Pool.set_jobs jobs;
-  Obs.Log.progress "experiments: %s (%d parallel jobs)" which (Util.Pool.jobs ());
-  Option.iter (List.iter Experiments.Registry.run) (Experiments.Registry.find which)
+  match Experiments.Registry.find which with
+  | None -> `Error (true, "unknown experiment '" ^ which ^ "'")
+  | Some exps ->
+    Option.iter Util.Pool.set_jobs jobs;
+    Obs.Log.progress "experiments: %s (%d parallel jobs)" which (Util.Pool.jobs ());
+    `Ok (List.iter Experiments.Registry.run exps)
 
 let jobs_arg =
   let parse s =
@@ -26,7 +30,7 @@ let jobs_arg =
 
 let experiment_arg =
   let names = "all" :: Experiments.Registry.names () in
-  Arg.(value & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
+  Arg.(value & pos 0 string "all"
        & info [] ~docv:"EXPERIMENT"
            ~doc:("The experiment to run: " ^ String.concat ", " names
                 ^ ". $(b,all) is every paper experiment."))
@@ -37,4 +41,4 @@ let () =
        (Cmd.v
           (Cmd.info "experiments_main"
              ~doc:"Regenerate the paper's tables and figures (simulated)")
-          Term.(const run $ jobs_arg $ experiment_arg)))
+          Term.(ret (const run $ jobs_arg $ experiment_arg))))

@@ -275,6 +275,17 @@ let int_at_least lo ~what =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* cmdliner's [enum] also takes any unambiguous prefix ([--mode base]);
+   a name must be spelled out. *)
+let exact_enum alts =
+  let enum = Arg.enum alts in
+  let parse s =
+    if List.mem_assoc s alts then Arg.conv_parser enum s
+    else Error (`Msg ("invalid value '" ^ s ^ "', expected one of "
+                      ^ String.concat ", " (List.map fst alts)))
+  in
+  Arg.conv (parse, Arg.conv_printer enum)
+
 let positive_int = int_at_least 1 ~what:"a positive integer"
 let non_negative_int = int_at_least 0 ~what:"a non-negative integer"
 
@@ -290,14 +301,14 @@ let platform_arg =
   let platforms =
     List.map (fun p -> (p.Platform.name, p)) Platform.[ apple_m2; intel_i7; testing ]
   in
-  Arg.(value & opt (enum platforms) Platform.apple_m2 & info [ "platform" ]
+  Arg.(value & opt (exact_enum platforms) Platform.apple_m2 & info [ "platform" ]
          ~docv:"NAME" ~doc:"Platform model: apple_m2, intel_i7 or testing.")
 
 let mode_arg =
   let modes =
     [ ("baseline", Mode_baseline); ("parallaft", Mode_parallaft); ("raft", Mode_raft) ]
   in
-  Arg.(value & opt (enum modes) Mode_parallaft & info [ "mode" ] ~docv:"MODE"
+  Arg.(value & opt (exact_enum modes) Mode_parallaft & info [ "mode" ] ~docv:"MODE"
          ~doc:"baseline, parallaft or raft.")
 
 let period_arg =
@@ -352,7 +363,7 @@ let fault_target_arg =
       (fun k -> (k, Result.get_ok (Fault.target_kind_of_string k)))
       Fault.all_target_kinds
   in
-  Arg.(value & opt (some (enum kinds)) None & info [ "fault-target" ] ~docv:"KIND"
+  Arg.(value & opt (some (exact_enum kinds)) None & info [ "fault-target" ] ~docv:"KIND"
          ~doc:"Fault target class for --fault: checker-reg (the default), \
                checker-mem, main-reg, main-mem, runtime-kill or \
                runtime-stall. For memory targets the REG field of --fault is \
@@ -422,7 +433,7 @@ let record_log_arg =
 
 let backend_arg =
   let kinds = [ ("inline", `Inline); ("deferred", `Deferred); ("remote", `Remote) ] in
-  Arg.(value & opt (enum kinds) `Inline & info [ "backend" ] ~docv:"KIND"
+  Arg.(value & opt (exact_enum kinds) `Inline & info [ "backend" ] ~docv:"KIND"
          ~doc:"Checker backend (DESIGN.md §18): $(b,inline) launches each \
                checker the instant its segment finishes recording (the \
                default, byte-identical to the classic pipeline); \

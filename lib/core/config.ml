@@ -45,6 +45,7 @@ type t = {
 let timeout_scale = 1.1
 let page_hash_cache_pages = 4096
 let pacer_tick_ns = 100_000
+let max_sim_ns = 2_000_000_000
 let max_recoveries = 3
 let compare_states t = t.mode = Parallaft
 let checkers_on_little t = t.mode = Parallaft

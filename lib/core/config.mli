@@ -159,6 +159,10 @@ val page_hash_cache_pages : int
 val pacer_tick_ns : int
 (** Period of the pacer, backend and watchdog ticks. *)
 
+val max_sim_ns : int
+(** The hang bound: 2 simulated seconds, where every engine run stops
+    ([Runtime], [Fleet], [Offline] and the calibration runs). *)
+
 val max_recoveries : int
 (** Abort anyway after this many rollbacks (the backstop behind the
     Hard_fault classifier, which catches a persistent fault after a

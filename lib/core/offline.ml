@@ -36,9 +36,6 @@ type verdict =
     }
   | Diverged of divergence
 
-(* Same hang bound as the live runtime. *)
-let max_sim_ns = 2_000_000_000
-
 type state = {
   eng : E.t;
   mutable pid : E.pid;
@@ -362,7 +359,7 @@ let replay ~(manifest : R.manifest) ~(segments : R.segment list) =
     E.suspend eng st.pid;
     arm_segment st;
     E.resume eng st.pid;
-    E.run ~max_ns:max_sim_ns eng;
+    E.run ~max_ns:Config.max_sim_ns eng;
     Option.to_result ~none:"offline replay stalled before reaching a verdict" st.outcome
   end
 

@@ -12,6 +12,7 @@ type report = {
   runtime_work_ns : float;
   cow_copies : int;
   dram_accesses : int;
+  live_at_end : int;
 }
 
 type baseline = {
@@ -21,9 +22,8 @@ type baseline = {
   energy_j : float;
   output : string;
   exit_status : int option;
+  live_at_end : int;
 }
-
-let max_sim_ns = 2_000_000_000 (* 2 simulated seconds: a generous hang bound *)
 
 let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
     ~program () =
@@ -43,7 +43,7 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
   in
   let coord = Coordinator.create ?rng ?prng ?seglog:seglog_out eng config ~program in
   (match before_run with Some f -> f eng coord | None -> ());
-  E.run ~max_ns:max_sim_ns eng;
+  E.run ~max_ns:Config.max_sim_ns eng;
   let stats = Coordinator.stats coord in
   stats.Stats.all_wall_ns <- float_of_int (E.now_ns eng);
   (* Retire any phase scope still open at simulation end (e.g. the
@@ -69,16 +69,11 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
   (* The end-of-run step Fleet shares; every profile scope, drain
      included, is already closed above. *)
   Coordinator.finish coord;
-  let exit_status =
-    match E.state eng (Coordinator.main_pid coord) with
-    | E.Exited s -> Some s
-    | E.Runnable | E.Stopped -> None
-  in
   {
     stats;
     detections = Stats.detections_oldest_first stats;
     aborted = Coordinator.aborted coord;
-    exit_status;
+    exit_status = E.exit_status eng (Coordinator.main_pid coord);
     output = E.output eng;
     wall_ns = E.now_ns eng;
     energy_j = E.energy_j eng;
@@ -86,13 +81,14 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
     runtime_work_ns = E.runtime_work_ns eng;
     cow_copies = Mem.Frame.copies (E.frame_allocator eng);
     dram_accesses = E.dram_accesses eng;
+    live_at_end = E.live_processes eng;
   }
 
 let run_baseline ?(seed = 42L) ?block_cache ?before_run ~platform ~program () =
   let eng = E.create ?block_cache ~platform ~seed () in
   let pid = E.spawn eng ~program ~core:0 () in
   (match before_run with Some f -> f eng pid | None -> ());
-  E.run ~max_ns:max_sim_ns eng;
+  E.run ~max_ns:Config.max_sim_ns eng;
   let st = E.proc_stats eng pid in
   {
     wall_ns = st.E.ended_ns - st.E.started_ns;
@@ -100,8 +96,6 @@ let run_baseline ?(seed = 42L) ?block_cache ?before_run ~platform ~program () =
     sys_ns = st.E.sys_ns;
     energy_j = E.energy_j eng;
     output = E.output eng;
-    exit_status =
-      (match st.E.state with
-      | E.Exited s -> Some s
-      | E.Runnable | E.Stopped -> None);
+    exit_status = E.exit_status eng pid;
+    live_at_end = E.live_processes eng;
   }

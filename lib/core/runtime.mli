@@ -14,6 +14,9 @@ type report = {
   runtime_work_ns : float;
   cow_copies : int;
   dram_accesses : int;
+  live_at_end : int;
+      (** simulated processes live when the engine stopped: 0 unless the
+          run hit the hang bound ([Experiments.Oracle]'s pid clause) *)
 }
 
 type baseline = {
@@ -23,6 +26,7 @@ type baseline = {
   energy_j : float;
   output : string;
   exit_status : int option;
+  live_at_end : int;  (** as in {!report} *)
 }
 
 val run_protected :

@@ -1,13 +1,13 @@
 (* Checker-backend evaluation (DESIGN.md §18): a deferred sanity check
    and two questions. test/dune runs it under PARALLAFT_INVARIANTS=1,
-   so the lease supervisor sweeps its exactly-once ledger after every
-   event, and diffs its stdout against a golden.
+   so Run_ctx.check_invariants sweeps the segments' exactly-once ledger
+   after every event, and diffs its stdout against a golden. The run
+   oracle (Oracle) judges every run, and a verdict a leg does not expect
+   raises: the experiment is a correctness gate that prints tables.
 
    0. Deferred sanity. Small batches under a tight max_lag budget, so
       the recorder's boundary-hold backpressure engages: the run must
-      reproduce the inline reference's observables, verify every
-      segment through the batch queue (at least one batch), and leak
-      no simulated pid.
+      be clean against the inline reference, in at least one batch.
 
    1. Staleness vs recovery cost. The deferred backend's max_lag budget
       bounds how many recorded-but-unverified segments may be
@@ -15,16 +15,13 @@
       checkpoint can be when an error surfaces. A rollback lands on
       that checkpoint, so a larger budget buys launch amortization at
       the price of re-executing more segments per recovery. The table
-      injects the same main-memory fault under each budget and reports
-      the marginal wall-clock and re-executed-segment cost against the
-      fault-free run at the same budget.
+      injects the same main-memory fault under each budget, which must
+      recover against the fault-free run at that budget, and reports
+      the marginal wall-clock and re-executed-segment cost.
 
    2. The chaos campaign. The remote backend at three fixed
-      crash/stall/late/pre-launch intensities, each asserted for
-      exactly-once verification, zero silent corruption against the
-      fault-free inline reference, at least one actual re-dispatch, and
-      zero leaked simulated pids. Failures raise — the campaign is a
-      correctness gate that happens to print a table, not a benchmark.
+      crash/stall/late/pre-launch intensities, each clean against the
+      inline reference after at least one actual re-dispatch.
 
    Both legs run the deterministic chase program on the testing
    platform: the simulator is bit-reproducible there, so every row is a
@@ -34,6 +31,9 @@ module P = Parallaft
 
 let platform = Platform.testing
 
+(* No time queries: output and final state are a pure function of the
+   program, whatever the backend, schedule or rollback. The backend,
+   fleet and runtime tests share it. *)
 let program =
   Workloads.Codegen.generate ~name:"det" ~seed:21L
     ~page_size:platform.Platform.page_size
@@ -51,35 +51,12 @@ let program =
     }
 
 let base_cfg () = P.Config.parallaft ~platform ~slice_period:20_000 ()
+let run_cfg config = P.Runtime.run_protected ~platform ~config ~program ()
 
-let run_probed config =
-  let captured = ref None in
-  let before_run eng coord = captured := Some (eng, coord) in
-  let r = P.Runtime.run_protected ~platform ~config ~before_run ~program () in
-  match !captured with
-  | None -> failwith "exp_backends: before_run did not fire"
-  | Some (eng, coord) -> (r, eng, coord)
-
-let leaked_pids eng coord =
-  P.Coordinator.release_recovery_state coord;
-  Sim_os.Engine.live_processes eng
-
-(* Program-derived observables only: segment counts legitimately shift
-   with checker lifetime (CoW copy costs move the cycle-based slice
-   boundaries), so they are asserted within-run, not across runs. *)
-let signature (r : P.Runtime.report) =
-  ( r.P.Runtime.exit_status,
-    r.P.Runtime.output,
-    P.Stats.final_state_hash r.P.Runtime.stats )
-
-(* The recovery leg can't include raw output: a rollback re-executes
-   segments whose writes were already externalized, so their bytes
-   appear twice — I/O can't be retracted, only state can. That
-   duplication is itself part of the staleness cost and gets its own
-   table column; the SDC criterion is final state + exit, same as the
-   fault-injection campaign's. *)
-let sdc_signature (r : P.Runtime.report) =
-  (r.P.Runtime.exit_status, P.Stats.final_state_hash r.P.Runtime.stats)
+let expect what want verdict =
+  if verdict <> want then
+    failwith
+      (Printf.sprintf "exp_backends: %s: %s" what (Oracle.to_string verdict))
 
 let staleness_table () =
   Printf.printf
@@ -116,15 +93,14 @@ let staleness_table () =
       ]
     (List.map
        (fun max_lag ->
-         let clean, _, _ = run_probed (cfg ~max_lag ~fault_plan:None) in
-         let faulted, eng, coord = run_probed (cfg ~max_lag ~fault_plan:fault) in
+         let clean = run_cfg (cfg ~max_lag ~fault_plan:None) in
+         let faulted = run_cfg (cfg ~max_lag ~fault_plan:fault) in
          let cs = clean.P.Runtime.stats and fs = faulted.P.Runtime.stats in
-         if sdc_signature faulted <> sdc_signature clean then
-           failwith "exp_backends: recovery corrupted the program state";
-         if faulted.P.Runtime.aborted || fs.P.Stats.recoveries < 1 then
-           failwith "exp_backends: the staleness fault did not recover";
-         if leaked_pids eng coord <> 0 then
-           failwith "exp_backends: leaked simulated pids";
+         (* A rollback re-emits externalized writes: the oracle compares
+            no output after one, and "dup output" counts the bytes. *)
+         expect "the staleness fault" Oracle.Recovered
+           (Oracle.judge ~reference:(Oracle.Protected clean)
+              (Oracle.Protected faulted));
          [
            string_of_int max_lag;
            Printf.sprintf "%.3f ms"
@@ -147,14 +123,13 @@ let staleness_table () =
 
 (* The fault-free inline run every other backend must reproduce. *)
 let inline_reference () =
-  let inline, _, _ = run_probed (base_cfg ()) in
-  if inline.P.Runtime.aborted || inline.P.Runtime.detections <> [] then
-    failwith "exp_backends: the inline reference run was not clean";
-  signature inline
+  let inline = Oracle.Protected (run_cfg (base_cfg ())) in
+  expect "the inline reference run" Oracle.Clean (Oracle.judge inline);
+  inline
 
-let deferred_sanity ~ref_sig =
-  let r, eng, coord =
-    run_probed
+let deferred_sanity ~reference =
+  let r =
+    run_cfg
       {
         (base_cfg ()) with
         P.Config.backend = P.Config.deferred_backend ~batch:2 ~max_lag:4 ();
@@ -162,20 +137,16 @@ let deferred_sanity ~ref_sig =
   in
   let b = r.P.Runtime.stats.P.Stats.backend in
   let total = r.P.Runtime.stats.P.Stats.segments_total in
-  if r.P.Runtime.detections <> [] || signature r <> ref_sig then
-    failwith "exp_backends: the deferred run diverged from the inline reference";
-  if b.P.Stats.b_verified <> total then
-    failwith "exp_backends: the deferred run left segments unverified";
+  expect "the deferred run" Oracle.Clean
+    (Oracle.judge ~reference (Oracle.Protected r));
   if b.P.Stats.b_batches < 1 then
     failwith "exp_backends: the deferred run launched no batch";
-  if leaked_pids eng coord <> 0 then
-    failwith "exp_backends: the deferred run leaked pids";
   Printf.printf
     "Deferred sanity: batch 2, max_lag 4 — observables = inline, %d/%d \
      verified in %d batches (max lag %d), no leaked pids.\n"
     b.P.Stats.b_verified total b.P.Stats.b_batches b.P.Stats.b_max_lag
 
-let chaos_campaign ~ref_sig =
+let chaos_campaign ~reference =
   Printf.printf
     "Chaos campaign: remote backend, 3 nodes, retry budget 6. Every row\n\
      is asserted exactly-once, sdc=0 vs the fault-free inline reference,\n\
@@ -213,26 +184,15 @@ let chaos_campaign ~ref_sig =
              watchdog_stall_ns = 2_000_000;
            }
          in
-         let r, eng, coord = run_probed config in
+         let r = run_cfg config in
          let b = r.P.Runtime.stats.P.Stats.backend in
          let total = r.P.Runtime.stats.P.Stats.segments_total in
-         if r.P.Runtime.aborted then
-           failwith
-             (Printf.sprintf
-                "exp_backends: %s chaos exhausted the retry budget" label);
-         if r.P.Runtime.detections <> [] || signature r <> ref_sig then
-           failwith
-             (Printf.sprintf "exp_backends: %s chaos corrupted the run" label);
-         if b.P.Stats.b_verified <> total then
-           failwith
-             (Printf.sprintf "exp_backends: %s chaos lost a segment" label);
+         expect (label ^ " chaos") Oracle.Clean
+           (Oracle.judge ~reference (Oracle.Protected r));
          if b.P.Stats.b_redispatched < 1 then
            failwith
              (Printf.sprintf
                 "exp_backends: %s chaos never struck — tune the rates" label);
-         if leaked_pids eng coord <> 0 then
-           failwith
-             (Printf.sprintf "exp_backends: %s chaos leaked pids" label);
          [
            label;
            Printf.sprintf "%d/%d/%d/%d" crash stall late prelaunch;
@@ -249,9 +209,9 @@ let chaos_campaign ~ref_sig =
        ])
 
 let run () =
-  let ref_sig = inline_reference () in
-  deferred_sanity ~ref_sig;
+  let reference = inline_reference () in
+  deferred_sanity ~reference;
   print_newline ();
   staleness_table ();
   print_newline ();
-  chaos_campaign ~ref_sig
+  chaos_campaign ~reference

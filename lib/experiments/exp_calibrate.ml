@@ -7,7 +7,7 @@
 let run_on_core ~platform ~seed ~core program =
   let eng = Sim_os.Engine.create ~platform ~seed () in
   let pid = Sim_os.Engine.spawn eng ~program ~core () in
-  Sim_os.Engine.run ~max_ns:5_000_000_000 eng;
+  Sim_os.Engine.run ~max_ns:Parallaft.Config.max_sim_ns eng;
   let st = Sim_os.Engine.proc_stats eng pid in
   (st.Sim_os.Engine.ended_ns - st.Sim_os.Engine.started_ns, eng, pid)
 

@@ -7,10 +7,10 @@
    recovery extension off and on. Failed injections (the target
    finished first) are discarded and retried, as in the paper.
 
-   Every landed run is also checked by the SDC oracle: its final
+   Every landed run is also judged by the run oracle (Oracle) against
+   a fault-free reference run of the same configuration: its final
    main-process state (register file + memory image hash) and output
-   are compared against a fault-free reference run of the same
-   configuration, so "no silent data corruption" is measured, not
+   are compared, so "no silent data corruption" is measured, not
    assumed — a run that looks clean but ends in a different state
    counts in the [sdc] column.
 
@@ -36,71 +36,34 @@ let attempts_factor = 4
    on per-segment behaviour, which is size-independent. *)
 let fi_scale scale = scale *. 0.25
 
-type tally = {
-  mutable detected : int;
-  mutable exception_ : int;
-  mutable timeout : int;
-  mutable benign : int;
-  mutable transient : int;
-      (* checker-side failures a passing re-check resolved *)
-  mutable hard : int;  (* persistent faults: detected again after rollback *)
-  mutable recovered : int;
-      (* runs that detected, rolled back, and still finished in the
-         reference final state *)
-  mutable sdc : int;
-      (* silent data corruptions: clean-looking runs whose final state
-         or output differs from the fault-free reference *)
-}
+(* A campaign's landed runs: each one's fault classification and the
+   run oracle's verdict against the fault-free reference. *)
+type tally = (Parallaft.Detection.outcome * Oracle.verdict) list
 
-let fresh_tally () =
-  {
-    detected = 0;
-    exception_ = 0;
-    timeout = 0;
-    benign = 0;
-    transient = 0;
-    hard = 0;
-    recovered = 0;
-    sdc = 0;
-  }
+type column = Detected | Exception | Timeout | Benign | Transient | Hard
 
-let add_tally ~into t =
-  into.detected <- into.detected + t.detected;
-  into.exception_ <- into.exception_ + t.exception_;
-  into.timeout <- into.timeout + t.timeout;
-  into.benign <- into.benign + t.benign;
-  into.transient <- into.transient + t.transient;
-  into.hard <- into.hard + t.hard;
-  into.recovered <- into.recovered + t.recovered;
-  into.sdc <- into.sdc + t.sdc
+let column : Parallaft.Detection.outcome -> column = function
+  | Parallaft.Detection.Detected _ -> Detected
+  | Parallaft.Detection.Exception_detected _ -> Exception
+  | Parallaft.Detection.Timeout_detected -> Timeout
+  | Parallaft.Detection.Benign -> Benign
+  | Parallaft.Detection.Transient_checker_fault _ -> Transient
+      (* a checker-side failure a passing re-check resolved *)
+  | Parallaft.Detection.Hard_fault _ -> Hard
+      (* a persistent fault: detected again after rollback *)
 
-let landed_total t =
-  t.detected + t.exception_ + t.timeout + t.benign + t.transient + t.hard
+let count_if p (t : tally) = List.length (List.filter p t)
+let count col = count_if (fun (o, _) -> column o = col)
 
-let classify tally (outcome : Parallaft.Detection.outcome) =
-  match outcome with
-  | Parallaft.Detection.Detected _ -> tally.detected <- tally.detected + 1
-  | Parallaft.Detection.Exception_detected _ ->
-    tally.exception_ <- tally.exception_ + 1
-  | Parallaft.Detection.Timeout_detected -> tally.timeout <- tally.timeout + 1
-  | Parallaft.Detection.Benign -> tally.benign <- tally.benign + 1
-  | Parallaft.Detection.Transient_checker_fault _ ->
-    tally.transient <- tally.transient + 1
-  | Parallaft.Detection.Hard_fault _ -> tally.hard <- tally.hard + 1
+(* Rolled back, and still finished in the reference state. *)
+let recovered = count_if (fun (_, v) -> v = Oracle.Recovered)
 
-(* What the fault-free reference run of a configuration ended as; the
-   SDC oracle compares every landed faulted run against this. *)
-type reference = {
-  ref_exit : int option;
-  ref_output : string;
-  ref_final : int64 option;
-}
-
-type attempt = {
-  outcome : Parallaft.Detection.outcome;
-  recovered_run : bool;
-  silent_corruption : bool;
-}
+(* Silent data corruption: a run that exits as the reference did but
+   ends in another state or output. One that exits with another status
+   is neither recovered nor SDC. *)
+let sdc =
+  count_if (fun (_, v) ->
+      v = Oracle.Violation Oracle.Final_state || v = Oracle.Violation Oracle.Output)
 
 let config_for ~platform ~recovery ~recheck plan_opt =
   {
@@ -109,46 +72,6 @@ let config_for ~platform ~recovery ~recheck plan_opt =
     recovery;
     recheck_on_mismatch = recheck;
   }
-
-let run_reference ~platform ~recovery ~recheck ~program =
-  let config = config_for ~platform ~recovery ~recheck None in
-  let r = Parallaft.Runtime.run_protected ~platform ~config ~program () in
-  {
-    ref_exit = r.Parallaft.Runtime.exit_status;
-    ref_output = r.Parallaft.Runtime.output;
-    ref_final = Parallaft.Stats.final_state_hash r.Parallaft.Runtime.stats;
-  }
-
-let run_one ~platform ~recovery ~recheck ~reference ~program ~plan =
-  let config = config_for ~platform ~recovery ~recheck (Some plan) in
-  let r = Parallaft.Runtime.run_protected ~platform ~config ~program () in
-  match r.Parallaft.Runtime.stats.Parallaft.Stats.fi_outcome with
-  | None -> None (* the injection never fired: retry another plan *)
-  | Some outcome ->
-    let clean_exit =
-      (not r.Parallaft.Runtime.aborted)
-      && r.Parallaft.Runtime.exit_status <> None
-      && r.Parallaft.Runtime.exit_status = reference.ref_exit
-    in
-    let state_matches =
-      (* Rollback re-executes externally visible writes (the paper's
-         §3.4 buffered-IO assumption), so duplicated output after a
-         recovery is not corruption; the final state hash is the exact
-         oracle there. With no rollback the determinised workload's
-         output must match byte-for-byte. *)
-      Parallaft.Stats.final_state_hash r.Parallaft.Runtime.stats
-      = reference.ref_final
-      && (r.Parallaft.Runtime.stats.Parallaft.Stats.recoveries > 0
-         || String.equal r.Parallaft.Runtime.output reference.ref_output)
-    in
-    Some
-      {
-        outcome;
-        recovered_run =
-          clean_exit && state_matches
-          && r.Parallaft.Runtime.detections <> [];
-        silent_corruption = clean_exit && not state_matches;
-      }
 
 (* Every kind draws a register (or page index) and a bit, so the RNG
    stream advances the same whatever the target class. *)
@@ -172,7 +95,7 @@ let campaign ?(kind = "checker-reg") ?(recovery = false) ?(recheck = false)
   in
   (* A determinised variant ([Workloads.Spec.detimed]): a faulted run
      must not differ from its fault-free reference in output just
-     because a re-dispatch or rollback shifted timing, so the SDC oracle
+     because a re-dispatch or rollback shifted timing, so the run oracle
      gets an exact ground truth. *)
   let bench = Workloads.Spec.detimed bench in
   let programs =
@@ -189,55 +112,40 @@ let campaign ?(kind = "checker-reg") ?(recovery = false) ?(recheck = false)
     List.rev profile.Parallaft.Runtime.stats.Parallaft.Stats.segment_insn_deltas
     |> Array.of_list
   in
-  let tally = fresh_tally () in
-  if Array.length seg_insns = 0 then tally
+  if Array.length seg_insns = 0 then []
   else begin
     (* Fault-free reference of the same configuration: recovery/recheck
        change forking and thus timing, and timing feeds rdtsc-style
        nondeterminism, so the oracle must compare like with like. *)
-    let reference = run_reference ~platform ~recovery ~recheck ~program in
+    let reference =
+      Oracle.Protected
+        (Parallaft.Runtime.run_protected ~platform
+           ~config:(config_for ~platform ~recovery ~recheck None)
+           ~program ())
+    in
     let max_attempts = trials * attempts_factor in
-    (* Pre-draw all plans sequentially: the RNG consumption is fixed. *)
-    let plans = Array.make max_attempts (draw_plan ~rng ~seg_insns ~target) in
-    for i = 1 to max_attempts - 1 do
-      plans.(i) <- draw_plan ~rng ~seg_insns ~target
-    done;
-    let results : attempt option array = Array.make max_attempts None in
-    let landed = ref 0 in
-    let evaluated = ref 0 in
+    (* Pre-draw all plans in order: the RNG consumption is fixed. *)
+    let plans = Array.init max_attempts (fun _ -> draw_plan ~rng ~seg_insns ~target) in
+    let attempt i =
+      let config = config_for ~platform ~recovery ~recheck (Some plans.(i)) in
+      let r = Parallaft.Runtime.run_protected ~platform ~config ~program () in
+      (* [None]: the injection never fired; another plan is tried. *)
+      Option.map
+        (fun outcome -> (outcome, Oracle.judge ~reference (Oracle.Protected r)))
+        r.Parallaft.Runtime.stats.Parallaft.Stats.fi_outcome
+    in
     let chunk_size = max (Util.Pool.jobs ()) 2 in
-    while !landed < trials && !evaluated < max_attempts do
-      let lo = !evaluated in
-      let hi = min max_attempts (lo + chunk_size) - 1 in
-      let idxs = List.init (hi - lo + 1) (fun k -> lo + k) in
-      let rs =
-        Util.Pool.map
-          (fun i ->
-            run_one ~platform ~recovery ~recheck ~reference ~program
-              ~plan:plans.(i))
-          idxs
-      in
-      List.iter2
-        (fun i r ->
-          results.(i) <- r;
-          if r <> None then incr landed)
-        idxs rs;
-      evaluated := hi + 1
-    done;
+    (* The landed attempts in draw order, evaluated a chunk at a time. *)
+    let rec evaluate landed lo =
+      if List.length landed >= trials || lo >= max_attempts then landed
+      else
+        let idxs = List.init (min chunk_size (max_attempts - lo)) (fun k -> lo + k) in
+        evaluate (landed @ List.filter_map Fun.id (Util.Pool.map attempt idxs))
+          (lo + chunk_size)
+    in
     (* First [trials] landed attempts in draw order — a prefix property
        unaffected by how many extra attempts the chunking evaluated. *)
-    let taken = ref 0 in
-    Array.iter
-      (fun r ->
-        match r with
-        | Some a when !taken < trials ->
-          incr taken;
-          classify tally a.outcome;
-          if a.recovered_run then tally.recovered <- tally.recovered + 1;
-          if a.silent_corruption then tally.sdc <- tally.sdc + 1
-        | _ -> ())
-      results;
-    tally
+    List.filteri (fun i _ -> i < trials) (evaluate [] 0)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -252,7 +160,7 @@ let grid_trials ~quick = if quick then 2 else 4
 let run_grid ~platform ~scale ~quick ~rng bench =
   let trials = grid_trials ~quick in
   let rows = ref [] in
-  let totals = fresh_tally () in
+  let totals = ref [] in
   List.iter
     (fun kind ->
       List.iter
@@ -262,18 +170,18 @@ let run_grid ~platform ~scale ~quick ~rng bench =
             campaign ~kind ~recovery ~recheck:true ~platform ~scale ~trials
               ~rng bench
           in
-          add_tally ~into:totals t;
+          totals := !totals @ t;
           rows :=
             [
               kind;
               (if recovery then "on" else "off");
-              string_of_int (landed_total t);
-              string_of_int (t.detected + t.exception_ + t.timeout);
-              string_of_int t.transient;
-              string_of_int t.recovered;
-              string_of_int t.hard;
-              string_of_int t.benign;
-              string_of_int t.sdc;
+              string_of_int (List.length t);
+              string_of_int (count Detected t + count Exception t + count Timeout t);
+              string_of_int (count Transient t);
+              string_of_int (recovered t);
+              string_of_int (count Hard t);
+              string_of_int (count Benign t);
+              string_of_int (sdc t);
             ]
             :: !rows)
         [ false; true ])
@@ -292,7 +200,7 @@ let run_grid ~platform ~scale ~quick ~rng bench =
         "sdc";
       ]
     (List.rev !rows);
-  totals
+  !totals
 
 let run ~platform ~scale ~quick =
   let benches = Suite.benchmarks ~quick in
@@ -300,22 +208,22 @@ let run ~platform ~scale ~quick =
   let scale = fi_scale scale in
   let trials = trials_per_benchmark ~quick in
   let rows = ref [] in
-  let totals = fresh_tally () in
+  let totals = ref [] in
   List.iter
     (fun bench ->
       Obs.Log.progress "  [fig10] %s..." bench.Workloads.Spec.name;
       let t = campaign ~platform ~scale ~trials ~rng bench in
-      add_tally ~into:totals t;
-      let n = landed_total t in
-      let pct x = if n = 0 then 0.0 else 100.0 *. float_of_int x /. float_of_int n in
+      totals := !totals @ t;
+      let n = List.length t in
+      let pct col = if n = 0 then 0.0 else 100.0 *. float_of_int (count col t) /. float_of_int n in
       rows :=
         [
           Suite.short_name bench;
-          Printf.sprintf "%.0f" (pct t.detected);
-          Printf.sprintf "%.0f" (pct t.exception_);
-          Printf.sprintf "%.0f" (pct t.timeout);
-          Printf.sprintf "%.0f" (pct t.benign);
-          string_of_int t.sdc;
+          Printf.sprintf "%.0f" (pct Detected);
+          Printf.sprintf "%.0f" (pct Exception);
+          Printf.sprintf "%.0f" (pct Timeout);
+          Printf.sprintf "%.0f" (pct Benign);
+          string_of_int (sdc t);
           string_of_int n;
         ]
         :: !rows)
@@ -324,19 +232,21 @@ let run ~platform ~scale ~quick =
     ~header:
       [ "benchmark"; "detected%"; "exception%"; "timeout%"; "benign%"; "sdc"; "n" ]
     (List.rev !rows);
-  let n = landed_total totals in
-  let pct x = if n = 0 then 0.0 else 100.0 *. float_of_int x /. float_of_int n in
+  let totals = !totals in
+  let n = List.length totals in
+  let pct col =
+    if n = 0 then 0.0 else 100.0 *. float_of_int (count col totals) /. float_of_int n
+  in
   Printf.printf
     "\nOverall: %.1f%% benign (paper: 43.3%%); every non-benign fault detected\n\
      (detected %.1f%%, exception %.1f%%, timeout %.1f%%; %d landed injections; \
      sdc = %d)\n"
-    (pct totals.benign) (pct totals.detected) (pct totals.exception_)
-    (pct totals.timeout) n totals.sdc;
+    (pct Benign) (pct Detected) (pct Exception) (pct Timeout) n (sdc totals);
   (* The generalized target x recovery grid on the first benchmark. *)
   Printf.printf "\nFault-model grid (%s, re-check + watchdog on):\n"
     (Suite.short_name (List.hd benches));
   let grid_totals = run_grid ~platform ~scale ~quick ~rng (List.hd benches) in
   Printf.printf
     "\nGrid: %d landed (%d transient, %d recovered, %d hard); sdc = %d\n"
-    (landed_total grid_totals) grid_totals.transient grid_totals.recovered
-    grid_totals.hard grid_totals.sdc
+    (List.length grid_totals) (count Transient grid_totals) (recovered grid_totals)
+    (count Hard grid_totals) (sdc grid_totals)

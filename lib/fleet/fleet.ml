@@ -73,8 +73,6 @@ type slot = {
   mutable exit_status : int option;
 }
 
-let max_sim_ns = 2_000_000_000 (* same hang bound as Runtime *)
-
 (* Per-tenant entropy: two independent streams (runtime emulation rng,
    main-process OS entropy) keyed by (root seed, tid) only — never by
    global draw order — so admission interleaving cannot perturb a
@@ -160,10 +158,7 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
       (fun slot ->
         match slot.state with
         | Running coord when Coordinator.drained coord ->
-          slot.exit_status <-
-            (match E.state eng (Coordinator.main_pid coord) with
-            | E.Exited s -> Some s
-            | E.Runnable | E.Stopped -> None);
+          slot.exit_status <- E.exit_status eng (Coordinator.main_pid coord);
           (* Recovery snapshots outlive the drain point; releasing them
              here is what lets the engine reach zero live processes. *)
           Coordinator.release_recovery_state coord;
@@ -203,8 +198,8 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
   (* E.run returns whenever no live process remains, which in fleet
      mode is not the end: a staggered arrival may still be due. Step
      through the idle gap (ticks keep firing) and re-enter. *)
-  while (not (List.for_all settled slots)) && E.now_ns eng < max_sim_ns do
-    if E.live_processes eng > 0 then E.run ~max_ns:max_sim_ns eng
+  while (not (List.for_all settled slots)) && E.now_ns eng < Config.max_sim_ns do
+    if E.live_processes eng > 0 then E.run ~max_ns:Config.max_sim_ns eng
     else E.step_quantum eng;
     poll ()
   done;

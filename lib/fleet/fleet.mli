@@ -52,7 +52,7 @@ type report = {
   live_at_end : int;
       (** simulated processes still live when the fleet returned — 0
           unless a tenant was cut off at the simulation bound (the pid
-          teardown invariant the tests pin) *)
+          teardown clause of [Experiments.Oracle]) *)
 }
 
 val tenant_rngs : seed:int64 -> tid:int -> Util.Rng.t * Util.Rng.t
@@ -80,7 +80,7 @@ val run :
     tests use to arm a fault plan in exactly one tenant. Every tenant
     builds its own checker backend from its config, so any backend
     works. Returns when every tenant settled (completed, aborted or
-    rejected) or at the 2-simulated-second hang bound.
+    rejected) or at the hang bound, {!Parallaft.Config.max_sim_ns}.
     @raise Invalid_argument before anything runs if
     {!Parallaft.Config.validate} refuses [config] or any tenant's final
     config as a [Tenant] (a record log, or a RAFT config). *)

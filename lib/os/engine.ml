@@ -228,6 +228,10 @@ let proc t pid =
   | None -> invalid_arg (Printf.sprintf "Engine: unknown pid %d" pid)
 
 let state t pid = (proc t pid).state
+
+let exit_status t pid =
+  match (proc t pid).state with Exited s -> Some s | Runnable | Stopped -> None
+
 let cpu t pid = (proc t pid).cpu
 let aspace t pid = Machine.Cpu.aspace (proc t pid).cpu
 let core_of t pid = (proc t pid).core

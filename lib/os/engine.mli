@@ -145,6 +145,9 @@ val fork_process : t -> pid -> pid
     page) is charged to the parent as system time and stop latency. *)
 
 val state : t -> pid -> pstate
+val exit_status : t -> pid -> int option
+(** [Some s] once the process exited with status [s]. *)
+
 val cpu : t -> pid -> Machine.Cpu.t
 val aspace : t -> pid -> Mem.Address_space.t
 

@@ -160,11 +160,11 @@ let test_fault_grid_no_sdc () =
       ~rng:(Util.Rng.create ~seed:0x5A0CEL) bench
   in
   Printf.printf "sdc=%d transient=%d recovered=%d hard=%d benign=%d\n"
-    totals.FI.sdc totals.FI.transient totals.FI.recovered totals.FI.hard
-    totals.FI.benign;
-  Alcotest.(check int) "sdc = 0" 0 totals.FI.sdc;
-  Alcotest.(check bool) "transient >= 1" true (totals.FI.transient >= 1);
-  Alcotest.(check bool) "recovered >= 1" true (totals.FI.recovered >= 1)
+    (FI.sdc totals) (FI.count FI.Transient totals) (FI.recovered totals)
+    (FI.count FI.Hard totals) (FI.count FI.Benign totals);
+  Alcotest.(check int) "sdc = 0" 0 (FI.sdc totals);
+  Alcotest.(check bool) "transient >= 1" true (FI.count FI.Transient totals >= 1);
+  Alcotest.(check bool) "recovered >= 1" true (FI.recovered totals >= 1)
 
 let () =
   let tc = Alcotest.test_case in

@@ -11,6 +11,7 @@
    them on). *)
 
 module P = Parallaft
+module Oracle = Experiments.Oracle
 
 let tc = Alcotest.test_case
 
@@ -125,27 +126,21 @@ let solo_runs program =
       r
 
 let solo = solo_runs program
-let solo_hash tid = P.Stats.final_state_hash (solo tid).P.Runtime.stats
 
 let tenant f tid =
   List.find (fun (t : Fleet.tenant_report) -> t.Fleet.tid = tid) f.Fleet.tenants
 
-(* Every tenant completed and ended in its solo run's state, and the
-   fleet left no simulated process behind. *)
-let check_clean ~label ~solo_hash f =
+(* Tenant [tid]'s verdict against its solo run (the pid clause reads
+   the whole fleet's). *)
+let check_verdict ~label ~solo f tid want =
+  Fixtures.check_verdict (Printf.sprintf "%s: tenant %d" label tid) want
+    ~reference:(Oracle.Protected (solo tid)) (Oracle.Tenant (f, tenant f tid))
+
+let check_all_clean ~label ~solo f =
   List.iter
     (fun (t : Fleet.tenant_report) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: tenant %d completed" label t.Fleet.tid)
-        true
-        (t.Fleet.outcome = Fleet.Completed);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: tenant %d hash = solo" label t.Fleet.tid)
-        true
-        (t.Fleet.final_state_hash <> None
-        && t.Fleet.final_state_hash = solo_hash t.Fleet.tid))
-    f.Fleet.tenants;
-  Alcotest.(check int) (label ^ ": live_at_end") 0 f.Fleet.live_at_end
+      check_verdict ~label ~solo f t.Fleet.tid Oracle.Clean)
+    f.Fleet.tenants
 
 (* Fault isolation: a persistent checker-register flip armed in tenant 1
    only. Tenant 1 must detect it; every other tenant must see zero
@@ -185,24 +180,14 @@ let test_fault_isolation () =
       | None -> Alcotest.fail "bystander never admitted"
       | Some st ->
         Alcotest.(check int)
-          (Printf.sprintf "tenant %d recoveries" tid)
-          0 st.P.Stats.recoveries;
-        Alcotest.(check int)
           (Printf.sprintf "tenant %d hard faults" tid)
           0 st.P.Stats.hard_faults;
         Alcotest.(check int)
           (Printf.sprintf "tenant %d watchdog kills" tid)
           0 st.P.Stats.watchdog_kills);
-      Alcotest.(check bool)
-        (Printf.sprintf "tenant %d completed" tid)
-        true
-        (t.Fleet.outcome = Fleet.Completed);
-      Alcotest.(check bool)
-        (Printf.sprintf "tenant %d state unchanged" tid)
-        true
-        (t.Fleet.final_state_hash = solo_hash tid))
-    [ 0; 2; 3 ];
-  Alcotest.(check int) "no pids leaked" 0 f.Fleet.live_at_end
+      (* Clean: no rollback, and the state it reaches solo. *)
+      check_verdict ~label:"bystander" ~solo f tid Oracle.Clean)
+    [ 0; 2; 3 ]
 
 (* Admission-order determinism: batch admission, staggered arrivals
    through two admission slots, and the solo replay all give each
@@ -229,25 +214,9 @@ let test_admission_order_determinism () =
     Fleet.run ~max_tenants:2 ~arrival:(Fleet.Staggered 300_000) ~platform
       ~config:(config ()) ~programs ()
   in
-  List.iter
-    (fun tid ->
-      let b = tenant batch tid and s = tenant staggered tid in
-      Alcotest.(check bool)
-        (Printf.sprintf "tenant %d completed in both" tid)
-        true
-        (b.Fleet.outcome = Fleet.Completed && s.Fleet.outcome = Fleet.Completed);
-      Alcotest.(check bool)
-        (Printf.sprintf "tenant %d hash batch = staggered" tid)
-        true
-        (b.Fleet.final_state_hash <> None
-        && b.Fleet.final_state_hash = s.Fleet.final_state_hash);
-      Alcotest.(check bool)
-        (Printf.sprintf "tenant %d hash = solo" tid)
-        true
-        (b.Fleet.final_state_hash = solo_hash tid))
-    (List.init n Fun.id);
-  Alcotest.(check int) "batch pids" 0 batch.Fleet.live_at_end;
-  Alcotest.(check int) "staggered pids" 0 staggered.Fleet.live_at_end
+  (* Both end in each tenant's solo state, so in the same state. *)
+  check_all_clean ~label:"batch" ~solo batch;
+  check_all_clean ~label:"staggered" ~solo staggered
 
 (* A single-tenant fleet is just a protected run on the shared pool:
    same final state as Runtime.run_protected with the tenant streams. *)
@@ -256,11 +225,7 @@ let test_single_tenant_fleet_matches_run_protected () =
     Fleet.run ~max_tenants:1 ~platform ~config:(config ())
       ~programs:[ program ] ()
   in
-  let t = tenant f 0 in
-  Alcotest.(check bool) "completed" true (t.Fleet.outcome = Fleet.Completed);
-  Alcotest.(check bool)
-    "hash = run_protected" true
-    (t.Fleet.final_state_hash = solo_hash 0)
+  check_verdict ~label:"= run_protected" ~solo f 0 Oracle.Clean
 
 (* Rollback resets a tenant like a fresh admission. A one-shot checker
    fault in tenant 0 fails segment 1 (mid-run) or segment 3 (the last,
@@ -270,7 +235,6 @@ let test_single_tenant_fleet_matches_run_protected () =
    no flag of the discarded execution survives it. *)
 let gcc = detimed "403.gcc" ~scale:0.5
 let gcc_solo = solo_runs gcc
-let gcc_solo_hash tid = P.Stats.final_state_hash (gcc_solo tid).P.Runtime.stats
 
 let test_rollback_resets_tenant () =
   Alcotest.(check int)
@@ -299,7 +263,11 @@ let test_rollback_resets_tenant () =
           ~programs:(List.init tenants (fun _ -> gcc))
           ()
       in
-      check_clean ~label ~solo_hash:gcc_solo_hash f;
+      List.iter
+        (fun tid ->
+          check_verdict ~label ~solo:gcc_solo f tid
+            (if tid = 0 then Oracle.Recovered else Oracle.Clean))
+        (List.init tenants Fun.id);
       match (tenant f 0).Fleet.stats with
       | None -> Alcotest.fail "faulted tenant never admitted"
       | Some st ->
@@ -364,7 +332,7 @@ let test_profile_drains () =
 let test_backends () =
   List.iter
     (fun (label, backend) ->
-      check_clean ~label ~solo_hash
+      check_all_clean ~label ~solo
         (Fleet.run ~max_tenants:n ~platform
            ~config:{ (config ()) with P.Config.backend }
            ~programs ()))
@@ -402,21 +370,7 @@ let test_raft_refused () =
    every schedule ends in the same state. *)
 let testing = Platform.testing
 
-let deterministic_program =
-  Workloads.Codegen.generate ~name:"det" ~seed:21L
-    ~page_size:testing.Platform.page_size
-    {
-      Workloads.Codegen.pattern =
-        Workloads.Codegen.Chase { pages = 12; hot_pages = 4; cold_every = 2 };
-      alu_per_mem = 3;
-      store_every = 2;
-      outer_iters = 30;
-      inner_iters = 40;
-      io_every = 3;
-      gettime_every = 0;
-      rdtsc_every = 0;
-      mmap_churn = false;
-    }
+let deterministic_program = Experiments.Exp_backends.program
 
 (* Migration never picks a dead checker. Under remote-backend chaos a
    checker killed on its little core stays in the pool's running list
@@ -452,20 +406,14 @@ let test_migration_skips_dead_checkers () =
     P.Runtime.run_protected ~platform:testing ~config:base
       ~program:deterministic_program ~rng ~prng ()
   in
-  let t = tenant f 0 in
-  Alcotest.(check bool) "completed" true (t.Fleet.outcome = Fleet.Completed);
-  (match t.Fleet.stats with
+  check_verdict ~label:"vs the fault-free solo run" ~solo:(fun _ -> fault_free) f
+    0 Oracle.Clean;
+  (match (tenant f 0).Fleet.stats with
   | None -> Alcotest.fail "tenant never admitted"
   | Some st ->
     Alcotest.(check int) "every segment verified" st.P.Stats.segments_total
       f.Fleet.segments_verified);
-  Alcotest.(check int) "segments verified" 23 f.Fleet.segments_verified;
-  Alcotest.(check int) "live_at_end" 0 f.Fleet.live_at_end;
-  Alcotest.(check bool)
-    "hash = fault-free solo run" true
-    (t.Fleet.final_state_hash <> None
-    && t.Fleet.final_state_hash
-       = P.Stats.final_state_hash fault_free.P.Runtime.stats)
+  Alcotest.(check int) "segments verified" 23 f.Fleet.segments_verified
 
 (* Bare pools on the testing platform (migration off), with stopped
    checker processes that the test hands to the pool directly. The

@@ -382,33 +382,8 @@ let test_export_bytes_pinned () =
 
    Checkers torn down by recover/abort_run never reach finish_checker;
    the coordinator must still close their "check" (and the in-flight
-   "segment") Begin spans, or Perfetto renders dangling spans. Walk the
-   event stream per track and require strict Begin/End stack discipline
-   with nothing left open at the end. *)
-
-let assert_spans_balanced sink =
-  let stacks : (Obs.Trace.track, string list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let stack =
-        Option.value (Hashtbl.find_opt stacks e.Obs.Trace.track) ~default:[]
-      in
-      match e.Obs.Trace.phase with
-      | Obs.Trace.Begin ->
-        Hashtbl.replace stacks e.Obs.Trace.track (e.Obs.Trace.name :: stack)
-      | Obs.Trace.End -> (
-        match stack with
-        | top :: rest when top = e.Obs.Trace.name ->
-          Hashtbl.replace stacks e.Obs.Trace.track rest
-        | _ -> Alcotest.fail ("unmatched End event: " ^ e.Obs.Trace.name))
-      | Obs.Trace.Instant | Obs.Trace.Counter -> ())
-    (Obs.Trace.events sink.Obs.Sink.trace);
-  Hashtbl.iter
-    (fun _ stack ->
-      match stack with
-      | [] -> ()
-      | name :: _ -> Alcotest.fail ("dangling Begin span: " ^ name))
-    stacks
+   "segment") Begin spans, or Perfetto renders dangling spans:
+   [Fixtures.assert_spans_balanced] walks the event stream per track. *)
 
 let has_torn_down sink =
   List.exists
@@ -424,7 +399,7 @@ let teardown_fault_plan =
 let test_abort_closes_spans () =
   let r, sink = run_with_sink ~fault_plan:teardown_fault_plan () in
   Alcotest.(check bool) "run aborted" true r.Parallaft.Runtime.aborted;
-  assert_spans_balanced sink;
+  Fixtures.assert_spans_balanced sink;
   Alcotest.(check bool) "torn-down close emitted" true (has_torn_down sink)
 
 let test_recovery_closes_spans () =
@@ -434,7 +409,7 @@ let test_recovery_closes_spans () =
   Alcotest.(check bool) "rolled back" true
     (r.Parallaft.Runtime.stats.Parallaft.Stats.recoveries >= 1);
   Alcotest.(check bool) "run not aborted" false r.Parallaft.Runtime.aborted;
-  assert_spans_balanced sink;
+  Fixtures.assert_spans_balanced sink;
   Alcotest.(check bool) "torn-down close emitted" true (has_torn_down sink)
 
 let test_recheck_spans_balanced () =
@@ -448,7 +423,7 @@ let test_recheck_spans_balanced () =
   Alcotest.(check bool) "resolved transient, run completed" true
     (r.Parallaft.Runtime.stats.Parallaft.Stats.transient_faults >= 1
     && r.Parallaft.Runtime.exit_status = Some 0);
-  assert_spans_balanced sink;
+  Fixtures.assert_spans_balanced sink;
   let names = event_names sink in
   Alcotest.(check bool) "recheck event present" true (List.mem "recheck" names);
   Alcotest.(check bool) "transient resolution event present" true

@@ -2,6 +2,8 @@
    replay (no false positives), exactly-once external effects, fault
    detection, timeout kill, RAFT mode, and the scheduler/pacer. *)
 
+module Oracle = Experiments.Oracle
+
 let platform = Platform.testing
 
 let parallaft_cfg ?slice_period () =
@@ -46,21 +48,7 @@ let mmap_program ?(outer = 20) () =
 (* Like [busy_program] but with no time queries: its output is a pure
    function of the program, so baseline and protected outputs must be
    byte-identical. *)
-let deterministic_program ?(outer = 30) () =
-  Workloads.Codegen.generate ~name:"det" ~seed:21L
-    ~page_size:platform.Platform.page_size
-    {
-      Workloads.Codegen.pattern =
-        Workloads.Codegen.Chase { pages = 12; hot_pages = 4; cold_every = 2 };
-      alu_per_mem = 3;
-      store_every = 2;
-      outer_iters = outer;
-      inner_iters = 40;
-      io_every = 3;
-      gettime_every = 0;
-      rdtsc_every = 0;
-      mmap_churn = false;
-    }
+let deterministic_program = Experiments.Exp_backends.program
 
 let run_protected ?(config = parallaft_cfg ~slice_period:20_000 ()) ?seed program =
   Parallaft.Runtime.run_protected ?seed ~platform ~config ~program ()
@@ -90,19 +78,18 @@ let test_no_false_positives () =
     r.stats.Parallaft.Stats.segments_compared
 
 let test_output_identical_and_once () =
-  let program = deterministic_program () in
-  let b = run_baseline program in
-  let r = run_protected program in
-  check_clean r;
+  let b = run_baseline deterministic_program in
+  let r = run_protected deterministic_program in
   Alcotest.(check (option int)) "baseline clean exit" (Some 0) b.exit_status;
   Alcotest.(check bool) "baseline produced output" true (String.length b.output > 0);
-  Alcotest.(check string) "output identical, written exactly once" b.output r.output
+  Fixtures.check_verdict "output identical, written exactly once" Oracle.Clean
+    ~reference:(Oracle.Baseline b) (Oracle.Protected r)
 
 let test_output_identical_under_raft () =
-  let program = deterministic_program () in
-  let b = run_baseline program in
-  let r = run_protected ~config:(raft_cfg ()) program in
-  Alcotest.(check string) "RAFT output identical" b.output r.output;
+  let b = run_baseline deterministic_program in
+  let r = run_protected ~config:(raft_cfg ()) deterministic_program in
+  Fixtures.check_verdict "RAFT output identical" Oracle.Clean
+    ~reference:(Oracle.Baseline b) (Oracle.Protected r);
   Alcotest.(check (option int)) "clean exit" (Some 0) r.exit_status;
   Alcotest.(check int) "RAFT does not slice" 0 r.stats.Parallaft.Stats.nr_slices;
   Alcotest.(check int) "RAFT never compares state" 0
@@ -230,9 +217,9 @@ let test_all_register_flips_classified () =
     match r.stats.Parallaft.Stats.fi_outcome with
     | Some Parallaft.Detection.Benign ->
       (* Benign means the run finished with the correct output. *)
-      Alcotest.(check string)
+      Fixtures.check_verdict
         (Printf.sprintf "r%d benign implies correct output" reg)
-        baseline.output r.output
+        Oracle.Clean ~reference:(Oracle.Protected baseline) (Oracle.Protected r)
     | Some _ -> ()
     | None -> () (* checker finished before the injection; acceptable here *)
   done
@@ -277,7 +264,8 @@ let test_determinism_of_protected_runs () =
   let r1 = run_protected ~seed:5L program in
   let r2 = run_protected ~seed:5L program in
   Alcotest.(check int) "same wall time" r1.wall_ns r2.wall_ns;
-  Alcotest.(check string) "same output" r1.output r2.output;
+  Fixtures.check_verdict "same output" Oracle.Clean
+    ~reference:(Oracle.Protected r1) (Oracle.Protected r2);
   Alcotest.(check int) "same segment count"
     r1.stats.Parallaft.Stats.segments_total r2.stats.Parallaft.Stats.segments_total
 
@@ -457,7 +445,6 @@ let test_transient_recheck_no_rollback () =
   (* Time-free workload: the re-dispatch shifts wall-clock timing for
      the rest of the run, which would feed a gettime-using workload's
      output. *)
-  let program = deterministic_program () in
   let config fault_plan =
     {
       (parallaft_cfg ~slice_period:20_000 ()) with
@@ -466,7 +453,7 @@ let test_transient_recheck_no_rollback () =
       fault_plan;
     }
   in
-  let clean = run_protected ~config:(config None) program in
+  let clean = run_protected ~config:(config None) deterministic_program in
   let r =
     run_protected
       ~config:
@@ -474,16 +461,15 @@ let test_transient_recheck_no_rollback () =
            (Some
               (Fault.checker_register ~segment:1 ~delay_instructions:60 ~reg:13
                  ~bit:6)))
-      program
+      deterministic_program
   in
   Alcotest.(check bool) "re-check dispatched" true
     (r.stats.Parallaft.Stats.rechecks >= 1);
   Alcotest.(check bool) "resolved transient" true
     (r.stats.Parallaft.Stats.transient_faults >= 1);
-  Alcotest.(check int) "no rollback" 0 r.stats.Parallaft.Stats.recoveries;
-  Alcotest.(check bool) "not aborted" false r.aborted;
   Alcotest.(check (option int)) "clean exit" (Some 0) r.exit_status;
-  Alcotest.(check string) "output untouched" clean.output r.output;
+  Fixtures.check_verdict "no rollback, output untouched" Oracle.Clean
+    ~reference:(Oracle.Protected clean) (Oracle.Protected r);
   (match r.stats.Parallaft.Stats.fi_outcome with
   | Some (Parallaft.Detection.Transient_checker_fault _) -> ()
   | o ->
@@ -653,23 +639,20 @@ let qcheck_main_fault_rollback_exact =
       if reference.exit_status <> Some 0 then
         QCheck.Test.fail_report "reference run did not exit cleanly";
       let r = run_protected ~config:(config (Some plan)) program in
-      if r.aborted || r.exit_status <> Some 0 then true
-        (* recovery budget exhausted: a loud failure, not an exactness
-           violation *)
-      else
-        match
-          ( Parallaft.Stats.final_state_hash r.stats,
-            Parallaft.Stats.final_state_hash reference.stats )
-        with
-        | Some got, Some want when got = want -> true
-        | Some _, Some _ ->
-          QCheck.Test.fail_reportf
-            "final state diverged from fault-free run (recoveries=%d, fi=%s)"
-            r.stats.Parallaft.Stats.recoveries
-            (match r.stats.Parallaft.Stats.fi_outcome with
-            | Some o -> Parallaft.Detection.outcome_to_string o
-            | None -> "none")
-        | _ -> QCheck.Test.fail_report "final state hash missing")
+      match Oracle.judge ~reference:(Oracle.Protected reference) (Oracle.Protected r) with
+      | Oracle.Clean | Oracle.Recovered | Oracle.Fail_stop -> true
+      (* A run that ends without the reference's exit status exhausted
+         its recovery budget: a loud failure, not an exactness
+         violation. The property pins the final state, not the
+         output. *)
+      | Oracle.Violation (Oracle.Unsettled | Oracle.Exit_status | Oracle.Output) ->
+        true
+      | Oracle.Violation _ as v ->
+        QCheck.Test.fail_reportf "%s (recoveries=%d, fi=%s)" (Oracle.to_string v)
+          r.stats.Parallaft.Stats.recoveries
+          (match r.stats.Parallaft.Stats.fi_outcome with
+          | Some o -> Parallaft.Detection.outcome_to_string o
+          | None -> "none"))
 
 let test_file_backed_mmap_splits_segment () =
   (* A file-backed private mmap must be placed outside any segment

@@ -84,12 +84,11 @@ let test_sweep_differential () =
     Printf.printf
       "(single/dual-core host: skipping the speedup assertion)\n%!"
 
-let tally_to_string (t : Experiments.Exp_fault_injection.tally) =
+let tally_to_string t =
+  let module FI = Experiments.Exp_fault_injection in
   Printf.sprintf "detected=%d exception=%d timeout=%d benign=%d"
-    t.Experiments.Exp_fault_injection.detected
-    t.Experiments.Exp_fault_injection.exception_
-    t.Experiments.Exp_fault_injection.timeout
-    t.Experiments.Exp_fault_injection.benign
+    (FI.count FI.Detected t) (FI.count FI.Exception t) (FI.count FI.Timeout t)
+    (FI.count FI.Benign t)
 
 let campaign_at jobs =
   Util.Pool.set_jobs jobs;

@@ -556,45 +556,8 @@ let record_run ?fault_plan ?(recheck = false) dir =
   in
   Parallaft.Runtime.run_protected ~platform ~config ~program:(busy_program ()) ()
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  close_in ic;
-  b
-
-let load_log dir =
-  let ok what = function
-    | Ok v -> v
-    | Error e -> Alcotest.failf "%s: %s" what (Seglog.Codec.error_to_string e)
-  in
-  let manifest =
-    ok "manifest" (Seglog.Reader.manifest (read_file (Filename.concat dir "manifest.plog")))
-  in
-  ok "fingerprint" (Seglog.Reader.validate_fingerprint manifest);
-  let reader =
-    Seglog.Reader.create
-      ~config_digest:manifest.Seglog.Record.header.Seglog.Record.config_digest
-  in
-  let segments =
-    List.map
-      (fun id ->
-        ok
-          (Printf.sprintf "segment %d" id)
-          (Seglog.Reader.segment reader
-             (read_file (Filename.concat dir (Parallaft.Seglog_io.segment_file_name id)))))
-      manifest.Seglog.Record.segments
-  in
-  (manifest, segments)
-
-(* Under the dune sandbox cwd is scratch, but the suite can also be run
-   directly from the repo root — keep the recorded logs out of the tree. *)
-let e2e_dir leg =
-  Filename.concat (Filename.get_temp_dir_name ()) ("parallaft_test_" ^ leg)
-
 let offline_matches_clean_run () =
-  let dir = e2e_dir "seglog_e2e_clean" in
+  let dir = Fixtures.e2e_dir "seglog_e2e_clean" in
   let r = record_run dir in
   Alcotest.(check (list reject)) "no live detections" []
     (List.map snd r.Parallaft.Runtime.detections);
@@ -608,7 +571,7 @@ let offline_matches_clean_run () =
     Alcotest.(check bool) ("compression ratio " ^ ratio ^ " > 1.0") true
       (float_of_string ratio > 1.0)
   | None -> Alcotest.fail "no seglog.compression_ratio row");
-  let manifest, segments = load_log dir in
+  let manifest, segments = Fixtures.load_log dir in
   match Parallaft.Offline.replay ~manifest ~segments with
   | Error e -> Alcotest.failf "offline replay: %s" e
   | Ok (Parallaft.Offline.Diverged d) ->
@@ -624,7 +587,7 @@ let offline_matches_clean_run () =
       final_hash_matches
 
 let offline_matches_fault_verdict () =
-  let dir = e2e_dir "seglog_e2e_fault" in
+  let dir = Fixtures.e2e_dir "seglog_e2e_fault" in
   let fault_plan =
     Some
       { Fault.segment = 2;
@@ -636,7 +599,7 @@ let offline_matches_fault_verdict () =
   let r = record_run ?fault_plan dir in
   let live_segments = List.map fst r.Parallaft.Runtime.detections in
   Alcotest.(check bool) "live run detected the fault" true (live_segments <> []);
-  let manifest, segments = load_log dir in
+  let manifest, segments = Fixtures.load_log dir in
   match Parallaft.Offline.replay ~manifest ~segments with
   | Error e -> Alcotest.failf "offline replay: %s" e
   | Ok (Parallaft.Offline.Verified _) ->
@@ -662,11 +625,11 @@ let offline_verdict_parity () =
           (if repeat then "repeat" else "oneshot")
           (if recheck then "recheck" else "plain")
       in
-      let dir = e2e_dir ("seglog_parity_" ^ leg) in
+      let dir = Fixtures.e2e_dir ("seglog_parity_" ^ leg) in
       let r = record_run ~fault_plan:plan ~recheck dir in
       let live = List.map fst r.Parallaft.Runtime.detections in
       if live <> [] then incr detected;
-      let manifest, segments = load_log dir in
+      let manifest, segments = Fixtures.load_log dir in
       match (Parallaft.Offline.replay ~manifest ~segments, live) with
       | Error e, _ -> Alcotest.failf "%s: offline replay: %s" leg e
       | Ok (Parallaft.Offline.Verified _), [] -> ()
@@ -690,9 +653,9 @@ let offline_verdict_parity () =
 (* A divergence the replay kernel finds offline is reported exactly as
    the live checker would classify it. *)
 let offline_reason_from_kernel () =
-  let dir = e2e_dir "seglog_e2e_tampered" in
+  let dir = Fixtures.e2e_dir "seglog_e2e_tampered" in
   ignore (record_run dir);
-  let manifest, segments = load_log dir in
+  let manifest, segments = Fixtures.load_log dir in
   let first_sys (s : Seglog.Record.segment) =
     List.find_map
       (function Seglog.Record.Sys r -> Some r | _ -> None)

@@ -7,7 +7,7 @@ let page_size = platform.Platform.page_size
 let run_program ?(seed = 3L) program =
   let eng = Sim_os.Engine.create ~platform ~seed () in
   let pid = Sim_os.Engine.spawn eng ~program ~core:0 () in
-  Sim_os.Engine.run ~max_ns:2_000_000_000 eng;
+  Sim_os.Engine.run ~max_ns:Parallaft.Config.max_sim_ns eng;
   (eng, pid)
 
 let exit_status eng pid =
@@ -147,7 +147,7 @@ let test_micro_sigusr1 () =
       | Sim_os.Engine.Exited _ -> ()
       | Sim_os.Engine.Runnable | Sim_os.Engine.Stopped ->
         Sim_os.Engine.send_signal eng pid Sim_os.Sig_num.sigusr1);
-  Sim_os.Engine.run ~max_ns:2_000_000_000 eng;
+  Sim_os.Engine.run ~max_ns:Parallaft.Config.max_sim_ns eng;
   Alcotest.(check int) "exits 0 after 2 signals" 0 (exit_status eng pid)
 
 let test_micro_hello () =
@@ -173,7 +173,7 @@ let test_stream_dirties_many_pages () =
   let eng = Sim_os.Engine.create ~platform ~seed:1L () in
   let pid = Sim_os.Engine.spawn eng ~program ~core:0 () in
   (* Clear dirty bits shortly after start, then let it run and count. *)
-  Sim_os.Engine.run ~max_ns:2_000_000_000 eng;
+  Sim_os.Engine.run ~max_ns:Parallaft.Config.max_sim_ns eng;
   ignore pid;
   let copies = Mem.Frame.copies (Sim_os.Engine.frame_allocator eng) in
   (* No forks happened, so no COW; instead validate via allocator totals. *)
