@@ -29,7 +29,6 @@ type t = {
   migration : bool;
   dvfs_pacing : bool;
   dirty_backend : dirty_backend;
-  main_core : int;
   fault_plan : Fault.plan option;
   recovery : bool;
   recheck_on_mismatch : bool;
@@ -147,7 +146,6 @@ let parallaft ~platform ?slice_period () =
     migration = true;
     dvfs_pacing = true;
     dirty_backend = backend_of_platform platform;
-    main_core = 0;
     fault_plan = None;
     recovery = false;
     recheck_on_mismatch = false;
@@ -168,7 +166,6 @@ let raft ~platform () =
     migration = false;
     dvfs_pacing = false;
     dirty_backend = backend_of_platform platform;
-    main_core = 0;
     fault_plan = None;
     recovery = false;
     recheck_on_mismatch = false;

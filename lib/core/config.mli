@@ -61,7 +61,6 @@ type t = {
                          little cores run out (§4.5) *)
   dvfs_pacing : bool;  (** scale the little cluster's DVFS point *)
   dirty_backend : dirty_backend;
-  main_core : int;
   fault_plan : Fault.plan option;
       (** inject one fault into this run, at any of the {!Fault.target}
           classes (§5.6 generalized; DESIGN.md §13) *)

@@ -139,25 +139,25 @@ let create ?rng ?prng ?fleet ?seglog eng cfg ~program =
   (* The run's checker pool: a fleet tenant joins the fleet's shared
      pool, whose pacer Fleet.run drives; a standalone run is the only
      tenant of a private pool and drives its pacer below. *)
-  let pool, tid =
+  let pool, tid, main_core =
     match fleet with
     | Some shared -> shared
-    | None -> (Core_pool.create Core_pool.Private eng cfg, 0)
+    | None -> (Core_pool.create Core_pool.Private eng cfg, 0, 0)
   in
   (* The pool reads the run's own stats and main flags: it keeps no
      copy. *)
   let stats = Stats.create () in
   let t =
-    Run_ctx.create ?rng ?seglog ~pool ~tid ~stats
+    Run_ctx.create ?rng ?seglog ~pool ~tid ~main_core ~stats
       ~backend:(Checker_backend.create cfg) eng cfg
   in
-  Core_pool.register_tenant pool ~tid ~stats ~main_core:cfg.Config.main_core
+  Core_pool.register_tenant pool ~tid ~stats ~main_core
     ~main_exited:(fun () -> t.Run_ctx.main_exited)
     ~main_held:(fun () -> t.Run_ctx.pending_boundary);
   let fault_poll = runtime_fault_poll t in
   let poll_faults = Option.value fault_poll ~default:ignore in
   let tracer _ pid ev = handle_event t ~fault_poll:poll_faults pid ev in
-  let main = E.spawn eng ~tracer ?prng ~program ~core:cfg.Config.main_core () in
+  let main = E.spawn eng ~tracer ?prng ~program ~core:main_core () in
   t.Run_ctx.main <- main;
   Hashtbl.replace t.Run_ctx.roles main Run_ctx.Main_role;
   E.suspend eng main;

@@ -23,27 +23,27 @@ type t
 val create :
   ?rng:Util.Rng.t ->
   ?prng:Util.Rng.t ->
-  ?fleet:Core_pool.t * int ->
+  ?fleet:Core_pool.t * int * int ->
   ?seglog:Seglog_io.out ->
   Sim_os.Engine.t ->
   Config.t ->
   program:Isa.Program.t ->
   t
-(** Spawns the traced main process (pinned to [cfg.main_core]), forks
+(** Spawns the traced main process (pinned to its main core), forks
     the first checker, arms the slicer, and registers the periodic
     polls.
 
     Without [?fleet], the run is the only tenant of a private
-    {!Core_pool} and registers that pool's pacer tick; the engine must
-    be freshly usable and multiple coordinators on one engine are
-    unsupported. With [?fleet:(pool, tid)] the run becomes tenant
-    [tid] of the fleet's shared pool, whose pacer the fleet drives (N
-    coordinators then share one engine, each on its own reserved main
-    core). [rng] seeds the runtime's emulation stream (rdrand results,
-    recheck jitter) and [prng] the main process's private OS entropy
-    (ASLR, getrandom) — the fleet derives both per tenant from the root
-    seed so each tenant's run is reproducible regardless of admission
-    interleaving.
+    {!Core_pool}, its main runs on core 0, and it registers that pool's
+    pacer tick; the engine must be freshly usable and multiple
+    coordinators on one engine are unsupported. With [?fleet:(pool,
+    tid, main_core)] the run becomes tenant [tid] of the fleet's shared
+    pool, whose pacer the fleet drives (N coordinators then share one
+    engine, each main on its reserved [main_core]). [rng] seeds the
+    runtime's emulation stream (rdrand results, recheck jitter) and
+    [prng] the main process's private OS entropy (ASLR, getrandom) —
+    the fleet derives both per tenant from the root seed so each
+    tenant's run is reproducible regardless of admission interleaving.
     [seglog] is an open [--record-log] output: the recorder persists
     every finished segment into it ([Runtime] owns creation and the
     final manifest); without it the persistence hooks are no-ops. *)

@@ -149,6 +149,6 @@ let recover t =
     t.verified_prefix <- t.next_id - 1;
     Hashtbl.replace t.roles snap Main_role;
     t.main <- snap;
-    E.set_core t.eng snap ~core:t.cfg.Config.main_core;
+    E.set_core t.eng snap ~core:t.main_core;
     Core_pool.flush_tenant t.pool ~tid:t.tid;
     true

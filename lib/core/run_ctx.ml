@@ -17,9 +17,11 @@ type t = {
   cfg : Config.t;
   stats : Stats.t;
   (* The checker pool the run is a tenant of, under this tenant id: a
-     private pool of its own, or a fleet's shared one. *)
+     private pool of its own, or a fleet's shared one; and the big core
+     the pool reserves for the main process. *)
   pool : Core_pool.t;
   tid : int;
+  main_core : int;
   backend : backend;
   (* The open --record-log output, opened by Runtime before the run;
      None leaves the recorder's persistence hooks no-ops (the
@@ -75,13 +77,14 @@ and backend = {
   poll : t -> unit;
 }
 
-let create ?rng ?seglog ~pool ~tid ~stats ~backend eng cfg =
+let create ?rng ?seglog ~pool ~tid ~main_core ~stats ~backend eng cfg =
   {
     eng;
     cfg;
     stats;
     pool;
     tid;
+    main_core;
     backend;
     seglog;
     rng =
@@ -130,7 +133,7 @@ let record_detection t seg outcome =
       ]
     "detection"
 
-let main_track t = Obs.Trace.Core t.cfg.Config.main_core
+let main_track t = Obs.Trace.Core t.main_core
 
 (* ------------------------------------------------------------------ *)
 (* Simulated-cost charging                                              *)

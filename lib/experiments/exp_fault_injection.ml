@@ -11,8 +11,9 @@
    a fault-free reference run of the same configuration: its final
    main-process state (register file + memory image hash) and output
    are compared, so "no silent data corruption" is measured, not
-   assumed — a run that looks clean but ends in a different state
-   counts in the [sdc] column.
+   assumed — a run that breaks any oracle clause (a run that looks
+   clean but ends in a different state, among others) counts in the
+   [sdc] column.
 
    Parallelism and determinism: the campaign pre-draws every candidate
    plan (a fixed number of RNG draws, so the stream position after a
@@ -58,12 +59,12 @@ let count col = count_if (fun (o, _) -> column o = col)
 (* Rolled back, and still finished in the reference state. *)
 let recovered = count_if (fun (_, v) -> v = Oracle.Recovered)
 
-(* Silent data corruption: a run that exits as the reference did but
-   ends in another state or output. One that exits with another status
-   is neither recovered nor SDC. *)
+(* Silent data corruption: any broken oracle clause. *)
 let sdc =
   count_if (fun (_, v) ->
-      v = Oracle.Violation Oracle.Final_state || v = Oracle.Violation Oracle.Output)
+      match v with
+      | Oracle.Violation _ -> true
+      | Oracle.Clean | Oracle.Recovered | Oracle.Fail_stop -> false)
 
 let config_for ~platform ~recovery ~recheck plan_opt =
   {

@@ -69,14 +69,13 @@ type sampler = {
 
 let mean_of s = if s.n = 0 then 0.0 else s.sum /. float_of_int s.n
 
-let run_program ?(seed = 42L) ?obs ~platform ~mode program =
+let run_program ?(seed = 42L) ~platform ~mode program =
   match mode with
   | Baseline ->
     let sampler = { sum = 0.0; n = 0 } in
     let b =
       Parallaft.Runtime.run_baseline ~seed ~platform ~program
         ~before_run:(fun eng pid ->
-          (match obs with Some s -> Sim_os.Engine.set_obs eng s | None -> ());
           Sim_os.Engine.add_tick eng ~every_ns:pss_sample_period_ns (fun eng ->
               match Sim_os.Engine.state eng pid with
               | Sim_os.Engine.Exited _ -> ()
@@ -98,11 +97,6 @@ let run_program ?(seed = 42L) ?obs ~platform ~mode program =
     }
   | Protected config ->
     let sampler = { sum = 0.0; n = 0 } in
-    let config =
-      match obs with
-      | Some s -> { config with Parallaft.Config.obs = Some s }
-      | None -> config
-    in
     let r =
       Parallaft.Runtime.run_protected ~seed ~platform ~config ~program
         ~before_run:(fun eng coord ->
@@ -133,15 +127,14 @@ let run_program ?(seed = 42L) ?obs ~platform ~mode program =
       outputs_ok = r.Parallaft.Runtime.exit_status = Some 0;
     }
 
-let run_benchmark ?(seed = 42L) ?obs ~platform ~mode ~scale bench =
+let run_benchmark ?(seed = 42L) ~platform ~mode ~scale bench =
   let programs =
     Workloads.Spec.programs bench ~page_size:platform.Platform.page_size ~scale
   in
   List.fold_left
     (fun (i, acc) program ->
       let m =
-        run_program ~seed:(Int64.add seed (Int64.of_int i)) ?obs ~platform ~mode
-          program
+        run_program ~seed:(Int64.add seed (Int64.of_int i)) ~platform ~mode program
       in
       (i + 1, combine acc m))
     (0, zero) programs
@@ -149,16 +142,3 @@ let run_benchmark ?(seed = 42L) ?obs ~platform ~mode ~scale bench =
 
 let overhead_pct ~baseline ~measured =
   Util.Stats.percentage_overhead ~baseline:baseline.wall_ns ~measured:measured.wall_ns
-
-let scale_from_env () =
-  match Sys.getenv_opt "PARALLAFT_SCALE" with
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some f when f > 0.0 -> f
-    | Some _ | None -> 1.0)
-  | None -> 1.0
-
-let quick_from_env () =
-  match Sys.getenv_opt "PARALLAFT_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false

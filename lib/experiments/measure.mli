@@ -30,21 +30,16 @@ type metrics = {
 
 val run_benchmark :
   ?seed:int64 ->
-  ?obs:Obs.Sink.t ->
   platform:Platform.t ->
   mode:mode ->
   scale:float ->
   Workloads.Spec.t ->
   metrics
-(** Run every input of the benchmark under [mode], summing metrics.
-    [obs] attaches an observability sink to the run (the engine for
-    baseline runs, the runtime config for protected ones). A sink is
-    not domain-safe: parallel callers ([Suite.sweep]) give each task a
-    private sink and merge after the join. *)
+(** Run every input of the benchmark under [mode], summing metrics. A
+    protected run writes to its config's [obs] sink, if any. *)
 
 val run_program :
   ?seed:int64 ->
-  ?obs:Obs.Sink.t ->
   platform:Platform.t ->
   mode:mode ->
   Isa.Program.t ->
@@ -54,9 +49,3 @@ val run_program :
 val overhead_pct : baseline:metrics -> measured:metrics -> float
 (** Percentage wall-time overhead; protected wall includes checker
     drain. *)
-
-val scale_from_env : unit -> float
-(** [PARALLAFT_SCALE] (default 1.0): multiplies workload sizes. *)
-
-val quick_from_env : unit -> bool
-(** [PARALLAFT_QUICK=1] trims benchmark sets for fast smoke runs. *)

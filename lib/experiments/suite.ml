@@ -19,43 +19,20 @@ let cache_mutex = Mutex.create ()
 (* One benchmark = one pool task: three whole seeded runs, no state
    shared with any other benchmark, so fanning the list out over
    domains returns bit-identical rows for every pool width (enforced
-   differentially by test_parallel). When the caller passes [obs], each
-   task records into a private sink — sinks are not domain-safe — and
-   the per-task sinks are merged into [obs] in benchmark order after
-   the join, keeping even the trace independent of domain scheduling. *)
-let sweep ?obs ~platform ~scale ~quick () =
-  let benches = benchmarks ~quick in
-  let tasks =
-    Util.Pool.map
-      (fun bench ->
-        Obs.Log.progress "  [sweep %s] %s..." platform.Platform.name
-          bench.Workloads.Spec.name;
-        let task_obs =
-          Option.map
-            (fun (parent : Obs.Sink.t) ->
-              let s = Obs.Sink.create () in
-              (* Profiling is opt-in on the caller's sink; each private
-                 task sink must inherit the choice or the merged profile
-                 would silently stay empty. *)
-              if Obs.Profile.enabled parent.Obs.Sink.profile then
-                Obs.Profile.set_enabled s.Obs.Sink.profile true;
-              s)
-            obs
-        in
-        let run mode = Measure.run_benchmark ?obs:task_obs ~platform ~mode ~scale bench in
-        let baseline = run Measure.Baseline in
-        let parallaft =
-          run (Measure.Protected (Parallaft.Config.parallaft ~platform ()))
-        in
-        let raft = run (Measure.Protected (Parallaft.Config.raft ~platform ())) in
-        ({ bench; baseline; parallaft; raft }, task_obs))
-      benches
-  in
-  (match obs with
-  | Some sink ->
-    Obs.Sink.merge_into sink (List.filter_map (fun (_, s) -> s) tasks)
-  | None -> ());
-  List.map fst tasks
+   differentially by test_parallel). *)
+let sweep ~platform ~scale ~quick =
+  Util.Pool.map
+    (fun bench ->
+      Obs.Log.progress "  [sweep %s] %s..." platform.Platform.name
+        bench.Workloads.Spec.name;
+      let run mode = Measure.run_benchmark ~platform ~mode ~scale bench in
+      let baseline = run Measure.Baseline in
+      let parallaft =
+        run (Measure.Protected (Parallaft.Config.parallaft ~platform ()))
+      in
+      let raft = run (Measure.Protected (Parallaft.Config.raft ~platform ())) in
+      { bench; baseline; parallaft; raft })
+    (benchmarks ~quick)
 
 let get ~platform ~scale ~quick =
   let key = (platform.Platform.name, scale, quick) in
@@ -69,7 +46,7 @@ let get ~platform ~scale ~quick =
        itself fan out over the pool. Harnesses request distinct keys
        sequentially, so a duplicated sweep (two domains racing on one
        key) costs only wasted work, never an inconsistent table. *)
-    let rows = sweep ~platform ~scale ~quick () in
+    let rows = sweep ~platform ~scale ~quick in
     Mutex.protect cache_mutex (fun () ->
         match Hashtbl.find_opt cache key with
         | Some rows -> rows

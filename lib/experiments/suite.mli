@@ -18,13 +18,7 @@ val get : platform:Platform.t -> scale:float -> quick:bool -> row list
     benchmark to stderr. The memo table is mutex-protected, so [get] is
     safe to call from parallel tasks. *)
 
-val sweep :
-  ?obs:Obs.Sink.t ->
-  platform:Platform.t ->
-  scale:float ->
-  quick:bool ->
-  unit ->
-  row list
+val sweep : platform:Platform.t -> scale:float -> quick:bool -> row list
 (** The un-memoized sweep behind {!get}, fanned out over [Util.Pool]
     (one task per benchmark). Exposed so the differential determinism
     suite can run it repeatedly at different pool widths; harness code

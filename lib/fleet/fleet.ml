@@ -66,7 +66,8 @@ type state =
 type slot = {
   tid : int;
   program : Isa.Program.t;
-  cfg : Config.t;  (* final: main core assigned, [configure] applied *)
+  main_core : int;
+  cfg : Config.t;  (* final: [configure] applied *)
   mutable state : state;
   mutable admitted_ns : int option;
   mutable completed_ns : int option;
@@ -98,16 +99,14 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
     List.mapi
       (fun tid program ->
         (* Each tenant's main process gets its own (possibly shared when
-           tenants outnumber big cores) reserved big core, then its
-           per-tenant overrides (e.g. a fault plan injected into exactly
-           one tenant for the blast-radius tests). *)
-        let main_core = bigs.(tid mod Array.length bigs) in
-        let cfg = { config with Config.main_core } in
-        let cfg = match configure with Some f -> f tid cfg | None -> cfg in
+           tenants outnumber big cores) reserved big core, and its config
+           its per-tenant overrides (e.g. a fault plan injected into
+           exactly one tenant for the blast-radius tests). *)
         {
           tid;
           program;
-          cfg;
+          main_core = bigs.(tid mod Array.length bigs);
+          cfg = (match configure with Some f -> f tid config | None -> config);
           state = Waiting;
           admitted_ns = None;
           completed_ns = None;
@@ -136,13 +135,13 @@ let run ?(seed = 42L) ?max_tenants ?(admission = Queue_arrivals)
   let admit slot =
     let rng, prng = tenant_rngs ~seed ~tid:slot.tid in
     let coord =
-      Coordinator.create ~rng ~prng ~fleet:(pool, slot.tid) eng slot.cfg
-        ~program:slot.program
+      Coordinator.create ~rng ~prng ~fleet:(pool, slot.tid, slot.main_core) eng
+        slot.cfg ~program:slot.program
     in
     slot.state <- Running coord;
     slot.admitted_ns <- Some (E.now_ns eng);
     emit_tenant slot.tid
-      ~args:[ ("main_core", Obs.Trace.Int slot.cfg.Config.main_core) ]
+      ~args:[ ("main_core", Obs.Trace.Int slot.main_core) ]
       "tenant.admit"
   in
   let arrival_due slot =

@@ -71,13 +71,12 @@ val run :
   unit ->
   report
 (** Run one fleet: tenant [i] protects [List.nth programs i] under
-    [config] with its main core reassigned round-robin over the big
-    cores ([config.main_core] is ignored); [config]'s [obs] sink is
-    attached to the fleet's engine, and its policy knobs also steer the
-    shared pool. [max_tenants] caps the live tenants (default: the
-    number of programs, so no cap). [configure] maps each tenant's
-    final config (after main-core assignment) — the hook the isolation
-    tests use to arm a fault plan in exactly one tenant. Every tenant
+    [config], its main on a big core reserved round-robin; [config]'s
+    [obs] sink is attached to the fleet's engine, and its policy knobs
+    also steer the shared pool. [max_tenants] caps the live tenants
+    (default: the number of programs, so no cap). [configure] maps each
+    tenant's config — the hook the isolation tests use to arm a fault
+    plan in exactly one tenant. Every tenant
     builds its own checker backend from its config, so any backend
     works. Returns when every tenant settled (completed, aborted or
     rejected) or at the hang bound, {!Parallaft.Config.max_sim_ns}.

@@ -109,17 +109,6 @@ let histograms t =
   Hashtbl.fold (fun k h acc -> (k, summarize h) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let merge_into dst srcs =
-  List.iter
-    (fun src ->
-      Hashtbl.iter
-        (fun name h ->
-          for i = 0 to h.Hist.len - 1 do
-            observe dst name h.Hist.data.(i)
-          done)
-        src)
-    srcs
-
 let to_text t =
   let b = Buffer.create 1024 in
   List.iter

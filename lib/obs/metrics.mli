@@ -39,13 +39,6 @@ val observe : t -> string -> float -> unit
 
 val hist : t -> string -> Hist.t option
 
-val merge_into : t -> t list -> unit
-(** [merge_into dst srcs] adds every histogram observation of the
-    sources into [dst] (observations kept in each source's insertion
-    order). Since all exports are name-sorted and histogram summaries
-    are order-insensitive, merging per-task metrics in task order
-    yields output independent of domain scheduling. *)
-
 val to_text : t -> string
 (** Plain-text dump: one
     [hist NAME count/min/mean/p50/p90/p99/p99.9/max/sum] line per

@@ -1,8 +1,7 @@
 (* Phase-attribution profiler: where does a protected run's wall-clock
    go?  Scopes are nestable [enter]/[leave] pairs keyed by trace track,
    timestamped in *simulated* nanoseconds (same clock as Trace), so the
-   breakdown is byte-deterministic for equal seeds and identical across
-   -j widths.
+   breakdown is byte-deterministic for equal seeds.
 
    Two-level attribution model:
 
@@ -21,11 +20,7 @@
    bumps child_ns on the enclosing frame.  [add_ns] acts as a zero-width
    child: the named phase gains the nanoseconds and the innermost open
    scope on the first candidate track loses them, keeping partitions
-   exact.
-
-   Aggregates are plain sums, so [merge_into] is order-independent,
-   commutative and associative — the same determinism discipline as
-   [Metrics]/[Trace] for Util.Pool fan-outs. *)
+   exact. *)
 
 type frame = {
   name : string;
@@ -208,26 +203,6 @@ let close_all t ~ts_ns =
         done)
       tracks
   end
-
-let merge_into dst srcs =
-  List.iter
-    (fun src ->
-      Hashtbl.iter
-        (fun name (s : agg) ->
-          let d = agg_for dst name in
-          d.count <- d.count + s.count;
-          d.total_ns <- d.total_ns + s.total_ns;
-          d.self_ns <- d.self_ns + s.self_ns;
-          d.insns <- d.insns + s.insns;
-          d.blocks <- d.blocks + s.blocks;
-          d.decoded <- d.decoded + s.decoded;
-          d.wall <- d.wall || s.wall)
-        src.sums;
-      Hashtbl.iter
-        (fun seg tbl ->
-          Hashtbl.iter (fun name r -> seg_add dst seg name !r) tbl)
-        src.per_seg)
-    srcs
 
 let phases t =
   Hashtbl.fold

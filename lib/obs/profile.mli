@@ -1,7 +1,6 @@
 (** Phase-attribution profiler: nestable monotonic phase scopes keyed
     by trace track, timestamped in simulated nanoseconds, with
-    per-segment attribution and a deterministic, order-independent
-    [merge_into] (same discipline as [Metrics]/[Trace]).
+    per-segment attribution. One profiler belongs to one run's sink.
 
     Scopes that close on a [Trace.Core _] track are {e wall} phases:
     they are sequential on the main core's timeline, so their self-times
@@ -59,11 +58,6 @@ val close_all : t -> ts_ns:int -> unit
 (** Close every in-flight scope at [ts_ns], innermost first, tracks in
     sorted order — used at teardown (abort/rollback/run end) so no
     elapsed time is lost. *)
-
-val merge_into : t -> t list -> unit
-(** Fold per-task profilers into one. All aggregates are plain sums, so
-    the result is independent of source order (commutative and
-    associative) — the Util.Pool merge contract. *)
 
 val phases : t -> (string * phase_summary) list
 (** Name-sorted aggregate summaries. *)

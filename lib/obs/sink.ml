@@ -14,11 +14,6 @@ let create ?trace_capacity () =
 let emit t ~ts_ns ~track ~phase ?args name =
   Trace.emit t.trace ~ts_ns ~track ~phase ?args name
 
-let merge_into dst srcs =
-  Trace.merge_into dst.trace (List.map (fun s -> s.trace) srcs);
-  Metrics.merge_into dst.metrics (List.map (fun s -> s.metrics) srcs);
-  Profile.merge_into dst.profile (List.map (fun s -> s.profile) srcs)
-
 let observe t name v = Metrics.observe t.metrics name v
 
 (* Every phase transition also lands in the trace as a Perfetto counter

@@ -24,14 +24,6 @@ val emit :
   string ->
   unit
 
-val merge_into : t -> t list -> unit
-(** Fold per-task sinks back into one after a parallel fan-out
-    ([Util.Pool]): traces are appended in list (task) order, histogram
-    observations re-added and profiles summed. A sink is not
-    domain-safe, so parallel tasks must each write to a private sink;
-    callers merge after the join, passing sinks in task input order to
-    keep the result independent of domain scheduling. *)
-
 val observe : t -> string -> float -> unit
 
 (** {2 Phase profiling}

@@ -66,13 +66,3 @@ let clear t =
   t.head <- 0;
   t.len <- 0;
   t.dropped <- 0
-
-let merge_into dst srcs =
-  List.iter
-    (fun src ->
-      iter
-        (fun ev ->
-          emit dst ~ts_ns:ev.ts_ns ~track:ev.track ~phase:ev.phase ~args:ev.args
-            ev.name)
-        src)
-    srcs

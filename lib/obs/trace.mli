@@ -71,10 +71,3 @@ val iter : (event -> unit) -> t -> unit
 (** Oldest first. *)
 
 val clear : t -> unit
-
-val merge_into : t -> t list -> unit
-(** [merge_into dst srcs] appends every event of every source (oldest
-    first, sources in list order) into [dst], subject to [dst]'s ring
-    capacity and enabled flag. Used to fold the per-task traces of a
-    parallel sweep back into one: callers pass sources in task (input)
-    order, so the merged trace is independent of domain scheduling. *)

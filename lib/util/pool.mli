@@ -10,11 +10,10 @@
     domain is spawned and the call degenerates to exactly the
     sequential path.
 
-    The parallelism knob resolves, in priority order:
-    + {!set_jobs} (the [-j N] command-line flag);
-    + the [PARALLAFT_JOBS] environment variable;
-    + [Domain.recommended_domain_count () - 1], floored at 1 — leave
-      one core for the OS, and never parallelize on a single-core host.
+    The width is {!set_jobs} (the [-j N] flag of [experiments_main], the
+    one place it is chosen), else [Domain.recommended_domain_count () -
+    1] floored at 1: leave one core for the OS, and never parallelize on
+    a single-core host.
 
     Determinism contract: a [map] over tasks whose results depend only
     on their input (all simulation runs do — engines are seeded and
@@ -26,18 +25,10 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], floored at 1. *)
 
 val set_jobs : int -> unit
-(** Override the pool width process-wide (clamped to at least 1);
-    takes precedence over [PARALLAFT_JOBS]. *)
+(** Set the pool width process-wide (clamped to at least 1). *)
 
 val jobs : unit -> int
-(** The resolved pool width (see the priority order above). An explicit
-    width ({!set_jobs} or [PARALLAFT_JOBS]) always wins, even when core
-    detection reports a single core — detection is only the fallback.
-    The first fanning-out {!map} of the process logs the width and
-    where it came from (["-j"], ["PARALLAFT_JOBS"] or ["detected"]) to
-    stderr once (suppressed by [PARALLAFT_QUIET]), so a silently
-    serialized "parallel" run is visible; a malformed [PARALLAFT_JOBS]
-    value is ignored with a one-shot warning. *)
+(** The pool width: the last {!set_jobs}, else {!default_jobs}. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] like [List.map f xs], computed on [min jobs (length xs)]

@@ -116,16 +116,6 @@ let test_quick_set_subset () =
     (fun b -> Alcotest.(check bool) "quick subset of full" true (List.mem b full))
     quick
 
-let test_scale_env () =
-  (* scale_from_env falls back to 1.0 on garbage. *)
-  Unix.putenv "PARALLAFT_SCALE" "not-a-number";
-  Alcotest.(check (float 0.0)) "garbage -> 1.0" 1.0 (Experiments.Measure.scale_from_env ());
-  Unix.putenv "PARALLAFT_SCALE" "0.25";
-  Alcotest.(check (float 0.0)) "valid parse" 0.25 (Experiments.Measure.scale_from_env ());
-  Unix.putenv "PARALLAFT_SCALE" "-2";
-  Alcotest.(check (float 0.0)) "negative -> 1.0" 1.0 (Experiments.Measure.scale_from_env ());
-  Unix.putenv "PARALLAFT_SCALE" "1.0"
-
 let test_breakdown_components_nonnegative () =
   let baseline =
     Experiments.Measure.run_benchmark ~platform ~mode:Experiments.Measure.Baseline
@@ -185,6 +175,5 @@ let () =
           tc "complete" `Quick test_registry_complete;
           tc "short names" `Quick test_suite_shortnames;
           tc "quick subset" `Quick test_quick_set_subset;
-          tc "scale env" `Quick test_scale_env;
         ] );
     ]

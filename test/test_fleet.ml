@@ -426,8 +426,7 @@ let bare_pool kind =
   in
   let pool = P.Core_pool.create kind eng cfg in
   let exited = ref false in
-  P.Core_pool.register_tenant pool ~tid:0 ~stats:(P.Stats.create ())
-    ~main_core:cfg.P.Config.main_core
+  P.Core_pool.register_tenant pool ~tid:0 ~stats:(P.Stats.create ()) ~main_core:0
     ~main_exited:(fun () -> !exited)
     ~main_held:(fun () -> false);
   let checker () =

@@ -629,42 +629,6 @@ let test_profile_close_all () =
   Obs.Profile.close_all p ~ts_ns:99;
   Alcotest.(check int) "second close_all changes nothing" 50 (self "record")
 
-let charges_gen =
-  QCheck.Gen.(
-    list_size (0 -- 20)
-      (triple
-         (oneofl [ "record"; "replay"; "compare"; "fork" ])
-         (0 -- 1000)
-         (opt (0 -- 3))))
-
-let profiler_of charges =
-  let p = Obs.Profile.create () in
-  Obs.Profile.set_enabled p true;
-  List.iter
-    (fun (name, ns, seg) ->
-      ignore (Obs.Profile.add_ns p ~tracks:[ Obs.Trace.Run ] ?segment:seg name ns))
-    charges;
-  p
-
-let profile_fingerprint p = (Obs.Profile.phases p, Obs.Profile.per_segment p)
-
-let qcheck_profile_merge =
-  QCheck.Test.make ~name:"profile merge is order-independent and associative"
-    ~count:200
-    (QCheck.make QCheck.Gen.(triple charges_gen charges_gen charges_gen))
-    (fun (ca, cb, cc) ->
-      let pa = profiler_of ca and pb = profiler_of cb and pc = profiler_of cc in
-      let merged srcs =
-        let d = Obs.Profile.create () in
-        Obs.Profile.merge_into d srcs;
-        d
-      in
-      let direct = merged [ pa; pb; pc ] in
-      let permuted = merged [ pc; pa; pb ] in
-      let nested = merged [ merged [ pa; pb ]; pc ] in
-      profile_fingerprint direct = profile_fingerprint permuted
-      && profile_fingerprint direct = profile_fingerprint nested)
-
 (* {2 Profiler through a full run} *)
 
 let test_profiled_run_attribution () =
@@ -764,46 +728,6 @@ let test_profile_off_leaves_run_untouched () =
   Alcotest.(check int) "no phases recorded" 0
     (List.length (Obs.Profile.phases sink.Obs.Sink.profile))
 
-(* {2 Sink merging (parallel fan-out support)} *)
-
-let task_sink i =
-  let s = Obs.Sink.create () in
-  Obs.Sink.observe s "latency_ns" (float_of_int (100 * (i + 1)));
-  Obs.Sink.emit s ~ts_ns:(10 * i) ~track:(Obs.Trace.Proc i)
-    ~phase:Obs.Trace.Instant
-    (Printf.sprintf "task%d" i);
-  s
-
-let test_sink_merge_deterministic () =
-  (* Merging per-task sinks in task order must be reproducible: two
-     merges of equal task sinks give byte-identical traces and metric
-     dumps, regardless of how the tasks themselves were scheduled. *)
-  let merged () =
-    let dst = Obs.Sink.create () in
-    Obs.Sink.merge_into dst (List.init 3 task_sink);
-    dst
-  in
-  let a = merged () and b = merged () in
-  Alcotest.(check string) "traces identical"
-    (Obs.Export.chrome_json a.Obs.Sink.trace)
-    (Obs.Export.chrome_json b.Obs.Sink.trace);
-  Alcotest.(check string) "metrics identical"
-    (Obs.Metrics.to_text a.Obs.Sink.metrics)
-    (Obs.Metrics.to_text b.Obs.Sink.metrics);
-  (* Events append in task order; histogram observations re-add. *)
-  let names =
-    List.map (fun e -> e.Obs.Trace.name) (Obs.Trace.events a.Obs.Sink.trace)
-  in
-  Alcotest.(check (list string)) "events in task order"
-    [ "task0"; "task1"; "task2" ] names;
-  match Obs.Metrics.hist a.Obs.Sink.metrics "latency_ns" with
-  | Some h ->
-    Alcotest.(check int) "histogram observations re-added" 3
-      (Obs.Metrics.Hist.count h);
-    Alcotest.(check (float 1e-9)) "histogram sum" 600.0
-      (Obs.Metrics.Hist.sum h)
-  | None -> Alcotest.fail "merged histogram missing"
-
 (* {2 Log quiet flag} *)
 
 let test_log_quiet_flag () =
@@ -857,7 +781,6 @@ let () =
             test_profile_self_time_nesting;
           Alcotest.test_case "close_all retires open scopes" `Quick
             test_profile_close_all;
-          QCheck_alcotest.to_alcotest qcheck_profile_merge;
           Alcotest.test_case "full-run attribution adds up" `Quick
             test_profiled_run_attribution;
           Alcotest.test_case "profiled runs are deterministic" `Quick
@@ -882,11 +805,6 @@ let () =
             test_detections_oldest_first;
           Alcotest.test_case "event counts match stats and fleet rows" `Quick
             test_event_counts_match_records;
-        ] );
-      ( "merge",
-        [
-          Alcotest.test_case "deterministic sink merge" `Quick
-            test_sink_merge_deterministic;
         ] );
       ( "log",
         [ Alcotest.test_case "quiet flag" `Quick test_log_quiet_flag ] );

@@ -42,39 +42,19 @@ let timed f =
 
 let sweep_at jobs =
   Util.Pool.set_jobs jobs;
-  let obs = Obs.Sink.create () in
-  (* Profiling on: the per-task profiles must merge back deterministically
-     just like the trace and the metrics. *)
-  Obs.Profile.set_enabled obs.Obs.Sink.profile true;
   let rows, dt =
-    timed (fun () ->
-        Experiments.Suite.sweep ~obs ~platform ~scale ~quick:true ())
+    timed (fun () -> Experiments.Suite.sweep ~platform ~scale ~quick:true)
   in
-  let serialized = String.concat "\n" (List.map row_to_string rows) in
-  (serialized, obs, dt)
+  (String.concat "\n" (List.map row_to_string rows), dt)
 
 let test_sweep_differential () =
-  let s1, obs1, t1 = sweep_at 1 in
-  let s4, obs4, t4 = sweep_at 4 in
+  let s1, t1 = sweep_at 1 in
+  let s4, t4 = sweep_at 4 in
   Util.Pool.set_jobs 1;
   Printf.printf "quick sweep wall time: -j 1 %.2fs, -j 4 %.2fs (%d cores)\n%!"
     t1 t4
     (Domain.recommended_domain_count ());
   Alcotest.(check string) "suite rows byte-identical at -j 1 and -j 4" s1 s4;
-  (* The per-task sinks were merged in benchmark order, so the whole
-     observability surface must match too: the Chrome trace export and
-     the metric dump are byte-identical. *)
-  Alcotest.(check string) "merged trace byte-identical"
-    (Obs.Export.chrome_json obs1.Obs.Sink.trace)
-    (Obs.Export.chrome_json obs4.Obs.Sink.trace);
-  Alcotest.(check string) "merged metrics byte-identical"
-    (Obs.Metrics.to_text obs1.Obs.Sink.metrics)
-    (Obs.Metrics.to_text obs4.Obs.Sink.metrics);
-  Alcotest.(check bool) "profile non-trivial" true
-    (Obs.Profile.phases obs1.Obs.Sink.profile <> []);
-  Alcotest.(check string) "merged profile breakdown byte-identical"
-    (Obs.Profile.to_table obs1.Obs.Sink.profile ~wall_ns:1_000_000)
-    (Obs.Profile.to_table obs4.Obs.Sink.profile ~wall_ns:1_000_000);
   (* Speedup is only observable with real cores to spread over. *)
   if Domain.recommended_domain_count () >= 4 then
     Alcotest.(check bool)
@@ -141,11 +121,12 @@ let test_period_grid_differential () =
 
 (* The decoded-block cache must be invisible end to end, not just at
    the CPU boundary: the whole quick sweep (baseline + parallaft + raft
-   metrics rows), the merged Perfetto trace, the metric dump and a
-   fault-injection campaign tally must be byte-identical with the cache
-   at its default capacity and force-disabled. The profiler stays off
-   here: its "decoded" column is interpreter-internal by design and the
-   one number the cache setting is allowed to change. *)
+   metrics rows), a fault-injection campaign tally, and each quick
+   benchmark's protected run's Perfetto trace and metric dump must be
+   byte-identical with the cache at its default capacity and
+   force-disabled. The profiler stays off here: its "decoded" column is
+   interpreter-internal by design and the one number the cache setting
+   is allowed to change. *)
 let with_block_cache capacity f =
   let saved = Machine.Cpu.default_block_cache () in
   Machine.Cpu.set_default_block_cache capacity;
@@ -156,23 +137,43 @@ let with_block_cache capacity f =
 let sweep_with_cache capacity =
   with_block_cache capacity (fun () ->
       Util.Pool.set_jobs 1;
-      let obs = Obs.Sink.create () in
-      let rows =
-        Experiments.Suite.sweep ~obs ~platform ~scale:0.1 ~quick:true ()
-      in
-      ( String.concat "\n" (List.map row_to_string rows),
-        Obs.Export.chrome_json obs.Obs.Sink.trace,
-        Obs.Metrics.to_text obs.Obs.Sink.metrics ))
+      Experiments.Suite.sweep ~platform ~scale:0.1 ~quick:true
+      |> List.map row_to_string |> String.concat "\n")
+
+(* One protected run of the benchmark's first input with a sink
+   attached: its trace export and metric dump. *)
+let observed_run ~block_cache bench =
+  let program =
+    List.hd
+      (Workloads.Spec.programs bench ~page_size:platform.Platform.page_size
+         ~scale:0.1)
+  in
+  let sink = Obs.Sink.create () in
+  let config =
+    {
+      (Parallaft.Config.parallaft ~platform ()) with
+      Parallaft.Config.block_cache;
+      obs = Some sink;
+    }
+  in
+  ignore (Parallaft.Runtime.run_protected ~platform ~config ~program ());
+  ( Obs.Export.chrome_json sink.Obs.Sink.trace,
+    Obs.Metrics.to_text sink.Obs.Sink.metrics )
 
 let test_block_cache_differential () =
-  let rows_on, trace_on, metrics_on = sweep_with_cache 4096 in
-  let rows_off, trace_off, metrics_off = sweep_with_cache 0 in
-  Alcotest.(check string) "sweep rows byte-identical cache on/off" rows_on
-    rows_off;
-  Alcotest.(check string) "merged trace byte-identical cache on/off" trace_on
-    trace_off;
-  Alcotest.(check string) "metric dump byte-identical cache on/off" metrics_on
-    metrics_off;
+  Alcotest.(check string) "sweep rows byte-identical cache on/off"
+    (sweep_with_cache 4096) (sweep_with_cache 0);
+  List.iter
+    (fun bench ->
+      let name = bench.Workloads.Spec.name in
+      let trace_on, metrics_on = observed_run ~block_cache:4096 bench in
+      let trace_off, metrics_off = observed_run ~block_cache:0 bench in
+      Alcotest.(check bool) (name ^ " run observed") true (metrics_on <> "");
+      Alcotest.(check string) (name ^ " trace byte-identical cache on/off")
+        trace_on trace_off;
+      Alcotest.(check string) (name ^ " metric dump byte-identical cache on/off")
+        metrics_on metrics_off)
+    (Experiments.Suite.benchmarks ~quick:true);
   let tally_on = with_block_cache 4096 (fun () -> campaign_at 1) in
   let tally_off = with_block_cache 0 (fun () -> campaign_at 1) in
   Util.Pool.set_jobs 1;
