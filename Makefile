@@ -1,7 +1,7 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
-.PHONY: all build test fmt-check unused-exports parallel-smoke invariants \
-  ci clean
+.PHONY: all build test fmt-check unused-exports monomorphic parallel-smoke \
+  invariants ci clean
 
 all: build
 
@@ -41,6 +41,34 @@ unused-exports:
 	done; \
 	exit $$status
 
+# No polymorphic compare or hash on the hot path: no native object of
+# the libraries a run's inner loops live in may reference the runtime's
+# polymorphic comparison primitives or caml_hash. A comparison whose
+# operand type the compiler cannot see (a function whose argument type
+# generalises to 'a) compiles to a C call to one of them; a type
+# annotation makes it an inline int or float compare. Prints
+# `object: function: primitive` per use and fails if there is any;
+# skips where objdump is not installed.
+MONOMORPHIC_LIBS = isa machine mem util hash os seglog
+MONOMORPHIC_PRIMS = caml_compare|caml_equal|caml_notequal|caml_lessthan|\
+caml_lessequal|caml_greaterthan|caml_greaterequal|caml_hash
+
+monomorphic: build
+	@if command -v objdump >/dev/null 2>&1; then \
+	  found=$$(for d in $(MONOMORPHIC_LIBS); do \
+	    for o in $$(find _build/default/lib/$$d -name '*.o' | sort); do \
+	      objdump -dr "$$o" | awk -v obj="$$o" ' \
+	        /^[0-9a-f]+ <.*>:$$/ { fn = substr($$2, 2, length($$2) - 3) } \
+	        /[[:space:]]($(MONOMORPHIC_PRIMS))([^A-Za-z0-9_]|$$)/ { \
+	          p = $$NF; sub(/[-+]0x[0-9a-f]+$$/, "", p); \
+	          print obj ": " fn ": " p }' | sort -u; \
+	    done; \
+	  done); \
+	  if [ -n "$$found" ]; then echo "$$found"; exit 1; fi; \
+	else \
+	  echo "monomorphic: objdump not installed, skipping"; \
+	fi
+
 # The quick experiment suite on a 4-domain pool: exercises the parallel
 # runner end to end (the determinism itself is pinned by test_parallel).
 parallel-smoke: build
@@ -55,7 +83,7 @@ parallel-smoke: build
 invariants: build
 	PARALLAFT_INVARIANTS=1 dune runtest --force
 
-ci: build test invariants fmt-check unused-exports parallel-smoke
+ci: build test invariants fmt-check unused-exports monomorphic parallel-smoke
 
 clean:
 	dune clean

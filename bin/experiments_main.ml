@@ -4,10 +4,11 @@
    Experiments.Registry (--help lists them) and -j is the pool width
    (default: cores - 1). The run's settings are read here, once:
    PARALLAFT_SCALE (workload scale, a positive finite number, default
-   1.0) and PARALLAFT_QUICK (1, true or yes for the reduced benchmark
-   sets; unset, empty, 0, false or no for the full ones). A malformed
-   value is a usage error (exit 124). PARALLAFT_QUIET silences the
-   progress lines on stderr (Obs.Log). *)
+   1.0), PARALLAFT_QUICK (1, true or yes for the reduced benchmark
+   sets; unset, empty, 0, false or no for the full ones) and
+   PARALLAFT_QUIET (1, true or yes silence the progress lines on
+   stderr, Obs.Log; unset, empty, 0, false or no keep them). A
+   malformed value is a usage error (exit 124). *)
 
 open Cmdliner
 
@@ -27,19 +28,26 @@ let scale () =
       | Some f when f > 0.0 && Float.is_finite f -> Some f
       | Some _ | None -> None)
 
-let quick () =
-  setting "PARALLAFT_QUICK" ~default:false
-    ~expected:"1, true, yes, 0, false or no" (function
+let flag name =
+  setting name ~default:false ~expected:"1, true, yes, 0, false or no"
+    (function
     | "1" | "true" | "yes" -> Some true
     | "0" | "false" | "no" -> Some false
     | _ -> None)
 
 (* [Registry.find] matches a name exactly; cmdliner's [enum] takes prefixes. *)
 let run jobs which =
-  match (Experiments.Registry.find which, scale (), quick ()) with
-  | None, _, _ -> `Error (true, "unknown experiment '" ^ which ^ "'")
-  | _, Error msg, _ | _, _, Error msg -> `Error (false, msg)
-  | Some exps, Ok scale, Ok quick ->
+  match
+    ( Experiments.Registry.find which,
+      scale (),
+      flag "PARALLAFT_QUICK",
+      flag "PARALLAFT_QUIET" )
+  with
+  | None, _, _, _ -> `Error (true, "unknown experiment '" ^ which ^ "'")
+  | _, Error msg, _, _ | _, _, Error msg, _ | _, _, _, Error msg ->
+    `Error (false, msg)
+  | Some exps, Ok scale, Ok quick, Ok quiet ->
+    Obs.Log.set_quiet quiet;
     Option.iter Util.Pool.set_jobs jobs;
     Obs.Log.progress "experiments: %s (%d parallel jobs)" which (Util.Pool.jobs ());
     `Ok (List.iter (Experiments.Registry.run ~scale ~quick) exps)

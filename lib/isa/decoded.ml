@@ -9,9 +9,13 @@
    - [sub rd, rd, imm; b<cond> rd, rs2, T]   ->  T_dec_branch
 
    Fusion is a dispatch optimization only: the executing CPU still
-   charges costs, retires, and checks stop conditions per source
-   instruction, so a mid-pattern stop (cycle budget, fault) lands on
-   exactly the same instruction as the unfused interpreter. *)
+   charges costs and retires per source instruction, so a mid-pattern
+   stop (cycle budget, fault) lands on exactly the same instruction as
+   the unfused interpreter.
+
+   Each block also carries a static cost summary, from which the CPU
+   bounds what one execution can charge and skips the per-instruction
+   cycle test where the bound stays short of its cap. *)
 
 type op =
   | O_alu_rr of { op : Insn.alu_op; rd : int; rs1 : int; rs2 : int }
@@ -73,6 +77,20 @@ type block = {
   nondet_trap : bool;
       (** the trap mode the block was decoded under — rdtsc/rdcoreid/
           rdrand are inline ops or trap sites depending on it *)
+  fixed_cycles : int;
+      (** cycles a full execution charges whatever the CPU's env: 1 per
+          source instruction (the terminator's and each memory op's
+          base cycle included), but 2 per nondet read and 0 per mul,
+          div or rem *)
+  n_mul : int;  (** mul instructions: each charges the env's [mul_cycles] *)
+  n_div : int;
+      (** div and rem instructions: each charges the env's [div_cycles] *)
+  n_mem : int;
+      (** loads and stores: each adds at most the env's
+          [max_access_cycles] *)
+  n_store : int;
+      (** stores: each may also break COW, adding the env's
+          [cow_extra_cycles] *)
 }
 
 let code_page_bits = 6
@@ -153,6 +171,34 @@ let decode_block ~code ~nondet_trap ~entry =
     | T_trap _ | T_fallthrough -> Array.length ops > 0
   in
   let span_end = max entry span_end in
+  (* The cost summary: every terminator source instruction is a 1-cycle
+     sub or branch, so the terminator's fixed share is its width. *)
+  let fixed = ref (term_width term) and n_mul = ref 0 and n_div = ref 0 in
+  let n_mem = ref 0 and n_store = ref 0 in
+  let alu = function
+    | Insn.Mul -> incr n_mul
+    | Insn.Div | Insn.Rem -> incr n_div
+    | Insn.Add | Insn.Sub | Insn.And | Insn.Or | Insn.Xor | Insn.Shl
+    | Insn.Shr ->
+      incr fixed
+  in
+  Array.iter
+    (function
+      | O_alu_rr { op; _ } | O_alu_ri { op; _ } -> alu op
+      | O_li _ | O_mov _ | O_nop -> incr fixed
+      | O_load _ | O_load8 _ ->
+        incr fixed;
+        incr n_mem
+      | O_store _ | O_store8 _ ->
+        incr fixed;
+        incr n_mem;
+        incr n_store
+      | O_load_alu { op; _ } ->
+        incr fixed;
+        incr n_mem;
+        alu op
+      | O_rdtsc _ | O_rdcoreid _ | O_rdrand _ -> fixed := !fixed + 2)
+    ops;
   {
     entry;
     ops;
@@ -163,4 +209,9 @@ let decode_block ~code ~nondet_trap ~entry =
     first_page = code_page entry;
     last_page = code_page span_end;
     nondet_trap;
+    fixed_cycles = !fixed;
+    n_mul = !n_mul;
+    n_div = !n_div;
+    n_mem = !n_mem;
+    n_store = !n_store;
   }

@@ -5,10 +5,11 @@
     control transfer, trap site (syscall, halt, nondet when trapping is
     on), or the length cap. Two hot patterns are fused into
     superinstructions ([O_load_alu], [T_dec_branch]); fusion is a
-    dispatch optimization only — the CPU still charges, retires and
-    checks stop conditions per {e source} instruction, so any mid-block
-    stop lands on exactly the instruction the unfused interpreter
-    stops on. *)
+    dispatch optimization only — the CPU still charges and retires per
+    {e source} instruction, so any mid-block stop lands on exactly the
+    instruction the unfused interpreter stops on. A block's cost
+    summary ([fixed_cycles] to [n_store]) lets the CPU bound what one
+    execution can charge ([Machine.Cpu.block_cycle_bound]). *)
 
 type op =
   | O_alu_rr of { op : Insn.alu_op; rd : int; rs1 : int; rs2 : int }
@@ -70,6 +71,20 @@ type block = {
   nondet_trap : bool;
       (** trap mode the block was decoded under — nondet instructions
           are inline ops or trap sites depending on it *)
+  fixed_cycles : int;
+      (** cycles a full execution charges whatever the CPU's env: 1 per
+          source instruction (the terminator's and each memory op's
+          base cycle included), but 2 per nondet read and 0 per mul,
+          div or rem *)
+  n_mul : int;  (** mul instructions: each charges the env's [mul_cycles] *)
+  n_div : int;
+      (** div and rem instructions: each charges the env's [div_cycles] *)
+  n_mem : int;
+      (** loads and stores: each adds at most the env's
+          [max_access_cycles] *)
+  n_store : int;
+      (** stores: each may also break COW, adding the env's
+          [cow_extra_cycles] *)
 }
 
 val code_page : int -> int

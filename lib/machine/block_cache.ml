@@ -41,8 +41,10 @@ let create ~capacity ~code_len =
   }
 
 (* Whether a spanned code page's generation moved since [snap] was
-   taken. Closed, so a lookup builds no closure. *)
-let rec stale snap ~gens ~first i =
+   taken. Closed, so a lookup builds no closure; the [int array]
+   annotations make [<>] an integer compare instead of a C call to
+   polymorphic [caml_notequal]. *)
+let rec stale (snap : int array) ~(gens : int array) ~first i =
   if i >= Array.length snap then false
   else if snap.(i) <> gens.(first + i) then true
   else stale snap ~gens ~first (i + 1)

@@ -29,10 +29,20 @@ type env = {
   read_rand : unit -> int;
   mem_access : write:bool -> frame:int -> int;
   mem_access_cow : frame:int -> old_frame:int -> int;
+  max_access_cycles : int;
   cow_extra_cycles : int;
   mul_cycles : int;
   div_cycles : int;
 }
+
+(* The most a full execution of [blk] can charge (user + sys) under
+   [env]: every access at [max_access_cycles], every store a COW copy. *)
+let[@inline] block_cycle_bound env (blk : Isa.Decoded.block) =
+  blk.Isa.Decoded.fixed_cycles
+  + (blk.Isa.Decoded.n_mul * env.mul_cycles)
+  + (blk.Isa.Decoded.n_div * env.div_cycles)
+  + (blk.Isa.Decoded.n_mem * env.max_access_cycles)
+  + (blk.Isa.Decoded.n_store * env.cow_extra_cycles)
 
 (* Process-wide default capacity for the decoded-block cache, so every
    construction site (engine spawn, baseline runs, test CPUs) agrees
@@ -290,7 +300,9 @@ let run t ~env ~max_cycles =
   (* One full fetch-decode-execute-retire iteration of the plain
      interpreter — the reference semantics. The cached path below must
      be observationally identical to a [step] loop; it falls back to
-     [step] whenever a stop condition could fire mid-block. *)
+     [step] when the injection point or the instruction-counter
+     overflow could fall mid-block, and tests the cycle cap after every
+     instruction only in a block that could reach it. *)
   let step () =
     (* Fetch. *)
     if t.pc < 0 || t.pc >= code_len then raise (Stop (Fault_stop (Bad_pc t.pc)));
@@ -451,7 +463,7 @@ let run t ~env ~max_cycles =
      trap-overcount draw below reads [t.instructions]. *)
   let run_cached bc =
     (* Cycle stops can only *arm* between run calls, so the combined
-       per-op threshold is a run constant: the earlier of the armed
+       threshold is a run constant: the earlier of the armed
        cycle-overflow point and the budget, in this-run cycles. *)
     let cyc_cap =
       let a = t.cycle_overflow_at - base_cycles in
@@ -461,29 +473,49 @@ let run t ~env ~max_cycles =
        are hoisted out of [exec_block]: allocating them per block
        execution costs more than the batching saves on short blocks. *)
     let retired = ref 0 in
+    (* [retired] when the current pass over the block began. A pass's
+       ops are consecutive source instructions from the entry, so a stop
+       among them lands on [entry + !retired - !pass_start]. *)
+    let pass_start = ref 0 in
+    (* Where the terminator sends control. *)
     let ip = ref 0 in
-    let stop_mid reason =
+    let stop_mid pc reason =
       t.instructions <- t.instructions + !retired;
       if t.inject_countdown >= 0 then
         t.inject_countdown <- t.inject_countdown - !retired;
-      t.pc <- !ip;
+      t.pc <- pc;
       raise (Stop reason)
     in
-    let check_cycles () =
-      if !user + !sys >= cyc_cap then begin
-        if base_cycles + !user + !sys >= t.cycle_overflow_at then begin
-          t.cycle_overflow_at <- max_int;
-          stop_mid Cycle_overflow_stop
-        end;
-        if !user + !sys >= max_cycles then stop_mid Budget_exhausted
-      end
+    (* [!user + !sys] reached [cyc_cap]: the armed cycle overflow or the
+       budget, whichever came first. *)
+    let cap_stop pc =
+      if base_cycles + !user + !sys >= t.cycle_overflow_at then begin
+        t.cycle_overflow_at <- max_int;
+        stop_mid pc Cycle_overflow_stop
+      end;
+      if !user + !sys >= max_cycles then stop_mid pc Budget_exhausted
     in
-    let retire1 () =
+    (* Retire one source instruction among the ops. [checked] is a
+       constant at every use, so each inlined copy keeps or drops the
+       cap test. *)
+    let[@inline] retire ~checked entry =
       incr retired;
-      incr ip;
-      check_cycles ()
+      if checked && !user + !sys >= cyc_cap then
+        cap_stop (entry + !retired - !pass_start)
     in
-    let alu_exec op a b =
+    (* Retire the terminator's branch: the live branch-overflow check
+       runs on either path. *)
+    let[@inline] branch_retire ~checked =
+      incr retired;
+      if t.overflow_armed && t.branches >= t.overflow_trap_at then begin
+        t.overflow_armed <- false;
+        stop_mid !ip Counter_overflow_stop
+      end;
+      if checked && !user + !sys >= cyc_cap then cap_stop !ip
+    in
+    (* Inlined at each use, like [retire]: a call per ALU op costs more
+       than the copies. *)
+    let[@inline] alu_exec op a b =
       match op with
       | Isa.Insn.Add ->
         user := !user + 1;
@@ -518,125 +550,129 @@ let run t ~env ~max_cycles =
         let sh = b land 63 in
         if sh > 62 then 0 else a lsr sh
     in
-    let branch_retire () =
-      incr retired;
-      if t.overflow_armed && t.branches >= t.overflow_trap_at then begin
-        t.overflow_armed <- false;
-        stop_mid Counter_overflow_stop
-      end;
-      check_cycles ()
+    (* One pass over a block: its ops, then its terminator, which sets
+       [ip]. The op semantics are written once; [exec_block] inlines a
+       copy with [~checked:false] for a pass that cannot reach the cap
+       and one with [~checked:true] that tests the cap after every
+       source instruction. *)
+    let[@inline] exec_pass ~checked (blk : Isa.Decoded.block) =
+      let entry = blk.Isa.Decoded.entry in
+      let ops = blk.Isa.Decoded.ops in
+      for i = 0 to Array.length ops - 1 do
+        (match Array.unsafe_get ops i with
+        | Isa.Decoded.O_alu_rr { op; rd; rs1; rs2 } ->
+          let a = regs.(rs1) and b = regs.(rs2) in
+          regs.(rd) <- alu_exec op a b
+        | Isa.Decoded.O_alu_ri { op; rd; rs1; imm } ->
+          regs.(rd) <- alu_exec op regs.(rs1) imm
+        | Isa.Decoded.O_li { rd; imm } ->
+          user := !user + 1;
+          regs.(rd) <- imm
+        | Isa.Decoded.O_mov { rd; rs } ->
+          user := !user + 1;
+          regs.(rd) <- regs.(rs)
+        | Isa.Decoded.O_load { rd; rb; off } ->
+          let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
+          user := !user + mem_cost ~write:false;
+          regs.(rd) <- v
+        | Isa.Decoded.O_store { rs; rb; off } ->
+          Mem.Address_space.store64 aspace (regs.(rb) + off) regs.(rs);
+          user := !user + store_cost ()
+        | Isa.Decoded.O_load8 { rd; rb; off } ->
+          let v = Mem.Address_space.load8 aspace (regs.(rb) + off) in
+          user := !user + mem_cost ~write:false;
+          regs.(rd) <- v
+        | Isa.Decoded.O_store8 { rs; rb; off } ->
+          Mem.Address_space.store8 aspace (regs.(rb) + off) regs.(rs);
+          user := !user + store_cost ()
+        | Isa.Decoded.O_load_alu { ld_rd; rb; off; op; rd; rs1 } ->
+          (* Two source instructions: the load retires (and the cap is
+             tested) before the ALU half runs, so a stop between them
+             lands on the ALU instruction. *)
+          let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
+          user := !user + mem_cost ~write:false;
+          regs.(ld_rd) <- v;
+          retire ~checked entry;
+          let a = regs.(rs1) and b = regs.(ld_rd) in
+          regs.(rd) <- alu_exec op a b
+        | Isa.Decoded.O_rdtsc { rd } ->
+          user := !user + 2;
+          regs.(rd) <- env.read_tsc ()
+        | Isa.Decoded.O_rdcoreid { rd } ->
+          user := !user + 2;
+          regs.(rd) <- env.core_id
+        | Isa.Decoded.O_rdrand { rd } ->
+          user := !user + 2;
+          regs.(rd) <- env.read_rand ()
+        | Isa.Decoded.O_nop -> user := !user + 1);
+        retire ~checked entry
+      done;
+      match blk.Isa.Decoded.term with
+      | Isa.Decoded.T_fallthrough -> ip := blk.Isa.Decoded.term_pc
+      | Isa.Decoded.T_trap insn ->
+        stop_mid blk.Isa.Decoded.term_pc
+          (match insn with
+          | Isa.Insn.Syscall -> Syscall_stop
+          | Isa.Insn.Halt -> Halted
+          | i -> Nondet_stop i)
+      | Isa.Decoded.T_branch { cond; rs1; rs2; target } ->
+        user := !user + 1;
+        t.branches <- t.branches + 1;
+        let a = regs.(rs1) and b = regs.(rs2) in
+        let taken =
+          match cond with
+          | Isa.Insn.Eq -> a = b
+          | Isa.Insn.Ne -> a <> b
+          | Isa.Insn.Lt -> a < b
+          | Isa.Insn.Ge -> a >= b
+        in
+        ip := if taken then target else blk.Isa.Decoded.term_pc + 1;
+        branch_retire ~checked
+      | Isa.Decoded.T_dec_branch { rd; dec; cond; rs2; target } ->
+        (* [term_pc] is the sub's; the branch is the next instruction. *)
+        user := !user + 1;
+        regs.(rd) <- regs.(rd) - dec;
+        retire ~checked entry;
+        user := !user + 1;
+        t.branches <- t.branches + 1;
+        let a = regs.(rd) and b = regs.(rs2) in
+        let taken =
+          match cond with
+          | Isa.Insn.Eq -> a = b
+          | Isa.Insn.Ne -> a <> b
+          | Isa.Insn.Lt -> a < b
+          | Isa.Insn.Ge -> a >= b
+        in
+        ip := if taken then target else blk.Isa.Decoded.term_pc + 2;
+        branch_retire ~checked
+      | Isa.Decoded.T_jump { target } ->
+        user := !user + 1;
+        t.branches <- t.branches + 1;
+        ip := target;
+        branch_retire ~checked
+      | Isa.Decoded.T_jump_reg { rs } ->
+        user := !user + 1;
+        t.branches <- t.branches + 1;
+        ip := regs.(rs);
+        branch_retire ~checked
     in
     let again = ref false in
     let exec_block (blk : Isa.Decoded.block) =
       let entry = blk.Isa.Decoded.entry in
       let n_insns = blk.Isa.Decoded.n_insns in
+      let bound = block_cycle_bound env blk in
       retired := 0;
-      ip := entry;
       if blk.Isa.Decoded.resets_bp then t.bp_resume_pc <- -1;
-      let ops = blk.Isa.Decoded.ops in
-      let n_ops = Array.length ops in
       again := true;
       (try
         while !again do
           again := false;
-          if n_ops > 0 then begin
-            for i = 0 to n_ops - 1 do
-              (match Array.unsafe_get ops i with
-              | Isa.Decoded.O_alu_rr { op; rd; rs1; rs2 } ->
-                let a = regs.(rs1) and b = regs.(rs2) in
-                regs.(rd) <- alu_exec op a b
-              | Isa.Decoded.O_alu_ri { op; rd; rs1; imm } ->
-                regs.(rd) <- alu_exec op regs.(rs1) imm
-              | Isa.Decoded.O_li { rd; imm } ->
-                user := !user + 1;
-                regs.(rd) <- imm
-              | Isa.Decoded.O_mov { rd; rs } ->
-                user := !user + 1;
-                regs.(rd) <- regs.(rs)
-              | Isa.Decoded.O_load { rd; rb; off } ->
-                let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
-                user := !user + mem_cost ~write:false;
-                regs.(rd) <- v
-              | Isa.Decoded.O_store { rs; rb; off } ->
-                Mem.Address_space.store64 aspace (regs.(rb) + off) regs.(rs);
-                user := !user + store_cost ()
-              | Isa.Decoded.O_load8 { rd; rb; off } ->
-                let v = Mem.Address_space.load8 aspace (regs.(rb) + off) in
-                user := !user + mem_cost ~write:false;
-                regs.(rd) <- v
-              | Isa.Decoded.O_store8 { rs; rb; off } ->
-                Mem.Address_space.store8 aspace (regs.(rb) + off) regs.(rs);
-                user := !user + store_cost ()
-              | Isa.Decoded.O_load_alu { ld_rd; rb; off; op; rd; rs1 } ->
-                (* Two source instructions: the load retires (and the
-                   cycle threshold is checked) before the ALU half runs,
-                   so a stop between them lands on the ALU instruction. *)
-                let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
-                user := !user + mem_cost ~write:false;
-                regs.(ld_rd) <- v;
-                retire1 ();
-                let a = regs.(rs1) and b = regs.(ld_rd) in
-                regs.(rd) <- alu_exec op a b
-              | Isa.Decoded.O_rdtsc { rd } ->
-                user := !user + 2;
-                regs.(rd) <- env.read_tsc ()
-              | Isa.Decoded.O_rdcoreid { rd } ->
-                user := !user + 2;
-                regs.(rd) <- env.core_id
-              | Isa.Decoded.O_rdrand { rd } ->
-                user := !user + 2;
-                regs.(rd) <- env.read_rand ()
-              | Isa.Decoded.O_nop -> user := !user + 1);
-              retire1 ()
-            done
-          end;
-          (match blk.Isa.Decoded.term with
-          | Isa.Decoded.T_fallthrough -> ()
-          | Isa.Decoded.T_trap insn ->
-            stop_mid
-              (match insn with
-              | Isa.Insn.Syscall -> Syscall_stop
-              | Isa.Insn.Halt -> Halted
-              | i -> Nondet_stop i)
-          | Isa.Decoded.T_branch { cond; rs1; rs2; target } ->
-            user := !user + 1;
-            t.branches <- t.branches + 1;
-            let a = regs.(rs1) and b = regs.(rs2) in
-            let taken =
-              match cond with
-              | Isa.Insn.Eq -> a = b
-              | Isa.Insn.Ne -> a <> b
-              | Isa.Insn.Lt -> a < b
-              | Isa.Insn.Ge -> a >= b
-            in
-            ip := (if taken then target else !ip + 1);
-            branch_retire ()
-          | Isa.Decoded.T_dec_branch { rd; dec; cond; rs2; target } ->
-            user := !user + 1;
-            regs.(rd) <- regs.(rd) - dec;
-            retire1 ();
-            user := !user + 1;
-            t.branches <- t.branches + 1;
-            let a = regs.(rd) and b = regs.(rs2) in
-            let taken =
-              match cond with
-              | Isa.Insn.Eq -> a = b
-              | Isa.Insn.Ne -> a <> b
-              | Isa.Insn.Lt -> a < b
-              | Isa.Insn.Ge -> a >= b
-            in
-            ip := (if taken then target else !ip + 1);
-            branch_retire ()
-          | Isa.Decoded.T_jump { target } ->
-            user := !user + 1;
-            t.branches <- t.branches + 1;
-            ip := target;
-            branch_retire ()
-          | Isa.Decoded.T_jump_reg { rs } ->
-            user := !user + 1;
-            t.branches <- t.branches + 1;
-            ip := regs.(rs);
-            branch_retire ());
+          pass_start := !retired;
+          (* Costs only grow, so a pass that starts [bound] short of
+             the cap cannot reach it: no per-instruction test would
+             fire, and the pass runs without one. *)
+          if !user + !sys + bound < cyc_cap then exec_pass ~checked:false blk
+          else exec_pass ~checked:true blk;
           (* Tight self-loop: the terminator came straight back to this
              block's entry, so skip the dispatch loop and the cache lookup
              and re-execute in place. The dispatch-time slow-path routing
@@ -656,9 +692,10 @@ let run t ~env ~max_cycles =
           end
         done
       with
-      | Op_fault f -> stop_mid (Fault_stop f)
+      | Op_fault f -> stop_mid (entry + !retired - !pass_start) (Fault_stop f)
       | Mem.Address_space.Segfault { addr; write } ->
-        stop_mid (Fault_stop (Segv { addr; write })));
+        stop_mid (entry + !retired - !pass_start)
+          (Fault_stop (Segv { addr; write })));
       (* Block completed: batch the counter updates. *)
       t.instructions <- t.instructions + !retired;
       if t.inject_countdown >= 0 then

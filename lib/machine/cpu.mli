@@ -73,10 +73,23 @@ type env = {
           cold DRAM miss (the copy's traffic is part of
           [cow_extra_cycles]); the retired [old_frame] is invalidated,
           as recency-based replacement would age it out *)
+  max_access_cycles : int;
+      (** an upper bound on every value [mem_access] and
+          [mem_access_cow] return. {!run} skips the per-instruction
+          cycle-cap test for a block whose {!block_cycle_bound} cannot
+          reach the cap, so budget and cycle-overflow stops are exact
+          only if this bounds both closures *)
   cow_extra_cycles : int;  (** kernel cost of one COW page copy *)
   mul_cycles : int;
   div_cycles : int;
 }
+
+val block_cycle_bound : env -> Isa.Decoded.block -> int
+(** The most one full execution of a decoded block charges (user + sys
+    cycles) under an env: its fixed cycles, the env's mul and div costs,
+    [max_access_cycles] per memory op and [cow_extra_cycles] per store.
+    It is exact when every access costs [max_access_cycles] and either
+    every store copies a COW page or [cow_extra_cycles = 0]. *)
 
 type t
 

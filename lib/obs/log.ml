@@ -4,11 +4,7 @@
    and written with a single output_string so concurrent progress lines
    never interleave mid-line. *)
 
-let quiet_flag =
-  Atomic.make
-    (match Sys.getenv_opt "PARALLAFT_QUIET" with
-    | Some "" | Some "0" | None -> false
-    | Some _ -> true)
+let quiet_flag = Atomic.make false
 
 let quiet () = Atomic.get quiet_flag
 let set_quiet q = Atomic.set quiet_flag q

@@ -3,11 +3,12 @@
     ad-hoc [Printf.eprintf] scattered through the experiment suite, so
     test runs stay clean.
 
-    Quiet defaults to the [PARALLAFT_QUIET] environment variable (set
-    and non-["0"] means quiet); {!set_quiet} overrides it. The flag is
-    an [Atomic.t] and each line is emitted with one [output_string], so
-    {!progress} is safe to call from parallel experiment tasks
-    ([Util.Pool]) without tearing lines. *)
+    Not quiet until {!set_quiet} says so; the library reads no
+    environment ([experiments_main] sets the flag from
+    [PARALLAFT_QUIET]). The flag is an [Atomic.t] and each line is
+    emitted with one [output_string], so {!progress} is safe to call
+    from parallel experiment tasks ([Util.Pool]) without tearing
+    lines. *)
 
 val quiet : unit -> bool
 val set_quiet : bool -> unit

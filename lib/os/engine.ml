@@ -774,6 +774,9 @@ let make_env t core =
         ignore (Mem.Fifo_cache.touch l1 frame);
         ignore (Mem.Fifo_cache.touch l2 frame);
         l2_cycles);
+    (* Exact: the two closures return 0, [l2_cycles] or [dram_cycles],
+       all fixed for the life of this env. *)
+    max_access_cycles = Int.max l2_cycles dram_cycles;
     cow_extra_cycles = cow_cycles;
     mul_cycles = 3;
     div_cycles = 12;

@@ -24,4 +24,4 @@ let normalized ~baseline ~measured =
   if baseline <= 0.0 then invalid_arg "Stats.normalized: baseline <= 0";
   measured /. baseline
 
-let clampf ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clampf ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x

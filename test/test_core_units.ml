@@ -21,6 +21,7 @@ let null_env =
     read_rand = (fun () -> 0);
     mem_access = (fun ~write:_ ~frame:_ -> 0);
     mem_access_cow = (fun ~frame:_ ~old_frame:_ -> 0);
+    max_access_cycles = 0;
     cow_extra_cycles = 0;
     mul_cycles = 3;
     div_cycles = 12;

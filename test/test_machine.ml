@@ -9,12 +9,15 @@ let null_env =
     read_rand = (fun () -> 777);
     mem_access = (fun ~write:_ ~frame:_ -> 0);
     mem_access_cow = (fun ~frame:_ ~old_frame:_ -> 0);
+    max_access_cycles = 0;
     cow_extra_cycles = 100;
     mul_cycles = 3;
     div_cycles = 12;
   }
 
-let make_cpu ?(seed = 1L) ?block_cache src =
+(* With [~cow:true] the loaded pages are shared with a forked address
+   space, so the CPU's first store to each of them copies it. *)
+let make_cpu ?(seed = 1L) ?block_cache ?(cow = false) src =
   let program = Isa.Asm.assemble_exn src in
   let alloc = Mem.Frame.allocator ~page_size in
   let aspace = Mem.Address_space.create alloc in
@@ -22,6 +25,7 @@ let make_cpu ?(seed = 1L) ?block_cache src =
     (fun { Isa.Program.base; bytes } ->
       Mem.Address_space.write_bytes_map aspace ~addr:base bytes)
     program.Isa.Program.data;
+  if cow then ignore (Mem.Address_space.fork aspace);
   Machine.Cpu.create ?block_cache ~rng:(Util.Rng.create ~seed) ~program ~aspace ()
 
 let run ?(max_cycles = 1_000_000) cpu = Machine.Cpu.run cpu ~env:null_env ~max_cycles
@@ -308,6 +312,24 @@ let test_cow_cycles_counted_as_sys () =
    every stop. The harness below runs random programs under random stop
    causes and compares the full observable state stop by stop. *)
 
+(* The harness's data: four pages, every one reachable from the r7 base. *)
+let bc_data_words = 4 * page_size / 8
+
+(* Costs a wrong block cost summary would show: an access costs 0, 5 or
+   40 cycles by frame, a COW store 9 on top of the kernel's copy, and
+   [max_access_cycles] is the largest of them. The cached path skips its
+   per-instruction cycle test for a block it bounds short of the cap, so
+   an understated bound runs a block past a budget stop. *)
+let bc_env =
+  {
+    null_env with
+    Machine.Cpu.mem_access =
+      (fun ~write:_ ~frame ->
+        match frame mod 3 with 0 -> 0 | 1 -> 5 | _ -> 40);
+    mem_access_cow = (fun ~frame:_ ~old_frame:_ -> 9);
+    max_access_cycles = 40;
+  }
+
 (* Everything a tracer (or the fault-tolerance runtime) can see. *)
 type bc_obs = {
   o_stop : Machine.Cpu.stop_reason;
@@ -336,7 +358,7 @@ let bc_observe cpu (res : Machine.Cpu.run_result) =
     o_blocks = res.Machine.Cpu.blocks_retired;
     o_injected = Machine.Cpu.fault_injected cpu;
     o_mem =
-      List.init 512 (fun i ->
+      List.init bc_data_words (fun i ->
           Mem.Address_space.load64 (Machine.Cpu.aspace cpu) (i * 8));
   }
 
@@ -375,7 +397,7 @@ let bc_drive cpu ~scenario ~n_insns =
   let rec go k acc =
     if k >= max_stops then List.rev acc
     else
-      let res = Machine.Cpu.run cpu ~env:null_env ~max_cycles in
+      let res = Machine.Cpu.run cpu ~env:bc_env ~max_cycles in
       let obs = bc_observe cpu res in
       let acc = obs :: acc in
       match res.Machine.Cpu.stop with
@@ -398,53 +420,80 @@ let bc_drive cpu ~scenario ~n_insns =
   in
   go 0 []
 
-(* Random program: every instruction is labelled so branches and jumps
-   can target any of them. r7 is pinned to 0 as the only load/store
-   base, generated writes stay in r1..r6, so data traffic is confined to
-   the mapped page; div-by-zero, infinite loops and mid-run traps are
-   stop causes the harness compares, not generator bugs. *)
-let bc_gen_case =
+(* Random straight-line instructions. r7 is pinned to 0 as the only
+   load/store base and generated writes stay in r1..r6, so data traffic
+   is confined to the mapped pages; ALU operands come from r0..r6, so a
+   divisor is zero only if a register is. The two fused patterns
+   (load + ALU on the loaded register, sub + branch on the decremented
+   one) are generated on purpose as well as by chance. *)
+let bc_straight =
   let open QCheck.Gen in
-  let n = 24 in
   let rw = int_range 1 6 in
   let rr = int_range 0 7 in
-  let off = map (fun i -> i * 8) (int_range 0 500) in
-  let lab = map (Printf.sprintf "i%d") (int_range 0 (n - 1)) in
+  let ra = int_range 0 6 in
+  let off = map (fun i -> i * 8) (int_range 0 (bc_data_words - 1)) in
   let alu2 =
     oneofl [ "add"; "sub"; "mul"; "div"; "rem"; "and"; "or"; "xor" ]
   in
   let alui = oneofl [ "add"; "sub"; "shl"; "shr" ] in
-  let insn =
-    frequency
-      [
-        ( 6,
-          map3
-            (fun op d (a, b) -> Printf.sprintf "%s r%d, r%d, r%d" op d a b)
-            alu2 rw (pair rr rr) );
-        ( 4,
-          map3
-            (fun op d (a, i) -> Printf.sprintf "%s r%d, r%d, %d" op d a i)
-            alui rw
-            (pair rr (int_range 0 7)) );
-        (3, map2 (fun d i -> Printf.sprintf "li r%d, %d" d i) rw (int_range (-1000) 1000));
-        (2, map2 (fun d s -> Printf.sprintf "mov r%d, r%d" d s) rw rr);
-        (3, map2 (fun d o -> Printf.sprintf "load r%d, r7, %d" d o) rw off);
-        (3, map2 (fun s o -> Printf.sprintf "store r%d, r7, %d" s o) rr off);
-        (1, map2 (fun d o -> Printf.sprintf "load8 r%d, r7, %d" d o) rw off);
-        (1, map2 (fun s o -> Printf.sprintf "store8 r%d, r7, %d" s o) rr off);
-        (1, map (Printf.sprintf "rdtsc r%d") rw);
-        (1, map (Printf.sprintf "rdrand r%d") rw);
-        (1, map (Printf.sprintf "rdcoreid r%d") rw);
-        (1, return "nop");
-        (1, return "syscall");
-        ( 4,
-          map3
-            (fun c (a, b) l -> Printf.sprintf "%s r%d, r%d, %s" c a b l)
-            (oneofl [ "beq"; "bne"; "blt"; "bge" ])
-            (pair rr rr) lab );
-        (1, map (Printf.sprintf "jmp %s") lab);
-      ]
-  in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun op d (a, b) -> Printf.sprintf "%s r%d, r%d, r%d" op d a b)
+          alu2 rw (pair ra ra) );
+      ( 4,
+        map3
+          (fun op d (a, i) -> Printf.sprintf "%s r%d, r%d, %d" op d a i)
+          alui rw
+          (pair ra (int_range 0 7)) );
+      (3, map2 (fun d i -> Printf.sprintf "li r%d, %d" d i) rw (int_range (-1000) 1000));
+      (2, map2 (fun d s -> Printf.sprintf "mov r%d, r%d" d s) rw rr);
+      (3, map2 (fun d o -> Printf.sprintf "load r%d, r7, %d" d o) rw off);
+      (3, map2 (fun s o -> Printf.sprintf "store r%d, r7, %d" s o) rr off);
+      (1, map2 (fun d o -> Printf.sprintf "load8 r%d, r7, %d" d o) rw off);
+      (1, map2 (fun s o -> Printf.sprintf "store8 r%d, r7, %d" s o) rr off);
+      ( 1,
+        map3
+          (fun (l, o) op (d, a) ->
+            Printf.sprintf "load r%d, r7, %d\n%s r%d, r%d, r%d" l o op d a l)
+          (pair rw off) alu2 (pair rw ra) );
+      (1, map (Printf.sprintf "rdtsc r%d") rw);
+      (1, map (Printf.sprintf "rdrand r%d") rw);
+      (1, map (Printf.sprintf "rdcoreid r%d") rw);
+      (1, return "nop");
+    ]
+
+(* A control transfer or trap site to one of [labels]. *)
+let bc_control labels =
+  let open QCheck.Gen in
+  let rr = int_range 0 7 in
+  frequency
+    [
+      (1, return "syscall");
+      ( 4,
+        map3
+          (fun c (a, b) l -> Printf.sprintf "%s r%d, r%d, %s" c a b l)
+          (oneofl [ "beq"; "bne"; "blt"; "bge" ])
+          (pair rr rr) labels );
+      ( 1,
+        map3
+          (fun (d, i) (c, b) l ->
+            Printf.sprintf "sub r%d, r%d, %d\n%s r%d, r%d, %s" d d i c d b l)
+          (pair (int_range 1 6) (int_range 0 3))
+          (pair (oneofl [ "bne"; "blt"; "bge" ]) rr)
+          labels );
+      (1, map (Printf.sprintf "jmp %s") labels);
+    ]
+
+(* Random program: every instruction is labelled so branches and jumps
+   can target any of them; div-by-zero, infinite loops and mid-run traps
+   are stop causes the harness compares, not generator bugs. *)
+let bc_gen_case =
+  let open QCheck.Gen in
+  let n = 24 in
+  let lab = map (Printf.sprintf "i%d") (int_range 0 (n - 1)) in
+  let insn = frequency [ (27, bc_straight); (7, bc_control lab) ] in
   let scenario =
     frequency
       [
@@ -463,7 +512,7 @@ let bc_gen_case =
   let* scen = scenario in
   let* seed = int_range 1 1_000_000 in
   let b = Buffer.create 512 in
-  Buffer.add_string b ".zero 0x0 4096\n";
+  Buffer.add_string b (Printf.sprintf ".zero 0x0 %d\n" (bc_data_words * 8));
   Buffer.add_string b "li r7, 0\n";
   List.iteri
     (fun i s -> Buffer.add_string b (Printf.sprintf "i%d:\n%s\n" i s))
@@ -478,8 +527,8 @@ let qcheck_block_cache_differential =
   QCheck.Test.make ~name:"block cache is architecturally invisible" ~count:300
     (QCheck.make ~print:bc_case_print bc_gen_case)
     (fun (src, scenario, seed, n_insns) ->
-      let cached = make_cpu ~seed ~block_cache:64 src in
-      let uncached = make_cpu ~seed ~block_cache:0 src in
+      let cached = make_cpu ~seed ~block_cache:64 ~cow:true src in
+      let uncached = make_cpu ~seed ~block_cache:0 ~cow:true src in
       let a = bc_drive cached ~scenario ~n_insns in
       let b = bc_drive uncached ~scenario ~n_insns in
       if a <> b then
@@ -494,9 +543,63 @@ let qcheck_block_cache_differential_tiny =
     ~count:120
     (QCheck.make ~print:bc_case_print bc_gen_case)
     (fun (src, scenario, seed, n_insns) ->
-      let cached = make_cpu ~seed ~block_cache:4 src in
-      let uncached = make_cpu ~seed ~block_cache:0 src in
+      let cached = make_cpu ~seed ~block_cache:4 ~cow:true src in
+      let uncached = make_cpu ~seed ~block_cache:0 ~cow:true src in
       bc_drive cached ~scenario ~n_insns = bc_drive uncached ~scenario ~n_insns)
+
+(* The bound the cached path trusts must be exact where it is tight:
+   with every access at [max_access_cycles] and no kernel copy cost, a
+   decoded block that runs to its terminator under the plain
+   interpreter charges exactly [Cpu.block_cycle_bound]. One cycle short
+   would let a block run past a budget that lands on its last
+   instruction. *)
+let max_cost_env =
+  let worst = bc_env.Machine.Cpu.max_access_cycles in
+  {
+    bc_env with
+    Machine.Cpu.mem_access = (fun ~write:_ ~frame:_ -> worst);
+    mem_access_cow = (fun ~frame:_ ~old_frame:_ -> worst);
+    cow_extra_cycles = 0;
+  }
+
+(* A block's worth of straight-line code (past the 64-op cap at times)
+   and one control transfer, run with r0..r6 and every data byte
+   nonzero so that most divisions have a divisor. *)
+let bound_gen_case =
+  let open QCheck.Gen in
+  let* len = int_range 0 70 in
+  let* body = list_repeat len bc_straight in
+  let* term = oneof [ bc_control (return "top"); return "halt" ] in
+  let* regs = list_repeat 7 (int_range 1 1000) in
+  let src =
+    Printf.sprintf ".zero 0x0 %d\ntop:\n%s\n%s\nhalt\n" (bc_data_words * 8)
+      (String.concat "\n" body) term
+  in
+  return (src, regs)
+
+let qcheck_block_bound_exact =
+  QCheck.Test.make ~name:"block bound = cycles at max access cost" ~count:300
+    (QCheck.make ~print:fst bound_gen_case)
+    (fun (src, regs) ->
+      let cpu = make_cpu ~block_cache:0 src in
+      let aspace = Machine.Cpu.aspace cpu in
+      ignore
+        (Mem.Address_space.write_bytes aspace ~addr:0
+           (Bytes.make (bc_data_words * 8) '\x11'));
+      ignore (Mem.Address_space.fork aspace);
+      List.iteri (Machine.Cpu.set_reg cpu) regs;
+      let code = (Machine.Cpu.program cpu).Isa.Program.code in
+      let blk = Isa.Decoded.decode_block ~code ~nondet_trap:false ~entry:0 in
+      Machine.Cpu.arm_insn_overflow cpu ~target:blk.Isa.Decoded.n_insns;
+      let res = Machine.Cpu.run cpu ~env:max_cost_env ~max_cycles:max_int in
+      let charged = res.Machine.Cpu.user_cycles + res.Machine.Cpu.sys_cycles in
+      match res.Machine.Cpu.stop with
+      | Machine.Cpu.Fault_stop _ -> true (* stopped before its terminator *)
+      | _ ->
+        let bound = Machine.Cpu.block_cycle_bound max_cost_env blk in
+        charged = bound
+        || QCheck.Test.fail_reportf "charged %d cycles, bound %d" charged
+             bound)
 
 let test_block_cache_hits_and_stats () =
   let src = "li r1, 50\nli r2, 0\nl:\nsub r1, r1, 1\nbne r1, r2, l\nhalt" in
@@ -656,5 +759,6 @@ let () =
           tc "patch_code differential" `Quick test_patch_code_differential;
           QCheck_alcotest.to_alcotest qcheck_block_cache_differential;
           QCheck_alcotest.to_alcotest qcheck_block_cache_differential_tiny;
+          QCheck_alcotest.to_alcotest qcheck_block_bound_exact;
         ] );
     ]
