@@ -46,12 +46,21 @@ unused-exports:
 # polymorphic comparison primitives or caml_hash. A comparison whose
 # operand type the compiler cannot see (a function whose argument type
 # generalises to 'a) compiles to a C call to one of them; a type
-# annotation makes it an inline int or float compare. Prints
+# annotation makes it an inline int or float compare. Stdlib.min and
+# Stdlib.max compile to calls into Stdlib (camlStdlib.min_NN/max_NN)
+# that compare polymorphically inside, so those calls fail too: use
+# Int.min/Int.max or Float.min/Float.max. Prints
 # `object: function: primitive` per use and fails if there is any;
 # skips where objdump is not installed.
 MONOMORPHIC_LIBS = isa machine mem util hash os seglog
-MONOMORPHIC_PRIMS = caml_compare|caml_equal|caml_notequal|caml_lessthan|\
-caml_lessequal|caml_greaterthan|caml_greaterequal|caml_hash
+MONOMORPHIC_PRIMS = caml_compare caml_equal caml_notequal caml_lessthan \
+  caml_lessequal caml_greaterthan caml_greaterequal caml_hash \
+  camlStdlib\.min_[0-9]+ camlStdlib\.max_[0-9]+
+# One awk alternation; make joins continuation lines with a space, so
+# the alternatives are listed space-separated and joined here.
+empty :=
+space := $(empty) $(empty)
+MONOMORPHIC_RE = $(subst $(space),|,$(strip $(MONOMORPHIC_PRIMS)))
 
 monomorphic: build
 	@if command -v objdump >/dev/null 2>&1; then \
@@ -59,7 +68,7 @@ monomorphic: build
 	    for o in $$(find _build/default/lib/$$d -name '*.o' | sort); do \
 	      objdump -dr "$$o" | awk -v obj="$$o" ' \
 	        /^[0-9a-f]+ <.*>:$$/ { fn = substr($$2, 2, length($$2) - 3) } \
-	        /[[:space:]]($(MONOMORPHIC_PRIMS))([^A-Za-z0-9_]|$$)/ { \
+	        /[[:space:]]($(MONOMORPHIC_RE))([^A-Za-z0-9_]|$$)/ { \
 	          p = $$NF; sub(/[-+]0x[0-9a-f]+$$/, "", p); \
 	          print obj ": " fn ": " p }' | sort -u; \
 	    done; \

@@ -154,7 +154,12 @@ let run platform mode period scale workload input asm_file seed show_output
   let refusal =
     match List.find_opt fst dropped_flags with
     | Some (_, why) -> Error why
-    | None -> Parallaft.Config.validate kind config
+    | None -> (
+      match (Parallaft.Config.validate kind config, record_log, program) with
+      | Ok (), Some dir, Some program ->
+        Result.map_error (( ^ ) "record-log: ")
+          (Parallaft.Seglog_io.validate ~dir ~program)
+      | refusal, _, _ -> refusal)
   in
   match (program, refusal) with
   | None, _ ->
@@ -426,8 +431,8 @@ let arrival_arg =
 let record_log_arg =
   Arg.(value & opt (some string) None & info [ "record-log" ] ~docv:"DIR"
          ~doc:"Persist the run's segment record/replay stream as a \
-               $(i,parallaft-seglog v2) log in $(docv) (manifest.plog + one \
-               seg-NNNNNN.plog per verified segment). The log can be \
+               $(i,parallaft-seglog v2) log in $(docv) (a manifest plus one \
+               file per verified segment). The log can be \
                re-checked offline with $(b,parallaft-replay). Only valid \
                with --mode parallaft and a single tenant.")
 

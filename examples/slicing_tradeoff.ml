@@ -22,18 +22,13 @@ let () =
   List.iter
     (fun (label, period) ->
       let config = Parallaft.Config.parallaft ~platform ~slice_period:period () in
-      let p =
-        Experiments.Measure.run_benchmark ~platform
-          ~mode:(Experiments.Measure.Protected config) ~scale bench
+      let b =
+        Experiments.Measure.breakdown ~baseline
+          ~measured:
+            (Experiments.Measure.run_benchmark ~platform
+               ~mode:(Experiments.Measure.Protected config) ~scale bench)
       in
-      let wall0 = baseline.Experiments.Measure.wall_ns in
-      let pct x = Float.max 0.0 (100.0 *. x /. wall0) in
-      Printf.printf "%10s  %12.1f  %12.1f  %10.1f\n" label
-        (pct
-           (p.Experiments.Measure.main_sys_ns
-           -. baseline.Experiments.Measure.main_sys_ns))
-        (pct (p.Experiments.Measure.wall_ns -. p.Experiments.Measure.main_wall_ns))
-        (pct (p.Experiments.Measure.wall_ns -. wall0)))
+      Printf.printf "%10s  %12.1f  %12.1f  %10.1f\n" label b.fork_cow b.sync b.total)
     [ ("1B", 50_000); ("2B", 100_000); ("5B", 250_000); ("10B", 500_000);
       ("20B", 1_000_000) ];
   print_endline

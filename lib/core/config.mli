@@ -109,9 +109,9 @@ type t = {
           stats dump. Off by default so the default stats surface (and
           every golden) is unchanged. *)
   record_log : string option;
-      (** persist a {!Seglog} of the run into this directory (one
-          [seg-NNNNNN.plog] per recorded segment plus a [manifest.plog]
-          at the end), for offline re-checking with [parallaft_replay].
+      (** persist a {!Seglog} of the run into this directory (one file
+          per recorded segment plus a manifest at the end, laid out by
+          {!Seglog_io}), for offline re-checking with [parallaft_replay].
           [None] (the default) writes nothing and the run is
           byte-identical to before the option existed. {!validate}
           refuses it outside a [Solo] Parallaft run (the log's verdict

@@ -313,15 +313,6 @@ let replay ~(manifest : R.manifest) ~(segments : R.segment list) =
         (Printf.sprintf "page size mismatch: manifest %d, platform %s has %d"
            header.R.page_size platform.Platform.name platform.Platform.page_size)
   in
-  let* program = Seglog_io.program_of_record manifest.R.program in
-  let* plan =
-    match config.R.fault with
-    | None -> Ok None
-    | Some spec -> (
-      match Seglog_io.plan_of_spec spec with
-      | Ok p -> Ok (Some p)
-      | Error e -> Error ("bad recorded fault plan: " ^ e))
-  in
   if segments = [] then
     let final_hash = manifest.R.final_state_hash in
     Ok (Verified { segments = 0; final_hash; final_hash_matches = None })
@@ -336,7 +327,7 @@ let replay ~(manifest : R.manifest) ~(segments : R.segment list) =
         eng;
         pid = -1;
         segs = Array.of_list segments;
-        plan;
+        plan = config.R.fault;
         (* With the re-check on, a failed check was retried on a fresh
            checker (attempt 1), where a one-shot plan is never re-armed. *)
         attempt = (if config.R.recheck then 1 else 0);
@@ -355,7 +346,7 @@ let replay ~(manifest : R.manifest) ~(segments : R.segment list) =
       }
     in
     let tracer _eng _pid ev = handle_event st ev in
-    st.pid <- E.spawn eng ~tracer ~program ~core:0 ();
+    st.pid <- E.spawn eng ~tracer ~program:manifest.R.program ~core:0 ();
     E.suspend eng st.pid;
     arm_segment st;
     E.resume eng st.pid;

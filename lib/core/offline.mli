@@ -59,10 +59,12 @@ val replay :
   segments:Seglog.Record.segment list ->
   (verdict, string) result
 (** Re-execute and re-check the whole recorded history. [segments]
-    must be the decoded segment files in manifest order ({!Reader}
-    enforces the fingerprint; this function re-checks the id order).
-    [Error] is an environment problem (unknown platform, undecodable
-    program, replay stall) as opposed to a verified divergence. *)
+    must be the decoded segment files in manifest order
+    ({!Seglog_io.read} checks the fingerprint; this function re-checks
+    the id order). [Error] is an environment problem (unknown platform,
+    page-size mismatch, replay stall) as opposed to a verified
+    divergence; an undecodable program or fault plan is a
+    {!Seglog.Codec.Malformed} log, refused before replay. *)
 
 val divergence_report : divergence -> string
 (** Multi-line human-readable report: diverging segment + execution

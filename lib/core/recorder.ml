@@ -7,6 +7,7 @@
    a rollback. *)
 
 module E = Sim_os.Engine
+module R = Seglog.Record
 open Run_ctx
 
 let arm_slice t =
@@ -237,19 +238,19 @@ let record_and_pass t call =
     | (Sim_os.Syscall.Read { addr; _ } | Sim_os.Syscall.Getrandom { addr; _ })
       when result > 0 -> (
       match Replay_kernel.read_mem_opt (E.aspace t.eng t.main) ~addr ~len:result with
-      | Some data -> [ { Rr_log.addr; data } ]
+      | Some data -> [ { R.addr; data } ]
       | None -> [])
     | _ -> []
   in
   let bytes =
     (match in_data with Some b -> Bytes.length b | None -> 0)
-    + List.fold_left (fun acc { Rr_log.data; _ } -> acc + Bytes.length data) 0 effects
+    + List.fold_left (fun acc { R.data; _ } -> acc + Bytes.length data) 0 effects
   in
   charge t
     ?segment:(match t.cur with Some s -> Some (Segment.id s) | None -> None)
     t.main "record_io"
     ~ns:(float_of_int bytes *. (plat t).Platform.syscall_record_ns_per_byte);
-  Rr_log.record (current_log t) (Rr_log.Sys { call; in_data; result; effects });
+  Rr_log.record (current_log t) (R.Sys { call; in_data; result; effects });
   t.stats.Stats.syscalls_recorded <- t.stats.Stats.syscalls_recorded + 1;
   E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant
     ~args:
@@ -284,7 +285,7 @@ let mmap_split t call =
         Replay_kernel.read_mem_opt (E.aspace t.eng t.main) ~addr:result ~len
       | _ -> None
     in
-    Seglog_io.note_preamble out { Rr_log.call; in_data; result; effects = [] });
+    Seglog_io.note_preamble out { R.call; in_data; result; effects = [] });
   start_segment t;
   E.resume t.eng t.main
 
@@ -321,7 +322,7 @@ let handle_main_event t ev =
     | _ -> record_and_pass t call)
   | E.Nondet insn ->
     let value = emulate_nondet t t.main insn in
-    Rr_log.record (current_log t) (Rr_log.Nondet { insn; value });
+    Rr_log.record (current_log t) (R.Nondet { insn; value });
     t.stats.Stats.nondet_recorded <- t.stats.Stats.nondet_recorded + 1;
     E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant "nondet.record";
     wake_waiting_checker t;
@@ -334,7 +335,7 @@ let handle_main_event t ev =
     boundary t
   | E.Signal signum -> (
     Rr_log.record (current_log t)
-      (Rr_log.Ext_signal { at = exec_point_now t; signum });
+      (R.Ext_signal { at = exec_point_now t; signum });
     t.stats.Stats.signals_recorded <- t.stats.Stats.signals_recorded + 1;
     E.emit t.eng ~track:(main_track t) ~phase:Obs.Trace.Instant
       ~args:[ ("signum", Obs.Trace.Int signum) ]

@@ -3,6 +3,7 @@
    (Offline) over their own world. *)
 
 module E = Sim_os.Engine
+module R = Seglog.Record
 
 let read_mem_opt sp ~addr ~len =
   try Some (Mem.Address_space.read_bytes sp ~addr ~len)
@@ -64,7 +65,7 @@ module type WORLD = sig
 
   val eng : t -> E.t
   val pid : t -> E.pid
-  val next_interaction : t -> Rr_log.event option
+  val next_interaction : t -> R.event option
   val replay : t -> Exec_point.replay
   val pending_signals : t -> (Exec_point.t * Sim_os.Sig_num.t) list
   val set_pending_signals : t -> (Exec_point.t * Sim_os.Sig_num.t) list -> unit
@@ -81,7 +82,7 @@ module Make (W : WORLD) = struct
   let resume w = E.resume (W.eng w) (W.pid w)
   let mismatch w m = W.fail w (Detection.Detected m)
 
-  let replay_process_local w (rec_ : Rr_log.sys_record) call =
+  let replay_process_local w (rec_ : R.sys_record) call =
     let pin_to =
       match (call : Sim_os.Syscall.call) with
       | Sim_os.Syscall.Mmap { flags; _ } when flags land Sim_os.Syscall.map_anon <> 0 ->
@@ -104,12 +105,12 @@ module Make (W : WORLD) = struct
 
   (* Never re-executed: answered from the record, so external effects
      happen exactly once. *)
-  let answer w (rec_ : Rr_log.sys_record) =
+  let answer w (rec_ : R.sys_record) =
     E.complete_syscall (W.eng w) (W.pid w) ~result:rec_.result;
     let sp = E.aspace (W.eng w) (W.pid w) in
     let bytes =
       List.fold_left
-        (fun n { Rr_log.addr; data } ->
+        (fun n { R.addr; data } ->
           ignore (Mem.Address_space.write_bytes sp ~addr data);
           n + Bytes.length data)
         0 rec_.effects
@@ -124,12 +125,12 @@ module Make (W : WORLD) = struct
     | None ->
       if not (W.await_log w) then
         mismatch w (Detection.Extra_interaction { got = name })
-    | Some (Rr_log.Nondet _) ->
+    | Some (R.Nondet _) ->
       mismatch w
         (Detection.Syscall_mismatch
            { expected = "nondeterministic instruction"; got = name })
-    | Some (Rr_log.Ext_signal _) -> assert false (* never yielded *)
-    | Some (Rr_log.Sys rec_) ->
+    | Some (R.Ext_signal _) -> assert false (* never yielded *)
+    | Some (R.Sys rec_) ->
       let data_matches () =
         match rec_.in_data with
         | None -> true
@@ -152,18 +153,18 @@ module Make (W : WORLD) = struct
 
   let on_nondet w insn =
     match W.next_interaction w with
-    | Some (Rr_log.Nondet { insn = recorded_insn; value }) when recorded_insn = insn ->
+    | Some (R.Nondet { insn = recorded_insn; value }) when recorded_insn = insn ->
       let c = cpu w in
       (match Isa.Insn.writes_reg insn with
       | Some reg -> Machine.Cpu.set_reg c reg value
       | None -> ());
       Machine.Cpu.set_pc c (Machine.Cpu.get_pc c + 1);
       resume w
-    | Some (Rr_log.Sys r) ->
+    | Some (R.Sys r) ->
       mismatch w
         (Detection.Syscall_mismatch
            { expected = Sim_os.Syscall.name r.call; got = "nondet instruction" })
-    | Some (Rr_log.Nondet _ | Rr_log.Ext_signal _) ->
+    | Some (R.Nondet _ | R.Ext_signal _) ->
       mismatch w (Detection.Extra_interaction { got = "nondet instruction" })
     | None ->
       if not (W.await_log w) then

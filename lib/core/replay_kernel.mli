@@ -63,7 +63,7 @@ module type WORLD = sig
   val eng : t -> Sim_os.Engine.t
   val pid : t -> Sim_os.Engine.pid
 
-  val next_interaction : t -> Rr_log.event option
+  val next_interaction : t -> Seglog.Record.event option
   (** Pop the next [Sys]/[Nondet] record; [None] when there is none (yet). *)
 
   val replay : t -> Exec_point.replay

@@ -1,30 +1,8 @@
-(* The event types are re-exports of the serializable seglog records:
-   the live pipeline stores and replays exactly what the on-disk format
-   can express, so the in-memory path doubles as a proof that the
-   format is complete. *)
+(* The events are the serializable seglog records: the live pipeline
+   stores and replays exactly what the on-disk format can express, so
+   the in-memory path doubles as a proof that the format is complete. *)
 
-type mem_effect = Seglog.Record.mem_effect = {
-  addr : int;
-  data : Bytes.t;
-}
-
-type sys_record = Seglog.Record.sys_record = {
-  call : Sim_os.Syscall.call;
-  in_data : Bytes.t option;
-  result : int;
-  effects : mem_effect list;
-}
-
-type event = Seglog.Record.event =
-  | Sys of sys_record
-  | Nondet of {
-      insn : Isa.Insn.t;
-      value : int;
-    }
-  | Ext_signal of {
-      at : Exec_point.t;
-      signum : Sim_os.Sig_num.t;
-    }
+module R = Seglog.Record
 
 (* The log IS a seglog event stream: [record] encodes straight into a
    growable byte buffer and cursors decode back out of it. Cursors hold
@@ -39,7 +17,7 @@ type t = {
 let create () = { buf = Seglog.Codec.wbuf (); n = 0 }
 
 let record t ev =
-  Seglog.Record.put_event t.buf ev;
+  R.put_event t.buf ev;
   t.n <- t.n + 1
 
 let length t = t.n
@@ -51,13 +29,13 @@ let reader_at t pos =
 
 let events t =
   let r = reader_at t 0 in
-  List.init t.n (fun _ -> Seglog.Record.get_event r)
+  List.init t.n (fun _ -> R.get_event r)
 
 let signals events =
   List.filter_map
     (function
-      | Ext_signal { at; signum } -> Some (at, signum)
-      | Sys _ | Nondet _ -> None)
+      | R.Ext_signal { at; signum } -> Some (at, signum)
+      | R.Sys _ | R.Nondet _ -> None)
     events
 
 let signal_points t = signals (events t)
@@ -73,9 +51,9 @@ let rec next_interaction c =
   if c.pos >= Seglog.Codec.wlen c.log.buf then None
   else begin
     let r = reader_at c.log c.pos in
-    let ev = Seglog.Record.get_event r in
+    let ev = R.get_event r in
     c.pos <- Seglog.Codec.rpos r;
     match ev with
-    | Ext_signal _ -> next_interaction c
-    | Sys _ | Nondet _ -> Some ev
+    | R.Ext_signal _ -> next_interaction c
+    | R.Sys _ | R.Nondet _ -> Some ev
   end

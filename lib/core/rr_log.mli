@@ -11,56 +11,28 @@
     of the outside world, so externally visible effects happen exactly
     once.
 
-    The event types are re-exports of {!Seglog.Record} and the log
-    itself stores seglog-encoded bytes: the in-memory path is a
-    writer+reader pair over the same format [--record-log] persists,
-    so replay consumes only what the format can express.
-
-    [in_data] holds bytes the kernel read from main memory (write
-    payloads, open paths) — compared against the checker's buffer.
-    [effects] holds bytes the kernel wrote into main memory
-    (read/getrandom data) — injected into the checker instead of
-    re-executing. *)
-
-type mem_effect = Seglog.Record.mem_effect = {
-  addr : int;
-  data : Bytes.t;
-}
-
-type sys_record = Seglog.Record.sys_record = {
-  call : Sim_os.Syscall.call;
-  in_data : Bytes.t option;
-  result : int;
-  effects : mem_effect list;
-}
-
-type event = Seglog.Record.event =
-  | Sys of sys_record
-  | Nondet of {
-      insn : Isa.Insn.t;
-      value : int;
-    }
-  | Ext_signal of {
-      at : Exec_point.t;  (** segment-relative delivery point *)
-      signum : Sim_os.Sig_num.t;
-    }
+    The events are {!Seglog.Record}'s and the log itself stores
+    seglog-encoded bytes: the in-memory path is a writer+reader pair
+    over the same format [--record-log] persists, so replay consumes
+    only what the format can express. {!Seglog.Record.sys_record} says
+    what [in_data] and [effects] hold. *)
 
 type t
 
 val create : unit -> t
 
-val record : t -> event -> unit
+val record : t -> Seglog.Record.event -> unit
 
 val length : t -> int
 
-val events : t -> event list
+val events : t -> Seglog.Record.event list
 (** In record order. *)
 
 val signal_points : t -> (Exec_point.t * Sim_os.Sig_num.t) list
 (** The external-signal delivery points, in order — these become extra
     replay targets for the checker. *)
 
-val signals : event list -> (Exec_point.t * Sim_os.Sig_num.t) list
+val signals : Seglog.Record.event list -> (Exec_point.t * Sim_os.Sig_num.t) list
 (** {!signal_points} of a decoded event list. *)
 
 (** Replay cursor: one per checker. *)
@@ -68,7 +40,7 @@ type cursor
 
 val cursor : t -> cursor
 
-val next_interaction : cursor -> event option
+val next_interaction : cursor -> Seglog.Record.event option
 (** Pop the next [Sys]/[Nondet] event (skipping [Ext_signal] entries,
     which are replayed by execution point, not by order of interaction).
     [None] means the log holds no further interaction {e yet}: if the

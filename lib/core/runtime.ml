@@ -38,7 +38,7 @@ let run_protected ?(seed = 42L) ?rng ?prng ?before_run ~platform ~config
       (fun dir ->
         match Seglog_io.create ~dir ~cfg:config ~platform ~program ~seed with
         | Ok out -> out
-        | Error msg -> failwith ("record-log: " ^ msg))
+        | Error why -> invalid_arg ("Runtime.run_protected: record-log: " ^ why))
       config.Config.record_log
   in
   let coord = Coordinator.create ?rng ?prng ?seglog:seglog_out eng config ~program in

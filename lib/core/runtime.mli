@@ -46,7 +46,8 @@ val run_protected :
     ({!Fleet.tenant_rngs}) replays that tenant's run solo — the
     baseline the per-tenant determinism tests compare against.
     @raise Invalid_argument if {!Config.validate} refuses [config] as a
-    [Solo] run; nothing has run and no record-log directory exists. *)
+    [Solo] run, or {!Seglog_io.create} its record-log directory; nothing
+    has run. *)
 
 val run_baseline :
   ?seed:int64 ->

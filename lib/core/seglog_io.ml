@@ -1,10 +1,12 @@
-(* Bridge between the runtime's Config/Fault types and the persisted
-   seglog: config fingerprinting, conversion to the Record shapes, and
-   the per-run output state behind --record-log. *)
+(* The runtime's side of the persisted seglog (DESIGN.md §17): the run
+   config and its fingerprint, the per-run output behind --record-log,
+   and [read]. This is the one module that knows a log directory's
+   layout: a manifest plus one file per segment. *)
 
 module R = Seglog.Record
 
-let mode_raft cfg = cfg.Config.mode = Config.Raft
+let manifest_file = "manifest.plog"
+let segment_file_name id = Printf.sprintf "seg-%06d.plog" id
 
 let dirty_backend_string cfg =
   match cfg.Config.dirty_backend with
@@ -12,148 +14,75 @@ let dirty_backend_string cfg =
   | Config.Map_count -> "map_count"
   | Config.Full_compare -> "full_compare"
 
-let fault_spec (p : Fault.plan) =
-  let arg_a, arg_b =
-    match p.target with
-    | Fault.Checker_register { reg; bit } | Fault.Main_register { reg; bit } -> (reg, bit)
-    | Fault.Checker_memory_page { page_index; bit } | Fault.Main_memory_page { page_index; bit }
-      ->
-      (page_index, bit)
-    | Fault.Runtime_fault _ -> (0, 0)
-  in
-  { R.kind = Fault.target_kind_to_string p.target;
-    fault_segment = p.segment;
-    delay = p.delay_instructions;
-    arg_a;
-    arg_b;
-    repeat = p.repeat
-  }
-
-let plan_of_spec (f : R.fault_spec) =
-  match Fault.target_kind_of_string f.kind with
-  | Error e -> Error e
-  | Ok build ->
-    Ok
-      { Fault.segment = f.fault_segment;
-        delay_instructions = f.delay;
-        target = build f.arg_a f.arg_b;
-        repeat = f.repeat
-      }
-
 let run_config (cfg : Config.t) ~seed =
-  { R.mode_raft = mode_raft cfg;
+  { R.mode_raft = cfg.mode = Config.Raft;
     slice_period = cfg.slice_period;
     timeout_scale = Config.timeout_scale;
     compare_states = Config.compare_states cfg;
     dirty_backend = dirty_backend_string cfg;
     hasher = "xxh64";
     seed;
-    fault = Option.map fault_spec cfg.fault_plan;
+    fault = cfg.fault_plan;
     recheck = cfg.recheck_on_mismatch
   }
-
-let header (cfg : Config.t) ~(platform : Platform.t) ~workload ~seed =
-  let rc = run_config cfg ~seed in
-  { R.config_digest =
-      R.config_digest ~platform:platform.Platform.name ~page_size:platform.Platform.page_size
-        ~workload rc;
-    platform = platform.Platform.name;
-    page_size = platform.Platform.page_size;
-    workload
-  }
-
-(* @raise Failure if an instruction has no binary encoding. *)
-let program_record (p : Isa.Program.t) =
-  let code =
-    Array.map
-      (fun insn ->
-        match Isa.Insn.encode insn with
-        | Some w -> w
-        | None ->
-          failwith
-            (Printf.sprintf "seglog: instruction %s has no binary encoding"
-               (Isa.Insn.to_string insn)))
-      p.Isa.Program.code
-  in
-  { R.pname = p.Isa.Program.name;
-    entry = p.Isa.Program.entry;
-    initial_brk = p.Isa.Program.initial_brk;
-    code;
-    data =
-      List.map
-        (fun (d : Isa.Program.data_segment) -> (d.Isa.Program.base, d.Isa.Program.bytes))
-        p.Isa.Program.data
-  }
-
-let program_of_record (p : R.program) =
-  let missing = ref None in
-  let code =
-    Array.map
-      (fun word ->
-        match Isa.Insn.decode word with
-        | Some insn -> insn
-        | None ->
-          if !missing = None then missing := Some word;
-          Isa.Insn.Nop)
-      p.R.code
-  in
-  match !missing with
-  | Some w -> Error (Printf.sprintf "undecodable instruction word %#x in program image" w)
-  | None ->
-    Ok
-      (Isa.Program.create ~name:p.R.pname ~entry:p.R.entry ~initial_brk:p.R.initial_brk
-         ~data:
-           (List.map (fun (base, bytes) -> { Isa.Program.base; bytes }) p.R.data)
-         code)
 
 (* ---------- the per-run output behind --record-log ---------- *)
 
 type out = {
   dir : string;
-  hdr : R.header;
   writer : Seglog.Writer.t;
-  cfg_record : R.run_config;
-  prog : R.program;
+  mutable manifest : R.manifest;  (** [segments] reversed until [finalize] *)
   mutable pending_preamble : R.sys_record list;  (** reversed *)
-  mutable seg_ids : int list;  (** reversed *)
-  mutable truncated_at : int option;
   mutable manifest_bytes : int;
 }
 
 let write_file path bytes =
-  let oc = open_out_bin path in
-  output_bytes oc bytes;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes)
 
-let create ~dir ~cfg ~platform ~program ~seed =
+let validate ~dir ~(program : Isa.Program.t) =
   match
-    if Sys.file_exists dir then
-      if Sys.is_directory dir then Ok () else Error (dir ^ " exists and is not a directory")
-    else begin
-      Sys.mkdir dir 0o755;
-      Ok ()
-    end
+    Array.find_index (fun insn -> Option.is_none (Isa.Insn.encode insn)) program.code
   with
-  | exception Sys_error e -> Error e
-  | Error e -> Error e
-  | Ok () ->
-    let workload = program.Isa.Program.name in
-    let hdr = header cfg ~platform ~workload ~seed in
-    Ok
-      { dir;
-        hdr;
-        writer = Seglog.Writer.create ~header:hdr;
-        cfg_record = run_config cfg ~seed;
-        prog = program_record program;
-        pending_preamble = [];
-        seg_ids = [];
-        truncated_at = None;
-        manifest_bytes = 0
-      }
+  | Some i ->
+    Error
+      (Printf.sprintf "instruction %d (%s) has no binary encoding" i
+         (Isa.Insn.to_string program.code.(i)))
+  | None ->
+    let parent = Filename.dirname dir in
+    if Sys.file_exists dir && not (Sys.is_directory dir) then
+      Error (dir ^ " exists and is not a directory")
+    else if Sys.file_exists dir || (Sys.file_exists parent && Sys.is_directory parent) then
+      Ok ()
+    else Error (Printf.sprintf "cannot create %s: %s is not a directory" dir parent)
+
+let create ~dir ~cfg ~(platform : Platform.t) ~(program : Isa.Program.t) ~seed =
+  match validate ~dir ~program with
+  | Error _ as e -> e
+  | Ok () -> (
+    match if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with
+    | exception Sys_error e -> Error e
+    | () ->
+      let config = run_config cfg ~seed in
+      let header =
+        { R.config_digest =
+            R.config_digest ~platform:platform.name ~page_size:platform.page_size
+              ~workload:program.name config;
+          platform = platform.name;
+          page_size = platform.page_size;
+          workload = program.name
+        }
+      in
+      Ok
+        { dir;
+          writer = Seglog.Writer.create ~header;
+          manifest =
+            { R.header; program; config; segments = []; truncated_at = None;
+              final_state_hash = None };
+          pending_preamble = [];
+          manifest_bytes = 0
+        })
 
 let note_preamble o r = o.pending_preamble <- r :: o.pending_preamble
-
-let segment_file_name id = Printf.sprintf "seg-%06d.plog" id
 
 (* After a rollback the run re-executes from a checkpoint, so later
    segments no longer extend the recorded linear history: latch the
@@ -167,13 +96,14 @@ let segment_file_name id = Printf.sprintf "seg-%06d.plog" id
    manifest. Their files may remain on disk; offline replay reads only
    manifest-listed files. *)
 let note_rollback o ~last_checked =
-  if o.truncated_at = None then begin
-    o.seg_ids <- List.filter (fun id -> id <= last_checked) o.seg_ids;
-    o.truncated_at <- Some (match o.seg_ids with [] -> -1 | id :: _ -> id)
+  if o.manifest.truncated_at = None then begin
+    let segments = List.filter (fun id -> id <= last_checked) o.manifest.segments in
+    let truncated_at = Some (match segments with [] -> -1 | id :: _ -> id) in
+    o.manifest <- { o.manifest with segments; truncated_at }
   end
 
 let write_segment o ~id ~events ~end_point ~insn_delta ~end_regs ~pages =
-  match o.truncated_at with
+  match o.manifest.truncated_at with
   | Some _ -> 0
   | None ->
     let preamble = List.rev o.pending_preamble in
@@ -181,22 +111,60 @@ let write_segment o ~id ~events ~end_point ~insn_delta ~end_regs ~pages =
     let seg = { R.id; preamble; events; end_point; insn_delta; end_regs; pages } in
     let bytes = Seglog.Writer.segment o.writer seg in
     write_file (Filename.concat o.dir (segment_file_name id)) bytes;
-    o.seg_ids <- id :: o.seg_ids;
+    o.manifest <- { o.manifest with segments = id :: o.manifest.segments };
     Bytes.length bytes
 
 let finalize o ~final_state_hash =
   let manifest =
-    { R.header = o.hdr;
-      program = o.prog;
-      config = o.cfg_record;
-      segments = List.rev o.seg_ids;
-      truncated_at = o.truncated_at;
-      final_state_hash
-    }
+    { o.manifest with segments = List.rev o.manifest.segments; final_state_hash }
   in
   let bytes = Seglog.Writer.manifest manifest in
-  write_file (Filename.concat o.dir "manifest.plog") bytes;
+  write_file (Filename.concat o.dir manifest_file) bytes;
   o.manifest_bytes <- Bytes.length bytes
 
 let stats o = Seglog.Writer.stats o.writer
 let manifest_bytes o = o.manifest_bytes
+
+(* ---------- reading a log directory back ---------- *)
+
+type read_error =
+  | Unreadable of string
+  | Invalid of {
+      file : string;
+      error : Seglog.Codec.error;
+    }
+
+let read_error_to_string = function
+  | Unreadable msg -> msg
+  | Invalid { file; error } -> file ^ ": " ^ Seglog.Codec.error_to_string error
+
+let read ~dir =
+  let ( let* ) = Result.bind in
+  let decode name f =
+    let file = Filename.concat dir name in
+    match In_channel.with_open_bin file In_channel.input_all with
+    | exception Sys_error msg -> Error (Unreadable msg)
+    | data -> Result.map_error (fun error -> Invalid { file; error }) (f (Bytes.of_string data))
+  in
+  let* manifest =
+    decode manifest_file (fun data ->
+        let* m = Seglog.Reader.manifest data in
+        let* () = Seglog.Reader.validate_fingerprint m in
+        Ok m)
+  in
+  let reader = Seglog.Reader.create ~config_digest:manifest.header.config_digest in
+  let rec segments acc = function
+    | [] -> Ok (manifest, List.rev acc)
+    | id :: rest ->
+      let* seg =
+        decode (segment_file_name id) (fun data ->
+            let* (seg : R.segment) = Seglog.Reader.segment reader data in
+            if seg.id = id then Ok seg
+            else
+              Error
+                (Seglog.Codec.Malformed
+                   (Printf.sprintf "contains segment %d, expected %d" seg.id id)))
+      in
+      segments (seg :: acc) rest
+  in
+  segments [] manifest.segments

@@ -1,21 +1,17 @@
-(** Bridge between the runtime and the persisted segment log
-    (DESIGN.md §17): config fingerprinting, conversion between the
-    runtime's {!Config}/{!Fault}/{!Isa.Program} types and the
-    {!Seglog.Record} shapes, and the per-run output directory behind
-    [--record-log]. *)
+(** The runtime's side of the persisted segment log (DESIGN.md §17):
+    the run's config fingerprint, the per-run output directory behind
+    [--record-log], and {!read}, which reads such a directory back.
+    This is the one module that knows a log directory's layout: a
+    manifest plus one file per segment. *)
 
-val run_config : Config.t -> seed:int64 -> Seglog.Record.run_config
+val validate : dir:string -> program:Isa.Program.t -> (unit, string) result
+(** Whether [program] can be recorded into [dir]: every instruction has
+    a binary encoding (checked first), and [dir] is a directory or can
+    be created as one (its parent is a directory). [Error] is the
+    reason. The CLI refuses a run on it before the simulation starts;
+    {!create} calls it before creating anything. *)
 
-val header :
-  Config.t -> platform:Platform.t -> workload:string -> seed:int64 -> Seglog.Record.header
-(** Includes the {!Seglog.Record.config_digest} fingerprint. *)
-
-val fault_spec : Fault.plan -> Seglog.Record.fault_spec
-val plan_of_spec : Seglog.Record.fault_spec -> (Fault.plan, string) result
-
-val program_of_record : Seglog.Record.program -> (Isa.Program.t, string) result
-
-(** Output state of one recorded run: the open directory, the stateful
+(** Output state of one recorded run: the directory, the stateful
     {!Seglog.Writer}, boundary-syscall preambles pending for the next
     segment, and the id list for the final manifest. *)
 type out
@@ -27,7 +23,8 @@ val create :
   program:Isa.Program.t ->
   seed:int64 ->
   (out, string) result
-(** Creates [dir] if needed (one level). *)
+(** {!validate}, then creates [dir] if needed (one level). The header
+    carries the {!Seglog.Record.config_digest} fingerprint. *)
 
 val note_preamble : out -> Seglog.Record.sys_record -> unit
 (** A boundary syscall (file-backed mmap splitting two segments)
@@ -45,8 +42,8 @@ val write_segment :
   end_regs:int array ->
   pages:(int * Bytes.t) array ->
   int
-(** Persist one recorded segment ([seg-NNNNNN.plog]); returns the bytes
-    written (0 after a rollback truncated the log). *)
+(** Persist one recorded segment ({!segment_file_name}); returns the
+    bytes written (0 after a rollback truncated the log). *)
 
 val note_rollback : out -> last_checked:int -> unit
 (** A recovery rollback happened: the linear recorded history ends at
@@ -58,8 +55,25 @@ val note_rollback : out -> last_checked:int -> unit
     {!write_segment} calls no-ops. *)
 
 val finalize : out -> final_state_hash:int64 option -> unit
-(** Write [manifest.plog]. *)
+(** Write the manifest. *)
 
 val stats : out -> Seglog.Writer.stats
 val manifest_bytes : out -> int
+
 val segment_file_name : int -> string
+(** The file, under a log directory, that holds segment [id]. *)
+
+type read_error =
+  | Unreadable of string  (** a file could not be read: the message names it *)
+  | Invalid of {
+      file : string;
+      error : Seglog.Codec.error;
+    }  (** [file] is not a valid part of the log *)
+
+val read_error_to_string : read_error -> string
+
+val read :
+  dir:string -> (Seglog.Record.manifest * Seglog.Record.segment list, read_error) result
+(** The log in [dir]: its manifest, with the config fingerprint checked,
+    then the segment files it lists, decoded in order with each file's
+    segment id checked against the list. *)

@@ -1,60 +1,35 @@
 (* Figure 6: Parallaft performance-overhead breakdown, computed exactly
-   as §5.2.1 prescribes:
+   as §5.2.1 prescribes (Measure.breakdown):
    - fork+COW        = Delta(system CPU time of main) / baseline wall
    - contention      = Delta(user CPU time of main)   / baseline wall
    - last-checker sync = protected total wall - main wall
-   - runtime work    = total overhead - the three above. *)
-
-type breakdown = {
-  fork_cow : float;
-  contention : float;
-  sync : float;
-  runtime_work : float;
-}
-
-let of_row (r : Suite.row) =
-  let base = r.Suite.baseline and p = r.Suite.parallaft in
-  let wall0 = base.Measure.wall_ns in
-  let pct x = 100.0 *. x /. wall0 in
-  let total = pct (p.Measure.wall_ns -. wall0) in
-  let fork_cow = pct (p.Measure.main_sys_ns -. base.Measure.main_sys_ns) in
-  let contention = pct (p.Measure.main_user_ns -. base.Measure.main_user_ns) in
-  let sync = pct (p.Measure.wall_ns -. p.Measure.main_wall_ns) in
-  let clamp x = Float.max 0.0 x in
-  let fork_cow = clamp fork_cow
-  and contention = clamp contention
-  and sync = clamp sync in
-  let runtime_work = clamp (total -. fork_cow -. contention -. sync) in
-  { fork_cow; contention; sync; runtime_work }
+   - runtime work    = total overhead - the three above.
+   The total is Fig. 5's Parallaft overhead. Nothing is clamped:
+   contention is negative on some benchmarks, and the chart draws only
+   the positive components but labels each bar with the total. *)
 
 let run ~platform ~scale ~quick =
-  let rows = Suite.get ~platform ~scale ~quick in
-  let chart_rows =
+  let rows =
     List.map
-      (fun r ->
-        let b = of_row r in
-        ( Suite.short_name r.Suite.bench,
-          [ b.runtime_work; b.sync; b.contention; b.fork_cow ] ))
-      rows
+      (fun (r : Suite.row) ->
+        ( Suite.short_name r.bench,
+          Measure.breakdown ~baseline:r.baseline ~measured:r.parallaft ))
+      (Suite.get ~platform ~scale ~quick)
   in
   print_string
     (Util.Table.stacked_bar_chart
        ~component_labels:
          [ "runtime work"; "last-checker sync"; "resource contention"; "fork+COW" ]
-       chart_rows);
+       (List.map
+          (fun (name, (b : Measure.breakdown)) ->
+            (name, [ b.runtime_work; b.sync; b.contention; b.fork_cow ]))
+          rows));
   print_newline ();
   Util.Table.print
     ~header:[ "benchmark"; "runtime%"; "sync%"; "contention%"; "fork+COW%"; "total%" ]
     (List.map
-       (fun r ->
-         let b = of_row r in
-         [
-           Suite.short_name r.Suite.bench;
-           Printf.sprintf "%.1f" b.runtime_work;
-           Printf.sprintf "%.1f" b.sync;
-           Printf.sprintf "%.1f" b.contention;
-           Printf.sprintf "%.1f" b.fork_cow;
-           Printf.sprintf "%.1f"
-             (b.runtime_work +. b.sync +. b.contention +. b.fork_cow);
-         ])
+       (fun (name, (b : Measure.breakdown)) ->
+         name
+         :: List.map (Printf.sprintf "%.1f")
+              [ b.runtime_work; b.sync; b.contention; b.fork_cow; b.total ])
        rows)

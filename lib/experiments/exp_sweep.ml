@@ -10,25 +10,11 @@ let periods = [ ("1B", 50_000); ("2B", 100_000); ("5B", 250_000);
 
 let benchmarks = [ "403.gcc"; "429.mcf"; "458.sjeng" ]
 
-type point = {
-  fork_cow : float;
-  sync : float;
-  total : float;
-}
-
 let measure_point ~platform ~scale bench period =
   let baseline = Measure.run_benchmark ~platform ~mode:Measure.Baseline ~scale bench in
   let config = Parallaft.Config.parallaft ~platform ~slice_period:period () in
-  let p =
-    Measure.run_benchmark ~platform ~mode:(Measure.Protected config) ~scale bench
-  in
-  let wall0 = baseline.Measure.wall_ns in
-  let pct x = Float.max 0.0 (100.0 *. x /. wall0) in
-  {
-    fork_cow = pct (p.Measure.main_sys_ns -. baseline.Measure.main_sys_ns);
-    sync = pct (p.Measure.wall_ns -. p.Measure.main_wall_ns);
-    total = pct (p.Measure.wall_ns -. wall0);
-  }
+  Measure.breakdown ~baseline
+    ~measured:(Measure.run_benchmark ~platform ~mode:(Measure.Protected config) ~scale bench)
 
 (* The full (benchmark x period) grid, flattened into one task list for
    Util.Pool: every cell is an isolated pair of seeded runs, so the
@@ -78,17 +64,18 @@ let run ~platform ~scale =
     print_newline ()
   in
   print_series "(a) Forking-and-COW overhead (%) vs slicing period" (fun p ->
-      p.fork_cow);
+      p.Measure.fork_cow);
   print_series "(b) Last-checker-sync overhead (%) vs slicing period" (fun p ->
-      p.sync);
+      p.Measure.sync);
   print_series "(c) Combined performance overhead (%) vs slicing period" (fun p ->
-      p.total);
+      p.Measure.total);
   (* Sweet spots per benchmark (paper: gcc 2B, mcf 5B, sjeng 20B). *)
   List.iter
     (fun (name, points) ->
       let best =
         List.fold_left
-          (fun (bl, bv) (l, pt) -> if pt.total < bv then (l, pt.total) else (bl, bv))
+          (fun (bl, bv) (l, (pt : Measure.breakdown)) ->
+            if pt.total < bv then (l, pt.total) else (bl, bv))
           ("?", infinity) points
       in
       Printf.printf "sweet spot for %-12s %s cycles (%.1f%% total overhead)\n" name

@@ -142,3 +142,21 @@ let run_benchmark ?(seed = 42L) ~platform ~mode ~scale bench =
 
 let overhead_pct ~baseline ~measured =
   Util.Stats.percentage_overhead ~baseline:baseline.wall_ns ~measured:measured.wall_ns
+
+type breakdown = {
+  fork_cow : float;
+  contention : float;
+  sync : float;
+  runtime_work : float;
+  total : float;
+}
+
+(* §5.2.1, unclamped: runtime work is what the other three leave of the
+   total, so the four always sum to it. *)
+let breakdown ~baseline ~measured =
+  let pct x = 100.0 *. x /. baseline.wall_ns in
+  let total = overhead_pct ~baseline ~measured in
+  let fork_cow = pct (measured.main_sys_ns -. baseline.main_sys_ns) in
+  let contention = pct (measured.main_user_ns -. baseline.main_user_ns) in
+  let sync = pct (measured.wall_ns -. measured.main_wall_ns) in
+  { fork_cow; contention; sync; runtime_work = total -. fork_cow -. contention -. sync; total }

@@ -49,3 +49,18 @@ val run_program :
 val overhead_pct : baseline:metrics -> measured:metrics -> float
 (** Percentage wall-time overhead; protected wall includes checker
     drain. *)
+
+(** The performance-overhead breakdown of §5.2.1 (Figs. 6 and 9), each
+    component a percentage of the baseline wall time. *)
+type breakdown = {
+  fork_cow : float;  (** Δ main system time: forking and COW faults *)
+  contention : float;
+      (** Δ main user time: resource contention; negative where the
+          protected main ran its user code faster than the baseline *)
+  sync : float;  (** last-checker sync: protected wall − main wall *)
+  runtime_work : float;  (** [total] − the three above *)
+  total : float;  (** {!overhead_pct} *)
+}
+
+val breakdown : baseline:metrics -> measured:metrics -> breakdown
+(** Nothing is clamped, so the four components sum to [total]. *)

@@ -136,7 +136,7 @@ let update st b ~pos ~len =
   let stop = pos + len in
   (* Top up a partial stripe left by the previous call. *)
   if st.buf_len > 0 then begin
-    let take = min (32 - st.buf_len) len in
+    let take = Int.min (32 - st.buf_len) len in
     Bytes.blit b pos st.buf st.buf_len take;
     st.buf_len <- st.buf_len + take;
     i := pos + take

@@ -170,7 +170,7 @@ let decode_block ~code ~nondet_trap ~entry =
     | T_branch _ | T_dec_branch _ | T_jump _ | T_jump_reg _ -> true
     | T_trap _ | T_fallthrough -> Array.length ops > 0
   in
-  let span_end = max entry span_end in
+  let span_end = Int.max entry span_end in
   (* The cost summary: every terminator source instruction is a 1-cycle
      sub or branch, so the terminator's fixed share is its width. *)
   let fixed = ref (term_width term) and n_mul = ref 0 and n_div = ref 0 in

@@ -46,7 +46,7 @@ let create ~name ?(entry = 0) ?(data = []) ?initial_brk code =
     | None ->
       let top =
         List.fold_left
-          (fun acc { base; bytes } -> max acc (base + Bytes.length bytes))
+          (fun acc { base; bytes } -> Int.max acc (base + Bytes.length bytes))
           0x1000 data
       in
       (* Round up to a generous boundary so the heap never collides with

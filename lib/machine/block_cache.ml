@@ -31,9 +31,9 @@ let create ~capacity ~code_len =
      (a FIFO at or above the distinct-key count never evicts) but keeps
      creation cost proportional to the program, not the configured
      capacity — CPUs are created per fork and per checker. *)
-  let capacity = min capacity (max 1 code_len) in
+  let capacity = Int.min capacity (Int.max 1 code_len) in
   {
-    slots = Array.make (max 1 code_len) None;
+    slots = Array.make (Int.max 1 code_len) None;
     resident = Mem.Fifo_cache.create ~capacity;
     hits = 0;
     misses = 0;

@@ -104,7 +104,7 @@ let create ?(max_skid = 6) ?(max_insn_overcount = 3) ?block_cache ~rng
     pc = program.Isa.Program.entry;
     prog = program;
     code;
-    code_gens = Array.make (max 1 (Isa.Decoded.n_code_pages ~code_len)) 0;
+    code_gens = Array.make (Int.max 1 (Isa.Decoded.n_code_pages ~code_len)) 0;
     bcache =
       (if cap <= 0 then None
        else Some (Block_cache.create ~capacity:cap ~code_len));

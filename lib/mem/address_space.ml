@@ -127,7 +127,7 @@ let read_bytes t ~addr ~len =
   while !i < len do
     let a = addr + !i in
     let coff = a land t.cmask in
-    let n = min (len - !i) (t.clen - coff) in
+    let n = Int.min (len - !i) (t.clen - coff) in
     Bytes.blit (read_chunk t a) coff out !i n;
     i := !i + n
   done;
@@ -140,7 +140,7 @@ let write_bytes t ~addr bytes =
   while !i < len do
     let a = addr + !i in
     let off = a land t.mask in
-    let n = min (len - !i) (t.psize - off) in
+    let n = Int.min (len - !i) (t.psize - off) in
     let frame = write_page t a in
     if t.last_cow then incr cows;
     Frame.blit_in t.alloc bytes ~pos:!i frame ~off ~len:n;

@@ -137,7 +137,7 @@ let iter_pieces ~clen ~off ~len k =
   while !pos < len do
     let o = off + !pos in
     let coff = o mod clen in
-    let n = min (len - !pos) (clen - coff) in
+    let n = Int.min (len - !pos) (clen - coff) in
     k (o / clen) coff !pos n;
     pos := !pos + n
   done

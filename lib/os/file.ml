@@ -52,8 +52,8 @@ let read fs of_ ~len =
     b
   | Regular path ->
     let contents = !(Hashtbl.find fs.files path) in
-    let avail = max 0 (Bytes.length contents - of_.offset) in
-    let n = min len avail in
+    let avail = Int.max 0 (Bytes.length contents - of_.offset) in
+    let n = Int.min len avail in
     let b = Bytes.sub contents of_.offset n in
     of_.offset <- of_.offset + n;
     b

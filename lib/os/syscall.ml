@@ -41,7 +41,7 @@ type call =
 
 let decode cpu =
   let r i = Machine.Cpu.get_reg cpu i in
-  let nonneg v = max 0 v in
+  let nonneg v = Int.max 0 v in
   let nr = r 0 in
   if nr = nr_exit then Exit (r 1)
   else if nr = nr_write then Write { fd = r 1; addr = r 2; len = nonneg (r 3) }

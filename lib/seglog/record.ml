@@ -1,8 +1,9 @@
 (* The parallaft-seglog v2 record types and their field codecs.
 
    These are the canonical shapes of everything a checker needs
-   (DESIGN.md §17): the core runtime's Rr_log / Exec_point types are
-   re-exports of the types below, so the live replay path and the
+   (DESIGN.md §17), in the runtime's own types: Rr_log stores these
+   events, Exec_point re-exports exec_point, and a manifest holds the
+   run's Isa.Program.t and Fault.plan, so the live replay path and the
    on-disk format cannot drift apart. Field codecs raise Codec.Error
    on any malformed input; framing, checksums and version checks live
    in Writer/Reader. *)
@@ -54,15 +55,6 @@ type segment = {
   pages : (int * Bytes.t) array;
 }
 
-type fault_spec = {
-  kind : string;
-  fault_segment : int;
-  delay : int;
-  arg_a : int;
-  arg_b : int;
-  repeat : bool;
-}
-
 type run_config = {
   mode_raft : bool;
   slice_period : int;
@@ -71,7 +63,7 @@ type run_config = {
   dirty_backend : string;
   hasher : string;
   seed : int64;
-  fault : fault_spec option;
+  fault : Fault.plan option;
   recheck : bool;
 }
 
@@ -82,17 +74,9 @@ type header = {
   workload : string;
 }
 
-type program = {
-  pname : string;
-  entry : int;
-  initial_brk : int;
-  code : int array;
-  data : (int * Bytes.t) list;
-}
-
 type manifest = {
   header : header;
-  program : program;
+  program : Isa.Program.t;
   config : run_config;
   segments : int list;
   truncated_at : int option;
@@ -101,11 +85,23 @@ type manifest = {
 
 (* ---------- config fingerprint ---------- *)
 
-let fault_spec_to_string = function
+(* The two numbers Fault.target_kind_of_string's builder takes back
+   (runtime targets take none). *)
+let fault_args = function
+  | Fault.Checker_register { reg; bit } | Fault.Main_register { reg; bit } -> (reg, bit)
+  | Fault.Checker_memory_page { page_index; bit } | Fault.Main_memory_page { page_index; bit }
+    ->
+    (page_index, bit)
+  | Fault.Runtime_fault _ -> (0, 0)
+
+let fault_to_string = function
   | None -> "none"
-  | Some f ->
-    Printf.sprintf "%s@%d+%d(%d,%d)%s" f.kind f.fault_segment f.delay f.arg_a f.arg_b
-      (if f.repeat then "*" else "")
+  | Some (p : Fault.plan) ->
+    let a, b = fault_args p.target in
+    Printf.sprintf "%s@%d+%d(%d,%d)%s"
+      (Fault.target_kind_to_string p.target)
+      p.segment p.delay_instructions a b
+      (if p.repeat then "*" else "")
 
 (* Everything that shapes the recorded byte stream or its
    interpretation, hashed over a canonical rendering. A replayer built
@@ -117,7 +113,7 @@ let config_digest ~platform ~page_size ~workload (c : run_config) =
       format_version isa_version platform page_size workload
       (if c.mode_raft then "raft" else "parallaft")
       c.slice_period c.timeout_scale c.compare_states c.dirty_backend c.hasher c.seed
-      (fault_spec_to_string c.fault) c.recheck
+      (fault_to_string c.fault) c.recheck
   in
   Ftr_hash.Xxh64.hash (Bytes.unsafe_of_string canon)
 
@@ -322,34 +318,48 @@ let get_event r =
     Ext_signal { at; signum }
   | t -> Codec.malformed "unknown event tag %d" t
 
-let put_program w p =
-  Codec.str w p.pname;
+let put_program w (p : Isa.Program.t) =
+  Codec.str w p.name;
   Codec.varint w p.entry;
   Codec.varint w p.initial_brk;
   Codec.uvarint w (Array.length p.code);
-  Array.iter (Codec.varint w) p.code;
+  Array.iter
+    (fun insn ->
+      match Isa.Insn.encode insn with
+      | Some word -> Codec.varint w word
+      | None ->
+        Codec.malformed "instruction %s has no binary encoding" (Isa.Insn.to_string insn))
+    p.code;
   Codec.uvarint w (List.length p.data);
   List.iter
-    (fun (base, bytes) ->
-      Codec.varint w base;
-      Codec.bytes_ w bytes)
+    (fun (d : Isa.Program.data_segment) ->
+      Codec.varint w d.base;
+      Codec.bytes_ w d.bytes)
     p.data
 
 let get_program r =
-  let pname = Codec.r_str r in
+  let name = Codec.r_str r in
   let entry = Codec.r_varint r in
   let initial_brk = Codec.r_varint r in
   let ncode = Codec.r_uvarint r in
   if ncode > Codec.remaining r then Codec.malformed "code section longer than the file";
-  let code = Array.init ncode (fun _ -> Codec.r_varint r) in
+  let code =
+    Array.init ncode (fun _ ->
+        let word = Codec.r_varint r in
+        match Isa.Insn.decode word with
+        | Some insn -> insn
+        | None -> Codec.malformed "undecodable instruction word %#x in program image" word)
+  in
   let ndata = Codec.r_uvarint r in
   let data =
     List.init ndata (fun _ ->
         let base = Codec.r_varint r in
         let bytes = Codec.r_bytes r in
-        (base, bytes))
+        { Isa.Program.base; bytes })
   in
-  { pname; entry; initial_brk; code; data }
+  match Isa.Program.create ~name ~entry ~data ~initial_brk code with
+  | p -> p
+  | exception Invalid_argument m -> Codec.malformed "%s" m
 
 let put_config w c =
   Codec.u8 w (if c.mode_raft then 1 else 0);
@@ -361,14 +371,15 @@ let put_config w c =
   Codec.i64 w c.seed;
   (match c.fault with
   | None -> Codec.u8 w 0
-  | Some f ->
+  | Some (p : Fault.plan) ->
+    let a, b = fault_args p.target in
     Codec.u8 w 1;
-    Codec.str w f.kind;
-    Codec.varint w f.fault_segment;
-    Codec.varint w f.delay;
-    Codec.varint w f.arg_a;
-    Codec.varint w f.arg_b;
-    Codec.u8 w (if f.repeat then 1 else 0));
+    Codec.str w (Fault.target_kind_to_string p.target);
+    Codec.varint w p.segment;
+    Codec.varint w p.delay_instructions;
+    Codec.varint w a;
+    Codec.varint w b;
+    Codec.u8 w (if p.repeat then 1 else 0));
   Codec.u8 w (if c.recheck then 1 else 0)
 
 let get_bool r =
@@ -390,12 +401,17 @@ let get_config r =
     | 0 -> None
     | 1 ->
       let kind = Codec.r_str r in
-      let fault_segment = Codec.r_varint r in
-      let delay = Codec.r_varint r in
-      let arg_a = Codec.r_varint r in
-      let arg_b = Codec.r_varint r in
+      let segment = Codec.r_varint r in
+      let delay_instructions = Codec.r_varint r in
+      let a = Codec.r_varint r in
+      let b = Codec.r_varint r in
       let repeat = get_bool r in
-      Some { kind; fault_segment; delay; arg_a; arg_b; repeat }
+      let build =
+        match Fault.target_kind_of_string kind with
+        | Ok build -> build
+        | Error k -> Codec.malformed "unknown fault target %S" k
+      in
+      Some { Fault.segment; delay_instructions; target = build a b; repeat }
     | t -> Codec.malformed "bad option tag %d" t
   in
   let recheck = get_bool r in

@@ -1,10 +1,12 @@
 (** The parallaft-seglog v2 record types (DESIGN.md §17).
 
-    Canonical shapes for everything a checker needs to replay and
-    verify a segment. The core runtime's [Exec_point.t] and [Rr_log]
-    event types are type-equal re-exports of the types here, so the
-    live in-memory replay path and the persisted format share one
-    definition and cannot drift apart.
+    The one definition of what a log holds, in the runtime's own types:
+    the recorder appends these events to the in-memory {e Rr_log}, the
+    checker replays them, and a manifest carries the run's
+    {!Isa.Program.t} and {!Fault.plan} as they are. The core runtime's
+    [Exec_point.t] is a type-equal re-export of {!exec_point}. So the
+    live replay path and the persisted format share one definition and
+    cannot drift apart.
 
     All structures are plain immutable data; OCaml structural equality
     ([=]) is the round-trip criterion used by the property tests. *)
@@ -19,26 +21,36 @@ type exec_point = {
   pc : int;
 }
 
+(** Bytes the kernel wrote into main memory at [addr]. *)
 type mem_effect = {
   addr : int;
   data : Bytes.t;
 }
 
+(** One syscall as the main process made it. A checker's matching call
+    is compared against [call] and [in_data], and answered from
+    [result] and [effects] instead of being re-executed, so its
+    externally visible effects happen exactly once. *)
 type sys_record = {
   call : Sim_os.Syscall.call;
   in_data : Bytes.t option;
+      (** bytes the kernel read from main memory (write payloads, open
+          paths), compared against the checker's buffer; for a boundary
+          file-backed mmap, the mapped file content *)
   result : int;
   effects : mem_effect list;
+      (** bytes the kernel wrote into main memory (read/getrandom data),
+          injected into the checker instead of re-executing *)
 }
 
 type event =
   | Sys of sys_record
   | Nondet of {
-      insn : Isa.Insn.t;
-      value : int;
+      insn : Isa.Insn.t;  (** a trapped nondeterministic instruction *)
+      value : int;  (** the value the main was given *)
     }
   | Ext_signal of {
-      at : exec_point;
+      at : exec_point;  (** segment-relative delivery point *)
       signum : Sim_os.Sig_num.t;
     }
 
@@ -58,15 +70,6 @@ type segment = {
   pages : (int * Bytes.t) array;  (** (vpn, raw page bytes), vpn-sorted *)
 }
 
-type fault_spec = {
-  kind : string;  (** {!Fault.target_kind_to_string} *)
-  fault_segment : int;
-  delay : int;
-  arg_a : int;  (** register index / page index *)
-  arg_b : int;  (** bit *)
-  repeat : bool;
-}
-
 type run_config = {
   mode_raft : bool;
   slice_period : int;
@@ -75,7 +78,10 @@ type run_config = {
   dirty_backend : string;
   hasher : string;
   seed : int64;
-  fault : fault_spec option;
+  fault : Fault.plan option;
+      (** written as its target keyword ({!Fault.target_kind_to_string})
+          plus the two numbers {!Fault.target_kind_of_string}'s builder
+          takes back *)
   recheck : bool;
       (** the transient re-check was on: a failed check was retried on a
           fresh checker, so a one-shot checker fault never decided the
@@ -89,17 +95,9 @@ type header = {
   workload : string;
 }
 
-type program = {
-  pname : string;
-  entry : int;
-  initial_brk : int;
-  code : int array;  (** {!Isa.Insn.encode} words *)
-  data : (int * Bytes.t) list;
-}
-
 type manifest = {
   header : header;
-  program : program;
+  program : Isa.Program.t;  (** code written as {!Isa.Insn.encode} words *)
   config : run_config;
   segments : int list;  (** segment ids in replay order *)
   truncated_at : int option;
@@ -120,7 +118,10 @@ val config_digest :
 
 (** Field codecs (framing/checksums live in {!Writer}/{!Reader}; the
     in-memory [Rr_log] uses the event codec directly). Readers raise
-    {!Codec.Error} on malformed input. *)
+    {!Codec.Error} on malformed input: an undecodable instruction word,
+    an unknown fault keyword or a program image {!Isa.Program.create}
+    refuses is [Malformed]. Writers raise [Malformed] on an instruction
+    with no binary encoding. *)
 
 val put_sys : Codec.wbuf -> sys_record -> unit
 val get_sys : Codec.rbuf -> sys_record
@@ -128,7 +129,7 @@ val put_event : Codec.wbuf -> event -> unit
 val get_event : Codec.rbuf -> event
 val put_point : Codec.wbuf -> exec_point -> unit
 val get_point : Codec.rbuf -> exec_point
-val put_program : Codec.wbuf -> program -> unit
-val get_program : Codec.rbuf -> program
+val put_program : Codec.wbuf -> Isa.Program.t -> unit
+val get_program : Codec.rbuf -> Isa.Program.t
 val put_config : Codec.wbuf -> run_config -> unit
 val get_config : Codec.rbuf -> run_config

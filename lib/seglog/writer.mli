@@ -19,10 +19,10 @@ val create : header:Record.header -> t
 val stats : t -> stats
 
 val segment : t -> Record.segment -> Bytes.t
-(** Encode one segment file ([seg-NNNNNN.plog] content), updating the
+(** Encode one segment file's content, updating the
     parent-frame map and stats. The writer keeps each page of the
     segment, without copying it, as its vpn's parent frame: the caller
     must not mutate the pages after the call. *)
 
 val manifest : Record.manifest -> Bytes.t
-(** Encode the run manifest ([manifest.plog] content). Stateless. *)
+(** Encode the run manifest file's content. Stateless. *)

@@ -1,7 +1,7 @@
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () = Int.max 1 (Domain.recommended_domain_count () - 1)
 
 let width = Atomic.make (default_jobs ())
-let set_jobs n = Atomic.set width (max 1 n)
+let set_jobs n = Atomic.set width (Int.max 1 n)
 let jobs () = Atomic.get width
 
 type 'b outcome =
@@ -9,7 +9,7 @@ type 'b outcome =
   | Raised of exn * Printexc.raw_backtrace
 
 let map ?jobs:j f xs =
-  let j = match j with Some j -> max 1 j | None -> jobs () in
+  let j = match j with Some j -> Int.max 1 j | None -> jobs () in
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
@@ -34,7 +34,7 @@ let map ?jobs:j f xs =
       in
       loop ()
     in
-    let spawned = Array.init (min j n - 1) (fun _ -> Domain.spawn worker) in
+    let spawned = Array.init (Int.min j n - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join spawned;
     Array.to_list results

@@ -8,7 +8,7 @@ let pad align width s =
     | Left -> s ^ String.make (width - n) ' '
     | Right -> String.make (width - n) ' ' ^ s
 
-let default_align ncols = Left :: List.init (max 0 (ncols - 1)) (fun _ -> Right)
+let default_align ncols = Left :: List.init (Int.max 0 (ncols - 1)) (fun _ -> Right)
 
 let render ?align ~header rows =
   let ncols = List.length header in
@@ -17,7 +17,7 @@ let render ?align ~header rows =
   let measure row =
     List.iteri
       (fun i cell ->
-        if i < ncols then widths.(i) <- max widths.(i) (String.length cell))
+        if i < ncols then widths.(i) <- Int.max widths.(i) (String.length cell))
       row
   in
   measure header;
@@ -50,12 +50,12 @@ let render ?align ~header rows =
 
 let print ?align ~header rows = print_string (render ?align ~header rows)
 
-let bar_of_width fill w = String.make (max 0 w) fill
+let bar_of_width fill w = String.make (Int.max 0 w) fill
 
 let bar_chart ?(width = 50) ?(unit_label = "") series =
   let vmax = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 series in
   let label_w =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 series
+    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0 series
   in
   let buf = Buffer.create 256 in
   List.iter
@@ -87,7 +87,7 @@ let grouped_bar_chart ?(width = 50) ~group_labels rows =
       0.0 rows
   in
   let label_w =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0
+    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0
       (rows @ List.map (fun l -> (l, [])) [])
   in
   let legend =
@@ -126,10 +126,10 @@ let stacked_bar_chart ?(width = 50) ~component_labels rows =
       if List.length vs <> ncomp then
         invalid_arg "Table.stacked_bar_chart: ragged rows")
     rows;
-  let total vs = List.fold_left (fun a v -> a +. Float.max 0.0 v) 0.0 vs in
-  let vmax = List.fold_left (fun acc (_, vs) -> Float.max acc (total vs)) 0.0 rows in
+  let drawn vs = List.fold_left (fun a v -> a +. Float.max 0.0 v) 0.0 vs in
+  let vmax = List.fold_left (fun acc (_, vs) -> Float.max acc (drawn vs)) 0.0 rows in
   let label_w =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 rows
+    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0 rows
   in
   let legend =
     String.concat "   "
@@ -155,6 +155,7 @@ let stacked_bar_chart ?(width = 50) ~component_labels rows =
           Buffer.add_string buf
             (bar_of_width group_fills.(i mod Array.length group_fills) w))
         vs;
-      Buffer.add_string buf (Printf.sprintf " %.1f\n" (total vs)))
+      Buffer.add_string buf
+        (Printf.sprintf " %.1f\n" (List.fold_left ( +. ) 0.0 vs)))
     rows;
   Buffer.contents buf

@@ -39,4 +39,5 @@ val stacked_bar_chart :
   string
 (** [stacked_bar_chart ~component_labels rows] renders one stacked bar per
     row, each component drawn with a distinct fill character; used for the
-    Figure 6 overhead breakdown. *)
+    Figure 6 overhead breakdown. A negative component is not drawn, but
+    each bar is labelled with the sum of all its components. *)

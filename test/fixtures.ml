@@ -39,38 +39,45 @@ let assert_spans_balanced sink =
 let e2e_dir leg =
   Filename.concat (Filename.get_temp_dir_name ()) ("parallaft_test_" ^ leg)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  close_in ic;
-  b
-
 (* A recorded segment log's manifest and segments, decoded and
-   validated; any decode error fails the test. *)
+   validated; any read error fails the test. *)
 let load_log dir =
-  let ok what = function
-    | Ok v -> v
-    | Error e -> Alcotest.failf "%s: %s" what (Seglog.Codec.error_to_string e)
-  in
-  let manifest =
-    ok "manifest"
-      (Seglog.Reader.manifest (read_file (Filename.concat dir "manifest.plog")))
-  in
-  ok "fingerprint" (Seglog.Reader.validate_fingerprint manifest);
-  let reader =
-    Seglog.Reader.create
-      ~config_digest:manifest.Seglog.Record.header.Seglog.Record.config_digest
-  in
-  let segments =
-    List.map
-      (fun id ->
-        ok
-          (Printf.sprintf "segment %d" id)
-          (Seglog.Reader.segment reader
-             (read_file
-                (Filename.concat dir (Parallaft.Seglog_io.segment_file_name id)))))
-      manifest.Seglog.Record.segments
-  in
-  (manifest, segments)
+  match Parallaft.Seglog_io.read ~dir with
+  | Ok log -> log
+  | Error e -> Alcotest.fail (Parallaft.Seglog_io.read_error_to_string e)
+
+(* Every instruction form of the ISA, valid and encodable: branch
+   targets drawn from [target], immediates out to the narrowest
+   field's edge (the ALU immediate's 46 bits). *)
+let gen_insn ~target =
+  QCheck.Gen.(
+    let reg = 0 -- (Isa.Insn.num_regs - 1) in
+    let imm =
+      frequency [ (4, -100_000 -- 100_000); (1, oneofl [ -(1 lsl 45); (1 lsl 45) - 1 ]) ]
+    in
+    let alu_op = oneofl Isa.Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ] in
+    oneof
+      [ (let* op = alu_op and* rd = reg and* rs1 = reg and* rs2 = reg in
+         return (Isa.Insn.Alu (op, rd, rs1, Isa.Insn.Reg rs2)));
+        (* shift immediates are encodable only in 0..62 (a register
+           operand can still name 63 at runtime) *)
+        (let* op = alu_op and* rd = reg and* rs1 = reg and* i = imm in
+         let i = match op with Isa.Insn.Shl | Isa.Insn.Shr -> abs i mod 63 | _ -> i in
+         return (Isa.Insn.Alu (op, rd, rs1, Isa.Insn.Imm i)));
+        map2 (fun rd i -> Isa.Insn.Li (rd, i)) reg imm;
+        map2 (fun rd rs -> Isa.Insn.Mov (rd, rs)) reg reg;
+        map3 (fun rd rb off -> Isa.Insn.Load (rd, rb, off)) reg reg imm;
+        map3 (fun rs rb off -> Isa.Insn.Store (rs, rb, off)) reg reg imm;
+        map3 (fun rd rb off -> Isa.Insn.Load8 (rd, rb, off)) reg reg imm;
+        map3 (fun rs rb off -> Isa.Insn.Store8 (rs, rb, off)) reg reg imm;
+        (let* c = oneofl Isa.Insn.[ Eq; Ne; Lt; Ge ] and* rs1 = reg and* rs2 = reg
+         and* t = target in
+         return (Isa.Insn.Branch (c, rs1, rs2, t)));
+        map (fun t -> Isa.Insn.Jump t) target;
+        map (fun rs -> Isa.Insn.Jump_reg rs) reg;
+        return Isa.Insn.Syscall;
+        map (fun r -> Isa.Insn.Rdtsc r) reg;
+        map (fun r -> Isa.Insn.Rdcoreid r) reg;
+        map (fun r -> Isa.Insn.Rdrand r) reg;
+        return Isa.Insn.Nop;
+        return Isa.Insn.Halt ])

@@ -149,12 +149,12 @@ let test_replay_rejects_unsorted () =
 let test_rr_log_order_and_cursor () =
   let log = Parallaft.Rr_log.create () in
   let sys result =
-    Parallaft.Rr_log.Sys
+    Seglog.Record.Sys
       { call = Sim_os.Syscall.Getpid; in_data = None; result; effects = [] }
   in
   Parallaft.Rr_log.record log (sys 1);
   Parallaft.Rr_log.record log
-    (Parallaft.Rr_log.Ext_signal
+    (Seglog.Record.Ext_signal
        { at = { Parallaft.Exec_point.branches = 3; pc = 0 }; signum = 10 });
   Parallaft.Rr_log.record log (sys 2);
   Alcotest.(check int) "length counts all events" 3 (Parallaft.Rr_log.length log);
@@ -162,11 +162,11 @@ let test_rr_log_order_and_cursor () =
     (List.length (Parallaft.Rr_log.signal_points log));
   let c = Parallaft.Rr_log.cursor log in
   (match Parallaft.Rr_log.next_interaction c with
-  | Some (Parallaft.Rr_log.Sys { result = 1; _ }) -> ()
+  | Some (Seglog.Record.Sys { result = 1; _ }) -> ()
   | _ -> Alcotest.fail "first interaction wrong");
   (* Signals are skipped by the interaction cursor. *)
   (match Parallaft.Rr_log.next_interaction c with
-  | Some (Parallaft.Rr_log.Sys { result = 2; _ }) -> ()
+  | Some (Seglog.Record.Sys { result = 2; _ }) -> ()
   | _ -> Alcotest.fail "second interaction wrong");
   Alcotest.(check bool) "exhausted" true (Parallaft.Rr_log.next_interaction c = None)
 
@@ -177,9 +177,9 @@ let test_rr_log_grows_under_cursor () =
   Alcotest.(check bool) "empty at first" true
     (Parallaft.Rr_log.next_interaction c = None);
   Parallaft.Rr_log.record log
-    (Parallaft.Rr_log.Nondet { insn = Isa.Insn.Rdtsc 1; value = 42 });
+    (Seglog.Record.Nondet { insn = Isa.Insn.Rdtsc 1; value = 42 });
   match Parallaft.Rr_log.next_interaction c with
-  | Some (Parallaft.Rr_log.Nondet { value = 42; _ }) -> ()
+  | Some (Seglog.Record.Nondet { value = 42; _ }) -> ()
   | _ -> Alcotest.fail "appended event not visible"
 
 let identical_cpus () =

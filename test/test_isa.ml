@@ -166,45 +166,7 @@ let gen_simple_insn =
 (* encode/decode: every valid instruction round-trips through its word
    form (the patch_code syscall's wire format), and junk words decode to
    None rather than to a malformed instruction. *)
-let gen_any_insn =
-  QCheck.Gen.(
-    let reg = 0 -- 15 in
-    let alu_op =
-      oneofl
-        Isa.Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
-    in
-    let cond = oneofl Isa.Insn.[ Eq; Ne; Lt; Ge ] in
-    oneof
-      [
-        (let* op = alu_op and* rd = reg and* rs1 = reg and* rs2 = reg in
-         return (Isa.Insn.Alu (op, rd, rs1, Isa.Insn.Reg rs2)));
-        (* immediate ALU: shift immediates are encodable only in 0..62
-           (a register operand can still name 63 at runtime) *)
-        (let* op = alu_op and* rd = reg and* rs1 = reg
-         and* imm = -100_000 -- 100_000 in
-         let imm =
-           match op with
-           | Isa.Insn.Shl | Isa.Insn.Shr -> abs imm mod 63
-           | _ -> imm
-         in
-         return (Isa.Insn.Alu (op, rd, rs1, Isa.Insn.Imm imm)));
-        map2 (fun rd imm -> Isa.Insn.Li (rd, imm)) reg (-1_000_000 -- 1_000_000);
-        map2 (fun rd rs -> Isa.Insn.Mov (rd, rs)) reg reg;
-        map3 (fun rd rb off -> Isa.Insn.Load (rd, rb, off)) reg reg (0 -- 100_000);
-        map3 (fun rs rb off -> Isa.Insn.Store (rs, rb, off)) reg reg (0 -- 100_000);
-        map3 (fun rd rb off -> Isa.Insn.Load8 (rd, rb, off)) reg reg (0 -- 100_000);
-        map3 (fun rs rb off -> Isa.Insn.Store8 (rs, rb, off)) reg reg (0 -- 100_000);
-        (let* c = cond and* rs1 = reg and* rs2 = reg and* t = 0 -- 100_000 in
-         return (Isa.Insn.Branch (c, rs1, rs2, t)));
-        map (fun t -> Isa.Insn.Jump t) (0 -- 100_000);
-        map (fun rs -> Isa.Insn.Jump_reg rs) reg;
-        return Isa.Insn.Syscall;
-        map (fun r -> Isa.Insn.Rdtsc r) reg;
-        map (fun r -> Isa.Insn.Rdcoreid r) reg;
-        map (fun r -> Isa.Insn.Rdrand r) reg;
-        return Isa.Insn.Nop;
-        return Isa.Insn.Halt;
-      ])
+let gen_any_insn = Fixtures.gen_insn ~target:QCheck.Gen.(0 -- 100_000)
 
 let qcheck_encode_roundtrip =
   QCheck.Test.make ~name:"encode/decode round-trips valid instructions"

@@ -98,10 +98,8 @@ let grid_to_string grid =
       name ^ ": "
       ^ String.concat " "
           (List.map
-             (fun (label, (p : Experiments.Exp_sweep.point)) ->
-               Printf.sprintf "%s=%h/%h/%h" label
-                 p.Experiments.Exp_sweep.fork_cow p.Experiments.Exp_sweep.sync
-                 p.Experiments.Exp_sweep.total)
+             (fun (label, (p : Experiments.Measure.breakdown)) ->
+               Printf.sprintf "%s=%h/%h/%h" label p.fork_cow p.sync p.total)
              points))
     grid
   |> String.concat "\n"

@@ -1,9 +1,10 @@
-(* The parallaft-seglog v1 contract (DESIGN.md §17):
+(* The parallaft-seglog v2 contract (DESIGN.md §17):
 
    - round-trip: any segment/manifest written by Seglog.Writer decodes
      via Seglog.Reader to a structurally equal value, including the
-     degenerate page shapes (all-zero, all-0xff, sparse) and extreme
-     varint magnitudes;
+     degenerate page shapes (all-zero, all-0xff, sparse), extreme
+     varint magnitudes, real programs and fault plans of every target
+     kind;
    - corruption: flipping ANY single byte of a valid file makes the
      reader return a typed [Error] — never an exception, never a
      silently different decode;
@@ -139,6 +140,37 @@ let gen_segment id =
 
 let gen_run = QCheck.Gen.(1 -- 6 >>= fun n -> QCheck.Gen.flatten_l (List.init n gen_segment))
 
+let gen_program =
+  QCheck.Gen.(
+    let* n = 1 -- 20 in
+    let* code = list_size (return n) (Fixtures.gen_insn ~target:(0 -- (n - 1))) in
+    let* entry = 0 -- (n - 1) in
+    let* initial_brk = gen_any_int in
+    let* data =
+      list_size (0 -- 3)
+        (pair (0 -- max_int) gen_small_bytes >|= fun (base, bytes) ->
+         { Isa.Program.base; bytes })
+    in
+    return
+      (Isa.Program.create ~name:"test" ~entry ~data ~initial_brk (Array.of_list code)))
+
+(* A fault plan of any target kind, one-shot or repeat. *)
+let gen_fault =
+  QCheck.Gen.(
+    let* kind = oneofl Fault.all_target_kinds in
+    let* a = gen_any_int and* b = gen_any_int in
+    let* segment = gen_any_int and* delay_instructions = gen_any_int and* repeat = bool in
+    match Fault.target_kind_of_string kind with
+    | Ok build -> return { Fault.segment; delay_instructions; target = build a b; repeat }
+    | Error k -> failwith ("unknown fault target " ^ k))
+
+let test_plan =
+  { Fault.segment = 2;
+    delay_instructions = 60;
+    target = Fault.Checker_memory_page { page_index = 6; bit = 6 };
+    repeat = false
+  }
+
 let test_config : Seglog.Record.run_config =
   { mode_raft = false;
     slice_period = 3000;
@@ -147,7 +179,7 @@ let test_config : Seglog.Record.run_config =
     dirty_backend = "soft_dirty";
     hasher = "xxh64";
     seed = 42L;
-    fault = None;
+    fault = Some test_plan;
     recheck = false
   }
 
@@ -167,15 +199,13 @@ let gen_manifest =
     let* nseg = 0 -- 5 in
     let* truncated_at = option (0 -- 10) in
     let* final_state_hash = option (map Int64.of_int gen_any_int) in
-    let* code = list_size (1 -- 20) gen_any_int in
-    let* data = list_size (0 -- 3) (pair gen_any_int gen_small_bytes) in
+    let* program = gen_program in
+    let* fault = frequency [ (1, return None); (3, gen_fault >|= Option.some) ] in
     let* recheck = bool in
-    let config = { test_config with Seglog.Record.recheck } in
+    let config = { test_config with Seglog.Record.fault; recheck } in
     return
       { Seglog.Record.header = test_header ~config ();
-        program =
-          { Seglog.Record.pname = "test"; entry = 0; initial_brk = 0x10000;
-            code = Array.of_list code; data };
+        program;
         config;
         segments = List.init nseg (fun i -> i);
         truncated_at;
@@ -392,8 +422,9 @@ let fixture () =
   let m =
     { Seglog.Record.header = test_header ();
       program =
-        { Seglog.Record.pname = "fix"; entry = 0; initial_brk = 0x8000;
-          code = [| 1; 2; 3 |]; data = [ (0x4000, Bytes.of_string "abc") ] };
+        Isa.Program.create ~name:"fix" ~initial_brk:0x8000
+          ~data:[ { Isa.Program.base = 0x4000; bytes = Bytes.of_string "abc" } ]
+          [| Isa.Insn.Li (1, 7); Isa.Insn.Branch (Isa.Insn.Ne, 1, 0, 0); Isa.Insn.Halt |];
       config = test_config;
       segments = [ 0; 1 ];
       truncated_at = None;
@@ -523,7 +554,77 @@ let fingerprint_guard () =
         | Error e ->
           Alcotest.failf "tampered %s: %s" what (Seglog.Codec.error_to_string e)))
     [ ("slice period", { c with Seglog.Record.slice_period = 4000 });
-      ("recheck", { c with Seglog.Record.recheck = not c.Seglog.Record.recheck }) ]
+      ("recheck", { c with Seglog.Record.recheck = not c.Seglog.Record.recheck });
+      ( "fault target",
+        { c with
+          Seglog.Record.fault =
+            Some
+              { test_plan with target = Fault.Main_memory_page { page_index = 6; bit = 6 } }
+        } );
+      ("fault repeat", { c with Seglog.Record.fault = Some { test_plan with repeat = true } });
+      ("fault removed", { c with Seglog.Record.fault = None }) ]
+
+(* A program or fault plan the runtime cannot take back is a typed
+   [Malformed] from the field codecs, not an exception: an undecodable
+   instruction word, an image Program.create refuses, an unknown fault
+   keyword. The program section is built by hand, after checking that
+   the hand-built layout is put_program's. *)
+let malformed_program_and_fault () =
+  let module C = Seglog.Codec in
+  let section ~entry word =
+    let w = C.wbuf () in
+    C.str w "p";
+    C.varint w entry;
+    C.varint w 0x10000;
+    C.uvarint w 1;
+    C.varint w word;
+    C.uvarint w 0;
+    C.contents w
+  in
+  let nop = Isa.Program.create ~name:"p" ~initial_brk:0x10000 [| Isa.Insn.Nop |] in
+  let nop_word = Option.get (Isa.Insn.encode Isa.Insn.Nop) in
+  let w = C.wbuf () in
+  Seglog.Record.put_program w nop;
+  Alcotest.(check string) "hand-built section = put_program's"
+    (Bytes.to_string (C.contents w))
+    (Bytes.to_string (section ~entry:0 nop_word));
+  let malformed what get b =
+    match get (C.rbuf b) with
+    | _ -> Alcotest.failf "%s decoded" what
+    | exception C.Error (C.Malformed _) -> ()
+  in
+  Alcotest.(check bool) "undecodable tag" true (Isa.Insn.decode 31 = None);
+  malformed "undecodable word" Seglog.Record.get_program (section ~entry:0 31);
+  malformed "entry outside the code" Seglog.Record.get_program (section ~entry:1 nop_word);
+  (* The same word in a whole manifest file, its section and file
+     checksums recomputed, is an invalid log (parallaft-replay's exit 2). *)
+  let _, _, _, m, _, _ = fixture () in
+  let file = Seglog.Writer.manifest { m with Seglog.Record.program = nop } in
+  let good = Bytes.to_string (section ~entry:0 nop_word) in
+  let len = String.length good in
+  let rec find i = if Bytes.sub_string file i len = good then i else find (i + 1) in
+  let at = find 0 in
+  Bytes.blit (section ~entry:0 31) 0 file at len;
+  let rehash ~pos ~len =
+    Bytes.set_int64_le file (pos + len) (Ftr_hash.Xxh64.hash_sub file ~pos ~len)
+  in
+  rehash ~pos:at ~len;
+  rehash ~pos:0 ~len:(Bytes.length file - 8);
+  (match Seglog.Reader.manifest file with
+  | Error (C.Malformed _) -> ()
+  | Ok _ -> Alcotest.fail "manifest with an undecodable word decoded"
+  | Error e -> Alcotest.failf "undecodable manifest: %s" (C.error_to_string e));
+  let w = C.wbuf () in
+  Seglog.Record.put_config w test_config;
+  let kind = Fault.target_kind_to_string test_plan.target in
+  let config = Bytes.to_string (C.contents w) in
+  let rec find i =
+    if String.sub config i (String.length kind) = kind then i else find (i + 1)
+  in
+  let at = find 0 in
+  let bogus = Bytes.of_string config in
+  Bytes.set bogus at 'X';
+  malformed "unknown fault keyword" Seglog.Record.get_config bogus
 
 (* ---------- end-to-end: record live, re-check offline ---------- *)
 
@@ -712,7 +813,9 @@ let () =
         [ Alcotest.test_case "single-byte corruption is rejected" `Quick
             corruption_rejected;
           Alcotest.test_case "version guards" `Quick version_guards;
-          Alcotest.test_case "config fingerprint guard" `Quick fingerprint_guard ] );
+          Alcotest.test_case "config fingerprint guard" `Quick fingerprint_guard;
+          Alcotest.test_case "undecodable program or fault is malformed" `Quick
+            malformed_program_and_fault ] );
       ( "offline",
         [ Alcotest.test_case "clean run re-verifies offline" `Slow
             offline_matches_clean_run;

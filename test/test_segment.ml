@@ -97,7 +97,7 @@ let test_streaming_cursor_inherited () =
   Seg.start_streaming seg ~started_ns:3;
   let log = Seg.log seg in
   Parallaft.Rr_log.record log
-    (Parallaft.Rr_log.Sys
+    (Seglog.Record.Sys
        { call = Sim_os.Syscall.Getpid; in_data = None; result = 1; effects = [] });
   let cursor = Option.get (Seg.cursor seg) in
   ignore (Parallaft.Rr_log.next_interaction cursor);

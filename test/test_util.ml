@@ -121,9 +121,18 @@ let test_grouped_bar_chart () =
 let test_stacked_bar_chart () =
   let out =
     Util.Table.stacked_bar_chart ~component_labels:[ "p"; "q" ]
-      [ ("row", [ 1.0; 2.0 ]) ]
+      [ ("row", [ 1.0; 2.0 ]); ("neg", [ 3.0; -0.5 ]) ]
   in
-  Alcotest.(check bool) "non-empty" true (String.length out > 0)
+  Alcotest.(check bool) "non-empty" true (String.length out > 0);
+  (* A negative component is not drawn, but it counts in the label. *)
+  Alcotest.(check (list string)) "labels are the signed sums" [ "3.0"; "2.5" ]
+    (List.filter_map
+       (fun line ->
+         match String.rindex_opt line ' ' with
+         | Some i when String.contains line '|' ->
+           Some (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+       (String.split_on_char '\n' out))
 
 let qcheck_rng_uniformish =
   QCheck.Test.make ~name:"Rng.int stays in bounds" ~count:500
