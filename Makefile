@@ -1,7 +1,7 @@
 # Convenience entry points; `make ci` is what the harness runs.
 
-.PHONY: all build test fmt-check unused-exports monomorphic parallel-smoke \
-  invariants ci clean
+.PHONY: all build test fmt-check unused-exports monomorphic build-flags \
+  parallel-smoke invariants ci clean
 
 all: build
 
@@ -78,6 +78,47 @@ monomorphic: build
 	  echo "monomorphic: objdump not installed, skipping"; \
 	fi
 
+# The release build of dune-workspace keeps its gain and its warning
+# gate: the native compile of a hot-path module must carry dev's warning
+# spec (warnings as errors) and -strict-sequence, and none of -opaque,
+# -unsafe or -noassert; and Machine.Cpu's object must reach the guest
+# load's page walk by a direct call. Under -opaque every cross-library
+# call is a caml_applyN closure call, so the object holds none. With
+# -inline 200, Address_space.load64 inlines whole and the first direct
+# call left on the walk is Int_table's probe, so any function of the walk
+# counts. Prints what it found; the objdump leg skips where objdump is
+# not installed.
+BUILD_FLAGS_CMX = _build/default/lib/mem/.mem.objs/native/mem__Address_space.cmx
+BUILD_FLAGS_OBJ = _build/default/lib/machine/.machine.objs/native/machine__Cpu.o
+BUILD_FLAGS_WARN = -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40
+LOAD_WALK_RE = camlMem__Address_space\.(load64|read_chunk)_|camlMem__Page_table\.read_frame_|camlUtil__Int_table\.probe_
+
+build-flags: build
+	@cmd=$$(dune rules $(BUILD_FLAGS_CMX) | sed -n '/(run/,$$p' | tr -s ' \n()' ' '); \
+	echo "build-flags: $(notdir $(BUILD_FLAGS_CMX)):$$cmd"; \
+	status=0; \
+	for f in -opaque -unsafe -noassert; do \
+	  case "$$cmd " in *" $$f "*) echo "build-flags: has $$f"; status=1;; esac; \
+	done; \
+	for f in "$(BUILD_FLAGS_WARN)" -strict-sequence; do \
+	  case "$$cmd " in *" $$f "*) ;; *) echo "build-flags: lacks $$f"; status=1;; esac; \
+	done; \
+	if command -v objdump >/dev/null 2>&1; then \
+	  calls=$$(objdump -dr $(BUILD_FLAGS_OBJ) | awk '/\tcall /{c=1; next} \
+	    c && /R_X86_64_PLT32/ && $$NF ~ /$(LOAD_WALK_RE)/ {p = $$NF; \
+	    sub(/[-+]0x[0-9a-f]+$$/, "", p); print p} {c=0}' | sort | uniq -c); \
+	  if [ -n "$$calls" ]; then \
+	    echo "build-flags: direct calls on the load walk in $(notdir $(BUILD_FLAGS_OBJ)):"; \
+	    echo "$$calls"; \
+	  else \
+	    echo "build-flags: $(notdir $(BUILD_FLAGS_OBJ)) makes no direct call on the load walk"; \
+	    status=1; \
+	  fi; \
+	else \
+	  echo "build-flags: objdump not installed, skipping the call check"; \
+	fi; \
+	exit $$status
+
 # The quick experiment suite on a 4-domain pool: exercises the parallel
 # runner end to end (the determinism itself is pinned by test_parallel).
 parallel-smoke: build
@@ -92,7 +133,7 @@ parallel-smoke: build
 invariants: build
 	PARALLAFT_INVARIANTS=1 dune runtest --force
 
-ci: build test invariants fmt-check unused-exports monomorphic parallel-smoke
+ci: build test invariants fmt-check unused-exports monomorphic build-flags parallel-smoke
 
 clean:
 	dune clean

@@ -291,12 +291,64 @@ let test_write_bytes_map () =
     (Bytes.to_string
        (Mem.Address_space.read_bytes aspace ~addr:(10 * page_size) ~len:11))
 
+(* The guest-access fault contract: an access that cannot complete raises
+   [Segfault] with the address of the first byte it could not reach and
+   whether the access was a store. A straddling load assembles its bytes
+   from the highest address down and a straddling store writes them from
+   the lowest up, so across a page boundary the load names its own last
+   byte and the store the first byte of the next page. *)
 let test_segfault_exn () =
+  let module A = Mem.Address_space in
   let aspace = fresh_as () in
-  try
-    ignore (Mem.Address_space.load64 aspace 0xdead000);
-    Alcotest.fail "expected Segfault"
-  with Mem.Address_space.Segfault { write = false; _ } -> ()
+  let page n = n * page_size in
+  A.map_range aspace ~addr:(page 0) ~len:page_size Mem.Page_table.Read_write;
+  A.map_range aspace ~addr:(page 2) ~len:page_size Mem.Page_table.Read_only;
+  A.map_range aspace ~addr:(page 4) ~len:page_size Mem.Page_table.Read_write;
+  A.unmap_range aspace ~addr:(page 4) ~len:page_size;
+  let load f a () = ignore (f aspace a) and store f a () = f aspace a 1 in
+  List.iter
+    (fun (name, access, addr, write) ->
+      match access () with
+      | () -> Alcotest.failf "%s: no Segfault" name
+      | exception A.Segfault { addr = a; write = w } ->
+        Alcotest.(check (pair int bool)) name (addr, write) (a, w))
+    [
+      ("load64, never mapped", load A.load64 0xdead000, 0xdead000, false);
+      ("load8, never mapped", load A.load8 0xdead005, 0xdead005, false);
+      ("load64, unmapped", load A.load64 (page 4 + 8), page 4 + 8, false);
+      ("load8, unmapped", load A.load8 (page 4 + 3), page 4 + 3, false);
+      ("store64, read-only", store A.store64 (page 2 + 16), page 2 + 16, true);
+      ("store8, read-only", store A.store8 (page 2 + 7), page 2 + 7, true);
+      ("load64 into an unmapped page", load A.load64 (page 1 - 4), page 1 + 3, false);
+      ("store64 into an unmapped page", store A.store64 (page 1 - 4), page 1, true);
+    ];
+  Alcotest.(check int) "a read-only page reads" 0 (A.load64 aspace (page 2 + 16))
+
+(* A faulting access reports no access: [last_frame] and [last_cow] stay
+   those of the last access that completed, here a store that broke COW
+   sharing. *)
+let test_fault_keeps_last_access () =
+  let module A = Mem.Address_space in
+  let aspace = fresh_as () in
+  A.map_range aspace ~addr:0 ~len:page_size Mem.Page_table.Read_write;
+  A.map_range aspace ~addr:(2 * page_size) ~len:page_size Mem.Page_table.Read_only;
+  let child = A.fork aspace in
+  A.store64 child 8 2;
+  let frame = A.last_frame child in
+  Alcotest.(check bool) "the store broke COW" true (A.last_cow child);
+  List.iter
+    (fun (name, access) ->
+      (match access () with
+       | () -> Alcotest.failf "%s: no Segfault" name
+       | exception A.Segfault _ -> ());
+      Alcotest.(check int) (name ^ ": last_frame") frame (A.last_frame child);
+      Alcotest.(check bool) (name ^ ": last_cow") true (A.last_cow child))
+    [
+      ("load64", fun () -> ignore (A.load64 child (5 * page_size)));
+      ("load8", fun () -> ignore (A.load8 child ((5 * page_size) + 1)));
+      ("store64", fun () -> A.store64 child ((2 * page_size) + 8) 1);
+      ("store8", fun () -> A.store8 child ((2 * page_size) + 1) 1);
+    ]
 
 let test_fifo_cache_basics () =
   let c = Mem.Fifo_cache.create ~capacity:2 in
@@ -1028,6 +1080,7 @@ let () =
           tc "read/write bytes" `Quick test_read_write_bytes;
           tc "write_bytes_map" `Quick test_write_bytes_map;
           tc "segfault" `Quick test_segfault_exn;
+          tc "fault keeps last access" `Quick test_fault_keeps_last_access;
         ] );
       ( "fifo_cache",
         [
