@@ -5,17 +5,9 @@ type result =
 type compare_stats = {
   bytes_hashed : int;
   pages_skipped_identical : int;
-  page_hash_hits : int;
-  page_hash_misses : int;
 }
 
-let no_stats =
-  {
-    bytes_hashed = 0;
-    pages_skipped_identical = 0;
-    page_hash_hits = 0;
-    page_hash_misses = 0;
-  }
+let no_stats = { bytes_hashed = 0; pages_skipped_identical = 0 }
 
 (* Merge two sorted vpn arrays into a fresh sorted duplicate-free array.
    A single linear pass into a worst-case-sized buffer; the [push]
@@ -86,32 +78,17 @@ let page_digest frame =
   Mem.Frame.hash_into st frame;
   Ftr_hash.Xxh64.digest st
 
-let compare_states ?cache ~reference ~candidate ~dirty_vpns () =
+let compare_states ~reference ~candidate ~dirty_vpns =
   match compare_registers ~reference ~candidate with
   | Some m -> (Mismatch m, no_stats)
   | None ->
     let ref_pt = Mem.Address_space.page_table (Machine.Cpu.aspace reference) in
     let cand_pt = Mem.Address_space.page_table (Machine.Cpu.aspace candidate) in
     let page_size = Mem.Page_table.page_size ref_pt in
-    let bytes = ref 0 in
+    let compared = ref 0 in
     let skipped = ref 0 in
-    let hits = ref 0 in
-    let misses = ref 0 in
     let differs = ref false in
     let layout_issue = ref None in
-    (* Sim-clock cost of one side's page digest: a modelled memo hit
-       costs nothing, a miss (or no memo) hashes the whole page. *)
-    let charge (f : Mem.Frame.t) =
-      match cache with
-      | None -> bytes := !bytes + page_size
-      | Some c ->
-        if Mem.Page_digest_cache.lookup c ~frame:f.id ~generation:f.generation then
-          incr hits
-        else begin
-          incr misses;
-          bytes := !bytes + page_size
-        end
-    in
     (* [k vpn reference_frame candidate_frame] for each distinct vpn
        both sides map (duplicates in a caller-supplied sorted set are
        tolerated). A vpn only one side maps stops the walk as a layout
@@ -137,30 +114,24 @@ let compare_states ?cache ~reference ~candidate ~dirty_vpns () =
       done
     in
     walk (fun _ rf cf ->
+        incr compared;
         if rf == cf then
           (* Both sides still map the same COW frame: byte-identical by
-             construction, so neither side reads nor hashes it. *)
+             construction, so the host reads neither side. *)
           incr skipped
-        else begin
-          charge rf;
-          charge cf;
-          if not !differs then differs := not (Mem.Frame.same_bytes rf cf)
-        end);
+        else if not !differs then differs := not (Mem.Frame.same_bytes rf cf));
+    (* The modelled runtime sees no frames: it hashes every compared
+       page in each process. *)
     let stats =
-      {
-        bytes_hashed = !bytes;
-        pages_skipped_identical = !skipped;
-        page_hash_hits = !hits;
-        page_hash_misses = !misses;
-      }
+      { bytes_hashed = 2 * !compared * page_size; pages_skipped_identical = !skipped }
     in
     (match !layout_issue with
     | Some m -> (Mismatch m, stats)
     | None when not !differs -> (Match, stats)
     | None ->
       (* Some page differs: fold each side's segment hash over (vpn,
-         page digest) of the same vpns, so the reported hashes are the
-         ones a hashing runtime compares. *)
+         page digest) of the vpns whose frames differ. A shared frame
+         would add the same terms to both sides, so it is left out. *)
       let ref_state = Ftr_hash.Xxh64.init () in
       let cand_state = Ftr_hash.Xxh64.init () in
       let mix state vpn frame =

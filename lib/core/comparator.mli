@@ -6,24 +6,24 @@
     is compared over the modified pages on each side. The paper's
     runtime hashes those pages in each process — the "injected hasher"
     trick that avoids copying page contents between processes — and
-    compares only the 64-bit segment digests; the sim clock charges that
-    hashing, while the host decides equality on the bytes it shares:
+    compares only the 64-bit segment digests. That runtime sees neither
+    frame identity nor COW sharing, so the sim clock charges one page
+    hash per side for every vpn in the compare set that both sides map.
+    The host decides equality on the bytes it shares, and its shortcuts
+    decide only the verdict, never the charge:
 
     - {e Frame-identity short-circuit}: a vpn where both sides still map
-      the same COW frame is byte-identical by construction and skipped
-      entirely (no read, no hash, no charge).
+      the same COW frame is byte-identical by construction, so the host
+      reads neither side.
     - {e Chunk-wise equality}: for the remaining vpns the two frames are
       compared chunk by chunk ({!Mem.Frame.same_bytes}): chunks both
       frames still hold are equal without a read, the rest are compared
       with [Bytes.equal].
-    - {e Modelled digest memo}: each side of each remaining vpn is one
-      hit-or-miss call on an optional [(frame id, generation)] residency
-      model ({!Mem.Page_digest_cache}); a miss, or no model, charges a
-      whole page to [bytes_hashed], a hit charges nothing.
     - Only when some page differs are the two segment hashes folded over
-      (vpn, XXH64 of the page) of the same vpns, so a
-      [Memory_mismatch] carries the digests a hashing runtime compares.
-      Cached and uncached calls therefore return identical verdicts.
+      (vpn, XXH64 of the page) of the vpns whose frames differ, for the
+      [Memory_mismatch] report. Shared frames would add the same terms
+      to both sides and are left out, so the reported digests are not
+      those of a runtime that folds every compared page.
 
     Comparing a superset of the truly modified pages is sound; pages
     missing from one side's address space are a layout divergence and
@@ -35,28 +35,24 @@ type result =
 
 (** Work accounting for one [compare_states] call, on the sim clock.
     [bytes_hashed] counts the page bytes the modelled runtime reads and
-    hashes (the injected hasher's simulated cost); identity-skipped
-    pages and memo hits contribute nothing to it. *)
+    hashes (the injected hasher's simulated cost): two pages for every
+    compared vpn, identity-skipped ones included. *)
 type compare_stats = {
   bytes_hashed : int;
-  pages_skipped_identical : int;  (** vpns skipped: same frame both sides *)
-  page_hash_hits : int;  (** modelled memo hits *)
-  page_hash_misses : int;  (** modelled memo misses: a page hashed *)
+  pages_skipped_identical : int;
+      (** compared vpns the host skipped: same frame both sides *)
 }
 
 val compare_states :
-  ?cache:Mem.Page_digest_cache.t ->
   reference:Machine.Cpu.t ->
   candidate:Machine.Cpu.t ->
   dirty_vpns:int array ->
-  unit ->
   result * compare_stats
-(** [compare_states ?cache ~reference ~candidate ~dirty_vpns ()]
-    returns the verdict and the work accounting. [dirty_vpns] must be
-    sorted; duplicates are tolerated. Without [cache] every non-identical
-    page is charged as hashed from scratch (same verdicts, more bytes). Register
-    comparison runs first and stops at the first divergent register — a
-    register mismatch is reported without touching memory. *)
+(** [compare_states ~reference ~candidate ~dirty_vpns] returns the
+    verdict and the work accounting. [dirty_vpns] must be sorted;
+    duplicates are tolerated. Register comparison runs first and stops
+    at the first divergent register — a register mismatch is reported
+    without touching memory. *)
 
 val union_sorted : int array -> int array -> int array
 (** Merge two sorted vpn arrays, removing duplicates — for combining the

@@ -42,7 +42,6 @@ type t = {
 }
 
 let timeout_scale = 1.1
-let page_hash_cache_pages = 4096
 let pacer_tick_ns = 100_000
 let max_sim_ns = 2_000_000_000
 let max_recoveries = 3

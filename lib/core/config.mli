@@ -150,11 +150,6 @@ val validate : run_kind -> t -> (unit, string) result
 val timeout_scale : float
 (** A checker is killed past [timeout_scale * main_insns]. *)
 
-val page_hash_cache_pages : int
-(** Capacity (in pages) of the comparator's modelled per-frame digest
-    memo ({!Mem.Page_digest_cache}): the residency of a memoizing
-    runtime, which decides the simulated hash cost. *)
-
 val pacer_tick_ns : int
 (** Period of the pacer, backend and watchdog ticks. *)
 

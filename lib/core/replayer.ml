@@ -306,8 +306,8 @@ let check_end_state t seg =
       in
       let union = Comparator.union_sorted c.Segment.main_dirty checker_dirty in
       let verdict, cs =
-        Comparator.compare_states ?cache:t.page_digests
-          ~reference:(E.cpu t.eng snap) ~candidate:cpu ~dirty_vpns:union ()
+        Comparator.compare_states ~reference:(E.cpu t.eng snap) ~candidate:cpu
+          ~dirty_vpns:union
       in
       let bytes = cs.Comparator.bytes_hashed in
       let cycles = bytes / max 1 (plat t).Platform.hash_bytes_per_cycle in
@@ -317,10 +317,6 @@ let check_end_state t seg =
       t.stats.Stats.pages_skipped_identical <-
         t.stats.Stats.pages_skipped_identical
         + cs.Comparator.pages_skipped_identical;
-      t.stats.Stats.page_hash_hits <-
-        t.stats.Stats.page_hash_hits + cs.Comparator.page_hash_hits;
-      t.stats.Stats.page_hash_misses <-
-        t.stats.Stats.page_hash_misses + cs.Comparator.page_hash_misses;
       t.stats.Stats.segments_compared <- t.stats.Stats.segments_compared + 1;
       E.emit t.eng ~track:(Obs.Trace.Proc (Segment.checker seg))
         ~phase:Obs.Trace.Instant
@@ -330,8 +326,6 @@ let check_end_state t seg =
             ("bytes", Obs.Trace.Int bytes);
             ( "skipped_identical",
               Obs.Trace.Int cs.Comparator.pages_skipped_identical );
-            ("hash_hits", Obs.Trace.Int cs.Comparator.page_hash_hits);
-            ("hash_misses", Obs.Trace.Int cs.Comparator.page_hash_misses);
             ( "verdict",
               Obs.Trace.Str
                 (match verdict with

@@ -32,12 +32,6 @@ type t = {
   roles : (E.pid, role) Hashtbl.t;
   mutable cur : Segment.t option;  (* the segment being recorded *)
   mutable live : Segment.t list;  (* recorded segments with running checkers *)
-  (* Sim-clock model of a per-frame page-digest memo, shared by every
-     segment comparison of the run. Sound across rollbacks: frame ids
-     are never reused and in-place writes bump the generation, so stale
-     entries can only miss. [None] in RAFT mode, which compares no
-     states. *)
-  page_digests : Mem.Page_digest_cache.t option;
   mutable next_id : int;
   mutable seg_start_branches : int;
   mutable seg_start_insns : int;
@@ -95,10 +89,6 @@ let create ?rng ?seglog ~pool ~tid ~main_core ~stats ~backend eng cfg =
     roles = Hashtbl.create 16;
     cur = None;
     live = [];
-    page_digests =
-      (if Config.compare_states cfg then
-         Some (Mem.Page_digest_cache.create ~capacity:Config.page_hash_cache_pages)
-       else None);
     next_id = 0;
     seg_start_branches = 0;
     seg_start_insns = 0;

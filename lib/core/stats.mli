@@ -43,15 +43,17 @@ type t = {
   mutable segments_compared : int;
   mutable dirty_pages_total : int;
   mutable bytes_hashed : int;
-      (** page bytes actually read and hashed by the comparator; identity
-          skips and digest-memo hits contribute nothing *)
+      (** page bytes the modelled runtime reads and hashes: a page per
+          side for every compared vpn both sides map *)
   mutable pages_skipped_identical : int;
-      (** dirty-union vpns skipped because both sides still mapped the
-          same COW frame *)
-  mutable page_hash_hits : int;
-      (** per-frame page digests served from the comparator's memo *)
-  mutable page_hash_misses : int;
-      (** per-frame page digests computed from page bytes *)
+      (** compared vpns the host did not read because both sides still
+          mapped the same COW frame *)
+  page_hash_hits : int;
+  page_hash_misses : int;
+      (** always 0: there is no page-digest memo. Kept only because
+          [ftbench/ftbench.ml] reads both for its
+          [core.comparator.page_hash_hit_ratio]; they go with the next
+          change to the benchmark. *)
   mutable syscalls_recorded : int;
   mutable nondet_recorded : int;
   mutable signals_recorded : int;

@@ -95,11 +95,6 @@ let scheduling_ablation ~scale =
   Util.Table.print
     ~header:[ "scheduler"; "perf %"; "energy %"; "sync %"; "migrations" ]
     rows;
-  print_endline
-    "(An honest model finding: on lbm, disabling migration trades a large\n\
-     last-checker-sync debt against big-L2 pollution from migrated\n\
-     checkers, and the two roughly cancel in this cost model; the paper's\n\
-     hardware sees a clearer win for migration.)";
   print_newline ();
   (* DVFS pacing matters on compute-bound benchmarks, where checkers keep
      up easily and the cluster can idle down. *)

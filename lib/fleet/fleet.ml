@@ -301,8 +301,6 @@ let to_assoc r =
               row "segments_compared" (i st.Stats.segments_compared);
               row "recoveries" (i st.Stats.recoveries);
               row "detections" (i (List.length st.Stats.detections));
-              row "page_hash_hits" (i st.Stats.page_hash_hits);
-              row "page_hash_misses" (i st.Stats.page_hash_misses);
             ]
           | None -> [])
         @

@@ -1,8 +1,7 @@
 (* Per-CPU decoded-block cache (DESIGN.md §15).
 
-   Entries are keyed by entry pc; validity is generation-based, the
-   same machinery Mem's page-digest cache uses for frames: each entry
-   snapshots the generation counters of the code pages it decodes
+   Entries are keyed by entry pc; validity is generation-based: each
+   entry snapshots the generation counters of the code pages it decodes
    from, and a lookup that finds any of them bumped (a patch_code
    landed on the span) drops the entry and reports an invalidation.
    Capacity is bounded by a Mem.Fifo_cache of resident entry pcs whose

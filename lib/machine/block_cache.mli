@@ -1,8 +1,7 @@
 (** Per-CPU decoded-block cache (DESIGN.md §15).
 
     Maps entry pc -> {!Isa.Decoded.block}, validated by code-page
-    generation snapshots (the frame-generation idiom of
-    {!Mem.Page_digest_cache}): a [patch_code] bumps the written page's
+    generation snapshots: a [patch_code] bumps the written page's
     generation, and the next lookup of any block spanning that page
     drops it and counts an {!invalidations}. Residency is bounded by a
     {!Mem.Fifo_cache}. Purely a performance structure: nothing

@@ -90,13 +90,5 @@ let remove t frame =
     t.free <- slot
   end
 
-let clear t =
-  Util.Int_table.reset t.resident;
-  Array.fill t.slots 0 t.cap (-1);
-  t.filled <- 0;
-  t.free <- -1;
-  t.hits <- 0;
-  t.misses <- 0
-
 let hits t = t.hits
 let misses t = t.misses

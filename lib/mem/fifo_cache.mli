@@ -33,8 +33,8 @@ val touch : t -> int -> bool
 val admit : t -> int -> int
 (** Like {!touch}, but returns the frame evicted to make room, or [-1]
     if none was (a hit, or a miss that filled a free slot). Callers
-    that maintain side tables keyed on residents — e.g.
-    {!Page_digest_cache} — use the victim to drop the matching entry. *)
+    that maintain side tables keyed on residents (the block cache's
+    decoded blocks) use the victim to drop the matching entry. *)
 
 val remove : t -> int -> unit
 (** [remove t frame] invalidates a resident frame (no-op if absent).
@@ -42,8 +42,6 @@ val remove : t -> int -> unit
     dead copy would otherwise linger as cache pollution that an LRU
     policy would age out naturally. *)
 
-val clear : t -> unit
-
 val hits : t -> int
 val misses : t -> int
-(** Cumulative counters since creation or [clear]. *)
+(** Cumulative counters since creation. *)

@@ -13,7 +13,6 @@ type t = {
   id : int;
   chunks : chunk array;
   mutable refcount : int;
-  mutable generation : int;
 }
 
 type allocator = {
@@ -59,9 +58,9 @@ let alloc a chunks =
   let id = a.next_id in
   a.next_id <- id + 1;
   a.live <- a.live + 1;
-  { id; chunks; refcount = 1; generation = 0 }
+  { id; chunks; refcount = 1 }
 
-let sentinel = { id = -1; chunks = [||]; refcount = 0; generation = 0 }
+let sentinel = { id = -1; chunks = [||]; refcount = 0 }
 
 let alloc_zero a =
   a.zero.refs <- a.zero.refs + a.nchunks;
@@ -127,8 +126,6 @@ let decref a f =
       release_chunk a (Array.unsafe_get f.chunks i)
     done
   end
-
-let bump_generation f = f.generation <- f.generation + 1
 
 (* Apply [k chunk_index chunk_off pos n] to each chunk-sized piece of
    the page range [off, off + len). *)

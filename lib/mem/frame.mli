@@ -40,12 +40,6 @@ type t = private {
       (** the page's bytes in order, [page_size / chunk_bytes] chunks;
           read-only outside this module *)
   mutable refcount : int;
-  mutable generation : int;
-      (** content version: bumped by {!Page_table.store_prepare} on every
-          in-place write to an exclusively owned frame. Because frame ids
-          are never reused, [(id, generation)] is a stable key for the
-          frame's byte contents — the comparator's memo model is keyed on
-          it. *)
 }
 
 type allocator
@@ -87,11 +81,6 @@ val decref : allocator -> t -> unit
     of its chunks loses a reference.
 
     @raise Invalid_argument if the refcount is already zero. *)
-
-val bump_generation : t -> unit
-(** Advance the content version. Called by the write-side page walk when
-    the store lands in place (no COW copy), invalidating the memo
-    model's entry for the old contents. *)
 
 (** {2 Bytes} *)
 

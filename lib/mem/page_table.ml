@@ -65,13 +65,7 @@ let store_prepare t ~vpn =
     Frame.decref t.alloc pte.frame;
     pte.frame <- fresh
   end
-  else begin
-    (* In-place write to an exclusively owned frame: the frame id stays
-       the same while the bytes change, so the content version must
-       advance to invalidate the memo model's entry. *)
-    t.retired <- -1;
-    Frame.bump_generation pte.frame
-  end;
+  else t.retired <- -1;
   pte.soft_dirty <- true;
   pte.frame
 

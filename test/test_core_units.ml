@@ -189,10 +189,8 @@ let identical_cpus () =
   ignore (Machine.Cpu.run b ~env:null_env ~max_cycles:1_000_000);
   (a, b)
 
-let compare_states ?cache ~reference ~candidate dirty =
-  fst
-    (Parallaft.Comparator.compare_states ?cache ~reference ~candidate
-       ~dirty_vpns:dirty ())
+let compare_states ~reference ~candidate dirty =
+  fst (Parallaft.Comparator.compare_states ~reference ~candidate ~dirty_vpns:dirty)
 
 let test_comparator_match () =
   let a, b = identical_cpus () in
@@ -260,8 +258,7 @@ let qcheck_union_sorted_is_set_union =
 (* Reference/candidate CPUs over a freshly forked pair of address
    spaces: [pages] (default 8) COW-shared data pages at 0x100000, each
    seeded with a distinct value. Writes then exercise both COW (first
-   touch of a shared page) and in-place generation bumps (later
-   touches). *)
+   touch of a shared page) and in-place stores (later touches). *)
 let data_base = 0x100000
 let data_pages = 8
 let data_vpn i = (data_base / page_size) + i
@@ -290,33 +287,37 @@ let forked_cpu_pair ?(pages = data_pages) () =
 
 let all_data_vpns = Array.init data_pages data_vpn
 
+(* The host skips a vpn whose two sides map one frame, but the modelled
+   runtime sees no frames: every compared vpn is charged a page hash on
+   each side, skipped or not. *)
 let test_comparator_identity_short_circuit () =
   let a, b = forked_cpu_pair () in
   let verdict, cs =
     Parallaft.Comparator.compare_states ~reference:a ~candidate:b
-      ~dirty_vpns:all_data_vpns ()
+      ~dirty_vpns:all_data_vpns
   in
   (match verdict with
   | Parallaft.Comparator.Match -> ()
   | _ -> Alcotest.fail "identical fork mismatched");
   Alcotest.(check int) "every shared page skipped" data_pages
     cs.Parallaft.Comparator.pages_skipped_identical;
-  Alcotest.(check int) "no bytes hashed" 0 cs.Parallaft.Comparator.bytes_hashed;
-  (* Diverge one page: only that vpn's two sides get hashed. *)
+  Alcotest.(check int) "every page hashed on both sides" (2 * data_pages * page_size)
+    cs.Parallaft.Comparator.bytes_hashed;
+  (* Diverge one page: the host reads only that vpn's two sides. *)
   Mem.Address_space.store64 (Machine.Cpu.aspace b) data_base 9999;
   let verdict, cs =
     Parallaft.Comparator.compare_states ~reference:a ~candidate:b
-      ~dirty_vpns:all_data_vpns ()
+      ~dirty_vpns:all_data_vpns
   in
   (match verdict with
   | Parallaft.Comparator.Mismatch (Parallaft.Detection.Memory_mismatch _) -> ()
   | _ -> Alcotest.fail "divergence missed");
   Alcotest.(check int) "other pages still skipped" (data_pages - 1)
     cs.Parallaft.Comparator.pages_skipped_identical;
-  Alcotest.(check int) "two pages of bytes hashed" (2 * page_size)
+  Alcotest.(check int) "the charge does not move" (2 * data_pages * page_size)
     cs.Parallaft.Comparator.bytes_hashed;
   (* Equal-content writes on both sides COW fresh frames: identity is
-     broken, so those vpns are hashed on both sides, yet they match. *)
+     broken, so the host compares those vpns' bytes, yet they match. *)
   let pages = 256 in
   let a, b = forked_cpu_pair ~pages () in
   let vpns = Array.init pages data_vpn in
@@ -333,73 +334,20 @@ let test_comparator_identity_short_circuit () =
   let check_cow label ~cowed =
     let verdict, cs =
       Parallaft.Comparator.compare_states ~reference:a ~candidate:b
-        ~dirty_vpns:vpns ()
+        ~dirty_vpns:vpns
     in
     (match verdict with
     | Parallaft.Comparator.Match -> ()
     | _ -> Alcotest.failf "%s: equal contents mismatched" label);
-    (* The same verdict through a memo, cold and then warm. *)
-    let cache = Mem.Page_digest_cache.create ~capacity:4096 in
-    for _ = 1 to 2 do
-      match compare_states ~cache ~reference:a ~candidate:b vpns with
-      | Parallaft.Comparator.Match -> ()
-      | _ -> Alcotest.failf "%s: equal contents mismatched with a memo" label
-    done;
     Alcotest.(check int) (label ^ ": shared pages skipped") (pages - cowed)
       cs.Parallaft.Comparator.pages_skipped_identical;
-    Alcotest.(check int) (label ^ ": COWed pages hashed on both sides")
-      (2 * cowed * page_size) cs.Parallaft.Comparator.bytes_hashed
+    Alcotest.(check int) (label ^ ": every page hashed on both sides")
+      (2 * pages * page_size) cs.Parallaft.Comparator.bytes_hashed
   in
   cow_both 16;
   check_cow "16 of 256 COWed" ~cowed:16;
   cow_both pages;
   check_cow "all 256 COWed" ~cowed:pages
-
-let test_comparator_cache_generation_invalidation () =
-  let a, b = forked_cpu_pair () in
-  let cache = Mem.Page_digest_cache.create ~capacity:16 in
-  (match compare_states ~cache ~reference:a ~candidate:b all_data_vpns with
-  | Parallaft.Comparator.Match -> ()
-  | _ -> Alcotest.fail "identical fork mismatched");
-  (* First touch of a shared page COWs a fresh frame on the candidate. *)
-  Mem.Address_space.store64
-    (Machine.Cpu.aspace b)
-    (data_base + (3 * page_size))
-    777;
-  (match compare_states ~cache ~reference:a ~candidate:b all_data_vpns with
-  | Parallaft.Comparator.Mismatch (Parallaft.Detection.Memory_mismatch _) -> ()
-  | _ -> Alcotest.fail "divergence missed with warm cache");
-  (* Restoring the original value writes in place (the frame is now
-     exclusively owned): the id is unchanged, so only the generation
-     bump makes the memo model miss — and charge a rehash — on the
-     candidate side, while the reference side still hits. *)
-  Mem.Address_space.store64
-    (Machine.Cpu.aspace b)
-    (data_base + (3 * page_size))
-    1003;
-  let verdict, cs =
-    Parallaft.Comparator.compare_states ~cache ~reference:a ~candidate:b
-      ~dirty_vpns:all_data_vpns ()
-  in
-  (match verdict with
-  | Parallaft.Comparator.Match -> ()
-  | _ -> Alcotest.fail "stale verdict after in-place write");
-  Alcotest.(check (pair int int)) "in-place write: candidate misses, reference hits"
-    (1, 1)
-    (cs.Parallaft.Comparator.page_hash_misses, cs.Parallaft.Comparator.page_hash_hits);
-  Alcotest.(check int) "and one page is charged" page_size
-    cs.Parallaft.Comparator.bytes_hashed;
-  (* And warm re-comparison of the still-divergent-id page hits the memo. *)
-  let verdict, cs =
-    Parallaft.Comparator.compare_states ~cache ~reference:a ~candidate:b
-      ~dirty_vpns:all_data_vpns ()
-  in
-  (match verdict with
-  | Parallaft.Comparator.Match -> ()
-  | _ -> Alcotest.fail "warm re-compare mismatched");
-  Alcotest.(check int) "warm run hashes nothing" 0
-    cs.Parallaft.Comparator.bytes_hashed;
-  Alcotest.(check int) "warm run is all hits" 2 cs.Parallaft.Comparator.page_hash_hits
 
 (* The segment-hash fold a hashing comparator computes: XXH64 over
    (vpn, XXH64 of the page bytes) on each side, for every vpn whose two
@@ -426,27 +374,20 @@ let fold_verdict ~reference ~candidate vpns =
     Parallaft.Comparator.Mismatch
       (Parallaft.Detection.Memory_mismatch { expected_hash; got_hash })
 
-let qcheck_cached_matches_uncached =
-  (* Differential oracle for the memo model and the chunked compare:
-     after every random fork-side write, the verdict with a (tiny,
-     eviction-pressured) memo must equal the uncached verdict, and both
-     must equal the hash fold over whole pages, memory-mismatch hashes
-     included. *)
-  QCheck.Test.make ~name:"cached comparator verdict = uncached verdict" ~count:40
+let qcheck_verdict_matches_fold =
+  (* Differential oracle for the identity skip and the chunked compare:
+     after every random fork-side write (COW on a first touch, in place
+     after), the comparator's verdict must equal the hash fold over
+     whole pages, memory-mismatch hashes included. *)
+  QCheck.Test.make ~name:"verdict = whole-page hash fold" ~count:40
     QCheck.(small_list (triple bool (0 -- (data_pages - 1)) (0 -- 100)))
     (fun ops ->
       let a, b = forked_cpu_pair () in
-      let cache = Mem.Page_digest_cache.create ~capacity:2 in
       let ok = ref true in
       let check_once () =
-        let cached =
-          compare_states ~cache ~reference:a ~candidate:b all_data_vpns
-        in
-        let uncached =
-          compare_states ~reference:a ~candidate:b all_data_vpns
-        in
+        let verdict = compare_states ~reference:a ~candidate:b all_data_vpns in
         let folded = fold_verdict ~reference:a ~candidate:b all_data_vpns in
-        if cached <> uncached || uncached <> folded then ok := false
+        if verdict <> folded then ok := false
       in
       check_once ();
       List.iter
@@ -501,10 +442,8 @@ let () =
           tc "union_sorted" `Quick test_union_sorted;
           tc "frame-identity short circuit" `Quick
             test_comparator_identity_short_circuit;
-          tc "cache generation invalidation" `Quick
-            test_comparator_cache_generation_invalidation;
           QCheck_alcotest.to_alcotest qcheck_union_sorted_is_set_union;
-          QCheck_alcotest.to_alcotest qcheck_cached_matches_uncached;
+          QCheck_alcotest.to_alcotest qcheck_verdict_matches_fold;
         ] );
       ( "misc",
         [

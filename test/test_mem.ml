@@ -477,25 +477,16 @@ module Reference = struct
       t.slots.(slot) <- -1;
       t.free <- slot :: t.free
 
-  let clear t =
-    Hashtbl.reset t.resident;
-    Array.fill t.slots 0 t.cap (-1);
-    t.filled <- 0;
-    t.free <- [];
-    t.hits <- 0;
-    t.misses <- 0
-
   let hits t = t.hits
   let misses t = t.misses
 end
 
-type cache_op = Touch of int | Admit of int | Remove of int | Clear | Mem of int
+type cache_op = Touch of int | Admit of int | Remove of int | Mem of int
 
 let show_cache_op = function
   | Touch k -> Printf.sprintf "touch %d" k
   | Admit k -> Printf.sprintf "admit %d" k
   | Remove k -> Printf.sprintf "remove %d" k
-  | Clear -> "clear"
   | Mem k -> Printf.sprintf "mem %d" k
 
 let qcheck_fifo_cache_matches_reference =
@@ -508,7 +499,6 @@ let qcheck_fifo_cache_matches_reference =
         (3, map (fun k -> Admit k) key);
         (2, map (fun k -> Remove k) key);
         (2, map (fun k -> Mem k) key);
-        (1, return Clear);
       ]
   in
   QCheck.Test.make ~name:"Fifo_cache = Hashtbl reference" ~count:300
@@ -531,19 +521,15 @@ let qcheck_fifo_cache_matches_reference =
             Mem.Fifo_cache.remove c k;
             Reference.remove r k;
             true
-          | Clear ->
-            Mem.Fifo_cache.clear c;
-            Reference.clear r;
-            true
           | Mem k -> Mem.Fifo_cache.mem c k = Reference.mem r k)
           && Mem.Fifo_cache.hits c = Reference.hits r
           && Mem.Fifo_cache.misses c = Reference.misses r)
         ops)
 
 (* The cache model runs on every guest load and store, a COW copy
-   removes the dead frame, and the memo model admits on every miss: a
-   hit, an evicting miss, a remove and an evicting admit allocate
-   nothing. *)
+   removes the dead frame, and the block cache admits every decoded
+   block: a hit, an evicting miss, a remove and an evicting admit
+   allocate nothing. *)
 let test_fifo_cache_allocates_nothing () =
   let c = Mem.Fifo_cache.create ~capacity:64 in
   for k = 0 to 63 do
@@ -582,39 +568,24 @@ let test_fifo_cache_allocates_nothing () =
     "minor words (hits, misses, remove+touch, admits)" [ 0.; 0.; 0.; 0. ]
     [ hit_words; miss_words; remove_words; admit_words ]
 
-let test_fifo_cache_clear () =
-  let c = Mem.Fifo_cache.create ~capacity:4 in
-  ignore (Mem.Fifo_cache.touch c 1);
-  Mem.Fifo_cache.clear c;
-  Alcotest.(check bool) "cleared" false (Mem.Fifo_cache.mem c 1);
-  Alcotest.(check int) "counters reset" 0 (Mem.Fifo_cache.misses c)
-
 let test_frame_generation_bumps_in_place_only () =
   let aspace = fresh_as () in
   Mem.Address_space.map_range aspace ~addr:0 ~len:(2 * page_size)
     Mem.Page_table.Read_write;
   let pt = Mem.Address_space.page_table aspace in
-  let version pt =
-    let f = Mem.Page_table.read_frame pt ~vpn:0 in
-    (f.Mem.Frame.id, f.Mem.Frame.generation)
-  in
-  let id0, gen0 = version pt in
-  (* Exclusively owned: each store walks store_prepare and bumps. *)
+  let id pt = (Mem.Page_table.read_frame pt ~vpn:0).Mem.Frame.id in
+  let id0 = id pt in
+  (* Exclusively owned: the store lands in place. *)
   Mem.Address_space.store64 aspace 0 1;
-  let id1, gen1 = version pt in
+  let id1 = id pt in
   Alcotest.(check int) "in-place write keeps the frame" id0 id1;
-  Alcotest.(check bool) "in-place write bumps the generation" true (gen1 > gen0);
-  (* COW: the child's write allocates a fresh frame at generation 0 and
-     leaves the parent's frame (id and generation) untouched. *)
+  (* COW: the child's write allocates a fresh frame and leaves the
+     parent's frame untouched. *)
   let child = Mem.Address_space.fork aspace in
   let child_pt = Mem.Address_space.page_table child in
   Mem.Address_space.store64 child 0 2;
-  let cid, cgen = version child_pt in
-  Alcotest.(check bool) "cow allocates a fresh frame" true (cid <> id1);
-  Alcotest.(check int) "fresh frame starts at generation 0" 0 cgen;
-  let id2, gen2 = version pt in
-  Alcotest.(check int) "parent frame id untouched by child cow" id1 id2;
-  Alcotest.(check int) "parent generation untouched by child cow" gen1 gen2
+  Alcotest.(check bool) "cow allocates a fresh frame" true (id child_pt <> id1);
+  Alcotest.(check int) "parent frame id untouched by child cow" id1 (id pt)
 
 let test_read_frame_consistent () =
   let aspace = fresh_as () in
@@ -635,39 +606,62 @@ let test_read_frame_consistent () =
   | exception Mem.Page_table.Page_fault { vpn = 6; write = false } -> ()
   | _ -> Alcotest.fail "expected Page_fault on unmapped vpn"
 
-let test_page_digest_cache_basics () =
-  let c = Mem.Page_digest_cache.create ~capacity:2 in
-  Alcotest.(check bool) "cold miss" false
-    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:0);
-  Alcotest.(check bool) "hit on exact (frame, generation)" true
-    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:0);
-  Alcotest.(check bool) "stale generation misses" false
-    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:1);
-  Alcotest.(check bool) "refreshed generation hits" true
-    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:1);
-  Alcotest.(check int) "a refresh does not add a resident" 1
-    (Mem.Page_digest_cache.resident c);
-  Mem.Page_digest_cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Mem.Page_digest_cache.resident c);
-  Alcotest.(check bool) "miss after clear" false
-    (Mem.Page_digest_cache.lookup c ~frame:1 ~generation:1)
+(* The comparator's verdict on a page both sides map is
+   [Frame.same_bytes], which skips the chunks two frames share: it must
+   agree with comparing the whole pages byte by byte, whatever chunks
+   the frames share and whether an unshared chunk was rewritten to the
+   same bytes. Two copies of one base frame, each written a few bytes
+   from a small alphabet (so equal rewrites are common), cover all of
+   that; [g] replays [f]'s writes in about a third of the cases. *)
+let gen_frame_writes =
+  QCheck.Gen.(
+    list_size (0 -- 6) (pair (int_bound (page_size - 1)) (oneofl [ '\000'; 'a'; 'b' ])))
 
-let test_page_digest_cache_eviction_bounds () =
-  let cap = 2 in
-  let c = Mem.Page_digest_cache.create ~capacity:cap in
-  for frame = 0 to 9 do
-    ignore (Mem.Page_digest_cache.lookup c ~frame ~generation:0)
-  done;
-  Alcotest.(check int) "exactly capacity frames stay resident" cap
-    (Mem.Page_digest_cache.resident c);
-  (* Only the frames resident before the probe can hit: each miss admits
-     a frame the loop has already passed. *)
-  let hits = ref 0 in
-  for frame = 0 to 9 do
-    if Mem.Page_digest_cache.lookup c ~frame ~generation:0 then incr hits
-  done;
-  Alcotest.(check bool) "at most capacity frames hit" true (!hits <= cap);
-  Alcotest.(check int) "still bounded" cap (Mem.Page_digest_cache.resident c)
+let show_frame_writes ws =
+  String.concat " " (List.map (fun (off, c) -> Printf.sprintf "%d:%C" off c) ws)
+
+let frame_pair (base_ws, f_ws, g_ws) =
+  let a = Mem.Frame.allocator ~page_size in
+  let write f ws =
+    List.iter
+      (fun (off, c) -> Mem.Frame.blit_in a (Bytes.make 1 c) ~pos:0 f ~off ~len:1)
+      ws
+  in
+  let base = Mem.Frame.alloc_zero a in
+  write base base_ws;
+  let f = Mem.Frame.alloc_copy a base and g = Mem.Frame.alloc_copy a base in
+  write f f_ws;
+  write g (Option.value g_ws ~default:f_ws);
+  (f, g)
+
+let page_of f =
+  let b = Bytes.create page_size in
+  Mem.Frame.blit_out f ~off:0 b ~pos:0 ~len:page_size;
+  b
+
+let arb_frame_pair =
+  QCheck.make
+    ~print:(fun (b, f, g) ->
+      Printf.sprintf "base [%s] f [%s] g %s" (show_frame_writes b) (show_frame_writes f)
+        (match g with None -> "= f" | Some g -> "[" ^ show_frame_writes g ^ "]"))
+    QCheck.Gen.(
+      triple gen_frame_writes gen_frame_writes
+        (frequency [ (1, return None); (2, map Option.some gen_frame_writes) ]))
+
+let qcheck_same_bytes_matches_page_equality =
+  QCheck.Test.make ~name:"same_bytes = whole-page equality" ~count:300 arb_frame_pair
+    (fun ws ->
+      let f, g = frame_pair ws in
+      let equal = Bytes.equal (page_of f) (page_of g) in
+      Mem.Frame.same_bytes f g = equal && Mem.Frame.same_bytes g f = equal)
+
+let qcheck_hash_into_matches_page_hash =
+  QCheck.Test.make ~name:"hash_into = whole-page XXH64" ~count:100 arb_frame_pair
+    (fun ws ->
+      let f, _ = frame_pair ws in
+      let st = Ftr_hash.Xxh64.init () in
+      Mem.Frame.hash_into st f;
+      Ftr_hash.Xxh64.digest st = Ftr_hash.Xxh64.hash (page_of f))
 
 let qcheck_cow_preserves_parent =
   QCheck.Test.make ~name:"random child writes never leak to parent" ~count:100
@@ -1033,6 +1027,10 @@ let qcheck_chunk_straddling_accesses =
         ops;
       !ok)
 
+(* Alcotest pads every group label to the longest one and cuts test
+   names to fit 80 columns, so the longest label ("frame comparisons")
+   fixes the names this suite prints: a longer or shorter one renames
+   the long tests of every group. *)
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "mem"
@@ -1086,13 +1084,12 @@ let () =
         [
           tc "basics" `Quick test_fifo_cache_basics;
           tc "admit reports eviction" `Quick test_fifo_cache_admit_reports_eviction;
-          tc "clear" `Quick test_fifo_cache_clear;
           QCheck_alcotest.to_alcotest qcheck_fifo_cache_matches_reference;
           tc "touch allocates nothing" `Quick test_fifo_cache_allocates_nothing;
         ] );
-      ( "page_digest_cache",
+      ( "frame comparisons",
         [
-          tc "basics" `Quick test_page_digest_cache_basics;
-          tc "eviction bounds residency" `Quick test_page_digest_cache_eviction_bounds;
+          QCheck_alcotest.to_alcotest qcheck_same_bytes_matches_page_equality;
+          QCheck_alcotest.to_alcotest qcheck_hash_into_matches_page_hash;
         ] );
     ]

@@ -447,9 +447,9 @@ let test_recheck_spans_balanced () =
 
    A count of run events lives in the stats rows or the fleet report,
    and nowhere else. The --metrics digest's [events:] counts must agree
-   with those records, and the fleet dump's per-tenant page-hash rows
-   must carry what the comparator counted (the [compare] instants'
-   hash arguments). *)
+   with those records, and the comparator's stats must carry what the
+   [compare] instants report (their [bytes] and [skipped_identical]
+   arguments). *)
 
 let compare_arg_sum sink key =
   List.fold_left
@@ -483,10 +483,12 @@ let test_event_counts_match_records () =
       ("recheck.transient", st.S.transient_faults);
       ("migrate", st.S.migrations);
     ];
-  Alcotest.(check int) "recheck run: page-hash hits" st.S.page_hash_hits
-    (compare_arg_sum sink "hash_hits");
-  Alcotest.(check int) "recheck run: page-hash misses" st.S.page_hash_misses
-    (compare_arg_sum sink "hash_misses");
+  Alcotest.(check bool) "recheck run hashed pages" true (st.S.bytes_hashed > 0);
+  Alcotest.(check int) "recheck run: bytes hashed" st.S.bytes_hashed
+    (compare_arg_sum sink "bytes");
+  Alcotest.(check int) "recheck run: pages skipped identical"
+    st.S.pages_skipped_identical
+    (compare_arg_sum sink "skipped_identical");
   (* Four tenants, a main-memory fault rolled back in tenant 0. *)
   let sink = Obs.Sink.create () in
   let fault =
@@ -522,26 +524,14 @@ let test_event_counts_match_records () =
       ("steal", f.Fleet.steals);
       ("tenant.admit", f.Fleet.admitted);
     ];
-  let rows = Fleet.to_assoc f in
-  List.iter
-    (fun t ->
-      match t.Fleet.stats with
-      | None -> Alcotest.fail "fleet: a tenant never admitted"
-      | Some st ->
-        List.iter
-          (fun (name, v) ->
-            let key = Printf.sprintf "fleet.tenant%d.%s" t.Fleet.tid name in
-            Alcotest.(check (option string)) key (Some (string_of_int v))
-              (List.assoc_opt key rows))
-          [ ("page_hash_hits", st.S.page_hash_hits);
-            ("page_hash_misses", st.S.page_hash_misses) ])
-    f.Fleet.tenants;
-  Alcotest.(check int) "fleet: page-hash hits"
-    (sum (fun st -> st.S.page_hash_hits))
-    (compare_arg_sum sink "hash_hits");
-  Alcotest.(check int) "fleet: page-hash misses"
-    (sum (fun st -> st.S.page_hash_misses))
-    (compare_arg_sum sink "hash_misses")
+  Alcotest.(check int) "fleet: every tenant admitted" 4 (List.length stats);
+  Alcotest.(check bool) "fleet hashed pages" true (sum (fun st -> st.S.bytes_hashed) > 0);
+  Alcotest.(check int) "fleet: bytes hashed"
+    (sum (fun st -> st.S.bytes_hashed))
+    (compare_arg_sum sink "bytes");
+  Alcotest.(check int) "fleet: pages skipped identical"
+    (sum (fun st -> st.S.pages_skipped_identical))
+    (compare_arg_sum sink "skipped_identical")
 
 (* {2 Detection ordering contract} *)
 

@@ -281,17 +281,26 @@ let test_slice_period_controls_segments () =
     (Printf.sprintf "shorter period => more segments (%d vs %d)" short long)
     true (short > long)
 
+(* All three backends run clean, and full comparison hashes more than
+   either tracker: the modelled runtime hashes every page it compares,
+   shared or not (the §4.4 ablation's point). *)
 let test_dirty_backends_equivalent () =
   let program = busy_program () in
-  List.iter
-    (fun backend ->
-      let config =
-        { (parallaft_cfg ~slice_period:20_000 ()) with Parallaft.Config.dirty_backend = backend }
-      in
-      let r = run_protected ~config program in
-      check_clean r)
-    [ Parallaft.Config.Soft_dirty; Parallaft.Config.Map_count;
-      Parallaft.Config.Full_compare ]
+  let hashed backend =
+    let config =
+      { (parallaft_cfg ~slice_period:20_000 ()) with Parallaft.Config.dirty_backend = backend }
+    in
+    let r = run_protected ~config program in
+    check_clean r;
+    r.stats.Parallaft.Stats.bytes_hashed
+  in
+  let soft = hashed Parallaft.Config.Soft_dirty in
+  let map_count = hashed Parallaft.Config.Map_count in
+  let full = hashed Parallaft.Config.Full_compare in
+  Alcotest.(check bool)
+    (Printf.sprintf "full comparison hashes more (%d vs %d, %d)" full soft map_count)
+    true
+    (full > soft && full > map_count)
 
 let test_max_live_segments_respected () =
   let program = busy_program ~outer:40 () in
