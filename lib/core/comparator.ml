@@ -130,8 +130,8 @@ let compare_states ~reference ~candidate ~dirty_vpns =
     | None when not !differs -> (Match, stats)
     | None ->
       (* Some page differs: fold each side's segment hash over (vpn,
-         page digest) of the vpns whose frames differ. A shared frame
-         would add the same terms to both sides, so it is left out. *)
+         page digest) of every compared vpn, as the modelled runtime
+         does. *)
       let ref_state = Ftr_hash.Xxh64.init () in
       let cand_state = Ftr_hash.Xxh64.init () in
       let mix state vpn frame =
@@ -139,10 +139,8 @@ let compare_states ~reference ~candidate ~dirty_vpns =
         Ftr_hash.Xxh64.update_int64 state (page_digest frame)
       in
       walk (fun vpn rf cf ->
-          if rf != cf then begin
-            mix ref_state vpn rf;
-            mix cand_state vpn cf
-          end);
+          mix ref_state vpn rf;
+          mix cand_state vpn cf);
       let expected_hash = Ftr_hash.Xxh64.digest ref_state
       and got_hash = Ftr_hash.Xxh64.digest cand_state in
       if Int64.equal expected_hash got_hash then (Match, stats)

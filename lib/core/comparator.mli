@@ -20,10 +20,9 @@
       frames still hold are equal without a read, the rest are compared
       with [Bytes.equal].
     - Only when some page differs are the two segment hashes folded over
-      (vpn, XXH64 of the page) of the vpns whose frames differ, for the
-      [Memory_mismatch] report. Shared frames would add the same terms
-      to both sides and are left out, so the reported digests are not
-      those of a runtime that folds every compared page.
+      (vpn, XXH64 of the page) of every compared vpn, for the
+      [Memory_mismatch] report: the digests a runtime that hashes every
+      compared page in each process would report.
 
     Comparing a superset of the truly modified pages is sound; pages
     missing from one side's address space are a layout divergence and

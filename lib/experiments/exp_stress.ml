@@ -2,8 +2,7 @@
    per-event scale. The benchmark sweep uses per-event tracer costs
    scaled down with the 1e-4 cycle scale; per-event stress ratios are a
    property of single events, so this experiment restores the real-scale
-   ptrace stop cost (~4.4 us per stop). Paper: getpid 124.5x, 1 MiB
-   /dev/zero reads 18.5x, SIGUSR1 storm 39.8x. *)
+   ptrace stop cost (~4.4 us per stop). *)
 
 let stress_platform =
   {
@@ -64,8 +63,11 @@ let run () =
   in
   Util.Table.print
     ~header:[ "stress test"; "slowdown"; "paper" ]
-    [
-      [ "getpid loop"; Printf.sprintf "%.1fx" getpid; "124.5x" ];
-      [ "1 MiB /dev/zero reads"; Printf.sprintf "%.1fx" devzero; "18.5x" ];
-      [ "SIGUSR1 storm"; Printf.sprintf "%.1fx" sigusr1; "39.8x" ];
-    ]
+    (List.map
+       (fun (test, measured, paper) ->
+         [ test; Printf.sprintf "%.1fx" measured; Printf.sprintf "%.1fx" paper ])
+       [
+         ("getpid loop", getpid, Paper.stress.getpid);
+         ("1 MiB /dev/zero reads", devzero, Paper.stress.devzero);
+         ("SIGUSR1 storm", sigusr1, Paper.stress.sigusr1);
+       ])

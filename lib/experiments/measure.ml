@@ -15,6 +15,7 @@ type metrics = {
   big_core_work_fraction : float;
   cow_copies : int;
   runtime_work_ns : float;
+  bytes_hashed : int;
   outputs_ok : bool;
 }
 
@@ -36,6 +37,7 @@ let zero =
     big_core_work_fraction = 0.0;
     cow_copies = 0;
     runtime_work_ns = 0.0;
+    bytes_hashed = 0;
     outputs_ok = true;
   }
 
@@ -59,6 +61,7 @@ let combine a b =
     big_core_work_fraction = wavg a.big_core_work_fraction b.big_core_work_fraction;
     cow_copies = a.cow_copies + b.cow_copies;
     runtime_work_ns = a.runtime_work_ns +. b.runtime_work_ns;
+    bytes_hashed = a.bytes_hashed + b.bytes_hashed;
     outputs_ok = a.outputs_ok && b.outputs_ok;
   }
 
@@ -124,6 +127,7 @@ let run_program ?(seed = 42L) ~platform ~mode program =
         Parallaft.Stats.big_core_work_fraction r.Parallaft.Runtime.stats;
       cow_copies = r.Parallaft.Runtime.cow_copies;
       runtime_work_ns = r.Parallaft.Runtime.runtime_work_ns;
+      bytes_hashed = r.Parallaft.Runtime.stats.Parallaft.Stats.bytes_hashed;
       outputs_ok = r.Parallaft.Runtime.exit_status = Some 0;
     }
 

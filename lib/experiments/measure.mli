@@ -25,6 +25,7 @@ type metrics = {
   big_core_work_fraction : float;
   cow_copies : int;
   runtime_work_ns : float;
+  bytes_hashed : int;  (** page bytes the comparator hashed *)
   outputs_ok : bool;  (** every input exited 0 *)
 }
 

@@ -23,7 +23,7 @@ let all =
       title = "Figure 5: performance overhead of Parallaft and RAFT";
       run =
         (fun ~scale ~quick ->
-          Exp_overhead.run ~platform:Platform.apple_m2 ~scale ~quick);
+          Exp_overhead.fig5 ~platform:Platform.apple_m2 ~scale ~quick);
     };
     {
       name = "fig6";
@@ -37,14 +37,14 @@ let all =
       title = "Figure 7: energy overhead of Parallaft and RAFT";
       run =
         (fun ~scale ~quick ->
-          Exp_energy.run ~platform:Platform.apple_m2 ~scale ~quick);
+          Exp_overhead.fig7 ~platform:Platform.apple_m2 ~scale ~quick);
     };
     {
       name = "fig8";
       title = "Figure 8: normalized memory usage";
       run =
         (fun ~scale ~quick ->
-          Exp_memory.run ~platform:Platform.apple_m2 ~scale ~quick);
+          Exp_overhead.fig8 ~platform:Platform.apple_m2 ~scale ~quick);
     };
     {
       name = "fig9";
@@ -68,7 +68,7 @@ let all =
     {
       name = "intel";
       title = "Section 5.8: overhead on Intel x86_64";
-      run = (fun ~scale ~quick -> Exp_intel.run ~scale ~quick);
+      run = (fun ~scale ~quick -> Exp_overhead.intel ~scale ~quick);
     };
     {
       name = "fleet";

@@ -54,32 +54,23 @@ let get ~platform ~scale ~quick =
           Hashtbl.replace cache key rows;
           rows)
 
-let geomean_overhead_pct proj rows =
-  (Util.Stats.geomean (List.map proj rows) -. 1.0) *. 100.0
+type metric = Perf | Energy | Memory
+type system = Parallaft | Raft
 
-let perf_norm_parallaft r =
-  Util.Stats.normalized ~baseline:r.baseline.Measure.wall_ns
-    ~measured:r.parallaft.Measure.wall_ns
+let norm metric system r =
+  let value (m : Measure.metrics) =
+    match metric with
+    | Perf -> m.wall_ns
+    | Energy -> m.energy_j
+    | Memory -> m.mean_pss_bytes
+  in
+  let measured = match system with Parallaft -> r.parallaft | Raft -> r.raft in
+  Util.Stats.normalized ~baseline:(value r.baseline) ~measured:(value measured)
 
-let perf_norm_raft r =
-  Util.Stats.normalized ~baseline:r.baseline.Measure.wall_ns
-    ~measured:r.raft.Measure.wall_ns
+let geomean metric system rows = Util.Stats.geomean (List.map (norm metric system) rows)
 
-let energy_norm_parallaft r =
-  Util.Stats.normalized ~baseline:r.baseline.Measure.energy_j
-    ~measured:r.parallaft.Measure.energy_j
-
-let energy_norm_raft r =
-  Util.Stats.normalized ~baseline:r.baseline.Measure.energy_j
-    ~measured:r.raft.Measure.energy_j
-
-let memory_norm_parallaft r =
-  Util.Stats.normalized ~baseline:r.baseline.Measure.mean_pss_bytes
-    ~measured:r.parallaft.Measure.mean_pss_bytes
-
-let memory_norm_raft r =
-  Util.Stats.normalized ~baseline:r.baseline.Measure.mean_pss_bytes
-    ~measured:r.raft.Measure.mean_pss_bytes
+let reported metric x =
+  match metric with Memory -> x | Perf | Energy -> (x -. 1.0) *. 100.0
 
 let short_name b =
   let name = b.Workloads.Spec.name in

@@ -24,17 +24,20 @@ val sweep : platform:Platform.t -> scale:float -> quick:bool -> row list
     suite can run it repeatedly at different pool widths; harness code
     should use {!get}. *)
 
-val geomean_overhead_pct : (row -> float) -> row list -> float
-(** Geometric-mean of per-benchmark normalized values, expressed as a
-    percentage overhead. The projection maps a row to its normalized
-    (measured/baseline) value. *)
+type metric = Perf | Energy | Memory  (** wall time, energy, mean PSS *)
+type system = Parallaft | Raft
 
-val perf_norm_parallaft : row -> float
-val perf_norm_raft : row -> float
-val energy_norm_parallaft : row -> float
-val energy_norm_raft : row -> float
-val memory_norm_parallaft : row -> float
-val memory_norm_raft : row -> float
+val norm : metric -> system -> row -> float
+(** [norm metric system row] is [system]'s [metric] on [row]'s
+    benchmark over its baseline's (measured/baseline). *)
+
+val geomean : metric -> system -> row list -> float
+(** The geometric mean of {!norm} over [rows]. *)
+
+val reported : metric -> float -> float
+(** A normalized value in the unit the paper reports [metric] in, the
+    unit of {!Paper}: percentage overhead for [Perf] and [Energy], the
+    ratio itself for [Memory]. *)
 
 val short_name : Workloads.Spec.t -> string
 (** "429.mcf" -> "mcf". *)

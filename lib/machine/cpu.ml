@@ -27,7 +27,7 @@ type env = {
   core_id : int;
   read_tsc : unit -> int;
   read_rand : unit -> int;
-  mem_access : write:bool -> frame:int -> int;
+  mem_access : frame:int -> int;
   mem_access_cow : frame:int -> old_frame:int -> int;
   max_access_cycles : int;
   cow_extra_cycles : int;
@@ -284,8 +284,8 @@ let run t ~env ~max_cycles =
     | Isa.Insn.Reg r -> regs.(r)
     | Isa.Insn.Imm i -> i
   in
-  let mem_cost ~write =
-    1 + env.mem_access ~write ~frame:(Mem.Address_space.last_frame aspace)
+  let mem_cost () =
+    1 + env.mem_access ~frame:(Mem.Address_space.last_frame aspace)
   in
   let store_cost () =
     if Mem.Address_space.last_cow aspace then begin
@@ -295,7 +295,7 @@ let run t ~env ~max_cycles =
           ~frame:(Mem.Address_space.last_frame aspace)
           ~old_frame:(Mem.Address_space.last_cow_old_frame aspace)
     end
-    else mem_cost ~write:true
+    else mem_cost ()
   in
   (* One full fetch-decode-execute-retire iteration of the plain
      interpreter — the reference semantics. The cached path below must
@@ -381,7 +381,7 @@ let run t ~env ~max_cycles =
          t.pc <- next_pc
        | Isa.Insn.Load (rd, rb, off) ->
          let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
-         user := !user + mem_cost ~write:false;
+         user := !user + mem_cost ();
          regs.(rd) <- v;
          t.pc <- next_pc
        | Isa.Insn.Store (rs, rb, off) ->
@@ -390,7 +390,7 @@ let run t ~env ~max_cycles =
          t.pc <- next_pc
        | Isa.Insn.Load8 (rd, rb, off) ->
          let v = Mem.Address_space.load8 aspace (regs.(rb) + off) in
-         user := !user + mem_cost ~write:false;
+         user := !user + mem_cost ();
          regs.(rd) <- v;
          t.pc <- next_pc
        | Isa.Insn.Store8 (rs, rb, off) ->
@@ -573,14 +573,14 @@ let run t ~env ~max_cycles =
           regs.(rd) <- regs.(rs)
         | Isa.Decoded.O_load { rd; rb; off } ->
           let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
-          user := !user + mem_cost ~write:false;
+          user := !user + mem_cost ();
           regs.(rd) <- v
         | Isa.Decoded.O_store { rs; rb; off } ->
           Mem.Address_space.store64 aspace (regs.(rb) + off) regs.(rs);
           user := !user + store_cost ()
         | Isa.Decoded.O_load8 { rd; rb; off } ->
           let v = Mem.Address_space.load8 aspace (regs.(rb) + off) in
-          user := !user + mem_cost ~write:false;
+          user := !user + mem_cost ();
           regs.(rd) <- v
         | Isa.Decoded.O_store8 { rs; rb; off } ->
           Mem.Address_space.store8 aspace (regs.(rb) + off) regs.(rs);
@@ -590,7 +590,7 @@ let run t ~env ~max_cycles =
              tested) before the ALU half runs, so a stop between them
              lands on the ALU instruction. *)
           let v = Mem.Address_space.load64 aspace (regs.(rb) + off) in
-          user := !user + mem_cost ~write:false;
+          user := !user + mem_cost ();
           regs.(ld_rd) <- v;
           retire ~checked entry;
           let a = regs.(rs1) and b = regs.(ld_rd) in

@@ -62,7 +62,7 @@ type env = {
   core_id : int;  (** value returned by an untrapped [rdcoreid] *)
   read_tsc : unit -> int;  (** value returned by an untrapped [rdtsc] *)
   read_rand : unit -> int;  (** value returned by an untrapped [rdrand] *)
-  mem_access : write:bool -> frame:int -> int;
+  mem_access : frame:int -> int;
       (** extra cycles for a memory access to physical frame [frame]
           (cache hierarchy + DRAM contention), excluding the 1-cycle
           base cost *)

@@ -754,8 +754,7 @@ let make_env t core =
     read_tsc = (fun () -> t.now);
     read_rand = (fun () -> Util.Rng.bits64 t.rng);
     mem_access =
-      (fun ~write ~frame ->
-        ignore write;
+      (fun ~frame ->
         if Mem.Fifo_cache.touch l1 frame then 0
         else if Mem.Fifo_cache.touch l2 frame then l2_cycles
         else begin

@@ -52,26 +52,6 @@ let print ?align ~header rows = print_string (render ?align ~header rows)
 
 let bar_of_width fill w = String.make (Int.max 0 w) fill
 
-let bar_chart ?(width = 50) ?(unit_label = "") series =
-  let vmax = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 series in
-  let label_w =
-    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0 series
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (label, v) ->
-      let v = Float.max 0.0 v in
-      let w =
-        if vmax <= 0.0 then 0
-        else int_of_float (Float.round (v /. vmax *. float_of_int width))
-      in
-      Buffer.add_string buf (pad Left label_w label);
-      Buffer.add_string buf "  |";
-      Buffer.add_string buf (bar_of_width '#' w);
-      Buffer.add_string buf (Printf.sprintf " %.1f%s\n" v unit_label))
-    series;
-  Buffer.contents buf
-
 let group_fills = [| '#'; '='; '%'; '+'; 'o'; '*' |]
 
 let grouped_bar_chart ?(width = 50) ~group_labels rows =
@@ -87,8 +67,7 @@ let grouped_bar_chart ?(width = 50) ~group_labels rows =
       0.0 rows
   in
   let label_w =
-    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0
-      (rows @ List.map (fun l -> (l, [])) [])
+    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0 rows
   in
   let legend =
     String.concat "   "
@@ -104,7 +83,7 @@ let grouped_bar_chart ?(width = 50) ~group_labels rows =
     (fun (label, vs) ->
       List.iteri
         (fun i v ->
-          let v = Float.max 0.0 v in
+          (* A negative value rounds to a negative width: no fill. *)
           let w =
             if vmax <= 0.0 then 0
             else int_of_float (Float.round (v /. vmax *. float_of_int width))

@@ -15,12 +15,6 @@ val render : ?align:align list -> header:string list -> string list list -> stri
 val print : ?align:align list -> header:string list -> string list list -> unit
 (** [print] is [render] followed by [print_string]. *)
 
-val bar_chart :
-  ?width:int -> ?unit_label:string -> (string * float) list -> string
-(** [bar_chart series] renders a horizontal ASCII bar chart, one row per
-    [(label, value)], scaled so the largest value spans [width] (default
-    50) characters. Negative values are clamped to zero. *)
-
 val grouped_bar_chart :
   ?width:int ->
   group_labels:string list ->
@@ -30,7 +24,8 @@ val grouped_bar_chart :
     values)] row, one bar per group (e.g. Parallaft vs RAFT side by side),
     sharing a common scale across the whole chart. [group_labels] names the
     bars within a group and must match the length of every [values]
-    list. *)
+    list. A negative value is not drawn, but each bar is labelled with
+    its signed value. *)
 
 val stacked_bar_chart :
   ?width:int ->

@@ -19,7 +19,7 @@ let null_env =
     Machine.Cpu.core_id = 0;
     read_tsc = (fun () -> 0);
     read_rand = (fun () -> 0);
-    mem_access = (fun ~write:_ ~frame:_ -> 0);
+    mem_access = (fun ~frame:_ -> 0);
     mem_access_cow = (fun ~frame:_ ~old_frame:_ -> 0);
     max_access_cycles = 0;
     cow_extra_cycles = 0;
@@ -350,22 +350,19 @@ let test_comparator_identity_short_circuit () =
   check_cow "all 256 COWed" ~cowed:pages
 
 (* The segment-hash fold a hashing comparator computes: XXH64 over
-   (vpn, XXH64 of the page bytes) on each side, for every vpn whose two
-   sides map different frames. *)
+   (vpn, XXH64 of the page bytes) on each side, for every compared vpn. *)
 let fold_verdict ~reference ~candidate vpns =
   let pt cpu = Mem.Address_space.page_table (Machine.Cpu.aspace cpu) in
   let ref_pt = pt reference and cand_pt = pt candidate in
   let ref_state = Ftr_hash.Xxh64.init () and cand_state = Ftr_hash.Xxh64.init () in
   Array.iter
     (fun vpn ->
-      if Mem.Page_table.read_frame ref_pt ~vpn != Mem.Page_table.read_frame cand_pt ~vpn
-      then
-        List.iter
-          (fun (state, pt) ->
-            Ftr_hash.Xxh64.update_int64 state (Int64.of_int vpn);
-            Ftr_hash.Xxh64.update_int64 state
-              (Ftr_hash.Xxh64.hash (Mem.Page_table.copy_page_at pt ~vpn)))
-          [ (ref_state, ref_pt); (cand_state, cand_pt) ])
+      List.iter
+        (fun (state, pt) ->
+          Ftr_hash.Xxh64.update_int64 state (Int64.of_int vpn);
+          Ftr_hash.Xxh64.update_int64 state
+            (Ftr_hash.Xxh64.hash (Mem.Page_table.copy_page_at pt ~vpn)))
+        [ (ref_state, ref_pt); (cand_state, cand_pt) ])
     vpns;
   let expected_hash = Ftr_hash.Xxh64.digest ref_state
   and got_hash = Ftr_hash.Xxh64.digest cand_state in

@@ -7,7 +7,7 @@ let null_env =
     Machine.Cpu.core_id = 0;
     read_tsc = (fun () -> 12345);
     read_rand = (fun () -> 777);
-    mem_access = (fun ~write:_ ~frame:_ -> 0);
+    mem_access = (fun ~frame:_ -> 0);
     mem_access_cow = (fun ~frame:_ ~old_frame:_ -> 0);
     max_access_cycles = 0;
     cow_extra_cycles = 100;
@@ -324,7 +324,7 @@ let bc_env =
   {
     null_env with
     Machine.Cpu.mem_access =
-      (fun ~write:_ ~frame ->
+      (fun ~frame ->
         match frame mod 3 with 0 -> 0 | 1 -> 5 | _ -> 40);
     mem_access_cow = (fun ~frame:_ ~old_frame:_ -> 9);
     max_access_cycles = 40;
@@ -557,7 +557,7 @@ let max_cost_env =
   let worst = bc_env.Machine.Cpu.max_access_cycles in
   {
     bc_env with
-    Machine.Cpu.mem_access = (fun ~write:_ ~frame:_ -> worst);
+    Machine.Cpu.mem_access = (fun ~frame:_ -> worst);
     mem_access_cow = (fun ~frame:_ ~old_frame:_ -> worst);
     cow_extra_cycles = 0;
   }

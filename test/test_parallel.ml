@@ -18,7 +18,7 @@ let platform = Platform.apple_m2
 let scale = 0.2
 
 let metrics_to_string (m : Experiments.Measure.metrics) =
-  Printf.sprintf "%h/%h/%h/%h/%h/%h/%d/%d/%d/%h/%d/%h/%b"
+  Printf.sprintf "%h/%h/%h/%h/%h/%h/%d/%d/%d/%h/%d/%h/%d/%b"
     m.Experiments.Measure.wall_ns m.Experiments.Measure.main_wall_ns
     m.Experiments.Measure.main_user_ns m.Experiments.Measure.main_sys_ns
     m.Experiments.Measure.energy_j m.Experiments.Measure.mean_pss_bytes
@@ -26,7 +26,7 @@ let metrics_to_string (m : Experiments.Measure.metrics) =
     m.Experiments.Measure.migrations
     m.Experiments.Measure.big_core_work_fraction
     m.Experiments.Measure.cow_copies m.Experiments.Measure.runtime_work_ns
-    m.Experiments.Measure.outputs_ok
+    m.Experiments.Measure.bytes_hashed m.Experiments.Measure.outputs_ok
 
 let row_to_string (r : Experiments.Suite.row) =
   Printf.sprintf "%s baseline=%s parallaft=%s raft=%s"

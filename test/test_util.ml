@@ -98,20 +98,17 @@ let test_table_render () =
   in
   List.iter (fun w -> Alcotest.(check int) "aligned" (List.hd widths) w) widths
 
-let test_bar_chart () =
-  let out = Util.Table.bar_chart ~width:10 [ ("x", 10.0); ("y", 5.0) ] in
-  Alcotest.(check bool) "x has full bar" true
-    (String.length out > 0
-    && String.split_on_char '\n' out |> List.hd |> fun l ->
-       String.contains l '#')
-
 let test_grouped_bar_chart () =
   let out =
-    Util.Table.grouped_bar_chart ~group_labels:[ "A"; "B" ]
-      [ ("bench", [ 3.0; 4.0 ]) ]
+    Util.Table.grouped_bar_chart ~width:8 ~group_labels:[ "A"; "B" ]
+      [ ("bench", [ 3.0; 4.0 ]); ("neg", [ 2.0; -0.9 ]) ]
   in
   Alcotest.(check bool) "legend present" true
     (String.length out > 0 && String.sub out 0 1 = "#");
+  (* A negative value is not drawn, but it is printed signed. *)
+  Alcotest.(check (list string)) "bars"
+    [ "bench  |###### 3.0"; "       |======== 4.0"; "neg    |#### 2.0"; "       | -0.9" ]
+    (List.filter (fun l -> String.contains l '|') (String.split_on_char '\n' out));
   try
     ignore
       (Util.Table.grouped_bar_chart ~group_labels:[ "A" ] [ ("x", [ 1.0; 2.0 ]) ]);
@@ -320,7 +317,6 @@ let () =
       ( "table",
         [
           tc "render aligns" `Quick test_table_render;
-          tc "bar chart" `Quick test_bar_chart;
           tc "grouped bar chart" `Quick test_grouped_bar_chart;
           tc "stacked bar chart" `Quick test_stacked_bar_chart;
         ] );
