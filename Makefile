@@ -128,8 +128,10 @@ parallel-smoke: build
 # Tier-1 again with the segment-pipeline debug invariants on
 # (DESIGN.md §12): after every handled tracer event, state-machine
 # legality plus the cross-structure sweep (cur/live/roles/scheduler/
-# engine agreement). --force because the env var is invisible to dune's
-# dependency tracking.
+# engine agreement). The test/dune rules that run the CLIs declare the
+# variable as a dependency, so their outputs (the goldens' included) are
+# regenerated with it on; --force re-runs the alcotest suites, which do
+# not declare it.
 invariants: build
 	PARALLAFT_INVARIANTS=1 dune runtest --force
 

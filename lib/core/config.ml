@@ -159,20 +159,10 @@ let parallaft ~platform ?slice_period () =
 
 let raft ~platform () =
   {
+    (parallaft ~platform ()) with
     mode = Raft;
     slice_period = max_int / 2;
     max_live_segments = 4;
     migration = false;
     dvfs_pacing = false;
-    dirty_backend = backend_of_platform platform;
-    fault_plan = None;
-    recovery = false;
-    recheck_on_mismatch = false;
-    watchdog_stall_ns = 100_000_000;
-    check_invariants = invariants_from_env ();
-    block_cache = Machine.Cpu.default_block_cache ();
-    cpu_stats = false;
-    record_log = None;
-    backend = Backend_inline;
-    obs = None;
   }

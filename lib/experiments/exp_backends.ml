@@ -3,7 +3,8 @@
    so Run_ctx.check_invariants sweeps the segments' exactly-once ledger
    after every event, and diffs its stdout against a golden. The run
    oracle (Oracle) judges every run, and a verdict a leg does not expect
-   raises: the experiment is a correctness gate that prints tables.
+   raises before anything is printed: the experiment is a correctness
+   gate whose runs Render tabulates.
 
    0. Deferred sanity. Small batches under a tight max_lag budget, so
       the recorder's boundary-hold backpressure engages: the run must
@@ -58,10 +59,9 @@ let expect what want verdict =
     failwith
       (Printf.sprintf "exp_backends: %s: %s" what (Oracle.to_string verdict))
 
-let staleness_table () =
-  Printf.printf
-    "Staleness vs recovery cost: deferred backend, batch 2, recovery on,\n\
-     one main-memory fault at segment 6 (page 6 bit 6, +50 insns).\n\n";
+(* Per max_lag budget: the clean run and the faulted one, which must
+   recover against it. *)
+let staleness () =
   let fault =
     Some
       {
@@ -79,47 +79,14 @@ let staleness_table () =
       fault_plan;
     }
   in
-  Util.Table.print
-    ~header:
-      [
-        "max_lag";
-        "clean wall";
-        "faulted wall";
-        "rollback cost";
-        "re-executed";
-        "dup output";
-        "recoveries";
-        "max lag seen";
-      ]
-    (List.map
-       (fun max_lag ->
-         let clean = run_cfg (cfg ~max_lag ~fault_plan:None) in
-         let faulted = run_cfg (cfg ~max_lag ~fault_plan:fault) in
-         let cs = clean.P.Runtime.stats and fs = faulted.P.Runtime.stats in
-         (* A rollback re-emits externalized writes: the oracle compares
-            no output after one, and "dup output" counts the bytes. *)
-         expect "the staleness fault" Oracle.Recovered
-           (Oracle.judge ~reference:(Oracle.Protected clean)
-              (Oracle.Protected faulted));
-         [
-           string_of_int max_lag;
-           Printf.sprintf "%.3f ms"
-             (float_of_int clean.P.Runtime.wall_ns /. 1e6);
-           Printf.sprintf "%.3f ms"
-             (float_of_int faulted.P.Runtime.wall_ns /. 1e6);
-           Printf.sprintf "%.3f ms"
-             (float_of_int
-                (faulted.P.Runtime.wall_ns - clean.P.Runtime.wall_ns)
-             /. 1e6);
-           string_of_int
-             (fs.P.Stats.segments_total - cs.P.Stats.segments_total);
-           Printf.sprintf "%d B"
-             (String.length faulted.P.Runtime.output
-             - String.length clean.P.Runtime.output);
-           string_of_int fs.P.Stats.recoveries;
-           string_of_int fs.P.Stats.backend.P.Stats.b_max_lag;
-         ])
-       [ 1; 2; 4; 8 ])
+  List.map
+    (fun max_lag ->
+      let clean = run_cfg (cfg ~max_lag ~fault_plan:None) in
+      let faulted = run_cfg (cfg ~max_lag ~fault_plan:fault) in
+      expect "the staleness fault" Oracle.Recovered
+        (Oracle.judge ~reference:(Oracle.Protected clean) (Oracle.Protected faulted));
+      (max_lag, clean, faulted))
+    [ 1; 2; 4; 8 ]
 
 (* The fault-free inline run every other backend must reproduce. *)
 let inline_reference () =
@@ -135,83 +102,59 @@ let deferred_sanity ~reference =
         P.Config.backend = P.Config.deferred_backend ~batch:2 ~max_lag:4 ();
       }
   in
-  let b = r.P.Runtime.stats.P.Stats.backend in
-  let total = r.P.Runtime.stats.P.Stats.segments_total in
   expect "the deferred run" Oracle.Clean
     (Oracle.judge ~reference (Oracle.Protected r));
-  if b.P.Stats.b_batches < 1 then
+  if r.P.Runtime.stats.P.Stats.backend.P.Stats.b_batches < 1 then
     failwith "exp_backends: the deferred run launched no batch";
-  Printf.printf
-    "Deferred sanity: batch 2, max_lag 4 — observables = inline, %d/%d \
-     verified in %d batches (max lag %d), no leaked pids.\n"
-    b.P.Stats.b_verified total b.P.Stats.b_batches b.P.Stats.b_max_lag
+  r
 
+(* Per intensity: its chaos rates and the run, clean against the inline
+   reference after at least one re-dispatch. *)
 let chaos_campaign ~reference =
-  Printf.printf
-    "Chaos campaign: remote backend, 3 nodes, retry budget 6. Every row\n\
-     is asserted exactly-once, sdc=0 vs the fault-free inline reference,\n\
-     >=1 re-dispatch, and zero leaked pids — a failed assertion aborts\n\
-     the experiment.\n\n";
-  Util.Table.print
-    ~header:
-      [
-        "intensity";
-        "crash/stall/late/pre %";
-        "verified";
-        "redispatched";
-        "expired";
-        "stale";
-        "wall";
-      ]
-    (List.map
-       (fun (label, crash, stall, late, prelaunch, seed) ->
-         let chaos =
-           {
-             P.Config.chaos_seed = seed;
-             crash_pct = crash;
-             stall_pct = stall;
-             late_pct = late;
-             prelaunch_pct = prelaunch;
-             reboot_ns = 400_000;
-             late_ns = 150_000;
-           }
-         in
-         let config =
-           {
-             (base_cfg ()) with
-             P.Config.backend =
-               P.Config.remote_backend ~nodes:3 ~retries:6 ~chaos ();
-             watchdog_stall_ns = 2_000_000;
-           }
-         in
-         let r = run_cfg config in
-         let b = r.P.Runtime.stats.P.Stats.backend in
-         let total = r.P.Runtime.stats.P.Stats.segments_total in
-         expect (label ^ " chaos") Oracle.Clean
-           (Oracle.judge ~reference (Oracle.Protected r));
-         if b.P.Stats.b_redispatched < 1 then
-           failwith
-             (Printf.sprintf
-                "exp_backends: %s chaos never struck — tune the rates" label);
-         [
-           label;
-           Printf.sprintf "%d/%d/%d/%d" crash stall late prelaunch;
-           Printf.sprintf "%d/%d" b.P.Stats.b_verified total;
-           string_of_int b.P.Stats.b_redispatched;
-           string_of_int b.P.Stats.b_leases_expired;
-           string_of_int b.P.Stats.b_stale_verdicts;
-           Printf.sprintf "%.3f ms" (float_of_int r.P.Runtime.wall_ns /. 1e6);
-         ])
-       [
-         ("light", 10, 5, 5, 5, 0x51A07L);
-         ("medium", 25, 10, 10, 10, 0x51A08L);
-         ("heavy", 40, 15, 15, 15, 0x51A09L);
-       ])
+  List.map
+    (fun (label, crash_pct, stall_pct, late_pct, prelaunch_pct, chaos_seed) ->
+      let chaos =
+        {
+          P.Config.chaos_seed;
+          crash_pct;
+          stall_pct;
+          late_pct;
+          prelaunch_pct;
+          reboot_ns = 400_000;
+          late_ns = 150_000;
+        }
+      in
+      let config =
+        {
+          (base_cfg ()) with
+          P.Config.backend = P.Config.remote_backend ~nodes:3 ~retries:6 ~chaos ();
+          watchdog_stall_ns = 2_000_000;
+        }
+      in
+      let r = run_cfg config in
+      expect (label ^ " chaos") Oracle.Clean
+        (Oracle.judge ~reference (Oracle.Protected r));
+      if r.P.Runtime.stats.P.Stats.backend.P.Stats.b_redispatched < 1 then
+        failwith
+          (Printf.sprintf "exp_backends: %s chaos never struck — tune the rates"
+             label);
+      (label, chaos, r))
+    [
+      ("light", 10, 5, 5, 5, 0x51A07L);
+      ("medium", 25, 10, 10, 10, 0x51A08L);
+      ("heavy", 40, 15, 15, 15, 0x51A09L);
+    ]
 
-let run () =
+type t = {
+  deferred : P.Runtime.report;  (** the sanity run *)
+  staleness : (int * P.Runtime.report * P.Runtime.report) list;
+      (** max_lag, clean run, faulted run *)
+  chaos : (string * P.Config.chaos * P.Runtime.report) list;
+      (** intensity, its rates, the run *)
+}
+
+let measure () =
   let reference = inline_reference () in
-  deferred_sanity ~reference;
-  print_newline ();
-  staleness_table ();
-  print_newline ();
-  chaos_campaign ~reference
+  let deferred = deferred_sanity ~reference in
+  let staleness = staleness () in
+  { deferred; staleness; chaos = chaos_campaign ~reference }

@@ -9,10 +9,19 @@ let run_on_core ~platform ~seed ~core program =
   let pid = Sim_os.Engine.spawn eng ~program ~core () in
   Sim_os.Engine.run ~max_ns:Parallaft.Config.max_sim_ns eng;
   let st = Sim_os.Engine.proc_stats eng pid in
-  (st.Sim_os.Engine.ended_ns - st.Sim_os.Engine.started_ns, eng, pid)
+  (st.Sim_os.Engine.ended_ns - st.Sim_os.Engine.started_ns, eng)
 
-let run ~platform ~scale =
-  Printf.printf "## Calibration (%s, scale %.2f)\n\n" platform.Platform.name scale;
+(* A benchmark's first input on a big core and on a little one. *)
+type row = {
+  bench : Workloads.Spec.t;
+  big_wall_ns : int;
+  little_wall_ns : int;
+  data_pages : int;
+}
+
+type t = { platform : Platform.t; scale : float; rows : row list }
+
+let measure ~platform ~scale =
   let rows =
     List.map
       (fun bench ->
@@ -21,14 +30,13 @@ let run ~platform ~scale =
             ~scale
         in
         let program = List.hd programs in
-        let big_wall, eng, pid = run_on_core ~platform ~seed:1L ~core:0 program in
+        let big_wall_ns, eng = run_on_core ~platform ~seed:1L ~core:0 program in
         let little_core =
           match Sim_os.Engine.little_cores eng with
           | c :: _ -> c
           | [] -> 0
         in
-        ignore pid;
-        let little_wall, _, _ =
+        let little_wall_ns, _ =
           run_on_core ~platform ~seed:1L ~core:little_core program
         in
         let data_pages =
@@ -38,18 +46,7 @@ let run ~platform ~scale =
                      / platform.Platform.page_size))
             0 program.Isa.Program.data
         in
-        [
-          bench.Workloads.Spec.name;
-          string_of_int bench.Workloads.Spec.inputs;
-          Printf.sprintf "%.2f" (float_of_int big_wall /. 1e6);
-          Printf.sprintf "%.2f" (float_of_int little_wall /. 1e6);
-          Printf.sprintf "%.2f" (float_of_int little_wall /. float_of_int (max 1 big_wall));
-          string_of_int data_pages;
-        ])
+        { bench; big_wall_ns; little_wall_ns; data_pages })
       Workloads.Spec.all
   in
-  Util.Table.print
-    ~header:
-      [ "benchmark"; "inputs"; "big ms (1 input)"; "little ms"; "slowdown";
-        "data pages" ]
-    rows
+  { platform; scale; rows }

@@ -158,97 +158,38 @@ let campaign ?(kind = "checker-reg") ?(recovery = false) ?(recheck = false)
 
 let grid_trials ~quick = if quick then 2 else 4
 
-let run_grid ~platform ~scale ~quick ~rng bench =
+(* One (target class, recovery, tally) per cell, target-major. *)
+let grid ~platform ~scale ~quick ~rng bench =
   let trials = grid_trials ~quick in
-  let rows = ref [] in
-  let totals = ref [] in
-  List.iter
+  List.concat_map
     (fun kind ->
-      List.iter
+      List.map
         (fun recovery ->
           Obs.Log.progress "  [fig10 grid] %s recovery=%b..." kind recovery;
-          let t =
-            campaign ~kind ~recovery ~recheck:true ~platform ~scale ~trials
-              ~rng bench
-          in
-          totals := !totals @ t;
-          rows :=
-            [
-              kind;
-              (if recovery then "on" else "off");
-              string_of_int (List.length t);
-              string_of_int (count Detected t + count Exception t + count Timeout t);
-              string_of_int (count Transient t);
-              string_of_int (recovered t);
-              string_of_int (count Hard t);
-              string_of_int (count Benign t);
-              string_of_int (sdc t);
-            ]
-            :: !rows)
+          ( kind,
+            recovery,
+            campaign ~kind ~recovery ~recheck:true ~platform ~scale ~trials ~rng
+              bench ))
         [ false; true ])
-    Fault.all_target_kinds;
-  Util.Table.print
-    ~header:
-      [
-        "target";
-        "recovery";
-        "landed";
-        "detected";
-        "transient";
-        "recovered";
-        "hard";
-        "benign";
-        "sdc";
-      ]
-    (List.rev !rows);
-  !totals
+    Fault.all_target_kinds
 
-let run ~platform ~scale ~quick =
+type result = {
+  campaigns : (Workloads.Spec.t * tally) list;
+      (** the checker-register campaign, per benchmark *)
+  grid : (string * bool * tally) list;  (** {!grid} on the first benchmark *)
+}
+
+(* One RNG stream: every benchmark's campaign in order, then the grid. *)
+let measure ~platform ~scale ~quick =
   let benches = Suite.benchmarks ~quick in
   let rng = Util.Rng.create ~seed:0xFA417L in
   let scale = fi_scale scale in
   let trials = trials_per_benchmark ~quick in
-  let rows = ref [] in
-  let totals = ref [] in
-  List.iter
-    (fun bench ->
-      Obs.Log.progress "  [fig10] %s..." bench.Workloads.Spec.name;
-      let t = campaign ~platform ~scale ~trials ~rng bench in
-      totals := !totals @ t;
-      let n = List.length t in
-      let pct col = if n = 0 then 0.0 else 100.0 *. float_of_int (count col t) /. float_of_int n in
-      rows :=
-        [
-          Suite.short_name bench;
-          Printf.sprintf "%.0f" (pct Detected);
-          Printf.sprintf "%.0f" (pct Exception);
-          Printf.sprintf "%.0f" (pct Timeout);
-          Printf.sprintf "%.0f" (pct Benign);
-          string_of_int (sdc t);
-          string_of_int n;
-        ]
-        :: !rows)
-    benches;
-  Util.Table.print
-    ~header:
-      [ "benchmark"; "detected%"; "exception%"; "timeout%"; "benign%"; "sdc"; "n" ]
-    (List.rev !rows);
-  let totals = !totals in
-  let n = List.length totals in
-  let pct col =
-    if n = 0 then 0.0 else 100.0 *. float_of_int (count col totals) /. float_of_int n
+  let campaigns =
+    List.map
+      (fun bench ->
+        Obs.Log.progress "  [fig10] %s..." bench.Workloads.Spec.name;
+        (bench, campaign ~platform ~scale ~trials ~rng bench))
+      benches
   in
-  Printf.printf
-    "\nOverall: %.1f%% benign (paper: %.1f%%); every non-benign fault detected\n\
-     (detected %.1f%%, exception %.1f%%, timeout %.1f%%; %d landed injections; \
-     sdc = %d)\n"
-    (pct Benign) Paper.benign_pct (pct Detected) (pct Exception) (pct Timeout) n
-    (sdc totals);
-  (* The generalized target x recovery grid on the first benchmark. *)
-  Printf.printf "\nFault-model grid (%s, re-check + watchdog on):\n"
-    (Suite.short_name (List.hd benches));
-  let grid_totals = run_grid ~platform ~scale ~quick ~rng (List.hd benches) in
-  Printf.printf
-    "\nGrid: %d landed (%d transient, %d recovered, %d hard); sdc = %d\n"
-    (List.length grid_totals) (count Transient grid_totals) (recovered grid_totals)
-    (count Hard grid_totals) (sdc grid_totals)
+  { campaigns; grid = grid ~platform ~scale ~quick ~rng (List.hd benches) }

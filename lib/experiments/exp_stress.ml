@@ -11,27 +11,22 @@ let stress_platform =
     syscall_record_ns_per_byte = 0.16;
   }
 
-let protected_main_wall ~platform ~config ~program ?before_run () =
-  let r = Parallaft.Runtime.run_protected ~platform ~config ~program ?before_run () in
-  r.Parallaft.Runtime.stats.Parallaft.Stats.main_wall_ns
-
-let slowdown ~program ?before_baseline ?before_protected () =
-  let platform = stress_platform in
-  let b =
-    Parallaft.Runtime.run_baseline ~platform ~program ?before_run:before_baseline ()
+(* The protected main's wall time over the baseline's. *)
+let slowdown ?on_start program =
+  let run mode =
+    Measure.run_program ?on_start ~platform:stress_platform ~mode program
   in
+  let baseline = run Measure.Baseline in
   let config =
-    Parallaft.Config.parallaft ~platform ~slice_period:2_000_000 ()
+    Parallaft.Config.parallaft ~platform:stress_platform ~slice_period:2_000_000 ()
   in
-  let wall =
-    protected_main_wall ~platform ~config ~program ?before_run:before_protected ()
-  in
-  wall /. float_of_int (max 1 b.Parallaft.Runtime.wall_ns)
+  let protected = run (Measure.Protected config) in
+  protected.Measure.main_wall_ns /. Float.max 1.0 baseline.Measure.wall_ns
 
 (* The burst must land after the program has registered its handler
    (a pre-run burst would hit the default action and kill it), so it is
    sent on the first 25 us tick. *)
-let burst_at_first_tick eng pid n =
+let burst_at_first_tick n eng pid =
   let sent = ref false in
   Sim_os.Engine.add_tick eng ~every_ns:25_000 (fun eng ->
       if not !sent then begin
@@ -41,33 +36,14 @@ let burst_at_first_tick eng pid n =
         done
       end)
 
-let signal_burst n =
-  ( (fun eng pid -> burst_at_first_tick eng pid n),
-    fun eng coord -> burst_at_first_tick eng (Parallaft.Coordinator.main_pid coord) n )
-
-let run () =
-  let getpid =
-    slowdown ~program:(Workloads.Micro.getpid_loop ~iters:4000) ()
-  in
+let measure () : Paper.stress =
+  let getpid = slowdown (Workloads.Micro.getpid_loop ~iters:4000) in
   let devzero =
-    slowdown
-      ~program:(Workloads.Micro.devzero_reader ~block_bytes:(1 lsl 20) ~blocks:24)
-      ()
+    slowdown (Workloads.Micro.devzero_reader ~block_bytes:(1 lsl 20) ~blocks:24)
   in
   let n_signals = 220 in
-  let before_b, before_p = signal_burst n_signals in
   let sigusr1 =
-    slowdown
-      ~program:(Workloads.Micro.sigusr1_spin ~handled:n_signals)
-      ~before_baseline:before_b ~before_protected:before_p ()
+    slowdown ~on_start:(burst_at_first_tick n_signals)
+      (Workloads.Micro.sigusr1_spin ~handled:n_signals)
   in
-  Util.Table.print
-    ~header:[ "stress test"; "slowdown"; "paper" ]
-    (List.map
-       (fun (test, measured, paper) ->
-         [ test; Printf.sprintf "%.1fx" measured; Printf.sprintf "%.1fx" paper ])
-       [
-         ("getpid loop", getpid, Paper.stress.getpid);
-         ("1 MiB /dev/zero reads", devzero, Paper.stress.devzero);
-         ("SIGUSR1 storm", sigusr1, Paper.stress.sigusr1);
-       ])
+  { getpid; devzero; sigusr1 }

@@ -49,35 +49,3 @@ let grid ?(periods = periods) ?(benchmarks = benchmarks) ~platform ~scale () =
            List.filteri
              (fun j _ -> j >= i * per_bench && j < (i + 1) * per_bench)
              points ))
-
-let run ~platform ~scale =
-  let table = grid ~platform ~scale () in
-  let print_series title proj =
-    Printf.printf "%s\n" title;
-    Util.Table.print
-      ~header:("benchmark" :: List.map fst periods)
-      (List.map
-         (fun (name, points) ->
-           name
-           :: List.map (fun (_, pt) -> Printf.sprintf "%.1f" (proj pt)) points)
-         table);
-    print_newline ()
-  in
-  print_series "(a) Forking-and-COW overhead (%) vs slicing period" (fun p ->
-      p.Measure.fork_cow);
-  print_series "(b) Last-checker-sync overhead (%) vs slicing period" (fun p ->
-      p.Measure.sync);
-  print_series "(c) Combined performance overhead (%) vs slicing period" (fun p ->
-      p.Measure.total);
-  (* Sweet spots per benchmark (paper: gcc 2B, mcf 5B, sjeng 20B). *)
-  List.iter
-    (fun (name, points) ->
-      let best =
-        List.fold_left
-          (fun (bl, bv) (l, (pt : Measure.breakdown)) ->
-            if pt.total < bv then (l, pt.total) else (bl, bv))
-          ("?", infinity) points
-      in
-      Printf.printf "sweet spot for %-12s %s cycles (%.1f%% total overhead)\n" name
-        (fst best) (snd best))
-    table

@@ -65,27 +65,27 @@ let combine a b =
     outputs_ok = a.outputs_ok && b.outputs_ok;
   }
 
-type sampler = {
-  mutable sum : float;
-  mutable n : int;
-}
-
-let mean_of s = if s.n = 0 then 0.0 else s.sum /. float_of_int s.n
-
-let run_program ?(seed = 42L) ~platform ~mode program =
+let run_program ?(seed = 42L) ?(on_start = fun _ _ -> ()) ~platform ~mode program =
+  let pss_sum = ref 0.0 and pss_samples = ref 0 in
+  (* One sampler over [pids ()]; exited processes hold no PSS, so zero
+     means everything has exited: the run is over. *)
+  let start eng main pids =
+    on_start eng main;
+    Sim_os.Engine.add_tick eng ~every_ns:pss_sample_period_ns (fun eng ->
+        let pss = Sim_os.Engine.pss_bytes eng (pids ()) in
+        if pss > 0 then begin
+          pss_sum := !pss_sum +. float_of_int pss;
+          incr pss_samples
+        end)
+  in
+  let mean_pss () =
+    if !pss_samples = 0 then 0.0 else !pss_sum /. float_of_int !pss_samples
+  in
   match mode with
   | Baseline ->
-    let sampler = { sum = 0.0; n = 0 } in
     let b =
       Parallaft.Runtime.run_baseline ~seed ~platform ~program
-        ~before_run:(fun eng pid ->
-          Sim_os.Engine.add_tick eng ~every_ns:pss_sample_period_ns (fun eng ->
-              match Sim_os.Engine.state eng pid with
-              | Sim_os.Engine.Exited _ -> ()
-              | Sim_os.Engine.Runnable | Sim_os.Engine.Stopped ->
-                sampler.sum <-
-                  sampler.sum +. float_of_int (Sim_os.Engine.pss_bytes eng [ pid ]);
-                sampler.n <- sampler.n + 1))
+        ~before_run:(fun eng pid -> start eng pid (fun () -> [ pid ]))
         ()
     in
     {
@@ -95,22 +95,15 @@ let run_program ?(seed = 42L) ~platform ~mode program =
       main_user_ns = b.Parallaft.Runtime.user_ns;
       main_sys_ns = b.Parallaft.Runtime.sys_ns;
       energy_j = b.Parallaft.Runtime.energy_j;
-      mean_pss_bytes = mean_of sampler;
+      mean_pss_bytes = mean_pss ();
       outputs_ok = b.Parallaft.Runtime.exit_status = Some 0;
     }
   | Protected config ->
-    let sampler = { sum = 0.0; n = 0 } in
     let r =
       Parallaft.Runtime.run_protected ~seed ~platform ~config ~program
         ~before_run:(fun eng coord ->
-          Sim_os.Engine.add_tick eng ~every_ns:pss_sample_period_ns (fun eng ->
-              let pids = Parallaft.Coordinator.live_pids coord in
-              let pss = Sim_os.Engine.pss_bytes eng pids in
-              (* Zero PSS means everything has exited: the run is over. *)
-              if pss > 0 then begin
-                sampler.sum <- sampler.sum +. float_of_int pss;
-                sampler.n <- sampler.n + 1
-              end))
+          start eng (Parallaft.Coordinator.main_pid coord) (fun () ->
+              Parallaft.Coordinator.live_pids coord))
         ()
     in
     {
@@ -119,7 +112,7 @@ let run_program ?(seed = 42L) ~platform ~mode program =
       main_user_ns = r.Parallaft.Runtime.stats.Parallaft.Stats.main_user_ns;
       main_sys_ns = r.Parallaft.Runtime.stats.Parallaft.Stats.main_sys_ns;
       energy_j = r.Parallaft.Runtime.energy_j;
-      mean_pss_bytes = mean_of sampler;
+      mean_pss_bytes = mean_pss ();
       detections = List.length r.Parallaft.Runtime.detections;
       segments = r.Parallaft.Runtime.stats.Parallaft.Stats.segments_total;
       migrations = r.Parallaft.Runtime.stats.Parallaft.Stats.migrations;

@@ -41,11 +41,14 @@ val run_benchmark :
 
 val run_program :
   ?seed:int64 ->
+  ?on_start:(Sim_os.Engine.t -> Sim_os.Engine.pid -> unit) ->
   platform:Platform.t ->
   mode:mode ->
   Isa.Program.t ->
   metrics
-(** Single-program variant (microbenchmarks, sweeps). *)
+(** Single-program variant (microbenchmarks, sweeps). [on_start] runs
+    before the simulation with the engine and the main process: the hook
+    for an external-signal driver. *)
 
 val overhead_pct : baseline:metrics -> measured:metrics -> float
 (** Percentage wall-time overhead; protected wall includes checker

@@ -11,8 +11,11 @@ type t = {
 val names : unit -> string list
 
 val find : string -> t list option
-(** ["all"] resolves to every paper experiment (calibration excluded). *)
+(** ["all"] resolves to the paper's ten experiments, in print order (the
+    extensions [fleet], [ablation], [backends] and [calibrate] run only
+    by name). *)
 
 val run : scale:float -> quick:bool -> t -> unit
-(** Prints a header, then the experiment's output at workload [scale]
-    (on [quick]'s reduced benchmark sets). *)
+(** Prints a header, then measures the experiment at workload [scale]
+    (on [quick]'s reduced benchmark sets) and prints what it measured
+    ({!Render}). *)

@@ -86,7 +86,6 @@ val run :
 
 val to_assoc : report -> (string * string) list
 (** The fleet's stats dump, in [Stats.to_assoc]'s key/value form:
-    [fleet.*] totals and [hwmon.energy_joules], then per admitted
-    tenant its outcome, exit status, [Stats] rows (segments compared,
-    recoveries, detections, comparator page-hash hits and misses) and
-    admission-to-completion wall time. *)
+    [fleet.*] totals and [hwmon.energy_joules], then per tenant its
+    outcome, exit status, [Stats] rows (segments compared, recoveries,
+    detections) and admission-to-completion wall time. *)
