@@ -21,7 +21,8 @@
    newest.
 
    Each tenant's reserved main core never serves checkers while the
-   tenant lives; it joins the big pool when the tenant retires.
+   tenant lives (a checker found on it at admission leaves it); it
+   joins the big pool when the tenant retires.
    Teardown is per tenant: flushing one tenant frees exactly its cores
    and queue slots and never touches another tenant's (the fault
    blast-radius invariant). A private pool instead returns to its
@@ -153,6 +154,19 @@ let reserve_main t core =
     (core, reserved_count t core + 1) :: List.remove_assoc core t.reserved;
   t.free_big <- List.filter (( <> ) core) t.free_big
 
+(* Move a running checker to a free [core]: a migration. *)
+let move t e core =
+  account t e;
+  let from = e.core in
+  e.core <- core;
+  E.set_core t.eng e.pid ~core;
+  t.migrations <- t.migrations + 1;
+  let st = (tenant t e.tid).stats in
+  st.Stats.migrations <- st.Stats.migrations + 1;
+  E.emit t.eng ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
+    ~args:[ ("from", Obs.Trace.Int from); ("to", Obs.Trace.Int core) ]
+    "migrate"
+
 let unreserve_main t core =
   let n = reserved_count t core - 1 in
   t.reserved <-
@@ -269,17 +283,8 @@ let migrate_oldest_to_big t ~victim =
     | None -> false
     | Some e ->
       t.free_big <- rest;
-      account t e;
-      let freed = e.core in
-      e.core <- big;
-      E.set_core t.eng e.pid ~core:big;
-      t.free_little <- freed :: t.free_little;
-      t.migrations <- t.migrations + 1;
-      let st = (tenant t e.tid).stats in
-      st.Stats.migrations <- st.Stats.migrations + 1;
-      E.emit t.eng ~track:(Obs.Trace.Proc e.pid) ~phase:Obs.Trace.Instant
-        ~args:[ ("from", Obs.Trace.Int freed); ("to", Obs.Trace.Int big) ]
-        "migrate";
+      t.free_little <- e.core :: t.free_little;
+      move t e big;
       true)
 
 let rec try_dispatch t =
@@ -347,12 +352,46 @@ let flush_tenant t ~tid =
       mine;
     try_dispatch t
 
+(* A tenant admitted after others ran may find a checker on its main
+   core, which was an unreserved big serving an earlier tenant's drain
+   or overflow. The checker leaves before the new main runs there: it
+   moves to a free core it may run on, a little first, then a big.
+   With none free it stops and goes back to the head of its tenant's
+   home deque, the next checker a freed core takes; a checker that
+   already died there just gives the core up (the watchdog's response
+   then finds it in neither list). *)
+let vacate t core =
+  match List.find_opt (fun e -> e.core = core) t.running with
+  | None -> ()
+  | Some e -> (
+    match (t.free_little, t.free_big) with
+    | c :: rest, _ ->
+      t.free_little <- rest;
+      move t e c
+    | [], c :: rest ->
+      t.free_big <- rest;
+      move t e c
+    | [], [] -> (
+      account t e;
+      t.running <- List.filter (fun e' -> e' != e) t.running;
+      match E.state t.eng e.pid with
+      | E.Exited _ -> ()
+      | E.Runnable | E.Stopped ->
+        E.suspend t.eng e.pid;
+        Util.Deque.push_front
+          t.deques.(deque_index t (tenant t e.tid).home)
+          (e.tid, e.pid);
+        queue_gauge t;
+        (* Reopen the launch scope its next dispatch closes. *)
+        E.phase_enter t.eng ~track:(Obs.Trace.Proc e.pid) "checker_launch"))
+
 let register_tenant t ~tid ~stats ~main_core ~main_exited ~main_held =
   let home = t.little.(t.next_home mod Array.length t.little) in
   t.next_home <- t.next_home + 1;
   reserve_main t main_core;
   Hashtbl.replace t.tenants tid
-    { tid; stats; home; main_core; main_exited; main_held; retired = false }
+    { tid; stats; home; main_core; main_exited; main_held; retired = false };
+  vacate t main_core
 
 let enqueue t ~tid pid =
   let tn = tenant t tid in

@@ -17,7 +17,8 @@
     main has exited (any tenant in RAFT), leaving the others in order;
     when the littles are saturated the oldest live little-core checker
     migrates to a free big. Each tenant's main core is reserved for its
-    whole lifetime and joins the big pool at retirement. One
+    whole lifetime (a checker found on it at admission leaves it) and
+    joins the big pool at retirement. One
     {!pacer_tick} paces the little cluster's DVFS by the pool's
     backlog.
 
@@ -66,11 +67,14 @@ val register_tenant :
   unit
 (** Admit a tenant: assign its home little core (round-robin) and
     reserve [main_core] (excluded from checker dispatch while the
-    tenant lives). [main_exited ()] and [main_held ()] read the run's
-    own flags: its main has exited (its checkers may drain onto big
-    cores), or is stalled on [max_live_segments] (the strongest signal
-    to raise the little-cluster frequency). Called once per tenant; a
-    private pool has one. *)
+    tenant lives). A checker already running on [main_core] moves to
+    a free core (a migration), or, with none free, stops and goes back
+    to the head of its tenant's home deque. [main_exited ()] and
+    [main_held ()] read the run's own flags: its main has exited (its
+    checkers may drain onto big cores), or is stalled on
+    [max_live_segments] (the strongest signal to raise the
+    little-cluster frequency). Called once per tenant; a private pool
+    has one. *)
 
 val enqueue : t -> tid:int -> Sim_os.Engine.pid -> unit
 (** Push a ready (stopped, fully armed) checker onto its tenant's home

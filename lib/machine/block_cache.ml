@@ -29,8 +29,11 @@ let create ~capacity ~code_len =
      resident: clamping the FIFO to that changes no eviction decision
      (a FIFO at or above the distinct-key count never evicts) but keeps
      creation cost proportional to the program, not the configured
-     capacity — CPUs are created per fork and per checker. *)
-  let capacity = Int.min capacity (Int.max 1 code_len) in
+     capacity — CPUs are created per fork and per checker. The FIFO's
+     own limit, [Mem.Fifo_cache.max_capacity], bounds it too. *)
+  let capacity =
+    Int.min capacity (Int.min Mem.Fifo_cache.max_capacity (Int.max 1 code_len))
+  in
   {
     slots = Array.make (Int.max 1 code_len) None;
     resident = Mem.Fifo_cache.create ~capacity;

@@ -10,7 +10,9 @@
 type t
 
 val create : capacity:int -> code_len:int -> t
-(** @raise Invalid_argument if [capacity <= 0]. *)
+(** At most [code_len] and {!Mem.Fifo_cache.max_capacity} blocks are
+    resident, whatever [capacity] asks for.
+    @raise Invalid_argument if [capacity <= 0]. *)
 
 val lookup :
   t -> gens:int array -> nondet_trap:bool -> entry:int -> Isa.Decoded.block option

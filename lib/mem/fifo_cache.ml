@@ -1,6 +1,9 @@
 type t = {
   cap : int;
-  resident : int Util.Int_table.t; (* frame -> slot *)
+  mutable index : Bytes.t;
+      (* key -> slot + 1 in 16 native-endian bits at byte [2 * key], 0 if
+         absent. Covers keys below [Bytes.length index / 2]; grows by
+         doubling when a key past its end is installed. *)
   slots : int array;
       (* slot -> frame. A slot [remove] vacated holds [-2 - next], [next]
          being the slot vacated before it (-1 if none): the free slots
@@ -12,11 +15,17 @@ type t = {
   mutable misses : int;
 }
 
+(* The index stores [slot + 1] in 16 bits, so the last slot must stay
+   below 0xFFFF. *)
+let max_capacity = 0xFFFE
+
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Fifo_cache.create: capacity <= 0";
+  if capacity > max_capacity then
+    invalid_arg "Fifo_cache.create: capacity >= 0xFFFF";
   {
     cap = capacity;
-    resident = Util.Int_table.create ~absent:(-1) capacity;
+    index = Bytes.make (2 * capacity) '\000';
     slots = Array.make capacity (-1);
     filled = 0;
     free = -1;
@@ -27,7 +36,14 @@ let create ~capacity =
 
 let capacity t = t.cap
 
-let mem t frame = Util.Int_table.mem t.resident frame
+(* The key's slot, or -1 if it is not resident. A key past the index's
+   end is absent; a negative one fails [Bytes.get_uint16_ne]'s bounds
+   check. *)
+let slot_of t key =
+  if key >= Bytes.length t.index lsr 1 then -1
+  else Bytes.get_uint16_ne t.index (key lsl 1) - 1
+
+let mem t frame = slot_of t frame >= 0
 
 (* Deterministic xorshift; random replacement makes the miss rate degrade
    smoothly as the resident set outgrows capacity, instead of the
@@ -40,9 +56,18 @@ let next_victim t =
   t.rng_state <- x;
   x mod t.cap
 
+(* Double the index until it covers [key]; the new tail is absent. *)
+let grow t key =
+  let len = Bytes.length t.index in
+  let rec size n = if n > key lsl 1 then n else size (2 * n) in
+  let index = Bytes.make (size (2 * len)) '\000' in
+  Bytes.blit t.index 0 index 0 len;
+  t.index <- index
+
 (* Insert a non-resident [frame], returning the resident it displaced,
    or -1 if the slot was free. *)
 let install t frame =
+  if frame >= Bytes.length t.index lsr 1 then grow t frame;
   let slot =
     if t.free >= 0 then begin
       let s = t.free in
@@ -56,13 +81,13 @@ let install t frame =
     else next_victim t
   in
   let old = t.slots.(slot) in
-  if old >= 0 then Util.Int_table.remove t.resident old;
+  if old >= 0 then Bytes.set_uint16_ne t.index (old lsl 1) 0;
   t.slots.(slot) <- frame;
-  Util.Int_table.replace t.resident frame slot;
+  Bytes.set_uint16_ne t.index (frame lsl 1) (slot + 1);
   if old >= 0 then old else -1
 
 let touch t frame =
-  if Util.Int_table.mem t.resident frame then begin
+  if mem t frame then begin
     t.hits <- t.hits + 1;
     true
   end
@@ -73,7 +98,7 @@ let touch t frame =
   end
 
 let admit t frame =
-  if Util.Int_table.mem t.resident frame then begin
+  if mem t frame then begin
     t.hits <- t.hits + 1;
     -1
   end
@@ -83,9 +108,9 @@ let admit t frame =
   end
 
 let remove t frame =
-  let slot = Util.Int_table.find t.resident frame in
+  let slot = slot_of t frame in
   if slot >= 0 then begin
-    Util.Int_table.remove t.resident frame;
+    Bytes.set_uint16_ne t.index (frame lsl 1) 0;
     t.slots.(slot) <- -2 - t.free;
     t.free <- slot
   end

@@ -11,15 +11,27 @@
     the contention behaviour the paper attributes to checkpointing.
 
     The engine's L1/L2 model calls {!touch} on every guest load and
-    store, so the residency set is a {!Util.Int_table} and the slots
-    {!remove} vacates are a list threaded through the slot array:
-    {!mem}, {!touch}, {!admit} and {!remove} allocate nothing. Keys must
-    be non-negative (frame ids, pcs). *)
+    store, so keys are dense small ints looked up by direct indexing:
+    frame ids count up from 0 in each engine and are never reused, and
+    the block cache's keys are entry pcs below its program's length. A
+    [Bytes.t] index holds each key's slot + 1 in 16 bits (0 = absent),
+    and the slots {!remove} vacates are a list threaded through the slot
+    array. {!mem}, {!touch}, {!admit} and {!remove} allocate nothing,
+    except that installing a key past the index's end grows the index by
+    doubling until it covers the key: one fresh [Bytes.t] (on the major
+    heap once past 2 KiB), copied from the old. A key past the end is
+    absent to {!mem} and a no-op to {!remove}. Keys must be
+    non-negative; a negative one raises [Invalid_argument]. *)
 
 type t
 
+val max_capacity : int
+(** 0xFFFE: the largest capacity whose slot + 1 fits the index's 16
+    bits. *)
+
 val create : capacity:int -> t
-(** @raise Invalid_argument if [capacity <= 0]. *)
+(** @raise Invalid_argument if [capacity <= 0] or [capacity >= 0xFFFF]
+    (above {!max_capacity}). *)
 
 val capacity : t -> int
 

@@ -39,6 +39,14 @@ let push_back t x =
       t.buf.((t.front + t.len) mod cap) <- Some x;
       t.len <- t.len + 1)
 
+let push_front t x =
+  with_lock t (fun () ->
+      if t.len = Array.length t.buf then grow t;
+      let cap = Array.length t.buf in
+      t.front <- (t.front + cap - 1) mod cap;
+      t.buf.(t.front) <- Some x;
+      t.len <- t.len + 1)
+
 let pop_back t =
   with_lock t (fun () ->
       if t.len = 0 then None

@@ -17,6 +17,10 @@ val create : unit -> 'a t
 val push_back : 'a t -> 'a -> unit
 (** Owner push: [x] becomes the newest (back) element. *)
 
+val push_front : 'a t -> 'a -> unit
+(** Put back at the head: [x] becomes the oldest (front) element, the
+    next one {!steal_front} takes. *)
+
 val pop_back : 'a t -> 'a option
 (** Owner pop: removes and returns the newest element. *)
 

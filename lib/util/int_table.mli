@@ -1,6 +1,7 @@
-(** Mutable maps from ints to values, for the per-access tables of the
-    guest memory path (the page table, the cache model, the page-digest
-    memo).
+(** Mutable maps from ints to values, for the per-access table of the
+    guest memory path: the page table's vpn -> pte map, whose keys are
+    sparse. (The cache model's keys are dense, so [Mem.Fifo_cache]
+    indexes them directly instead.)
 
     Open addressing with linear probing from a multiplicative hash,
     backward-shift deletion and growth by doubling. {!find}, {!mem},

@@ -16,18 +16,20 @@ module Oracle = Experiments.Oracle
 let tc = Alcotest.test_case
 
 (* ------------------------------------------------------------------ *)
-(* Deque vs list model: front-first list, push_back appends, pop_back
-   takes the newest, steal_front the oldest. Checking every op's result
-   AND the full contents after every op means no element can be lost or
-   duplicated by any interleaving of owner and thief operations. *)
+(* Deque vs list model: front-first list, push_back appends,
+   push_front prepends, pop_back takes the newest, steal_front the
+   oldest. Checking every op's result AND the full contents after every
+   op means no element can be lost or duplicated by any interleaving of
+   owner and thief operations. *)
 
-type op = Push of int | Pop | Steal | Remove_odd
+type op = Push of int | Push_front of int | Pop | Steal | Remove_odd
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [
         (4, map (fun x -> Push x) small_nat);
+        (1, map (fun x -> Push_front x) small_nat);
         (2, return Pop);
         (2, return Steal);
         (1, return Remove_odd);
@@ -35,6 +37,7 @@ let op_gen =
 
 let show_op = function
   | Push x -> Printf.sprintf "Push %d" x
+  | Push_front x -> Printf.sprintf "Push_front %d" x
   | Pop -> "Pop"
   | Steal -> "Steal"
   | Remove_odd -> "Remove_odd"
@@ -61,6 +64,10 @@ let qcheck_deque_matches_model =
             | Push x ->
               Util.Deque.push_back d x;
               model := !model @ [ x ];
+              true
+            | Push_front x ->
+              Util.Deque.push_front d x;
+              model := x :: !model;
               true
             | Pop ->
               let got = Util.Deque.pop_back d in
@@ -415,6 +422,31 @@ let test_migration_skips_dead_checkers () =
       f.Fleet.segments_verified);
   Alcotest.(check int) "segments verified" 23 f.Fleet.segments_verified
 
+(* Open loop on the Apple model, as the fleet experiment runs it: four
+   tenants staggered 200 us apart against a 2-tenant cap. Tenant 2's
+   reserved main core is an unreserved big until it arrives, and
+   tenant 1's drain runs a checker there; admitting tenant 2 must move
+   that checker off before its main runs on the core. The sweep raised
+   "checker N runs on reserved main core M" when the pool reserved the
+   core under the checker. *)
+let test_staggered_admission_vacates_main_core () =
+  let platform = Platform.apple_m2 in
+  let programs = Experiments.Exp_fleet.tenant_programs ~platform ~scale:0.1 ~n:4 in
+  let config =
+    { (P.Config.parallaft ~platform ()) with P.Config.check_invariants = true }
+  in
+  let f =
+    Fleet.run ~max_tenants:2 ~arrival:(Fleet.Staggered 200_000) ~platform ~config
+      ~programs ()
+  in
+  let solo tid =
+    let rng, prng = Fleet.tenant_rngs ~seed:42L ~tid in
+    P.Runtime.run_protected ~platform ~config ~program:(List.nth programs tid)
+      ~rng ~prng ()
+  in
+  Alcotest.(check int) "admitted" 4 f.Fleet.admitted;
+  check_all_clean ~label:"staggered" ~solo f
+
 (* Bare pools on the testing platform (migration off), with stopped
    checker processes that the test hands to the pool directly. The
    tenant's main-exited flag is the test's [exited] ref: the pool reads
@@ -493,6 +525,46 @@ let test_big_take_keeps_queue_order () =
   Alcotest.(check (list int)) "c3 still queued" [ c3 ]
     (P.Core_pool.queued_pids pool ~tid:0)
 
+(* Admitting a tenant whose main core runs another tenant's checker.
+   Tenant 0 drains (main exited) and its oldest queued checker takes
+   the free big, core 1, while its other two hold both littles. Tenant
+   1 then reserves core 1: with a little free the checker moves there
+   (a migration); with none free it stops and goes back to the head of
+   tenant 0's home deque, and the next little to free takes it. Either
+   way no checker runs on a reserved main core. *)
+let test_admission_vacates_main_core () =
+  let module E = Sim_os.Engine in
+  let admit_on_big ~free_a_little =
+    let eng, pool, checker, exited = bare_pool P.Core_pool.Shared in
+    let busy = List.init 2 (fun _ -> checker ()) in
+    let c1 = checker () in
+    List.iter (P.Core_pool.enqueue pool ~tid:0) (busy @ [ c1 ]);
+    exited := true;
+    P.Core_pool.main_exited pool ~tid:0;
+    Alcotest.(check int) "c1 runs on the free big" 1 (E.core_of eng c1);
+    if free_a_little then P.Core_pool.finished pool (List.hd busy);
+    P.Core_pool.register_tenant pool ~tid:1 ~stats:(P.Stats.create ())
+      ~main_core:1
+      ~main_exited:(fun () -> false)
+      ~main_held:(fun () -> false);
+    P.Core_pool.check_invariants pool;
+    (eng, pool, busy, c1)
+  in
+  let eng, pool, busy, c1 = admit_on_big ~free_a_little:true in
+  let little0 = List.hd (E.little_cores eng) in
+  Alcotest.(check int) "c1 moved to the freed little" little0 (E.core_of eng c1);
+  Alcotest.(check int) "the move is a migration" 1 (P.Core_pool.migrations pool);
+  Alcotest.(check (list int)) "c1 still running" (List.tl busy @ [ c1 ])
+    (P.Core_pool.running_pids pool ~tid:0);
+  let eng, pool, busy, c1 = admit_on_big ~free_a_little:false in
+  Alcotest.(check (list int)) "c1 requeued" [ c1 ]
+    (P.Core_pool.queued_pids pool ~tid:0);
+  Alcotest.(check bool) "c1 stopped" true (E.state eng c1 = E.Stopped);
+  P.Core_pool.finished pool (List.hd busy);
+  P.Core_pool.check_invariants pool;
+  Alcotest.(check int) "the freed little takes c1" little0 (E.core_of eng c1);
+  Alcotest.(check bool) "c1 resumed" true (E.state eng c1 = E.Runnable)
+
 (* Reject admission: with one slot and batch arrivals, the overflow
    tenants are turned away and the admitted one is undisturbed. *)
 let test_reject_admission () =
@@ -531,11 +603,15 @@ let () =
           tc "RAFT refused" `Quick test_raft_refused;
           tc "migration skips dead checkers" `Quick
             test_migration_skips_dead_checkers;
+          tc "staggered admission vacates the main core" `Quick
+            test_staggered_admission_vacates_main_core;
         ] );
       ( "pool",
         [
           tc "private pool rules" `Quick test_private_pool_rules;
           tc "big-core take keeps queue order" `Quick
             test_big_take_keeps_queue_order;
+          tc "admission vacates the main core" `Quick
+            test_admission_vacates_main_core;
         ] );
     ]

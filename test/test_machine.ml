@@ -601,6 +601,30 @@ let qcheck_block_bound_exact =
         || QCheck.Test.fail_reportf "charged %d cycles, bound %d" charged
              bound)
 
+(* A capacity past the FIFO's 16-bit limit clamps to it: a program
+   longer than the limit still gets a cache, which holds and finds
+   blocks at entry pcs on both sides of 0xFFFF. *)
+let test_block_cache_capacity_clamped () =
+  let code_len = 100_000 in
+  let code = Array.make code_len Isa.Insn.Nop in
+  code.(code_len - 1) <- Isa.Insn.Halt;
+  let bc = Machine.Block_cache.create ~capacity:100_000 ~code_len in
+  let gens = Array.make (Isa.Decoded.n_code_pages ~code_len) 0 in
+  let entries = [ 0; 65_534; 65_535; 70_000; code_len - 1 ] in
+  List.iter
+    (fun entry ->
+      Machine.Block_cache.admit bc ~gens
+        (Isa.Decoded.decode_block ~code ~nondet_trap:false ~entry))
+    entries;
+  List.iter
+    (fun entry ->
+      match Machine.Block_cache.lookup bc ~gens ~nondet_trap:false ~entry with
+      | Some b -> Alcotest.(check int) "found its block" entry b.Isa.Decoded.entry
+      | None -> Alcotest.failf "block at %d not resident" entry)
+    entries;
+  Alcotest.(check int) "every lookup hit" (List.length entries)
+    (Machine.Block_cache.hits bc)
+
 let test_block_cache_hits_and_stats () =
   let src = "li r1, 50\nli r2, 0\nl:\nsub r1, r1, 1\nbne r1, r2, l\nhalt" in
   let cpu = make_cpu src in
@@ -754,6 +778,8 @@ let () =
         [
           tc "hits, misses, decoded reported" `Quick
             test_block_cache_hits_and_stats;
+          tc "capacity past the FIFO limit" `Quick
+            test_block_cache_capacity_clamped;
           tc "patch_code invalidates" `Quick test_patch_code_invalidates;
           tc "patch_code validation" `Quick test_patch_code_validation;
           tc "patch_code differential" `Quick test_patch_code_differential;

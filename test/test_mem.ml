@@ -378,6 +378,41 @@ let test_fifo_cache_admit_reports_eviction () =
   Alcotest.(check int) "freed slot reused without eviction" (-1)
     (Mem.Fifo_cache.admit c 3)
 
+(* The index stores slot + 1 in 16 bits: a capacity of 0xFFFF or more
+   is refused, and a negative key fails every operation. *)
+let test_fifo_cache_limits () =
+  let refused capacity =
+    match Mem.Fifo_cache.create ~capacity with
+    | _ -> Alcotest.failf "capacity %d accepted" capacity
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter refused [ 0; -1; 0xFFFF; 0x10000; 100_000 ];
+  let c = Mem.Fifo_cache.create ~capacity:Mem.Fifo_cache.max_capacity in
+  Alcotest.(check int) "0xFFFE accepted" 0xFFFE (Mem.Fifo_cache.capacity c);
+  for k = 0 to 0xFFFD do
+    ignore (Mem.Fifo_cache.touch c (3 * k))
+  done;
+  Alcotest.(check bool) "last slot's key resident" true
+    (Mem.Fifo_cache.mem c (3 * 0xFFFD));
+  let victim = Mem.Fifo_cache.admit c 1 in
+  Alcotest.(check bool) "a full cache evicts one of its keys" true
+    (victim >= 0 && victim mod 3 = 0 && not (Mem.Fifo_cache.mem c victim));
+  Alcotest.(check bool) "the newcomer is resident" true (Mem.Fifo_cache.mem c 1);
+  Alcotest.(check bool) "key past the end absent" false
+    (Mem.Fifo_cache.mem c 10_000_000);
+  Mem.Fifo_cache.remove c 10_000_000;
+  List.iter
+    (fun (name, op) ->
+      match op c (-1) with
+      | () -> Alcotest.failf "%s of -1 accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("mem", fun c k -> ignore (Mem.Fifo_cache.mem c k));
+      ("touch", fun c k -> ignore (Mem.Fifo_cache.touch c k));
+      ("admit", fun c k -> ignore (Mem.Fifo_cache.admit c k));
+      ("remove", Mem.Fifo_cache.remove);
+    ]
+
 (* The Hashtbl-based cache this module replaced, kept verbatim as the
    reference: the table under the cache, the free-slot list and the
    victim's type changed, the replacement policy must not. *)
@@ -489,10 +524,21 @@ let show_cache_op = function
   | Remove k -> Printf.sprintf "remove %d" k
   | Mem k -> Printf.sprintf "mem %d" k
 
+(* Keys mix a dense small range (hits and evictions) with keys up to
+   ~100k, drawn both from a few wide values that recur and uniformly,
+   so the index grows mid-sequence and [mem]/[remove] ask about keys
+   past its end. *)
 let qcheck_fifo_cache_matches_reference =
   let gen_op =
     let open QCheck.Gen in
-    let key = int_bound 40 in
+    let key =
+      frequency
+        [
+          (6, int_bound 40);
+          (2, map (fun k -> 997 * k) (int_bound 100));
+          (1, int_bound 100_000);
+        ]
+    in
     frequency
       [
         (6, map (fun k -> Touch k) key);
@@ -528,20 +574,33 @@ let qcheck_fifo_cache_matches_reference =
 
 (* The cache model runs on every guest load and store, a COW copy
    removes the dead frame, and the block cache admits every decoded
-   block: a hit, an evicting miss, a remove and an evicting admit
-   allocate nothing. *)
+   block: once the index covers every key in use, a hit, an evicting
+   miss, a remove and an evicting admit allocate nothing, minor or
+   major. Installing the largest key first (then removing it) grows the
+   index to cover the rest. *)
 let test_fifo_cache_allocates_nothing () =
   let c = Mem.Fifo_cache.create ~capacity:64 in
+  ignore (Mem.Fifo_cache.touch c 29_999);
+  Mem.Fifo_cache.remove c 29_999;
   for k = 0 to 63 do
     ignore (Mem.Fifo_cache.touch c k)
   done;
   let hits = ref 0 and victims = ref 0 in
+  (* Minor and major words allocated by 10k rounds; [Gc.counters]
+     counts a direct major allocation at once, and its own tuple falls
+     outside the window. *)
   let words loop =
+    (* An empty minor heap: the counters' own allocation cannot start a
+       collection that promotes into the window. *)
+    Gc.minor ();
+    let _, _, major0 = Gc.counters () in
     let w0 = Gc.minor_words () in
     for i = 0 to 9_999 do
       loop i
     done;
-    Gc.minor_words () -. w0
+    let minor = Gc.minor_words () -. w0 in
+    let _, _, major1 = Gc.counters () in
+    (minor, major1 -. major0)
   in
   let hit_words =
     words (fun i -> if Mem.Fifo_cache.touch c (i land 63) then incr hits)
@@ -562,11 +621,15 @@ let test_fifo_cache_allocates_nothing () =
     words (fun i -> if Mem.Fifo_cache.admit c (20_000 + i) >= 0 then incr victims)
   in
   Alcotest.(check int) "10k hits, then misses only" 10_000 !hits;
-  Alcotest.(check int) "every round missed" 30_065 (Mem.Fifo_cache.misses c);
+  Alcotest.(check int) "every round missed" 30_066 (Mem.Fifo_cache.misses c);
   Alcotest.(check int) "every admit evicted" 10_000 !victims;
+  let all = [ hit_words; miss_words; remove_words; admit_words ] in
   Alcotest.(check (list (float 0.)))
     "minor words (hits, misses, remove+touch, admits)" [ 0.; 0.; 0.; 0. ]
-    [ hit_words; miss_words; remove_words; admit_words ]
+    (List.map fst all);
+  Alcotest.(check (list (float 0.)))
+    "major words (hits, misses, remove+touch, admits)" [ 0.; 0.; 0.; 0. ]
+    (List.map snd all)
 
 let test_frame_generation_bumps_in_place_only () =
   let aspace = fresh_as () in
@@ -1084,6 +1147,7 @@ let () =
         [
           tc "basics" `Quick test_fifo_cache_basics;
           tc "admit reports eviction" `Quick test_fifo_cache_admit_reports_eviction;
+          tc "capacity and key limits" `Quick test_fifo_cache_limits;
           QCheck_alcotest.to_alcotest qcheck_fifo_cache_matches_reference;
           tc "touch allocates nothing" `Quick test_fifo_cache_allocates_nothing;
         ] );
